@@ -216,45 +216,48 @@ def kernel_basis(m: Sequence[Sequence[int]]) -> list[IntVector]:
     return [[v[i][j] for i in range(cols)] for j in range(rank, cols)]
 
 
-def signature(m: Sequence[Sequence[int]]) -> tuple[int, int, int]:
-    """Exact inertia (positive, zero, negative) of a symmetric matrix.
+def ldl(m: Sequence[Sequence[int]]) -> tuple[RatVector, RatMatrix]:
+    """Symmetric rational elimination m = L D L^T, the one shared core of
+    inertia, rational diagonalization and short-vector enumeration.
 
-    Symmetric elimination over the rationals; a fully degenerate diagonal is
-    handled by splitting off a hyperbolic 2x2 block, which contributes one
-    eigenvalue of each sign.
+    Returns ``(pivots, mult)``.  ``pivots`` lists the pivots in the order they
+    are taken, always the first remaining nonzero diagonal entry.  When the
+    remaining diagonal vanishes, a hyperbolic 2x2 block is split off and
+    contributes the pair 1, -1 (one eigenvalue of each sign); a degenerate
+    remainder contributes zeros.  ``mult[piv][r]`` is the multiplier
+    a[r][piv]/p by which row r was reduced with the diagonal pivot ``piv``
+    (zero otherwise; hyperbolic blocks record none).  When all pivots are
+    positive they were taken in index order, and
+    q(x) = sum_i pivots[i] (x_i + sum_{j>i} mult[i][j] x_j)^2.
     """
     n = require_symmetric(m)
     a = [[Fraction(x) for x in row] for row in m]
+    zero = Fraction(0)
+    mult = [[zero] * n for _ in range(n)]
+    pivots: RatVector = []
     active = list(range(n))
-    pos = neg = zero = 0
     while active:
         piv = next((i for i in active if a[i][i] != 0), None)
         if piv is not None:
-            if a[piv][piv] > 0:
-                pos += 1
-            else:
-                neg += 1
-            active.remove(piv)
             p = a[piv][piv]
+            pivots.append(p)
+            active.remove(piv)
             for r in active:
                 if a[r][piv] == 0:
                     continue
-                f = a[r][piv] / p
+                f = mult[piv][r] = a[r][piv] / p
                 for s in active:
                     a[r][s] -= f * a[piv][s]
-            for r in active:
-                a[r][piv] = a[piv][r] = Fraction(0)
             continue
         pair = next(
             ((i, j) for i in active for j in active if i < j and a[i][j] != 0),
             None,
         )
         if pair is None:
-            zero += len(active)
+            pivots.extend([zero] * len(active))
             break
         i, j = pair
-        pos += 1
-        neg += 1
+        pivots.extend([Fraction(1), Fraction(-1)])
         active.remove(i)
         active.remove(j)
         p = a[i][j]
@@ -265,9 +268,16 @@ def signature(m: Sequence[Sequence[int]]) -> tuple[int, int, int]:
             for s in active:
                 # Schur complement of the block [[0,p],[p,0]]
                 a[r][s] -= (ci * a[j][s] + cj * a[i][s]) / p
-        for r in active:
-            a[r][i] = a[i][r] = a[r][j] = a[j][r] = Fraction(0)
-    return pos, zero, neg
+    return pivots, mult
+
+
+def signature(m: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """Exact inertia (positive, zero, negative) of a symmetric matrix: the
+    signs of its ``ldl`` pivots."""
+    pivots, _ = ldl(m)
+    pos = sum(1 for p in pivots if p > 0)
+    neg = sum(1 for p in pivots if p < 0)
+    return pos, len(pivots) - pos - neg, neg
 
 
 def solve(a: Sequence[Sequence], b: Sequence) -> RatVector | None:

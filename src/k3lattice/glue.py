@@ -17,6 +17,7 @@ from math import isqrt
 from typing import Sequence
 
 from . import exact
+from .k3embed import build_V
 from .lattice import (
     FiniteQuadraticForm,
     Lattice,
@@ -139,25 +140,6 @@ def _isotropic_subgroups(
     zero = tuple(0 for _ in form.invariant_factors)
     iso_elements = [e for e in form.elements() if e != zero and form.q(e) == 0]
 
-    def add(el, x):
-        return tuple((a + b) % d for a, b, d in zip(el, x, form.invariant_factors))
-
-    def closure(elements: frozenset, new) -> frozenset | None:
-        group = set(elements)
-        frontier = [new]
-        while frontier:
-            g = frontier.pop()
-            if g in group:
-                continue
-            group.add(g)
-            if len(group) > max_order:
-                return None
-            for h in list(group):
-                s = add(g, h)
-                if s not in group:
-                    frontier.append(s)
-        return frozenset(group)
-
     found = {frozenset([zero])}
     frontier = [frozenset([zero])]
     while frontier:
@@ -167,7 +149,7 @@ def _isotropic_subgroups(
                 continue
             if any(form.b(e, h) != 0 for h in grp):
                 continue
-            bigger = closure(grp, e)
+            bigger = form.span([e], start=grp, limit=max_order)
             if bigger is None or bigger in found:
                 continue
             if all(form.q(x) == 0 for x in bigger):
@@ -206,7 +188,8 @@ def even_overlattices(l: Lattice, max_index: int | None = None) -> list[Lattice]
             out.append(l)
             continue
         bigger = adjoin_ambient_vectors(l, vectors, require_even=True)
-        assert glue_index(bigger) == len(grp)
+        if glue_index(bigger) != len(grp):
+            raise ArithmeticError("overlattice index differs from the subgroup order")
         out.append(bigger)
     return out
 
@@ -455,16 +438,6 @@ def l_sat_lattice() -> Lattice:
     raise GlueError("no index-2 even overlattice found")
 
 
-def v_lattice() -> Lattice:
-    return direct_sum(
-        hyperbolic(),
-        hyperbolic(),
-        hyperbolic(),
-        root_lattice("E", 8),
-        root_lattice("E", 8),
-    ).rename("V")
-
-
 def u_e8_e6_lattice() -> Lattice:
     return direct_sum(
         hyperbolic(), root_lattice("E", 8), root_lattice("E", 6)
@@ -507,7 +480,7 @@ NAMED_BUILDERS = {
     "KummerK": kummer_lattice,
     "U_E8_E6": u_e8_e6_lattice,
     "L_sat": l_sat_lattice,
-    "V": v_lattice,
+    "V": build_V,
 }
 
 _PARAM_RE = re.compile(r"^(\w+)\(([^)]*)\)$")

@@ -151,21 +151,9 @@ def find_disc_form_isomorphism(
     q1 = [f1.q(g) for g in gens1]
     images: list[tuple[int, ...]] = []
 
-    def span_order(els: list[tuple[int, ...]]) -> int:
-        seen = {tuple(0 for _ in range(k))}
-        frontier = list(seen)
-        while frontier:
-            x = frontier.pop()
-            for e in els:
-                y = tuple((a + b) % d for a, b, d in zip(x, e, f2.invariant_factors))
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return len(seen)
-
     def extend(i: int) -> bool:
         if i == k:
-            return span_order(images) == f2.order
+            return len(f2.span(images)) == f2.order
         for cand in profile2.get((f1.invariant_factors[i], q1[i]), ()):
             if any(
                 f2.b(cand, images[j]) != f1.b_matrix[i][j] for j in range(i)
@@ -244,29 +232,14 @@ def complement_genus_in_unimodular(
 # short vectors and definite isometry
 
 
-def _fraction_cholesky(gram: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    """q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2 for positive definite
-    gram; returns the matrix with d_i on the diagonal and u_ij above."""
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    for i in range(n):
-        if a[i][i] <= 0:
-            raise ValueError("matrix is not positive definite")
-        for j in range(i + 1, n):
-            a[j][i] = a[i][j]
-            a[i][j] = a[i][j] / a[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                a[k][l] -= a[k][i] * a[i][l]
-                a[l][k] = a[k][l]
-    return a
-
-
 def short_vectors(gram: Sequence[Sequence[int]], max_norm: int) -> dict[int, list[tuple[int, ...]]]:
     """All vectors of a positive-definite lattice with 0 < q(v) <= max_norm,
     one representative per antipodal pair, grouped by norm."""
     n = len(gram)
-    chol = _fraction_cholesky(gram)
+    # q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2
+    d, u = exact.ldl(gram)
+    if not all(p > 0 for p in d):
+        raise ValueError("matrix is not positive definite")
     out: dict[int, list[tuple[int, ...]]] = {}
     x = [0] * n
 
@@ -276,9 +249,9 @@ def short_vectors(gram: Sequence[Sequence[int]], max_norm: int) -> dict[int, lis
             if norm > 0:
                 out.setdefault(norm, []).append(tuple(x))
             return
-        center = -sum(chol[i][j] * x[j] for j in range(i + 1, n))
+        center = -sum(u[i][j] * x[j] for j in range(i + 1, n))
         # d_i (x_i - center)^2 <= remaining
-        bound = remaining / chol[i][i]
+        bound = remaining / d[i]
         c0 = center.numerator // center.denominator  # floor
         t = c0
         while (t - center) ** 2 <= bound:
@@ -290,7 +263,7 @@ def short_vectors(gram: Sequence[Sequence[int]], max_norm: int) -> dict[int, lis
         high = t - 1
         for xi in range(low, high + 1):
             x[i] = xi
-            rec(i - 1, remaining - chol[i][i] * (xi - center) ** 2)
+            rec(i - 1, remaining - d[i] * (xi - center) ** 2)
         x[i] = 0
 
     rec(n - 1, Fraction(max_norm))
@@ -343,6 +316,35 @@ def _greedy_reduce(gram: list[list[int]]) -> list[list[int]]:
     return basis
 
 
+def _match_gram(
+    target: Sequence[Sequence[int]],
+    cands: dict[int, list[tuple[int, ...]]],
+    gram: Sequence[Sequence[int]],
+) -> list[list[int]] | None:
+    """Backtracking search for vectors v_0..v_{n-1}, v_i taken in order from
+    ``cands[target[i][i]]``, whose pairings under ``gram`` reproduce
+    ``target`` and which span a sublattice of index 1; the rows found, or
+    None."""
+    n = len(target)
+    chosen: list[tuple[int, ...]] = []
+
+    def pairing(v, w):
+        return sum(v[i] * gram[i][j] * w[j] for i in range(n) for j in range(n))
+
+    def extend(i: int) -> bool:
+        if i == n:
+            return abs(exact.det([list(v) for v in chosen])) == 1
+        for v in cands.get(target[i][i], ()):
+            if all(pairing(v, chosen[j]) == target[i][j] for j in range(i)):
+                chosen.append(v)
+                if extend(i + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return [list(v) for v in chosen] if extend(0) else None
+
+
 def definite_isomorphic(l1: Lattice, l2: Lattice) -> bool:
     """Exact isometry test for definite lattices of equal rank via complete
     backtracking over short vectors of matching norms and pairings."""
@@ -362,33 +364,13 @@ def definite_isomorphic(l1: Lattice, l2: Lattice) -> bool:
     g1r = exact.matmul(exact.matmul(red, g1), exact.transpose(red))
     n = len(g1r)
     max_norm = max(g1r[i][i] for i in range(n))
-    cands = short_vectors(g2, max_norm)
-
-    def pairing2(v, w):
-        return sum(v[i] * g2[i][j] * w[j] for i in range(n) for j in range(n))
-
-    chosen: list[tuple[int, ...]] = []
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        for v in cands.get(g1r[i][i], ()):
-            for w in (v, tuple(-c for c in v)):
-                if all(
-                    pairing2(w, chosen[j]) == g1r[i][j] for j in range(i)
-                ):
-                    chosen.append(w)
-                    if extend(i + 1):
-                        return True
-                    chosen.pop()
-        return False
-
-    if not extend(0):
-        return False
-    # chosen maps a finite-index sublattice isometrically; equal determinants
-    # force the index to be 1
-    m = exact.det([list(v) for v in chosen])
-    return abs(m) == 1
+    cands = {
+        norm: [w for v in vecs for w in (v, tuple(-c for c in v))]
+        for norm, vecs in short_vectors(g2, max_norm).items()
+    }
+    # a full match maps a finite-index sublattice isometrically; equal
+    # determinants force the index to be 1, so the leaf check always passes
+    return _match_gram(g1r, cands, g2) is not None
 
 
 def isometry_search(l1: Lattice, l2: Lattice, bound: int = 5) -> list[list[int]] | None:
@@ -409,27 +391,12 @@ def isometry_search(l1: Lattice, l2: Lattice, bound: int = 5) -> list[list[int]]
         if norm in needed:
             by_norm.setdefault(norm, []).append(v)
 
-    chosen: list[tuple[int, ...]] = []
-
-    def pairing2(v, w):
-        return sum(v[i] * g2[i][j] * w[j] for i in range(n) for j in range(n))
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return abs(exact.det([list(v) for v in chosen])) == 1
-        for v in by_norm.get(l1.gram[i][i], ()):
-            if all(pairing2(v, chosen[j]) == l1.gram[i][j] for j in range(i)):
-                chosen.append(v)
-                if extend(i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if not extend(0):
+    rows = _match_gram(l1.gram, by_norm, g2)
+    if rows is None:
         return None
-    rows = [list(v) for v in chosen]
     check = exact.matmul(exact.matmul(rows, g2), exact.transpose(rows))
-    assert check == [list(r) for r in l1.gram]
+    if check != [list(r) for r in l1.gram]:
+        raise ArithmeticError("isometry search returned a map that is not an isometry")
     return rows
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import exact
 
@@ -244,8 +244,30 @@ class FiniteQuadraticForm:
         bm = tuple(tuple((-b) % 1 for b in row) for row in self.b_matrix)
         return FiniteQuadraticForm(self.invariant_factors, self.generators, qv, bm)
 
-    def is_isotropic_subgroup(self, elements: Sequence[Sequence[int]]) -> bool:
-        return all(self.q(e) == 0 for e in elements)
+    def span(
+        self,
+        gens: Sequence[tuple[int, ...]],
+        start: Iterable[tuple[int, ...]] | None = None,
+        limit: int | None = None,
+    ) -> frozenset | None:
+        """Elements reached from ``start`` (default: zero) by adding
+        generators: the subgroup generated by ``gens``, or start + <gens>
+        when ``start`` is a subgroup.  None once more than ``limit``
+        elements are reached."""
+        if start is None:
+            start = (tuple(0 for _ in self.invariant_factors),)
+        seen = set(start)
+        frontier = list(seen)
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = tuple((a + b) % d for a, b, d in zip(x, g, self.invariant_factors))
+                if y not in seen:
+                    seen.add(y)
+                    if limit is not None and len(seen) > limit:
+                        return None
+                    frontier.append(y)
+        return frozenset(seen)
 
 
 def discriminant_group(l: Lattice) -> FiniteQuadraticForm:
@@ -323,15 +345,6 @@ def index_in(sub: Lattice, sup: Lattice) -> int:
     if sub.rank != sup.rank:
         raise ValueError("index requires equal ranks")
     return index_from_dets(sub.det(), sup.det())
-
-
-def is_even(l: Lattice) -> bool:
-    return l.is_even()
-
-
-def contains(l: Lattice, v: Sequence) -> bool:
-    """Membership of a vector given in l's own basis coordinates."""
-    return all(Fraction(x).denominator == 1 for x in v)
 
 
 def divisibility(l: Lattice, v: Sequence[int]) -> int:

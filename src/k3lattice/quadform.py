@@ -174,45 +174,14 @@ def diagonalize(gram: Sequence[Sequence[int]]) -> list[int]:
     """Squarefree diagonal representatives of a nondegenerate symmetric
     matrix under rational congruence.
 
-    Hyperbolic planes that appear with both diagonal entries zero are split
-    off as (1, -1); all other entries are the squarefree parts of the
-    rational pivots.
+    The entries are the squarefree parts of the ``exact.ldl`` pivots, so
+    hyperbolic planes that appear with both diagonal entries zero are split
+    off as (1, -1).
     """
-    n = exact.require_symmetric(gram)
-    if exact.det(gram) == 0:
+    pivots, _ = exact.ldl(gram)
+    if any(p == 0 for p in pivots):
         raise ValueError("degenerate form")
-    a = [[Fraction(x) for x in row] for row in gram]
-    active = list(range(n))
-    out: list[int] = []
-    while active:
-        piv = next((i for i in active if a[i][i] != 0), None)
-        if piv is not None:
-            p = a[piv][piv]
-            out.append(squarefree_part(_rational_to_int_class(p)))
-            active.remove(piv)
-            for r in active:
-                if a[r][piv] == 0:
-                    continue
-                f = a[r][piv] / p
-                for s in active:
-                    a[r][s] -= f * a[piv][s]
-            for r in active:
-                a[r][piv] = a[piv][r] = Fraction(0)
-            continue
-        i, j = next((i, j) for i in active for j in active if i < j and a[i][j] != 0)
-        out.extend([1, -1])
-        active.remove(i)
-        active.remove(j)
-        p = a[i][j]
-        for r in active:
-            ci, cj = a[r][i], a[r][j]
-            if ci == 0 and cj == 0:
-                continue
-            for s in active:
-                a[r][s] -= (ci * a[j][s] + cj * a[i][s]) / p
-        for r in active:
-            a[r][i] = a[i][r] = a[r][j] = a[j][r] = Fraction(0)
-    return out
+    return [squarefree_part(_rational_to_int_class(p)) for p in pivots]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ polynomial computed by division-free Faddeev-LeVerrier.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -226,6 +227,83 @@ def test_signature_counts_rank(m):
     pos, zero, neg = exact.signature(m)
     assert pos + zero + neg == len(m)
     assert zero == len(exact.kernel_basis(m))
+
+
+def zero_diagonal(n):
+    return symmetric(n).map(
+        lambda m: [[0 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)]
+    )
+
+
+def degenerate(n):
+    """b^T a b with b of shape k x n, k < n: symmetric of rank below n."""
+    return st.integers(0, n - 1).flatmap(
+        lambda k: st.tuples(
+            symmetric(k, -3, 3),
+            st.lists(
+                st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=k, max_size=k
+            ),
+        )
+    ).map(
+        lambda ab: exact.matmul(exact.matmul(exact.transpose(ab[1]), ab[0]), ab[1])
+        if ab[1] else exact.zeros(n, n)
+    )
+
+
+def any_symmetric(lo=1, hi=8):
+    return st.integers(lo, hi).flatmap(
+        lambda n: st.one_of(symmetric(n), zero_diagonal(n), degenerate(n))
+    )
+
+
+def is_rational_square(x):
+    x = Fraction(x)
+    if x < 0:
+        return False
+    num, den = x.numerator, x.denominator
+    return isqrt(num) ** 2 == num and isqrt(den) ** 2 == den
+
+
+def test_ldl_examples():
+    assert exact.ldl([[0, 1], [1, 0]])[0] == [1, -1]
+    assert exact.ldl([[0, 0], [0, 0]])[0] == [0, 0]
+    pivots, mult = exact.ldl([[2, 1], [1, 2]])
+    assert pivots == [2, Fraction(3, 2)]
+    assert mult[0][1] == Fraction(1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_symmetric())
+def test_ldl_pivots_give_inertia_and_det_class(m):
+    pivots, _ = exact.ldl(m)
+    assert len(pivots) == len(m)
+    pos = sum(1 for p in pivots if p > 0)
+    neg = sum(1 for p in pivots if p < 0)
+    assert (pos, len(m) - pos - neg, neg) == signature_by_descartes(m)
+    d = exact.det(m)
+    prod = Fraction(1)
+    for p in pivots:
+        prod *= p
+    if d == 0:
+        assert prod == 0
+    else:
+        assert is_rational_square(prod * d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(symmetric))
+def test_ldl_reconstructs_positive_definite(b):
+    # g = b b^T + I is positive definite, so the pivots come in index order
+    # and g = L D L^T with L unit lower triangular, L[i][j] = u[j][i]
+    n = len(b)
+    g = exact.matmul(b, exact.transpose(b))
+    for i in range(n):
+        g[i][i] += 1
+    d, u = exact.ldl(g)
+    assert all(p > 0 for p in d)
+    low = [[u[j][i] if j < i else Fraction(i == j) for j in range(n)] for i in range(n)]
+    diag = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    assert exact.matmul(exact.matmul(low, diag), exact.transpose(low)) == g
 
 
 # ---------------------------------------------------------------------------

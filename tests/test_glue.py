@@ -7,6 +7,7 @@ import pytest
 
 import k3lattice.lattice as lat
 from k3lattice import exact, glue
+from k3lattice.k3embed import build_V
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +159,12 @@ def test_named_lattices(name, rank, det, even):
     assert l.rank == rank
     assert l.det() == det
     assert l.is_even() == even
+
+
+def test_named_v_is_build_v():
+    v = glue.build_named("V")
+    assert v == build_V()
+    assert v.name == "V"
 
 
 def test_named_signatures():

@@ -5,6 +5,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import k3lattice.lattice as lat
 from k3lattice import exact, glue, k3embed as ke, quadform as qf
@@ -253,6 +254,45 @@ def test_short_vectors_e8_roots():
     e8 = lat.root_lattice("E", 8)
     neg = [[-x for x in row] for row in e8.gram]
     assert 2 * len(ke.short_vectors(neg, 2)[2]) == 240
+
+
+def _square(n, lo=-2, hi=2):
+    return st.lists(
+        st.lists(st.integers(lo, hi), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(_square), st.integers(1, 6))
+def test_short_vectors_match_box_enumeration(b, max_norm):
+    assume(exact.det(b) != 0)
+    g = exact.matmul(b, exact.transpose(b))
+    n = len(g)
+    bound = complete_box_bound(g, max_norm)
+    assume(bound <= 5)
+    expected = {}
+    for v in itertools.product(range(-bound, bound + 1), repeat=n):
+        norm = sum(v[i] * g[i][j] * v[j] for i in range(n) for j in range(n))
+        if 0 < norm <= max_norm:
+            expected.setdefault(norm, set()).add(max(v, tuple(-c for c in v)))
+    got = ke.short_vectors(g, max_norm)
+    assert {k: {max(v, tuple(-c for c in v)) for v in vs} for k, vs in got.items()} == expected
+    assert all(len(vs) == len(expected[k]) for k, vs in got.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: _square(n, -3, 3)))
+def test_short_vectors_reject_indefinite_and_semidefinite(m):
+    n = len(m)
+    sym = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    # b^T b for b of shape (n-1) x n is positive semidefinite and singular
+    semi = exact.matmul(exact.transpose(m[:-1]), m[:-1]) if n > 1 else [[0]]
+    for g in (sym, semi):
+        p, z, q = exact.signature(g)
+        if p == n:
+            continue
+        with pytest.raises(ValueError):
+            ke.short_vectors(g, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,19 @@ def test_disc_form_axioms_small():
     _quadratic_refinement(lat.discriminant_group(lat.root_lattice("D", 4)))
 
 
+def test_span_of_generators_and_cosets():
+    # A3 has discriminant group Z/4; D4 has (Z/2)^2
+    z4 = lat.discriminant_group(lat.root_lattice("A", 3))
+    assert z4.span([(2,)]) == {(0,), (2,)}
+    assert z4.span([(1,)]) == {(0,), (1,), (2,), (3,)}
+    assert z4.span([(1,)], limit=3) is None
+    assert z4.span([(1,)], limit=4) is not None
+    k = lat.discriminant_group(lat.root_lattice("D", 4))
+    sub = k.span([(1, 0)])
+    grown = k.span([(0, 1)], start=sub)
+    assert grown == k.span([(1, 0), (0, 1)]) == frozenset(k.elements())
+
+
 # ---------------------------------------------------------------------------
 # complements and saturation
 
@@ -209,14 +222,12 @@ def test_sublattice_det_index_law(data):
 
 
 def test_is_even():
-    assert lat.is_even(lat.root_lattice("E", 8))
-    assert not lat.is_even(lat.rank_one(1, allow_odd=True))
+    assert lat.root_lattice("E", 8).is_even()
+    assert not lat.rank_one(1, allow_odd=True).is_even()
 
 
 def test_contains_and_divisibility():
     a1 = lat.root_lattice("A", 1)
-    assert lat.contains(a1, [3])
-    assert not lat.contains(a1, [Fraction(1, 2)])
     assert lat.divisibility(a1, [1]) == 2
     u = lat.hyperbolic()
     assert lat.divisibility(u, [1, 1]) == 1

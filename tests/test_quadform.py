@@ -223,6 +223,53 @@ def test_diagonalize_is_equivalent_to_input(m):
     assert qf.rationally_equivalent(sym, diag_m)
 
 
+def _symmetric(n, zero_diag=False):
+    return st.lists(
+        st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n
+    ).map(lambda m: [
+        [0 if zero_diag and i == j else m[min(i, j)][max(i, j)] for j in range(n)]
+        for i in range(n)
+    ])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.one_of(_symmetric(n), _symmetric(n, zero_diag=True))
+))
+def test_diagonalize_det_class_and_signs(m):
+    d = exact.det(m)
+    if d == 0:
+        with pytest.raises(ValueError):
+            qf.diagonalize(m)
+        return
+    diag = qf.diagonalize(m)
+    prod = 1
+    for x in diag:
+        prod *= x
+    assert qf.squarefree_part(prod) == qf.squarefree_part(d)
+    pos = sum(1 for x in diag if x > 0)
+    assert (pos, 0, len(diag) - pos) == exact.signature(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8).flatmap(
+    lambda n: st.tuples(_symmetric(n), st.integers(0, n - 1), st.integers(0, n - 1),
+                        st.integers(-2, 2))
+))
+def test_diagonalize_singular_rejected(args):
+    # row/column j replaced by c times row/column i (i != j): singular
+    m, i, j, c = args
+    if i == j:
+        j = (i + 1) % len(m)
+    m = [row[:] for row in m]
+    for r in range(len(m)):
+        m[r][j] = c * m[r][i]
+    m[j] = [c * x for x in m[i]]
+    assert exact.det(m) == 0
+    with pytest.raises(ValueError):
+        qf.diagonalize(m)
+
+
 # ---------------------------------------------------------------------------
 # Hasse invariants
 
