@@ -110,16 +110,22 @@ _G1 = glue._subgroup_order4([(0, 0, 0, 1), (0, 1, 0, 0)])
 _G2 = glue._subgroup_order4([(0, 0, 1, 0), (0, 1, 0, 0)])
 
 
+def _extend(l: lat.Lattice, *specs: glue.GlueSpec) -> lat.Lattice:
+    """A glued lattice enlarged by more glue vectors in its base frame."""
+    e = l.ambient
+    own = [glue.GlueSpec(row, e.denominator) for row in e.basis]
+    return glue.adjoin(e.ambient, own + list(specs))
+
+
+def _half_fiber(group) -> glue.GlueSpec:
+    return glue.GlueSpec(tuple(_frame_vector(1, group, -1)), 2)
+
+
 @lru_cache(maxsize=None)
 def _n1_enlarged() -> lat.Lattice:
     """N1 enlarged by halves of the two isotropic fiber classes built from
     the order-4 subgroups G1, G2."""
-    n1 = _named("N1")
-    frame = n1.ambient.ambient
-    rows = [[Fraction(x) for x in row] for row in n1.ambient.basis]
-    for g in (_G1, _G2):
-        rows.append([Fraction(x, 2) for x in _frame_vector(1, g, -1)])
-    return glue.adjoin_ambient_vectors(frame, rows)
+    return _extend(_named("N1"), _half_fiber(_G1), _half_fiber(_G2))
 
 
 @lru_cache(maxsize=None)
@@ -1065,19 +1071,15 @@ def _n1works():
     "n2works",
 )
 def _n2works():
-    n2 = _named("N2")
-    frame = n2.ambient.ambient
     groups = [
         glue._subgroup_order4([(1, 0, 0, 0), (0, 0, 0, 1)]),
         glue._subgroup_order4([(0, 1, 0, 0), (0, 0, 0, 1)]),
         glue._subgroup_order4([(0, 0, 1, 0), (0, 0, 0, 1)]),
     ]
-    cur = n2
+    cur = _named("N2")
     discs = []
     for g in groups:
-        rows = [[Fraction(x) for x in row] for row in cur.ambient.basis]
-        rows.append([Fraction(x, 2) for x in _frame_vector(1, g, -1)])
-        cur = glue.adjoin_ambient_vectors(frame, rows)
+        cur = _extend(cur, _half_fiber(g))
         discs.append(cur.det())
     computed = {
         "discs": discs,
@@ -1144,14 +1146,11 @@ def _sqrel_8d():
 )
 def _sqrel_p2():
     l27 = glue.ld_lattice(27, "subgroup")
-    frame = l27.ambient.ambient
     search = [_frame_vector(0, [i], -3) for i in range(4)]
     v = glue.find_isotropic_glue(l27, _frame_vector(1, []), 3, search, bound=7)
     if v is None:
         return False, {"found": False}, {"found": True}
-    rows = [[Fraction(x) for x in row] for row in l27.ambient.basis]
-    rows.append([Fraction(x, 3) for x in v])
-    enlarged = glue.adjoin_ambient_vectors(frame, rows)
+    enlarged = _extend(l27, glue.GlueSpec(tuple(v), 3))
     computed = {
         "base_det": l27.det(),
         "enlarged_det": enlarged.det(),

@@ -112,7 +112,7 @@ def _cmd_lattice_op(args) -> int:
         print(f"invariant factors: {list(form.invariant_factors) or 'trivial'}")
         print(f"group order:       {form.order}")
         if form.q_values is not None:
-            for i, (g, q) in enumerate(zip(form.generators, form.q_values)):
+            for i, q in enumerate(form.q_values):
                 print(f"q(g{i + 1}) = {q} (mod 2)")
             for i in range(len(form.generators)):
                 row = "  ".join(str(form.b_matrix[i][j]) for j in range(len(form.generators)))

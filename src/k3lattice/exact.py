@@ -319,32 +319,6 @@ def solve(a: Sequence[Sequence], b: Sequence) -> RatVector | None:
     return x
 
 
-def solve_matrix(a: Sequence[Sequence], b: Sequence[Sequence]) -> RatMatrix | None:
-    """Solve a*X = b column by column; None if any column is inconsistent."""
-    cols_b = transpose(b)
-    sols = []
-    for col in cols_b:
-        s = solve(a, col)
-        if s is None:
-            return None
-        sols.append(s)
-    return transpose(sols)
-
-
-def inverse_unimodular(u: Sequence[Sequence[int]]) -> IntMatrix:
-    """Inverse of a matrix with determinant +-1; entries stay integral."""
-    n = require_square(u)
-    inv = solve_matrix(u, identity(n))
-    if inv is None:
-        raise ValueError("matrix is singular")
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        out.append([int(x) for x in row])
-    return out
-
-
 def hermite_row_basis(rows: Sequence[Sequence[int]]) -> list[IntVector]:
     """Canonical basis (row-style Hermite form) of the lattice spanned by rows.
 
@@ -384,7 +358,7 @@ def hermite_row_basis(rows: Sequence[Sequence[int]]) -> list[IntVector]:
                 # remainder became the smaller pivot: swap and keep reducing
                 basis[k], v = v, basis[k]
             elif first_nonzero(v) == j:
-                raise AssertionError("reduction failed")
+                raise ArithmeticError("reduction failed")
     # normalize: positive pivots, reduce entries above each pivot
     for k in range(len(basis)):
         if basis[k][piv_col[k]] < 0:

@@ -13,7 +13,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Sequence
 
 from . import exact
@@ -44,9 +44,6 @@ class GlueSpec:
         if self.denominator < 2:
             raise ValueError("glue denominator must be at least 2")
 
-    def as_fractions(self) -> list[Fraction]:
-        return [Fraction(x, self.denominator) for x in self.vector]
-
 
 class GlueError(ValueError):
     pass
@@ -63,44 +60,40 @@ def adjoin(
     determinant is det(base) divided by the square of the index.
     """
     n = base.rank
-    vecs = [g.as_fractions() for g in glue]
-    for g, w in zip(glue, vecs):
-        if len(w) != n:
+    for g in glue:
+        if len(g.vector) != n:
             raise GlueError("glue vector has wrong length")
-        pair = [base.pairing(w, e) for e in exact.identity(n)]
-        if any(p.denominator != 1 for p in pair):
+    # v/d pairs integrally with the base iff d divides every entry of G v
+    products = [exact.mat_vec(base.gram, g.vector) for g in glue]
+    for g, gv in zip(glue, products):
+        if any(x % g.denominator for x in gv):
             raise GlueError(f"glue vector {g.vector}/{g.denominator} does not pair integrally with the base")
-    for w1, w2 in itertools.combinations_with_replacement(vecs, 2):
-        p = base.pairing(w1, w2)
-        if p.denominator != 1:
+    for (g, gv), (h, _) in itertools.combinations_with_replacement(zip(glue, products), 2):
+        if exact.dot(h.vector, gv) % (g.denominator * h.denominator):
             raise GlueError("glue vectors do not pair integrally with each other")
     if require_even:
-        for g, w in zip(glue, vecs):
-            norm = base.norm(w)
-            if norm.denominator != 1 or int(norm) % 2:
+        for g, gv in zip(glue, products):
+            norm = exact.dot(g.vector, gv) // g.denominator**2
+            if norm % 2:
                 raise GlueError(f"glue vector {g.vector}/{g.denominator} has odd norm {norm}")
 
-    denoms = [g.denominator for g in glue]
     scale = 1
-    for d in denoms:
-        scale = exact.lcm(scale, d) if scale else d
-    scale = scale or 1
+    for g in glue:
+        scale = exact.lcm(scale, g.denominator)
     rows = [[scale if i == j else 0 for j in range(n)] for i in range(n)]
     for g in glue:
         rows.append([x * (scale // g.denominator) for x in g.vector])
-    basis_scaled = exact.hermite_row_basis(rows)
-    basis = [[Fraction(x, scale) for x in row] for row in basis_scaled]
-    gram_f = exact.matmul(
-        exact.matmul(basis, [list(r) for r in base.gram]), exact.transpose(basis)
-    )
-    gram = []
-    for row in gram_f:
-        if any(x.denominator != 1 for x in row):
-            raise GlueError("glue vectors do not close up to an integral lattice")
-        gram.append([int(x) for x in row])
-    result = Lattice(
-        tuple(tuple(r) for r in gram), None, make_embedding(base, basis)
-    )
+    basis = exact.hermite_row_basis(rows)
+    # lowest terms: the result contains the base, so this only cancels
+    # denominators that the glue did not need
+    common = gcd(scale, *itertools.chain.from_iterable(basis))
+    basis = [[x // common for x in row] for row in basis]
+    scale //= common
+    gram = exact.matmul(exact.matmul(basis, base.gram), exact.transpose(basis))
+    if any(x % scale**2 for row in gram for x in row):
+        raise GlueError("glue vectors do not close up to an integral lattice")
+    gram = [[x // scale**2 for x in row] for row in gram]
+    result = lattice(gram, None, make_embedding(base, basis, scale))
     if require_even and not result.is_even():
         raise GlueError("resulting overlattice is not even")
     return result
@@ -171,23 +164,23 @@ def even_overlattices(l: Lattice, max_index: int | None = None) -> list[Lattice]
         raise GlueError("discriminant group too large to enumerate")
     # the square of the index divides the group order
     bound = max_index if max_index is not None else isqrt(form.order)
+    # element c of the form is the vector sum_i c_i (D / d_i) g_i over the
+    # largest invariant factor D, which every d_i divides
+    top = max(form.invariant_factors, default=1)
+    lift = exact.transpose(
+        [[x * (top // d) for x in g] for g, d in zip(form.generators, form.invariant_factors)]
+    )
     out = []
     for grp in _isotropic_subgroups(form, bound):
-        vectors = [
-            [
-                sum(
-                    (Fraction(c) * form.generators[i][j] for i, c in enumerate(el)),
-                    Fraction(0),
-                )
-                for j in range(l.rank)
-            ]
+        specs = [
+            GlueSpec(tuple(exact.mat_vec(lift, el)), top)
             for el in grp
             if any(el)
         ]
-        if not vectors:
+        if not specs:
             out.append(l)
             continue
-        bigger = adjoin_ambient_vectors(l, vectors, require_even=True)
+        bigger = adjoin(l, specs, require_even=True)
         if glue_index(bigger) != len(grp):
             raise ArithmeticError("overlattice index differs from the subgroup order")
         out.append(bigger)

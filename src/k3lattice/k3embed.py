@@ -107,8 +107,7 @@ def embed_standard(spec: str, k: int | None = None) -> EmbeddedLattice:
     if spec == "L2-isogeny-complement":
         sub = embed_standard("U+E8+A5+A1 in V")
         comp = orthogonal_complement(sub.ambient, [list(r) for r in sub.basis])
-        rows = tuple(tuple(int(x) for x in r) for r in comp.ambient.basis)
-        return EmbeddedLattice(sub.ambient, rows)
+        return EmbeddedLattice(sub.ambient, comp.ambient.basis)
     if spec == "vector_of_norm(k) in U":
         if k is None or k % 2:
             raise ValueError("an even norm k is required")
@@ -444,7 +443,7 @@ def quadric_certificate(l: Lattice) -> QuadFormInvariants:
 
     def smallest_external_flip(minus: frozenset) -> int:
         if signed == 1:
-            raise AssertionError("no flip places for a split discriminant")
+            raise ArithmeticError("no flip places for a split discriminant")
         p = 2
         while True:
             if p not in minus and flippable(p):

@@ -22,18 +22,16 @@ def _to_gram(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
-def _to_frac_rows(rows: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 @dataclass(frozen=True)
 class Embedding:
-    """Reference to an ambient lattice: rows of ``basis`` are the coordinates
-    of the embedded lattice's basis vectors in the ambient basis.  Entries may
-    be rational (overlattices of the ambient frame)."""
+    """Reference to an ambient lattice: the embedded lattice's basis vectors
+    are the integer rows of ``basis`` divided by ``denominator``, in the
+    ambient basis.  A denominator above 1 marks an overlattice of the ambient
+    frame."""
 
     ambient: "Lattice"
-    basis: tuple[tuple[Fraction, ...], ...]
+    basis: tuple[tuple[int, ...], ...]
+    denominator: int = 1
 
 
 @dataclass(frozen=True)
@@ -46,11 +44,13 @@ class Lattice:
         if not exact.is_symmetric(self.gram):
             raise ValueError("Gram matrix must be symmetric")
         if self.ambient is not None:
-            b = [list(row) for row in self.ambient.basis]
-            g = [list(row) for row in self.ambient.ambient.gram]
-            induced = exact.matmul(exact.matmul(b, g), exact.transpose(b))
+            e = self.ambient
+            induced = exact.matmul(
+                exact.matmul(e.basis, e.ambient.gram), exact.transpose(e.basis)
+            )
+            scale = e.denominator**2
             if any(
-                Fraction(self.gram[i][j]) != induced[i][j]
+                induced[i][j] != scale * self.gram[i][j]
                 for i in range(self.rank)
                 for j in range(self.rank)
             ):
@@ -81,8 +81,7 @@ class Lattice:
 
     def pairing(self, v: Sequence, w: Sequence) -> Fraction:
         """Bilinear form of two vectors given in this lattice's basis."""
-        gv = exact.mat_vec(self.gram, w)
-        return sum((Fraction(x) * y for x, y in zip(v, gv)), Fraction(0))
+        return Fraction(exact.dot(v, exact.mat_vec(self.gram, w)))
 
     def norm(self, v: Sequence) -> Fraction:
         return self.pairing(v, v)
@@ -113,8 +112,10 @@ def lattice(
     return Lattice(_to_gram(gram), name, ambient)
 
 
-def make_embedding(ambient: Lattice, basis_rows: Sequence[Sequence]) -> Embedding:
-    return Embedding(ambient, _to_frac_rows(basis_rows))
+def make_embedding(
+    ambient: Lattice, basis_rows: Sequence[Sequence[int]], denominator: int = 1
+) -> Embedding:
+    return Embedding(ambient, _to_gram(basis_rows), denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +185,15 @@ def direct_sum(*lattices: Lattice) -> Lattice:
 class FiniteQuadraticForm:
     """Discriminant group L*/L with its torsion forms.
 
-    ``generators[i]`` is a rational vector in L's basis generating a cyclic
-    factor of order ``invariant_factors[i]``.  For even lattices ``q_values``
-    holds q(g_i) in Q/2Z (representatives in [0,2)); ``b_matrix`` holds the
-    bilinear values b(g_i,g_j) in Q/Z (representatives in [0,1)).  For odd
-    lattices ``q_values`` is None.
+    ``generators[i]`` is an integer vector in L's basis; divided by
+    ``invariant_factors[i]`` it generates a cyclic factor of that order.  For
+    even lattices ``q_values`` holds q(g_i) in Q/2Z (representatives in
+    [0,2)); ``b_matrix`` holds the bilinear values b(g_i,g_j) in Q/Z
+    (representatives in [0,1)).  For odd lattices ``q_values`` is None.
     """
 
     invariant_factors: tuple[int, ...]
-    generators: tuple[tuple[Fraction, ...], ...]
+    generators: tuple[tuple[int, ...], ...]
     q_values: tuple[Fraction, ...] | None
     b_matrix: tuple[tuple[Fraction, ...], ...]
 
@@ -277,15 +278,15 @@ def discriminant_group(l: Lattice) -> FiniteQuadraticForm:
     n = l.rank
     d, u, v = exact.smith_normal_form([list(r) for r in l.gram])
     factors: list[int] = []
-    gens: list[tuple[Fraction, ...]] = []
+    gens: list[tuple[int, ...]] = []
     for i in range(n):
         di = d[i][i]
         if di > 1:
             factors.append(di)
-            gens.append(tuple(Fraction(v[r][i], di) for r in range(n)))
-    even = l.is_even()
-    qv = tuple(l.norm(g) % 2 for g in gens) if even else None
-    bm = tuple(tuple(l.pairing(g, h) % 1 for h in gens) for g in gens)
+            gens.append(tuple(v[r][i] for r in range(n)))
+    pairs = list(zip(gens, factors))
+    qv = tuple(l.norm(g) / (c * c) % 2 for g, c in pairs) if l.is_even() else None
+    bm = tuple(tuple(l.pairing(g, h) / (c * e) % 1 for h, e in pairs) for g, c in pairs)
     return FiniteQuadraticForm(tuple(factors), tuple(gens), qv, bm)
 
 
@@ -314,9 +315,7 @@ def saturation(ambient: Lattice, sub: Sequence[Sequence[int]]) -> Lattice:
     ``sub``; the double complement."""
     rows = _sub_rows(sub)
     comp = orthogonal_complement(ambient, rows)
-    comp_rows = [[int(x) for x in row] for row in comp.ambient.basis]
-    sat = orthogonal_complement(ambient, comp_rows)
-    return sat
+    return orthogonal_complement(ambient, comp.ambient.basis)
 
 
 def saturation_index(ambient: Lattice, sub: Sequence[Sequence[int]]) -> int:
@@ -324,12 +323,12 @@ def saturation_index(ambient: Lattice, sub: Sequence[Sequence[int]]) -> int:
     degenerate spans, where the determinant ratio is useless)."""
     rows = _sub_rows(sub)
     sat = saturation(ambient, rows)
-    sat_rows_t = exact.transpose([list(r) for r in sat.ambient.basis])
+    sat_rows_t = exact.transpose(sat.ambient.basis)
     coords = []
     for row in rows:
         x = exact.solve(sat_rows_t, row)
         if x is None or any(c.denominator != 1 for c in x):
-            raise AssertionError("sublattice escapes its saturation")
+            raise ArithmeticError("sublattice escapes its saturation")
         coords.append([int(c) for c in x])
     return abs(exact.det(coords))
 
@@ -365,8 +364,9 @@ def ambient_to_self(l: Lattice, w: Sequence) -> list[Fraction] | None:
     vector is outside the rational span."""
     if l.ambient is None:
         raise ValueError("lattice has no recorded ambient frame")
-    basis_t = exact.transpose([list(row) for row in l.ambient.basis])
-    return exact.solve(basis_t, [Fraction(x) for x in w])
+    e = l.ambient
+    coords = exact.solve(exact.transpose(e.basis), w)
+    return None if coords is None else [c * e.denominator for c in coords]
 
 
 def contains_ambient(l: Lattice, w: Sequence) -> bool:
@@ -378,8 +378,9 @@ def divisibility_ambient(l: Lattice, w: Sequence) -> int:
     """gcd of pairings of an ambient-frame vector with all of l."""
     if l.ambient is None:
         raise ValueError("lattice has no recorded ambient frame")
-    amb = l.ambient.ambient
-    pairings = [amb.pairing(w, row) for row in l.ambient.basis]
+    e = l.ambient
+    gw = exact.mat_vec(e.ambient.gram, w)
+    pairings = [Fraction(exact.dot(row, gw), e.denominator) for row in e.basis]
     if any(p.denominator != 1 for p in pairings):
         raise ValueError("vector does not pair integrally with the lattice")
     return exact.gcd_vector([int(p) for p in pairings])
@@ -388,8 +389,5 @@ def divisibility_ambient(l: Lattice, w: Sequence) -> int:
 def self_to_ambient(l: Lattice, v: Sequence) -> list[Fraction]:
     if l.ambient is None:
         raise ValueError("lattice has no recorded ambient frame")
-    basis = [list(row) for row in l.ambient.basis]
-    return [
-        sum((Fraction(c) * basis[i][j] for i, c in enumerate(v)), Fraction(0))
-        for j in range(len(basis[0]))
-    ]
+    e = l.ambient
+    return [Fraction(exact.dot(v, col), e.denominator) for col in zip(*e.basis)]

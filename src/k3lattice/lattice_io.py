@@ -86,10 +86,9 @@ def dumps(l: Lattice) -> str:
     }
     if l.ambient is not None:
         name = l.ambient.ambient.name
-        rows = l.ambient.basis
-        if name and all(x.denominator == 1 for row in rows for x in row):
+        if name and l.ambient.denominator == 1:
             doc["ambient"] = name
-            doc["basis"] = [[_encode_int(int(x)) for x in row] for row in rows]
+            doc["basis"] = [[_encode_int(x) for x in row] for row in l.ambient.basis]
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 

@@ -265,11 +265,15 @@ def _is_local_square(d: int, v) -> bool:
     return _legendre(u, p) == 1
 
 
-def _local_data(diag: Sequence[int], v):
-    disc = 1
+def _square_class(diag: Sequence[int]) -> int:
+    """Squarefree part of the product of the squarefree integers ``diag``,
+    without factoring: for squarefree a, b with g = gcd(a, b), the product
+    (a/g)(b/g) is squarefree and in the square class of ab."""
+    out = 1
     for d in diag:
-        disc *= d
-    return len(diag), squarefree_part(disc), hasse_invariant(diag, v)
+        g = gcd(out, d)
+        out = (out // g) * (d // g)
+    return out
 
 
 def _local_isotropic(rank: int, disc: int, eps: int, v) -> bool:
@@ -288,42 +292,49 @@ def _local_isotropic(rank: int, disc: int, eps: int, v) -> bool:
     return True
 
 
-def anisotropic_dimension(gram: Sequence[Sequence[int]], v) -> int:
-    """Dimension of the anisotropic kernel over the completion at v."""
-    diag = diagonalize(gram)
+def _anisotropic_dimension(diag: Sequence[int], disc: int, v) -> int:
+    """Anisotropic dimension at v of a squarefree diagonal form whose
+    discriminant has square class ``disc``."""
     if v == REAL:
         pos = sum(1 for d in diag if d > 0)
         return abs(pos - (len(diag) - pos))
-    rank, disc, eps = _local_data(diag, v)
+    rank, eps = len(diag), hasse_invariant(diag, v)
     while rank > 0 and _local_isotropic(rank, disc, eps, v):
         # split off a hyperbolic plane: disc -> -disc, eps -> eps*(-1,-disc)
         eps *= hilbert_symbol(-1, -disc, v)
-        disc = squarefree_part(-disc)
+        disc = -disc
         rank -= 2
     return rank
+
+
+def anisotropic_dimension(gram: Sequence[Sequence[int]], v) -> int:
+    """Dimension of the anisotropic kernel over the completion at v."""
+    diag = diagonalize(gram)
+    return _anisotropic_dimension(diag, _square_class(diag), v)
 
 
 def witt_index(gram: Sequence[Sequence[int]], v) -> int:
     """Number of hyperbolic planes split off at v, or the global minimum
     when v == GLOBAL.
 
-    Globally it suffices to look at the real place, the primes dividing
-    twice the determinant, and the generic value taken at all remaining
-    primes (which depends only on rank and discriminant class).
+    Globally it suffices to look at the real place, 2, the primes dividing
+    a diagonal entry, and the generic value taken at all remaining primes
+    (which depends only on rank and discriminant class).  The form is
+    diagonalized once for all places.
     """
     if v != GLOBAL:
         return (len(gram) - anisotropic_dimension(gram, v)) // 2
     diag = diagonalize(gram)
-    rank = len(diag)
-    disc = 1
-    for d in diag:
-        disc *= d
-    best = min(witt_index(gram, p) for p in relevant_places(disc))
+    rank, disc = len(diag), _square_class(diag)
+    best = min(
+        (rank - _anisotropic_dimension(diag, disc, p)) // 2
+        for p in relevant_places(*diag)
+    )
     if rank % 2:
         generic = (rank - 1) // 2
     else:
         half = rank // 2
-        signed = squarefree_part(disc * (-1) ** half)
+        signed = disc * (-1) ** half
         generic = half if signed == 1 else half - 1
     return min(best, generic)
 

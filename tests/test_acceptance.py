@@ -286,7 +286,6 @@ def test_criterion_13_overlattice_suite():
     target = glue.build_named("U_E8_E6")
     proper = [m for m in glue.even_overlattices(base2) if m.det() != base2.det()]
     n2 = glue.build_named("N2")
-    frame = n2.ambient.ambient
     groups = [
         glue._subgroup_order4([(1, 0, 0, 0), (0, 0, 0, 1)]),
         glue._subgroup_order4([(0, 1, 0, 0), (0, 0, 0, 1)]),
@@ -295,9 +294,9 @@ def test_criterion_13_overlattice_suite():
     cur = n2
     chain = []
     for g in groups:
-        rows = [[Fraction(x) for x in row] for row in cur.ambient.basis]
-        rows.append([Fraction(x, 2) for x in claims._frame_vector(1, g, -1)])
-        cur = glue.adjoin_ambient_vectors(frame, rows)
+        specs = [glue.GlueSpec(row, cur.ambient.denominator) for row in cur.ambient.basis]
+        specs.append(glue.GlueSpec(tuple(claims._frame_vector(1, g, -1)), 2))
+        cur = glue.adjoin(cur.ambient.ambient, specs)
         chain.append(cur.det())
     _criterion(
         13,
@@ -417,7 +416,10 @@ def test_criterion_15_property_suites():
             continue
         el = rng.choice(iso)
         vec = [
-            sum(Fraction(c) * form.generators[i][j] for i, c in enumerate(el))
+            sum(
+                Fraction(c * form.generators[i][j], form.invariant_factors[i])
+                for i, c in enumerate(el)
+            )
             for j in range(base.rank)
         ]
         bigger = glue.adjoin_ambient_vectors(base, [vec])

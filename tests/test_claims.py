@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +92,13 @@ def test_machine_report_is_deterministic():
     a = json.dumps(claims.machine_report(claims.run_all("quadform")), sort_keys=True)
     b = json.dumps(claims.machine_report(claims.run_all("quadform")), sort_keys=True)
     assert a == b
+
+
+def test_report_matches_the_committed_report():
+    # the --json report of verify --all is pinned byte for byte
+    committed = Path(__file__).resolve().parents[1] / "perfbench" / "verify_report.json"
+    report = json.dumps(claims.machine_report(claims.run_all()), indent=1, sort_keys=True)
+    assert report + "\n" == committed.read_text()
 
 
 def test_tag_filter():

@@ -364,10 +364,3 @@ def test_hermite_canonical():
     b = exact.hermite_row_basis([[1, 1], [1, -1]])
     assert a == b == [[1, 1], [0, 2]]
 
-
-def test_inverse_unimodular():
-    u = [[1, 2], [1, 3]]
-    inv = exact.inverse_unimodular(u)
-    assert exact.matmul(u, inv) == exact.identity(2)
-    with pytest.raises(ValueError):
-        exact.inverse_unimodular([[2, 0], [0, 1]])

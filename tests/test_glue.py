@@ -35,7 +35,10 @@ def test_adjoin_d8_to_e8():
         if any(el) and form.q(el) == 0
     )
     vec = [
-        sum(Fraction(c) * form.generators[i][j] for i, c in enumerate(spinor))
+        sum(
+            Fraction(c * form.generators[i][j], form.invariant_factors[i])
+            for i, c in enumerate(spinor)
+        )
         for j in range(8)
     ]
     bigger = glue.adjoin_ambient_vectors(d8, [vec])
@@ -60,13 +63,25 @@ def test_adjoin_determinant_law_random():
             continue
         el = rng.choice(isotropics)
         vec = [
-            sum(Fraction(c) * form.generators[i][j] for i, c in enumerate(el))
+            sum(
+                Fraction(c * form.generators[i][j], form.invariant_factors[i])
+                for i, c in enumerate(el)
+            )
             for j in range(base.rank)
         ]
-        bigger = glue.adjoin_ambient_vectors(base, [vec])
-        index = glue.glue_index(bigger)
-        assert base.det() == index**2 * bigger.det()
-        assert bigger.is_even()
+        results = [glue.adjoin_ambient_vectors(base, [vec])]
+        results += [m for m in glue.even_overlattices(base) if m.ambient is not None]
+        for bigger in results:
+            index = glue.glue_index(bigger)
+            assert base.det() == index**2 * bigger.det()
+            assert bigger.is_even()
+            # integer rows over one denominator: B G B^T = den^2 gram
+            e = bigger.ambient
+            assert all(type(x) is int for row in e.basis for x in row)
+            induced = exact.matmul(
+                exact.matmul(e.basis, base.gram), exact.transpose(e.basis)
+            )
+            assert induced == [[e.denominator**2 * x for x in row] for row in bigger.gram]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import k3lattice.lattice as lat
 from k3lattice import exact, quadform as qf
@@ -355,16 +355,51 @@ def test_witt_global_brute_force_spot_checks():
             assert not isotropic, gram
 
 
-def test_witt_global_is_min_over_places():
-    grams = [
-        lat.direct_sum(lat.hyperbolic(), lat.rank_one(-2), lat.rank_one(6)).gram,
-        lat.direct_sum(lat.hyperbolic(), lat.hyperbolic(), lat.rank_one(-2)).gram,
-        [[6, 5, 3, -3], [5, 6, -2, 4], [3, -2, -6, -2], [-3, 4, -2, 6]],
-    ]
-    for g in grams:
-        det = exact.det(g)
-        local_min = min(qf.witt_index(g, v) for v in qf.relevant_places(det))
-        assert qf.witt_index(g, qf.GLOBAL) <= local_min
+def _generic_witt(g):
+    # Witt index at every prime not dividing 2 det: a unimodular form of
+    # even rank 2k splits k planes there iff (-1)^k det is a square
+    n = len(g)
+    if n % 2:
+        return (n - 1) // 2
+    half = n // 2
+    return half if qf.squarefree_part(exact.det(g) * (-1) ** half) == 1 else half - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.one_of(_symmetric(n), _symmetric(n, zero_diag=True))
+))
+@example(lat.direct_sum(lat.hyperbolic(), lat.rank_one(-2), lat.rank_one(6)).gram)
+@example(lat.direct_sum(lat.hyperbolic(), lat.hyperbolic(), lat.rank_one(-2)).gram)
+@example([[6, 5, 3, -3], [5, 6, -2, 4], [3, -2, -6, -2], [-3, 4, -2, 6]])
+def test_witt_global_is_min_over_places(m):
+    d = exact.det(m)
+    if d == 0:
+        return
+    local = [qf.witt_index(m, v) for v in qf.relevant_places(d)]
+    assert qf.witt_index(m, qf.GLOBAL) == min(local + [_generic_witt(m)])
+
+
+def test_witt_global_diagonalizes_once(monkeypatch):
+    # one diagonalization serves every place: at rank 22, diagonalizing and
+    # factoring the discriminant again per place costs seconds
+    rng = random.Random(1)
+    while True:
+        g = [[0] * 22 for _ in range(22)]
+        for i in range(22):
+            g[i][i] = rng.choice((-2, 0, 2))
+            for j in range(i):
+                g[i][j] = g[j][i] = rng.randint(-2, 2)
+        if exact.det(g):
+            break
+    calls = []
+    diagonalize = qf.diagonalize
+    monkeypatch.setattr(qf, "diagonalize", lambda gram: calls.append(1) or diagonalize(gram))
+    w = qf.witt_index(g, qf.GLOBAL)
+    assert len(calls) == 1
+    assert w == min(
+        [qf.witt_index(g, v) for v in qf.relevant_places(exact.det(g))] + [_generic_witt(g)]
+    )
 
 
 def test_has_k_planes_semantics():
