@@ -79,9 +79,7 @@ def _read_rows(path: str) -> list[list[int]]:
         rows = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise lattice_io.LatticeFileError(f"{path}: {e}") from e
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise lattice_io.LatticeFileError(f"{path}: expected an array of arrays")
-    return [[int(x) for x in row] for row in rows]
+    return lattice_io._decode_matrix(rows, path, "sublattice rows")
 
 
 def _cmd_lattice_op(args) -> int:

@@ -2,8 +2,9 @@
 
 Matrices are plain sequences of rows.  Every routine works with Python's
 arbitrary-precision integers or with ``fractions.Fraction``; nothing in this
-package ever touches floating point.  All functions return fresh objects and
-never mutate their arguments, so values can be shared freely between threads.
+package ever touches floating point.  All public functions return fresh
+objects and never mutate their arguments, so values can be shared freely
+between threads.
 """
 
 from __future__ import annotations
@@ -101,13 +102,57 @@ def det(m: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _swap_rows(m: IntMatrix, i: int, j: int) -> None:
-    m[i], m[j] = m[j], m[i]
+def _hermite(a: IntMatrix, u: IntMatrix | None = None) -> int:
+    """Reduce ``a`` in place to row Hermite normal form and return its rank.
+
+    Pivots are positive, the entries above each pivot lie in [0, pivot) and
+    zero rows come last.  Every row operation is applied to the companion
+    ``u`` as well, so an identity companion ends as a unimodular u with
+    u * a_before = a_after.  Reducing above each pivot as soon as it is found
+    stops the coefficient growth of unreduced elimination (Kannan-Bachem;
+    Cohen, GTM 138, section 2.4).
+    """
+    mats = (a,) if u is None else (a, u)
+
+    def sub(i: int, k: int, q: int) -> None:
+        # row_i -= q * row_k
+        for mat in mats:
+            mat[i] = [x - q * y for x, y in zip(mat[i], mat[k])]
+
+    rows = len(a)
+    r = 0
+    for c in range(len(a[0]) if rows else 0):
+        if r == rows:
+            break
+        nz = [i for i in range(r, rows) if a[i][c]]
+        if not nz:
+            continue
+        while True:
+            p = min(nz, key=lambda i: abs(a[i][c]))
+            for mat in mats:
+                mat[r], mat[p] = mat[p], mat[r]
+            below = [i for i in range(r + 1, rows) if a[i][c]]
+            if not below:
+                break
+            for i in below:
+                sub(i, r, a[i][c] // a[r][c])
+            nz = [r] + [i for i in below if a[i][c]]
+        if a[r][c] < 0:
+            for mat in mats:
+                mat[r] = [-x for x in mat[r]]
+        for i in range(r):
+            q = a[i][c] // a[r][c]
+            if q:
+                sub(i, r, q)
+        r += 1
+    return r
 
 
-def _swap_cols(m: IntMatrix, i: int, j: int) -> None:
-    for row in m:
-        row[i], row[j] = row[j], row[i]
+def _width(m: Sequence[Sequence[int]]) -> int:
+    cols = len(m[0]) if m else 0
+    if any(len(row) != cols for row in m):
+        raise ValueError("ragged matrix")
+    return cols
 
 
 def smith_normal_form(
@@ -115,105 +160,40 @@ def smith_normal_form(
 ) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form ``d`` with unimodular ``u``, ``v``: u*m*v = d.
 
-    The diagonal of ``d`` is nonnegative with d1 | d2 | ... ; pivots are
-    chosen by minimal absolute value.  Works for any rectangular matrix.
+    The diagonal of ``d`` is nonnegative with d1 | d2 | ... .  Row and column
+    Hermite reductions alternate until the matrix is diagonal; a diagonal
+    pair that breaks divisibility is merged by adding one column to the other
+    and reducing again.  Works for any rectangular matrix.
     """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if any(len(row) != cols for row in m):
-        raise ValueError("ragged matrix")
+    rows, cols = len(m), _width(m)
     a = copy_matrix(m)
     u = identity(rows)
-    v = identity(cols)
-
-    def row_op(i: int, k: int, q: int) -> None:
-        # row_i -= q * row_k
-        for mat in (a, u):
-            ri, rk = mat[i], mat[k]
-            for j in range(len(ri)):
-                ri[j] -= q * rk[j]
-
-    def col_op(j: int, k: int, q: int) -> None:
-        # col_j -= q * col_k
-        for mat in (a, v):
-            for row in mat:
-                row[j] -= q * row[k]
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        # locate the smallest nonzero entry of the trailing block
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        if bi != t:
-            _swap_rows(a, t, bi)
-            _swap_rows(u, t, bi)
-        if bj != t:
-            _swap_cols(a, t, bj)
-            _swap_cols(v, t, bj)
-        # clear row and column t; restarts pull smaller pivots into place
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t] != 0:
-                        _swap_rows(a, t, i)
-                        _swap_rows(u, t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j] != 0:
-                        _swap_cols(a, t, j)
-                        _swap_cols(v, t, j)
-                        dirty = True
-        # enforce divisibility of the trailing block by the pivot
-        p = a[t][t]
-        fix = next(
-            (
-                (i, j)
-                for i in range(t + 1, rows)
-                for j in range(t + 1, cols)
-                if a[i][j] % p != 0
-            ),
-            None,
-        )
-        if fix is not None:
-            row_op(t, fix[0], -1)  # add row fix[0] to row t
+    vt = identity(cols)  # v transposed: column operations are its row operations
+    while True:
+        _hermite(a, u)
+        if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+            at = transpose(a)
+            _hermite(at, vt)
+            a = transpose(at)
             continue
-        t += 1
-
-    for i in range(min(rows, cols)):
-        if a[i][i] < 0:
-            for j in range(cols):
-                a[i][j] = -a[i][j]
-            for j in range(rows):
-                u[i][j] = -u[i][j]
-    return a, u, v
+        diag = [a[i][i] for i in range(min(rows, cols))]
+        pairs = ((i, j) for j in range(len(diag)) for i in range(j))
+        bad = next(((i, j) for i, j in pairs if diag[i] and diag[j] % diag[i]), None)
+        if bad is None:
+            return a, u, transpose(vt)
+        i, j = bad
+        # column_i += column_j puts d_j below d_i; the next reduction takes their gcd
+        a[j][i] = a[j][j]
+        vt[i] = [x + y for x, y in zip(vt[i], vt[j])]
 
 
 def kernel_basis(m: Sequence[Sequence[int]]) -> list[IntVector]:
-    """Basis of the integer kernel {x : m*x = 0}, saturated in Z^cols."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if cols == 0:
-        return []
-    if rows == 0:
-        return identity(cols)
-    d, _, v = smith_normal_form(m)
-    rank = sum(1 for i in range(min(rows, cols)) if d[i][i] != 0)
-    return [[v[i][j] for i in range(cols)] for j in range(rank, cols)]
+    """Basis of the integer kernel {x : m*x = 0}, saturated in Z^cols.
+
+    The Hermite reduction u * m^T = h has zero rows past the rank; the
+    matching rows of the unimodular u span the kernel."""
+    u = identity(_width(m))
+    return u[_hermite(transpose(m), u) :]
 
 
 def ldl(m: Sequence[Sequence[int]]) -> tuple[RatVector, RatMatrix]:
@@ -325,52 +305,9 @@ def hermite_row_basis(rows: Sequence[Sequence[int]]) -> list[IntVector]:
     Pivots are positive and entries above each pivot are reduced to lie in
     [0, pivot), so the result is a deterministic function of the row span.
     """
-    if not rows:
-        return []
-    cols = len(rows[0])
-    basis: list[IntVector] = []  # kept in echelon order by pivot column
-    piv_col: list[int] = []
-
-    def first_nonzero(v: Sequence[int]) -> int | None:
-        return next((j for j, x in enumerate(v) if x != 0), None)
-
-    for row in rows:
-        v = list(row)
-        if len(v) != cols:
-            raise ValueError("ragged matrix")
-        while True:
-            j = first_nonzero(v)
-            if j is None:
-                break
-            k = next((idx for idx, pc in enumerate(piv_col) if pc == j), None)
-            if k is None:
-                insert = next(
-                    (idx for idx, pc in enumerate(piv_col) if pc > j), len(piv_col)
-                )
-                basis.insert(insert, v)
-                piv_col.insert(insert, j)
-                break
-            p = basis[k][j]
-            q = v[j] // p
-            if q:
-                v = [x - q * y for x, y in zip(v, basis[k])]
-            if v[j] != 0:
-                # remainder became the smaller pivot: swap and keep reducing
-                basis[k], v = v, basis[k]
-            elif first_nonzero(v) == j:
-                raise ArithmeticError("reduction failed")
-    # normalize: positive pivots, reduce entries above each pivot
-    for k in range(len(basis)):
-        if basis[k][piv_col[k]] < 0:
-            basis[k] = [-x for x in basis[k]]
-    for k in range(len(basis) - 1, -1, -1):
-        j = piv_col[k]
-        p = basis[k][j]
-        for i in range(k):
-            q = basis[i][j] // p
-            if q:
-                basis[i] = [x - q * y for x, y in zip(basis[i], basis[k])]
-    return basis
+    _width(rows)
+    a = copy_matrix(rows)
+    return a[: _hermite(a)]
 
 
 def lcm(a: int, b: int) -> int:

@@ -150,21 +150,26 @@ def find_disc_form_isomorphism(
     q1 = [f1.q(g) for g in gens1]
     images: list[tuple[int, ...]] = []
 
-    def extend(i: int) -> bool:
+    def extend(i: int, grp: frozenset) -> bool:
+        # grp = <images> has order d_0 * ... * d_{i-1}; an image that does not
+        # grow it by its full order d_i can never complete an isomorphism
         if i == k:
-            return len(f2.span(images)) == f2.order
+            return True
         for cand in profile2.get((f1.invariant_factors[i], q1[i]), ()):
             if any(
                 f2.b(cand, images[j]) != f1.b_matrix[i][j] for j in range(i)
             ):
                 continue
+            bigger = f2.span([cand], grp)
+            if len(bigger) != len(grp) * f1.invariant_factors[i]:
+                continue
             images.append(cand)
-            if extend(i + 1):
+            if extend(i + 1, bigger):
                 return True
             images.pop()
         return False
 
-    if not extend(0):
+    if not extend(0, f2.span([])):
         return None
 
     # verify on every element: q determines b by polarization, so checking q

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Iterator, Sequence
 
 from . import exact
@@ -319,18 +319,17 @@ def saturation(ambient: Lattice, sub: Sequence[Sequence[int]]) -> Lattice:
 
 
 def saturation_index(ambient: Lattice, sub: Sequence[Sequence[int]]) -> int:
-    """Index of the span of ``sub`` inside its saturation (valid also for
-    degenerate spans, where the determinant ratio is useless)."""
+    """Index of the span of ``sub`` inside its saturation, the integer
+    vectors of its rational span: the product of the Smith invariants of the
+    rows.  No determinant is taken, so degenerate forms work too."""
     rows = _sub_rows(sub)
-    sat = saturation(ambient, rows)
-    sat_rows_t = exact.transpose(sat.ambient.basis)
-    coords = []
-    for row in rows:
-        x = exact.solve(sat_rows_t, row)
-        if x is None or any(c.denominator != 1 for c in x):
-            raise ArithmeticError("sublattice escapes its saturation")
-        coords.append([int(c) for c in x])
-    return abs(exact.det(coords))
+    if any(len(row) != ambient.rank for row in rows):
+        raise ValueError("sublattice rows do not match the ambient rank")
+    d, _, _ = exact.smith_normal_form(rows)
+    invariants = [d[i][i] for i in range(min(len(rows), ambient.rank))]
+    if len(rows) > ambient.rank or 0 in invariants:
+        raise ValueError("sublattice basis is rank-deficient")
+    return prod(invariants)
 
 
 def index_from_dets(det_sub: int, det_sup: int) -> int:

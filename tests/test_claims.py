@@ -1,6 +1,7 @@
 """Tests for the claim registry, the lattice file format and the CLI."""
 
 import json
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -222,6 +223,15 @@ def test_cli_lattice_ops(tmp_path, capsys):
     ) == 0
     comp = lattice_io.load_lattice(out)
     assert comp.gram == ((0, 1), (1, 0))
+    # non-integer rows are parse errors, never truncated to other vectors
+    for bad, message in (
+        ("[[1.7, 0, 0, 0]]", "matrix entries must be integers, got float"),
+        ("[[true, 0, 0, 0]]", "boolean is not a matrix entry"),
+    ):
+        sub.write_text(bad)
+        capsys.readouterr()
+        assert cli.main(["lattice", "op", "complement", str(base), "--sub", str(sub)]) == 2
+        assert message in capsys.readouterr().err
 
     d4 = tmp_path / "d4.lattice"
     lattice_io.save_lattice(lat.root_lattice("D", 4).rename("D4"), d4)
@@ -253,6 +263,33 @@ def test_cli_quadform(tmp_path, capsys):
     assert "rank:            6" in out
     assert "disc class:      3" in out
     assert "hasse -1 places: none" in out
+
+
+def test_cli_info_on_unstructured_rank8_finishes(tmp_path, capsys):
+    # entries up to 10 made the Smith form's coefficients explode (no result in 30 s)
+    path = tmp_path / "rank8.lattice"
+    path.write_text(json.dumps({"gram": [
+        [-2, -2, -3, 6, -4, 5, 6, -3], [-2, -10, 3, -2, 2, 1, -1, 5],
+        [-3, 3, 2, -2, 3, -5, -5, 2], [6, -2, -2, 0, -4, 6, -1, -4],
+        [-4, 2, 3, -4, 2, 0, -6, 4], [5, 1, -5, 6, 0, -10, 6, 2],
+        [6, -1, -5, -1, -6, 6, 6, 6], [-3, 5, 2, -4, 4, 2, 6, -2],
+    ]}))
+
+    def timeout(signum, frame):
+        raise TimeoutError("lattice info took more than 5 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        code = cli.main(["lattice", "info", str(path)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "det:        -526992" in out
+    assert "signature:  (3, 0, 5)" in out
+    assert "disc group: [2, 263496]" in out
 
 
 def test_cli_parse_error_exit_2(tmp_path, capsys):

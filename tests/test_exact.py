@@ -6,12 +6,19 @@ polynomial computed by division-free Faddeev-LeVerrier.
 """
 
 from fractions import Fraction
-from math import isqrt
+from itertools import combinations
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from k3lattice import exact
+
+try:  # optional oracle for the invariant factors
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+except ImportError:
+    sympy_snf = None
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -65,6 +72,41 @@ small_square = st.integers(1, 5).flatmap(
         st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n
     )
 )
+
+
+def rational_rank(m):
+    a = [[Fraction(x) for x in row] for row in m]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][c] / a[rank][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def int_matrix(rows, cols, bound):
+    return st.lists(
+        st.lists(st.integers(-bound, bound), min_size=cols, max_size=cols),
+        min_size=rows,
+        max_size=rows,
+    )
+
+
+def matrices(max_rows, max_cols, bound):
+    """Dense matrices and rank-deficient products (rows x k)(k x cols)."""
+    shape = st.tuples(
+        st.integers(1, max_rows), st.integers(1, max_cols), st.integers(1, max_rows)
+    )
+    dense = shape.flatmap(lambda s: int_matrix(s[0], s[1], bound))
+    product = shape.flatmap(
+        lambda s: st.tuples(int_matrix(s[0], s[2], 5), int_matrix(s[2], s[1], 5))
+    ).map(lambda ab: exact.matmul(*ab))
+    return st.one_of(dense, product)
 
 
 def symmetric(n, lo=-6, hi=6):
@@ -144,20 +186,12 @@ def test_snf_rank_one_negative():
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    st.integers(1, 4),
-    st.integers(1, 4),
-    st.data(),
-)
-def test_snf_random(rows, cols, data):
-    m = data.draw(
-        st.lists(
-            st.lists(st.integers(-12, 12), min_size=cols, max_size=cols),
-            min_size=rows,
-            max_size=rows,
-        )
-    )
-    check_snf(m)
+@given(matrices(12, 12, 30))
+def test_snf_random(m):
+    diag = check_snf(m)
+    if sympy_snf is not None:
+        s = sympy_snf(Matrix(m), domain=ZZ)
+        assert sorted(diag) == sorted(abs(int(s[i, i])) for i in range(len(diag)))
 
 
 def test_snf_det_consistency():
@@ -189,15 +223,21 @@ def test_kernel_saturated():
     assert exact.gcd_vector(v) == 1
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.integers(-6, 6), min_size=4, max_size=4), min_size=2, max_size=2
-    )
-)
+@settings(max_examples=60, deadline=None)
+@given(matrices(6, 8, 6))
 def test_kernel_annihilates(m):
-    for v in exact.kernel_basis(m):
-        assert exact.mat_vec(m, v) == [0, 0]
+    kern = exact.kernel_basis(m)
+    for v in kern:
+        assert exact.mat_vec(m, v) == [0] * len(m)
+    cols = len(m[0])
+    assert len(kern) == cols - rational_rank(m)
+    if kern:
+        # the maximal minors are coprime exactly when the span is saturated
+        minors = [
+            exact.det([[v[j] for j in cs] for v in kern])
+            for cs in combinations(range(cols), len(kern))
+        ]
+        assert gcd(*minors) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,10 @@ def test_saturation_divides_out_index():
     sat = lat.saturation(u, [[2, 0]])
     assert [[int(x) for x in r] for r in sat.ambient.basis] in ([[1, 0]], [[-1, 0]])
     assert lat.saturation_index(u, [[2, 0]]) == 2
+    assert lat.saturation_index(u, [[2, 2], [0, 6]]) == 12
+    for bad in ([[1, 0], [2, 0]], [[1, 0], [0, 1], [1, 1]]):
+        with pytest.raises(ValueError, match="rank-deficient"):
+            lat.saturation_index(u, bad)
 
 
 def test_index_in():

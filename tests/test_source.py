@@ -1,6 +1,7 @@
 """Source-level checks on the package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "k3lattice"
@@ -34,3 +35,27 @@ def test_no_raise_assertion_error():
         if isinstance(node, ast.Raise) and _raised_name(node) == "AssertionError"
     ]
     assert found == []
+
+
+def test_tracer_functions_resolve():
+    # perfbench/tracer.py wraps these names from outside; a rename here would
+    # silently drop their rows from a traced benchmark run
+    tracer = SRC.parents[1] / "perfbench" / "tracer.py"
+    tree = ast.parse(tracer.read_text(), str(tracer))
+    (names,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "FUNCTIONS" for t in node.targets)
+    ]
+    assert names
+    for name in names:
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"k3lattice.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr)
+        assert callable(obj), name
+    # the tracer's Smith-form counter unpacks (d, u, v)
+    exact = importlib.import_module("k3lattice.exact")
+    result = exact.smith_normal_form([[2, 4], [6, 8]])
+    assert isinstance(result, tuple) and len(result) == 3
