@@ -2,7 +2,7 @@
 basic lattice operations on files.
 
 Exit codes: 0 when everything requested passed, 1 when any claim failed,
-2 on usage or parse errors.
+2 on usage, parse or input errors.
 """
 
 from __future__ import annotations

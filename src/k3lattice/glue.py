@@ -31,6 +31,7 @@ from .lattice import (
     rank_one,
     root_lattice,
 )
+from .quadform import _is_probable_prime, _legendre
 
 
 @dataclass(frozen=True)
@@ -440,8 +441,6 @@ def u_e8_e6_lattice() -> Lattice:
 def np_lattice(p: int, n: int) -> Lattice:
     """Signature (2,2) lattice with norm form x^2 - n y^2 + p z^2 - np w^2;
     n must be a quadratic nonresidue mod the odd prime p."""
-    from .quadform import _is_probable_prime, _legendre
-
     if p < 3 or not _is_probable_prime(p):
         raise GlueError("p must be an odd prime")
     if n % p == 0 or _legendre(n % p, p) != -1:
@@ -455,8 +454,6 @@ def np_lattice(p: int, n: int) -> Lattice:
 
 
 def lp_lattice(p: int) -> Lattice:
-    from .quadform import _is_probable_prime
-
     if not _is_probable_prime(p) or p % 24 != 17:
         raise GlueError("p must be a prime congruent to 17 mod 24")
     return direct_sum(

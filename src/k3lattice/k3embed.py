@@ -33,12 +33,13 @@ from .lattice import (
 from .quadform import (
     REAL,
     QuadFormInvariants,
-    diagonalize,
+    _class_and_places,
+    _form,
+    _invariants,
+    _is_local_square,
+    _is_probable_prime,
     hilbert_symbol,
-    invariants_of_diagonal,
     place_sort_key,
-    relevant_places,
-    squarefree_part,
 )
 
 
@@ -427,21 +428,14 @@ def quadric_certificate(l: Lattice) -> QuadFormInvariants:
     the minimal reachable signature/Hasse data.  Both cases are invariant
     under rescaling the lattice and under finite-index sublattices.
     """
-    from .quadform import _is_local_square
-
-    diag = diagonalize(l.gram)
-    n = len(diag)
-    det = 1
-    for d in diag:
-        det *= d
+    pivots, det = _form(l.gram)
+    d, places = _class_and_places(det)
+    n = len(pivots)
     if n % 2:
-        d = squarefree_part(det)
-        scaled = [squarefree_part(d * x) for x in diag]
-        return invariants_of_diagonal(scaled)
+        return _invariants([d * x for x in pivots], 1, places)
 
-    d = squarefree_part(det)
-    signed = squarefree_part(det * (-1) ** (n // 2))
-    base = invariants_of_diagonal(diag)
+    signed = d * (-1) ** (n // 2)
+    base = _invariants(pivots, d, places)
 
     def flippable(v) -> bool:
         return v != REAL and not _is_local_square(signed, v)
@@ -461,7 +455,7 @@ def quadric_certificate(l: Lattice) -> QuadFormInvariants:
         minus = set(base.hasse_minus)
         if negate:
             # scaling by a negative constant twists by (-1, signed)
-            for v in relevant_places(2 * abs(signed)):
+            for v in places:
                 if hilbert_symbol(-1, signed, v) == -1:
                     minus ^= {v}
         removable = {v for v in minus if flippable(v)}
@@ -477,8 +471,6 @@ def quadric_certificate(l: Lattice) -> QuadFormInvariants:
 
 
 def _next_prime(p: int) -> int:
-    from .quadform import _is_probable_prime
-
     q = p + 1
     while not _is_probable_prime(q):
         q += 1

@@ -294,14 +294,17 @@ def discriminant_group(l: Lattice) -> FiniteQuadraticForm:
 # sublattices, complements, saturation
 
 
-def _sub_rows(sub: Sequence[Sequence[int]]) -> list[list[int]]:
-    return [list(map(int, row)) for row in sub]
+def _sub_rows(sub: Sequence[Sequence[int]], rank: int) -> list[list[int]]:
+    rows = [list(map(int, row)) for row in sub]
+    if any(len(row) != rank for row in rows):
+        raise ValueError("sublattice rows do not match the ambient rank")
+    return rows
 
 
 def orthogonal_complement(ambient: Lattice, sub: Sequence[Sequence[int]]) -> Lattice:
     """Primitive orthogonal complement of the span of ``sub`` (rows are
     vectors in ambient coordinates), with its embedding recorded."""
-    rows = _sub_rows(sub)
+    rows = _sub_rows(sub, ambient.rank)
     if rows and exact.kernel_basis(exact.transpose(rows)):
         raise ValueError("sublattice basis is rank-deficient")
     pair = exact.matmul(rows, [list(r) for r in ambient.gram])
@@ -313,8 +316,7 @@ def orthogonal_complement(ambient: Lattice, sub: Sequence[Sequence[int]]) -> Lat
 def saturation(ambient: Lattice, sub: Sequence[Sequence[int]]) -> Lattice:
     """Minimal primitive sublattice of ``ambient`` containing the span of
     ``sub``; the double complement."""
-    rows = _sub_rows(sub)
-    comp = orthogonal_complement(ambient, rows)
+    comp = orthogonal_complement(ambient, sub)
     return orthogonal_complement(ambient, comp.ambient.basis)
 
 
@@ -322,9 +324,7 @@ def saturation_index(ambient: Lattice, sub: Sequence[Sequence[int]]) -> int:
     """Index of the span of ``sub`` inside its saturation, the integer
     vectors of its rational span: the product of the Smith invariants of the
     rows.  No determinant is taken, so degenerate forms work too."""
-    rows = _sub_rows(sub)
-    if any(len(row) != ambient.rank for row in rows):
-        raise ValueError("sublattice rows do not match the ambient rank")
+    rows = _sub_rows(sub, ambient.rank)
     d, _, _ = exact.smith_normal_form(rows)
     invariants = [d[i][i] for i in range(min(len(rows), ambient.rank))]
     if len(rows) > ambient.rank or 0 in invariants:

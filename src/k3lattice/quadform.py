@@ -5,13 +5,20 @@ string constant ``REAL``.  The Hasse invariant follows the product convention
 eps_v = prod_{i<j} (d_i, d_j)_v over a diagonalization; decisions about
 isotropy over completions use the standard classification of forms over
 local fields by rank, discriminant class and Hasse invariant.
+
+Every decision reads the raw ``exact.ldl`` pivots and the determinant, and
+only |det| is factored: at an odd p not dividing det an integral form is
+Z_p-unimodular, with Hasse invariant +1 and isotropy fixed by rank and
+discriminant, so the places to check are REAL, 2 and the primes of |det|
+(Cassels, Rational Quadratic Forms, ch. 4 and 8; Serre, A Course in
+Arithmetic, ch. IV).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Sequence
 
 from . import exact
@@ -24,21 +31,25 @@ GLOBAL = "global"
 # ---------------------------------------------------------------------------
 # integer factorization (trial division plus Pollard rho)
 
+# total Pollard rho steps one ``factorize`` call may spend before giving up
+_RHO_STEPS = 1_000_000
 
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
+
+def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
+    """A proper factor of the odd composite n, and what is left of the step
+    ``budget`` after finding it."""
     for c in range(1, 20):
         x = y = 2
         d = 1
-        while d == 1:
+        while d == 1 and budget:
+            budget -= 1
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
             d = gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise ArithmeticError(f"failed to factor {n}")
+        if 1 < d < n:
+            return d, budget
+    raise ValueError(f"cannot split the cofactor {n} within {_RHO_STEPS} Pollard rho steps")
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -77,28 +88,33 @@ def factorize(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     stack = [n] if n > 1 else []
+    budget = _RHO_STEPS
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if _is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _pollard_rho(m)
+        d, budget = _pollard_rho(m, budget)
         stack.extend([d, m // d])
     return out
 
 
-def squarefree_part(n: int) -> int:
-    """Signed squarefree representative of n modulo nonzero squares."""
+def _class_and_places(n: int) -> tuple[int, list]:
+    """The signed squarefree representative of the nonzero integer n and the
+    places REAL, 2 and the primes of |n|, from one factorization."""
     if n == 0:
         raise ValueError("zero has no square class")
-    sign = -1 if n < 0 else 1
-    out = sign
-    for p, e in factorize(n).items():
+    primes = factorize(n)
+    out = -1 if n < 0 else 1
+    for p, e in primes.items():
         if e % 2:
             out *= p
-    return out
+    return out, [REAL] + sorted({2, *primes})
+
+
+def squarefree_part(n: int) -> int:
+    """Signed squarefree representative of n modulo nonzero squares."""
+    return _class_and_places(n)[0]
 
 
 def _rational_to_int_class(a) -> int:
@@ -170,18 +186,25 @@ def hasse_invariant(diag: Sequence, v) -> int:
 # diagonalization
 
 
+def _form(gram: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+    """The ``exact.ldl`` pivots of a nondegenerate symmetric integer matrix,
+    each as an integer in its square class, and its determinant."""
+    pivots, _ = exact.ldl(gram)
+    if any(p == 0 for p in pivots):
+        raise ValueError("degenerate form")
+    return [_rational_to_int_class(p) for p in pivots], exact.det(gram)
+
+
 def diagonalize(gram: Sequence[Sequence[int]]) -> list[int]:
     """Squarefree diagonal representatives of a nondegenerate symmetric
     matrix under rational congruence.
 
     The entries are the squarefree parts of the ``exact.ldl`` pivots, so
     hyperbolic planes that appear with both diagonal entries zero are split
-    off as (1, -1).
+    off as (1, -1).  Factoring every pivot is slow on large forms; the
+    invariants below never call this.
     """
-    pivots, _ = exact.ldl(gram)
-    if any(p == 0 for p in pivots):
-        raise ValueError("degenerate form")
-    return [squarefree_part(_rational_to_int_class(p)) for p in pivots]
+    return [squarefree_part(p) for p in _form(gram)[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -205,33 +228,22 @@ def place_sort_key(v) -> tuple[int, int]:
     return (0, 0) if v == REAL else (1, int(v))
 
 
-def relevant_places(*dets: int) -> list:
-    primes = {2}
-    for d in dets:
-        primes.update(factorize(d))
-    return [REAL] + sorted(primes)
+def relevant_places(n: int) -> list:
+    """The real place, 2 and the primes of the nonzero integer n."""
+    return _class_and_places(n)[1]
+
+
+def _invariants(pivots: Sequence[int], disc: int, places: Sequence) -> QuadFormInvariants:
+    """Invariants of the diagonal form ``pivots`` with discriminant class
+    ``disc``, whose Hasse invariant is +1 outside ``places``."""
+    pos = sum(1 for d in pivots if d > 0)
+    minus = frozenset(v for v in places if hasse_invariant(pivots, v) == -1)
+    return QuadFormInvariants(len(pivots), (pos, len(pivots) - pos), disc, minus)
 
 
 def invariants(gram: Sequence[Sequence[int]]) -> QuadFormInvariants:
-    diag = diagonalize(gram)
-    return invariants_of_diagonal(diag)
-
-
-def invariants_of_diagonal(diag: Sequence) -> QuadFormInvariants:
-    entries = [_rational_to_int_class(d) for d in diag]
-    disc = 1
-    for d in entries:
-        disc *= d
-    disc = squarefree_part(disc)
-    pos = sum(1 for d in entries if d > 0)
-    neg = len(entries) - pos
-    prod = 1
-    for d in entries:
-        prod *= d
-    minus = frozenset(
-        v for v in relevant_places(prod) if hasse_invariant(entries, v) == -1
-    )
-    return QuadFormInvariants(len(entries), (pos, neg), disc, minus)
+    pivots, det = _form(gram)
+    return _invariants(pivots, *_class_and_places(det))
 
 
 def rationally_equivalent(g1: Sequence[Sequence[int]], g2: Sequence[Sequence[int]]) -> bool:
@@ -251,9 +263,7 @@ def rationally_equivalent(g1: Sequence[Sequence[int]], g2: Sequence[Sequence[int
 
 
 def _is_local_square(d: int, v) -> bool:
-    d = squarefree_part(d)
-    if d == 1:
-        return True
+    """Whether the nonzero integer d is a square in the completion at v."""
     if v == REAL:
         return d > 0
     p = int(v)
@@ -263,17 +273,6 @@ def _is_local_square(d: int, v) -> bool:
     if p == 2:
         return u % 8 == 1
     return _legendre(u, p) == 1
-
-
-def _square_class(diag: Sequence[int]) -> int:
-    """Squarefree part of the product of the squarefree integers ``diag``,
-    without factoring: for squarefree a, b with g = gcd(a, b), the product
-    (a/g)(b/g) is squarefree and in the square class of ab."""
-    out = 1
-    for d in diag:
-        g = gcd(out, d)
-        out = (out // g) * (d // g)
-    return out
 
 
 def _local_isotropic(rank: int, disc: int, eps: int, v) -> bool:
@@ -293,8 +292,8 @@ def _local_isotropic(rank: int, disc: int, eps: int, v) -> bool:
 
 
 def _anisotropic_dimension(diag: Sequence[int], disc: int, v) -> int:
-    """Anisotropic dimension at v of a squarefree diagonal form whose
-    discriminant has square class ``disc``."""
+    """Anisotropic dimension at v of the diagonal form ``diag`` whose
+    discriminant lies in the square class of the integer ``disc``."""
     if v == REAL:
         pos = sum(1 for d in diag if d > 0)
         return abs(pos - (len(diag) - pos))
@@ -309,34 +308,30 @@ def _anisotropic_dimension(diag: Sequence[int], disc: int, v) -> int:
 
 def anisotropic_dimension(gram: Sequence[Sequence[int]], v) -> int:
     """Dimension of the anisotropic kernel over the completion at v."""
-    diag = diagonalize(gram)
-    return _anisotropic_dimension(diag, _square_class(diag), v)
+    return _anisotropic_dimension(*_form(gram), v)
 
 
 def witt_index(gram: Sequence[Sequence[int]], v) -> int:
     """Number of hyperbolic planes split off at v, or the global minimum
     when v == GLOBAL.
 
-    Globally it suffices to look at the real place, 2, the primes dividing
-    a diagonal entry, and the generic value taken at all remaining primes
-    (which depends only on rank and discriminant class).  The form is
-    diagonalized once for all places.
+    At a single place nothing is factored.  Globally it suffices to look at
+    the real place, 2 and the primes of |det|, plus the generic value taken
+    at every other prime (which depends only on rank and on whether
+    (-1)^(rank/2) det is a square); |det| is factored once.
     """
+    pivots, det = _form(gram)
+    rank = len(pivots)
     if v != GLOBAL:
-        return (len(gram) - anisotropic_dimension(gram, v)) // 2
-    diag = diagonalize(gram)
-    rank, disc = len(diag), _square_class(diag)
+        return (rank - _anisotropic_dimension(pivots, det, v)) // 2
     best = min(
-        (rank - _anisotropic_dimension(diag, disc, p)) // 2
-        for p in relevant_places(*diag)
+        (rank - _anisotropic_dimension(pivots, det, p)) // 2
+        for p in relevant_places(det)
     )
-    if rank % 2:
-        generic = (rank - 1) // 2
-    else:
-        half = rank // 2
-        signed = disc * (-1) ** half
-        generic = half if signed == 1 else half - 1
-    return min(best, generic)
+    half = rank // 2
+    signed = det * (-1) ** half
+    split = rank % 2 or (signed > 0 and isqrt(signed) ** 2 == signed)
+    return min(best, half if split else half - 1)
 
 
 def has_k_planes(gram: Sequence[Sequence[int]], k: int, v) -> bool:

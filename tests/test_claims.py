@@ -232,8 +232,14 @@ def test_cli_lattice_ops(tmp_path, capsys):
         capsys.readouterr()
         assert cli.main(["lattice", "op", "complement", str(base), "--sub", str(sub)]) == 2
         assert message in capsys.readouterr().err
+    # rows of the wrong width are rejected, never truncated by zip
+    sub.write_text("[[1, 0, 0, 0], [0, 1]]")
+    for op in ("complement", "saturation"):
+        capsys.readouterr()
+        assert cli.main(["lattice", "op", op, str(base), "--sub", str(sub)]) == 2
+        assert "sublattice rows do not match the ambient rank" in capsys.readouterr().err
 
-    d4 = tmp_path / "d4.lattice"
+    d4 =tmp_path / "d4.lattice"
     lattice_io.save_lattice(lat.root_lattice("D", 4).rename("D4"), d4)
     capsys.readouterr()
     assert cli.main(["lattice", "op", "disc-form", str(d4)]) == 0

@@ -7,15 +7,19 @@ descent when p divides both coefficients).  Witt indices are spot-checked
 against a bounded search for isotropic vectors.
 """
 
+import contextlib
 import itertools
 import random
+import signal
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import k3lattice.lattice as lat
-from k3lattice import exact, quadform as qf
+from k3lattice import cli, exact, lattice_io, quadform as qf
+from k3lattice.k3embed import quadric_certificate
 
 # ---------------------------------------------------------------------------
 # oracle: solvability of a x^2 + b y^2 = z^2 over Q_p by search mod p^k
@@ -381,7 +385,7 @@ def test_witt_global_is_min_over_places(m):
 
 
 def test_witt_global_diagonalizes_once(monkeypatch):
-    # one diagonalization serves every place: at rank 22, diagonalizing and
+    # one elimination serves every place: at rank 22, eliminating and
     # factoring the discriminant again per place costs seconds
     rng = random.Random(1)
     while True:
@@ -393,8 +397,8 @@ def test_witt_global_diagonalizes_once(monkeypatch):
         if exact.det(g):
             break
     calls = []
-    diagonalize = qf.diagonalize
-    monkeypatch.setattr(qf, "diagonalize", lambda gram: calls.append(1) or diagonalize(gram))
+    ldl = exact.ldl
+    monkeypatch.setattr(exact, "ldl", lambda gram: calls.append(1) or ldl(gram))
     w = qf.witt_index(g, qf.GLOBAL)
     assert len(calls) == 1
     assert w == min(
@@ -470,3 +474,139 @@ def test_ruling_rank0_split_points():
 def test_ruling_odd_rank_rejected():
     with pytest.raises(ValueError):
         qf.ruling_disc([[2]])
+
+
+# ---------------------------------------------------------------------------
+# only |det| is factored: large forms finish, unsplittable dets fail cleanly
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    def timeout(signum, frame):
+        raise TimeoutError(f"took more than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _random_even_gram(n, bound, seed):
+    rng = random.Random(seed)
+    while True:
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = 2 * rng.randint(-bound // 2, bound // 2)
+            for j in range(i):
+                g[i][j] = g[j][i] = rng.randint(-bound, bound)
+        if exact.det(g):
+            return g
+
+
+# factoring every ~70-digit elimination pivot made each of these run for
+# seconds to minutes; their determinants factor in milliseconds
+HANG_CASES = [(12, 30, 1), (12, 30, 2), (16, 30, 1), (16, 30, 2),
+              (22, 30, 1), (22, 30, 2), (22, 3, 1), (22, 3, 2)]
+
+
+@pytest.mark.parametrize("n, bound, seed", HANG_CASES)
+def test_large_random_forms_finish(n, bound, seed, tmp_path, capsys):
+    g = _random_even_gram(n, bound, seed)
+    with _deadline(5):
+        inv = qf.invariants(g)
+        w = qf.witt_index(g, qf.GLOBAL)
+    # oracles that do not read the pivots: reciprocity, inertia, det class
+    assert len(inv.hasse_minus) % 2 == 0
+    pos, _, neg = exact.signature(g)
+    assert (inv.rank, inv.signature) == (n, (pos, neg))
+    d = exact.det(g)
+    assert inv.disc_class * d > 0 and isqrt(inv.disc_class * d) ** 2 == inv.disc_class * d
+    local = [qf.witt_index(g, v) for v in qf.relevant_places(d)]
+    assert w == min(local + [_generic_witt(g)])
+
+    path = tmp_path / "form.lattice"
+    lattice_io.save_lattice(lat.lattice(g, "random"), path)
+    with _deadline(5):
+        assert cli.main(["quadform", "invariants", str(path)]) == 0
+    assert f"witt index (Q):  {w}" in capsys.readouterr().out
+
+
+def _diag_matrix(entries):
+    n = len(entries)
+    return [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _all_invariants(g, places):
+    return (
+        qf.invariants(g),
+        [qf.witt_index(g, v) for v in places + [qf.GLOBAL]],
+        [qf.anisotropic_dimension(g, v) for v in places],
+        quadric_certificate(lat.lattice(g)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.one_of(_symmetric(n), _symmetric(n, zero_diag=True))
+))
+@example([[0, 1], [1, 0]])
+@example([[-2, -1, 0, -1], [-1, 2, 1, -1], [0, 1, -2, 1], [-1, -1, 1, 2]])
+def test_raw_pivots_agree_with_squarefree_diagonal(m):
+    # the squarefree diagonal from ``diagonalize`` is the independent oracle
+    d = exact.det(m)
+    if d == 0:
+        return
+    places = sorted({qf.REAL, 2, 3, 5, 7, *qf.relevant_places(d)}, key=qf.place_sort_key)
+    oracle = _diag_matrix(qf.diagonalize(m))
+    assert _all_invariants(m, places) == _all_invariants(oracle, places)
+
+
+def test_factorize_called_at_most_once_per_form(monkeypatch):
+    g = _random_even_gram(12, 30, 1)
+    calls = []
+    factorize = qf.factorize
+    monkeypatch.setattr(qf, "factorize", lambda n: calls.append(n) or factorize(n))
+    for fn, most in (
+        (qf.invariants, 1),
+        (lambda g: qf.witt_index(g, qf.GLOBAL), 1),
+        (lambda g: quadric_certificate(lat.lattice(g)), 1),
+        (lambda g: qf.witt_index(g, 2), 0),
+        (lambda g: qf.witt_index(g, 211), 0),
+        (lambda g: qf.anisotropic_dimension(g, qf.REAL), 0),
+    ):
+        calls.clear()
+        fn(g)
+        assert len(calls) <= most
+        assert all(abs(n) == abs(exact.det(g)) for n in calls)
+
+
+def test_factorize_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    values = [rng.randrange(2, 10**k) for k in range(2, 25) for _ in range(4)]
+    values += [2**61 - 1, (2**31 - 1) * (2**61 - 1), 3**40 * 1000003**2]
+    for n in values:
+        assert qf.factorize(n) == sympy.factorint(n), n
+        assert qf.factorize(-n) == sympy.factorint(n), n
+
+
+# two 30-digit primes: Pollard rho needs ~10^15 steps to split their product
+P30, Q30 = 100000000000000000000000000319, 300000000000000000000000000007
+
+
+def test_factorize_gives_up_on_an_unsplittable_cofactor():
+    with _deadline(20):
+        with pytest.raises(ValueError, match=str(P30 * Q30)):
+            qf.factorize(7 * P30 * Q30)
+
+
+def test_cli_quadform_exits_2_on_an_unsplittable_det(tmp_path, capsys):
+    path = tmp_path / "pq.lattice"
+    lattice_io.save_lattice(lat.lattice([[1, 0], [0, P30 * Q30]], "pq"), path)
+    with _deadline(20):
+        assert cli.main(["quadform", "invariants", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(P30 * Q30) in err
