@@ -129,13 +129,13 @@ def _cmd_lattice_op(args) -> int:
 
 def _cmd_quadform(args) -> int:
     l = lattice_io.load_lattice(args.file)
-    inv = qf.invariants(l.gram)
+    inv, witt = qf.invariants_and_witt_index(l.gram)
     minus = sorted(inv.hasse_minus, key=qf.place_sort_key)
     print(f"rank:            {inv.rank}")
     print(f"signature:       {inv.signature}")
     print(f"disc class:      {inv.disc_class}")
     print(f"hasse -1 places: {minus if minus else 'none'}")
-    print(f"witt index (Q):  {qf.witt_index(l.gram, qf.GLOBAL)}")
+    print(f"witt index (Q):  {witt}")
     return 0
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Sequence
+from typing import Iterator, Sequence
 
 IntMatrix = list[list[int]]
 IntVector = list[int]
@@ -308,6 +308,45 @@ def hermite_row_basis(rows: Sequence[Sequence[int]]) -> list[IntVector]:
     _width(rows)
     a = copy_matrix(rows)
     return a[: _hermite(a)]
+
+
+def box_norms(
+    gram: Sequence[Sequence[int]], bound: int, prefix: Sequence[int] = ()
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every c in [-bound, bound]^k, in ``itertools.product`` order, with
+    q(prefix + c) under the symmetric integer matrix ``gram``.
+
+    The k = rank - len(prefix) coordinates after the fixed ``prefix`` are
+    set one at a time.  Each level carries the pairings of the coordinates
+    set so far with every basis vector, so a point costs O(1) amortised
+    instead of the O(rank^2) of a fresh evaluation (Fincke-Pohst 1985).
+    """
+    n = require_symmetric(gram)
+    g = copy_matrix(gram)
+    values = range(-bound, bound + 1)
+    lin = [0] * n  # lin[j]: pairing of the coefficients set so far with e_j
+    q = 0
+    for i, t in enumerate(prefix):
+        q += t * (g[i][i] * t + 2 * lin[i])
+        lin = [a + t * b for a, b in zip(lin, g[i])]
+
+    def level(i: int, c: tuple[int, ...], q: int, lin: list[int]):
+        gii, li = g[i][i], 2 * lin[i]
+        if i == n - 1:
+            for t in values:
+                yield c + (t,), q + t * (gii * t + li)
+            return
+        row = g[i]
+        for t in values:
+            yield from level(
+                i + 1, c + (t,), q + t * (gii * t + li),
+                [a + t * b for a, b in zip(lin, row)],
+            )
+
+    if len(prefix) == n:
+        yield (), q
+    else:
+        yield from level(len(prefix), (), q, lin)
 
 
 def lcm(a: int, b: int) -> int:

@@ -198,7 +198,12 @@ def find_isotropic_glue(
     """Search target + sum(c_i * search_basis[i]) over |c_i| <= bound for a
     vector of norm 0 whose pairings with l are all divisible by ``divisor``.
     Vectors are in l's base frame when l was built by adjoin, else in l's own
-    coordinates.  Returns the vector found, or None."""
+    coordinates.  Returns the first vector found with the c_i in
+    lexicographic order, or None.
+
+    The norm is read off the small integer Gram matrix of target and the
+    search vectors; only a vector of norm 0 there is built and checked
+    exactly in the frame."""
     frame = l.ambient.ambient if l.ambient is not None else l
 
     def ok(v: list[int]) -> bool:
@@ -211,9 +216,14 @@ def find_isotropic_glue(
     target = [int(x) for x in target]
     if not search_basis:
         return target if ok(target) else None
-    for coeffs in itertools.product(range(-bound, bound + 1), repeat=len(search_basis)):
+    rows = [target] + [[int(x) for x in s] for s in search_basis]
+    small = exact.matmul(exact.matmul(rows, frame.gram), exact.transpose(rows))
+    # the target's coefficient is fixed to 1; the search coefficients vary
+    for coeffs, norm in exact.box_norms(small, bound, (1,)):
+        if norm:
+            continue
         v = list(target)
-        for c, s in zip(coeffs, search_basis):
+        for c, s in zip(coeffs, rows[1:]):
             if c:
                 v = [x + c * y for x, y in zip(v, s)]
         if ok(v):

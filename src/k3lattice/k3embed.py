@@ -7,14 +7,16 @@ discriminant forms, the latter found by a backtracking generator-mapping
 search and verified on every group element before being accepted.  Definite
 isometry is decided by a complete short-vector backtracking search; an
 additional bounded coordinate-box search provides isometry certificates for
-small indefinite lattices.
+small indefinite lattices.  Both searches share one pool-refined Gram
+matching: each chosen vector filters the candidate pools of all later basis
+vectors by their pairing with it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from . import exact
@@ -329,25 +331,42 @@ def _match_gram(
     """Backtracking search for vectors v_0..v_{n-1}, v_i taken in order from
     ``cands[target[i][i]]``, whose pairings under ``gram`` reproduce
     ``target`` and which span a sublattice of index 1; the rows found, or
-    None."""
+    None.
+
+    Choosing v_i filters the pool of every later level down to the vectors
+    that pair with v_i as ``target`` asks, keeping pool order, and a choice
+    that empties a pool is dropped at once (Plesken-Souvignier 1997).  Each
+    level therefore tries exactly the candidates that pair correctly with
+    all earlier choices, in the order of ``cands``.
+    """
     n = len(target)
     chosen: list[tuple[int, ...]] = []
+    images: dict[tuple[int, ...], list[int]] = {}  # v -> G v, once per candidate
 
-    def pairing(v, w):
-        return sum(v[i] * gram[i][j] * w[j] for i in range(n) for j in range(n))
-
-    def extend(i: int) -> bool:
+    def extend(i: int, pools: list[list[tuple[int, ...]]]) -> bool:
+        # pools[l] holds the candidates still open for level i + l
         if i == n:
             return abs(exact.det([list(v) for v in chosen])) == 1
-        for v in cands.get(target[i][i], ()):
-            if all(pairing(v, chosen[j]) == target[i][j] for j in range(i)):
+        for v in pools[0]:
+            gv = images.get(v)
+            if gv is None:
+                gv = images[v] = exact.mat_vec(gram, v)
+            rest = []
+            for level, pool in enumerate(pools[1:], i + 1):
+                want = target[level][i]
+                pool = [w for w in pool if sum(map(mul, w, gv)) == want]
+                if not pool:
+                    break
+                rest.append(pool)
+            else:
                 chosen.append(v)
-                if extend(i + 1):
+                if extend(i + 1, rest):
                     return True
                 chosen.pop()
         return False
 
-    return [list(v) for v in chosen] if extend(0) else None
+    pools = [cands.get(target[i][i], []) for i in range(n)]
+    return [list(v) for v in chosen] if extend(0, pools) else None
 
 
 def definite_isomorphic(l1: Lattice, l2: Lattice) -> bool:
@@ -389,11 +408,8 @@ def isometry_search(l1: Lattice, l2: Lattice, bound: int = 5) -> list[list[int]]
     g2 = [list(r) for r in l2.gram]
     by_norm: dict[int, list[tuple[int, ...]]] = {}
     needed = {l1.gram[i][i] for i in range(n)}
-    for v in itertools.product(range(-bound, bound + 1), repeat=n):
-        if not any(v):
-            continue
-        norm = sum(v[i] * g2[i][j] * v[j] for i in range(n) for j in range(n))
-        if norm in needed:
+    for v, norm in exact.box_norms(g2, bound):
+        if norm in needed and any(v):
             by_norm.setdefault(norm, []).append(v)
 
     rows = _match_gram(l1.gram, by_norm, g2)

@@ -384,9 +384,3 @@ def divisibility_ambient(l: Lattice, w: Sequence) -> int:
         raise ValueError("vector does not pair integrally with the lattice")
     return exact.gcd_vector([int(p) for p in pairings])
 
-
-def self_to_ambient(l: Lattice, v: Sequence) -> list[Fraction]:
-    if l.ambient is None:
-        raise ValueError("lattice has no recorded ambient frame")
-    e = l.ambient
-    return [Fraction(exact.dot(v, col), e.denominator) for col in zip(*e.basis)]

@@ -246,6 +246,16 @@ def invariants(gram: Sequence[Sequence[int]]) -> QuadFormInvariants:
     return _invariants(pivots, *_class_and_places(det))
 
 
+def invariants_and_witt_index(
+    gram: Sequence[Sequence[int]],
+) -> tuple[QuadFormInvariants, int]:
+    """``invariants(gram)`` together with ``witt_index(gram, GLOBAL)``, from
+    one elimination and one factorization of |det|."""
+    pivots, det = _form(gram)
+    disc, places = _class_and_places(det)
+    return _invariants(pivots, disc, places), _global_witt_index(pivots, det, places)
+
+
 def rationally_equivalent(g1: Sequence[Sequence[int]], g2: Sequence[Sequence[int]]) -> bool:
     """Equivalence over Q: equal rank, signature, discriminant class and
     Hasse invariants at every place."""
@@ -321,12 +331,17 @@ def witt_index(gram: Sequence[Sequence[int]], v) -> int:
     (-1)^(rank/2) det is a square); |det| is factored once.
     """
     pivots, det = _form(gram)
-    rank = len(pivots)
     if v != GLOBAL:
-        return (rank - _anisotropic_dimension(pivots, det, v)) // 2
+        return (len(pivots) - _anisotropic_dimension(pivots, det, v)) // 2
+    return _global_witt_index(pivots, det, relevant_places(det))
+
+
+def _global_witt_index(pivots: Sequence[int], det: int, places: Sequence) -> int:
+    """Global Witt index of the ``_form`` pair (pivots, det); ``places`` are
+    the real place, 2 and the primes of |det|."""
+    rank = len(pivots)
     best = min(
-        (rank - _anisotropic_dimension(pivots, det, p)) // 2
-        for p in relevant_places(det)
+        (rank - _anisotropic_dimension(pivots, det, p)) // 2 for p in places
     )
     half = rank // 2
     signed = det * (-1) ** half

@@ -6,7 +6,7 @@ polynomial computed by division-free Faddeev-LeVerrier.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, isqrt
 
 import pytest
@@ -404,3 +404,37 @@ def test_hermite_canonical():
     b = exact.hermite_row_basis([[1, 1], [1, -1]])
     assert a == b == [[1, 1], [0, 2]]
 
+
+
+# ---------------------------------------------------------------------------
+# coefficient-box enumeration
+
+
+def brute_norm(g, c):
+    n = len(g)
+    return sum(c[i] * g[i][j] * c[j] for i in range(n) for j in range(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(symmetric), st.integers(0, 3))
+def test_box_norms_walks_the_product_box(g, bound):
+    box = list(product(range(-bound, bound + 1), repeat=len(g)))
+    got = list(exact.box_norms(g, bound))
+    assert [c for c, _ in got] == box
+    assert [q for _, q in got] == [brute_norm(g, c) for c in box]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            symmetric(n), st.lists(st.integers(-3, 3), min_size=1, max_size=n)
+        )
+    ),
+    st.integers(0, 2),
+)
+def test_box_norms_after_a_fixed_prefix(g_prefix, bound):
+    g, prefix = g_prefix
+    box = list(product(range(-bound, bound + 1), repeat=len(g) - len(prefix)))
+    got = list(exact.box_norms(g, bound, prefix))
+    assert got == [(c, brute_norm(g, tuple(prefix) + c)) for c in box]

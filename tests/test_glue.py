@@ -1,12 +1,13 @@
 """Tests for overlattice constructions and the named-lattice registry."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 import k3lattice.lattice as lat
-from k3lattice import exact, glue
+from k3lattice import claims, exact, glue
 from k3lattice.k3embed import build_V
 
 
@@ -256,6 +257,48 @@ def test_find_isotropic_glue_search():
     # target (1, 2) has norm 4; subtracting twice the second generator fixes it
     got = glue.find_isotropic_glue(u, [1, 2], 1, [[0, 1]], bound=3)
     assert got == [1, 0]
+
+
+def brute_isotropic_glue(l, target, divisor, search_basis, bound):
+    """Product-order box search with the exact frame norm at every point;
+    oracle for ``glue.find_isotropic_glue``."""
+    frame = l.ambient.ambient
+    for coeffs in itertools.product(range(-bound, bound + 1), repeat=len(search_basis)):
+        v = [
+            t + sum(c * s[i] for c, s in zip(coeffs, search_basis))
+            for i, t in enumerate(target)
+        ]
+        if frame.norm(v) == 0 and lat.divisibility_ambient(l, v) == divisor:
+            return v
+    return None
+
+
+def _sqrel_8dminus5_search(dp):
+    outside = [i for i in range(15) if i not in glue.N1_SUBGROUP]
+    x = claims._frame_vector(0, outside)
+    v0 = [a - b for a, b in zip(claims._frame_vector(2, [outside[0]], -2), x)]
+    search = [claims._frame_vector(0, [h], 2) for h in glue.N1_SUBGROUP]
+    return glue.ld_lattice(dp, "subgroup"), v0, 2, search, 3
+
+
+def _sqrel_p2_search():
+    search = [claims._frame_vector(0, [i], -3) for i in range(4)]
+    return glue.ld_lattice(27, "subgroup"), claims._frame_vector(1, []), 3, search, 7
+
+
+@pytest.mark.parametrize(
+    "inputs, found",
+    [
+        (lambda: _sqrel_8dminus5_search(7), [2, -2, -2, 0, -3] + [-1] * 11),
+        (lambda: _sqrel_8dminus5_search(11), [2, -4, -2, -2, -3] + [-1] * 11),
+        (_sqrel_p2_search, [1, 3, 3, 0, 3] + [0] * 11),
+    ],
+    ids=["sqrel.8dminus5.d7", "sqrel.8dminus5.d11", "sqrel.discform-p2"],
+)
+def test_find_isotropic_glue_vectors_of_the_claims(inputs, found):
+    l, target, divisor, search, bound = inputs()
+    got = glue.find_isotropic_glue(l, target, divisor, search, bound)
+    assert got == found == brute_isotropic_glue(l, target, divisor, search, bound)
 
 
 def test_disc_form_axioms_on_named_lattices():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import k3lattice.lattice as lat
-from k3lattice import exact, glue, k3embed as ke, quadform as qf
+from k3lattice import claims, exact, glue, k3embed as ke, quadform as qf
 
 
 def complete_box_bound(g, max_norm):
@@ -28,37 +28,41 @@ def complete_box_bound(g, max_norm):
     return bound
 
 
-def naive_isomorphic(g1, g2):
-    """Exhaustive isometry search over a provably sufficient coordinate box;
-    oracle for small definite lattices."""
-    n = len(g1)
-    bound = complete_box_bound(g2, max(g1[i][i] for i in range(n)))
-    vectors = list(itertools.product(range(-bound, bound + 1), repeat=n))
-
-    def norm(v):
-        return sum(v[i] * g2[i][j] * v[j] for i in range(n) for j in range(n))
+def naive_match_gram(target, cands, gram):
+    """Unrefined backtracking: each level scans its whole candidate list and
+    recomputes every pairing with the earlier choices; oracle for
+    ``k3embed._match_gram``."""
+    n = len(target)
 
     def pairing(v, w):
-        return sum(v[i] * g2[i][j] * w[j] for i in range(n) for j in range(n))
-
-    by_norm = {}
-    for v in vectors:
-        by_norm.setdefault(norm(v), []).append(v)
+        return sum(v[i] * gram[i][j] * w[j] for i in range(n) for j in range(n))
 
     chosen = []
 
     def extend(i):
         if i == n:
             return abs(exact.det([list(v) for v in chosen])) == 1
-        for v in by_norm.get(g1[i][i], ()):
-            if all(pairing(v, chosen[j]) == g1[i][j] for j in range(i)):
+        for v in cands.get(target[i][i], ()):
+            if all(pairing(v, chosen[j]) == target[i][j] for j in range(i)):
                 chosen.append(v)
                 if extend(i + 1):
                     return True
                 chosen.pop()
         return False
 
-    return extend(0)
+    return [list(v) for v in chosen] if extend(0) else None
+
+
+def naive_isomorphic(g1, g2):
+    """Exhaustive isometry search over a provably sufficient coordinate box;
+    oracle for small definite lattices."""
+    n = len(g1)
+    bound = complete_box_bound(g2, max(g1[i][i] for i in range(n)))
+    by_norm = {}
+    for v in itertools.product(range(-bound, bound + 1), repeat=n):
+        norm = sum(v[i] * g2[i][j] * v[j] for i in range(n) for j in range(n))
+        by_norm.setdefault(norm, []).append(v)
+    return naive_match_gram(g1, by_norm, g2) is not None
 
 
 def random_posdef_rank3(rng):
@@ -310,6 +314,84 @@ def test_isometry_search_returns_verified_map():
         exact.matmul(rows, [list(r) for r in shuffled.gram]), exact.transpose(rows)
     )
     assert got == t_gram
+
+
+def test_match_gram_agrees_with_unrefined_search():
+    rng = random.Random(5)
+    found = 0
+    for _ in range(150):
+        n = rng.randrange(2, 5)
+        b = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(n)]
+        if exact.det(b) == 0:
+            continue
+        gram = exact.matmul(b, exact.transpose(b))
+        # shuffled, thinned pools: the refined search must keep pool order
+        cands = {}
+        for v in itertools.product(range(-2, 3), repeat=n):
+            if any(v) and rng.random() < 0.8:
+                norm = sum(v[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
+                cands.setdefault(norm, []).append(v)
+        for pool in cands.values():
+            rng.shuffle(pool)
+        # the Gram of n pool vectors: of index 1 when they happen to form a basis
+        norms = sorted(cands)
+        rows = [rng.choice(cands[rng.choice(norms[:4])]) for _ in range(n)]
+        target = exact.matmul(exact.matmul(rows, gram), exact.transpose(rows))
+        got = ke._match_gram(target, cands, gram)
+        assert got == naive_match_gram(target, cands, gram)
+        found += got is not None
+    assert found >= 10
+
+
+def _t_glue_inputs():
+    m = lat.direct_sum(
+        lat.rank_one(-2), lat.rank_one(-2), lat.hyperbolic(), lat.hyperbolic()
+    )
+    tp = lat.orthogonal_complement(m, [[0, 0, 1, -2, -1, 1], [0, 0, 1, -1, 1, -2]])
+    dmodel = lat.lattice(claims._diag([-2, -2, 6, 6]))
+    glued = glue.adjoin(dmodel, [glue.GlueSpec((1, 1, 1, 1), 2)])
+    return (dmodel, tp), (glued, lat.lattice(claims.T_GRAM))
+
+
+def _rank17_inputs():
+    tr = ke.transcendental_of(claims._rank17_embedding())
+    target = lat.direct_sum(
+        lat.root_lattice("A", 1),
+        lat.rescale(lat.root_lattice("A", 2), 2),
+        lat.rank_one(2),
+        lat.rank_one(2),
+    )
+    return target, tr
+
+
+@pytest.mark.parametrize(
+    "inputs, rows",
+    [
+        (
+            lambda: _t_glue_inputs()[0],
+            [[-2, 0, -1, -2], [0, -2, -1, -1], [-3, 0, -2, -4], [0, -3, -2, -2]],
+        ),
+        (
+            lambda: _t_glue_inputs()[1],
+            [[-4, -4, -3, 2], [-2, -2, -2, 1], [-3, -4, -3, 1], [-2, -1, -1, 2]],
+        ),
+        (
+            _rank17_inputs,
+            [
+                [0, -2, 0, -1, -1],
+                [-1, 0, 4, -1, 3],
+                [0, 0, 4, 2, 3],
+                [0, -2, 1, 0, 0],
+                [0, -1, -2, -2, -2],
+            ],
+        ),
+    ],
+    ids=["T.glue-isom.step1", "T.glue-isom.step2", "rank17.trans"],
+)
+def test_isometry_search_rows_of_the_claims(inputs, rows):
+    # the first isometry in search order, as the unrefined box search found it
+    l1, l2 = inputs()
+    assert ke.isometry_search(l1, l2, bound=4) == rows
 
 
 def test_isometry_search_distinguishes():

@@ -241,7 +241,9 @@ def test_contains_and_divisibility():
 def test_ambient_round_trip():
     e8 = lat.root_lattice("E", 8)
     comp = lat.orthogonal_complement(e8, unit_rows([0, 1, 2, 3, 4, 6], 8))
-    v = lat.self_to_ambient(comp, [1, 1])
+    e = comp.ambient
+    # the vector with coordinates [1, 1] in comp's basis, in E8 coordinates
+    v = [Fraction(a + b, e.denominator) for a, b in zip(*e.basis)]
     back = lat.ambient_to_self(comp, v)
     assert back == [Fraction(1), Fraction(1)]
     assert lat.contains_ambient(comp, v)

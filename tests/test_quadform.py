@@ -583,6 +583,21 @@ def test_factorize_called_at_most_once_per_form(monkeypatch):
         assert all(abs(n) == abs(exact.det(g)) for n in calls)
 
 
+def test_cli_quadform_factors_det_once(monkeypatch, tmp_path, capsys):
+    g = _random_even_gram(12, 30, 1)
+    path = tmp_path / "form.lattice"
+    lattice_io.save_lattice(lat.lattice(g, "random"), path)
+    calls = []
+    factorize = qf.factorize
+    monkeypatch.setattr(qf, "factorize", lambda n: calls.append(n) or factorize(n))
+    assert cli.main(["quadform", "invariants", str(path)]) == 0
+    assert [abs(n) for n in calls] == [abs(exact.det(g))]
+    inv = qf.invariants(g)
+    out = capsys.readouterr().out
+    assert f"disc class:      {inv.disc_class}" in out
+    assert f"witt index (Q):  {qf.witt_index(g, qf.GLOBAL)}" in out
+
+
 def test_factorize_against_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(11)

@@ -59,3 +59,18 @@ def test_tracer_functions_resolve():
     exact = importlib.import_module("k3lattice.exact")
     result = exact.smith_normal_form([[2, 4], [6, 8]])
     assert isinstance(result, tuple) and len(result) == 3
+
+
+def test_one_coefficient_box_enumerator():
+    # coefficient boxes go through exact.box_norms; a second product loop in
+    # the searches would bring back the per-point O(n^2) norm
+    for name in ("k3embed.py", "glue.py"):
+        text = (SRC / name).read_text()
+        assert "itertools.product" not in text, name
+        imports = [
+            alias.name
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.ImportFrom) and node.module == "itertools"
+            for alias in node.names
+        ]
+        assert "product" not in imports, name
