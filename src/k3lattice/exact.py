@@ -2,7 +2,12 @@
 
 Matrices are plain sequences of rows.  Every routine works with Python's
 arbitrary-precision integers or with ``fractions.Fraction``; nothing in this
-package ever touches floating point.  All public functions return fresh
+package ever touches floating point.  The eliminations on integer matrices
+are fraction-free: ``det`` (Bareiss), ``_hermite`` behind the Smith form,
+kernels and Hermite bases, and the symmetric ``ldl``, whose working entries
+are bordered minors det(m[P+r, P+s]) over the pivot set P taken so far, so
+that only its returned pivots and multipliers are rational.  ``solve`` is
+the one elimination over ``Fraction``.  All public functions return fresh
 objects and never mutate their arguments, so values can be shared freely
 between threads.
 """
@@ -196,65 +201,80 @@ def kernel_basis(m: Sequence[Sequence[int]]) -> list[IntVector]:
     return u[_hermite(transpose(m), u) :]
 
 
-def ldl(m: Sequence[Sequence[int]]) -> tuple[RatVector, RatMatrix]:
+def ldl(m: Sequence[Sequence[int]]) -> tuple[RatVector, RatMatrix, int]:
     """Symmetric rational elimination m = L D L^T, the one shared core of
     inertia, rational diagonalization and short-vector enumeration.
 
-    Returns ``(pivots, mult)``.  ``pivots`` lists the pivots in the order they
-    are taken, always the first remaining nonzero diagonal entry.  When the
-    remaining diagonal vanishes, a hyperbolic 2x2 block is split off and
-    contributes the pair 1, -1 (one eigenvalue of each sign); a degenerate
-    remainder contributes zeros.  ``mult[piv][r]`` is the multiplier
-    a[r][piv]/p by which row r was reduced with the diagonal pivot ``piv``
+    Returns ``(pivots, mult, det)``.  ``pivots`` lists the pivots in the
+    order they are taken, always the first remaining nonzero diagonal entry.
+    When the remaining diagonal vanishes, a hyperbolic 2x2 block is split off
+    and contributes the pair 1, -1 (one eigenvalue of each sign); a
+    degenerate remainder contributes zeros.  ``mult[piv][r]`` is the
+    multiplier by which row r was reduced with the diagonal pivot ``piv``
     (zero otherwise; hyperbolic blocks record none).  When all pivots are
     positive they were taken in index order, and
     q(x) = sum_i pivots[i] (x_i + sum_{j>i} mult[i][j] x_j)^2.
+    ``det`` is the determinant of m.
+
+    The elimination is fraction-free (Bareiss 1968).  Once the pivot set P
+    is split off, the working entry a[r][s] is the bordered minor
+    det(m[P+r, P+s]) and ``d`` is det(m[P, P]), so a diagonal pivot p is the
+    ratio p/d of consecutive leading minors and its multipliers are
+    a[r][piv]/p; by Sylvester's identity every update divides exactly.
     """
     n = require_symmetric(m)
-    a = [[Fraction(x) for x in row] for row in m]
+    if not all(type(x) is int for row in m for x in row):
+        raise ValueError("ldl needs integer entries")
+    a = [list(row) for row in m]
     zero = Fraction(0)
     mult = [[zero] * n for _ in range(n)]
     pivots: RatVector = []
-    active = list(range(n))
+    active = list(range(n))  # active[k] is the index of row and column k of a
+    d = 1
     while active:
-        piv = next((i for i in active if a[i][i] != 0), None)
-        if piv is not None:
-            p = a[piv][piv]
-            pivots.append(p)
-            active.remove(piv)
-            for r in active:
-                if a[r][piv] == 0:
-                    continue
-                f = mult[piv][r] = a[r][piv] / p
-                for s in active:
-                    a[r][s] -= f * a[piv][s]
+        k = next((k for k, row in enumerate(a) if row[k]), None)
+        if k is not None:
+            prow = a.pop(k)
+            piv = active.pop(k)
+            p = prow.pop(k)
+            pivots.append(Fraction(p, d))
+            for row, r in zip(a, active):
+                f = row.pop(k)
+                if f:
+                    mult[piv][r] = Fraction(f, p)
+                    row[:] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+                elif p != d:
+                    row[:] = [p * x // d for x in row]
+            d = p
             continue
         pair = next(
-            ((i, j) for i in active for j in active if i < j and a[i][j] != 0),
+            ((i, j) for i, row in enumerate(a) for j in range(i + 1, len(a)) if row[j]),
             None,
         )
         if pair is None:
             pivots.extend([zero] * len(active))
-            break
+            return pivots, mult, 0
         i, j = pair
         pivots.extend([Fraction(1), Fraction(-1)])
-        active.remove(i)
-        active.remove(j)
-        p = a[i][j]
-        for r in active:
-            ci, cj = a[r][i], a[r][j]
-            if ci == 0 and cj == 0:
-                continue
-            for s in active:
-                # Schur complement of the block [[0,p],[p,0]]
-                a[r][s] -= (ci * a[j][s] + cj * a[i][s]) / p
-    return pivots, mult
+        h = a[i][j]
+        d2 = d * d
+        rj, ri = a.pop(j), a.pop(i)
+        del active[j], active[i], ri[j], ri[i], rj[j], rj[i]
+        # bordered minors of the block [[0, h], [h, 0]]
+        for row in a:
+            ci, cj = row[i], row[j]
+            del row[j], row[i]
+            row[:] = [
+                h * (ci * y + cj * x - h * z) // d2 for z, x, y in zip(row, ri, rj)
+            ]
+        d = -h * h // d
+    return pivots, mult, d
 
 
 def signature(m: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     """Exact inertia (positive, zero, negative) of a symmetric matrix: the
     signs of its ``ldl`` pivots."""
-    pivots, _ = ldl(m)
+    pivots, _, _ = ldl(m)
     pos = sum(1 for p in pivots if p > 0)
     neg = sum(1 for p in pivots if p < 0)
     return pos, len(pivots) - pos - neg, neg

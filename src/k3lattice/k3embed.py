@@ -244,7 +244,7 @@ def short_vectors(gram: Sequence[Sequence[int]], max_norm: int) -> dict[int, lis
     one representative per antipodal pair, grouped by norm."""
     n = len(gram)
     # q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2
-    d, u = exact.ldl(gram)
+    d, u, _ = exact.ldl(gram)
     if not all(p > 0 for p in d):
         raise ValueError("matrix is not positive definite")
     out: dict[int, list[tuple[int, ...]]] = {}
@@ -287,16 +287,6 @@ def short_vectors(gram: Sequence[Sequence[int]], max_norm: int) -> dict[int, lis
         if keep:
             seen[norm] = keep
     return seen
-
-
-def theta_counts(l: Lattice, max_norm: int = 8) -> dict[int, int]:
-    """Number of vectors (counting both signs) of each nonzero absolute norm
-    up to max_norm in a definite lattice."""
-    p, z, n = l.signature()
-    if z or (p and n):
-        raise ValueError("theta counts require a definite lattice")
-    gram = l.gram if n == 0 else tuple(tuple(-x for x in row) for row in l.gram)
-    return {k: 2 * len(v) for k, v in short_vectors(gram, max_norm).items()}
 
 
 def _greedy_reduce(gram: list[list[int]]) -> list[list[int]]:

@@ -332,19 +332,6 @@ def saturation_index(ambient: Lattice, sub: Sequence[Sequence[int]]) -> int:
     return prod(invariants)
 
 
-def index_from_dets(det_sub: int, det_sup: int) -> int:
-    if det_sup == 0 or det_sub % det_sup != 0:
-        raise ValueError("determinants incompatible with finite index")
-    return exact.isqrt_exact(det_sub // det_sup)
-
-
-def index_in(sub: Lattice, sup: Lattice) -> int:
-    """Index [sup : sub] computed from the determinant ratio."""
-    if sub.rank != sup.rank:
-        raise ValueError("index requires equal ranks")
-    return index_from_dets(sub.det(), sup.det())
-
-
 def divisibility(l: Lattice, v: Sequence[int]) -> int:
     """gcd of the pairings of v with all lattice vectors."""
     pairings = exact.mat_vec([list(r) for r in l.gram], list(v))

@@ -6,15 +6,12 @@ ambient lattice) and ``basis`` (array of arrays of integers, rows being the
 basis vectors in ambient coordinates).  Integers that do not fit in 64 bits
 are serialized as decimal strings; the loader accepts both forms.
 
-The shipped lattice corpus lives in the package ``data`` directory and can
-be overridden with the K3LATTICE_DATA environment variable.
+A corpus of named lattice files ships in the package ``data`` directory.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from importlib import resources
 from pathlib import Path
 
 from .lattice import Lattice, lattice
@@ -94,14 +91,3 @@ def dumps(l: Lattice) -> str:
 
 def save_lattice(l: Lattice, path: str | Path) -> None:
     Path(path).write_text(dumps(l))
-
-
-def data_dir() -> Path:
-    override = os.environ.get("K3LATTICE_DATA")
-    if override:
-        return Path(override)
-    return Path(str(resources.files(__package__) / "data"))
-
-
-def load_shipped(name: str) -> Lattice:
-    return load_lattice(data_dir() / f"{name}.lattice")

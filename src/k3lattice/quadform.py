@@ -31,25 +31,52 @@ GLOBAL = "global"
 # ---------------------------------------------------------------------------
 # integer factorization (trial division plus Pollard rho)
 
-# total Pollard rho steps one ``factorize`` call may spend before giving up
-_RHO_STEPS = 1_000_000
+# total evaluations of y -> y^2 + c that one ``factorize`` call may spend,
+# over every cofactor and every c, before giving up
+_RHO_EVALS = 4_000_000
+# differences multiplied together before each gcd
+_RHO_BATCH = 128
 
 
 def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
-    """A proper factor of the odd composite n, and what is left of the step
-    ``budget`` after finding it."""
+    """A proper factor of the odd composite n, and what is left of the
+    evaluation ``budget`` after finding it.
+
+    Brent's cycle finding (Brent 1980): each round holds x at the current
+    point, moves y r steps on unchecked and then r more against x, then
+    doubles r.  The differences x - y are multiplied modulo n and one gcd is
+    taken per batch; a batch whose gcd is n is walked again one step at a
+    time, and if that still gives n the next c is tried.
+    """
     for c in range(1, 20):
-        x = y = 2
-        d = 1
-        while d == 1 and budget:
-            budget -= 1
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if 1 < d < n:
-            return d, budget
-    raise ValueError(f"cannot split the cofactor {n} within {_RHO_STEPS} Pollard rho steps")
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1 and budget > 0:
+            x = y
+            for _ in range(min(r, budget)):
+                y = (y * y + c) % n
+            budget -= r
+            k = 0
+            while k < r and g == 1 and budget > 0:
+                ys = y
+                steps = min(_RHO_BATCH, r - k)
+                for _ in range(steps):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                budget -= steps
+                g = gcd(q, n)
+                k += steps
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                budget -= 1
+                g = gcd(x - ys, n)
+        if 1 < g < n:
+            return g, budget
+        if budget <= 0:
+            break
+    raise ValueError(f"cannot split the cofactor {n} within {_RHO_EVALS} Pollard rho evaluations")
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -88,7 +115,7 @@ def factorize(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     stack = [n] if n > 1 else []
-    budget = _RHO_STEPS
+    budget = _RHO_EVALS
     while stack:
         m = stack.pop()
         if _is_probable_prime(m):
@@ -189,10 +216,10 @@ def hasse_invariant(diag: Sequence, v) -> int:
 def _form(gram: Sequence[Sequence[int]]) -> tuple[list[int], int]:
     """The ``exact.ldl`` pivots of a nondegenerate symmetric integer matrix,
     each as an integer in its square class, and its determinant."""
-    pivots, _ = exact.ldl(gram)
-    if any(p == 0 for p in pivots):
+    pivots, _, det = exact.ldl(gram)
+    if det == 0:
         raise ValueError("degenerate form")
-    return [_rational_to_int_class(p) for p in pivots], exact.det(gram)
+    return [_rational_to_int_class(p) for p in pivots], det
 
 
 def diagonalize(gram: Sequence[Sequence[int]]) -> list[int]:

@@ -124,15 +124,10 @@ def test_save_load_round_trip_on_named_set(tmp_path):
 
 
 def test_load_shipped_t():
-    t = lattice_io.load_shipped("T")
+    # the shipped corpus file of T, read through the ordinary loader
+    t = lattice_io.load_lattice(Path(lattice_io.__file__).parent / "data" / "T.lattice")
     assert t.det() == 36
     assert t.name == "T"
-
-
-def test_data_dir_override(tmp_path, monkeypatch):
-    lattice_io.save_lattice(lat.hyperbolic().rename("T"), tmp_path / "T.lattice")
-    monkeypatch.setenv("K3LATTICE_DATA", str(tmp_path))
-    assert lattice_io.load_shipped("T").gram == ((0, 1), (1, 0))
 
 
 def test_malformed_file_errors(tmp_path):

@@ -67,6 +67,51 @@ def signature_by_descartes(m):
     return pos, zero, len(m) - zero - pos
 
 
+def naive_ldl(m):
+    """The ``Fraction`` elimination that ``exact.ldl`` replaced: the same
+    pivot order, hyperbolic rule and degenerate tail on the rational Schur
+    complements; oracle for the fraction-free elimination."""
+    n = exact.require_symmetric(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    zero = Fraction(0)
+    mult = [[zero] * n for _ in range(n)]
+    pivots = []
+    active = list(range(n))
+    while active:
+        piv = next((i for i in active if a[i][i] != 0), None)
+        if piv is not None:
+            p = a[piv][piv]
+            pivots.append(p)
+            active.remove(piv)
+            for r in active:
+                if a[r][piv] == 0:
+                    continue
+                f = mult[piv][r] = a[r][piv] / p
+                for s in active:
+                    a[r][s] -= f * a[piv][s]
+            continue
+        pair = next(
+            ((i, j) for i in active for j in active if i < j and a[i][j] != 0),
+            None,
+        )
+        if pair is None:
+            pivots.extend([zero] * len(active))
+            break
+        i, j = pair
+        pivots.extend([Fraction(1), Fraction(-1)])
+        active.remove(i)
+        active.remove(j)
+        p = a[i][j]
+        for r in active:
+            ci, cj = a[r][i], a[r][j]
+            if ci == 0 and cj == 0:
+                continue
+            for s in active:
+                # Schur complement of the block [[0,p],[p,0]]
+                a[r][s] -= (ci * a[j][s] + cj * a[i][s]) / p
+    return pivots, mult
+
+
 small_square = st.integers(1, 5).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n
@@ -307,15 +352,40 @@ def is_rational_square(x):
 def test_ldl_examples():
     assert exact.ldl([[0, 1], [1, 0]])[0] == [1, -1]
     assert exact.ldl([[0, 0], [0, 0]])[0] == [0, 0]
-    pivots, mult = exact.ldl([[2, 1], [1, 2]])
+    pivots, mult, det = exact.ldl([[2, 1], [1, 2]])
     assert pivots == [2, Fraction(3, 2)]
     assert mult[0][1] == Fraction(1, 2)
+    assert det == 3
+    assert exact.ldl([[0, 1], [1, 0]])[2] == -1
+    assert exact.ldl([[0, 0], [0, 0]])[2] == 0
+    assert exact.ldl([]) == ([], [], 1)
+
+
+def test_ldl_rejects_non_integer_entries():
+    for bad in ([[Fraction(1, 2)]], [[2, 1.0], [1.0, 2]], [[Fraction(2), 1], [1, 2]]):
+        with pytest.raises(ValueError, match="integer"):
+            exact.ldl(bad)
+        with pytest.raises(ValueError, match="integer"):
+            exact.signature(bad)
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    st.one_of(
+        any_symmetric(),
+        st.integers(1, 12).flatmap(lambda n: st.one_of(symmetric(n, -30, 30), degenerate(n))),
+    )
+)
+def test_ldl_matches_the_fraction_elimination(m):
+    pivots, mult, det = exact.ldl(m)
+    assert (pivots, mult) == naive_ldl(m)
+    assert det == exact.det(m)
 
 
 @settings(max_examples=60, deadline=None)
 @given(any_symmetric())
 def test_ldl_pivots_give_inertia_and_det_class(m):
-    pivots, _ = exact.ldl(m)
+    pivots, _, _ = exact.ldl(m)
     assert len(pivots) == len(m)
     pos = sum(1 for p in pivots if p > 0)
     neg = sum(1 for p in pivots if p < 0)
@@ -339,7 +409,7 @@ def test_ldl_reconstructs_positive_definite(b):
     g = exact.matmul(b, exact.transpose(b))
     for i in range(n):
         g[i][i] += 1
-    d, u = exact.ldl(g)
+    d, u, _ = exact.ldl(g)
     assert all(p > 0 for p in d)
     low = [[u[j][i] if j < i else Fraction(i == j) for j in range(n)] for i in range(n)]
     diag = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]

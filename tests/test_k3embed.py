@@ -240,18 +240,25 @@ def test_definite_isomorphic_vs_naive_oracle():
         pairs += 1
 
 
+def theta_counts(l, max_norm):
+    """Number of vectors (both signs) of each norm up to max_norm in a
+    negative-definite lattice."""
+    neg = [[-x for x in row] for row in l.gram]
+    return {k: 2 * len(v) for k, v in ke.short_vectors(neg, max_norm).items()}
+
+
 def test_definite_isomorphic_implies_equal_theta():
     comp = ke.transcendental_of(ke.embed_standard("A5+A1 in E8"))
     target = lat.lattice([[-2, 0], [0, -6]])
     assert ke.definite_isomorphic(comp, target)
-    assert ke.theta_counts(comp, 8) == ke.theta_counts(target, 8)
+    assert theta_counts(comp, 8) == theta_counts(target, 8)
 
 
 def test_theta_counts_values():
     a1 = lat.root_lattice("A", 1)
-    assert ke.theta_counts(a1, 8) == {2: 2, 8: 2}
+    assert theta_counts(a1, 8) == {2: 2, 8: 2}
     a2 = lat.root_lattice("A", 2)
-    assert ke.theta_counts(a2, 2)[2] == 6  # six roots
+    assert theta_counts(a2, 2)[2] == 6  # six roots
 
 
 def test_short_vectors_e8_roots():

@@ -193,18 +193,6 @@ def test_saturation_divides_out_index():
             lat.saturation_index(u, bad)
 
 
-def test_index_in():
-    u = lat.hyperbolic()
-    # 2Z^2 inside Z^2 with the hyperbolic form: index 4
-    assert lat.index_in(lat.lattice([[0, 4], [4, 0]]), u) == 4
-    # the span of (1,0), (0,2): index 2
-    assert lat.index_in(lat.lattice([[0, 2], [2, 0]]), u) == 2
-    with pytest.raises(ValueError):
-        # determinant ratio -12 is not the square of an integer
-        lat.index_in(lat.lattice([[-2, 0], [0, -6]]), u)
-    assert lat.index_in(u, u) == 1
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_sublattice_det_index_law(data):

@@ -608,6 +608,20 @@ def test_factorize_against_sympy():
         assert qf.factorize(-n) == sympy.factorint(n), n
 
 
+def test_factorize_splits_a_40_bit_factor():
+    # a 100-bit semiprime with a 40-bit factor: Brent's rho splits it after
+    # about 3.2 million evaluations, past the reach of 10^6 Floyd steps
+    p, q = 685481207069, 603227601403954517
+    try:
+        import sympy
+    except ImportError:
+        sympy = None
+    if sympy is not None:
+        assert sympy.isprime(p) and sympy.isprime(q)
+    with _deadline(20):
+        assert qf.factorize(-p * q) == {p: 1, q: 1}
+
+
 # two 30-digit primes: Pollard rho needs ~10^15 steps to split their product
 P30, Q30 = 100000000000000000000000000319, 300000000000000000000000000007
 

@@ -74,3 +74,16 @@ def test_one_coefficient_box_enumerator():
             for alias in node.names
         ]
         assert "product" not in imports, name
+
+
+def test_ldl_eliminates_in_integers():
+    # exact.ldl divides only exactly (//), by Sylvester's identity; a true
+    # division would bring the Fraction elimination back
+    tree = ast.parse((SRC / "exact.py").read_text())
+    (ldl,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "ldl"]
+    found = [
+        node.lineno
+        for node in ast.walk(ldl)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    ]
+    assert found == []
