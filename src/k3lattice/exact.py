@@ -6,8 +6,11 @@ package ever touches floating point.  The eliminations on integer matrices
 are fraction-free: ``det`` (Bareiss), ``_hermite`` behind the Smith form,
 kernels and Hermite bases, and the symmetric ``ldl``, whose working entries
 are bordered minors det(m[P+r, P+s]) over the pivot set P taken so far, so
-that only its returned pivots and multipliers are rational.  ``solve`` is
-the one elimination over ``Fraction``.  All public functions return fresh
+that only its returned pivots and multipliers are rational.  ``solve``
+clears the denominators of each row and runs the same fraction-free
+elimination in Gauss-Jordan form; a ``Fraction`` is made only for the
+solution it returns.  ``matmul`` adds up rows of its right factor, so the
+zeros of sparse bases cost nothing.  All public functions return fresh
 objects and never mutate their arguments, so values can be shared freely
 between threads.
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import mul
 from typing import Iterator, Sequence
 
 IntMatrix = list[list[int]]
@@ -41,22 +45,35 @@ def transpose(m: Sequence[Sequence]) -> list[list]:
 
 
 def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    if a and b and len(a[0]) != len(b):
+    """a * b, each output row the sum of the rows of b weighted by the
+    nonzero entries of the matching row of a, so zeros cost nothing."""
+    inner, cols = _width(a), _width(b)
+    if a and inner != len(b):
         raise ValueError("dimension mismatch in matmul")
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    out = []
+    for row in a:
+        acc = None
+        for x, brow in zip(row, b):
+            if x:
+                acc = (
+                    [x * y for y in brow]
+                    if acc is None
+                    else [s + x * y for s, y in zip(acc, brow)]
+                )
+        out.append([0] * cols if acc is None else acc)
+    return out
 
 
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> list:
-    if m and len(m[0]) != len(v):
+    if m and _width(m) != len(v):
         raise ValueError("dimension mismatch in mat_vec")
-    return [sum(x * y for x, y in zip(row, v)) for row in m]
+    return [sum(map(mul, row, v)) for row in m]
 
 
 def dot(v: Sequence, w: Sequence) -> object:
     if len(v) != len(w):
         raise ValueError("dimension mismatch in dot")
-    return sum(x * y for x, y in zip(v, w))
+    return sum(map(mul, v, w))
 
 
 def require_square(m: Sequence[Sequence]) -> int:
@@ -284,38 +301,60 @@ def solve(a: Sequence[Sequence], b: Sequence) -> RatVector | None:
     """Exact solution of a*x = b, or None when the system is inconsistent.
 
     Underdetermined systems return one particular solution (free variables
-    set to zero).
+    set to zero).  Entries may be integers or ``Fraction``s.
+
+    Each row of the augmented matrix is multiplied by the lcm of its
+    denominators, and fraction-free Gauss-Jordan elimination (Bareiss 1968)
+    takes the first nonzero entry of each column as its pivot, as
+    elimination over Q does, so the pivot columns and the solution are the
+    same.  A pivot p scales every other row by p over the previous pivot d
+    and clears it in the pivot column; by Sylvester's identity the division
+    by d is exact.  Left of the pivot column the pivot row is zero, so
+    those columns would only be scaled and are left alone: at the end each
+    pivot row stands for d_last * x_c = its last entry.
     """
     rows = len(a)
     if rows != len(b):
         raise ValueError("dimension mismatch in solve")
-    cols = len(a[0]) if rows else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
+    cols = _width(a)
+    aug = []
+    for row, rhs in zip(a, b):
+        entries = [*row, rhs]
+        if not all(type(x) is int for x in entries):
+            entries = [x if type(x) is int else Fraction(x) for x in entries]
+            den = 1
+            for x in entries:
+                den = den * x.denominator // gcd(den, x.denominator)
+            entries = [x.numerator * (den // x.denominator) for x in entries]
+        aug.append(entries)
+    pivot_cols: list[int] = []
+    d = 1
     for c in range(cols):
-        piv = next((i for i in range(r, rows) if aug[i][c] != 0), None)
+        r = len(pivot_cols)
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if aug[i][c]), None)
         if piv is None:
             continue
         aug[r], aug[piv] = aug[piv], aug[r]
-        pr = aug[r]
-        inv = 1 / pr[c]
-        for j in range(c, cols + 1):
-            pr[j] *= inv
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                for j in range(c, cols + 1):
-                    aug[i][j] -= f * pr[j]
-        pivots.append((r, c))
-        r += 1
-        if r == rows:
-            break
-    if any(aug[i][cols] != 0 for i in range(r, rows)):
+        prow = aug[r]
+        p = prow[c]
+        tail = prow[c:]
+        for i, row in enumerate(aug):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                row[c:] = [(p * x - f * y) // d for x, y in zip(row[c:], tail)]
+            elif p != d:
+                row[c:] = [p * x // d for x in row[c:]]
+        d = p
+        pivot_cols.append(c)
+    if any(row[cols] for row in aug[len(pivot_cols) :]):
         return None
     x = [Fraction(0)] * cols
-    for i, c in pivots:
-        x[c] = aug[i][cols]
+    for row, c in zip(aug, pivot_cols):
+        x[c] = Fraction(row[cols], d)
     return x
 
 

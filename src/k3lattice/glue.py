@@ -132,7 +132,7 @@ def _isotropic_subgroups(
     """All isotropic subgroups of order <= max_order, each as a sorted tuple
     of element coordinate tuples.  Grown one generator at a time."""
     zero = tuple(0 for _ in form.invariant_factors)
-    iso_elements = [e for e in form.elements() if e != zero and form.q(e) == 0]
+    iso_elements = [e for e in form.elements() if e != zero and not form.q_numerator(e)]
 
     found = {frozenset([zero])}
     frontier = [frozenset([zero])]
@@ -141,12 +141,12 @@ def _isotropic_subgroups(
         for e in iso_elements:
             if e in grp:
                 continue
-            if any(form.b(e, h) != 0 for h in grp):
+            if any(form.b_numerator(e, h) for h in grp):
                 continue
             bigger = form.span([e], start=grp, limit=max_order)
             if bigger is None or bigger in found:
                 continue
-            if all(form.q(x) == 0 for x in bigger):
+            if not any(form.q_numerator(x) for x in bigger):
                 found.add(bigger)
                 frontier.append(bigger)
     return sorted(tuple(sorted(g)) for g in found)

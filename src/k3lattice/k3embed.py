@@ -134,23 +134,23 @@ def find_disc_form_isomorphism(
     and b, or None.  Requires both forms to carry q-values."""
     if f1.invariant_factors != f2.invariant_factors:
         return None
-    if f1.q_values is None or f2.q_values is None:
+    if f1.q_numerators is None or f2.q_numerators is None:
         raise ValueError("both lattices must be even")
     k = len(f1.invariant_factors)
     if k == 0:
         return []
-    # the multiset of (order, q) over all elements is an isomorphism
-    # invariant; it prunes distinct forms without any search
-    profile1 = sorted((f1.element_order(e), f1.q(e)) for e in f1.elements())
+    # equal invariant factors give both forms the same exponent N, so q and
+    # b compare as integer numerators over N.  The multiset of (order, q)
+    # over all elements is an isomorphism invariant; it prunes distinct
+    # forms without any search
+    profile1 = sorted((f1.element_order(e), f1.q_numerator(e)) for e in f1.elements())
     profile2: dict[tuple, list[tuple[int, ...]]] = {}
     for e in f2.elements():
-        profile2.setdefault((f2.element_order(e), f2.q(e)), []).append(e)
+        profile2.setdefault((f2.element_order(e), f2.q_numerator(e)), []).append(e)
     if profile1 != sorted(
         key for key, els in profile2.items() for _ in els
     ):
         return None
-    gens1 = [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]
-    q1 = [f1.q(g) for g in gens1]
     images: list[tuple[int, ...]] = []
 
     def extend(i: int, grp: frozenset) -> bool:
@@ -158,9 +158,10 @@ def find_disc_form_isomorphism(
         # grow it by its full order d_i can never complete an isomorphism
         if i == k:
             return True
-        for cand in profile2.get((f1.invariant_factors[i], q1[i]), ()):
+        for cand in profile2.get((f1.invariant_factors[i], f1.q_numerators[i]), ()):
             if any(
-                f2.b(cand, images[j]) != f1.b_matrix[i][j] for j in range(i)
+                f2.b_numerator(cand, images[j]) != f1.b_numerators[i][j]
+                for j in range(i)
             ):
                 continue
             bigger = f2.span([cand], grp)
@@ -188,7 +189,7 @@ def find_disc_form_isomorphism(
         return tuple(out)
 
     for el in f1.elements():
-        if f1.q(el) != f2.q(push(el)):
+        if f1.q_numerator(el) != f2.q_numerator(push(el)):
             return None
     return images
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, prod
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from . import exact
@@ -186,16 +187,38 @@ class FiniteQuadraticForm:
     """Discriminant group L*/L with its torsion forms.
 
     ``generators[i]`` is an integer vector in L's basis; divided by
-    ``invariant_factors[i]`` it generates a cyclic factor of that order.  For
-    even lattices ``q_values`` holds q(g_i) in Q/2Z (representatives in
-    [0,2)); ``b_matrix`` holds the bilinear values b(g_i,g_j) in Q/Z
-    (representatives in [0,1)).  For odd lattices ``q_values`` is None.
+    ``invariant_factors[i]`` it generates a cyclic factor of that order.
+    The forms take values in (1/N)Z, where N is the ``exponent`` of the
+    group (its largest invariant factor, 1 for the trivial group), and are
+    stored as integer numerators over N: ``q_numerators[i]`` is N q(g_i)
+    in [0, 2N), None for odd lattices, and ``b_numerators[i][j]`` is
+    N b(g_i, g_j) in [0, N).  ``q`` and ``b`` sum in integers and return a
+    ``Fraction`` in [0, 2) and [0, 1); ``q_numerator`` and ``b_numerator``
+    return the integer numerators, for comparisons between forms with equal
+    invariant factors.
     """
 
     invariant_factors: tuple[int, ...]
     generators: tuple[tuple[int, ...], ...]
-    q_values: tuple[Fraction, ...] | None
-    b_matrix: tuple[tuple[Fraction, ...], ...]
+    q_numerators: tuple[int, ...] | None
+    b_numerators: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def exponent(self) -> int:
+        return max(self.invariant_factors, default=1)
+
+    @property
+    def q_values(self) -> tuple[Fraction, ...] | None:
+        """q(g_i) in Q/2Z, representatives in [0, 2)."""
+        if self.q_numerators is None:
+            return None
+        return tuple(Fraction(q, self.exponent) for q in self.q_numerators)
+
+    @property
+    def b_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """b(g_i, g_j) in Q/Z, representatives in [0, 1)."""
+        n = self.exponent
+        return tuple(tuple(Fraction(b, n) for b in row) for row in self.b_numerators)
 
     @property
     def order(self) -> int:
@@ -213,37 +236,40 @@ class FiniteQuadraticForm:
             out = exact.lcm(out, d // gcd(d, c)) if c else out
         return max(out, 1)
 
+    def b_numerator(self, x: Sequence[int], y: Sequence[int]) -> int:
+        total = 0
+        for ci, row in zip(x, self.b_numerators):
+            if ci:
+                total += ci * sum(map(mul, row, y))
+        return total % self.exponent
+
     def b(self, x: Sequence[int], y: Sequence[int]) -> Fraction:
-        total = Fraction(0)
-        for i, ci in enumerate(x):
-            if not ci:
-                continue
-            for j, cj in enumerate(y):
-                if cj:
-                    total += ci * cj * self.b_matrix[i][j]
-        return total % 1
+        return Fraction(self.b_numerator(x, y), self.exponent)
+
+    def q_numerator(self, x: Sequence[int]) -> int:
+        if self.q_numerators is None:
+            raise ValueError("quadratic values only defined for even lattices")
+        support = [(i, c) for i, c in enumerate(x) if c]
+        diag = cross = 0
+        for k, (i, ci) in enumerate(support):
+            diag += ci * ci * self.q_numerators[i]
+            row = self.b_numerators[i]
+            for j, cj in support[k + 1 :]:
+                cross += ci * cj * row[j]
+        return (diag + 2 * cross) % (2 * self.exponent)
 
     def q(self, x: Sequence[int]) -> Fraction:
-        if self.q_values is None:
-            raise ValueError("quadratic values only defined for even lattices")
-        total = Fraction(0)
-        for i, ci in enumerate(x):
-            if not ci:
-                continue
-            total += ci * ci * self.q_values[i]
-            for j in range(i + 1, len(x)):
-                if x[j]:
-                    total += 2 * ci * x[j] * self.b_matrix[i][j]
-        return total % 2
+        return Fraction(self.q_numerator(x), self.exponent)
 
     def negate(self) -> "FiniteQuadraticForm":
-        qv = (
-            tuple((-q) % 2 for q in self.q_values)
-            if self.q_values is not None
+        n = self.exponent
+        qn = (
+            tuple(-q % (2 * n) for q in self.q_numerators)
+            if self.q_numerators is not None
             else None
         )
-        bm = tuple(tuple((-b) % 1 for b in row) for row in self.b_matrix)
-        return FiniteQuadraticForm(self.invariant_factors, self.generators, qv, bm)
+        bn = tuple(tuple(-b % n for b in row) for row in self.b_numerators)
+        return FiniteQuadraticForm(self.invariant_factors, self.generators, qn, bn)
 
     def span(
         self,
@@ -284,10 +310,23 @@ def discriminant_group(l: Lattice) -> FiniteQuadraticForm:
         if di > 1:
             factors.append(di)
             gens.append(tuple(v[r][i] for r in range(n)))
-    pairs = list(zip(gens, factors))
-    qv = tuple(l.norm(g) / (c * c) % 2 for g, c in pairs) if l.is_even() else None
-    bm = tuple(tuple(l.pairing(g, h) / (c * e) % 1 for h, e in pairs) for g, c in pairs)
-    return FiniteQuadraticForm(tuple(factors), tuple(gens), qv, bm)
+    # x = g_i/d_i and y = g_j/d_j pair integrally with L, which holds d_i x
+    # and d_j y, so d_i x.y and d_j x.y are integers, as is N x.y for the
+    # exponent N that both divide
+    top = max(factors, default=1)
+    images = [exact.mat_vec(l.gram, g) for g in gens]
+    nums = []
+    for g, d in zip(gens, factors):
+        row = []
+        for gh, e in zip(images, factors):
+            num, rem = divmod(top * exact.dot(g, gh), d * e)
+            if rem:
+                raise ArithmeticError("discriminant pairing is not in (1/N)Z")
+            row.append(num)
+        nums.append(row)
+    qn = tuple(row[i] % (2 * top) for i, row in enumerate(nums)) if l.is_even() else None
+    bn = tuple(tuple(x % top for x in row) for row in nums)
+    return FiniteQuadraticForm(tuple(factors), tuple(gens), qn, bn)
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,51 @@ def naive_ldl(m):
     return pivots, mult
 
 
+def naive_solve(a, b):
+    """The ``Fraction`` elimination that ``exact.solve`` replaced: Gauss-Jordan
+    over Q with the first nonzero entry of each column as pivot and the free
+    variables set to zero; oracle for the fraction-free elimination."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        pr = aug[r]
+        inv = 1 / pr[c]
+        for j in range(c, cols + 1):
+            pr[j] *= inv
+        for i in range(rows):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                for j in range(c, cols + 1):
+                    aug[i][j] -= f * pr[j]
+        pivots.append((r, c))
+        r += 1
+        if r == rows:
+            break
+    if any(aug[i][cols] != 0 for i in range(r, rows)):
+        return None
+    x = [Fraction(0)] * cols
+    for i, c in pivots:
+        x[c] = aug[i][cols]
+    return x
+
+
+def naive_matmul(a, b):
+    """Triple loop; the width of the product is read from b (0 when b has
+    no rows)."""
+    cols = len(b[0]) if b else 0
+    return [
+        [sum((a[i][t] * b[t][j] for t in range(len(b))), 0) for j in range(cols)]
+        for i in range(len(a))
+    ]
+
+
 small_square = st.integers(1, 5).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n
@@ -444,6 +489,100 @@ def test_solve_verifies(a, b):
     x = exact.solve(a, b)
     if x is not None:
         assert exact.mat_vec(a, x) == [Fraction(t) for t in b]
+
+
+# integers, Fractions and many zeros, as in sparse lattice bases
+entries = st.one_of(
+    st.just(0), st.integers(-9, 9), st.fractions(-9, 9, max_denominator=7)
+)
+
+
+def entry_matrix(rows, cols):
+    return st.lists(
+        st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+
+
+@st.composite
+def linear_systems(draw):
+    """Square, rectangular and rank-deficient a; b either a*x for a drawn x
+    (consistent) or drawn freely (often inconsistent when a is deficient)."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        a = draw(entry_matrix(rows, cols))
+    else:
+        inner = draw(st.integers(0, min(rows, cols)))
+        a = naive_matmul(draw(entry_matrix(rows, inner)), draw(entry_matrix(inner, cols)))
+        if inner == 0:
+            a = [[0] * cols for _ in range(rows)]
+    if draw(st.booleans()):
+        x = draw(st.lists(entries, min_size=cols, max_size=cols))
+        b = [sum((p * q for p, q in zip(row, x)), 0) for row in a]
+    else:
+        b = draw(st.lists(entries, min_size=rows, max_size=rows))
+    return a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(linear_systems())
+def test_solve_matches_the_fraction_elimination(system):
+    a, b = system
+    x = exact.solve(a, b)
+    assert x == naive_solve(a, b)
+    if x is not None:
+        assert all(type(t) is Fraction for t in x)
+        assert [sum((p * t for p, t in zip(row, x)), 0) for row in a] == b
+
+
+def test_solve_examples_with_fractions():
+    # rank-deficient, consistent: free variable x_1 = 0
+    assert exact.solve([[2, 4], [1, 2]], [Fraction(1, 3), Fraction(1, 6)]) == [
+        Fraction(1, 6),
+        0,
+    ]
+    # rank-deficient, inconsistent
+    assert exact.solve([[2, 4], [1, 2]], [1, 1]) is None
+    # Fraction coefficients, 3 x 2
+    a = [[Fraction(1, 2), 0], [0, Fraction(2, 3)], [1, 1]]
+    assert exact.solve(a, [1, 2, 5]) == [2, 3]
+    assert exact.solve(a, [1, 2, 4]) is None
+    assert exact.solve([], []) == []
+
+
+@st.composite
+def products(draw):
+    r, k, c = (draw(st.integers(0, 5)) for _ in range(3))
+    a = draw(entry_matrix(r, k))
+    if r and draw(st.booleans()):
+        a[draw(st.integers(0, r - 1))] = [0] * k
+    return a, draw(entry_matrix(k, c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(products())
+def test_matmul_matches_the_triple_loop(ab):
+    a, b = ab
+    assert exact.matmul(a, b) == naive_matmul(a, b)
+
+
+def test_matmul_edge_shapes():
+    assert exact.matmul([], [[1, 2]]) == []  # 0 x 1 times 1 x 2
+    assert exact.matmul([[1], [2]], [[]]) == [[], []]  # 2 x 1 times 1 x 0
+    assert exact.matmul([[0, 0]], [[1, 2], [3, 4]]) == [[0, 0]]
+    with pytest.raises(ValueError):
+        exact.matmul([[1, 2]], [[1, 2]])
+
+
+def test_ragged_matrices_are_rejected():
+    # zip would silently drop the extra entries
+    with pytest.raises(ValueError, match="ragged"):
+        exact.solve([[1, 0], [0, 1, 5]], [1, 2])
+    with pytest.raises(ValueError, match="ragged"):
+        exact.matmul([[1, 2], [3, 4, 5]], exact.identity(2))
+    with pytest.raises(ValueError, match="ragged"):
+        exact.matmul(exact.identity(2), [[1, 2], [3, 4, 5]])
+    with pytest.raises(ValueError, match="ragged"):
+        exact.mat_vec([[1, 2], [3, 4, 5]], [1, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Tests for lattices, discriminant forms, complements and saturation."""
 
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import k3lattice.lattice as lat
-from k3lattice import exact
+from k3lattice import exact, glue
 
 
 def unit_rows(indices, width):
@@ -140,6 +141,85 @@ def _quadratic_refinement(form):
 def test_disc_form_axioms_small():
     _quadratic_refinement(lat.discriminant_group(lat.root_lattice("A", 3)))
     _quadratic_refinement(lat.discriminant_group(lat.root_lattice("D", 4)))
+
+
+def check_form_against_gram_pairings(l):
+    """q(x) and b(x, y) for every element x and pair (x, y) against the
+    Gram pairing of the rational vectors sum_i c_i g_i / d_i, reduced mod 2
+    and mod 1; negation against the negated values."""
+    form = lat.discriminant_group(l)
+    top = max(form.invariant_factors, default=1)
+    assert form.order == abs(l.det())
+    assert all(0 <= b < top for row in form.b_numerators for b in row)
+    if form.q_numerators is not None:
+        assert all(0 <= q < 2 * top for q in form.q_numerators)
+    # top * sum_i c_i g_i / d_i, an integer vector, with its image under G
+    vecs = []
+    for el in form.elements():
+        v = [0] * l.rank
+        for c, d, g in zip(el, form.invariant_factors, form.generators):
+            v = [a + c * (top // d) * x for a, x in zip(v, g)]
+        vecs.append((el, v, [sum(map(mul, row, v)) for row in l.gram]))
+    neg = form.negate()
+    assert neg.negate() == form
+    for x, v, gv in vecs:
+        if form.q_numerators is not None:
+            q = Fraction(sum(map(mul, v, gv)), top * top) % 2
+            assert form.q(x) == q
+            assert neg.q(x) == -q % 2
+        for y, w, _ in vecs:
+            b = Fraction(sum(map(mul, w, gv)), top * top) % 1
+            assert form.b(x, y) == b
+            assert neg.b(x, y) == -b % 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: lat.root_lattice("A", 1),
+        lambda: lat.root_lattice("A", 2),
+        lambda: lat.root_lattice("D", 4),
+        lambda: lat.direct_sum(lat.rescale(lat.hyperbolic(), 2), lat.root_lattice("A", 1)),
+        lambda: lat.rank_one(3, allow_odd=True),
+        glue.l2_lattice,
+        glue.n1_lattice,
+        glue.m16_lattice,
+    ],
+    ids=["A1", "A2", "D4", "U(2)+A1", "<3>", "L2", "N1", "M16"],
+)
+def test_disc_form_matches_gram_pairings(build):
+    check_form_against_gram_pairings(build())
+
+
+@st.composite
+def small_grams(draw):
+    n = draw(st.integers(1, 4))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = 2 * draw(st.integers(-4, 4))
+        for j in range(i):
+            g[i][j] = g[j][i] = draw(st.integers(-4, 4))
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_grams().filter(lambda g: 0 < abs(exact.det(g)) <= 64))
+def test_disc_form_matches_gram_pairings_on_drawn_grams(g):
+    check_form_against_gram_pairings(lat.lattice(g))
+
+
+def test_disc_group_exponent_and_numerators():
+    a1a2 = lat.direct_sum(lat.root_lattice("A", 1), lat.root_lattice("A", 2))
+    form = lat.discriminant_group(a1a2)
+    assert form.invariant_factors == (6,)
+    assert form.exponent == 6
+    assert form.q_values == tuple(Fraction(q, 6) for q in form.q_numerators)
+    assert form.b_matrix == tuple(
+        tuple(Fraction(b, 6) for b in row) for row in form.b_numerators
+    )
+    trivial = lat.discriminant_group(lat.root_lattice("E", 8))
+    assert trivial.exponent == 1
+    assert trivial.q_values == () and trivial.b_matrix == ()
 
 
 def test_span_of_generators_and_cosets():

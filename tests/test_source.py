@@ -76,14 +76,37 @@ def test_one_coefficient_box_enumerator():
         assert "product" not in imports, name
 
 
+def _function(module: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((SRC / module).read_text())
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+    return fn
+
+
 def test_ldl_eliminates_in_integers():
-    # exact.ldl divides only exactly (//), by Sylvester's identity; a true
-    # division would bring the Fraction elimination back
-    tree = ast.parse((SRC / "exact.py").read_text())
-    (ldl,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "ldl"]
-    found = [
-        node.lineno
-        for node in ast.walk(ldl)
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
-    ]
-    assert found == []
+    # exact.ldl and exact.solve divide only exactly (//), by Sylvester's
+    # identity; a true division would bring the Fraction elimination back
+    for name in ("ldl", "solve"):
+        found = [
+            node.lineno
+            for node in ast.walk(_function("exact.py", name))
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+        ]
+        assert found == [], name
+
+
+def test_discriminant_form_searches_compare_integers():
+    # q and b are compared as integer numerators over the exponent; a
+    # Fraction, or the Fraction-valued q, b, q_values and b_matrix, would
+    # bring the rational sums back into the searches
+    rational = {"q", "b", "q_values", "b_matrix"}
+    for module, name in (
+        ("glue.py", "_isotropic_subgroups"),
+        ("k3embed.py", "find_disc_form_isomorphism"),
+    ):
+        found = [
+            node.lineno
+            for node in ast.walk(_function(module, name))
+            if (isinstance(node, ast.Name) and node.id == "Fraction")
+            or (isinstance(node, ast.Attribute) and node.attr in rational)
+        ]
+        assert found == [], name
