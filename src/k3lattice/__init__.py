@@ -29,17 +29,16 @@ from .quadform import (
     hasse_invariant,
     hilbert_symbol,
     invariants,
+    quadric_certificate,
     rationally_equivalent,
     ruling_disc,
     witt_index,
 )
 from .k3embed import (
-    EmbeddedLattice,
     build_V,
     definite_isomorphic,
     embed_standard,
     genus_equal,
-    quadric_certificate,
     transcendental_of,
 )
 from .lattice_io import LatticeFileError, load_lattice, save_lattice
@@ -48,7 +47,6 @@ __all__ = [
     "Lattice",
     "FiniteQuadraticForm",
     "QuadFormInvariants",
-    "EmbeddedLattice",
     "GlueSpec",
     "LatticeFileError",
     "GLOBAL",

@@ -129,20 +129,31 @@ def _n1_enlarged() -> lat.Lattice:
 
 
 @lru_cache(maxsize=None)
-def _rank17_embedding() -> ke.EmbeddedLattice:
+def _rank17_embedding() -> lat.Lattice:
     """U + E8 + A2 + A1^5 inside the rank-22 unimodular lattice: U and E8
     matched with direct summands, A2+A1^3 as a subdiagram of the second E8,
     and two more (-2)-vectors inside the remaining hyperbolic planes."""
     rows = (
-        [[1 if j == i else 0 for j in range(22)] for i in (0, 1)]
-        + [[1 if j == 6 + i else 0 for j in range(22)] for i in range(8)]
-        + [[1 if j == 14 + i else 0 for j in range(22)] for i in ke.E8_A2_A1C_NODES]
+        ke._unit_rows([0, 1], 22)
+        + ke._unit_rows(range(6, 14), 22)
+        + ke._unit_rows([14 + i for i in ke.E8_A2_A1C_NODES], 22)
         + [
             [1 if j == 2 else (-1 if j == 3 else 0) for j in range(22)],
             [1 if j == 4 else (-1 if j == 5 else 0) for j in range(22)],
         ]
     )
-    return ke.EmbeddedLattice(ke.build_V(), tuple(map(tuple, rows)))
+    return lat.sublattice(ke.build_V(), rows)
+
+
+@lru_cache(maxsize=None)
+def _rank17_target() -> lat.Lattice:
+    """A1 + A2(2) + <2> + <2>, the expected transcendental lattice."""
+    return lat.direct_sum(
+        lat.root_lattice("A", 1),
+        lat.rescale(lat.root_lattice("A", 2), 2),
+        lat.rank_one(2),
+        lat.rank_one(2),
+    )
 
 
 _REGISTRY: dict[str, "Claim"] = {}
@@ -509,15 +520,9 @@ def _rank17_disc():
 def _rank17_trans():
     emb = _rank17_embedding()
     tr = ke.transcendental_of(emb)
-    target = lat.direct_sum(
-        lat.root_lattice("A", 1),
-        lat.rescale(lat.root_lattice("A", 2), 2),
-        lat.rank_one(2),
-        lat.rank_one(2),
-    )
-    found = ke.isometry_search(target, tr, bound=4) is not None
+    found = ke.isometry_search(_rank17_target(), tr, bound=4) is not None
     computed = {
-        "primitive": emb.is_primitive(),
+        "primitive": lat.is_primitive(emb),
         "rank": tr.rank,
         "det": tr.det(),
         "isomorphic": found,
@@ -534,12 +539,7 @@ def _rank17_trans():
     "rank17",
 )
 def _rank17_lines():
-    target = lat.direct_sum(
-        lat.root_lattice("A", 1),
-        lat.rescale(lat.root_lattice("A", 2), 2),
-        lat.rank_one(2),
-        lat.rank_one(2),
-    )
+    target = _rank17_target()
     w = qf.witt_index(target.gram, 2)
     computed = {"witt_at_2": w, "lines": qf.has_k_planes(target.gram, 1, 2)}
     expected = {"witt_at_2": 1, "lines": False}
@@ -598,8 +598,8 @@ def _lp_embeds():
             [0, 0, 0, 1, 0, 0],
             [0, 0, 0, 0, 1, 2 * p],
         ]
-        emb = ke.EmbeddedLattice(lam3, tuple(map(tuple, rows)))
-        computed[p] = emb.lattice().gram == lp.gram and emb.is_primitive()
+        emb = lat.sublattice(lam3, rows)
+        computed[p] = emb.gram == lp.gram and lat.is_primitive(emb)
     expected = {17: True, 41: True}
     return computed == expected, computed, expected
 
@@ -984,7 +984,7 @@ def _nosec_iso():
 def _nosec_even():
     n1 = _named("N1")
     f = _frame_vector(1, _G1, -1)
-    d = lat.divisibility_ambient(n1, f)
+    d = lat.divisibility(n1, f)
     return d == 2, d, 2
 
 
@@ -1049,7 +1049,7 @@ def _n1works():
     computed = {
         "enlarged_det": enlarged.det(),
         "norm": frame.norm(w),
-        "divisibility": lat.divisibility_ambient(enlarged, w),
+        "divisibility": lat.divisibility(enlarged, w),
         "half_in": lat.contains_ambient(enlarged, [Fraction(x, 2) for x in w]),
         "found_by_search": glue.find_isotropic_glue(enlarged, w, 2) == w,
     }

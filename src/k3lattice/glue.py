@@ -24,7 +24,6 @@ from .lattice import (
     direct_sum,
     discriminant_group,
     divisibility,
-    divisibility_ambient,
     hyperbolic,
     lattice,
     make_embedding,
@@ -207,11 +206,7 @@ def find_isotropic_glue(
     frame = l.ambient.ambient if l.ambient is not None else l
 
     def ok(v: list[int]) -> bool:
-        if frame.norm(v) != 0:
-            return False
-        if l.ambient is not None:
-            return divisibility_ambient(l, v) == divisor
-        return divisibility(l, v) == divisor
+        return frame.norm(v) == 0 and divisibility(l, v) == divisor
 
     target = [int(x) for x in target]
     if not search_basis:

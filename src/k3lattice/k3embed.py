@@ -14,7 +14,6 @@ vectors by their pairing with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
@@ -26,47 +25,10 @@ from .lattice import (
     direct_sum,
     discriminant_group,
     hyperbolic,
-    lattice,
-    make_embedding,
     orthogonal_complement,
     root_lattice,
-    saturation_index,
+    sublattice,
 )
-from .quadform import (
-    REAL,
-    QuadFormInvariants,
-    _class_and_places,
-    _form,
-    _invariants,
-    _is_local_square,
-    _is_probable_prime,
-    hilbert_symbol,
-    place_sort_key,
-)
-
-
-@dataclass(frozen=True)
-class EmbeddedLattice:
-    """Integer-basis sublattice of an ambient lattice; rows of ``basis`` are
-    vectors in ambient coordinates."""
-
-    ambient: Lattice
-    basis: tuple[tuple[int, ...], ...]
-
-    def lattice(self) -> Lattice:
-        rows = [list(r) for r in self.basis]
-        gram = exact.matmul(
-            exact.matmul(rows, [list(r) for r in self.ambient.gram]),
-            exact.transpose(rows),
-        )
-        return Lattice(
-            tuple(tuple(int(x) for x in r) for r in gram),
-            None,
-            make_embedding(self.ambient, rows),
-        )
-
-    def is_primitive(self) -> bool:
-        return saturation_index(self.ambient, [list(r) for r in self.basis]) == 1
 
 
 def build_V() -> Lattice:
@@ -87,40 +49,31 @@ E8_A5_A1_NODES = [0, 1, 2, 3, 4, 6]
 E8_A2_A1C_NODES = [0, 1, 3, 5, 7]
 
 
-def embed_standard(spec: str, k: int | None = None) -> EmbeddedLattice:
-    """The documented standard embeddings.
+def embed_standard(spec: str, k: int | None = None) -> Lattice:
+    """The documented standard embeddings, as lattices embedded in their
+    ambient.
 
     Specs: "A5+A1 in E8", "A2+A1^3 in E8", "U+E8+A5+A1 in V",
-    "L2-isogeny-complement" (the rank-6 complement of the previous one),
     "vector_of_norm(k) in U".
     """
     if spec == "A5+A1 in E8":
-        return EmbeddedLattice(
-            root_lattice("E", 8), tuple(map(tuple, _unit_rows(E8_A5_A1_NODES, 8)))
-        )
+        return sublattice(root_lattice("E", 8), _unit_rows(E8_A5_A1_NODES, 8))
     if spec == "A2+A1^3 in E8":
-        return EmbeddedLattice(
-            root_lattice("E", 8), tuple(map(tuple, _unit_rows(E8_A2_A1C_NODES, 8)))
-        )
+        return sublattice(root_lattice("E", 8), _unit_rows(E8_A2_A1C_NODES, 8))
     if spec == "U+E8+A5+A1 in V":
-        v = build_V()
         rows = _unit_rows([0, 1], 22) + _unit_rows(range(6, 14), 22)
         rows += _unit_rows([14 + i for i in E8_A5_A1_NODES], 22)
-        return EmbeddedLattice(v, tuple(map(tuple, rows)))
-    if spec == "L2-isogeny-complement":
-        sub = embed_standard("U+E8+A5+A1 in V")
-        comp = orthogonal_complement(sub.ambient, [list(r) for r in sub.basis])
-        return EmbeddedLattice(sub.ambient, comp.ambient.basis)
+        return sublattice(build_V(), rows)
     if spec == "vector_of_norm(k) in U":
         if k is None or k % 2:
             raise ValueError("an even norm k is required")
-        return EmbeddedLattice(hyperbolic(), ((1, k // 2),))
+        return sublattice(hyperbolic(), [[1, k // 2]])
     raise ValueError(f"unknown embedding spec {spec!r}")
 
 
-def transcendental_of(e: EmbeddedLattice) -> Lattice:
-    """Orthogonal complement of the (saturated) sublattice in its ambient."""
-    return orthogonal_complement(e.ambient, [list(r) for r in e.basis])
+def transcendental_of(l: Lattice) -> Lattice:
+    """Orthogonal complement of an embedded lattice in its ambient."""
+    return orthogonal_complement(l.ambient.ambient, l.ambient.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +316,8 @@ def _match_gram(
 def definite_isomorphic(l1: Lattice, l2: Lattice) -> bool:
     """Exact isometry test for definite lattices of equal rank via complete
     backtracking over short vectors of matching norms and pairings."""
-    for l in (l1, l2):
-        p, z, n = l.signature()
-        if z or (p and n):
-            raise ValueError("definite_isomorphic requires definite lattices")
+    if not (l1.is_definite() and l2.is_definite()):
+        raise ValueError("definite_isomorphic requires definite lattices")
     if l1.rank != l2.rank or l1.det() != l2.det():
         return False
     if l1.signature() != l2.signature():
@@ -410,75 +361,3 @@ def isometry_search(l1: Lattice, l2: Lattice, bound: int = 5) -> list[list[int]]
     if check != [list(r) for r in l1.gram]:
         raise ArithmeticError("isometry search returned a map that is not an isometry")
     return rows
-
-
-# ---------------------------------------------------------------------------
-# quadric certificates
-
-
-def _minus_key(sig, minus) -> tuple:
-    places = sorted(minus, key=place_sort_key)
-    return (sig, len(places), [place_sort_key(v) for v in places])
-
-
-def quadric_certificate(l: Lattice) -> QuadFormInvariants:
-    """Q-isomorphism-class certificate of the projective quadric of l.
-
-    Two quadrics are isomorphic over Q exactly when the forms are similar
-    (equal up to a rational scale factor).  Odd rank: scaling by the
-    discriminant class is the unique way to make the discriminant trivial,
-    and that representative's invariants are the certificate.  Even rank:
-    the discriminant class is itself invariant, scaling by c multiplies the
-    Hasse invariant at v by (c, d)_v with d the signed discriminant, and
-    every finite even-cardinality flip set inside the places where d is a
-    local nonsquare is realized by some positive c; the certificate stores
-    the minimal reachable signature/Hasse data.  Both cases are invariant
-    under rescaling the lattice and under finite-index sublattices.
-    """
-    pivots, det = _form(l.gram)
-    d, places = _class_and_places(det)
-    n = len(pivots)
-    if n % 2:
-        return _invariants([d * x for x in pivots], 1, places)
-
-    signed = d * (-1) ** (n // 2)
-    base = _invariants(pivots, d, places)
-
-    def flippable(v) -> bool:
-        return v != REAL and not _is_local_square(signed, v)
-
-    def smallest_external_flip(minus: frozenset) -> int:
-        if signed == 1:
-            raise ArithmeticError("no flip places for a split discriminant")
-        p = 2
-        while True:
-            if p not in minus and flippable(p):
-                return p
-            p = _next_prime(p)
-
-    candidates = []
-    for negate in (False, True):
-        sig = base.signature if not negate else base.signature[::-1]
-        minus = set(base.hasse_minus)
-        if negate:
-            # scaling by a negative constant twists by (-1, signed)
-            for v in places:
-                if hilbert_symbol(-1, signed, v) == -1:
-                    minus ^= {v}
-        removable = {v for v in minus if flippable(v)}
-        stuck = frozenset(minus - removable)
-        if len(removable) % 2 == 0:
-            candidates.append((sig, stuck))
-        else:
-            for kept in removable:
-                candidates.append((sig, stuck | {kept}))
-            candidates.append((sig, stuck | {smallest_external_flip(minus)}))
-    sig, minus = min(candidates, key=lambda c: _minus_key(*c))
-    return QuadFormInvariants(n, sig, d, frozenset(minus))
-
-
-def _next_prime(p: int) -> int:
-    q = p + 1
-    while not _is_probable_prime(q):
-        q += 1
-    return q

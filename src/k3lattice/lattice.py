@@ -340,6 +340,16 @@ def _sub_rows(sub: Sequence[Sequence[int]], rank: int) -> list[list[int]]:
     return rows
 
 
+def sublattice(
+    ambient: Lattice, rows: Sequence[Sequence[int]], name: str | None = None
+) -> Lattice:
+    """The lattice spanned by integer ``rows`` (vectors in ambient
+    coordinates), with Gram matrix B G B^T and its embedding recorded."""
+    rows = _sub_rows(rows, ambient.rank)
+    gram = exact.matmul(exact.matmul(rows, ambient.gram), exact.transpose(rows))
+    return Lattice(_to_gram(gram), name, make_embedding(ambient, rows))
+
+
 def orthogonal_complement(ambient: Lattice, sub: Sequence[Sequence[int]]) -> Lattice:
     """Primitive orthogonal complement of the span of ``sub`` (rows are
     vectors in ambient coordinates), with its embedding recorded."""
@@ -348,8 +358,7 @@ def orthogonal_complement(ambient: Lattice, sub: Sequence[Sequence[int]]) -> Lat
         raise ValueError("sublattice basis is rank-deficient")
     pair = exact.matmul(rows, [list(r) for r in ambient.gram])
     kern = exact.kernel_basis(pair) if rows else exact.identity(ambient.rank)
-    gram = exact.matmul(exact.matmul(kern, [list(r) for r in ambient.gram]), exact.transpose(kern))
-    return Lattice(_to_gram(gram), None, make_embedding(ambient, kern))
+    return sublattice(ambient, kern)
 
 
 def saturation(ambient: Lattice, sub: Sequence[Sequence[int]]) -> Lattice:
@@ -371,13 +380,11 @@ def saturation_index(ambient: Lattice, sub: Sequence[Sequence[int]]) -> int:
     return prod(invariants)
 
 
-def divisibility(l: Lattice, v: Sequence[int]) -> int:
-    """gcd of the pairings of v with all lattice vectors."""
-    pairings = exact.mat_vec([list(r) for r in l.gram], list(v))
-    fr = [Fraction(x) for x in pairings]
-    if any(x.denominator != 1 for x in fr):
-        raise ValueError("vector does not pair integrally with the lattice")
-    return exact.gcd_vector([int(x) for x in fr])
+def is_primitive(l: Lattice) -> bool:
+    """Whether l, embedded by integer rows, is saturated in its ambient."""
+    if l.ambient is None or l.ambient.denominator != 1:
+        raise ValueError("lattice is not embedded by integer rows")
+    return saturation_index(l.ambient.ambient, l.ambient.basis) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -399,13 +406,15 @@ def contains_ambient(l: Lattice, w: Sequence) -> bool:
     return coords is not None and all(c.denominator == 1 for c in coords)
 
 
-def divisibility_ambient(l: Lattice, w: Sequence) -> int:
-    """gcd of pairings of an ambient-frame vector with all of l."""
-    if l.ambient is None:
-        raise ValueError("lattice has no recorded ambient frame")
+def divisibility(l: Lattice, w: Sequence) -> int:
+    """gcd of the pairings of w with all of l.  w is in l's frame: ambient
+    coordinates when l records an ambient, else l's own basis."""
     e = l.ambient
-    gw = exact.mat_vec(e.ambient.gram, w)
-    pairings = [Fraction(exact.dot(row, gw), e.denominator) for row in e.basis]
+    if e is None:
+        pairings = [Fraction(x) for x in exact.mat_vec(l.gram, w)]
+    else:
+        gw = exact.mat_vec(e.ambient.gram, w)
+        pairings = [Fraction(exact.dot(row, gw), e.denominator) for row in e.basis]
     if any(p.denominator != 1 for p in pairings):
         raise ValueError("vector does not pair integrally with the lattice")
     return exact.gcd_vector([int(p) for p in pairings])

@@ -399,3 +399,75 @@ def ruling_disc(gram: Sequence[Sequence[int]]) -> int:
     if d == 0:
         raise ValueError("degenerate form")
     return squarefree_part(d * (-1) ** (n // 2))
+
+
+# ---------------------------------------------------------------------------
+# quadric certificates
+
+
+def _minus_key(sig, minus) -> tuple:
+    places = sorted(minus, key=place_sort_key)
+    return (sig, len(places), [place_sort_key(v) for v in places])
+
+
+def quadric_certificate(gram: Sequence[Sequence[int]]) -> QuadFormInvariants:
+    """Q-isomorphism-class certificate of the projective quadric of gram.
+
+    Two quadrics are isomorphic over Q exactly when the forms are similar
+    (equal up to a rational scale factor).  Odd rank: scaling by the
+    discriminant class is the unique way to make the discriminant trivial,
+    and that representative's invariants are the certificate.  Even rank:
+    the discriminant class is itself invariant, scaling by c multiplies the
+    Hasse invariant at v by (c, d)_v with d the signed discriminant, and
+    every finite even-cardinality flip set inside the places where d is a
+    local nonsquare is realized by some positive c; the certificate stores
+    the minimal reachable signature/Hasse data.  Both cases are invariant
+    under rescaling the lattice and under finite-index sublattices.
+    """
+    pivots, det = _form(gram)
+    d, places = _class_and_places(det)
+    n = len(pivots)
+    if n % 2:
+        return _invariants([d * x for x in pivots], 1, places)
+
+    signed = d * (-1) ** (n // 2)
+    base = _invariants(pivots, d, places)
+
+    def flippable(v) -> bool:
+        return v != REAL and not _is_local_square(signed, v)
+
+    def smallest_external_flip(minus: frozenset) -> int:
+        if signed == 1:
+            raise ArithmeticError("no flip places for a split discriminant")
+        p = 2
+        while True:
+            if p not in minus and flippable(p):
+                return p
+            p = _next_prime(p)
+
+    candidates = []
+    for negate in (False, True):
+        sig = base.signature if not negate else base.signature[::-1]
+        minus = set(base.hasse_minus)
+        if negate:
+            # scaling by a negative constant twists by (-1, signed)
+            for v in places:
+                if hilbert_symbol(-1, signed, v) == -1:
+                    minus ^= {v}
+        removable = {v for v in minus if flippable(v)}
+        stuck = frozenset(minus - removable)
+        if len(removable) % 2 == 0:
+            candidates.append((sig, stuck))
+        else:
+            for kept in removable:
+                candidates.append((sig, stuck | {kept}))
+            candidates.append((sig, stuck | {smallest_external_flip(minus)}))
+    sig, minus = min(candidates, key=lambda c: _minus_key(*c))
+    return QuadFormInvariants(n, sig, d, frozenset(minus))
+
+
+def _next_prime(p: int) -> int:
+    q = p + 1
+    while not _is_probable_prime(q):
+        q += 1
+    return q

@@ -173,10 +173,10 @@ def test_criterion_08_lp_family():
             [0, 0, 0, 1, 0, 0],
             [0, 0, 0, 0, 1, 2 * p],
         ]
-        emb = ke.EmbeddedLattice(lam3, tuple(map(tuple, rows)))
+        emb = lat.sublattice(lam3, rows)
         checks[f"hasse_{p}"] = qf.hasse_invariant(qf.diagonalize(lp.gram), p) == -1
         checks[f"witt_{p}"] = qf.witt_index(lp.gram, p) == 1
-        checks[f"embeds_{p}"] = emb.lattice().gram == lp.gram and emb.is_primitive()
+        checks[f"embeds_{p}"] = emb.gram == lp.gram and lat.is_primitive(emb)
     _criterion(
         8,
         "for p = 17, 41: Hasse -1 at p, Witt index 1 at p, primitive "
@@ -363,7 +363,7 @@ def test_criterion_14_class_arithmetic():
         "8(d'-5) norms",
         {
             "F_isotropic": frame.norm(f) == 0,
-            "F_even": lat.divisibility_ambient(n1, f) == 2,
+            "F_even": lat.divisibility(n1, f) == 2,
             "F_primitive": not lat.contains_ambient(
                 n1, [Fraction(x, 2) for x in f]
             ),
@@ -371,7 +371,7 @@ def test_criterion_14_class_arithmetic():
             "order8_membership": member_ok == 15
             or f"only {member_ok}/15 classes lie in N1",
             "n1works_vector": frame.norm(w) == 0
-            and lat.divisibility_ambient(enlarged, w) == 2
+            and lat.divisibility(enlarged, w) == 2
             and not lat.contains_ambient(enlarged, [Fraction(x, 2) for x in w]),
             **sq_checks,
         },

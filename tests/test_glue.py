@@ -270,7 +270,7 @@ def brute_isotropic_glue(l, target, divisor, search_basis, bound):
             t + sum(c * s[i] for c, s in zip(coeffs, search_basis))
             for i, t in enumerate(target)
         ]
-        if frame.norm(v) == 0 and lat.divisibility_ambient(l, v) == divisor:
+        if frame.norm(v) == 0 and lat.divisibility(l, v) == divisor:
             return v
     return None
 

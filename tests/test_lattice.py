@@ -1,6 +1,7 @@
 """Tests for lattices, discriminant forms, complements and saturation."""
 
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 import pytest
@@ -304,6 +305,24 @@ def test_contains_and_divisibility():
     u = lat.hyperbolic()
     assert lat.divisibility(u, [1, 1]) == 1
     assert lat.divisibility(u, [2, 4]) == 2
+
+
+def test_divisibility_reads_vectors_in_the_ambient_frame():
+    base = lat.lattice([[-2, 0, 0, 0], [0, -2, 0, 0], [0, 0, 6, 0], [0, 0, 0, 6]])
+    l = glue.adjoin(base, [glue.GlueSpec((1, 1, 1, 1), 2)])
+    e = l.ambient
+    assert e.denominator == 2
+    w = [2, 0, 0, 2]
+    gw = exact.mat_vec(base.gram, w)
+    pairings = [Fraction(sum(map(mul, row, gw)), e.denominator) for row in e.basis]
+    assert all(p.denominator == 1 for p in pairings)
+    expected = gcd(*(int(p) for p in pairings))
+    assert lat.divisibility(l, w) == expected == 4
+    # read in l's own basis the same entries give a different answer
+    assert lat.divisibility(lat.lattice(l.gram), w) == 2
+    # an overlattice is not a sublattice of its frame
+    with pytest.raises(ValueError):
+        lat.is_primitive(l)
 
 
 def test_ambient_round_trip():

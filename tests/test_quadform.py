@@ -19,7 +19,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import k3lattice.lattice as lat
 from k3lattice import cli, exact, lattice_io, quadform as qf
-from k3lattice.k3embed import quadric_certificate
 
 # ---------------------------------------------------------------------------
 # oracle: solvability of a x^2 + b y^2 = z^2 over Q_p by search mod p^k
@@ -544,7 +543,7 @@ def _all_invariants(g, places):
         qf.invariants(g),
         [qf.witt_index(g, v) for v in places + [qf.GLOBAL]],
         [qf.anisotropic_dimension(g, v) for v in places],
-        quadric_certificate(lat.lattice(g)),
+        qf.quadric_certificate(g),
     )
 
 
@@ -572,7 +571,7 @@ def test_factorize_called_at_most_once_per_form(monkeypatch):
     for fn, most in (
         (qf.invariants, 1),
         (lambda g: qf.witt_index(g, qf.GLOBAL), 1),
-        (lambda g: quadric_certificate(lat.lattice(g)), 1),
+        (qf.quadric_certificate, 1),
         (lambda g: qf.witt_index(g, 2), 0),
         (lambda g: qf.witt_index(g, 211), 0),
         (lambda g: qf.anisotropic_dimension(g, qf.REAL), 0),

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "k3lattice"
@@ -110,3 +111,29 @@ def test_discriminant_form_searches_compare_integers():
             or (isinstance(node, ast.Attribute) and node.attr in rational)
         ]
         assert found == [], name
+
+
+def test_one_embedded_lattice_type():
+    # rows in an ambient are stored one way, as lattice.Embedding; a second
+    # class holding an ambient and a basis would bring back a parallel type
+    found = []
+    for name, node in _nodes():
+        if name == "lattice.py" or not isinstance(node, ast.ClassDef):
+            continue
+        fields = {
+            stmt.target.id
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        }
+        if {"ambient", "basis"} <= fields:
+            found.append(f"{name}:{node.name}")
+    assert found == []
+
+
+def test_readme_python_blocks_run():
+    # the library example in README.md is run, so it cannot go stale
+    readme = (SRC.parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
