@@ -106,8 +106,8 @@ def _frame_vector(h: int, indices, coeff: int = 1) -> list[int]:
     return v
 
 
-_G1 = glue._subgroup_order4([(0, 0, 0, 1), (0, 1, 0, 0)])
-_G2 = glue._subgroup_order4([(0, 0, 1, 0), (0, 1, 0, 0)])
+_G1 = glue.subgroup_order4([(0, 0, 0, 1), (0, 1, 0, 0)])
+_G2 = glue.subgroup_order4([(0, 0, 1, 0), (0, 1, 0, 0)])
 
 
 def _extend(l: lat.Lattice, *specs: glue.GlueSpec) -> lat.Lattice:
@@ -134,9 +134,9 @@ def _rank17_embedding() -> lat.Lattice:
     matched with direct summands, A2+A1^3 as a subdiagram of the second E8,
     and two more (-2)-vectors inside the remaining hyperbolic planes."""
     rows = (
-        ke._unit_rows([0, 1], 22)
-        + ke._unit_rows(range(6, 14), 22)
-        + ke._unit_rows([14 + i for i in ke.E8_A2_A1C_NODES], 22)
+        ke.unit_rows([0, 1], 22)
+        + ke.unit_rows(range(6, 14), 22)
+        + ke.unit_rows([14 + i for i in ke.E8_A2_A1C_NODES], 22)
         + [
             [1 if j == 2 else (-1 if j == 3 else 0) for j in range(22)],
             [1 if j == 4 else (-1 if j == 5 else 0) for j in range(22)],
@@ -1012,7 +1012,7 @@ def _cubics():
     frame = n1.ambient.ambient
     norm_ok = 0
     member_ok = 0
-    for support in glue._index2_subgroup_complements():
+    for support in glue.index2_subgroup_complements():
         inside = [i for i in range(15) if i not in support]
         v = [Fraction(x, 2) for x in _frame_vector(1, inside, -1)]
         if frame.norm(v) == -2:
@@ -1072,9 +1072,9 @@ def _n1works():
 )
 def _n2works():
     groups = [
-        glue._subgroup_order4([(1, 0, 0, 0), (0, 0, 0, 1)]),
-        glue._subgroup_order4([(0, 1, 0, 0), (0, 0, 0, 1)]),
-        glue._subgroup_order4([(0, 0, 1, 0), (0, 0, 0, 1)]),
+        glue.subgroup_order4([(1, 0, 0, 0), (0, 0, 0, 1)]),
+        glue.subgroup_order4([(0, 1, 0, 0), (0, 0, 0, 1)]),
+        glue.subgroup_order4([(0, 0, 1, 0), (0, 0, 0, 1)]),
     ]
     cur = _named("N2")
     discs = []

@@ -79,7 +79,7 @@ def _read_rows(path: str) -> list[list[int]]:
         rows = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise lattice_io.LatticeFileError(f"{path}: {e}") from e
-    return lattice_io._decode_matrix(rows, path, "sublattice rows")
+    return lattice_io.decode_matrix(rows, path, "sublattice rows")
 
 
 def _cmd_lattice_op(args) -> int:

@@ -10,9 +10,11 @@ that only its returned pivots and multipliers are rational.  ``solve``
 clears the denominators of each row and runs the same fraction-free
 elimination in Gauss-Jordan form; a ``Fraction`` is made only for the
 solution it returns.  ``matmul`` adds up rows of its right factor, so the
-zeros of sparse bases cost nothing.  All public functions return fresh
-objects and never mutate their arguments, so values can be shared freely
-between threads.
+zeros of sparse bases cost nothing.  ``box_vectors`` is the one
+coefficient-box enumerator: it yields only the points of the wanted norms,
+solving for the last coordinate in closed form.  All public functions
+return fresh objects and never mutate their arguments, so values can be
+shared freely between threads.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 IntMatrix = list[list[int]]
 IntVector = list[int]
@@ -369,43 +371,77 @@ def hermite_row_basis(rows: Sequence[Sequence[int]]) -> list[IntVector]:
     return a[: _hermite(a)]
 
 
-def box_norms(
-    gram: Sequence[Sequence[int]], bound: int, prefix: Sequence[int] = ()
+def box_vectors(
+    gram: Sequence[Sequence[int]],
+    bound: int,
+    norms: Iterable[int],
+    prefix: Sequence[int] = (),
 ) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Every c in [-bound, bound]^k, in ``itertools.product`` order, with
-    q(prefix + c) under the symmetric integer matrix ``gram``.
+    """Every c in [-bound, bound]^k, in ``itertools.product`` order, for
+    which q(prefix + c) under the symmetric integer matrix ``gram`` lies in
+    ``norms``, with that norm.
 
     The k = rank - len(prefix) coordinates after the fixed ``prefix`` are
-    set one at a time.  Each level carries the pairings of the coordinates
-    set so far with every basis vector, so a point costs O(1) amortised
-    instead of the O(rank^2) of a fresh evaluation (Fincke-Pohst 1985).
+    set one at a time, each level carrying the pairings of the coordinates
+    set so far with the basis vectors still to come (Fincke-Pohst 1985).
+    The last coordinate is not walked: q = g t^2 + 2 l t + q0 is solved for
+    t in closed form for each wanted norm, so a point of the box that misses
+    every norm costs nothing.
     """
     n = require_symmetric(gram)
     g = copy_matrix(gram)
-    values = range(-bound, bound + 1)
+    targets = set(norms)
     lin = [0] * n  # lin[j]: pairing of the coefficients set so far with e_j
     q = 0
     for i, t in enumerate(prefix):
         q += t * (g[i][i] * t + 2 * lin[i])
         lin = [a + t * b for a, b in zip(lin, g[i])]
+    if len(prefix) == n:
+        if q in targets:
+            yield (), q
+        return
+    values = range(-bound, bound + 1)
+    glast = g[n - 1][n - 1]
+
+    def last(q: int, l: int) -> list[tuple[int, int]]:
+        # the integer roots t in the box of glast t^2 + 2 l t + q = N, for
+        # every wanted N, ascending; t fixes the norm, so each t comes once
+        if not glast and not l:
+            return [(t, q) for t in values] if q in targets else []
+        roots = []
+        for N in targets:
+            if glast:
+                d = l * l - glast * (q - N)  # a quarter of the discriminant
+                if d < 0:
+                    continue
+                s = isqrt(d)
+                if s * s != d:
+                    continue
+                nums, den = ((-l - s, -l + s) if s else (-l,)), glast
+            else:
+                nums, den = (N - q,), 2 * l
+            for num in nums:
+                t, r = divmod(num, den)
+                if not r and -bound <= t <= bound:
+                    roots.append((t, N))
+        roots.sort()
+        return roots
 
     def level(i: int, c: tuple[int, ...], q: int, lin: list[int]):
-        gii, li = g[i][i], 2 * lin[i]
+        # lin[0] belongs to coordinate i, lin[1:] to the coordinates after it
         if i == n - 1:
-            for t in values:
-                yield c + (t,), q + t * (gii * t + li)
+            for t, norm in last(q, lin[0]):
+                yield c + (t,), norm
             return
-        row = g[i]
+        gii, li, row = g[i][i], 2 * lin[0], g[i][i + 1 :]
+        rest = lin[1:]
         for t in values:
             yield from level(
                 i + 1, c + (t,), q + t * (gii * t + li),
-                [a + t * b for a, b in zip(lin, row)],
+                [a + t * b for a, b in zip(rest, row)],
             )
 
-    if len(prefix) == n:
-        yield (), q
-    else:
-        yield from level(len(prefix), (), q, lin)
+    yield from level(len(prefix), (), q, lin[len(prefix) :])
 
 
 def lcm(a: int, b: int) -> int:

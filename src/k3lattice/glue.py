@@ -30,7 +30,7 @@ from .lattice import (
     rank_one,
     root_lattice,
 )
-from .quadform import _is_probable_prime, _legendre
+from .quadform import is_probable_prime, legendre
 
 
 @dataclass(frozen=True)
@@ -214,9 +214,7 @@ def find_isotropic_glue(
     rows = [target] + [[int(x) for x in s] for s in search_basis]
     small = exact.matmul(exact.matmul(rows, frame.gram), exact.transpose(rows))
     # the target's coefficient is fixed to 1; the search coefficients vary
-    for coeffs, norm in exact.box_norms(small, bound, (1,)):
-        if norm:
-            continue
+    for coeffs, _ in exact.box_vectors(small, bound, (0,), (1,)):
         v = list(target)
         for c, s in zip(coeffs, rows[1:]):
             if c:
@@ -248,7 +246,7 @@ NONZERO16 = _nonzero_elements()
 INDEX_OF = {e: i for i, e in enumerate(NONZERO16)}
 
 
-def _index2_subgroup_complements() -> list[list[int]]:
+def index2_subgroup_complements() -> list[list[int]]:
     """Supports (as index lists into NONZERO16) of the complements of the 15
     index-2 subgroups of (Z/2Z)^4."""
     out = []
@@ -268,7 +266,7 @@ def m16_lattice() -> Lattice:
     index-2 subgroup; discriminant -128."""
     base = direct_sum(*[root_lattice("A", 1)] * 15)
     glue = []
-    for support in _index2_subgroup_complements():
+    for support in index2_subgroup_complements():
         vec = [0] * 15
         for i in support:
             vec[i] = 1
@@ -298,7 +296,7 @@ def kummer_lattice() -> Lattice:
     return adjoin(base, glue).rename("KummerK")
 
 
-def _subgroup_order4(gens: Sequence[tuple[int, int, int, int]]) -> list[int]:
+def subgroup_order4(gens: Sequence[tuple[int, int, int, int]]) -> list[int]:
     """Indices into NONZERO16 of the nonzero elements of the subgroup
     generated by two elements of (Z/2Z)^4."""
     g1, g2 = gens
@@ -307,7 +305,7 @@ def _subgroup_order4(gens: Sequence[tuple[int, int, int, int]]) -> list[int]:
 
 
 # subgroup of elements whose first two components vanish
-N1_SUBGROUP = _subgroup_order4([(0, 0, 0, 1), (0, 0, 1, 0)])
+N1_SUBGROUP = subgroup_order4([(0, 0, 0, 1), (0, 0, 1, 0)])
 
 
 def ld_lattice(d: int, variant: str) -> Lattice:
@@ -323,7 +321,7 @@ def ld_lattice(d: int, variant: str) -> Lattice:
         raise GlueError("variant must be 'subgroup' or 'all'")
     base = direct_sum(rank_one(2 * d), *[root_lattice("A", 1)] * 15)
     glue = []
-    for support in _index2_subgroup_complements():
+    for support in index2_subgroup_complements():
         vec = [0] * 16
         for i in support:
             vec[i + 1] = 1
@@ -446,9 +444,9 @@ def u_e8_e6_lattice() -> Lattice:
 def np_lattice(p: int, n: int) -> Lattice:
     """Signature (2,2) lattice with norm form x^2 - n y^2 + p z^2 - np w^2;
     n must be a quadratic nonresidue mod the odd prime p."""
-    if p < 3 or not _is_probable_prime(p):
+    if p < 3 or not is_probable_prime(p):
         raise GlueError("p must be an odd prime")
-    if n % p == 0 or _legendre(n % p, p) != -1:
+    if n % p == 0 or legendre(n % p, p) != -1:
         raise GlueError("n must be a quadratic nonresidue mod p")
     return direct_sum(
         rank_one(1, allow_odd=True),
@@ -459,7 +457,7 @@ def np_lattice(p: int, n: int) -> Lattice:
 
 
 def lp_lattice(p: int) -> Lattice:
-    if not _is_probable_prime(p) or p % 24 != 17:
+    if not is_probable_prime(p) or p % 24 != 17:
         raise GlueError("p must be a prime congruent to 17 mod 24")
     return direct_sum(
         rank_one(-2), rank_one(-6), hyperbolic(), rank_one(4 * p)

@@ -39,7 +39,8 @@ def build_V() -> Lattice:
     ).rename("V")
 
 
-def _unit_rows(indices: Sequence[int], width: int) -> list[list[int]]:
+def unit_rows(indices: Sequence[int], width: int) -> list[list[int]]:
+    """The standard basis vectors e_i, i in ``indices``, of length width."""
     return [[1 if j == i else 0 for j in range(width)] for i in indices]
 
 
@@ -57,12 +58,12 @@ def embed_standard(spec: str, k: int | None = None) -> Lattice:
     "vector_of_norm(k) in U".
     """
     if spec == "A5+A1 in E8":
-        return sublattice(root_lattice("E", 8), _unit_rows(E8_A5_A1_NODES, 8))
+        return sublattice(root_lattice("E", 8), unit_rows(E8_A5_A1_NODES, 8))
     if spec == "A2+A1^3 in E8":
-        return sublattice(root_lattice("E", 8), _unit_rows(E8_A2_A1C_NODES, 8))
+        return sublattice(root_lattice("E", 8), unit_rows(E8_A2_A1C_NODES, 8))
     if spec == "U+E8+A5+A1 in V":
-        rows = _unit_rows([0, 1], 22) + _unit_rows(range(6, 14), 22)
-        rows += _unit_rows([14 + i for i in E8_A5_A1_NODES], 22)
+        rows = unit_rows([0, 1], 22) + unit_rows(range(6, 14), 22)
+        rows += unit_rows([14 + i for i in E8_A5_A1_NODES], 22)
         return sublattice(build_V(), rows)
     if spec == "vector_of_norm(k) in U":
         if k is None or k % 2:
@@ -73,6 +74,8 @@ def embed_standard(spec: str, k: int | None = None) -> Lattice:
 
 def transcendental_of(l: Lattice) -> Lattice:
     """Orthogonal complement of an embedded lattice in its ambient."""
+    if l.ambient is None:
+        raise ValueError("lattice has no recorded ambient frame")
     return orthogonal_complement(l.ambient.ambient, l.ambient.basis)
 
 
@@ -339,21 +342,30 @@ def definite_isomorphic(l1: Lattice, l2: Lattice) -> bool:
     return _match_gram(g1r, cands, g2) is not None
 
 
+def _size(v: Sequence[int]) -> tuple[int, int]:
+    return max(map(abs, v)), sum(map(abs, v))
+
+
 def isometry_search(l1: Lattice, l2: Lattice, bound: int = 5) -> list[list[int]] | None:
     """Bounded backtracking search for an isometry l1 -> l2: images are
-    sought among vectors with coordinates in [-bound, bound].  A returned
-    matrix (rows = images of l1's basis) is verified exactly; None only
-    means no isometry with small coordinates was found."""
+    sought among vectors with coordinates in [-bound, bound] and the norms
+    of l1's basis, tried by largest and then summed |coordinate|, smallest
+    first.  A returned matrix (rows = images of l1's basis) is verified
+    exactly; None only means no isometry with small coordinates was
+    found."""
     if l1.rank != l2.rank or l1.det() != l2.det() or l1.signature() != l2.signature():
         return None
     n = l1.rank
     g2 = [list(r) for r in l2.gram]
     by_norm: dict[int, list[tuple[int, ...]]] = {}
     needed = {l1.gram[i][i] for i in range(n)}
-    for v, norm in exact.box_norms(g2, bound):
-        if norm in needed and any(v):
+    for v, norm in exact.box_vectors(g2, bound, needed):
+        if any(v):
             by_norm.setdefault(norm, []).append(v)
-
+    # images of a basis are short, so small coordinates go first; the sort
+    # is stable, so ties keep box order
+    for pool in by_norm.values():
+        pool.sort(key=_size)
     rows = _match_gram(l1.gram, by_norm, g2)
     if rows is None:
         return None

@@ -36,7 +36,9 @@ def _decode_int(x, path: str) -> int:
     raise LatticeFileError(f"{path}: matrix entries must be integers, got {type(x).__name__}")
 
 
-def _decode_matrix(rows, path: str, what: str) -> list[list[int]]:
+def decode_matrix(rows, path: str, what: str) -> list[list[int]]:
+    """A JSON array of arrays of integers (or decimal strings) as an integer
+    matrix; ``what`` names it in the LatticeFileError."""
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise LatticeFileError(f"{path}: {what} must be an array of arrays")
     return [[_decode_int(x, path) for x in row] for row in rows]
@@ -55,7 +57,7 @@ def loads(text: str, path: str = "<string>") -> Lattice:
         ) from e
     if not isinstance(doc, dict) or "gram" not in doc:
         raise LatticeFileError(f"{path}: document must be an object with a 'gram' field")
-    gram = _decode_matrix(doc["gram"], path, "gram")
+    gram = decode_matrix(doc["gram"], path, "gram")
     n = len(gram)
     if any(len(row) != n for row in gram):
         raise LatticeFileError(f"{path}: gram matrix must be square (rank mismatch)")

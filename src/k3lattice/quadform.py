@@ -79,7 +79,9 @@ def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
     raise ValueError(f"cannot split the cofactor {n} within {_RHO_EVALS} Pollard rho evaluations")
 
 
-def _is_probable_prime(n: int) -> bool:
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin with the twelve primes up to 37 as bases, which is
+    deterministic for every n below 2^64."""
     if n < 2:
         return False
     small = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
@@ -118,7 +120,7 @@ def factorize(n: int) -> dict[int, int]:
     budget = _RHO_EVALS
     while stack:
         m = stack.pop()
-        if _is_probable_prime(m):
+        if is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         d, budget = _pollard_rho(m, budget)
@@ -156,7 +158,8 @@ def _rational_to_int_class(a) -> int:
 # Hilbert symbols
 
 
-def _legendre(a: int, p: int) -> int:
+def legendre(a: int, p: int) -> int:
+    """The Legendre symbol (a/p) for an odd prime p not dividing a."""
     a %= p
     if a == 0:
         raise ValueError("argument divisible by p")
@@ -181,9 +184,9 @@ def hilbert_symbol(a, b, v) -> int:
     sign = 1
     if (alpha * beta) % 2 and (p - 1) // 2 % 2:
         sign = -sign
-    if beta % 2 and _legendre(u, p) < 0:
+    if beta % 2 and legendre(u, p) < 0:
         sign = -sign
-    if alpha % 2 and _legendre(w, p) < 0:
+    if alpha % 2 and legendre(w, p) < 0:
         sign = -sign
     return sign
 
@@ -309,7 +312,7 @@ def _is_local_square(d: int, v) -> bool:
         return False
     if p == 2:
         return u % 8 == 1
-    return _legendre(u, p) == 1
+    return legendre(u, p) == 1
 
 
 def _local_isotropic(rank: int, disc: int, eps: int, v) -> bool:
@@ -468,6 +471,6 @@ def quadric_certificate(gram: Sequence[Sequence[int]]) -> QuadFormInvariants:
 
 def _next_prime(p: int) -> int:
     q = p + 1
-    while not _is_probable_prime(q):
+    while not is_probable_prime(q):
         q += 1
     return q

@@ -287,9 +287,9 @@ def test_criterion_13_overlattice_suite():
     proper = [m for m in glue.even_overlattices(base2) if m.det() != base2.det()]
     n2 = glue.build_named("N2")
     groups = [
-        glue._subgroup_order4([(1, 0, 0, 0), (0, 0, 0, 1)]),
-        glue._subgroup_order4([(0, 1, 0, 0), (0, 0, 0, 1)]),
-        glue._subgroup_order4([(0, 0, 1, 0), (0, 0, 0, 1)]),
+        glue.subgroup_order4([(1, 0, 0, 0), (0, 0, 0, 1)]),
+        glue.subgroup_order4([(0, 1, 0, 0), (0, 0, 0, 1)]),
+        glue.subgroup_order4([(0, 0, 1, 0), (0, 0, 0, 1)]),
     ]
     cur = n2
     chain = []
@@ -325,7 +325,7 @@ def test_criterion_14_class_arithmetic():
     # decisions log has the weight argument
     norm_ok = 0
     member_ok = 0
-    for support in glue._index2_subgroup_complements():
+    for support in glue.index2_subgroup_complements():
         inside = [i for i in range(15) if i not in support]
         v = [Fraction(x, 2) for x in claims._frame_vector(1, inside, -1)]
         if frame.norm(v) == -2:

@@ -624,26 +624,59 @@ def brute_norm(g, c):
     return sum(c[i] * g[i][j] * c[j] for i in range(n) for j in range(n))
 
 
+def box_with_norms(g, bound, prefix=()):
+    """Every point of the box after ``prefix`` with its norm, in product
+    order: the oracle for ``exact.box_vectors``."""
+    box = product(range(-bound, bound + 1), repeat=len(g) - len(prefix))
+    return [(c, brute_norm(g, tuple(prefix) + c)) for c in box]
+
+
+@st.composite
+def box_grams(draw, max_prefix=0):
+    """A symmetric matrix and a fixed prefix; the last diagonal entry is
+    often 0, so the last coordinate enters the norm linearly, and then the
+    last row is sometimes 0 too, so it does not enter at all."""
+    n = draw(st.integers(1, 4))
+    g = draw(symmetric(n))
+    last = draw(st.sampled_from(["quadratic", "linear", "constant"]))
+    if last != "quadratic":
+        g[n - 1][n - 1] = 0
+    if last == "constant":
+        for j in range(n):
+            g[n - 1][j] = g[j][n - 1] = 0
+    prefix = draw(st.lists(st.integers(-3, 3), max_size=min(max_prefix, n)))
+    return g, prefix
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4).flatmap(symmetric), st.integers(0, 3))
-def test_box_norms_walks_the_product_box(g, bound):
-    box = list(product(range(-bound, bound + 1), repeat=len(g)))
-    got = list(exact.box_norms(g, bound))
-    assert [c for c, _ in got] == box
-    assert [q for _, q in got] == [brute_norm(g, c) for c in box]
+@given(box_grams(), st.integers(0, 3))
+def test_box_vectors_with_every_norm_walks_the_product_box(g_prefix, bound):
+    g, _ = g_prefix
+    full = box_with_norms(g, bound)
+    assert list(exact.box_vectors(g, bound, {q for _, q in full})) == full
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(1, 4).flatmap(
-        lambda n: st.tuples(
-            symmetric(n), st.lists(st.integers(-3, 3), min_size=1, max_size=n)
-        )
-    ),
-    st.integers(0, 2),
-)
-def test_box_norms_after_a_fixed_prefix(g_prefix, bound):
+@settings(max_examples=100, deadline=None)
+@given(box_grams(max_prefix=4), st.integers(0, 3), st.data())
+def test_box_vectors_keeps_the_drawn_norms(g_prefix, bound, data):
     g, prefix = g_prefix
-    box = list(product(range(-bound, bound + 1), repeat=len(g) - len(prefix)))
-    got = list(exact.box_norms(g, bound, prefix))
-    assert got == [(c, brute_norm(g, tuple(prefix) + c)) for c in box]
+    full = box_with_norms(g, bound, prefix)
+    attained = sorted({q for _, q in full})
+    norms = data.draw(
+        st.sets(st.sampled_from(attained)) | st.sets(st.integers(-60, 60), max_size=6)
+    )
+    got = list(exact.box_vectors(g, bound, norms, prefix))
+    assert got == [(c, q) for c, q in full if q in norms]
+
+
+def test_box_vectors_examples():
+    # q(x, y) = 2x^2 + 2xy: the last coordinate enters linearly
+    g = [[2, 1], [1, 0]]
+    assert list(exact.box_vectors(g, 1, [0])) == [
+        ((-1, 1), 0), ((0, -1), 0), ((0, 0), 0), ((0, 1), 0), ((1, -1), 0)
+    ]
+    assert list(exact.box_vectors(g, 1, [4], (1,))) == [((1,), 4)]
+    assert list(exact.box_vectors(g, 2, [])) == []
+    # a fully fixed prefix is the one point ()
+    assert list(exact.box_vectors(g, 1, [4], (1, 1))) == [((), 4)]
+    assert list(exact.box_vectors(g, 1, [2], (1, 1))) == []

@@ -121,6 +121,11 @@ def test_transcendental_of_full_lattice_is_zero():
     assert ke.transcendental_of(full).rank == 0
 
 
+def test_transcendental_of_needs_an_ambient():
+    with pytest.raises(ValueError, match="no recorded ambient"):
+        ke.transcendental_of(lat.root_lattice("E", 8))
+
+
 def test_vector_of_norm():
     e = ke.embed_standard("vector_of_norm(k) in U", k=4 * 17)
     assert e.gram == ((68,),)
@@ -374,11 +379,11 @@ def _rank17_inputs():
     [
         (
             lambda: _t_glue_inputs()[0],
-            [[-2, 0, -1, -2], [0, -2, -1, -1], [-3, 0, -2, -4], [0, -3, -2, -2]],
+            [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, -1], [0, 0, -1, -2]],
         ),
         (
             lambda: _t_glue_inputs()[1],
-            [[-4, -4, -3, 2], [-2, -2, -2, 1], [-3, -4, -3, 1], [-2, -1, -1, 2]],
+            [[0, -1, 0, 0], [-1, 0, 0, 0], [0, -1, 0, 1], [1, -1, -1, -1]],
         ),
         (
             _rank17_inputs,
@@ -394,9 +399,63 @@ def _rank17_inputs():
     ids=["T.glue-isom.step1", "T.glue-isom.step2", "rank17.trans"],
 )
 def test_isometry_search_rows_of_the_claims(inputs, rows):
-    # the first isometry in search order, as the unrefined box search found it
+    # the first isometry in search order: each norm's pool in box order,
+    # stably sorted by (max |c|, sum |c|)
     l1, l2 = inputs()
     assert ke.isometry_search(l1, l2, bound=4) == rows
+    got = exact.matmul(exact.matmul(rows, [list(r) for r in l2.gram]), exact.transpose(rows))
+    assert got == [list(r) for r in l1.gram]
+    assert abs(exact.det(rows)) == 1
+
+
+def sorted_box_pools(g1, g2, bound):
+    """The nonzero vectors of [-bound, bound]^n with the norms of g1's
+    diagonal, by norm, in product order stably sorted by (max |c|, sum |c|)."""
+    n = len(g2)
+    needed = {g1[i][i] for i in range(n)}
+    pools = {}
+    for v in itertools.product(range(-bound, bound + 1), repeat=n):
+        norm = sum(v[i] * g2[i][j] * v[j] for i in range(n) for j in range(n))
+        if norm in needed and any(v):
+            pools.setdefault(norm, []).append(v)
+    for pool in pools.values():
+        pool.sort(key=lambda v: (max(map(abs, v)), sum(map(abs, v))))
+    return pools
+
+
+def _search_order_inputs():
+    # the claims' searches; <2>^4 in a basis where the images of e_1, e_2 are
+    # (1, 1, 1, 1) and (2, 1, 0, 0), which (max, sum) and (sum, max) order
+    # differently; then random lattices and unimodular images of them
+    yield from (_t_glue_inputs()[0], _t_glue_inputs()[1], _rank17_inputs())
+    yield lat.lattice(claims._diag([2, 2, 2, 2])), lat.lattice(
+        [[8, -14, 2, 2], [-14, 26, -4, -4], [2, -4, 2, 0], [2, -4, 0, 2]]
+    )
+    rng = random.Random(11)
+    while True:
+        n = rng.randrange(2, 4)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = 2 * rng.randrange(-3, 4)
+            for j in range(i):
+                g[i][j] = g[j][i] = rng.randrange(-2, 3)
+        if exact.det(g) == 0:
+            continue
+        u = [[rng.randrange(-1, 2) for _ in range(n)] for _ in range(n)]
+        if abs(exact.det(u)) != 1:
+            continue
+        yield lat.lattice(g), lat.lattice(exact.matmul(exact.matmul(u, g), exact.transpose(u)))
+
+
+def test_isometry_search_tries_small_coordinates_first():
+    found = 0
+    for l1, l2 in itertools.islice(_search_order_inputs(), 40):
+        bound = 4 if l1.rank > 3 else 2
+        g1, g2 = [list(r) for r in l1.gram], [list(r) for r in l2.gram]
+        got = ke.isometry_search(l1, l2, bound=bound)
+        assert got == naive_match_gram(g1, sorted_box_pools(g1, g2, bound), g2)
+        found += got is not None
+    assert found >= 20
 
 
 def test_isometry_search_distinguishes():

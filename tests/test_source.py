@@ -63,8 +63,12 @@ def test_tracer_functions_resolve():
 
 
 def test_one_coefficient_box_enumerator():
-    # coefficient boxes go through exact.box_norms; a second product loop in
-    # the searches would bring back the per-point O(n^2) norm
+    # coefficient boxes go through exact.box_vectors; a second product loop
+    # in the searches would bring back the per-point O(n^2) norm and the
+    # walk over points of unwanted norm
+    exact = importlib.import_module("k3lattice.exact")
+    assert callable(exact.box_vectors)
+    assert not hasattr(exact, "box_norms")
     for name in ("k3embed.py", "glue.py"):
         text = (SRC / name).read_text()
         assert "itertools.product" not in text, name
@@ -75,6 +79,39 @@ def test_one_coefficient_box_enumerator():
             for alias in node.names
         ]
         assert "product" not in imports, name
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_private_names_across_modules():
+    # a module uses only the public names of another package module, so a
+    # rename inside one module cannot silently break another
+    modules = {path.stem for path in SRC.glob("*.py")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        aliases = set()  # local names bound to package modules
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or not (
+                node.level > 0 or (node.module or "").startswith("k3lattice")
+            ):
+                continue
+            for alias in node.names:
+                if _is_private(alias.name):
+                    found.append(f"{path.name}:{node.lineno} imports {alias.name}")
+                if node.module in (None, "k3lattice") and alias.name in modules:
+                    aliases.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+                and _is_private(node.attr)
+            ):
+                found.append(f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}")
+    assert found == []
 
 
 def _function(module: str, name: str) -> ast.FunctionDef:
