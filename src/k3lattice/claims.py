@@ -186,6 +186,11 @@ def claim(id: str, statement: str, *tags: str):
     return register
 
 
+def _equal(computed, expected) -> tuple[bool, object, object]:
+    """The verdict of a claim that ``computed`` equals ``expected``."""
+    return computed == expected, computed, expected
+
+
 def claim_ids() -> list[str]:
     return sorted(_REGISTRY)
 
@@ -269,14 +274,12 @@ def _l2_even():
 
 @claim("L2.sig", "L2 has signature (1,15)", "lattice", "l2")
 def _l2_sig():
-    sig = _named("L2").signature_pair()
-    return sig == (1, 15), sig, (1, 15)
+    return _equal(_named("L2").signature_pair(), (1, 15))
 
 
 @claim("L2.disc", "det L2 = -192", "lattice", "l2")
 def _l2_disc():
-    d = _named("L2").det()
-    return d == -192, d, -192
+    return _equal(_named("L2").det(), -192)
 
 
 @claim(
@@ -310,7 +313,7 @@ def _l2_mw():
         "in_L2": [True, True],
         "rank": 1,
     }
-    return computed == expected, computed, expected
+    return _equal(computed, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +322,7 @@ def _l2_mw():
 
 @claim("N1N2.disc", "det N1 = det N2 = -192", "glue")
 def _n1n2_disc():
-    d = (_named("N1").det(), _named("N2").det())
-    return d == (-192, -192), d, (-192, -192)
+    return _equal((_named("N1").det(), _named("N2").det()), (-192, -192))
 
 
 @claim(
@@ -335,14 +337,13 @@ def _n1n2_distinct():
         ke.genus_equal(n1, l2),
         ke.genus_equal(n2, l2),
     ]
-    return computed == [False, False, False], computed, [False, False, False]
+    return _equal(computed, [False, False, False])
 
 
 @claim("M16.disc", "the 15-class node lattice has rank 15 and det -128", "glue")
 def _m16_disc():
     m = _named("M16")
-    computed = (m.rank, m.det())
-    return computed == (15, -128), computed, (15, -128)
+    return _equal((m.rank, m.det()), (15, -128))
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +353,7 @@ def _m16_disc():
 @claim("kummer.disc", "the Kummer lattice has rank 16 and |det| = 64", "glue")
 def _kummer_disc():
     k = _named("KummerK")
-    computed = (k.rank, abs(k.det()))
-    return computed == (16, 64), computed, (16, 64)
+    return _equal((k.rank, abs(k.det())), (16, 64))
 
 
 @claim(
@@ -373,7 +373,7 @@ def _kummer_complement():
         "uniqueness_applicable": ke.genus_uniqueness_applicable(u23),
     }
     expected = {"signature": (3, 3), "form_match": True, "uniqueness_applicable": True}
-    return computed == expected, computed, expected
+    return _equal(computed, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +416,7 @@ def _e8_a2a1c():
 )
 def _m3_hasse():
     minus = qf.invariants(_named("Lambda(3)").gram).hasse_minus
-    finite = sorted(v for v in minus if v != qf.REAL)
-    return finite == [], finite, []
+    return _equal(sorted(v for v in minus if v != qf.REAL), [])
 
 
 @claim(
@@ -441,8 +440,7 @@ def _ce_hasse_7():
         _diag(COUNTEREXAMPLE_DIAG), _named("Lambda(3)").gram
     )
     computed = {"hasse_at_7": at7, "equivalent": equiv}
-    expected = {"hasse_at_7": -1, "equivalent": False}
-    return computed == expected, computed, expected
+    return _equal(computed, {"hasse_at_7": -1, "equivalent": False})
 
 
 # ---------------------------------------------------------------------------
@@ -451,20 +449,17 @@ def _ce_hasse_7():
 
 @claim("T.det", "det T = 36", "quadform", "t36")
 def _t_det():
-    d = exact.det(T_GRAM)
-    return d == 36, d, 36
+    return _equal(exact.det(T_GRAM), 36)
 
 
 @claim("T.aniso2", "T is anisotropic over Q_2", "quadform", "t36")
 def _t_aniso2():
-    a = qf.anisotropic_dimension(T_GRAM, 2)
-    return a == 4, a, 4
+    return _equal(qf.anisotropic_dimension(T_GRAM, 2), 4)
 
 
 @claim("T.aniso3", "T is anisotropic over Q_3", "quadform", "t36")
 def _t_aniso3():
-    a = qf.anisotropic_dimension(T_GRAM, 3)
-    return a == 4, a, 4
+    return _equal(qf.anisotropic_dimension(T_GRAM, 3), 4)
 
 
 @claim(
@@ -486,7 +481,7 @@ def _t_glue():
     step2 = ke.isometry_search(glued, lat.lattice(T_GRAM), bound=4) is not None
     computed = {"complement_diagonal": step1, "glued_det": glued.det(), "isomorphic_to_T": step2}
     expected = {"complement_diagonal": True, "glued_det": 36, "isomorphic_to_T": True}
-    return computed == expected, computed, expected
+    return _equal(computed, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +501,7 @@ def _rank17_disc():
         lat.root_lattice("A", 2),
         *[lat.root_lattice("A", 1)] * 5,
     )
-    computed = (pic.rank, abs(pic.det()))
-    return computed == (17, 96), computed, (17, 96)
+    return _equal((pic.rank, abs(pic.det())), (17, 96))
 
 
 @claim(
@@ -527,8 +521,7 @@ def _rank17_trans():
         "det": tr.det(),
         "isomorphic": found,
     }
-    expected = {"primitive": True, "rank": 5, "det": -96, "isomorphic": True}
-    return computed == expected, computed, expected
+    return _equal(computed, {"primitive": True, "rank": 5, "det": -96, "isomorphic": True})
 
 
 @claim(
@@ -542,8 +535,7 @@ def _rank17_lines():
     target = _rank17_target()
     w = qf.witt_index(target.gram, 2)
     computed = {"witt_at_2": w, "lines": qf.has_k_planes(target.gram, 1, 2)}
-    expected = {"witt_at_2": 1, "lines": False}
-    return computed == expected, computed, expected
+    return _equal(computed, {"witt_at_2": 1, "lines": False})
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +554,7 @@ def _lp_hasse():
         p: qf.hasse_invariant(qf.diagonalize(_named(f"Lp({p})").gram), p)
         for p in (17, 41)
     }
-    expected = {17: -1, 41: -1}
-    return computed == expected, computed, expected
+    return _equal(computed, {17: -1, 41: -1})
 
 
 @claim(
@@ -575,8 +566,7 @@ def _lp_hasse():
 )
 def _lp_lines():
     computed = {p: qf.witt_index(_named(f"Lp({p})").gram, p) for p in (17, 41)}
-    expected = {17: 1, 41: 1}
-    return computed == expected, computed, expected
+    return _equal(computed, {17: 1, 41: 1})
 
 
 @claim(
@@ -600,8 +590,7 @@ def _lp_embeds():
         ]
         emb = lat.sublattice(lam3, rows)
         computed[p] = emb.gram == lp.gram and lat.is_primitive(emb)
-    expected = {17: True, 41: True}
-    return computed == expected, computed, expected
+    return _equal(computed, {17: True, 41: True})
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +599,7 @@ def _lp_embeds():
 
 @claim("rank18ex.det1156", "the rank-18 example form has determinant 1156", "quadform")
 def _r18_det():
-    d = exact.det(RANK18_GRAM)
-    return d == 1156, d, 1156
+    return _equal(exact.det(RANK18_GRAM), 1156)
 
 
 @claim(
@@ -630,8 +618,7 @@ def _r18_diag():
     "quadform",
 )
 def _r18_17():
-    w = qf.witt_index(RANK18_GRAM, 17)
-    return w == 0, w, 0
+    return _equal(qf.witt_index(RANK18_GRAM, 17), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -644,8 +631,7 @@ def _r18_17():
     "quadform",
 )
 def _np5():
-    a = qf.anisotropic_dimension(_named("Np(5,2)").gram, 5)
-    return a == 4, a, 4
+    return _equal(qf.anisotropic_dimension(_named("Np(5,2)").gram, 5), 4)
 
 
 @claim(
@@ -654,8 +640,7 @@ def _np5():
     "quadform",
 )
 def _np13():
-    a = qf.anisotropic_dimension(_named("Np(13,2)").gram, 13)
-    return a == 4, a, 4
+    return _equal(qf.anisotropic_dimension(_named("Np(13,2)").gram, 13), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +701,7 @@ for _n in (1, 2, 3, 4):
     "euler",
 )
 def _euler_wtilde():
-    chi = es.total_euler(es.FiberConfig.of("18xI2"))
-    return chi == 36, chi, 36
+    return _equal(es.total_euler(es.FiberConfig.of("18xI2")), 36)
 
 
 @claim(
@@ -729,8 +713,7 @@ def _euler_wtilde():
 def _euler_k3():
     cfg = es.FiberConfig.of("1xI0*", "9xI2")
     chi = es.total_euler(cfg)
-    computed = (chi, es.h20_from_euler(chi))
-    return computed == (24, 1), computed, (24, 1)
+    return _equal((chi, es.h20_from_euler(chi)), (24, 1))
 
 
 @claim(
@@ -742,8 +725,7 @@ def _euler_k3():
 def _euler_lambdanu():
     cfg = es.FiberConfig.of("3xI0*", "9xI2")
     chi = es.total_euler(cfg)
-    computed = (chi, es.h20_from_euler(chi))
-    return computed == (36, 2), computed, (36, 2)
+    return _equal((chi, es.h20_from_euler(chi)), (36, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +740,7 @@ def _euler_lambdanu():
 )
 def _st_l2():
     r = es.shioda_tate_rank(es.SurfaceData(2, 16, 4), es.FiberConfig.of("1xI0*", "9xI2"))
-    return r == 1, r, 1
+    return _equal(r, 1)
 
 
 @claim(
@@ -771,7 +753,7 @@ def _st_other():
     r = es.shioda_tate_rank(
         es.SurfaceData(2, 16, 2), es.FiberConfig.of("1xI2*", "1xI3", "6xI2", "1xI1")
     )
-    return r == 0, r, 0
+    return _equal(r, 0)
 
 
 @claim(
@@ -782,7 +764,7 @@ def _st_other():
 )
 def _st_rational():
     r = es.shioda_tate_rank(es.SurfaceData(1, 10, 4), es.FiberConfig.of("1xI0*", "3xI2"))
-    return r == 1, r, 1
+    return _equal(r, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -800,8 +782,7 @@ def _height_l2():
     inc = es.SectionIncidence(
         1, tuple([(es.kodaira("I0*"), 0)] + [(es.kodaira("I2"), 1)] * 9)
     )
-    h = es.height_pairing(es.SurfaceData(2, 16, 4), inc)
-    return h == Fraction(3, 2), h, Fraction(3, 2)
+    return _equal(es.height_pairing(es.SurfaceData(2, 16, 4), inc), Fraction(3, 2))
 
 
 @claim(
@@ -821,8 +802,7 @@ def _height_torsion():
             + [(es.kodaira("I2"), 1)] * 6
         ),
     )
-    h = es.height_pairing(es.SurfaceData(2, 16, 4), inc)
-    return h == 0, h, Fraction(0)
+    return _equal(es.height_pairing(es.SurfaceData(2, 16, 4), inc), Fraction(0))
 
 
 @claim(
@@ -840,8 +820,7 @@ def _height_rational():
         "height": height,
         "relation": es.mw_disc_relation(1, cfg, 4, height),
     }
-    expected = {"height": Fraction(1, 2), "relation": True}
-    return computed == expected, computed, expected
+    return _equal(computed, {"height": Fraction(1, 2), "relation": True})
 
 
 # ---------------------------------------------------------------------------
@@ -896,8 +875,7 @@ def _otherfib():
         "disc": es.trivial_lattice_disc(cfg),
         "reducible_euler": es.total_euler(cfg),
     }
-    expected = {"disc": 768, "reducible_euler": 23}
-    return computed == expected, computed, expected
+    return _equal(computed, {"disc": 768, "reducible_euler": 23})
 
 
 # ---------------------------------------------------------------------------
@@ -912,8 +890,7 @@ def _otherfib():
 )
 def _l_disc12():
     l = _named("L_sat")
-    computed = (l.det(), l.is_even())
-    return computed == (-12, True), computed, (-12, True)
+    return _equal((l.det(), l.is_even()), (-12, True))
 
 
 @claim(
@@ -953,8 +930,7 @@ def _l_noindex4():
         "index4_count": len(index4),
         "index4_dets": sorted(m.det() for m in index4),
     }
-    expected = {"index4_count": 0, "index4_dets": []}
-    return computed == expected, computed, expected
+    return _equal(computed, {"index4_count": 0, "index4_dets": []})
 
 
 # ---------------------------------------------------------------------------
@@ -971,8 +947,7 @@ def _l_noindex4():
 def _nosec_iso():
     frame = _named("N1").ambient.ambient
     f = _frame_vector(1, _G1, -1)
-    norm = frame.norm(f)
-    return norm == 0, norm, Fraction(0)
+    return _equal(frame.norm(f), Fraction(0))
 
 
 @claim(
@@ -984,8 +959,7 @@ def _nosec_iso():
 def _nosec_even():
     n1 = _named("N1")
     f = _frame_vector(1, _G1, -1)
-    d = lat.divisibility(n1, f)
-    return d == 2, d, 2
+    return _equal(lat.divisibility(n1, f), 2)
 
 
 @claim("nosec.F-notdiv", "F lies in N1 but F/2 does not", "glue", "nosec")
@@ -996,8 +970,7 @@ def _nosec_notdiv():
         "F_in_N1": lat.contains_ambient(n1, f),
         "half_in_N1": lat.contains_ambient(n1, [Fraction(x, 2) for x in f]),
     }
-    expected = {"F_in_N1": True, "half_in_N1": False}
-    return computed == expected, computed, expected
+    return _equal(computed, {"F_in_N1": True, "half_in_N1": False})
 
 
 @claim(
@@ -1020,8 +993,7 @@ def _cubics():
         if lat.contains_ambient(n1, v):
             member_ok += 1
     computed = {"norm_-2": norm_ok, "in_N1": member_ok}
-    expected = {"norm_-2": 15, "in_N1": 15}
-    return computed == expected, computed, expected
+    return _equal(computed, {"norm_-2": 15, "in_N1": 15})
 
 
 @claim(
@@ -1060,7 +1032,7 @@ def _n1works():
         "half_in": False,
         "found_by_search": True,
     }
-    return computed == expected, computed, expected
+    return _equal(computed, expected)
 
 
 @claim(
@@ -1085,8 +1057,7 @@ def _n2works():
         "discs": discs,
         "final_genus_u_e8_e6": ke.genus_equal(cur, _named("U_E8_E6")),
     }
-    expected = {"discs": [-48, -12, -3], "final_genus_u_e8_e6": True}
-    return computed == expected, computed, expected
+    return _equal(computed, {"discs": [-48, -12, -3], "final_genus_u_e8_e6": True})
 
 
 # ---------------------------------------------------------------------------
@@ -1106,8 +1077,7 @@ def _sqrel_x():
         frame = glue.ld_lattice(dp, "subgroup").ambient.ambient
         outside = [i for i in range(15) if i not in glue.N1_SUBGROUP]
         computed[dp] = frame.norm(_frame_vector(0, outside))
-    expected = {7: Fraction(-24), 11: Fraction(-24)}
-    return computed == expected, computed, expected
+    return _equal(computed, {7: Fraction(-24), 11: Fraction(-24)})
 
 
 @claim(
@@ -1134,7 +1104,7 @@ def _sqrel_8d():
             "isotropic_completion": completion is not None,
         }
         expected[dp] = {"norm": Fraction(8 * (dp - 5)), "isotropic_completion": True}
-    return computed == expected, computed, expected
+    return _equal(computed, expected)
 
 
 @claim(
@@ -1156,5 +1126,4 @@ def _sqrel_p2():
         "enlarged_det": enlarged.det(),
         "genus_equal_N1": ke.genus_equal(enlarged, _named("N1")),
     }
-    expected = {"base_det": -1728, "enlarged_det": -192, "genus_equal_N1": True}
-    return computed == expected, computed, expected
+    return _equal(computed, {"base_det": -1728, "enlarged_det": -192, "genus_equal_N1": True})

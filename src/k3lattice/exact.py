@@ -9,12 +9,18 @@ are bordered minors det(m[P+r, P+s]) over the pivot set P taken so far, so
 that only its returned pivots and multipliers are rational.  ``solve``
 clears the denominators of each row and runs the same fraction-free
 elimination in Gauss-Jordan form; a ``Fraction`` is made only for the
-solution it returns.  ``matmul`` adds up rows of its right factor, so the
-zeros of sparse bases cost nothing.  ``box_vectors`` is the one
-coefficient-box enumerator: it yields only the points of the wanted norms,
-solving for the last coordinate in closed form.  All public functions
-return fresh objects and never mutate their arguments, so values can be
-shared freely between threads.
+solution it returns.  In ``det``, ``ldl`` and ``solve`` a row whose entry in
+the pivot column is zero is not touched: each row keeps as its own divisor
+the pivot it was last reduced by, and is scaled up to the current pivot
+only when it becomes the pivot row.  ``det`` alone also reorders: it takes
+rows and columns in one symmetric order, sparsest rows first, so that the
+sparse intersection matrices fill in little; ``ldl`` and ``solve`` keep
+their pivot order, which their callers read.  ``matmul`` adds up rows of
+its right factor, so the zeros of sparse bases cost nothing.
+``box_vectors`` is the one coefficient-box enumerator: it yields only the
+points of the wanted norms, solving for the last coordinate in closed form.
+All public functions return fresh objects and never mutate their
+arguments, so values can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -98,32 +104,51 @@ def require_symmetric(m: Sequence[Sequence]) -> int:
     return len(m)
 
 
+def _require_integers(m: Sequence[Sequence], name: str) -> None:
+    if not {type(x) for row in m for x in row} <= {int}:
+        raise ValueError(f"{name} needs integer entries")
+
+
 def det(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant via Bareiss fraction-free elimination."""
+    """Exact determinant of a square integer matrix by sparse fraction-free
+    elimination (Bareiss 1968).
+
+    Rows and columns are taken in one symmetric order, the rows with the
+    fewest nonzeros first (Tinney-Walker 1967, scheme 1), which leaves the
+    determinant unchanged and keeps the fill-in small.  A row whose entry in
+    the pivot column is zero is left untouched: each row keeps the pivot it
+    was last reduced by as its own divisor l, its true entries are its stored
+    ones times d/l for the last pivot d, and a reduced row is
+    (p*x - f*y) // l, exact by Sylvester's identity.
+    """
     n = require_square(m)
-    if n == 0:
-        return 1
-    a = copy_matrix(m)
+    _require_integers(m, "det")
+    order = sorted(range(n), key=lambda i: n - m[i].count(0))
+    a = [[m[i][j] for j in order] for i in order]
+    level = [1] * n  # level[i]: the pivot row i was last reduced by
     sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
+    d = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            level[k], level[piv] = level[piv], level[k]
             sign = -sign
+        prow = a[k][k:]
+        if level[k] != d:  # bring the pivot row up to date
+            prow = [x * d // level[k] for x in prow]
+        p, tail = prow[0], prow[1:]
         for i in range(k + 1, n):
-            aik = a[i][k]
-            akk = a[k][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                # Bareiss: the division is exact.
-                row_i[j] = (row_i[j] * akk - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+            row = a[i]
+            f = row[k]
+            if f:
+                l = level[i]
+                row[k + 1 :] = [(p * x - f * y) // l for x, y in zip(row[k + 1 :], tail)]
+                level[i] = p
+        d = p
+    return sign * d
 
 
 def _hermite(a: IntMatrix, u: IntMatrix | None = None) -> int:
@@ -239,31 +264,41 @@ def ldl(m: Sequence[Sequence[int]]) -> tuple[RatVector, RatMatrix, int]:
     is split off, the working entry a[r][s] is the bordered minor
     det(m[P+r, P+s]) and ``d`` is det(m[P, P]), so a diagonal pivot p is the
     ratio p/d of consecutive leading minors and its multipliers are
-    a[r][piv]/p; by Sylvester's identity every update divides exactly.
+    a[r][piv]/p; by Sylvester's identity every update divides exactly.  A
+    row whose entry in the pivot column is zero is not rescaled: it keeps
+    the d it was last reduced with as its own divisor l, its true entries
+    are its stored ones times d/l, and it is brought up to date only when
+    it becomes a pivot row.  A reduced row is (p*x - f*y) // l.
     """
     n = require_symmetric(m)
-    if not all(type(x) is int for row in m for x in row):
-        raise ValueError("ldl needs integer entries")
+    _require_integers(m, "ldl")
     a = [list(row) for row in m]
     zero = Fraction(0)
     mult = [[zero] * n for _ in range(n)]
     pivots: RatVector = []
     active = list(range(n))  # active[k] is the index of row and column k of a
+    level = [1] * n  # level[k]: the d row k of a was last reduced with
     d = 1
+
+    def current(k: int) -> IntVector:
+        # row k of a pops out, brought up to date from its level to d
+        row, l = a.pop(k), level.pop(k)
+        return row if l == d else [x * d // l for x in row]
+
     while active:
         k = next((k for k, row in enumerate(a) if row[k]), None)
         if k is not None:
-            prow = a.pop(k)
+            prow = current(k)
             piv = active.pop(k)
             p = prow.pop(k)
             pivots.append(Fraction(p, d))
-            for row, r in zip(a, active):
+            for i, (row, r) in enumerate(zip(a, active)):
                 f = row.pop(k)
                 if f:
-                    mult[piv][r] = Fraction(f, p)
-                    row[:] = [(p * x - f * y) // d for x, y in zip(row, prow)]
-                elif p != d:
-                    row[:] = [p * x // d for x in row]
+                    l = level[i]
+                    mult[piv][r] = Fraction(f * d // l, p)
+                    row[:] = [(p * x - f * y) // l for x, y in zip(row, prow)]
+                    level[i] = p
             d = p
             continue
         pair = next(
@@ -275,18 +310,22 @@ def ldl(m: Sequence[Sequence[int]]) -> tuple[RatVector, RatMatrix, int]:
             return pivots, mult, 0
         i, j = pair
         pivots.extend([Fraction(1), Fraction(-1)])
-        h = a[i][j]
-        d2 = d * d
-        rj, ri = a.pop(j), a.pop(i)
+        rj, ri = current(j), current(i)
+        h = ri[j]
         del active[j], active[i], ri[j], ri[i], rj[j], rj[i]
-        # bordered minors of the block [[0, h], [h, 0]]
-        for row in a:
+        e = -h * h // d  # det(m[P, P]) once the block joins P
+        # bordered minors of the block [[0, h], [h, 0]]; a row meeting
+        # neither i nor j keeps its level
+        for t, row in enumerate(a):
             ci, cj = row[i], row[j]
             del row[j], row[i]
-            row[:] = [
-                h * (ci * y + cj * x - h * z) // d2 for z, x, y in zip(row, ri, rj)
-            ]
-        d = -h * h // d
+            if ci or cj:
+                l = level[t] * d
+                row[:] = [
+                    h * (ci * y + cj * x - h * z) // l for z, x, y in zip(row, ri, rj)
+                ]
+                level[t] = e
+        d = e
     return pivots, mult, d
 
 
@@ -313,7 +352,11 @@ def solve(a: Sequence[Sequence], b: Sequence) -> RatVector | None:
     and clears it in the pivot column; by Sylvester's identity the division
     by d is exact.  Left of the pivot column the pivot row is zero, so
     those columns would only be scaled and are left alone: at the end each
-    pivot row stands for d_last * x_c = its last entry.
+    pivot row stands for d_last * x_c = its last entry.  The scaling of a
+    row whose entry in the pivot column is zero is deferred: the row keeps
+    the pivot it was last reduced with as its own divisor l, its true
+    entries are its stored ones times d/l, and a reduced row is
+    (p*x - f*y) // l; so x_c is its stored last entry over l.
     """
     rows = len(a)
     if rows != len(b):
@@ -330,6 +373,7 @@ def solve(a: Sequence[Sequence], b: Sequence) -> RatVector | None:
             entries = [x.numerator * (den // x.denominator) for x in entries]
         aug.append(entries)
     pivot_cols: list[int] = []
+    level = [1] * rows  # level[i]: the d row i was last reduced with
     d = 1
     for c in range(cols):
         r = len(pivot_cols)
@@ -339,24 +383,24 @@ def solve(a: Sequence[Sequence], b: Sequence) -> RatVector | None:
         if piv is None:
             continue
         aug[r], aug[piv] = aug[piv], aug[r]
+        level[r], level[piv] = level[piv], level[r]
         prow = aug[r]
+        if level[r] != d:  # bring the pivot row up to date
+            prow[c:] = [x * d // level[r] for x in prow[c:]]
         p = prow[c]
         tail = prow[c:]
         for i, row in enumerate(aug):
-            if i == r:
-                continue
             f = row[c]
-            if f:
-                row[c:] = [(p * x - f * y) // d for x, y in zip(row[c:], tail)]
-            elif p != d:
-                row[c:] = [p * x // d for x in row[c:]]
-        d = p
+            if f and i != r:
+                row[c:] = [(p * x - f * y) // level[i] for x, y in zip(row[c:], tail)]
+                level[i] = p
+        level[r] = d = p
         pivot_cols.append(c)
     if any(row[cols] for row in aug[len(pivot_cols) :]):
         return None
     x = [Fraction(0)] * cols
-    for row, c in zip(aug, pivot_cols):
-        x[c] = Fraction(row[cols], d)
+    for row, c, l in zip(aug, pivot_cols, level):
+        x[c] = Fraction(row[cols], l)  # the true row is d/l times the stored one
     return x
 
 

@@ -1,6 +1,7 @@
 """Tests for the claim registry, the lattice file format and the CLI."""
 
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -307,3 +308,17 @@ def test_cli_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_package_runs_as_a_module_from_a_checkout():
+    # python -m k3lattice needs k3lattice/__main__.py; PYTHONPATH=src stands
+    # for a checkout that was never installed
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3lattice", "list"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "T.det" in proc.stdout

@@ -264,3 +264,10 @@ def test_table1_identity_exhaustive():
         for a in range(-3, 4):
             for b in range(-3, 4):
                 assert es.table1_det_identity(n, a, b), (n, a, b)
+
+
+def test_table1_closed_form_beyond_the_claims():
+    # the claims stop at n = 4; ranks 35 and 41 take the sparse det further
+    for n in (5, 6):
+        for a, b in ((0, 0), (1, 2), (-3, 1), (2, -2), (3, 3)):
+            assert exact.det(es.table1_matrix(n, a, b)) == -n * 2 ** (6 * n) * (a + b) ** 2

@@ -12,6 +12,7 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from k3lattice import ellsurf as es
 from k3lattice import exact
 
 try:  # optional oracle for the invariant factors
@@ -147,6 +148,96 @@ def naive_solve(a, b):
     return x
 
 
+def eager_ldl(m):
+    """``exact.ldl`` as it was before the per-row divisor: every row whose
+    multiplier is zero is rescaled by p/d at once.  The lazy elimination
+    must return exactly this."""
+    n = exact.require_symmetric(m)
+    a = [list(row) for row in m]
+    zero = Fraction(0)
+    mult = [[zero] * n for _ in range(n)]
+    pivots = []
+    active = list(range(n))
+    d = 1
+    while active:
+        k = next((k for k, row in enumerate(a) if row[k]), None)
+        if k is not None:
+            prow = a.pop(k)
+            piv = active.pop(k)
+            p = prow.pop(k)
+            pivots.append(Fraction(p, d))
+            for row, r in zip(a, active):
+                f = row.pop(k)
+                if f:
+                    mult[piv][r] = Fraction(f, p)
+                    row[:] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+                elif p != d:
+                    row[:] = [p * x // d for x in row]
+            d = p
+            continue
+        pair = next(
+            ((i, j) for i, row in enumerate(a) for j in range(i + 1, len(a)) if row[j]),
+            None,
+        )
+        if pair is None:
+            pivots.extend([zero] * len(active))
+            return pivots, mult, 0
+        i, j = pair
+        pivots.extend([Fraction(1), Fraction(-1)])
+        h = a[i][j]
+        d2 = d * d
+        rj, ri = a.pop(j), a.pop(i)
+        del active[j], active[i], ri[j], ri[i], rj[j], rj[i]
+        for row in a:
+            ci, cj = row[i], row[j]
+            del row[j], row[i]
+            row[:] = [h * (ci * y + cj * x - h * z) // d2 for z, x, y in zip(row, ri, rj)]
+        d = -h * h // d
+    return pivots, mult, d
+
+
+def eager_solve(a, b):
+    """``exact.solve`` as it was before the per-row divisor: every row whose
+    entry in the pivot column is zero is rescaled by p/d at once."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    aug = []
+    for row, rhs in zip(a, b):
+        entries = [Fraction(x) for x in [*row, rhs]]
+        den = 1
+        for x in entries:
+            den = den * x.denominator // gcd(den, x.denominator)
+        aug.append([x.numerator * (den // x.denominator) for x in entries])
+    pivot_cols = []
+    d = 1
+    for c in range(cols):
+        r = len(pivot_cols)
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if aug[i][c]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        prow = aug[r]
+        p = prow[c]
+        tail = prow[c:]
+        for i, row in enumerate(aug):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                row[c:] = [(p * x - f * y) // d for x, y in zip(row[c:], tail)]
+            elif p != d:
+                row[c:] = [p * x // d for x in row[c:]]
+        d = p
+        pivot_cols.append(c)
+    if any(row[cols] for row in aug[len(pivot_cols) :]):
+        return None
+    x = [Fraction(0)] * cols
+    for row, c in zip(aug, pivot_cols):
+        x[c] = Fraction(row[cols], d)
+    return x
+
+
 def naive_matmul(a, b):
     """Triple loop; the width of the product is read from b (0 when b has
     no rows)."""
@@ -241,6 +332,47 @@ def test_det_huge_entries_exact():
     big = 10**40
     m = [[big, 1], [1, big]]
     assert exact.det(m) == big * big - 1
+
+
+def test_det_rejects_non_integer_entries():
+    # floor division would return -1 and 0.0 here, not -2/3 and 0.5
+    for bad in ([[Fraction(1, 3), 1], [1, 1]], [[1.5, 1], [1, 1]], [[True]]):
+        with pytest.raises(ValueError, match="det needs integer entries"):
+            exact.det(bad)
+
+
+@st.composite
+def sparse_squares(draw, max_n=6):
+    """Zero-heavy square matrices: plain, symmetric, with a zero diagonal
+    (so the first pivot is missing) or singular (one row a multiple of
+    another, or zero)."""
+    n = draw(st.integers(1, max_n))
+    entry = st.sampled_from([0] * 6 + [1, -1, 2, -2, 3, -5])
+    m = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["plain", "symmetric", "zero diagonal", "singular"]))
+    if shape == "symmetric":
+        m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    elif shape == "zero diagonal":
+        for i in range(n):
+            m[i][i] = 0
+    elif shape == "singular":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(st.integers(-2, 2))
+        m[i] = [c * x for x in m[j]] if i != j else [0] * n
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_squares())
+def test_det_matches_laplace_on_sparse_matrices(m):
+    assert exact.det(m) == laplace_det(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_squares().flatmap(lambda m: st.tuples(st.just(m), st.permutations(range(len(m))))))
+def test_det_is_invariant_under_symmetric_permutation(m_perm):
+    m, perm = m_perm
+    assert exact.det([[m[i][j] for j in perm] for i in perm]) == exact.det(m)
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +593,50 @@ def test_ldl_reconstructs_positive_definite(b):
     assert exact.matmul(exact.matmul(low, diag), exact.transpose(low)) == g
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(any_symmetric(), sparse_squares().filter(exact.is_symmetric)))
+def test_det_equals_the_ldl_determinant(m):
+    assert exact.det(m) == exact.ldl(m)[2]
+
+
+def banded(n, width):
+    return symmetric(n, -4, 4).map(
+        lambda m: [
+            [x if abs(i - j) <= width else 0 for j, x in enumerate(row)]
+            for i, row in enumerate(m)
+        ]
+    )
+
+
+def block_diagonal(blocks):
+    n = sum(len(b) for b in blocks)
+    m = exact.zeros(n, n)
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            m[at + i][at : at + len(b)] = row
+        at += len(b)
+    return m
+
+
+# banded and block-diagonal matrices and the table-1 intersection matrices,
+# where most multipliers are zero, so the per-row divisor is exercised
+mostly_zero_symmetric = st.one_of(
+    st.tuples(st.integers(1, 12), st.integers(0, 2)).flatmap(lambda nw: banded(*nw)),
+    st.lists(any_symmetric(1, 4), min_size=1, max_size=4).map(block_diagonal),
+    st.tuples(st.integers(1, 3), st.integers(-3, 3), st.integers(-3, 3)).map(
+        lambda nab: es.table1_matrix(*nab)
+    ),
+    sparse_squares(9).filter(exact.is_symmetric),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mostly_zero_symmetric)
+def test_ldl_equals_the_eager_elimination(m):
+    assert exact.ldl(m) == eager_ldl(m)
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -532,6 +708,20 @@ def test_solve_matches_the_fraction_elimination(system):
     if x is not None:
         assert all(type(t) is Fraction for t in x)
         assert [sum((p * t for p, t in zip(row, x)), 0) for row in a] == b
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        linear_systems(),
+        mostly_zero_symmetric.flatmap(
+            lambda m: st.tuples(st.just(m), st.lists(entries, min_size=len(m), max_size=len(m)))
+        ),
+    )
+)
+def test_solve_equals_the_eager_elimination(system):
+    a, b = system
+    assert exact.solve(a, b) == eager_solve(a, b)
 
 
 def test_solve_examples_with_fractions():

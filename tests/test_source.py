@@ -121,9 +121,10 @@ def _function(module: str, name: str) -> ast.FunctionDef:
 
 
 def test_ldl_eliminates_in_integers():
-    # exact.ldl and exact.solve divide only exactly (//), by Sylvester's
-    # identity; a true division would bring the Fraction elimination back
-    for name in ("ldl", "solve"):
+    # exact.det, exact.ldl and exact.solve divide only exactly (//), by
+    # Sylvester's identity; a true division would bring the Fraction
+    # elimination back
+    for name in ("det", "ldl", "solve"):
         found = [
             node.lineno
             for node in ast.walk(_function("exact.py", name))
