@@ -112,9 +112,8 @@ def _cmd_lattice_op(args) -> int:
         if form.q_values is not None:
             for i, q in enumerate(form.q_values):
                 print(f"q(g{i + 1}) = {q} (mod 2)")
-            for i in range(len(form.generators)):
-                row = "  ".join(str(form.b_matrix[i][j]) for j in range(len(form.generators)))
-                print(f"b(g{i + 1}, .) = {row}")
+        for i, row in enumerate(form.b_matrix):
+            print(f"b(g{i + 1}, .) = {'  '.join(map(str, row))}")
         return 0
     if args.op == "saturation":
         ambient = lattice_io.load_lattice(args.file)

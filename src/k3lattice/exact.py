@@ -19,6 +19,13 @@ their pivot order, which their callers read.  ``matmul`` adds up rows of
 its right factor, so the zeros of sparse bases cost nothing.
 ``box_vectors`` is the one coefficient-box enumerator: it yields only the
 points of the wanted norms, solving for the last coordinate in closed form.
+``_hermite`` updates a row from the pivot column on, because the rows still
+to be reduced are zero left of it; a companion's rows are updated whole.
+``smith_normal_form`` skips the row pass after a column pass that leaves the
+matrix diagonal, since that pass would do nothing.  A caller that reads only
+d and v may pass the Hermite basis (``hermite_row_basis``, built without a
+companion) in place of a nonsingular matrix: the first row pass then finds it
+reduced, and every later pass, with d and v, is the same.
 All public functions return fresh objects and never mutate their
 arguments, so values can be shared freely between threads.
 """
@@ -159,15 +166,10 @@ def _hermite(a: IntMatrix, u: IntMatrix | None = None) -> int:
     ``u`` as well, so an identity companion ends as a unimodular u with
     u * a_before = a_after.  Reducing above each pivot as soon as it is found
     stops the coefficient growth of unreduced elimination (Kannan-Bachem;
-    Cohen, GTM 138, section 2.4).
+    Cohen, GTM 138, section 2.4).  The rows from the current one down are
+    zero left of the pivot column c, so a row of ``a`` is updated from
+    column c on only; the companion's rows are updated whole.
     """
-    mats = (a,) if u is None else (a, u)
-
-    def sub(i: int, k: int, q: int) -> None:
-        # row_i -= q * row_k
-        for mat in mats:
-            mat[i] = [x - q * y for x, y in zip(mat[i], mat[k])]
-
     rows = len(a)
     r = 0
     for c in range(len(a[0]) if rows else 0):
@@ -178,21 +180,38 @@ def _hermite(a: IntMatrix, u: IntMatrix | None = None) -> int:
             continue
         while True:
             p = min(nz, key=lambda i: abs(a[i][c]))
-            for mat in mats:
-                mat[r], mat[p] = mat[p], mat[r]
+            a[r], a[p] = a[p], a[r]
+            if u is not None:
+                u[r], u[p] = u[p], u[r]
             below = [i for i in range(r + 1, rows) if a[i][c]]
             if not below:
                 break
+            prow, urow = a[r][c:], None if u is None else u[r]
+            x0 = prow[0]
+            nz = [r]
             for i in below:
-                sub(i, r, a[i][c] // a[r][c])
-            nz = [r] + [i for i in below if a[i][c]]
+                row = a[i]
+                q = row[c] // x0
+                row[c:] = rest = [x - q * y for x, y in zip(row[c:], prow)]
+                if urow is not None:
+                    u[i] = [x - q * y for x, y in zip(u[i], urow)]
+                if rest[0]:
+                    nz.append(i)
+            if len(nz) == 1:  # every remainder is zero
+                break
         if a[r][c] < 0:
-            for mat in mats:
-                mat[r] = [-x for x in mat[r]]
+            a[r][c:] = [-x for x in a[r][c:]]
+            if u is not None:
+                u[r] = [-x for x in u[r]]
+        prow, urow = a[r][c:], None if u is None else u[r]
+        x0 = prow[0]
         for i in range(r):
-            q = a[i][c] // a[r][c]
+            row = a[i]
+            q = row[c] // x0
             if q:
-                sub(i, r, q)
+                row[c:] = [x - q * y for x, y in zip(row[c:], prow)]
+                if urow is not None:
+                    u[i] = [x - q * y for x, y in zip(u[i], urow)]
         r += 1
     return r
 
@@ -212,18 +231,24 @@ def smith_normal_form(
     The diagonal of ``d`` is nonnegative with d1 | d2 | ... .  Row and column
     Hermite reductions alternate until the matrix is diagonal; a diagonal
     pair that breaks divisibility is merged by adding one column to the other
-    and reducing again.  Works for any rectangular matrix.
+    and reducing again.  A column pass leaves positive pivots and its zero
+    columns last, so when it leaves the matrix diagonal the row pass after it
+    would do nothing and is skipped.  Works for any rectangular matrix.
     """
     rows, cols = len(m), _width(m)
     a = copy_matrix(m)
     u = identity(rows)
     vt = identity(cols)  # v transposed: column operations are its row operations
+    _hermite(a, u)
     while True:
-        _hermite(a, u)
-        if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+        if not _is_diagonal(a):
             at = transpose(a)
             _hermite(at, vt)
             a = transpose(at)
+            # over a diagonal matrix with positive entries and its zero
+            # columns last, which a column pass leaves, a row pass is a no-op
+            if not _is_diagonal(a):
+                _hermite(a, u)
             continue
         diag = [a[i][i] for i in range(min(rows, cols))]
         pairs = ((i, j) for j in range(len(diag)) for i in range(j))
@@ -234,6 +259,11 @@ def smith_normal_form(
         # column_i += column_j puts d_j below d_i; the next reduction takes their gcd
         a[j][i] = a[j][j]
         vt[i] = [x + y for x, y in zip(vt[i], vt[j])]
+        _hermite(a, u)
+
+
+def _is_diagonal(a: IntMatrix) -> bool:
+    return not any(any(row[:i]) or any(row[i + 1 :]) for i, row in enumerate(a))
 
 
 def kernel_basis(m: Sequence[Sequence[int]]) -> list[IntVector]:

@@ -93,7 +93,7 @@ def adjoin(
     if any(x % scale**2 for row in gram for x in row):
         raise GlueError("glue vectors do not close up to an integral lattice")
     gram = [[x // scale**2 for x in row] for row in gram]
-    result = lattice(gram, None, make_embedding(base, basis, scale))
+    result = Lattice._formed(gram, None, make_embedding(base, basis, scale))
     if require_even and not result.is_even():
         raise GlueError("resulting overlattice is not even")
     return result

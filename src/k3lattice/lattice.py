@@ -57,6 +57,21 @@ class Lattice:
             ):
                 raise ValueError("ambient basis does not induce the stated Gram matrix")
 
+    @classmethod
+    def _formed(
+        cls, gram: Sequence[Sequence[int]], name: str | None, ambient: Embedding | None
+    ) -> "Lattice":
+        """A lattice whose builder has just formed its Gram matrix from
+        ``ambient`` (B G B^T over the squared denominator), or copied it
+        from a lattice already built: the constructor's check would only
+        form that product again.  Embeddings a caller supplies go through
+        the constructor and are checked."""
+        l = object.__new__(cls)
+        object.__setattr__(l, "gram", tuple(map(tuple, gram)))
+        object.__setattr__(l, "name", name)
+        object.__setattr__(l, "ambient", ambient)
+        return l
+
     @property
     def rank(self) -> int:
         return len(self.gram)
@@ -81,18 +96,33 @@ class Lattice:
         return z == 0 and (p == 0 or n == 0)
 
     def pairing(self, v: Sequence, w: Sequence) -> Fraction:
-        """Bilinear form of two vectors given in this lattice's basis."""
-        return Fraction(exact.dot(v, exact.mat_vec(self.gram, w)))
+        """Bilinear form of two vectors given in this lattice's basis.  A
+        rational vector is written once as integer numerators over one
+        denominator, so the sums run in integers."""
+        nv, dv = _numerators(v)
+        nw, dw = (nv, dv) if w is v else _numerators(w)
+        return Fraction(exact.dot(nv, exact.mat_vec(self.gram, nw)), dv * dw)
 
     def norm(self, v: Sequence) -> Fraction:
         return self.pairing(v, v)
 
     def rename(self, name: str) -> "Lattice":
-        return Lattice(self.gram, name, self.ambient)
+        return Lattice._formed(self.gram, name, self.ambient)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = self.name or "lattice"
         return f"<{label}: rank {self.rank}, det {self.det()}>"
+
+
+def _numerators(v: Sequence) -> tuple[Sequence[int], int]:
+    """v as integer numerators over one positive denominator."""
+    if all(type(x) is int for x in v):
+        return v, 1
+    fracs = [Fraction(x) for x in v]
+    den = 1
+    for x in fracs:
+        den = den * x.denominator // gcd(den, x.denominator)
+    return [x.numerator * (den // x.denominator) for x in fracs], den
 
 
 @lru_cache(maxsize=None)
@@ -298,11 +328,19 @@ class FiniteQuadraticForm:
 
 
 def discriminant_group(l: Lattice) -> FiniteQuadraticForm:
-    """The finite group L*/L with its discriminant (quadratic) form."""
+    """The finite group L*/L with its discriminant (quadratic) form.
+
+    The Smith form is taken of the Hermite basis H of the Gram matrix's row
+    span, not of the Gram matrix G itself.  The first row pass of
+    ``smith_normal_form(G)`` would only turn G into H, while building a row
+    companion that is not read; on H that pass does nothing, and every
+    later pass, and with it v, is the same.  H has n rows because the det
+    is nonzero.  The generators are the columns of v.
+    """
     if l.det() == 0:
         raise ValueError("degenerate Gram matrix has no discriminant group")
     n = l.rank
-    d, u, v = exact.smith_normal_form([list(r) for r in l.gram])
+    d, _, v = exact.smith_normal_form(exact.hermite_row_basis(l.gram))
     factors: list[int] = []
     gens: list[tuple[int, ...]] = []
     for i in range(n):
@@ -347,7 +385,7 @@ def sublattice(
     coordinates), with Gram matrix B G B^T and its embedding recorded."""
     rows = _sub_rows(rows, ambient.rank)
     gram = exact.matmul(exact.matmul(rows, ambient.gram), exact.transpose(rows))
-    return Lattice(_to_gram(gram), name, make_embedding(ambient, rows))
+    return Lattice._formed(gram, name, make_embedding(ambient, rows))
 
 
 def orthogonal_complement(ambient: Lattice, sub: Sequence[Sequence[int]]) -> Lattice:

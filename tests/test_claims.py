@@ -301,10 +301,13 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
 
 
 def test_cli_entry_point_subprocess():
+    # the child imports k3lattice from this checkout's src, as pytest does
+    src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "k3lattice.cli", "verify", "T.det"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout

@@ -267,3 +267,15 @@ def test_info_and_disc_form_printouts(name, capsys):
     assert capsys.readouterr().out == info
     assert cli.main(["lattice", "op", "disc-form", str(DATA / name)]) == 0
     assert capsys.readouterr().out == disc_form
+
+
+def test_disc_form_of_an_odd_lattice_prints_b(tmp_path, capsys):
+    # an odd lattice has no q values, but b is defined on every lattice
+    path = tmp_path / "odd.lattice"
+    path.write_text('{"name": "odd", "gram": [[1, 0], [0, 3]]}\n')
+    assert cli.main(["lattice", "op", "disc-form", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "invariant factors: [3]\n"
+        "group order:       3\n"
+        "b(g1, .) = 1/3\n"
+    )

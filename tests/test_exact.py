@@ -425,6 +425,131 @@ def test_snf_det_consistency():
     assert prod == abs(exact.det(m))
 
 
+def reference_hermite(a, u=None):
+    """``exact._hermite`` as it was before it updated rows from the pivot
+    column on: every row operation runs over whole rows of ``a`` and ``u``.
+    The trimmed kernel must return exactly this."""
+    mats = (a,) if u is None else (a, u)
+
+    def sub(i, k, q):
+        for mat in mats:
+            mat[i] = [x - q * y for x, y in zip(mat[i], mat[k])]
+
+    rows = len(a)
+    r = 0
+    for c in range(len(a[0]) if rows else 0):
+        if r == rows:
+            break
+        nz = [i for i in range(r, rows) if a[i][c]]
+        if not nz:
+            continue
+        while True:
+            p = min(nz, key=lambda i: abs(a[i][c]))
+            for mat in mats:
+                mat[r], mat[p] = mat[p], mat[r]
+            below = [i for i in range(r + 1, rows) if a[i][c]]
+            if not below:
+                break
+            for i in below:
+                sub(i, r, a[i][c] // a[r][c])
+            nz = [r] + [i for i in below if a[i][c]]
+        if a[r][c] < 0:
+            for mat in mats:
+                mat[r] = [-x for x in mat[r]]
+        for i in range(r):
+            q = a[i][c] // a[r][c]
+            if q:
+                sub(i, r, q)
+        r += 1
+    return r
+
+
+def reference_smith_normal_form(m):
+    """``exact.smith_normal_form`` as it was before it skipped the row pass
+    after a column pass that leaves the matrix diagonal, on the reference
+    Hermite kernel."""
+    rows, cols = len(m), len(m[0])
+    a = [list(row) for row in m]
+    u = exact.identity(rows)
+    vt = exact.identity(cols)
+    while True:
+        reference_hermite(a, u)
+        if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+            at = exact.transpose(a)
+            reference_hermite(at, vt)
+            a = exact.transpose(at)
+            continue
+        diag = [a[i][i] for i in range(min(rows, cols))]
+        pairs = ((i, j) for j in range(len(diag)) for i in range(j))
+        bad = next(((i, j) for i, j in pairs if diag[i] and diag[j] % diag[i]), None)
+        if bad is None:
+            return a, u, exact.transpose(vt)
+        i, j = bad
+        a[j][i] = a[j][j]
+        vt[i] = [x + y for x, y in zip(vt[i], vt[j])]
+
+
+@st.composite
+def hermite_inputs(draw):
+    """Rectangular matrices, some with repeated or combined rows (rank
+    deficient) and some with zeroed columns."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    bound = draw(st.sampled_from([1, 3, 30]))
+    m = draw(int_matrix(rows, cols, bound))
+    for _ in range(draw(st.integers(0, rows - 1))):
+        i, j, k = (draw(st.integers(0, rows - 1)) for _ in range(3))
+        f = draw(st.integers(-2, 2))
+        m[i] = [x + f * y for x, y in zip(m[j], m[k])]
+    for c in draw(st.lists(st.integers(0, cols - 1), max_size=cols)):
+        for row in m:
+            row[c] = 0
+    return m
+
+
+@st.composite
+def even_grams(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = 2 * draw(st.integers(-2, 2))
+        for j in range(i):
+            g[i][j] = g[j][i] = draw(st.integers(-2, 2))
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(hermite_inputs(), st.booleans())
+def test_hermite_equals_the_reference(m, with_companion):
+    a, b = [list(row) for row in m], [list(row) for row in m]
+    u = exact.identity(len(m)) if with_companion else None
+    w = exact.identity(len(m)) if with_companion else None
+    assert exact._hermite(a, u) == reference_hermite(b, w)
+    assert a == b and u == w
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(hermite_inputs(), even_grams()))
+def test_snf_equals_the_reference(m):
+    assert exact.smith_normal_form(m) == reference_smith_normal_form(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.integers(1, 7).flatmap(lambda n: int_matrix(n, n, 30)), even_grams()
+    ).filter(lambda m: exact.det(m) != 0)
+)
+def test_snf_of_the_hermite_basis_has_the_same_d_and_v(m):
+    h = exact.hermite_row_basis(m)
+    d, _, v = exact.smith_normal_form(h)
+    d0, _, v0 = exact.smith_normal_form(m)
+    assert (d, v) == (d0, v0)
+    # the first row pass finds h reduced already
+    a, u = [list(row) for row in h], exact.identity(len(h))
+    exact._hermite(a, u)
+    assert (a, u) == (h, exact.identity(len(h)))
+
+
 # ---------------------------------------------------------------------------
 # kernels
 

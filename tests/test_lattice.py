@@ -1,5 +1,6 @@
 """Tests for lattices, discriminant forms, complements and saturation."""
 
+import random
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -92,6 +93,69 @@ def test_rescale_det_law(n):
 def test_gram_must_be_symmetric():
     with pytest.raises(ValueError):
         lat.lattice([[0, 1], [2, 0]])
+
+
+def test_a_wrong_ambient_basis_is_rejected():
+    a2 = lat.root_lattice("A", 2)
+    e = lat.make_embedding(a2, [[1, 0], [1, 1]])
+    assert lat.Lattice(((-2, -1), (-1, -2)), None, e).rank == 2
+    with pytest.raises(ValueError):
+        lat.Lattice(((-2, 1), (1, -2)), None, e)
+    with pytest.raises(ValueError):
+        lat.lattice([[-2, 1], [1, -2]], "A2", lat.make_embedding(a2, [[1, 0], [1, 1]]))
+    with pytest.raises(ValueError):  # the denominator scales the product
+        lat.lattice([[-2, -1], [-1, -2]], None, lat.make_embedding(a2, [[1, 0], [1, 1]], 2))
+
+
+def test_built_lattices_pass_the_ambient_check():
+    # sublattice, adjoin and rename skip the constructor's B G B^T check on
+    # a product they formed; the constructor must accept what they build
+    e8 = lat.root_lattice("E", 8)
+    base = lat.lattice([[-2, 0, 0, 0], [0, -2, 0, 0], [0, 0, 6, 0], [0, 0, 0, 6]])
+    built = [
+        lat.sublattice(e8, unit_rows([0, 2, 4], 8), "sub"),
+        lat.orthogonal_complement(e8, unit_rows([0, 1, 2, 3, 4, 6], 8)),
+        glue.adjoin(base, [glue.GlueSpec((1, 1, 1, 1), 2)]),
+        glue.n1_lattice(),
+        glue.l2_lattice().rename("renamed"),
+        e8.rename("E8 again"),
+    ]
+    for l in built:
+        again = lat.Lattice(l.gram, l.name, l.ambient)
+        assert again == l and again.ambient == l.ambient
+        assert all(type(x) is int for row in l.gram for x in row)
+
+
+mixed_entries = st.one_of(
+    st.integers(-20, 20),
+    st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(mixed_entries, min_size=n, max_size=n),
+        st.lists(mixed_entries, min_size=n, max_size=n),
+    )
+))
+def test_pairing_equals_the_fraction_sum(case):
+    m, v, w = case
+    n = len(m)
+    l = lat.lattice([[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+
+    def plain(x, y):
+        return sum(
+            (Fraction(x[i]) * l.gram[i][j] * Fraction(y[j]) for i in range(n) for j in range(n)),
+            Fraction(0),
+        )
+
+    for x, y in ((v, w), (w, v), (v, v)):
+        got = l.pairing(x, y)
+        assert type(got) is Fraction and got == plain(x, y)
+    assert l.norm(w) == plain(w, w)
+    assert l.pairing(tuple(v), list(w)) == plain(v, w)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +271,69 @@ def small_grams(draw):
 @given(small_grams().filter(lambda g: 0 < abs(exact.det(g)) <= 64))
 def test_disc_form_matches_gram_pairings_on_drawn_grams(g):
     check_form_against_gram_pairings(lat.lattice(g))
+
+
+def reference_discriminant_group(l):
+    """The discriminant form from the Smith form of the Gram matrix itself,
+    as ``discriminant_group`` built it before it passed the Hermite basis."""
+    n = l.rank
+    d, _, v = exact.smith_normal_form([list(r) for r in l.gram])
+    factors = [d[i][i] for i in range(n) if d[i][i] > 1]
+    gens = [tuple(v[r][i] for r in range(n)) for i in range(n) if d[i][i] > 1]
+    top = max(factors, default=1)
+    nums = [
+        [top * exact.dot(g, exact.mat_vec(l.gram, h)) // (dg * dh) for h, dh in zip(gens, factors)]
+        for g, dg in zip(gens, factors)
+    ]
+    qn = tuple(row[i] % (2 * top) for i, row in enumerate(nums)) if l.is_even() else None
+    bn = tuple(tuple(x % top for x in row) for row in nums)
+    return lat.FiniteQuadraticForm(tuple(factors), tuple(gens), qn, bn)
+
+
+def random_even_gram(rng, n):
+    while True:
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = 2 * rng.randint(-1, 1)
+            for j in range(i):
+                g[i][j] = g[j][i] = rng.randint(-1, 1)
+        if exact.det(g):
+            return g
+
+
+NAMED = sorted(glue.NAMED_BUILDERS) + [
+    "Lambda(3)", "Lp(17)", "Np(5,2)", "L_d(7,subgroup)", "L_d(11,all)"
+]
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_disc_group_of_named_lattices_equals_the_reference(name):
+    l = glue.build_named(name)
+    assert lat.discriminant_group(l) == reference_discriminant_group(l)
+
+
+@pytest.mark.parametrize("n,seed", [(16, 1), (16, 2), (16, 3), (22, 1), (22, 2), (22, 3)])
+def test_disc_group_of_random_even_grams_equals_the_reference(n, seed):
+    l = lat.lattice(random_even_gram(random.Random(f"disc:{n}:{seed}"), n))
+    assert lat.discriminant_group(l) == reference_discriminant_group(l)
+
+
+def test_disc_group_reduces_the_gram_without_a_companion(monkeypatch):
+    # the first pass over the Gram matrix builds the Hermite basis; a row
+    # companion there would be the discarded u of the Smith form
+    calls = []
+    hermite = exact._hermite
+
+    def spy(a, u=None):
+        calls.append(u is None)
+        return hermite(a, u)
+
+    monkeypatch.setattr(exact, "_hermite", spy)
+    l = lat.lattice(random_even_gram(random.Random("guard"), 12))
+    form = lat.discriminant_group(l)
+    assert calls and calls[0] is True
+    monkeypatch.undo()
+    assert form == reference_discriminant_group(l)
 
 
 def test_disc_group_exponent_and_numerators():
