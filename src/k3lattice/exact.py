@@ -33,7 +33,7 @@ arguments, so values can be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -397,9 +397,7 @@ def solve(a: Sequence[Sequence], b: Sequence) -> RatVector | None:
         entries = [*row, rhs]
         if not all(type(x) is int for x in entries):
             entries = [x if type(x) is int else Fraction(x) for x in entries]
-            den = 1
-            for x in entries:
-                den = den * x.denominator // gcd(den, x.denominator)
+            den = lcm(*[x.denominator for x in entries])
             entries = [x.numerator * (den // x.denominator) for x in entries]
         aug.append(entries)
     pivot_cols: list[int] = []
@@ -516,17 +514,6 @@ def box_vectors(
             )
 
     yield from level(len(prefix), (), q, lin[len(prefix) :])
-
-
-def lcm(a: int, b: int) -> int:
-    return abs(a * b) // gcd(a, b) if a and b else 0
-
-
-def gcd_vector(v: Sequence[int]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
 
 
 def isqrt_exact(n: int) -> int:

@@ -13,7 +13,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from . import exact
@@ -77,9 +77,7 @@ def adjoin(
             if norm % 2:
                 raise GlueError(f"glue vector {g.vector}/{g.denominator} has odd norm {norm}")
 
-    scale = 1
-    for g in glue:
-        scale = exact.lcm(scale, g.denominator)
+    scale = lcm(*(g.denominator for g in glue))
     rows = [[scale if i == j else 0 for j in range(n)] for i in range(n)]
     for g in glue:
         rows.append([x * (scale // g.denominator) for x in g.vector])
@@ -99,20 +97,17 @@ def adjoin(
     return result
 
 
-def adjoin_ambient_vectors(
-    base: Lattice, vectors: Sequence[Sequence[Fraction]], require_even: bool = True
-) -> Lattice:
-    """adjoin() for rational vectors given directly in base coordinates."""
+def adjoin_ambient_vectors(base: Lattice, vectors: Sequence[Sequence[Fraction]]) -> Lattice:
+    """adjoin() for rational vectors given directly in base coordinates; the
+    result must be even."""
     specs = []
     for w in vectors:
         fr = [Fraction(x) for x in w]
-        den = 1
-        for x in fr:
-            den = exact.lcm(den, x.denominator) if den else x.denominator
+        den = lcm(*(x.denominator for x in fr))
         if den == 1:
             continue
         specs.append(GlueSpec(tuple(int(x * den) for x in fr), den))
-    return adjoin(base, specs, require_even)
+    return adjoin(base, specs)
 
 
 def glue_index(overlattice: Lattice) -> int:
@@ -142,12 +137,13 @@ def _isotropic_subgroups(
                 continue
             if any(form.b_numerator(e, h) for h in grp):
                 continue
+            # q(h + t e) = q(h) + t^2 q(e) + 2t b(h, e) = 0 mod 2 for every h
+            # in grp, so the larger group is isotropic as well
             bigger = form.span([e], start=grp, limit=max_order)
             if bigger is None or bigger in found:
                 continue
-            if not any(form.q_numerator(x) for x in bigger):
-                found.add(bigger)
-                frontier.append(bigger)
+            found.add(bigger)
+            frontier.append(bigger)
     return sorted(tuple(sorted(g)) for g in found)
 
 

@@ -3,13 +3,14 @@ transcendental lattices, genus comparison via discriminant forms, and
 isometry testing.
 
 Genus comparison is the Nikulin-style test: equal signatures plus isomorphic
-discriminant forms, the latter found by a backtracking generator-mapping
-search and verified on every group element before being accepted.  Definite
-isometry is decided by a complete short-vector backtracking search; an
-additional bounded coordinate-box search provides isometry certificates for
-small indefinite lattices.  Both searches share one pool-refined Gram
-matching: each chosen vector filters the candidate pools of all later basis
-vectors by their pairing with it.
+discriminant forms, the latter found by mapping each generator into the
+elements of its order and q value and verified on every group element before
+being accepted.  Definite isometry is decided by a complete short-vector
+backtracking search; an additional bounded coordinate-box search provides
+isometry certificates for small indefinite lattices.  All three searches run
+on one pool-refined Gram matching: each chosen vector filters the candidate
+pools of all later generators by their pairing with it, compared modulo the
+exponent for discriminant forms.
 """
 
 from __future__ import annotations
@@ -87,7 +88,16 @@ def find_disc_form_isomorphism(
     f1: FiniteQuadraticForm, f2: FiniteQuadraticForm
 ) -> list[tuple[int, ...]] | None:
     """Images in f2 of f1's generators under some isomorphism preserving q
-    and b, or None.  Requires both forms to carry q-values."""
+    and b, or None.  Requires both forms to carry q-values, and f1 to be
+    nondegenerate, as the discriminant form of a nondegenerate lattice is;
+    a degenerate b raises ``ValueError``.
+
+    Generator i is sent into the elements of f2 with its order and q value,
+    and the images must pair as the generators do (``_match_gram`` modulo
+    the exponent).  A map preserving b has its kernel in the radical of b,
+    so on a nondegenerate form it is injective and, with equal orders, an
+    isomorphism: the search needs no subgroup bookkeeping.
+    """
     if f1.invariant_factors != f2.invariant_factors:
         return None
     if f1.q_numerators is None or f2.q_numerators is None:
@@ -107,33 +117,14 @@ def find_disc_form_isomorphism(
         key for key, els in profile2.items() for _ in els
     ):
         return None
-    images: list[tuple[int, ...]] = []
-
-    def extend(i: int, grp: frozenset) -> bool:
-        # grp = <images> has order d_0 * ... * d_{i-1}; an image that does not
-        # grow it by its full order d_i can never complete an isomorphism
-        if i == k:
-            return True
-        for cand in profile2.get((f1.invariant_factors[i], f1.q_numerators[i]), ()):
-            if any(
-                f2.b_numerator(cand, images[j]) != f1.b_numerators[i][j]
-                for j in range(i)
-            ):
-                continue
-            bigger = f2.span([cand], grp)
-            if len(bigger) != len(grp) * f1.invariant_factors[i]:
-                continue
-            images.append(cand)
-            if extend(i + 1, bigger):
-                return True
-            images.pop()
-        return False
-
-    if not extend(0, f2.span([])):
+    pools = [profile2.get(key, []) for key in zip(f1.invariant_factors, f1.q_numerators)]
+    images = _match_gram(f1.b_numerators, pools, f2.b_numerators, f2.exponent)
+    if images is None:
         return None
 
     # verify on every element: q determines b by polarization, so checking q
-    # of each element under the induced map is a full check
+    # of each element under the induced map, and that no two elements share
+    # an image, is a full check
     def push(el: tuple[int, ...]) -> tuple[int, ...]:
         out = [0] * k
         for c, img in zip(el, images):
@@ -144,15 +135,18 @@ def find_disc_form_isomorphism(
                 ]
         return tuple(out)
 
+    seen = set()
     for el in f1.elements():
-        if f1.q_numerator(el) != f2.q_numerator(push(el)):
+        img = push(el)
+        if f1.q_numerator(el) != f2.q_numerator(img):
             return None
-    return images
+        seen.add(img)
+    if len(seen) != f1.order:
+        raise ValueError("degenerate discriminant form: b has a nonzero radical")
+    return [tuple(v) for v in images]
 
 
 def disc_forms_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
-    if f1.order != f2.order:
-        return False
     return find_disc_form_isomorphism(f1, f2) is not None
 
 
@@ -205,15 +199,20 @@ def short_vectors(gram: Sequence[Sequence[int]], max_norm: int) -> dict[int, lis
     if not all(p > 0 for p in d):
         raise ValueError("matrix is not positive definite")
     out: dict[int, list[tuple[int, ...]]] = {}
-    x = [0] * n
-
-    def rec(i: int, remaining: Fraction) -> None:
+    # depth first over x_{n-1}, ..., x_0, each coordinate ascending: a stack
+    # of the coordinates x_i..x_{n-1} fixed so far and the norm they leave
+    stack: list[tuple[tuple[int, ...], Fraction]] = [((), Fraction(max_norm))]
+    while stack:
+        tail, remaining = stack.pop()
+        i = n - 1 - len(tail)
         if i < 0:
-            norm = int(Fraction(max_norm) - remaining)
-            if norm > 0:
-                out.setdefault(norm, []).append(tuple(x))
-            return
-        center = -sum(u[i][j] * x[j] for j in range(i + 1, n))
+            norm = int(max_norm - remaining)
+            # of x and -x the walk reaches first the one whose last nonzero
+            # coordinate is negative; that one represents the pair
+            if norm > 0 and next(c for c in reversed(tail) if c) < 0:
+                out.setdefault(norm, []).append(tail)
+            continue
+        center = -sum(map(mul, u[i][i + 1 :], tail))
         # d_i (x_i - center)^2 <= remaining
         bound = remaining / d[i]
         c0 = center.numerator // center.denominator  # floor
@@ -224,26 +223,11 @@ def short_vectors(gram: Sequence[Sequence[int]], max_norm: int) -> dict[int, lis
         t = c0 + 1
         while (t - center) ** 2 <= bound:
             t += 1
-        high = t - 1
-        for xi in range(low, high + 1):
-            x[i] = xi
-            rec(i - 1, remaining - d[i] * (xi - center) ** 2)
-        x[i] = 0
-
-    rec(n - 1, Fraction(max_norm))
-    # keep one vector of each +-pair, drop zero
-    seen: dict[int, list[tuple[int, ...]]] = {}
-    for norm, vecs in out.items():
-        keep = []
-        for v in vecs:
-            if not any(v):
-                continue
-            neg = tuple(-c for c in v)
-            if neg not in keep:
-                keep.append(v)
-        if keep:
-            seen[norm] = keep
-    return seen
+        stack.extend(
+            ((xi,) + tail, remaining - d[i] * (xi - center) ** 2)
+            for xi in range(t - 1, low - 1, -1)
+        )
+    return out
 
 
 def _greedy_reduce(gram: list[list[int]]) -> list[list[int]]:
@@ -272,28 +256,32 @@ def _greedy_reduce(gram: list[list[int]]) -> list[list[int]]:
 
 def _match_gram(
     target: Sequence[Sequence[int]],
-    cands: dict[int, list[tuple[int, ...]]],
+    pools: Sequence[Sequence[tuple[int, ...]]],
     gram: Sequence[Sequence[int]],
+    modulus: int = 0,
 ) -> list[list[int]] | None:
     """Backtracking search for vectors v_0..v_{n-1}, v_i taken in order from
-    ``cands[target[i][i]]``, whose pairings under ``gram`` reproduce
-    ``target`` and which span a sublattice of index 1; the rows found, or
-    None.
+    ``pools[i]``, whose pairings v_i G v_j (i > j) under ``gram`` reproduce
+    ``target``, compared modulo ``modulus`` when it is nonzero; the rows
+    found, or None.  Each pool holds only vectors of the right norm, so the
+    diagonal of ``target`` is not compared.
 
     Choosing v_i filters the pool of every later level down to the vectors
     that pair with v_i as ``target`` asks, keeping pool order, and a choice
     that empties a pool is dropped at once (Plesken-Souvignier 1997).  Each
     level therefore tries exactly the candidates that pair correctly with
-    all earlier choices, in the order of ``cands``.
+    all earlier choices, in pool order.  Whether the rows span the whole
+    lattice is left to the caller: for Gram matrices of equal nonzero
+    determinant, det(rows)^2 = 1 follows from the match.
     """
     n = len(target)
     chosen: list[tuple[int, ...]] = []
     images: dict[tuple[int, ...], list[int]] = {}  # v -> G v, once per candidate
 
-    def extend(i: int, pools: list[list[tuple[int, ...]]]) -> bool:
+    def extend(i: int, pools: Sequence[Sequence[tuple[int, ...]]]) -> bool:
         # pools[l] holds the candidates still open for level i + l
         if i == n:
-            return abs(exact.det([list(v) for v in chosen])) == 1
+            return True
         for v in pools[0]:
             gv = images.get(v)
             if gv is None:
@@ -301,7 +289,10 @@ def _match_gram(
             rest = []
             for level, pool in enumerate(pools[1:], i + 1):
                 want = target[level][i]
-                pool = [w for w in pool if sum(map(mul, w, gv)) == want]
+                if modulus:
+                    pool = [w for w in pool if sum(map(mul, w, gv)) % modulus == want]
+                else:
+                    pool = [w for w in pool if sum(map(mul, w, gv)) == want]
                 if not pool:
                     break
                 rest.append(pool)
@@ -312,7 +303,6 @@ def _match_gram(
                 chosen.pop()
         return False
 
-    pools = [cands.get(target[i][i], []) for i in range(n)]
     return [list(v) for v in chosen] if extend(0, pools) else None
 
 
@@ -337,9 +327,9 @@ def definite_isomorphic(l1: Lattice, l2: Lattice) -> bool:
         norm: [w for v in vecs for w in (v, tuple(-c for c in v))]
         for norm, vecs in short_vectors(g2, max_norm).items()
     }
-    # a full match maps a finite-index sublattice isometrically; equal
-    # determinants force the index to be 1, so the leaf check always passes
-    return _match_gram(g1r, cands, g2) is not None
+    # a full match maps l1 onto a sublattice of index |det(rows)|, and equal
+    # nonzero determinants force the index to be 1
+    return _match_gram(g1r, [cands.get(g1r[i][i], []) for i in range(n)], g2) is not None
 
 
 def _size(v: Sequence[int]) -> tuple[int, int]:
@@ -352,8 +342,11 @@ def isometry_search(l1: Lattice, l2: Lattice, bound: int = 5) -> list[list[int]]
     of l1's basis, tried by largest and then summed |coordinate|, smallest
     first.  A returned matrix (rows = images of l1's basis) is verified
     exactly; None only means no isometry with small coordinates was
-    found."""
+    found, and is returned for degenerate lattices."""
     if l1.rank != l2.rank or l1.det() != l2.det() or l1.signature() != l2.signature():
+        return None
+    # equal nonzero determinants make every match unimodular
+    if l1.det() == 0:
         return None
     n = l1.rank
     g2 = [list(r) for r in l2.gram]
@@ -366,7 +359,7 @@ def isometry_search(l1: Lattice, l2: Lattice, bound: int = 5) -> list[list[int]]
     # is stable, so ties keep box order
     for pool in by_norm.values():
         pool.sort(key=_size)
-    rows = _match_gram(l1.gram, by_norm, g2)
+    rows = _match_gram(l1.gram, [by_norm.get(l1.gram[i][i], []) for i in range(n)], g2)
     if rows is None:
         return None
     check = exact.matmul(exact.matmul(rows, g2), exact.transpose(rows))

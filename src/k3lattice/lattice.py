@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -194,8 +194,6 @@ def rescale(l: Lattice, n: int) -> Lattice:
 
 
 def direct_sum(*lattices: Lattice) -> Lattice:
-    if len(lattices) == 1 and isinstance(lattices[0], (list, tuple)):
-        lattices = tuple(lattices[0])
     total = sum(l.rank for l in lattices)
     g = exact.zeros(total, total)
     off = 0
@@ -261,10 +259,7 @@ class FiniteQuadraticForm:
         return itertools.product(*(range(d) for d in self.invariant_factors))
 
     def element_order(self, el: Sequence[int]) -> int:
-        out = 1
-        for c, d in zip(el, self.invariant_factors):
-            out = exact.lcm(out, d // gcd(d, c)) if c else out
-        return max(out, 1)
+        return lcm(*[d // gcd(d, c) for c, d in zip(el, self.invariant_factors)])
 
     def b_numerator(self, x: Sequence[int], y: Sequence[int]) -> int:
         total = 0
@@ -455,5 +450,5 @@ def divisibility(l: Lattice, w: Sequence) -> int:
         pairings = [Fraction(exact.dot(row, gw), e.denominator) for row in e.basis]
     if any(p.denominator != 1 for p in pairings):
         raise ValueError("vector does not pair integrally with the lattice")
-    return exact.gcd_vector([int(p) for p in pairings])
+    return gcd(*(int(p) for p in pairings))
 

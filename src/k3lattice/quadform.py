@@ -244,14 +244,13 @@ def diagonalize(gram: Sequence[Sequence[int]]) -> list[int]:
 @dataclass(frozen=True)
 class QuadFormInvariants:
     """Q-equivalence certificate: rank, signature, discriminant square class
-    and the places where the Hasse invariant is -1.  ``complete`` marks that
-    every place outside ``hasse_minus`` has invariant +1."""
+    and the places where the Hasse invariant is -1; every place outside
+    ``hasse_minus`` has invariant +1."""
 
     rank: int
     signature: tuple[int, int]
     disc_class: int
     hasse_minus: frozenset
-    complete: bool = True
 
 
 def place_sort_key(v) -> tuple[int, int]:

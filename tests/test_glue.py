@@ -3,12 +3,14 @@
 import itertools
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 import k3lattice.lattice as lat
 from k3lattice import claims, exact, glue
 from k3lattice.k3embed import build_V
+from test_k3embed import even_test_forms
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +89,47 @@ def test_adjoin_determinant_law_random():
 
 # ---------------------------------------------------------------------------
 # even overlattices
+
+
+def reference_isotropic_subgroups(
+    form: lat.FiniteQuadraticForm, max_order: int
+) -> list[tuple[tuple[int, ...], ...]]:
+    """All isotropic subgroups of order <= max_order, each as a sorted tuple
+    of element coordinate tuples.  Grown one generator at a time."""
+    zero = tuple(0 for _ in form.invariant_factors)
+    iso_elements = [e for e in form.elements() if e != zero and not form.q_numerator(e)]
+
+    found = {frozenset([zero])}
+    frontier = [frozenset([zero])]
+    while frontier:
+        grp = frontier.pop()
+        for e in iso_elements:
+            if e in grp:
+                continue
+            if any(form.b_numerator(e, h) for h in grp):
+                continue
+            bigger = form.span([e], start=grp, limit=max_order)
+            if bigger is None or bigger in found:
+                continue
+            if not any(form.q_numerator(x) for x in bigger):
+                found.add(bigger)
+                frontier.append(bigger)
+    return sorted(tuple(sorted(g)) for g in found)
+
+
+def test_isotropic_subgroups_match_reference():
+    # an isotropic e orthogonal to an isotropic group keeps it isotropic,
+    # so the q scan of each new subgroup the reference made never rejects
+    checked = nontrivial = 0
+    for form in even_test_forms():
+        if form.order > 512:
+            continue
+        bound = isqrt(form.order)
+        got = glue._isotropic_subgroups(form, bound)
+        assert got == reference_isotropic_subgroups(form, bound)
+        checked += 1
+        nontrivial += len(got) > 1
+    assert checked > 100 and nontrivial > 20
 
 
 def test_even_overlattices_of_unimodular():

@@ -3,6 +3,7 @@ certificates."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -28,8 +29,8 @@ def complete_box_bound(g, max_norm):
     return bound
 
 
-def naive_match_gram(target, cands, gram):
-    """Unrefined backtracking: each level scans its whole candidate list and
+def naive_match_gram(target, pools, gram):
+    """Unrefined backtracking: each level scans its whole candidate pool and
     recomputes every pairing with the earlier choices; oracle for
     ``k3embed._match_gram``."""
     n = len(target)
@@ -41,8 +42,8 @@ def naive_match_gram(target, cands, gram):
 
     def extend(i):
         if i == n:
-            return abs(exact.det([list(v) for v in chosen])) == 1
-        for v in cands.get(target[i][i], ()):
+            return True
+        for v in pools[i]:
             if all(pairing(v, chosen[j]) == target[i][j] for j in range(i)):
                 chosen.append(v)
                 if extend(i + 1):
@@ -55,14 +56,17 @@ def naive_match_gram(target, cands, gram):
 
 def naive_isomorphic(g1, g2):
     """Exhaustive isometry search over a provably sufficient coordinate box;
-    oracle for small definite lattices."""
+    oracle for small definite lattices.  A match of Gram matrices with equal
+    nonzero determinants is unimodular, so the box search decides."""
+    if exact.det(g1) != exact.det(g2):
+        return False
     n = len(g1)
     bound = complete_box_bound(g2, max(g1[i][i] for i in range(n)))
     by_norm = {}
     for v in itertools.product(range(-bound, bound + 1), repeat=n):
         norm = sum(v[i] * g2[i][j] * v[j] for i in range(n) for j in range(n))
         by_norm.setdefault(norm, []).append(v)
-    return naive_match_gram(g1, by_norm, g2) is not None
+    return naive_match_gram(g1, [by_norm.get(g1[i][i], []) for i in range(n)], g2) is not None
 
 
 def random_posdef_rank3(rng):
@@ -146,6 +150,162 @@ def test_rank_additivity_for_primitive_embeddings():
 
 
 # ---------------------------------------------------------------------------
+# reference copies of the searches before they ran on ``_match_gram``
+
+
+def reference_find_disc_form_isomorphism(
+    f1: lat.FiniteQuadraticForm, f2: lat.FiniteQuadraticForm
+) -> list[tuple[int, ...]] | None:
+    """Images in f2 of f1's generators under some isomorphism preserving q
+    and b, or None.  Requires both forms to carry q-values."""
+    if f1.invariant_factors != f2.invariant_factors:
+        return None
+    if f1.q_numerators is None or f2.q_numerators is None:
+        raise ValueError("both lattices must be even")
+    k = len(f1.invariant_factors)
+    if k == 0:
+        return []
+    # equal invariant factors give both forms the same exponent N, so q and
+    # b compare as integer numerators over N.  The multiset of (order, q)
+    # over all elements is an isomorphism invariant; it prunes distinct
+    # forms without any search
+    profile1 = sorted((f1.element_order(e), f1.q_numerator(e)) for e in f1.elements())
+    profile2: dict[tuple, list[tuple[int, ...]]] = {}
+    for e in f2.elements():
+        profile2.setdefault((f2.element_order(e), f2.q_numerator(e)), []).append(e)
+    if profile1 != sorted(
+        key for key, els in profile2.items() for _ in els
+    ):
+        return None
+    images: list[tuple[int, ...]] = []
+
+    def extend(i: int, grp: frozenset) -> bool:
+        # grp = <images> has order d_0 * ... * d_{i-1}; an image that does not
+        # grow it by its full order d_i can never complete an isomorphism
+        if i == k:
+            return True
+        for cand in profile2.get((f1.invariant_factors[i], f1.q_numerators[i]), ()):
+            if any(
+                f2.b_numerator(cand, images[j]) != f1.b_numerators[i][j]
+                for j in range(i)
+            ):
+                continue
+            bigger = f2.span([cand], grp)
+            if len(bigger) != len(grp) * f1.invariant_factors[i]:
+                continue
+            images.append(cand)
+            if extend(i + 1, bigger):
+                return True
+            images.pop()
+        return False
+
+    if not extend(0, f2.span([])):
+        return None
+
+    # verify on every element: q determines b by polarization, so checking q
+    # of each element under the induced map is a full check
+    def push(el: tuple[int, ...]) -> tuple[int, ...]:
+        out = [0] * k
+        for c, img in zip(el, images):
+            if c:
+                out = [
+                    (a + c * b) % d
+                    for a, b, d in zip(out, img, f2.invariant_factors)
+                ]
+        return tuple(out)
+
+    for el in f1.elements():
+        if f1.q_numerator(el) != f2.q_numerator(push(el)):
+            return None
+    return images
+
+
+def reference_short_vectors(gram, max_norm: int) -> dict[int, list[tuple[int, ...]]]:
+    """All vectors of a positive-definite lattice with 0 < q(v) <= max_norm,
+    one representative per antipodal pair, grouped by norm."""
+    n = len(gram)
+    # q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2
+    d, u, _ = exact.ldl(gram)
+    if not all(p > 0 for p in d):
+        raise ValueError("matrix is not positive definite")
+    out: dict[int, list[tuple[int, ...]]] = {}
+    x = [0] * n
+
+    def rec(i: int, remaining: Fraction) -> None:
+        if i < 0:
+            norm = int(Fraction(max_norm) - remaining)
+            if norm > 0:
+                out.setdefault(norm, []).append(tuple(x))
+            return
+        center = -sum(u[i][j] * x[j] for j in range(i + 1, n))
+        # d_i (x_i - center)^2 <= remaining
+        bound = remaining / d[i]
+        c0 = center.numerator // center.denominator  # floor
+        t = c0
+        while (t - center) ** 2 <= bound:
+            t -= 1
+        low = t + 1
+        t = c0 + 1
+        while (t - center) ** 2 <= bound:
+            t += 1
+        high = t - 1
+        for xi in range(low, high + 1):
+            x[i] = xi
+            rec(i - 1, remaining - d[i] * (xi - center) ** 2)
+        x[i] = 0
+
+    rec(n - 1, Fraction(max_norm))
+    # keep one vector of each +-pair, drop zero
+    seen: dict[int, list[tuple[int, ...]]] = {}
+    for norm, vecs in out.items():
+        keep = []
+        for v in vecs:
+            if not any(v):
+                continue
+            neg = tuple(-c for c in v)
+            if neg not in keep:
+                keep.append(v)
+        if keep:
+            seen[norm] = keep
+    return seen
+
+
+NAMED_FOR_FORMS = sorted(glue.NAMED_BUILDERS) + [
+    "Lambda(3)", "Lp(17)", "Np(5,2)", "L_d(3,subgroup)", "L_d(27,subgroup)", "L_d(7,all)",
+]
+
+
+def even_test_forms():
+    """Discriminant forms, each with its negation: every even named lattice,
+    then random even Gram matrices with |det| <= 400 of rank 1-5, each also
+    after a random unimodular change of basis, which moves its generators."""
+    grams = []
+    for name in NAMED_FOR_FORMS:
+        l = glue.build_named(name)
+        if l.is_even():
+            grams.append([list(r) for r in l.gram])
+    rng = random.Random(3)
+    while len(grams) < len(NAMED_FOR_FORMS) + 60:
+        n = rng.randrange(1, 6)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = 2 * rng.randrange(-4, 5)
+            for j in range(i):
+                g[i][j] = g[j][i] = rng.randrange(-3, 4)
+        if not 0 < abs(exact.det(g)) <= 400:
+            continue
+        u = [[rng.randrange(-1, 2) for _ in range(n)] for _ in range(n)]
+        grams.append(g)
+        if abs(exact.det(u)) == 1:
+            grams.append(exact.matmul(exact.matmul(u, g), exact.transpose(u)))
+    forms = []
+    for g in grams:
+        form = lat.discriminant_group(lat.lattice(g))
+        forms += [form, form.negate()]
+    return forms
+
+
+# ---------------------------------------------------------------------------
 # genus comparison
 
 
@@ -176,6 +336,32 @@ def test_disc_form_isomorphism_verified_map():
         lat.discriminant_group(a3), lat.discriminant_group(a3)
     )
     assert images is not None
+
+
+def test_disc_form_isomorphism_matches_reference():
+    # the shared matcher tries the same candidates in the same order, so
+    # the first full match, and with it every returned image, is the same
+    forms = even_test_forms()
+    pairs = isomorphic = 0
+    for f1 in forms:
+        for f2 in forms:
+            if f1.invariant_factors != f2.invariant_factors:
+                continue
+            got = ke.find_disc_form_isomorphism(f1, f2)
+            assert got == reference_find_disc_form_isomorphism(f1, f2)
+            pairs += 1
+            isomorphic += got is not None
+    assert pairs > 500 and 0 < isomorphic < pairs
+
+
+def test_disc_form_isomorphism_rejects_degenerate_form():
+    # Z/2 x Z/2 with q = 0 and b = 0: both generators may go to one image,
+    # which the final pass finds; the subgroup-growing reference returned
+    # a map for it
+    flat = lat.FiniteQuadraticForm((2, 2), ((1, 0), (0, 1)), (0, 0), ((0, 0), (0, 0)))
+    assert reference_find_disc_form_isomorphism(flat, flat) == [(0, 1), (1, 0)]
+    with pytest.raises(ValueError, match="degenerate"):
+        ke.find_disc_form_isomorphism(flat, flat)
 
 
 def test_genus_requires_even():
@@ -270,6 +456,24 @@ def test_short_vectors_e8_roots():
     assert 2 * len(ke.short_vectors(neg, 2)[2]) == 240
 
 
+def test_short_vectors_match_reference():
+    # the representative of each +-pair is picked at the leaf: the same
+    # vectors, in the same order, as the pass over the whole list
+    e8 = [[-x for x in row] for row in lat.root_lattice("E", 8).gram]
+    cases = [(e8, m) for m in (2, 4)]
+    rng = random.Random(1)
+    while len(cases) < 150:
+        n = rng.randrange(1, 6)
+        b = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(n)]
+        if exact.det(b) == 0:
+            continue
+        cases.append((exact.matmul(b, exact.transpose(b)), rng.randrange(1, 12)))
+    for g, max_norm in cases:
+        got = ke.short_vectors(g, max_norm)
+        want = reference_short_vectors(g, max_norm)
+        assert got == want and list(got) == list(want)
+
+
 def _square(n, lo=-2, hi=2):
     return st.lists(
         st.lists(st.integers(lo, hi), min_size=n, max_size=n), min_size=n, max_size=n
@@ -328,7 +532,7 @@ def test_isometry_search_returns_verified_map():
 
 def test_match_gram_agrees_with_unrefined_search():
     rng = random.Random(5)
-    found = 0
+    found = unimodular = 0
     for _ in range(150):
         n = rng.randrange(2, 5)
         b = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(n)]
@@ -347,10 +551,16 @@ def test_match_gram_agrees_with_unrefined_search():
         norms = sorted(cands)
         rows = [rng.choice(cands[rng.choice(norms[:4])]) for _ in range(n)]
         target = exact.matmul(exact.matmul(rows, gram), exact.transpose(rows))
-        got = ke._match_gram(target, cands, gram)
-        assert got == naive_match_gram(target, cands, gram)
+        pools = [cands.get(target[i][i], []) for i in range(n)]
+        got = ke._match_gram(target, pools, gram)
+        assert got == naive_match_gram(target, pools, gram)
         found += got is not None
-    assert found >= 10
+        # det(rows)^2 det(gram) = det(target): equal nonzero determinants
+        # make every match unimodular, so the search need not check it
+        if got is not None and exact.det(target) == exact.det(gram) != 0:
+            assert abs(exact.det(got)) == 1
+            unimodular += 1
+    assert found >= 10 and unimodular >= 5
 
 
 def _t_glue_inputs():
@@ -453,7 +663,8 @@ def test_isometry_search_tries_small_coordinates_first():
         bound = 4 if l1.rank > 3 else 2
         g1, g2 = [list(r) for r in l1.gram], [list(r) for r in l2.gram]
         got = ke.isometry_search(l1, l2, bound=bound)
-        assert got == naive_match_gram(g1, sorted_box_pools(g1, g2, bound), g2)
+        pools = sorted_box_pools(g1, g2, bound)
+        assert got == naive_match_gram(g1, [pools.get(g1[i][i], []) for i in range(len(g1))], g2)
         found += got is not None
     assert found >= 20
 
@@ -462,6 +673,14 @@ def test_isometry_search_distinguishes():
     u = lat.hyperbolic()
     u2 = lat.rescale(u, 2)
     assert ke.isometry_search(u, u2, bound=3) is None  # determinants differ
+
+
+def test_isometry_search_rejects_degenerate():
+    # without a nonzero determinant a Gram match need not be a bijection:
+    # here both basis vectors could go to (1, 0)
+    l = lat.lattice([[2, 2], [2, 2]])
+    assert l.det() == 0
+    assert ke.isometry_search(l, l, bound=2) is None
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,36 @@ def test_discriminant_form_searches_compare_integers():
         assert found == [], name
 
 
+def _called_names(fn: ast.AST) -> set[str]:
+    return {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+
+
+def test_one_gram_matching_search():
+    # Gram-matching backtracking lives in k3embed._match_gram alone: a
+    # nested self-recursive function anywhere else in k3embed would be a
+    # second matcher.  The discriminant-form search runs on it and grows no
+    # subgroup spans, which a b-preserving map on a nondegenerate form
+    # makes redundant
+    tree = ast.parse((SRC / "k3embed.py").read_text())
+    recursive = [
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for inner in ast.walk(fn)
+        if inner is not fn
+        and isinstance(inner, ast.FunctionDef)
+        and inner.name in _called_names(inner)
+    ]
+    assert recursive == ["_match_gram"]
+    calls = _called_names(_function("k3embed.py", "find_disc_form_isomorphism"))
+    assert "_match_gram" in calls
+    assert "span" not in calls
+
+
 def test_one_embedded_lattice_type():
     # rows in an ambient are stored one way, as lattice.Embedding; a second
     # class holding an ambient and a basis would bring back a parallel type
