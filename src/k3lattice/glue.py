@@ -124,26 +124,35 @@ def _isotropic_subgroups(
     form: FiniteQuadraticForm, max_order: int
 ) -> list[tuple[tuple[int, ...], ...]]:
     """All isotropic subgroups of order <= max_order, each as a sorted tuple
-    of element coordinate tuples.  Grown one generator at a time."""
-    zero = tuple(0 for _ in form.invariant_factors)
-    iso_elements = [e for e in form.elements() if e != zero and not form.q_numerator(e)]
+    of element coordinate tuples.  A subgroup grows by each element e of its
+    pool, the isotropic elements orthogonal to it in ``elements()`` order;
+    the larger group's pool keeps those with b(w, e) = 0, which by
+    bilinearity are the ones orthogonal to it.  A subgroup reached again is
+    not grown again."""
+    factors = form.invariant_factors
+    zero = tuple(0 for _ in factors)
+    trivial = frozenset([zero])
+    found = {trivial}
 
-    found = {frozenset([zero])}
-    frontier = [frozenset([zero])]
-    while frontier:
-        grp = frontier.pop()
-        for e in iso_elements:
-            if e in grp:
+    def add(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple((a + b) % d for a, b, d in zip(x, y, factors))
+
+    def grow(grp: frozenset, pool: list[tuple[int, ...]]) -> None:
+        for e in pool:
+            # 0, e, 2e, ... before the first multiple in grp: k of them, k
+            # the order of e modulo grp, so |grp + <e>| = k |grp|
+            multiples = [zero]
+            while (t := add(multiples[-1], e)) not in grp:
+                multiples.append(t)
+            if len(multiples) == 1 or len(grp) * len(multiples) > max_order:
                 continue
-            if any(form.b_numerator(e, h) for h in grp):
-                continue
-            # q(h + t e) = q(h) + t^2 q(e) + 2t b(h, e) = 0 mod 2 for every h
-            # in grp, so the larger group is isotropic as well
-            bigger = form.span([e], start=grp, limit=max_order)
-            if bigger is None or bigger in found:
-                continue
-            found.add(bigger)
-            frontier.append(bigger)
+            # q(h + te) = q(h) + t^2 q(e) + 2t b(h, e) = 0 mod 2 for h in grp
+            bigger = grp.union(add(h, m) for m in multiples[1:] for h in grp)
+            if bigger not in found:
+                found.add(bigger)
+                grow(bigger, [w for w in pool if not form.b_numerator(w, e)])
+
+    grow(trivial, [e for e in form.elements() if any(e) and not form.q_numerator(e)])
     return sorted(tuple(sorted(g)) for g in found)
 
 

@@ -108,8 +108,10 @@ def find_disc_form_isomorphism(
     # equal invariant factors give both forms the same exponent N, so q and
     # b compare as integer numerators over N.  The multiset of (order, q)
     # over all elements is an isomorphism invariant; it prunes distinct
-    # forms without any search
-    profile1 = sorted((f1.element_order(e), f1.q_numerator(e)) for e in f1.elements())
+    # forms without any search.  f1's q values are kept in element order for
+    # the final pass
+    q1 = [f1.q_numerator(e) for e in f1.elements()]
+    profile1 = sorted(zip(map(f1.element_order, f1.elements()), q1))
     profile2: dict[tuple, list[tuple[int, ...]]] = {}
     for e in f2.elements():
         profile2.setdefault((f2.element_order(e), f2.q_numerator(e)), []).append(e)
@@ -136,9 +138,9 @@ def find_disc_form_isomorphism(
         return tuple(out)
 
     seen = set()
-    for el in f1.elements():
+    for el, q in zip(f1.elements(), q1):
         img = push(el)
-        if f1.q_numerator(el) != f2.q_numerator(img):
+        if q != f2.q_numerator(img):
             return None
         seen.add(img)
     if len(seen) != f1.order:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import exact
 
@@ -296,31 +296,6 @@ class FiniteQuadraticForm:
         bn = tuple(tuple(-b % n for b in row) for row in self.b_numerators)
         return FiniteQuadraticForm(self.invariant_factors, self.generators, qn, bn)
 
-    def span(
-        self,
-        gens: Sequence[tuple[int, ...]],
-        start: Iterable[tuple[int, ...]] | None = None,
-        limit: int | None = None,
-    ) -> frozenset | None:
-        """Elements reached from ``start`` (default: zero) by adding
-        generators: the subgroup generated by ``gens``, or start + <gens>
-        when ``start`` is a subgroup.  None once more than ``limit``
-        elements are reached."""
-        if start is None:
-            start = (tuple(0 for _ in self.invariant_factors),)
-        seen = set(start)
-        frontier = list(seen)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = tuple((a + b) % d for a, b, d in zip(x, g, self.invariant_factors))
-                if y not in seen:
-                    seen.add(y)
-                    if limit is not None and len(seen) > limit:
-                        return None
-                    frontier.append(y)
-        return frozenset(seen)
-
 
 def discriminant_group(l: Lattice) -> FiniteQuadraticForm:
     """The finite group L*/L with its discriminant (quadratic) form.
@@ -387,7 +362,7 @@ def orthogonal_complement(ambient: Lattice, sub: Sequence[Sequence[int]]) -> Lat
     """Primitive orthogonal complement of the span of ``sub`` (rows are
     vectors in ambient coordinates), with its embedding recorded."""
     rows = _sub_rows(sub, ambient.rank)
-    if rows and exact.kernel_basis(exact.transpose(rows)):
+    if len(exact.hermite_row_basis(rows)) < len(rows):
         raise ValueError("sublattice basis is rank-deficient")
     pair = exact.matmul(rows, [list(r) for r in ambient.gram])
     kern = exact.kernel_basis(pair) if rows else exact.identity(ambient.rank)
@@ -403,14 +378,16 @@ def saturation(ambient: Lattice, sub: Sequence[Sequence[int]]) -> Lattice:
 
 def saturation_index(ambient: Lattice, sub: Sequence[Sequence[int]]) -> int:
     """Index of the span of ``sub`` inside its saturation, the integer
-    vectors of its rational span: the product of the Smith invariants of the
-    rows.  No determinant is taken, so degenerate forms work too."""
+    vectors of its rational span: the gcd of the maximal minors of the k
+    rows, which is the index in Z^k of the lattice their columns span, the
+    product of the pivots of its Hermite basis.  That basis has fewer than
+    k rows iff the rows are dependent.  No determinant is taken, so
+    degenerate forms work too."""
     rows = _sub_rows(sub, ambient.rank)
-    d, _, _ = exact.smith_normal_form(rows)
-    invariants = [d[i][i] for i in range(min(len(rows), ambient.rank))]
-    if len(rows) > ambient.rank or 0 in invariants:
+    basis = exact.hermite_row_basis(exact.transpose(rows))
+    if len(basis) < len(rows):
         raise ValueError("sublattice basis is rank-deficient")
-    return prod(invariants)
+    return prod(row[i] for i, row in enumerate(basis))
 
 
 def is_primitive(l: Lattice) -> bool:
@@ -421,22 +398,31 @@ def is_primitive(l: Lattice) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# coordinates in glued/embedded lattices
-
-
-def ambient_to_self(l: Lattice, w: Sequence) -> list[Fraction] | None:
-    """Coordinates of an ambient-frame vector in l's basis, or None when the
-    vector is outside the rational span."""
-    if l.ambient is None:
-        raise ValueError("lattice has no recorded ambient frame")
-    e = l.ambient
-    coords = exact.solve(exact.transpose(e.basis), w)
-    return None if coords is None else [c * e.denominator for c in coords]
+# membership and divisibility in embedded lattices
 
 
 def contains_ambient(l: Lattice, w: Sequence) -> bool:
-    coords = ambient_to_self(l, w)
-    return coords is not None and all(c.denominator == 1 for c in coords)
+    """Whether the ambient-frame vector w lies in l.  With l's basis the
+    rows B over the denominator D, that asks whether D w is an integer
+    combination of B: D w is reduced, in integers, against the Hermite basis
+    of B (a basis built by ``glue.adjoin`` is one already)."""
+    if l.ambient is None:
+        raise ValueError("lattice has no recorded ambient frame")
+    e = l.ambient
+    if len(w) != e.ambient.rank:
+        raise ValueError("vector length does not match the ambient rank")
+    nums, den = _numerators(w)
+    v = [x * e.denominator for x in nums]
+    if any(x % den for x in v):
+        return False
+    v = [x // den for x in v]
+    for row in exact.hermite_row_basis(e.basis):
+        c = next(i for i, x in enumerate(row) if x)
+        q, r = divmod(v[c], row[c])
+        if r:
+            return False
+        v = [x - q * y for x, y in zip(v, row)]
+    return not any(v)
 
 
 def divisibility(l: Lattice, w: Sequence) -> int:

@@ -10,7 +10,7 @@ import pytest
 import k3lattice.lattice as lat
 from k3lattice import claims, exact, glue
 from k3lattice.k3embed import build_V
-from test_k3embed import even_test_forms
+from test_k3embed import even_test_forms, span
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +108,7 @@ def reference_isotropic_subgroups(
                 continue
             if any(form.b_numerator(e, h) for h in grp):
                 continue
-            bigger = form.span([e], start=grp, limit=max_order)
+            bigger = span(form, [e], start=grp, limit=max_order)
             if bigger is None or bigger in found:
                 continue
             if not any(form.q_numerator(x) for x in bigger):
@@ -119,17 +119,25 @@ def reference_isotropic_subgroups(
 
 def test_isotropic_subgroups_match_reference():
     # an isotropic e orthogonal to an isotropic group keeps it isotropic,
-    # so the q scan of each new subgroup the reference made never rejects
-    checked = nontrivial = 0
+    # so the q scan of each new subgroup the reference made never rejects.
+    # An isotropic H has |H|^2 <= |G|, so isqrt(order) never binds: the
+    # smaller bounds check that no subgroup above the bound is returned
+    checked = nontrivial = bound_binds = 0
     for form in even_test_forms():
         if form.order > 512:
             continue
-        bound = isqrt(form.order)
-        got = glue._isotropic_subgroups(form, bound)
-        assert got == reference_isotropic_subgroups(form, bound)
+        top = isqrt(form.order)
+        bounds = {top} | {2**k for k in range(top.bit_length())}
+        unbounded = glue._isotropic_subgroups(form, top)
+        for bound in sorted(bounds):
+            got = glue._isotropic_subgroups(form, bound)
+            assert got == reference_isotropic_subgroups(form, bound)
+            assert all(len(g) <= bound for g in got)
+            assert got == [g for g in unbounded if len(g) <= bound]
+            bound_binds += got != unbounded
         checked += 1
-        nontrivial += len(got) > 1
-    assert checked > 100 and nontrivial > 20
+        nontrivial += len(unbounded) > 1
+    assert checked > 100 and nontrivial > 20 and bound_binds > 20
 
 
 def test_even_overlattices_of_unimodular():

@@ -153,6 +153,28 @@ def test_rank_additivity_for_primitive_embeddings():
 # reference copies of the searches before they ran on ``_match_gram``
 
 
+def span(form, gens, start=None, limit=None):
+    """Elements reached from ``start`` (default: zero) by adding
+    generators: the subgroup generated by ``gens``, or start + <gens>
+    when ``start`` is a subgroup.  None once more than ``limit``
+    elements are reached.  The former ``FiniteQuadraticForm.span``, kept
+    for the reference searches."""
+    if start is None:
+        start = (tuple(0 for _ in form.invariant_factors),)
+    seen = set(start)
+    frontier = list(seen)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = tuple((a + b) % d for a, b, d in zip(x, g, form.invariant_factors))
+            if y not in seen:
+                seen.add(y)
+                if limit is not None and len(seen) > limit:
+                    return None
+                frontier.append(y)
+    return frozenset(seen)
+
+
 def reference_find_disc_form_isomorphism(
     f1: lat.FiniteQuadraticForm, f2: lat.FiniteQuadraticForm
 ) -> list[tuple[int, ...]] | None:
@@ -190,7 +212,7 @@ def reference_find_disc_form_isomorphism(
                 for j in range(i)
             ):
                 continue
-            bigger = f2.span([cand], grp)
+            bigger = span(f2, [cand], grp)
             if len(bigger) != len(grp) * f1.invariant_factors[i]:
                 continue
             images.append(cand)
@@ -199,7 +221,7 @@ def reference_find_disc_form_isomorphism(
             images.pop()
         return False
 
-    if not extend(0, f2.span([])):
+    if not extend(0, span(f2, [])):
         return None
 
     # verify on every element: q determines b by polarization, so checking q

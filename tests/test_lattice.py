@@ -350,19 +350,6 @@ def test_disc_group_exponent_and_numerators():
     assert trivial.q_values == () and trivial.b_matrix == ()
 
 
-def test_span_of_generators_and_cosets():
-    # A3 has discriminant group Z/4; D4 has (Z/2)^2
-    z4 = lat.discriminant_group(lat.root_lattice("A", 3))
-    assert z4.span([(2,)]) == {(0,), (2,)}
-    assert z4.span([(1,)]) == {(0,), (1,), (2,), (3,)}
-    assert z4.span([(1,)], limit=3) is None
-    assert z4.span([(1,)], limit=4) is not None
-    k = lat.discriminant_group(lat.root_lattice("D", 4))
-    sub = k.span([(1, 0)])
-    grown = k.span([(0, 1)], start=sub)
-    assert grown == k.span([(1, 0), (0, 1)]) == frozenset(k.elements())
-
-
 # ---------------------------------------------------------------------------
 # complements and saturation
 
@@ -399,6 +386,30 @@ def test_saturation_divides_out_index():
     for bad in ([[1, 0], [2, 0]], [[1, 0], [0, 1], [1, 1]]):
         with pytest.raises(ValueError, match="rank-deficient"):
             lat.saturation_index(u, bad)
+
+
+def test_saturation_index_is_the_smith_invariant_product():
+    # the pivots of the Hermite basis of the columns multiply to the gcd of
+    # the maximal minors, which the Smith diagonal gives as well
+    rng = random.Random(5)
+    deficient = 0
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        k = rng.randint(1, n + 1)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        d, _, _ = exact.smith_normal_form(rows)
+        invariants = [d[i][i] for i in range(min(k, n))]
+        ambient = lat.lattice(exact.identity(n))
+        if k > n or 0 in invariants:
+            deficient += 1
+            with pytest.raises(ValueError, match="rank-deficient"):
+                lat.saturation_index(ambient, rows)
+        else:
+            product = 1
+            for x in invariants:
+                product *= x
+            assert lat.saturation_index(ambient, rows) == product
+    assert 50 < deficient < 550
 
 
 @settings(max_examples=40, deadline=None)
@@ -458,6 +469,67 @@ def test_ambient_round_trip():
     e = comp.ambient
     # the vector with coordinates [1, 1] in comp's basis, in E8 coordinates
     v = [Fraction(a + b, e.denominator) for a, b in zip(*e.basis)]
-    back = lat.ambient_to_self(comp, v)
-    assert back == [Fraction(1), Fraction(1)]
     assert lat.contains_ambient(comp, v)
+    assert lat.contains_ambient(comp, [0] * 8)
+    assert not lat.contains_ambient(comp, [x / 2 for x in v])
+    # outside the rational span of comp
+    assert not lat.contains_ambient(comp, unit_rows([0], 8)[0])
+    with pytest.raises(ValueError, match="no recorded ambient"):
+        lat.contains_ambient(e8, v)
+    with pytest.raises(ValueError, match="length"):
+        lat.contains_ambient(comp, v[:7])
+
+
+def solve_contains(l, w):
+    """Membership read off the rational coordinates of w in l's basis."""
+    e = l.ambient
+    coords = exact.solve(exact.transpose(e.basis), w)
+    return coords is not None and all(
+        (c * e.denominator).denominator == 1 for c in coords
+    )
+
+
+def membership_cases(l, rng, count):
+    """Vectors of l, their fractions, and random rational vectors, in l's
+    ambient frame."""
+    e = l.ambient
+    n = e.ambient.rank
+    for _ in range(count):
+        coeffs = [rng.randint(-2, 2) for _ in e.basis]
+        v = [
+            Fraction(sum(c * row[j] for c, row in zip(coeffs, e.basis)), e.denominator)
+            for j in range(n)
+        ]
+        yield v
+        yield [x / rng.choice([2, 3]) for x in v]
+        yield [Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 4])) for _ in range(n)]
+
+
+def test_contains_ambient_matches_solve_on_random_sublattices():
+    rng = random.Random(17)
+    checked = members = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        k = rng.randint(1, n)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        if len(exact.hermite_row_basis(rows)) < k:
+            continue
+        sub = lat.sublattice(lat.lattice(exact.identity(n)), rows)
+        for w in membership_cases(sub, rng, 10):
+            got = lat.contains_ambient(sub, w)
+            assert got == solve_contains(sub, w), (rows, w)
+            checked += 1
+            members += got
+    assert checked > 1000 and members > 300
+
+
+@pytest.mark.parametrize("name", ["N1", "N2", "L2", "KummerK", "M16"])
+def test_contains_ambient_matches_solve_on_named_overlattices(name):
+    l = glue.build_named(name)
+    rng = random.Random(name)
+    results = [
+        (lat.contains_ambient(l, w), solve_contains(l, w))
+        for w in membership_cases(l, rng, 40)
+    ]
+    assert all(got == want for got, want in results)
+    assert {got for got, _ in results} == {True, False}

@@ -181,6 +181,31 @@ def test_one_gram_matching_search():
     assert "span" not in calls
 
 
+def _call_count(fn: ast.AST, name: str) -> int:
+    return sum(
+        isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == name)
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == name)
+        )
+        for node in ast.walk(fn)
+    )
+
+
+def test_subgroups_and_membership_read_one_structure_each():
+    # isotropic subgroups grow by pool refinement from one walk over the
+    # group, with no generic subgroup span; membership and saturation read
+    # the Hermite basis, without a rational solve or a Smith form
+    lattice = importlib.import_module("k3lattice.lattice")
+    assert not hasattr(lattice.FiniteQuadraticForm, "span")
+    grow = _function("glue.py", "_isotropic_subgroups")
+    assert _call_count(grow, "elements") == 1
+    assert _call_count(grow, "span") == 0
+    assert _call_count(_function("lattice.py", "contains_ambient"), "solve") == 0
+    saturation = _function("lattice.py", "saturation_index")
+    assert _call_count(saturation, "smith_normal_form") == 0
+
+
 def test_one_embedded_lattice_type():
     # rows in an ambient are stored one way, as lattice.Embedding; a second
     # class holding an ambient and a basis would bring back a parallel type
