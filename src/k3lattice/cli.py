@@ -8,6 +8,7 @@ Exit codes: 0 when everything requested passed, 1 when any claim failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -74,7 +75,7 @@ def _write_or_print(l: lat.Lattice, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _read_rows(path: str) -> list[list[int]]:
+def _read_rows(path: str) -> tuple[tuple[int, ...], ...]:
     try:
         rows = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as e:
@@ -154,7 +155,12 @@ def _cmd_named(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.  Reusing it is
+    safe: ``parse_args`` returns a fresh namespace on every call, and help
+    and usage errors look up ``sys.stdout`` and ``sys.stderr`` when they
+    print."""
     p = argparse.ArgumentParser(
         prog="k3lattice",
         description="Exact verification of lattice, quadratic-form and "

@@ -108,13 +108,15 @@ def find_disc_form_isomorphism(
     # equal invariant factors give both forms the same exponent N, so q and
     # b compare as integer numerators over N.  The multiset of (order, q)
     # over all elements is an isomorphism invariant; it prunes distinct
-    # forms without any search.  f1's q values are kept in element order for
-    # the final pass
+    # forms without any search.  f1's q values are kept in element order and
+    # f2's by element for the final pass
     q1 = [f1.q_numerator(e) for e in f1.elements()]
     profile1 = sorted(zip(map(f1.element_order, f1.elements()), q1))
     profile2: dict[tuple, list[tuple[int, ...]]] = {}
+    q2: dict[tuple[int, ...], int] = {}
     for e in f2.elements():
-        profile2.setdefault((f2.element_order(e), f2.q_numerator(e)), []).append(e)
+        q2[e] = q = f2.q_numerator(e)
+        profile2.setdefault((f2.element_order(e), q), []).append(e)
     if profile1 != sorted(
         key for key, els in profile2.items() for _ in els
     ):
@@ -140,7 +142,7 @@ def find_disc_form_isomorphism(
     seen = set()
     for el, q in zip(f1.elements(), q1):
         img = push(el)
-        if q != f2.q_numerator(img):
+        if q != q2[img]:
             return None
         seen.add(img)
     if len(seen) != f1.order:
@@ -209,9 +211,7 @@ def short_vectors(gram: Sequence[Sequence[int]], max_norm: int) -> dict[int, lis
         i = n - 1 - len(tail)
         if i < 0:
             norm = int(max_norm - remaining)
-            # of x and -x the walk reaches first the one whose last nonzero
-            # coordinate is negative; that one represents the pair
-            if norm > 0 and next(c for c in reversed(tail) if c) < 0:
+            if norm > 0:
                 out.setdefault(norm, []).append(tail)
             continue
         center = -sum(map(mul, u[i][i + 1 :], tail))
@@ -225,6 +225,11 @@ def short_vectors(gram: Sequence[Sequence[int]], max_norm: int) -> dict[int, lis
         t = c0 + 1
         while (t - center) ** 2 <= bound:
             t += 1
+        if not any(tail):
+            # of x and -x the walk keeps the one whose last nonzero
+            # coordinate is negative, so while every higher coordinate is
+            # zero, this one stays <= 0
+            t = min(t, 1)
         stack.extend(
             ((xi,) + tail, remaining - d[i] * (xi - center) ** 2)
             for xi in range(t - 1, low - 1, -1)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .lattice import Lattice, lattice
+from .lattice import Lattice
 
 _I64_MAX = 2**63 - 1
 
@@ -24,10 +24,10 @@ class LatticeFileError(ValueError):
 
 
 def _decode_int(x, path: str) -> int:
+    """An entry that is not a plain ``int``: a decimal string, or an error
+    naming what it is."""
     if isinstance(x, bool):
         raise LatticeFileError(f"{path}: boolean is not a matrix entry")
-    if isinstance(x, int):
-        return x
     if isinstance(x, str):
         try:
             return int(x, 10)
@@ -36,12 +36,15 @@ def _decode_int(x, path: str) -> int:
     raise LatticeFileError(f"{path}: matrix entries must be integers, got {type(x).__name__}")
 
 
-def decode_matrix(rows, path: str, what: str) -> list[list[int]]:
+def decode_matrix(rows, path: str, what: str) -> tuple[tuple[int, ...], ...]:
     """A JSON array of arrays of integers (or decimal strings) as an integer
-    matrix; ``what`` names it in the LatticeFileError."""
+    matrix of tuples, in one pass over the entries; ``what`` names it in the
+    LatticeFileError."""
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise LatticeFileError(f"{path}: {what} must be an array of arrays")
-    return [[_decode_int(x, path) for x in row] for row in rows]
+    return tuple(
+        [tuple([x if type(x) is int else _decode_int(x, path) for x in row]) for row in rows]
+    )
 
 
 def _encode_int(x: int):
@@ -61,12 +64,16 @@ def loads(text: str, path: str = "<string>") -> Lattice:
     n = len(gram)
     if any(len(row) != n for row in gram):
         raise LatticeFileError(f"{path}: gram matrix must be square (rank mismatch)")
-    if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
-        raise LatticeFileError(f"{path}: gram matrix is not symmetric")
+    # the decoded entries are already ints in tuples, so the constructor's
+    # symmetry check is the only other pass over them
     name = doc.get("name")
+    try:
+        l = Lattice(gram, name)
+    except ValueError as e:
+        raise LatticeFileError(f"{path}: gram matrix is not symmetric") from e
     if name is not None and not isinstance(name, str):
         raise LatticeFileError(f"{path}: 'name' must be a string")
-    return lattice(gram, name)
+    return l
 
 
 def load_lattice(path: str | Path) -> Lattice:

@@ -1,10 +1,12 @@
 """Tests for the claim registry, the lattice file format and the CLI."""
 
+import io
 import json
 import os
 import signal
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -144,6 +146,56 @@ def test_malformed_file_errors(tmp_path):
         p.write_text(text)
         with pytest.raises(lattice_io.LatticeFileError):
             lattice_io.load_lattice(p)
+
+
+def test_malformed_file_messages(tmp_path):
+    # the one-pass loader keeps every check and every message word for word
+    cases = {
+        '{"name": "x", "gram": [[true]]}': "boolean is not a matrix entry",
+        '{"name": "x", "gram": [[0, "1x"], ["1x", 0]]}': "bad integer string '1x'",
+        '{"name": "x", "gram": [[1.0]]}': "matrix entries must be integers, got float",
+        '{"name": "x", "gram": [[0, null], [null, 0]]}':
+            "matrix entries must be integers, got NoneType",
+        '{"name": "x", "gram": [[0, 1], [2]]}': "gram matrix must be square (rank mismatch)",
+        '{"name": "x", "gram": [[0, 1], [1, 0], [0, 0]]}':
+            "gram matrix must be square (rank mismatch)",
+        '{"name": "x", "gram": [[0, 1], [2, 0]]}': "gram matrix is not symmetric",
+        '{"name": "x", "gram": [[0, "1"], [2, 0]]}': "gram matrix is not symmetric",
+        '{"name": 3, "gram": [[0, 1], [1, 0]]}': "'name' must be a string",
+        '{"name": 3, "gram": [[0, 1], [2, 0]]}': "gram matrix is not symmetric",
+        '{"name": "x", "gram": [0, 1]}': "gram must be an array of arrays",
+        '{"name": "x"}': "document must be an object with a 'gram' field",
+    }
+    path = tmp_path / "bad.lattice"
+    for text, message in cases.items():
+        with pytest.raises(lattice_io.LatticeFileError) as err:
+            lattice_io.loads(text, "f.lattice")
+        assert str(err.value) == f"f.lattice: {message}", text
+        path.write_text(text)
+        with pytest.raises(lattice_io.LatticeFileError) as err:
+            lattice_io.load_lattice(path)
+        assert str(err.value) == f"{path}: {message}", text
+
+
+def _assert_loads_as_lattice(text: str) -> None:
+    doc = json.loads(text)
+    got = lattice_io.loads(text)
+    want = lat.lattice(doc["gram"], doc.get("name"))
+    assert isinstance(got, lat.Lattice) and got == want
+    assert type(got.gram) is tuple
+    assert all(type(row) is tuple and all(type(x) is int for x in row) for row in got.gram)
+
+
+def test_loads_equals_the_lattice_constructor():
+    data = sorted((Path(lattice_io.__file__).parent / "data").glob("*.lattice"))
+    assert len(data) >= 13
+    for path in data:
+        _assert_loads_as_lattice(path.read_text())
+    big = 3**50
+    _assert_loads_as_lattice(json.dumps({
+        "name": "big",
+        "gram": [[str(2 * big), -1, 0], [-1, 2, str(-big)], [0, str(-big), "-4"]],
+    }))
 
 
 def test_json_position_in_parse_error(tmp_path):
@@ -311,6 +363,78 @@ def test_cli_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_cli_builds_one_parser_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_cli_usage_error_leaves_the_parser_usable(tmp_path, capsys):
+    path = tmp_path / "d4.lattice"
+    lattice_io.save_lattice(lat.root_lattice("D", 4).rename("D4"), path)
+    assert cli.main(["lattice", "info", str(path)]) == 0
+    first = capsys.readouterr().out
+    for bad in (["lattice", "info"], ["lattice", "op", "flip", str(path)], ["nope"]):
+        assert cli.main(bad) == 2
+        assert "usage: k3lattice" in capsys.readouterr().err
+        assert cli.main(["lattice", "info", str(path)]) == 0
+        assert capsys.readouterr().out == first
+
+
+def test_cli_adjoin_glue_lists_are_not_shared(tmp_path, capsys):
+    a18 = lat.direct_sum(*[lat.root_lattice("A", 1)] * 8).rename("A1^8")
+    base = tmp_path / "a18.lattice"
+    lattice_io.save_lattice(a18, base)
+    one = ["--glue", "1,1,1,1,0,0,0,0/2"]
+    two = one + ["--glue", "0,0,0,0,1,1,1,1/2"]
+    parser = cli.build_parser()
+    ns1 = parser.parse_args(["lattice", "op", "adjoin", str(base), *one])
+    ns2 = parser.parse_args(["lattice", "op", "adjoin", str(base), *two])
+    ns3 = parser.parse_args(["lattice", "op", "adjoin", str(base)])
+    assert ns1.glue == ["1,1,1,1,0,0,0,0/2"]
+    assert ns2.glue == ["1,1,1,1,0,0,0,0/2", "0,0,0,0,1,1,1,1/2"]
+    assert ns3.glue is None
+    # det 2^8 over 2^2 per glue vector
+    for glue_args, det in ((one, 64), (two, 16), (one, 64), ([], 256)):
+        out = tmp_path / "glued.lattice"
+        argv = ["lattice", "op", "adjoin", str(base), *glue_args, "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert lattice_io.load_lattice(out).det() == det
+
+
+def test_cli_help_prints_to_the_redirected_stream():
+    for argv in (["--help"], ["lattice", "op", "--help"], ["--help"]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert cli.main(argv) == 0
+        assert out.getvalue().startswith("usage: k3lattice")
+        assert err.getvalue() == ""
+
+
+def test_cli_output_is_the_same_on_reuse_and_in_a_fresh_process(tmp_path):
+    path = tmp_path / "lam3.lattice"
+    lattice_io.save_lattice(glue.build_named("Lambda(3)"), path)
+    commands = [
+        ["lattice", "info", str(path)],
+        ["lattice", "op", "disc-form", str(path)],
+        ["named", "Lambda(3)"],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for argv in commands:
+        outputs = []
+        for _ in range(3):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert cli.main(argv) == 0
+            outputs.append(out.getvalue())
+        proc = subprocess.run(
+            [sys.executable, "-m", "k3lattice", *argv],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert outputs[0] and outputs.count(outputs[0]) == 3
+        assert proc.stdout == outputs[0].encode()
 
 
 def test_package_runs_as_a_module_from_a_checkout():

@@ -4,6 +4,7 @@ certificates."""
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -494,6 +495,65 @@ def test_short_vectors_match_reference():
         got = ke.short_vectors(g, max_norm)
         want = reference_short_vectors(g, max_norm)
         assert got == want and list(got) == list(want)
+
+
+def leaf_test_short_vectors(gram, max_norm: int) -> dict[int, list[tuple[int, ...]]]:
+    """The walk before the sign cap, kept verbatim: it reaches x and -x and
+    keeps, at the leaf, the one whose last nonzero coordinate is negative."""
+    n = len(gram)
+    # q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2
+    d, u, _ = exact.ldl(gram)
+    if not all(p > 0 for p in d):
+        raise ValueError("matrix is not positive definite")
+    out: dict[int, list[tuple[int, ...]]] = {}
+    # depth first over x_{n-1}, ..., x_0, each coordinate ascending: a stack
+    # of the coordinates x_i..x_{n-1} fixed so far and the norm they leave
+    stack: list[tuple[tuple[int, ...], Fraction]] = [((), Fraction(max_norm))]
+    while stack:
+        tail, remaining = stack.pop()
+        i = n - 1 - len(tail)
+        if i < 0:
+            norm = int(max_norm - remaining)
+            # of x and -x the walk reaches first the one whose last nonzero
+            # coordinate is negative; that one represents the pair
+            if norm > 0 and next(c for c in reversed(tail) if c) < 0:
+                out.setdefault(norm, []).append(tail)
+            continue
+        center = -sum(map(mul, u[i][i + 1 :], tail))
+        # d_i (x_i - center)^2 <= remaining
+        bound = remaining / d[i]
+        c0 = center.numerator // center.denominator  # floor
+        t = c0
+        while (t - center) ** 2 <= bound:
+            t -= 1
+        low = t + 1
+        t = c0 + 1
+        while (t - center) ** 2 <= bound:
+            t += 1
+        stack.extend(
+            ((xi,) + tail, remaining - d[i] * (xi - center) ** 2)
+            for xi in range(t - 1, low - 1, -1)
+        )
+    return out
+
+
+def test_short_vectors_sign_cap_keeps_the_lists():
+    # capping the outermost nonzero coordinate at <= 0 only prunes subtrees
+    # whose leaves the old test dropped: the same vectors, norms in the same
+    # order, each list in the same order
+    e8 = [[-x for x in row] for row in lat.root_lattice("E", 8).gram]
+    cases = [(e8, 4)]
+    rng = random.Random(5)
+    while len(cases) < 277:
+        n = rng.randint(1, 6)
+        b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if exact.det(b) == 0:
+            continue
+        cases.append((exact.matmul(b, exact.transpose(b)), rng.randint(1, 8)))
+    for g, max_norm in cases:
+        got = ke.short_vectors(g, max_norm)
+        assert list(got.items()) == list(leaf_test_short_vectors(g, max_norm).items())
+    assert {k: len(v) for k, v in ke.short_vectors(e8, 4).items()} == {2: 120, 4: 1080}
 
 
 def _square(n, lo=-2, hi=2):

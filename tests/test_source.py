@@ -230,3 +230,10 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_loads_builds_the_lattice_once():
+    # lattice_io.loads hands its decoded integer tuples to the Lattice
+    # constructor; lattice.lattice would convert and check every entry again
+    assert "lattice" not in _called_names(_function("lattice_io.py", "loads"))
+    assert "Lattice" in _called_names(_function("lattice_io.py", "loads"))
