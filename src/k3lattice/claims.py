@@ -65,7 +65,8 @@ def _diag(entries) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# shared builders (pure, cached)
+# shared builders (pure; the two that a cold verify asks for more than once
+# are cached)
 
 
 @lru_cache(maxsize=None)
@@ -73,7 +74,6 @@ def _named(name: str) -> lat.Lattice:
     return glue.build_named(name)
 
 
-@lru_cache(maxsize=None)
 def _u_d8_a5_a1() -> lat.Lattice:
     return lat.direct_sum(
         lat.hyperbolic(),
@@ -83,14 +83,12 @@ def _u_d8_a5_a1() -> lat.Lattice:
     )
 
 
-@lru_cache(maxsize=None)
 def _u_d8_e6() -> lat.Lattice:
     return lat.direct_sum(
         lat.hyperbolic(), lat.root_lattice("D", 8), lat.root_lattice("E", 6)
     )
 
 
-@lru_cache(maxsize=None)
 def _u23() -> lat.Lattice:
     u2 = lat.rescale(lat.hyperbolic(), 2)
     return lat.direct_sum(u2, u2, u2)
@@ -121,14 +119,12 @@ def _half_fiber(group) -> glue.GlueSpec:
     return glue.GlueSpec(tuple(_frame_vector(1, group, -1)), 2)
 
 
-@lru_cache(maxsize=None)
 def _n1_enlarged() -> lat.Lattice:
     """N1 enlarged by halves of the two isotropic fiber classes built from
     the order-4 subgroups G1, G2."""
     return _extend(_named("N1"), _half_fiber(_G1), _half_fiber(_G2))
 
 
-@lru_cache(maxsize=None)
 def _rank17_embedding() -> lat.Lattice:
     """U + E8 + A2 + A1^5 inside the rank-22 unimodular lattice: U and E8
     matched with direct summands, A2+A1^3 as a subdiagram of the second E8,

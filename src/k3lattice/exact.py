@@ -25,7 +25,12 @@ to be reduced are zero left of it; a companion's rows are updated whole.
 matrix diagonal, since that pass would do nothing.  A caller that reads only
 d and v may pass the Hermite basis (``hermite_row_basis``, built without a
 companion) in place of a nonsingular matrix: the first row pass then finds it
-reduced, and every later pass, with d and v, is the same.
+reduced, and every later pass, with d and v, is the same.  It may pass less:
+the passes over a Hermite basis whose first k pivots are 1 clear those rows
+and columns against the unit pivots and then run on the tail from row and
+column k exactly as they would on the tail alone, so
+``lattice.discriminant_group`` passes only that tail and lifts each column w
+of its v back by the first k rows.
 All public functions return fresh objects and never mutate their
 arguments, so values can be shared freely between threads.
 """
@@ -233,7 +238,9 @@ def smith_normal_form(
     pair that breaks divisibility is merged by adding one column to the other
     and reducing again.  A column pass leaves positive pivots and its zero
     columns last, so when it leaves the matrix diagonal the row pass after it
-    would do nothing and is skipped.  Works for any rectangular matrix.
+    would do nothing and is skipped.  Works for any rectangular matrix; a
+    Hermite basis, or its tail after leading unit pivots, may stand in for a
+    nonsingular matrix (see the module docstring).
     """
     rows, cols = len(m), _width(m)
     a = copy_matrix(m)

@@ -300,24 +300,37 @@ class FiniteQuadraticForm:
 def discriminant_group(l: Lattice) -> FiniteQuadraticForm:
     """The finite group L*/L with its discriminant (quadratic) form.
 
-    The Smith form is taken of the Hermite basis H of the Gram matrix's row
-    span, not of the Gram matrix G itself.  The first row pass of
-    ``smith_normal_form(G)`` would only turn G into H, while building a row
-    companion that is not read; on H that pass does nothing, and every
-    later pass, and with it v, is the same.  H has n rows because the det
-    is nonzero.  The generators are the columns of v.
+    L*/L is Z^n modulo the row span of the Gram matrix G, whose Hermite
+    basis H (built without a companion) has n rows exactly when det G is
+    nonzero, so no determinant is taken.  Let k be the first column whose
+    pivot is not 1.  Entries above a unit pivot are reduced to 0, so row
+    r < k of H is e_r plus entries in columns k and later, and the rows
+    from k on are zero left of column k: Z^n/<H> is Z^(n-k)/<T> for the
+    tail T = H[k:, k:], and the Smith form is taken of T alone.  A column w
+    of its v lifts to the generator (-H[:k, k:] w, w).  On all of H the
+    Smith form's passes would clear the first k rows and columns against
+    their unit pivots, leave them as they are after that, and run on T
+    exactly as here, so the invariant factors, generators, q and b are
+    those of the Smith form of G itself.  Only the leading run of unit
+    pivots is split off: a unit pivot after a larger one takes part in the
+    Smith form's passes over the tail, and dropping it changes the
+    generators.
     """
-    if l.det() == 0:
-        raise ValueError("degenerate Gram matrix has no discriminant group")
     n = l.rank
-    d, _, v = exact.smith_normal_form(exact.hermite_row_basis(l.gram))
+    h = exact.hermite_row_basis(l.gram)
+    if len(h) < n:
+        raise ValueError("degenerate Gram matrix has no discriminant group")
+    k = next((i for i in range(n) if h[i][i] != 1), n)
+    head = [row[k:] for row in h[:k]]
+    d, _, v = exact.smith_normal_form([row[k:] for row in h[k:]])
     factors: list[int] = []
     gens: list[tuple[int, ...]] = []
-    for i in range(n):
+    for i in range(n - k):
         di = d[i][i]
         if di > 1:
+            w = [row[i] for row in v]
             factors.append(di)
-            gens.append(tuple(v[r][i] for r in range(n)))
+            gens.append(tuple([-x for x in exact.mat_vec(head, w)] + w))
     # x = g_i/d_i and y = g_j/d_j pair integrally with L, which holds d_i x
     # and d_j y, so d_i x.y and d_j x.y are integers, as is N x.y for the
     # exponent N that both divide

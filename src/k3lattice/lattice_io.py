@@ -4,7 +4,12 @@ A lattice file is a JSON document with fields ``name`` (string), ``gram``
 (array of arrays of integers), and optionally ``ambient`` (name of the
 ambient lattice) and ``basis`` (array of arrays of integers, rows being the
 basis vectors in ambient coordinates).  Integers that do not fit in 64 bits
-are serialized as decimal strings; the loader accepts both forms.
+are serialized as decimal strings; the loader accepts both forms.  The
+``ambient`` is a string, and a ``basis`` needs one and has one row per rank.
+When ``ambient`` names a lattice of ``glue.NAMED_BUILDERS``, that lattice is
+rebuilt and the loaded lattice records it as its ambient, after the
+``Lattice`` constructor has checked that the basis induces the Gram matrix.
+Other ambient names are read but not attached.
 
 A corpus of named lattice files ships in the package ``data`` directory.
 """
@@ -14,7 +19,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .lattice import Lattice
+from . import glue
+from .lattice import Embedding, Lattice
 
 _I64_MAX = 2**63 - 1
 
@@ -73,7 +79,25 @@ def loads(text: str, path: str = "<string>") -> Lattice:
         raise LatticeFileError(f"{path}: gram matrix is not symmetric") from e
     if name is not None and not isinstance(name, str):
         raise LatticeFileError(f"{path}: 'name' must be a string")
-    return l
+    ambient = doc.get("ambient")
+    if ambient is not None and not isinstance(ambient, str):
+        raise LatticeFileError(f"{path}: 'ambient' must be a string")
+    if "basis" not in doc:
+        return l
+    if ambient is None:
+        raise LatticeFileError(f"{path}: 'basis' needs an 'ambient' field")
+    basis = decode_matrix(doc["basis"], path, "basis")
+    if len(basis) != n:
+        raise LatticeFileError(f"{path}: basis must have one row per rank")
+    if ambient not in glue.NAMED_BUILDERS:
+        return l
+    frame = glue.NAMED_BUILDERS[ambient]()
+    if any(len(row) != frame.rank for row in basis):
+        raise LatticeFileError(f"{path}: basis rows must match the rank of {ambient}")
+    try:
+        return Lattice(gram, name, Embedding(frame, basis))
+    except ValueError as e:
+        raise LatticeFileError(f"{path}: basis does not induce the gram matrix") from e
 
 
 def load_lattice(path: str | Path) -> Lattice:

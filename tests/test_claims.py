@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import k3lattice.lattice as lat
-from k3lattice import claims, cli, glue, lattice_io
+from k3lattice import claims, cli, glue, k3embed as ke, lattice_io
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +196,44 @@ def test_loads_equals_the_lattice_constructor():
         "name": "big",
         "gram": [[str(2 * big), -1, 0], [-1, 2, str(-big)], [0, str(-big), "-4"]],
     }))
+
+
+def test_saved_embedding_reloads_with_its_ambient():
+    emb = ke.embed_standard("U+E8+A5+A1 in V")
+    back = lattice_io.loads(lattice_io.dumps(emb))
+    assert back == emb
+    assert back.ambient.ambient.name == "V"
+    assert back.ambient.basis == emb.ambient.basis
+    got, want = ke.transcendental_of(back), ke.transcendental_of(emb)
+    assert got == want and got.ambient.basis == want.ambient.basis
+    # an ambient that is not a named builder is read but not attached
+    e8 = lattice_io.loads(lattice_io.dumps(ke.embed_standard("A5+A1 in E8")))
+    assert e8.ambient is None
+
+
+def test_malformed_embedding_messages():
+    gram = [[0, 1], [1, 0]]
+    v_rows = [[1, 0] + [0] * 20, [0, 1] + [0] * 20]
+    cases = {
+        json.dumps({"gram": gram, "basis": v_rows}): "'basis' needs an 'ambient' field",
+        json.dumps({"gram": gram, "ambient": 3, "basis": v_rows}):
+            "'ambient' must be a string",
+        json.dumps({"gram": gram, "ambient": ["V"]}): "'ambient' must be a string",
+        json.dumps({"gram": gram, "ambient": "V", "basis": [[1, 0]]}):
+            "basis must have one row per rank",
+        json.dumps({"gram": gram, "ambient": "E8", "basis": [0, 1]}):
+            "basis must be an array of arrays",
+        json.dumps({"gram": gram, "ambient": "V", "basis": [[True, 0], [0, 1]]}):
+            "boolean is not a matrix entry",
+        json.dumps({"gram": gram, "ambient": "V", "basis": [[1, 0], [0, 1]]}):
+            "basis rows must match the rank of V",
+        json.dumps({"gram": [[0, 2], [2, 0]], "ambient": "V", "basis": v_rows}):
+            "basis does not induce the gram matrix",
+    }
+    for text, message in cases.items():
+        with pytest.raises(lattice_io.LatticeFileError) as err:
+            lattice_io.loads(text, "f.lattice")
+        assert str(err.value) == f"f.lattice: {message}", text
 
 
 def test_json_position_in_parse_error(tmp_path):

@@ -336,6 +336,58 @@ def test_disc_group_reduces_the_gram_without_a_companion(monkeypatch):
     assert form == reference_discriminant_group(l)
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_grams().filter(lambda g: exact.det(g) != 0))
+def test_disc_group_of_drawn_grams_equals_the_reference(g):
+    l = lat.lattice(g)
+    assert lat.discriminant_group(l) == reference_discriminant_group(l)
+
+
+def _pivots(l):
+    h = exact.hermite_row_basis(l.gram)
+    return [row[i] for i, row in enumerate(h)]
+
+
+@pytest.mark.parametrize("name", ["U_E8_E6", "Lambda(3)", "Lp(17)", "L_sat"])
+def test_disc_group_with_interleaved_unit_pivots_equals_the_reference(name):
+    # a unit pivot after the first non-unit one stays in the Smith form's
+    # input; only the leading run of unit pivots is split off
+    l = glue.build_named(name)
+    pivots = _pivots(l)
+    k = next(i for i, p in enumerate(pivots) if p != 1)
+    assert 1 in pivots[k:]
+    assert lat.discriminant_group(l) == reference_discriminant_group(l)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [glue.n1_lattice, lambda: lat.root_lattice("E", 8), lambda: lat.root_lattice("A", 3)],
+    ids=["N1", "E8", "A3"],
+)
+def test_disc_group_takes_the_smith_form_of_the_hermite_tail(build, monkeypatch):
+    l = build()
+    pivots = _pivots(l)
+    k = next((i for i, p in enumerate(pivots) if p != 1), l.rank)
+    want = reference_discriminant_group(l)
+    shapes = []
+    smith = exact.smith_normal_form
+
+    def spy(m):
+        shapes.append((len(m), len(m[0]) if m else 0))
+        return smith(m)
+
+    def no_det(*args):
+        raise AssertionError("discriminant_group took a determinant")
+
+    monkeypatch.setattr(exact, "smith_normal_form", spy)
+    monkeypatch.setattr(exact, "det", no_det)
+    monkeypatch.setattr(lat.Lattice, "det", no_det)
+    form = lat.discriminant_group(l)
+    monkeypatch.undo()
+    assert shapes == [(l.rank - k, l.rank - k)]
+    assert form == want
+
+
 def test_disc_group_exponent_and_numerators():
     a1a2 = lat.direct_sum(lat.root_lattice("A", 1), lat.root_lattice("A", 2))
     form = lat.discriminant_group(a1a2)
