@@ -4,19 +4,21 @@ Matrices are plain sequences of rows.  Every routine works with Python's
 arbitrary-precision integers or with ``fractions.Fraction``; nothing in this
 package ever touches floating point.  The eliminations on integer matrices
 are fraction-free: ``det`` (Bareiss), ``_hermite`` behind the Smith form,
-kernels and Hermite bases, and the symmetric ``ldl``, whose working entries
-are bordered minors det(m[P+r, P+s]) over the pivot set P taken so far, so
-that only its returned pivots and multipliers are rational.  ``solve``
-clears the denominators of each row and runs the same fraction-free
-elimination in Gauss-Jordan form; a ``Fraction`` is made only for the
-solution it returns.  In ``det``, ``ldl`` and ``solve`` a row whose entry in
-the pivot column is zero is not touched: each row keeps as its own divisor
-the pivot it was last reduced by, and is scaled up to the current pivot
-only when it becomes the pivot row.  ``det`` alone also reorders: it takes
-rows and columns in one symmetric order, sparsest rows first, so that the
-sparse intersection matrices fill in little; ``ldl`` and ``solve`` keep
-their pivot order, which their callers read.  ``matmul`` adds up rows of
-its right factor, so the zeros of sparse bases cost nothing.
+kernels, Hermite bases and ``solve``, and the symmetric ``ldl``, whose
+working entries are bordered minors det(m[P+r, P+s]) over the pivot set P
+taken so far, so that only its returned pivots and multipliers are
+rational.  A rational vector is written one way, by ``numerators``, as
+integers over one positive denominator.  ``solve`` writes each augmented
+row so, takes the Hermite basis of those rows and back-substitutes in
+integers; a ``Fraction`` is made only for the solution it returns.  In
+``det`` and ``ldl`` a row whose entry in the pivot column is zero is not
+touched: each row keeps as its own divisor the pivot it was last reduced
+by, and is scaled up to the current pivot only when it becomes the pivot
+row.  ``det`` alone also reorders: it takes rows and columns in one
+symmetric order, sparsest rows first, so that the sparse intersection
+matrices fill in little; ``ldl`` keeps its pivot order, which its callers
+read.  ``matmul`` adds up rows of its right factor, so the zeros of sparse
+bases cost nothing.
 ``box_vectors`` is the one coefficient-box enumerator: it yields only the
 points of the wanted norms, solving for the last coordinate in closed form.
 ``_hermite`` updates a row from the pivot column on, because the rows still
@@ -38,7 +40,7 @@ arguments, so values can be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -375,68 +377,49 @@ def signature(m: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     return pos, len(pivots) - pos - neg, neg
 
 
+def numerators(v: Sequence) -> tuple[IntVector, int]:
+    """v, of integers or ``Fraction``s, as integer numerators over one
+    positive denominator, the lcm of the entries' denominators."""
+    if all(type(x) is int for x in v):
+        return list(v), 1
+    den = lcm(*[x.denominator for x in v])
+    return [x.numerator * (den // x.denominator) for x in v], den
+
+
 def solve(a: Sequence[Sequence], b: Sequence) -> RatVector | None:
     """Exact solution of a*x = b, or None when the system is inconsistent.
 
     Underdetermined systems return one particular solution (free variables
     set to zero).  Entries may be integers or ``Fraction``s.
 
-    Each row of the augmented matrix is multiplied by the lcm of its
-    denominators, and fraction-free Gauss-Jordan elimination (Bareiss 1968)
-    takes the first nonzero entry of each column as its pivot, as
-    elimination over Q does, so the pivot columns and the solution are the
-    same.  A pivot p scales every other row by p over the previous pivot d
-    and clears it in the pivot column; by Sylvester's identity the division
-    by d is exact.  Left of the pivot column the pivot row is zero, so
-    those columns would only be scaled and are left alone: at the end each
-    pivot row stands for d_last * x_c = its last entry.  The scaling of a
-    row whose entry in the pivot column is zero is deferred: the row keeps
-    the pivot it was last reduced with as its own divisor l, its true
-    entries are its stored ones times d/l, and a reduced row is
-    (p*x - f*y) // l; so x_c is its stored last entry over l.
+    The augmented rows [row | rhs], written as integer numerators, span the
+    same row space over Q as their Hermite basis, and the pivot columns of
+    an echelon form depend on that space alone, so they are those of
+    elimination over Q and the solution is the same.  A pivot in b's column
+    makes the system inconsistent.  Otherwise the pivot rows are solved
+    from the last one up in integers: x is kept as numerators over one
+    running denominator, which each pivot multiplies by only the factor
+    that its row's numerator does not cancel.
     """
-    rows = len(a)
-    if rows != len(b):
+    if len(a) != len(b):
         raise ValueError("dimension mismatch in solve")
     cols = _width(a)
-    aug = []
-    for row, rhs in zip(a, b):
-        entries = [*row, rhs]
-        if not all(type(x) is int for x in entries):
-            entries = [x if type(x) is int else Fraction(x) for x in entries]
-            den = lcm(*[x.denominator for x in entries])
-            entries = [x.numerator * (den // x.denominator) for x in entries]
-        aug.append(entries)
-    pivot_cols: list[int] = []
-    level = [1] * rows  # level[i]: the d row i was last reduced with
-    d = 1
-    for c in range(cols):
-        r = len(pivot_cols)
-        if r == rows:
-            break
-        piv = next((i for i in range(r, rows) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        level[r], level[piv] = level[piv], level[r]
-        prow = aug[r]
-        if level[r] != d:  # bring the pivot row up to date
-            prow[c:] = [x * d // level[r] for x in prow[c:]]
-        p = prow[c]
-        tail = prow[c:]
-        for i, row in enumerate(aug):
-            f = row[c]
-            if f and i != r:
-                row[c:] = [(p * x - f * y) // level[i] for x, y in zip(row[c:], tail)]
-                level[i] = p
-        level[r] = d = p
-        pivot_cols.append(c)
-    if any(row[cols] for row in aug[len(pivot_cols) :]):
+    h = hermite_row_basis([numerators([*row, rhs])[0] for row, rhs in zip(a, b)])
+    if h and not any(h[-1][:cols]):
         return None
-    x = [Fraction(0)] * cols
-    for row, c, l in zip(aug, pivot_cols, level):
-        x[c] = Fraction(row[cols], l)  # the true row is d/l times the stored one
-    return x
+    x = [0] * cols  # the solution is x / den
+    den = 1
+    for row in reversed(h):
+        c = next(j for j, t in enumerate(row) if t)
+        # row[c] x_c = row[cols] - row[c+1:cols] . x[c+1:], all over den
+        num = row[cols] * den - sum(map(mul, row[c + 1 : cols], x[c + 1 :]))
+        g = gcd(num, row[c])
+        p = row[c] // g
+        if p != 1:
+            x = [t * p for t in x]
+            den *= p
+        x[c] = num // g
+    return [Fraction(t, den) for t in x]
 
 
 def hermite_row_basis(rows: Sequence[Sequence[int]]) -> list[IntVector]:

@@ -102,16 +102,16 @@ def adjoin_ambient_vectors(base: Lattice, vectors: Sequence[Sequence[Fraction]])
     result must be even."""
     specs = []
     for w in vectors:
-        fr = [Fraction(x) for x in w]
-        den = lcm(*(x.denominator for x in fr))
-        if den == 1:
-            continue
-        specs.append(GlueSpec(tuple(int(x * den) for x in fr), den))
+        nums, den = exact.numerators(w)
+        if den > 1:
+            specs.append(GlueSpec(tuple(nums), den))
     return adjoin(base, specs)
 
 
 def glue_index(overlattice: Lattice) -> int:
     """Index of the base frame inside the adjoined lattice."""
+    if overlattice.ambient is None:
+        raise ValueError("lattice has no recorded ambient frame")
     base = overlattice.ambient.ambient
     return exact.isqrt_exact(base.det() // overlattice.det())
 
@@ -283,13 +283,7 @@ def kummer_lattice() -> Lattice:
     """Rank-16 lattice of sixteen (-2)-classes indexed by (Z/2Z)^4, glued by
     half-sums over all cosets of index-2 subgroups; discriminant 64."""
     base = direct_sum(*[root_lattice("A", 1)] * 16)
-    elements = [
-        (a, b, c, d)
-        for a in range(2)
-        for b in range(2)
-        for c in range(2)
-        for d in range(2)
-    ]
+    elements = [(0, 0, 0, 0), *NONZERO16]
     glue = []
     for phi in NONZERO16:
         for value in (0, 1):
@@ -396,14 +390,13 @@ def _l2_torsion_class(frame: Lattice, component: int, zero_fibers: range) -> lis
     fiber once, missing O and s, meeting reduced component ``component`` of
     the star fiber and the identity component of the fibers in
     ``zero_fibers`` (so pairing 0 there, 1 at the other six)."""
-    n = frame.rank
-    target = [Fraction(0)] * n
-    target[0] = Fraction(1)  # fiber degree
-    target[2 + component] = Fraction(1)
+    target = [0] * frame.rank
+    target[0] = 1  # fiber degree
+    target[2 + component] = 1
     for i in range(9):
         if i not in zero_fibers:
-            target[6 + i] = Fraction(1)
-    x = exact.solve([list(r) for r in frame.gram], target)
+            target[6 + i] = 1
+    x = exact.solve(frame.gram, target)
     if x is None:
         raise GlueError("torsion-class incidence system is infeasible")
     if frame.norm(x) != -2:

@@ -181,13 +181,12 @@ def genus_uniqueness_applicable(l: Lattice) -> bool:
 
 
 def complement_genus_in_unimodular(
-    l: Lattice, ambient_signature: tuple[int, int] = (3, 19)
+    l: Lattice,
 ) -> tuple[tuple[int, int], FiniteQuadraticForm]:
     """Signature and discriminant form that any primitive complement of l in
-    an even unimodular lattice of the given signature must have."""
+    the even unimodular lattice of signature (3,19) must have."""
     p, n = l.signature_pair()
-    ap, an = ambient_signature
-    return (ap - p, an - n), discriminant_group(l).negate()
+    return (3 - p, 19 - n), discriminant_group(l).negate()
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,8 @@ class Lattice:
         """Bilinear form of two vectors given in this lattice's basis.  A
         rational vector is written once as integer numerators over one
         denominator, so the sums run in integers."""
-        nv, dv = _numerators(v)
-        nw, dw = (nv, dv) if w is v else _numerators(w)
+        nv, dv = exact.numerators(v)
+        nw, dw = (nv, dv) if w is v else exact.numerators(w)
         return Fraction(exact.dot(nv, exact.mat_vec(self.gram, nw)), dv * dw)
 
     def norm(self, v: Sequence) -> Fraction:
@@ -112,17 +112,6 @@ class Lattice:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = self.name or "lattice"
         return f"<{label}: rank {self.rank}, det {self.det()}>"
-
-
-def _numerators(v: Sequence) -> tuple[Sequence[int], int]:
-    """v as integer numerators over one positive denominator."""
-    if all(type(x) is int for x in v):
-        return v, 1
-    fracs = [Fraction(x) for x in v]
-    den = 1
-    for x in fracs:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return [x.numerator * (den // x.denominator) for x in fracs], den
 
 
 @lru_cache(maxsize=None)
@@ -250,10 +239,7 @@ class FiniteQuadraticForm:
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return prod(self.invariant_factors)
 
     def elements(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(*(range(d) for d in self.invariant_factors))
@@ -424,7 +410,7 @@ def contains_ambient(l: Lattice, w: Sequence) -> bool:
     e = l.ambient
     if len(w) != e.ambient.rank:
         raise ValueError("vector length does not match the ambient rank")
-    nums, den = _numerators(w)
+    nums, den = exact.numerators(w)
     v = [x * e.denominator for x in nums]
     if any(x % den for x in v):
         return False
@@ -440,14 +426,17 @@ def contains_ambient(l: Lattice, w: Sequence) -> bool:
 
 def divisibility(l: Lattice, w: Sequence) -> int:
     """gcd of the pairings of w with all of l.  w is in l's frame: ambient
-    coordinates when l records an ambient, else l's own basis."""
+    coordinates when l records an ambient, else l's own basis.  With w the
+    integers over den and l's basis rows over the embedding's denominator D
+    (1 without an ambient), every pairing is an integer over den * D."""
+    nums, den = exact.numerators(w)
     e = l.ambient
     if e is None:
-        pairings = [Fraction(x) for x in exact.mat_vec(l.gram, w)]
+        pairings = exact.mat_vec(l.gram, nums)
     else:
-        gw = exact.mat_vec(e.ambient.gram, w)
-        pairings = [Fraction(exact.dot(row, gw), e.denominator) for row in e.basis]
-    if any(p.denominator != 1 for p in pairings):
+        pairings = exact.mat_vec(e.basis, exact.mat_vec(e.ambient.gram, nums))
+        den *= e.denominator
+    if any(p % den for p in pairings):
         raise ValueError("vector does not pair integrally with the lattice")
-    return gcd(*(int(p) for p in pairings))
+    return gcd(*pairings) // den
 

@@ -6,10 +6,10 @@ ambient lattice) and ``basis`` (array of arrays of integers, rows being the
 basis vectors in ambient coordinates).  Integers that do not fit in 64 bits
 are serialized as decimal strings; the loader accepts both forms.  The
 ``ambient`` is a string, and a ``basis`` needs one and has one row per rank.
-When ``ambient`` names a lattice of ``glue.NAMED_BUILDERS``, that lattice is
-rebuilt and the loaded lattice records it as its ambient, after the
-``Lattice`` constructor has checked that the basis induces the Gram matrix.
-Other ambient names are read but not attached.
+When ``glue.build_named`` builds the lattice that ``ambient`` names (``V``,
+``L2``, ``Lambda(3)``, ``Lp(17)``, ...), the loaded lattice records it as its
+ambient, after the ``Lattice`` constructor has checked that the basis
+induces the Gram matrix.  Names it rejects are read but not attached.
 
 A corpus of named lattice files ships in the package ``data`` directory.
 """
@@ -89,9 +89,10 @@ def loads(text: str, path: str = "<string>") -> Lattice:
     basis = decode_matrix(doc["basis"], path, "basis")
     if len(basis) != n:
         raise LatticeFileError(f"{path}: basis must have one row per rank")
-    if ambient not in glue.NAMED_BUILDERS:
+    try:
+        frame = glue.build_named(ambient)
+    except ValueError:  # a GlueError, or a parameter that is not an integer
         return l
-    frame = glue.NAMED_BUILDERS[ambient]()
     if any(len(row) != frame.rank for row in basis):
         raise LatticeFileError(f"{path}: basis rows must match the rank of {ambient}")
     try:

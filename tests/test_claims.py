@@ -211,6 +211,25 @@ def test_saved_embedding_reloads_with_its_ambient():
     assert e8.ambient is None
 
 
+def test_saved_embedding_in_a_parameterized_ambient_reloads_with_it():
+    # the primitive copy of Lp(17) in Lambda(3) that claim Lp.embeds checks
+    rows = [[1 if j == i else 0 for j in range(6)] for i in range(4)]
+    rows.append([0, 0, 0, 0, 1, 34])
+    emb = lat.sublattice(glue.build_named("Lambda(3)"), rows)
+    back = lattice_io.loads(lattice_io.dumps(emb))
+    assert back == emb and back.gram == glue.build_named("Lp(17)").gram
+    assert back.ambient.ambient == emb.ambient.ambient
+    assert back.ambient.ambient.name == "Lambda(3)"
+    assert back.ambient.basis == emb.ambient.basis
+    assert lat.is_primitive(back)
+    got, want = ke.transcendental_of(back), ke.transcendental_of(emb)
+    assert got == want and got.ambient.basis == want.ambient.basis
+    # a parameter build_named cannot read leaves the ambient unattached
+    for name in ("Lambda(x)", "Lambda(0)"):
+        text = lattice_io.dumps(emb).replace('"Lambda(3)"', f'"{name}"')
+        assert lattice_io.loads(text).ambient is None, name
+
+
 def test_malformed_embedding_messages():
     gram = [[0, 1], [1, 0]]
     v_rows = [[1, 0] + [0] * 20, [0, 1] + [0] * 20]

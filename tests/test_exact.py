@@ -7,7 +7,7 @@ polynomial computed by division-free Faddeev-LeVerrier.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,9 +114,10 @@ def naive_ldl(m):
 
 
 def naive_solve(a, b):
-    """The ``Fraction`` elimination that ``exact.solve`` replaced: Gauss-Jordan
-    over Q with the first nonzero entry of each column as pivot and the free
-    variables set to zero; oracle for the fraction-free elimination."""
+    """Gauss-Jordan elimination over Q in ``Fraction``s, with the first
+    nonzero entry of each column as pivot and the free variables set to
+    zero; the rational oracle for ``exact.solve``, which reads the Hermite
+    basis, and for ``lattice.contains_ambient`` in test_lattice."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
     aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
@@ -197,8 +198,10 @@ def eager_ldl(m):
 
 
 def eager_solve(a, b):
-    """``exact.solve`` as it was before the per-row divisor: every row whose
-    entry in the pivot column is zero is rescaled by p/d at once."""
+    """Fraction-free Gauss-Jordan elimination (Bareiss), in which every row
+    whose entry in the pivot column is zero is rescaled by p/d at once; an
+    integer oracle for ``exact.solve``, which no longer eliminates on its
+    own but reads the Hermite basis."""
     rows, cols = len(a), len(a[0]) if a else 0
     aug = []
     for row, rhs in zip(a, b):
@@ -847,6 +850,17 @@ def test_solve_matches_the_fraction_elimination(system):
 def test_solve_equals_the_eager_elimination(system):
     a, b = system
     assert exact.solve(a, b) == eager_solve(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(-50, 50), st.fractions(max_denominator=40))))
+def test_numerators_round_trip(v):
+    ints, den = exact.numerators(v)
+    assert all(type(x) is int for x in ints) and type(den) is int
+    assert den > 0 and den == lcm(*(Fraction(x).denominator for x in v))
+    assert [Fraction(n, den) for n in ints] == [Fraction(x) for x in v]
+    as_ints = [int(x) for x in v if Fraction(x).denominator == 1]
+    assert exact.numerators(as_ints) == (as_ints, 1)
 
 
 def test_solve_examples_with_fractions():

@@ -271,6 +271,11 @@ def test_l2_frame_index_four():
     assert l2.ambient.ambient.det() == -192 * 16
 
 
+def test_glue_index_needs_a_recorded_frame():
+    with pytest.raises(ValueError, match="no recorded ambient frame"):
+        glue.glue_index(lat.hyperbolic())
+
+
 def test_degree_frame_sits_in_n1_with_index_two():
     # <6> + M16 has determinant -768; N1 contains it with index 2
     six_m16 = lat.direct_sum(lat.rank_one(6), glue.build_named("M16"))

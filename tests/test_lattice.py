@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import k3lattice.lattice as lat
 from k3lattice import exact, glue
+from test_exact import naive_solve
 
 
 def unit_rows(indices, width):
@@ -515,6 +516,54 @@ def test_divisibility_reads_vectors_in_the_ambient_frame():
         lat.is_primitive(l)
 
 
+def fraction_divisibility(l, w):
+    """lattice.divisibility as it was, with every pairing a Fraction."""
+    e = l.ambient
+    if e is None:
+        pairings = [Fraction(x) for x in exact.mat_vec(l.gram, w)]
+    else:
+        gw = exact.mat_vec(e.ambient.gram, w)
+        pairings = [Fraction(exact.dot(row, gw), e.denominator) for row in e.basis]
+    if any(p.denominator != 1 for p in pairings):
+        raise ValueError("vector does not pair integrally with the lattice")
+    return gcd(*(int(p) for p in pairings))
+
+
+@st.composite
+def embedded_lattices_and_vectors(draw):
+    """A lattice spanned by integer rows B over a denominator D in an ambient
+    with Gram D^2 G (so B G B^T is its Gram), or, without an ambient, a
+    Gram of its own; and a rational vector in its frame."""
+    n = draw(st.integers(1, 5))
+    entries = st.integers(-4, 4)
+    g = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    g = [[g[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    w = draw(st.lists(
+        st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4])),
+        min_size=n, max_size=n,
+    ))
+    if draw(st.booleans()):
+        return lat.lattice(g), w
+    d = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=n))
+    gram = exact.matmul(exact.matmul(rows, g), exact.transpose(rows))
+    ambient = lat.lattice([[d * d * x for x in row] for row in g])
+    return lat.lattice(gram, None, lat.make_embedding(ambient, rows, d)), w
+
+
+@settings(max_examples=400, deadline=None)
+@given(embedded_lattices_and_vectors())
+def test_divisibility_equals_the_fraction_version(case):
+    l, w = case
+    try:
+        want = fraction_divisibility(l, w)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=str(err)):
+            lat.divisibility(l, w)
+    else:
+        assert lat.divisibility(l, w) == want
+
+
 def test_ambient_round_trip():
     e8 = lat.root_lattice("E", 8)
     comp = lat.orthogonal_complement(e8, unit_rows([0, 1, 2, 3, 4, 6], 8))
@@ -533,9 +582,11 @@ def test_ambient_round_trip():
 
 
 def solve_contains(l, w):
-    """Membership read off the rational coordinates of w in l's basis."""
+    """Membership read off the rational coordinates of w in l's basis, by
+    the tests' own Fraction elimination, which shares no code with the
+    Hermite basis that contains_ambient reduces against."""
     e = l.ambient
-    coords = exact.solve(exact.transpose(e.basis), w)
+    coords = naive_solve(exact.transpose(e.basis), w)
     return coords is not None and all(
         (c * e.denominator).denominator == 1 for c in coords
     )

@@ -121,9 +121,10 @@ def _function(module: str, name: str) -> ast.FunctionDef:
 
 
 def test_ldl_eliminates_in_integers():
-    # exact.det, exact.ldl and exact.solve divide only exactly (//), by
-    # Sylvester's identity; a true division would bring the Fraction
-    # elimination back
+    # exact.det and exact.ldl divide only exactly (//), by Sylvester's
+    # identity, and exact.solve, which reads the Hermite basis and no
+    # longer runs Bareiss elimination, divides only exactly as well; a true
+    # division would bring the Fraction elimination back
     for name in ("det", "ldl", "solve"):
         found = [
             node.lineno
@@ -237,3 +238,20 @@ def test_loads_builds_the_lattice_once():
     # constructor; lattice.lattice would convert and check every entry again
     assert "lattice" not in _called_names(_function("lattice_io.py", "loads"))
     assert "Lattice" in _called_names(_function("lattice_io.py", "loads"))
+
+
+def _names(fn: ast.AST) -> set[str]:
+    return {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+
+
+def test_one_hermite_elimination_and_one_rational_vector_conversion():
+    # exact.solve reads the Hermite basis instead of running an elimination
+    # with per-row divisors of its own, and exact.numerators is the one
+    # place that writes a rational vector as integers over one denominator
+    solve = _function("exact.py", "solve")
+    assert "hermite_row_basis" in _called_names(solve)
+    assert "level" not in _names(solve)
+    lattice = importlib.import_module("k3lattice.lattice")
+    assert not hasattr(lattice, "_numerators")
+    assert "Fraction" not in _names(_function("lattice.py", "divisibility"))
+    assert "numerators" in _called_names(_function("glue.py", "adjoin_ambient_vectors"))
