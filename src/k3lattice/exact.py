@@ -17,8 +17,14 @@ by, and is scaled up to the current pivot only when it becomes the pivot
 row.  ``det`` alone also reorders: it takes rows and columns in one
 symmetric order, sparsest rows first, so that the sparse intersection
 matrices fill in little; ``ldl`` keeps its pivot order, which its callers
-read.  ``matmul`` adds up rows of its right factor, so the zeros of sparse
-bases cost nothing.
+read.  ``det`` first gathers a diagonal block, the rows in that order with
+a nonzero diagonal entry that meet no row gathered before them, and
+eliminates all its pivots in one Schur step, applying block rows that agree
+off the block once; the elimination then goes on from the state that the
+block's pivots, taken one by one, would have left.  The 6n mutually
+orthogonal fiber components of a table-1 matrix are such a block.
+``matmul`` adds up rows of its right factor, so the zeros of sparse bases
+cost nothing.
 ``box_vectors`` is the one coefficient-box enumerator: it yields only the
 points of the wanted norms, solving for the last coordinate in closed form.
 ``_hermite`` updates a row from the pivot column on, because the rows still
@@ -40,7 +46,7 @@ arguments, so values can be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -129,19 +135,68 @@ def det(m: Sequence[Sequence[int]]) -> int:
 
     Rows and columns are taken in one symmetric order, the rows with the
     fewest nonzeros first (Tinney-Walker 1967, scheme 1), which leaves the
-    determinant unchanged and keeps the fill-in small.  A row whose entry in
-    the pivot column is zero is left untouched: each row keeps the pivot it
-    was last reduced by as its own divisor l, its true entries are its stored
-    ones times d/l for the last pivot d, and a reduced row is
-    (p*x - f*y) // l, exact by Sylvester's identity.
+    determinant unchanged and keeps the fill-in small.  The rows of a
+    diagonal block B come first (``_diagonal_block``), and their pivots
+    delta_i are eliminated in one Schur step: with c the lcm of the delta_i,
+    each remaining row j becomes c*m[j] - sum_i (c/delta_i)*m[j][i]*m[i] on
+    the remaining columns, c times its row of the Schur complement S, as a
+    sum of scaled block rows, so zeros cost nothing.  Block rows with the
+    same delta_i and the same entries on the remaining columns are applied
+    once, by the sum of their columns.  Eliminating B pivot by pivot would
+    leave the divisor det m[B, B] = prod(delta_i) and the bordered minors
+    prod(delta_i)*S as entries, so the elimination goes on from there, each
+    row stored over c.  From there a row whose entry in the pivot column is
+    zero is left untouched: each row keeps the pivot it was last reduced by
+    as its own divisor l, its true entries are its stored ones times d/l
+    for the last pivot d, and a reduced row is (p*x - f*y) // l, exact by
+    Sylvester's identity.  The last pivot is the determinant; with an empty
+    block this is the plain elimination.
     """
     n = require_square(m)
     _require_integers(m, "det")
     order = sorted(range(n), key=lambda i: n - m[i].count(0))
-    a = [[m[i][j] for j in order] for i in order]
-    level = [1] * n  # level[i]: the pivot row i was last reduced by
+    block = _diagonal_block(m, order)
+    inside = set(block)
+    rest = [i for i in order if i not in inside]
+    rows = [m[j] for j in rest]
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for i in block:
+        key = (m[i][i], *[m[i][k] for k in rest])
+        col = [row[i] for row in rows]
+        acc = classes.get(key)
+        classes[key] = col if acc is None else [x + y for x, y in zip(acc, col)]
+    c = lcm(*[key[0] for key in classes])
+    terms = [(col, [c // delta * y for y in brow]) for (delta, *brow), col in classes.items()]
+    a = []
+    for pos, row in enumerate(rows):
+        t = [c * row[k] for k in rest]
+        for col, brow in terms:
+            f = col[pos]
+            if f:
+                t = [x - f * y for x, y in zip(t, brow)]
+        a.append(t)
+    return _bareiss(a, prod([m[i][i] for i in block]), [c] * len(a))
+
+
+def _diagonal_block(m: Sequence[Sequence[int]], order: Sequence[int]) -> list[int]:
+    """The rows i, in ``order``, with m[i][i] != 0 whose row and column have
+    no nonzero in a row or column taken before them, so that m restricted
+    to them is diagonal."""
+    taken: list[int] = []
+    for i in order:
+        if m[i][i] and not any(m[i][j] or m[j][i] for j in taken):
+            taken.append(i)
+    return taken
+
+
+def _bareiss(a: IntMatrix, d: int, level: list[int]) -> int:
+    """Resume the sparse fraction-free elimination that ``det`` describes on
+    a state with divisor d and row i stored over level[i], in place, and
+    return its last pivot with the sign of its row swaps: det(x) / d^(n-1)
+    for the n-square x whose row i is a[i] * d / level[i] (d when n = 0).
+    With d = 1 and every level 1 that is det(a)."""
+    n = len(a)
     sign = 1
-    d = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:

@@ -58,11 +58,41 @@ def adjoin(
     glue vectors; with ``require_even`` each glue vector must also have even
     self-intersection.  The result carries an embedding into ``base`` whose
     determinant is det(base) divided by the square of the index.
+
+    A lattice is integral, or even, exactly when the Gram matrix of one of
+    its bases is, so both are checked once, on the result's Gram matrix;
+    only when a check fails do the per-vector checks run, in the order
+    ``_glue_fault`` gives, to name the fault.
     """
     n = base.rank
     for g in glue:
         if len(g.vector) != n:
             raise GlueError("glue vector has wrong length")
+    scale = lcm(*(g.denominator for g in glue))
+    rows = [[scale if i == j else 0 for j in range(n)] for i in range(n)]
+    for g in glue:
+        rows.append([x * (scale // g.denominator) for x in g.vector])
+    basis = exact.hermite_row_basis(rows)
+    # lowest terms: the result contains the base, so this only cancels
+    # denominators that the glue did not need
+    common = gcd(scale, *itertools.chain.from_iterable(basis))
+    basis = [[x // common for x in row] for row in basis]
+    scale //= common
+    gram = exact.matmul(exact.matmul(basis, base.gram), exact.transpose(basis))
+    if any(x % scale**2 for row in gram for x in row):
+        _glue_fault(base, glue, require_even)
+        raise GlueError("glue vectors do not close up to an integral lattice")
+    gram = [[x // scale**2 for x in row] for row in gram]
+    result = Lattice._formed(gram, None, make_embedding(base, basis, scale))
+    if require_even and not result.is_even():
+        _glue_fault(base, glue, require_even)
+        raise GlueError("resulting overlattice is not even")
+    return result
+
+
+def _glue_fault(base: Lattice, glue: Sequence[GlueSpec], require_even: bool) -> None:
+    """Raise the GlueError that names the first glue vector, or pair, at
+    fault: a pairing with the base, then with the glue, then an odd norm."""
     # v/d pairs integrally with the base iff d divides every entry of G v
     products = [exact.mat_vec(base.gram, g.vector) for g in glue]
     for g, gv in zip(glue, products):
@@ -76,25 +106,6 @@ def adjoin(
             norm = exact.dot(g.vector, gv) // g.denominator**2
             if norm % 2:
                 raise GlueError(f"glue vector {g.vector}/{g.denominator} has odd norm {norm}")
-
-    scale = lcm(*(g.denominator for g in glue))
-    rows = [[scale if i == j else 0 for j in range(n)] for i in range(n)]
-    for g in glue:
-        rows.append([x * (scale // g.denominator) for x in g.vector])
-    basis = exact.hermite_row_basis(rows)
-    # lowest terms: the result contains the base, so this only cancels
-    # denominators that the glue did not need
-    common = gcd(scale, *itertools.chain.from_iterable(basis))
-    basis = [[x // common for x in row] for row in basis]
-    scale //= common
-    gram = exact.matmul(exact.matmul(basis, base.gram), exact.transpose(basis))
-    if any(x % scale**2 for row in gram for x in row):
-        raise GlueError("glue vectors do not close up to an integral lattice")
-    gram = [[x // scale**2 for x in row] for row in gram]
-    result = Lattice._formed(gram, None, make_embedding(base, basis, scale))
-    if require_even and not result.is_even():
-        raise GlueError("resulting overlattice is not even")
-    return result
 
 
 def adjoin_ambient_vectors(base: Lattice, vectors: Sequence[Sequence[Fraction]]) -> Lattice:
@@ -491,11 +502,20 @@ def build_named(name: str) -> Lattice:
         raise GlueError(f"unknown lattice name {name!r}")
     head, args = m.group(1), [a.strip() for a in m.group(2).split(",")]
     if head == "Lambda" and len(args) == 1:
-        return lambda_lattice(int(args[0]))
+        return lambda_lattice(_int_param(args[0], name))
     if head == "Lp" and len(args) == 1:
-        return lp_lattice(int(args[0]))
+        return lp_lattice(_int_param(args[0], name))
     if head == "Np" and len(args) == 2:
-        return np_lattice(int(args[0]), int(args[1]))
+        return np_lattice(_int_param(args[0], name), _int_param(args[1], name))
     if head == "L_d" and len(args) == 2:
-        return ld_lattice(int(args[0]), args[1])
+        return ld_lattice(_int_param(args[0], name), args[1])
     raise GlueError(f"unknown lattice name {name!r}")
+
+
+def _int_param(arg: str, name: str) -> int:
+    """An integer parameter of a named lattice; any other text makes the
+    name unknown."""
+    try:
+        return int(arg)
+    except ValueError:
+        raise GlueError(f"unknown lattice name {name!r}") from None

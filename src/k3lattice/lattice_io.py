@@ -10,6 +10,8 @@ When ``glue.build_named`` builds the lattice that ``ambient`` names (``V``,
 ``L2``, ``Lambda(3)``, ``Lp(17)``, ...), the loaded lattice records it as its
 ambient, after the ``Lattice`` constructor has checked that the basis
 induces the Gram matrix.  Names it rejects are read but not attached.
+``dumps`` writes ``ambient`` and ``basis`` only when that name rebuilds the
+very frame of the embedding, so a file the CLI writes reads back.
 
 A corpus of named lattice files ships in the package ``data`` directory.
 """
@@ -91,7 +93,7 @@ def loads(text: str, path: str = "<string>") -> Lattice:
         raise LatticeFileError(f"{path}: basis must have one row per rank")
     try:
         frame = glue.build_named(ambient)
-    except ValueError:  # a GlueError, or a parameter that is not an integer
+    except glue.GlueError:
         return l
     if any(len(row) != frame.rank for row in basis):
         raise LatticeFileError(f"{path}: basis rows must match the rank of {ambient}")
@@ -111,16 +113,28 @@ def load_lattice(path: str | Path) -> Lattice:
 
 
 def dumps(l: Lattice) -> str:
+    """The lattice file of ``l``.  Its ``ambient`` and ``basis`` are written
+    only for an integral embedding whose ambient ``glue.build_named``
+    rebuilds from its name with the same Gram matrix, so that ``loads``
+    attaches the frame that was written and no other."""
     doc: dict = {
         "name": l.name,
         "gram": [[_encode_int(x) for x in row] for row in l.gram],
     }
-    if l.ambient is not None:
-        name = l.ambient.ambient.name
-        if name and l.ambient.denominator == 1:
-            doc["ambient"] = name
-            doc["basis"] = [[_encode_int(x) for x in row] for row in l.ambient.basis]
+    e = l.ambient
+    if e is not None and e.denominator == 1 and _is_named_frame(e.ambient):
+        doc["ambient"] = e.ambient.name
+        doc["basis"] = [[_encode_int(x) for x in row] for row in e.basis]
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def _is_named_frame(frame: Lattice) -> bool:
+    if not frame.name:
+        return False
+    try:
+        return glue.build_named(frame.name).gram == frame.gram
+    except glue.GlueError:
+        return False
 
 
 def save_lattice(l: Lattice, path: str | Path) -> None:

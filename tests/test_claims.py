@@ -344,6 +344,30 @@ def test_cli_lattice_ops(tmp_path, capsys):
         assert cli.main(["lattice", "op", op, str(base), "--sub", str(sub)]) == 2
         assert "sublattice rows do not match the ambient rank" in capsys.readouterr().err
 
+    # an input whose name build_named does not rebuild (UU, or Lambda(3)
+    # over the matrix of U + U) is no frame for the output file: it is
+    # written without one and reads back
+    for name in ("UU", "Lambda(3)"):
+        lattice_io.save_lattice(uu.rename(name), base)
+        sub.write_text("[[1, 0, 0, 0], [0, 1, 0, 0]]")
+        for op in ("complement", "saturation"):
+            assert cli.main(
+                ["lattice", "op", op, str(base), "--sub", str(sub), "--out", str(out)]
+            ) == 0
+            assert "ambient" not in json.loads(out.read_text()), (name, op)
+            capsys.readouterr()
+            assert cli.main(["lattice", "info", str(out)]) == 0, (name, op)
+            assert "rank:       2" in capsys.readouterr().out
+    # an embedding into a lattice that build_named rebuilds keeps its frame
+    lam3 = glue.build_named("Lambda(3)")
+    lattice_io.save_lattice(lam3, base)
+    sub.write_text("[[1, 0, 0, 0, 0, 0]]")
+    assert cli.main(
+        ["lattice", "op", "complement", str(base), "--sub", str(sub), "--out", str(out)]
+    ) == 0
+    back = lattice_io.load_lattice(out)
+    assert back.ambient.ambient == lam3 and json.loads(out.read_text())["ambient"] == "Lambda(3)"
+
     d4 =tmp_path / "d4.lattice"
     lattice_io.save_lattice(lat.root_lattice("D", 4).rename("D4"), d4)
     capsys.readouterr()

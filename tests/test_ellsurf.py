@@ -267,7 +267,8 @@ def test_table1_identity_exhaustive():
 
 
 def test_table1_closed_form_beyond_the_claims():
-    # the claims stop at n = 4; ranks 35 and 41 take the sparse det further
-    for n in (5, 6):
+    # the claims stop at n = 4; ranks 35 to 77 take det's block step further:
+    # the 6n fiber components are one diagonal block, eliminated at once
+    for n in (5, 6, 8, 12):
         for a, b in ((0, 0), (1, 2), (-3, 1), (2, -2), (3, 3)):
             assert exact.det(es.table1_matrix(n, a, b)) == -n * 2 ** (6 * n) * (a + b) ** 2

@@ -378,6 +378,67 @@ def test_det_is_invariant_under_symmetric_permutation(m_perm):
     assert exact.det([[m[i][j] for j in perm] for i in perm]) == exact.det(m)
 
 
+@st.composite
+def block_structured(draw, max_n=8):
+    """A diagonal block of k >= 2 pivots bordered by r rows, hidden by a
+    symmetric permutation: distinct diagonal entries (their lcm is less than
+    their product), repeated block rows (applied once as a class), zero
+    diagonal entries outside the block, a Schur complement made singular, a
+    row that meets a block row's column but not its row, or a permuted
+    diagonal matrix."""
+    n = draw(st.integers(2, max_n))
+    k = draw(st.integers(2, n))
+    entry = st.sampled_from([0] * 4 + [1, -1, 2, -3])
+    deltas = draw(st.lists(st.sampled_from([1, -1, 2, -2, 4, 6, -6, 12]), min_size=k, max_size=k))
+    m = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    for i in range(k):
+        m[i][:k] = [deltas[i] if j == i else 0 for j in range(k)]
+        for j in range(k, n):
+            m[j][i] = draw(entry)
+    shape = draw(
+        st.sampled_from(
+            ["plain", "symmetric", "repeated", "zero diagonal", "singular", "one-sided", "permuted"]
+        )
+    )
+    if shape == "symmetric":
+        m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    elif shape == "repeated":
+        for i in range(1, k):
+            m[i][k:] = m[0][k:]
+    elif shape == "zero diagonal":
+        for j in range(k, n):
+            m[j][j] = 0
+    elif shape == "singular" and k < n:
+        # row k = c * (block row 0): its row of the Schur complement is zero
+        c = draw(st.integers(-2, 2))
+        m[k] = [c * x for x in m[0]]
+    elif shape == "one-sided":
+        # row 0 is zero off its diagonal, so a row j with m[j][0] != 0
+        # meets it in its row only
+        m = [[x if i == j or i else 0 for j, x in enumerate(row)] for i, row in enumerate(m)]
+        for i in range(1, n):
+            m[i][i] = m[i][i] or 1
+    elif shape == "permuted":
+        perm = draw(st.permutations(range(n)))
+        m = [[deltas[i % k] if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    perm = draw(st.permutations(range(n)))
+    return [[m[i][j] for j in perm] for i in perm]
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_structured())
+def test_det_schur_step_matches_laplace(m):
+    assert exact.det(m) == laplace_det(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_structured(14))
+def test_det_schur_step_matches_the_plain_elimination(m):
+    # the helper run from divisor 1 on every row is the elimination without
+    # the block step, in the order given
+    assert exact.det(m) == exact._bareiss(exact.copy_matrix(m), 1, [1] * len(m))
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import k3lattice.lattice as lat
 from k3lattice import claims, exact, glue
@@ -27,6 +28,64 @@ def test_adjoin_rejects_nonintegral_pairing():
     u = lat.hyperbolic()
     with pytest.raises(glue.GlueError):
         glue.adjoin(u, [glue.GlueSpec((1, 0), 2)])  # pairs 1/2 with a generator
+
+
+def eager_glue_checks(base, specs, require_even):
+    """The checks adjoin ran before the Hermite basis until it checked the
+    result's Gram matrix once, verbatim: the GlueError each glue set must
+    still raise."""
+    products = [exact.mat_vec(base.gram, g.vector) for g in specs]
+    for g, gv in zip(specs, products):
+        if any(x % g.denominator for x in gv):
+            raise glue.GlueError(f"glue vector {g.vector}/{g.denominator} does not pair integrally with the base")
+    for (g, gv), (h, _) in itertools.combinations_with_replacement(zip(specs, products), 2):
+        if exact.dot(h.vector, gv) % (g.denominator * h.denominator):
+            raise glue.GlueError("glue vectors do not pair integrally with each other")
+    if require_even:
+        for g, gv in zip(specs, products):
+            norm = exact.dot(g.vector, gv) // g.denominator**2
+            if norm % 2:
+                raise glue.GlueError(f"glue vector {g.vector}/{g.denominator} has odd norm {norm}")
+
+
+def _adjoin_outcome(base, specs, require_even, checks_first):
+    try:
+        if checks_first:
+            eager_glue_checks(base, specs, require_even)
+        return glue.adjoin(base, specs, require_even).gram
+    except glue.GlueError as e:
+        return str(e)
+
+
+@st.composite
+def glue_cases(draw):
+    """A1^k, optionally with U and an odd <1>, and up to three glue vectors
+    w/2 (or 2w/4), w in {0, 1} on the A1s and mostly 0 elsewhere: every
+    fault adjoin names, and overlattices that close up."""
+    k = draw(st.integers(1, 6))
+    parts = [lat.root_lattice("A", 1)] * k
+    if draw(st.booleans()):
+        parts.append(lat.hyperbolic())
+    if draw(st.booleans()):
+        parts.append(lat.rank_one(1, allow_odd=True))
+    base = lat.direct_sum(*parts)
+    coords = [st.integers(0, 1)] * k + [st.sampled_from([0, 0, 0, 1, 2])] * (base.rank - k)
+    spec = st.builds(
+        lambda w, two: glue.GlueSpec(tuple(x * two for x in w), 2 * two),
+        st.tuples(*coords),
+        st.sampled_from([1, 1, 1, 2]),
+    )
+    count = draw(st.sampled_from([1, 1, 2, 3]))
+    return base, draw(st.lists(spec, min_size=count, max_size=count)), draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(glue_cases())
+def test_adjoin_names_the_fault_the_eager_checks_named(case):
+    base, specs, require_even = case
+    assert _adjoin_outcome(base, specs, require_even, False) == _adjoin_outcome(
+        base, specs, require_even, True
+    )
 
 
 def test_adjoin_d8_to_e8():
@@ -289,6 +348,10 @@ def test_named_invalid_parameters():
     for name in ("Lp(19)", "Lp(24)", "Np(5,4)", "Np(4,3)", "L_d(4,subgroup)",
                  "L_d(7,weird)", "Lambda(0)", "Nonsense", "L_d(7)"):
         with pytest.raises(glue.GlueError):
+            glue.build_named(name)
+    # a parameter that is not an integer makes the name unknown
+    for name in ("Lambda(x)", "Np(5,x)", "L_d(x,all)"):
+        with pytest.raises(glue.GlueError, match="unknown lattice name"):
             glue.build_named(name)
 
 

@@ -124,8 +124,12 @@ def test_ldl_eliminates_in_integers():
     # exact.det and exact.ldl divide only exactly (//), by Sylvester's
     # identity, and exact.solve, which reads the Hermite basis and no
     # longer runs Bareiss elimination, divides only exactly as well; a true
-    # division would bring the Fraction elimination back
-    for name in ("det", "ldl", "solve"):
+    # division would bring the Fraction elimination back.  det's arithmetic
+    # runs in det itself (the Schur step) and in the private helpers it
+    # calls, which are held to the same rule
+    helpers = sorted(filter(_is_private, _called_names(_function("exact.py", "det"))))
+    assert {"_diagonal_block", "_bareiss"} <= set(helpers)
+    for name in ("det", *helpers, "ldl", "solve"):
         found = [
             node.lineno
             for node in ast.walk(_function("exact.py", name))
