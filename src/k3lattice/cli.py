@@ -1,6 +1,10 @@
 """Command line interface: claim verification, lattice inspection and the
 basic lattice operations on files.
 
+``lattice info`` and ``named`` print one summary of a lattice, whose det
+comes from its signature and discriminant group, not from a determinant:
+|det G| is the order of L*/L and the sign of det G is (-1)^neg.
+
 Exit codes: 0 when everything requested passed, 1 when any claim failed,
 2 on usage, parse or input errors.
 """
@@ -17,15 +21,20 @@ from . import claims, glue, lattice as lat, lattice_io, quadform as qf
 
 
 def _lattice_summary(l: lat.Lattice) -> str:
+    """Name, rank, det, parity, signature and discriminant group.  The det
+    is read off the signature and the group, with no elimination of its
+    own: |det G| = |L*/L| and det G has the sign (-1)^neg; a degenerate
+    lattice has det 0 and no group."""
+    sig = l.signature()
+    form = None if sig[1] else lat.discriminant_group(l)
     lines = [
         f"name:       {l.name or '(unnamed)'}",
         f"rank:       {l.rank}",
-        f"det:        {l.det()}",
+        f"det:        {0 if form is None else (-1) ** sig[2] * form.order}",
         f"even:       {l.is_even()}",
-        f"signature:  {l.signature()} (pos, zero, neg)",
+        f"signature:  {sig} (pos, zero, neg)",
     ]
-    if l.det() != 0:
-        form = lat.discriminant_group(l)
+    if form is not None:
         lines.append(f"disc group: {list(form.invariant_factors) or 'trivial'}")
     return "\n".join(lines)
 

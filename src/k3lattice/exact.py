@@ -6,23 +6,24 @@ package ever touches floating point.  The eliminations on integer matrices
 are fraction-free: ``det`` (Bareiss), ``_hermite`` behind the Smith form,
 kernels, Hermite bases and ``solve``, and the symmetric ``ldl``, whose
 working entries are bordered minors det(m[P+r, P+s]) over the pivot set P
-taken so far, so that only its returned pivots and multipliers are
-rational.  A rational vector is written one way, by ``numerators``, as
-integers over one positive denominator.  ``solve`` writes each augmented
-row so, takes the Hermite basis of those rows and back-substitutes in
-integers; a ``Fraction`` is made only for the solution it returns.  In
-``det`` and ``ldl`` a row whose entry in the pivot column is zero is not
-touched: each row keeps as its own divisor the pivot it was last reduced
-by, and is scaled up to the current pivot only when it becomes the pivot
-row.  ``det`` alone also reorders: it takes rows and columns in one
-symmetric order, sparsest rows first, so that the sparse intersection
-matrices fill in little; ``ldl`` keeps its pivot order, which its callers
-read.  ``det`` first gathers a diagonal block, the rows in that order with
-a nonzero diagonal entry that meet no row gathered before them, and
-eliminates all its pivots in one Schur step, applying block rows that agree
-off the block once; the elimination then goes on from the state that the
-block's pivots, taken one by one, would have left.  The 6n mutually
-orthogonal fiber components of a table-1 matrix are such a block.
+taken so far, so that only its returned pivots are rational: each row of its
+multipliers is integers over one positive denominator, the |leading minor|
+its pivot completes, held on the row's diagonal.  A rational vector is
+written one way, by ``numerators``, as integers over one positive
+denominator.  ``solve`` writes each augmented row so, takes the Hermite
+basis of those rows and back-substitutes in integers; a ``Fraction`` is made
+only for the solution it returns.  In ``det`` and ``ldl`` a row whose entry
+in the pivot column is zero is not touched: each row keeps as its own
+divisor the pivot it was last reduced by, and is scaled up to the current
+pivot only when it becomes the pivot row.  ``det`` alone also reorders: it
+takes rows and columns in one symmetric order, sparsest rows first, so that
+the sparse intersection matrices fill in little; ``ldl`` keeps its pivot
+order, which its callers read.  ``det`` first gathers a diagonal block, the
+rows in that order with a nonzero diagonal entry that meet no row gathered
+before them, and eliminates all its pivots in one Schur step, applying block
+rows that agree off the block once; the elimination then goes on from the
+state that the block's pivots, taken one by one, would have left.  The 6n
+mutually orthogonal fiber components of a table-1 matrix are such a block.
 ``matmul`` adds up rows of its right factor, so the zeros of sparse bases
 cost nothing.
 ``box_vectors`` is the one coefficient-box enumerator: it yields only the
@@ -52,7 +53,6 @@ from typing import Iterable, Iterator, Sequence
 
 IntMatrix = list[list[int]]
 IntVector = list[int]
-RatMatrix = list[list[Fraction]]
 RatVector = list[Fraction]
 
 
@@ -339,7 +339,7 @@ def kernel_basis(m: Sequence[Sequence[int]]) -> list[IntVector]:
     return u[_hermite(transpose(m), u) :]
 
 
-def ldl(m: Sequence[Sequence[int]]) -> tuple[RatVector, RatMatrix, int]:
+def ldl(m: Sequence[Sequence[int]]) -> tuple[RatVector, IntMatrix, int]:
     """Symmetric rational elimination m = L D L^T, the one shared core of
     inertia, rational diagonalization and short-vector enumeration.
 
@@ -347,18 +347,23 @@ def ldl(m: Sequence[Sequence[int]]) -> tuple[RatVector, RatMatrix, int]:
     order they are taken, always the first remaining nonzero diagonal entry.
     When the remaining diagonal vanishes, a hyperbolic 2x2 block is split off
     and contributes the pair 1, -1 (one eigenvalue of each sign); a
-    degenerate remainder contributes zeros.  ``mult[piv][r]`` is the
-    multiplier by which row r was reduced with the diagonal pivot ``piv``
-    (zero otherwise; hyperbolic blocks record none).  When all pivots are
-    positive they were taken in index order, and
-    q(x) = sum_i pivots[i] (x_i + sum_{j>i} mult[i][j] x_j)^2.
+    degenerate remainder contributes zeros.  ``mult`` holds the multipliers
+    as integer rows over one positive denominator: the row of a diagonal
+    pivot ``piv`` has |p|, the absolute value of the leading minor that pivot
+    completes, at ``mult[piv][piv]``, and row r was reduced with that pivot
+    by the multiplier ``Fraction(mult[piv][r], mult[piv][piv])`` (zero
+    where row r was not touched).  Rows of hyperbolic-block and degenerate
+    pivots are all zero.  When all pivots are positive they were taken in
+    index order, and
+    q(x) = sum_i pivots[i] (x_i + sum_{j>i} mult[i][j] x_j / mult[i][i])^2.
     ``det`` is the determinant of m.
 
     The elimination is fraction-free (Bareiss 1968).  Once the pivot set P
     is split off, the working entry a[r][s] is the bordered minor
     det(m[P+r, P+s]) and ``d`` is det(m[P, P]), so a diagonal pivot p is the
     ratio p/d of consecutive leading minors and its multipliers are
-    a[r][piv]/p; by Sylvester's identity every update divides exactly.  A
+    a[r][piv]/p, kept as the numerators a[r][piv] over p (negated with p
+    when p < 0); by Sylvester's identity every update divides exactly.  A
     row whose entry in the pivot column is zero is not rescaled: it keeps
     the d it was last reduced with as its own divisor l, its true entries
     are its stored ones times d/l, and it is brought up to date only when
@@ -367,8 +372,7 @@ def ldl(m: Sequence[Sequence[int]]) -> tuple[RatVector, RatMatrix, int]:
     n = require_symmetric(m)
     _require_integers(m, "ldl")
     a = [list(row) for row in m]
-    zero = Fraction(0)
-    mult = [[zero] * n for _ in range(n)]
+    mult = [[0] * n for _ in range(n)]
     pivots: RatVector = []
     active = list(range(n))  # active[k] is the index of row and column k of a
     level = [1] * n  # level[k]: the d row k of a was last reduced with
@@ -386,13 +390,17 @@ def ldl(m: Sequence[Sequence[int]]) -> tuple[RatVector, RatMatrix, int]:
             piv = active.pop(k)
             p = prow.pop(k)
             pivots.append(Fraction(p, d))
+            mrow = mult[piv]
             for i, (row, r) in enumerate(zip(a, active)):
                 f = row.pop(k)
                 if f:
                     l = level[i]
-                    mult[piv][r] = Fraction(f * d // l, p)
+                    mrow[r] = f * d // l
                     row[:] = [(p * x - f * y) // l for x, y in zip(row, prow)]
                     level[i] = p
+            if p < 0:
+                mrow[:] = [-x for x in mrow]
+            mrow[piv] = abs(p)
             d = p
             continue
         pair = next(
@@ -400,7 +408,7 @@ def ldl(m: Sequence[Sequence[int]]) -> tuple[RatVector, RatMatrix, int]:
             None,
         )
         if pair is None:
-            pivots.extend([zero] * len(active))
+            pivots.extend([Fraction(0)] * len(active))
             return pivots, mult, 0
         i, j = pair
         pivots.extend([Fraction(1), Fraction(-1)])

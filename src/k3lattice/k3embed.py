@@ -197,7 +197,7 @@ def short_vectors(gram: Sequence[Sequence[int]], max_norm: int) -> dict[int, lis
     """All vectors of a positive-definite lattice with 0 < q(v) <= max_norm,
     one representative per antipodal pair, grouped by norm."""
     n = len(gram)
-    # q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2
+    # q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j / u_ii)^2
     d, u, _ = exact.ldl(gram)
     if not all(p > 0 for p in d):
         raise ValueError("matrix is not positive definite")
@@ -213,7 +213,7 @@ def short_vectors(gram: Sequence[Sequence[int]], max_norm: int) -> dict[int, lis
             if norm > 0:
                 out.setdefault(norm, []).append(tail)
             continue
-        center = -sum(map(mul, u[i][i + 1 :], tail))
+        center = Fraction(-sum(map(mul, u[i][i + 1 :], tail)), u[i][i])
         # d_i (x_i - center)^2 <= remaining
         bound = remaining / d[i]
         c0 = center.numerator // center.denominator  # floor
@@ -328,7 +328,7 @@ def definite_isomorphic(l1: Lattice, l2: Lattice) -> bool:
     red = _greedy_reduce(g1)
     g1r = exact.matmul(exact.matmul(red, g1), exact.transpose(red))
     n = len(g1r)
-    max_norm = max(g1r[i][i] for i in range(n))
+    max_norm = max((g1r[i][i] for i in range(n)), default=0)
     cands = {
         norm: [w for v in vecs for w in (v, tuple(-c for c in v))]
         for norm, vecs in short_vectors(g2, max_norm).items()

@@ -46,6 +46,12 @@ class Lattice:
             raise ValueError("Gram matrix must be symmetric")
         if self.ambient is not None:
             e = self.ambient
+            if len(e.basis) != self.rank:
+                raise ValueError(
+                    f"ambient basis has {len(e.basis)} rows for a lattice of rank {self.rank}"
+                )
+            if e.denominator <= 0:
+                raise ValueError("ambient basis denominator must be positive")
             induced = exact.matmul(
                 exact.matmul(e.basis, e.ambient.gram), exact.transpose(e.basis)
             )

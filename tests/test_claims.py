@@ -10,9 +10,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import k3lattice.lattice as lat
-from k3lattice import claims, cli, glue, k3embed as ke, lattice_io
+from k3lattice import claims, cli, exact, glue, k3embed as ke, lattice_io
+from test_exact import any_symmetric
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +312,47 @@ def test_cli_named_and_info(tmp_path, capsys):
     assert cli.main(["lattice", "info", str(out_file)]) == 0
     out = capsys.readouterr().out
     assert "rank:       6" in out and "det:        12" in out
+
+
+def _summary_field(summary: str, key: str) -> str:
+    line = next(x for x in summary.splitlines() if x.startswith(key + ":"))
+    return line.split(":", 1)[1].strip()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.just([]), any_symmetric(1, 8)))
+def test_summary_det_and_signature_match_exact(m):
+    # the summary reads det off the signature and the discriminant group;
+    # odd, zero-diagonal and degenerate Grams of rank 0 to 8
+    summary = cli._lattice_summary(lat.lattice(m))
+    assert _summary_field(summary, "det") == str(exact.det(m))
+    assert _summary_field(summary, "signature") == f"{exact.signature(m)} (pos, zero, neg)"
+    assert ("disc group:" in summary) == (exact.det(m) != 0)
+
+
+def test_summaries_take_no_determinant(tmp_path, capsys, monkeypatch):
+    files = {
+        "lam3": glue.build_named("Lambda(3)"),
+        "odd": lat.lattice([[1, 2, 0], [2, -3, 1], [0, 1, 5]]),
+        "degenerate": lat.lattice([[2, 2], [2, 2]]),
+    }
+    names = ["L2", "N1", "M16", "V", "Lambda(3)", "Lp(17)", "Np(5,2)"]
+    want = {key: l.det() for key, l in files.items()}
+    want.update((name, glue.build_named(name).det()) for name in names)
+    for key, l in files.items():
+        lattice_io.save_lattice(l, tmp_path / f"{key}.lattice")
+
+    def no_det(m):
+        raise AssertionError("the summary took a determinant")
+
+    monkeypatch.setattr(exact, "det", no_det)
+    monkeypatch.setattr(lat, "_det_cached", no_det)
+    for key in files:
+        assert cli.main(["lattice", "info", str(tmp_path / f"{key}.lattice")]) == 0
+        assert _summary_field(capsys.readouterr().out, "det") == str(want[key])
+    for name in names:
+        assert cli.main(["named", name]) == 0
+        assert _summary_field(capsys.readouterr().out, "det") == str(want[name])
 
 
 def test_cli_named_unknown(capsys):

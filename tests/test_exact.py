@@ -71,11 +71,16 @@ def signature_by_descartes(m):
 def naive_ldl(m):
     """The ``Fraction`` elimination that ``exact.ldl`` replaced: the same
     pivot order, hyperbolic rule and degenerate tail on the rational Schur
-    complements; oracle for the fraction-free elimination."""
+    complements; oracle for the fraction-free elimination.  Returns the
+    pivots, the multipliers as ``Fraction``s and, per row, |det m[P, P]|
+    for the pivot set P a diagonal pivot completes (0 for the other rows):
+    the denominator ``exact.ldl`` keeps that pivot's multipliers over."""
     n = exact.require_symmetric(m)
     a = [[Fraction(x) for x in row] for row in m]
     zero = Fraction(0)
     mult = [[zero] * n for _ in range(n)]
+    dens = [0] * n
+    minor = Fraction(1)  # det m[P, P] for the pivots P taken so far
     pivots = []
     active = list(range(n))
     while active:
@@ -83,6 +88,8 @@ def naive_ldl(m):
         if piv is not None:
             p = a[piv][piv]
             pivots.append(p)
+            minor *= p
+            dens[piv] = abs(minor)
             active.remove(piv)
             for r in active:
                 if a[r][piv] == 0:
@@ -103,6 +110,7 @@ def naive_ldl(m):
         active.remove(i)
         active.remove(j)
         p = a[i][j]
+        minor *= -p * p
         for r in active:
             ci, cj = a[r][i], a[r][j]
             if ci == 0 and cj == 0:
@@ -110,7 +118,21 @@ def naive_ldl(m):
             for s in active:
                 # Schur complement of the block [[0,p],[p,0]]
                 a[r][s] -= (ci * a[j][s] + cj * a[i][s]) / p
-    return pivots, mult
+    return pivots, mult, dens
+
+
+def rational_mult(mult):
+    """``exact.ldl``'s integer multiplier rows read as the ``Fraction``s
+    they stand for, Fraction(mult[i][j], mult[i][i]), with zeros on the
+    diagonal.  A row without a denominator is read as it stands, so a
+    nonzero entry in it shows."""
+    return [
+        [
+            Fraction(0) if j == i else Fraction(x, row[i]) if row[i] else Fraction(x)
+            for j, x in enumerate(row)
+        ]
+        for i, row in enumerate(mult)
+    ]
 
 
 def naive_solve(a, b):
@@ -151,12 +173,14 @@ def naive_solve(a, b):
 
 def eager_ldl(m):
     """``exact.ldl`` as it was before the per-row divisor: every row whose
-    multiplier is zero is rescaled by p/d at once.  The lazy elimination
-    must return exactly this."""
+    multiplier is zero is rescaled by p/d at once, so a multiplier is the
+    current entry f over p.  Its multiplier rows are written as ``ldl``
+    writes them, integers over |p|.  The lazy elimination must return
+    exactly this."""
     n = exact.require_symmetric(m)
     a = [list(row) for row in m]
     zero = Fraction(0)
-    mult = [[zero] * n for _ in range(n)]
+    mult = [[0] * n for _ in range(n)]
     pivots = []
     active = list(range(n))
     d = 1
@@ -170,10 +194,11 @@ def eager_ldl(m):
             for row, r in zip(a, active):
                 f = row.pop(k)
                 if f:
-                    mult[piv][r] = Fraction(f, p)
+                    mult[piv][r] = f if p > 0 else -f
                     row[:] = [(p * x - f * y) // d for x, y in zip(row, prow)]
                 elif p != d:
                     row[:] = [p * x // d for x in row]
+            mult[piv][piv] = abs(p)
             d = p
             continue
         pair = next(
@@ -720,8 +745,18 @@ def test_ldl_examples():
     assert exact.ldl([[0, 0], [0, 0]])[0] == [0, 0]
     pivots, mult, det = exact.ldl([[2, 1], [1, 2]])
     assert pivots == [2, Fraction(3, 2)]
-    assert mult[0][1] == Fraction(1, 2)
+    assert mult == [[2, 1], [0, 3]]
+    assert Fraction(mult[0][1], mult[0][0]) == Fraction(1, 2)
     assert det == 3
+    # a negative pivot: numerators negated with it over a positive denominator
+    pivots, mult, det = exact.ldl([[-2, 1], [1, 2]])
+    assert pivots == [-2, Fraction(5, 2)]
+    assert mult == [[2, -1], [0, 5]]
+    assert Fraction(mult[0][1], mult[0][0]) == Fraction(1, -2)
+    assert det == -5
+    # hyperbolic and degenerate pivots keep no multipliers
+    assert exact.ldl([[0, 1], [1, 0]])[1] == [[0, 0], [0, 0]]
+    assert exact.ldl([[0, 0], [0, 0]])[1] == [[0, 0], [0, 0]]
     assert exact.ldl([[0, 1], [1, 0]])[2] == -1
     assert exact.ldl([[0, 0], [0, 0]])[2] == 0
     assert exact.ldl([]) == ([], [], 1)
@@ -744,7 +779,11 @@ def test_ldl_rejects_non_integer_entries():
 )
 def test_ldl_matches_the_fraction_elimination(m):
     pivots, mult, det = exact.ldl(m)
-    assert (pivots, mult) == naive_ldl(m)
+    want_pivots, want_mult, dens = naive_ldl(m)
+    assert pivots == want_pivots
+    assert all(type(x) is int for row in mult for x in row)
+    assert [row[i] for i, row in enumerate(mult)] == dens
+    assert rational_mult(mult) == want_mult
     assert det == exact.det(m)
 
 
@@ -777,7 +816,10 @@ def test_ldl_reconstructs_positive_definite(b):
         g[i][i] += 1
     d, u, _ = exact.ldl(g)
     assert all(p > 0 for p in d)
-    low = [[u[j][i] if j < i else Fraction(i == j) for j in range(n)] for i in range(n)]
+    low = [
+        [Fraction(u[j][i], u[j][j]) if j < i else Fraction(i == j) for j in range(n)]
+        for i in range(n)
+    ]
     diag = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
     assert exact.matmul(exact.matmul(low, diag), exact.transpose(low)) == g
 

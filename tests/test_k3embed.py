@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import k3lattice.lattice as lat
 from k3lattice import claims, exact, glue, k3embed as ke, quadform as qf
+from test_exact import rational_mult
 
 
 def complete_box_bound(g, max_norm):
@@ -249,6 +250,7 @@ def reference_short_vectors(gram, max_norm: int) -> dict[int, list[tuple[int, ..
     n = len(gram)
     # q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2
     d, u, _ = exact.ldl(gram)
+    u = rational_mult(u)  # u_ij = Fraction(mult[i][j], mult[i][i])
     if not all(p > 0 for p in d):
         raise ValueError("matrix is not positive definite")
     out: dict[int, list[tuple[int, ...]]] = {}
@@ -429,6 +431,13 @@ def test_definite_isomorphic_easy_cases():
     assert ke.definite_isomorphic(d4, reordered)
 
 
+def test_definite_isomorphic_rank_zero():
+    # the empty lattice is definite with det 1: isometric to itself
+    zero = lat.lattice([])
+    assert ke.definite_isomorphic(zero, zero)
+    assert ke.definite_isomorphic(zero, lat.direct_sum())
+
+
 def test_definite_isomorphic_vs_naive_oracle():
     rng = random.Random(13)
     pairs = 0
@@ -503,6 +512,7 @@ def leaf_test_short_vectors(gram, max_norm: int) -> dict[int, list[tuple[int, ..
     n = len(gram)
     # q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2
     d, u, _ = exact.ldl(gram)
+    u = rational_mult(u)  # u_ij = Fraction(mult[i][j], mult[i][i])
     if not all(p > 0 for p in d):
         raise ValueError("matrix is not positive definite")
     out: dict[int, list[tuple[int, ...]]] = {}

@@ -108,6 +108,23 @@ def test_a_wrong_ambient_basis_is_rejected():
         lat.lattice([[-2, -1], [-1, -2]], None, lat.make_embedding(a2, [[1, 0], [1, 1]], 2))
 
 
+def test_an_embedding_of_the_wrong_shape_is_rejected():
+    # the B G B^T check reads only the top-left rank x rank block, so the
+    # row count and the denominator's sign are checked on their own
+    uu = lat.direct_sum(lat.hyperbolic(), lat.hyperbolic())
+    u = ((0, 1), (1, 0))
+    assert lat.Lattice(u, None, lat.make_embedding(uu, [[1, 0, 0, 0], [0, 1, 0, 0]])).rank == 2
+    three_rows = lat.make_embedding(uu, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+    with pytest.raises(ValueError, match="3 rows for a lattice of rank 2"):
+        lat.Lattice(u, None, three_rows)
+    with pytest.raises(ValueError, match="1 rows for a lattice of rank 2"):
+        lat.Lattice(u, None, lat.make_embedding(uu, [[1, 0, 0, 0]]))
+    for den in (-1, 0):
+        flipped = lat.make_embedding(uu, [[1, 0, 0, 0], [0, 1, 0, 0]], den)
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            lat.Lattice(u, None, flipped)
+
+
 def test_built_lattices_pass_the_ambient_check():
     # sublattice, adjoin and rename skip the constructor's B G B^T check on
     # a product they formed; the constructor must accept what they build
