@@ -6,7 +6,7 @@ comes from its signature and discriminant group, not from a determinant:
 |det G| is the order of L*/L and the sign of det G is (-1)^neg.
 
 Exit codes: 0 when everything requested passed, 1 when any claim failed,
-2 on usage, parse or input errors.
+2 on usage, parse or input errors and on a file that cannot be written.
 """
 
 from __future__ import annotations
@@ -93,6 +93,13 @@ def _read_rows(path: str) -> tuple[tuple[int, ...], ...]:
 
 
 def _cmd_lattice_op(args) -> int:
+    if args.op in ("complement", "saturation") and args.sub is None:
+        print(
+            f"usage: k3lattice lattice op {args.op} FILE --sub ROWS [--out PATH] [--name NAME]\n"
+            f"lattice op {args.op}: --sub is required",
+            file=sys.stderr,
+        )
+        return 2
     if args.op == "complement":
         ambient = lattice_io.load_lattice(args.file)
         sub = _read_rows(args.sub)
@@ -231,10 +238,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (lattice_io.LatticeFileError, glue.GlueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (ValueError, OSError) as e:
+        # file and glue errors are ValueErrors; an OSError is a failed write
         print(f"error: {e}", file=sys.stderr)
         return 2
 

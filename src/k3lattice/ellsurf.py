@@ -106,9 +106,6 @@ class FiberConfig:
                 out.append(kodaira(s))
         return FiberConfig(tuple(out))
 
-    def reducible(self) -> list[KodairaType]:
-        return [t for t in self.fibers if component_count(t) > 1]
-
 
 def total_euler(c: FiberConfig) -> int:
     return sum(euler_number(t) for t in c.fibers)

@@ -4,18 +4,21 @@ isometry testing.
 
 Genus comparison is the Nikulin-style test: equal signatures plus isomorphic
 discriminant forms, the latter found by mapping each generator into the
-elements of its order and q value and verified on every group element before
-being accepted.  Definite isometry is decided by a complete short-vector
-backtracking search; an additional bounded coordinate-box search provides
-isometry certificates for small indefinite lattices.  All three searches run
-on one pool-refined Gram matching: each chosen vector filters the candidate
-pools of all later generators by their pairing with it, compared modulo the
-exponent for discriminant forms.
+elements of its order and q value, pairing as the generators do, after a
+check that b has no radical makes every such map injective.  Definite
+isometry is decided by a complete short-vector backtracking search; an
+additional bounded coordinate-box search provides isometry certificates for
+small indefinite lattices.  All three searches run on one pool-refined Gram
+matching: each chosen vector filters the candidate pools of all later
+generators by their pairing with it, compared modulo the exponent for
+discriminant forms.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from math import prod
 from operator import mul
 from typing import Sequence
 
@@ -90,64 +93,45 @@ def find_disc_form_isomorphism(
     """Images in f2 of f1's generators under some isomorphism preserving q
     and b, or None.  Requires both forms to carry q-values, and f1 to be
     nondegenerate, as the discriminant form of a nondegenerate lattice is;
-    a degenerate b raises ``ValueError``.
+    a degenerate b raises ``ValueError`` before either group is walked.
 
     Generator i is sent into the elements of f2 with its order and q value,
     and the images must pair as the generators do (``_match_gram`` modulo
-    the exponent).  A map preserving b has its kernel in the radical of b,
-    so on a nondegenerate form it is injective and, with equal orders, an
-    isomorphism: the search needs no subgroup bookkeeping.
+    the exponent), which fixes q on every element:
+    q(sum c_i g_i) = sum c_i^2 q(g_i) + 2 sum_{i<j} c_i c_j b(g_i, g_j).
+    A map preserving b has its kernel in the radical of b, so on a
+    nondegenerate form it is injective and, with equal orders, an
+    isomorphism.
     """
     if f1.invariant_factors != f2.invariant_factors:
         return None
     if f1.q_numerators is None or f2.q_numerators is None:
         raise ValueError("both lattices must be even")
-    k = len(f1.invariant_factors)
+    k, n = len(f1.invariant_factors), f1.exponent
     if k == 0:
         return []
-    # equal invariant factors give both forms the same exponent N, so q and
-    # b compare as integer numerators over N.  The multiset of (order, q)
-    # over all elements is an isomorphism invariant; it prunes distinct
-    # forms without any search.  f1's q values are kept in element order and
-    # f2's by element for the final pass
-    q1 = [f1.q_numerator(e) for e in f1.elements()]
-    profile1 = sorted(zip(map(f1.element_order, f1.elements()), q1))
-    profile2: dict[tuple, list[tuple[int, ...]]] = {}
-    q2: dict[tuple[int, ...], int] = {}
-    for e in f2.elements():
-        q2[e] = q = f2.q_numerator(e)
-        profile2.setdefault((f2.element_order(e), q), []).append(e)
-    if profile1 != sorted(
-        key for key, els in profile2.items() for _ in els
-    ):
-        return None
-    pools = [profile2.get(key, []) for key in zip(f1.invariant_factors, f1.q_numerators)]
-    images = _match_gram(f1.b_numerators, pools, f2.b_numerators, f2.exponent)
-    if images is None:
-        return None
-
-    # verify on every element: q determines b by polarization, so checking q
-    # of each element under the induced map, and that no two elements share
-    # an image, is a full check
-    def push(el: tuple[int, ...]) -> tuple[int, ...]:
-        out = [0] * k
-        for c, img in zip(el, images):
-            if c:
-                out = [
-                    (a + c * b) % d
-                    for a, b, d in zip(out, img, f2.invariant_factors)
-                ]
-        return tuple(out)
-
-    seen = set()
-    for el, q in zip(f1.elements(), q1):
-        img = push(el)
-        if q != q2[img]:
-            return None
-        seen.add(img)
-    if len(seen) != f1.order:
+    # rad b = K / (d_1 Z + ... + d_k Z), K = {x : Bx = 0 mod N} the first k
+    # coordinates of the kernel of [B | -N I]: it is zero iff [Z^k : K] = |f1|
+    rows = [[*b, *(-n * x for x in e)] for b, e in zip(f1.b_numerators, exact.identity(k))]
+    basis = exact.hermite_row_basis([x[:k] for x in exact.kernel_basis(rows)])
+    if prod(row[i] for i, row in enumerate(basis)) != f1.order:
         raise ValueError("degenerate discriminant form: b has a nonzero radical")
-    return [tuple(v) for v in images]
+    # q and b compare as integer numerators over the common exponent.  The
+    # (order, q) counts over all elements are an isomorphism invariant; with
+    # equal orders they agree iff none goes negative in f2's walk, which keeps
+    # f2's elements only under the generators' keys, as the search's pools
+    keys = list(zip(f1.invariant_factors, f1.q_numerators))
+    pools: dict[tuple[int, int], list[tuple[int, ...]]] = {key: [] for key in keys}
+    profile = Counter((f1.element_order(e), f1.q_numerator(e)) for e in f1.elements())
+    for e in f2.elements():
+        key = (f2.element_order(e), f2.q_numerator(e))
+        profile[key] -= 1
+        if profile[key] < 0:
+            return None
+        if key in pools:
+            pools[key].append(e)
+    images = _match_gram(f1.b_numerators, [pools[key] for key in keys], f2.b_numerators, n)
+    return None if images is None else [tuple(v) for v in images]
 
 
 def disc_forms_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
@@ -160,8 +144,6 @@ def genus_equal(l1: Lattice, l2: Lattice) -> bool:
     if not (l1.is_even() and l2.is_even()):
         raise ValueError("genus comparison implemented for even lattices")
     if l1.signature() != l2.signature():
-        return False
-    if abs(l1.det()) != abs(l2.det()):
         return False
     return disc_forms_isomorphic(discriminant_group(l1), discriminant_group(l2))
 

@@ -397,10 +397,7 @@ def ruling_disc(gram: Sequence[Sequence[int]]) -> int:
     n = exact.require_square(gram)
     if n % 2:
         raise ValueError("ruling discriminant requires even rank")
-    d = exact.det(gram)
-    if d == 0:
-        raise ValueError("degenerate form")
-    return squarefree_part(d * (-1) ** (n // 2))
+    return squarefree_part(_form(gram)[1] * (-1) ** (n // 2))
 
 
 # ---------------------------------------------------------------------------

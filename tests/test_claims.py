@@ -314,6 +314,32 @@ def test_cli_named_and_info(tmp_path, capsys):
     assert "rank:       6" in out and "det:        12" in out
 
 
+def test_cli_unwritable_output_exits_2(tmp_path, capsys):
+    # a write into a directory that does not exist is an input error, not a
+    # failed claim (exit 1) or a traceback
+    base = tmp_path / "d4.lattice"
+    lattice_io.save_lattice(lat.root_lattice("D", 4).rename("D4"), base)
+    missing = tmp_path / "missing"
+    for argv in (
+        ["verify", "T.det", "--json", str(missing / "report.json")],
+        ["lattice", "op", "adjoin", str(base), "--out", str(missing / "out.lattice")],
+        ["named", "Lambda(3)", "--save", str(missing / "lam3.lattice")],
+    ):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err, argv
+    assert not missing.exists()
+
+
+def test_cli_sub_rows_are_required(tmp_path, capsys):
+    base = tmp_path / "d4.lattice"
+    lattice_io.save_lattice(lat.root_lattice("D", 4).rename("D4"), base)
+    for op in ("complement", "saturation"):
+        assert cli.main(["lattice", "op", op, str(base)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: k3lattice lattice op {op}") and "--sub" in err
+
+
 def _summary_field(summary: str, key: str) -> str:
     line = next(x for x in summary.splitlines() if x.startswith(key + ":"))
     return line.split(":", 1)[1].strip()

@@ -381,12 +381,50 @@ def test_disc_form_isomorphism_matches_reference():
 
 def test_disc_form_isomorphism_rejects_degenerate_form():
     # Z/2 x Z/2 with q = 0 and b = 0: both generators may go to one image,
-    # which the final pass finds; the subgroup-growing reference returned
-    # a map for it
+    # so the radical check rejects the form before any search; the
+    # subgroup-growing reference returned a map for it
     flat = lat.FiniteQuadraticForm((2, 2), ((1, 0), (0, 1)), (0, 0), ((0, 0), (0, 0)))
     assert reference_find_disc_form_isomorphism(flat, flat) == [(0, 1), (1, 0)]
     with pytest.raises(ValueError, match="degenerate"):
         ke.find_disc_form_isomorphism(flat, flat)
+
+
+@st.composite
+def forms_dividing_12(draw):
+    """Forms on Z/d_1 x ... x Z/d_k, d_i | d_{i+1} | 12, k <= 3, with random
+    admissible b numerators (N b(g_i, g_j) a multiple of N / d_min(i, j)),
+    degenerate ones included, and a q numerator on each generator that
+    lifts b(g_i, g_i) and has d_i^2 q(g_i) in 2Z."""
+    factors = [draw(st.sampled_from([2, 3, 4, 6, 12]))]
+    for _ in range(draw(st.integers(0, 2))):
+        factors.append(draw(st.sampled_from([d for d in (2, 3, 4, 6, 12) if d % factors[-1] == 0])))
+    k, n = len(factors), factors[-1]
+    b = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            b[i][j] = b[j][i] = n // factors[i] * draw(st.integers(0, factors[i] - 1))
+    q = [
+        next(t for t in (b[i][i], b[i][i] + n) if d * d * t % (2 * n) == 0)
+        for i, d in enumerate(factors)
+    ]
+    gens = tuple(map(tuple, exact.identity(k)))
+    return lat.FiniteQuadraticForm(tuple(factors), gens, tuple(q), tuple(map(tuple, b)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(forms_dividing_12())
+def test_radical_check_matches_a_scan(form):
+    # the search raises exactly when some nonzero x has b(x, g_j) = 0 for
+    # every generator, and otherwise maps the form onto itself
+    units = exact.identity(len(form.invariant_factors))
+    degenerate = any(
+        any(x) and all(form.b_numerator(x, e) == 0 for e in units) for x in form.elements()
+    )
+    if degenerate:
+        with pytest.raises(ValueError, match="degenerate"):
+            ke.find_disc_form_isomorphism(form, form)
+    else:
+        assert ke.find_disc_form_isomorphism(form, form) is not None
 
 
 def test_genus_requires_even():

@@ -475,6 +475,14 @@ def test_ruling_odd_rank_rejected():
         qf.ruling_disc([[2]])
 
 
+def test_ruling_rejects_non_symmetric_and_degenerate_forms():
+    # det of [[0, 1], [2, 0]] is -2, whose signed class 2 was returned
+    with pytest.raises(ValueError, match="symmetric"):
+        qf.ruling_disc([[0, 1], [2, 0]])
+    with pytest.raises(ValueError, match="degenerate"):
+        qf.ruling_disc([[2, 2], [2, 2]])
+
+
 # ---------------------------------------------------------------------------
 # only |det| is factored: large forms finish, unsplittable dets fail cleanly
 

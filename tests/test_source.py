@@ -197,6 +197,15 @@ def _call_count(fn: ast.AST, name: str) -> int:
     )
 
 
+def test_disc_form_search_walks_each_group_once():
+    # one walk of f1 counts its (order, q) profile and one walk of f2 takes
+    # it down and fills the pools; a radical check, not a pass over the
+    # elements, makes the matched map injective
+    search = _function("k3embed.py", "find_disc_form_isomorphism")
+    assert _call_count(search, "elements") == 2
+    assert _call_count(search, "kernel_basis") == 1
+
+
 def test_subgroups_and_membership_read_one_structure_each():
     # isotropic subgroups grow by pool refinement from one walk over the
     # group, with no generic subgroup span; membership and saturation read
