@@ -362,12 +362,13 @@ def ldl(m: Sequence[Sequence[int]]) -> tuple[RatVector, IntMatrix, int]:
     is split off, the working entry a[r][s] is the bordered minor
     det(m[P+r, P+s]) and ``d`` is det(m[P, P]), so a diagonal pivot p is the
     ratio p/d of consecutive leading minors and its multipliers are
-    a[r][piv]/p, kept as the numerators a[r][piv] over p (negated with p
-    when p < 0); by Sylvester's identity every update divides exactly.  A
-    row whose entry in the pivot column is zero is not rescaled: it keeps
-    the d it was last reduced with as its own divisor l, its true entries
-    are its stored ones times d/l, and it is brought up to date only when
-    it becomes a pivot row.  A reduced row is (p*x - f*y) // l.
+    a[r][piv]/p.  By symmetry the multiplier row is the pivot row brought
+    up to date, over p (negated with p when p < 0).  By Sylvester's
+    identity every update divides exactly.  A row whose entry in the pivot
+    column is zero is not rescaled: it keeps the d it was last reduced with
+    as its own divisor l, its true entries are its stored ones times d/l,
+    and it is brought up to date only when it becomes a pivot row.  A
+    reduced row is (p*x - f*y) // l.
     """
     n = require_symmetric(m)
     _require_integers(m, "ldl")
@@ -390,17 +391,15 @@ def ldl(m: Sequence[Sequence[int]]) -> tuple[RatVector, IntMatrix, int]:
             piv = active.pop(k)
             p = prow.pop(k)
             pivots.append(Fraction(p, d))
-            mrow = mult[piv]
-            for i, (row, r) in enumerate(zip(a, active)):
+            mrow, sign = mult[piv], -1 if p < 0 else 1
+            for r, x in zip(active, prow):
+                mrow[r] = sign * x
+            mrow[piv] = abs(p)
+            for i, row in enumerate(a):
                 f = row.pop(k)
                 if f:
-                    l = level[i]
-                    mrow[r] = f * d // l
-                    row[:] = [(p * x - f * y) // l for x, y in zip(row, prow)]
+                    row[:] = [(p * x - f * y) // level[i] for x, y in zip(row, prow)]
                     level[i] = p
-            if p < 0:
-                mrow[:] = [-x for x in mrow]
-            mrow[piv] = abs(p)
             d = p
             continue
         pair = next(

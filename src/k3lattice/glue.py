@@ -135,36 +135,44 @@ def _isotropic_subgroups(
     form: FiniteQuadraticForm, max_order: int
 ) -> list[tuple[tuple[int, ...], ...]]:
     """All isotropic subgroups of order <= max_order, each as a sorted tuple
-    of element coordinate tuples.  A subgroup grows by each element e of its
-    pool, the isotropic elements orthogonal to it in ``elements()`` order;
-    the larger group's pool keeps those with b(w, e) = 0, which by
-    bilinearity are the ones orthogonal to it.  A subgroup reached again is
-    not grown again."""
+    of element coordinate tuples, each built once.
+
+    Elements compare as tuples, in ``elements()`` order.  A group G grows by
+    an element e of its pool, the isotropic elements orthogonal to G, only
+    when e is the least of the elements h + te it brings in.  So the path to
+    H adds e_k = min(H \\ G_(k-1)) at step k: an x < e_k in H \\ G_(k-1)
+    would be new at a later step j, hence x >= e_j >= e_k.  The pool is
+    walked in order, so e_1 < e_2 < ... and the path is the only one.  The
+    child pool keeps the later w with b(w, e) = 0, orthogonal by bilinearity
+    to the larger group, that are least in their coset of it: if w + h < w,
+    then w + h is new in every larger group without w, so w is never least.
+    A multiple te can still be less than e, hence the test on every step."""
     factors = form.invariant_factors
     zero = tuple(0 for _ in factors)
-    trivial = frozenset([zero])
-    found = {trivial}
+    subgroups = []
 
     def add(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((a + b) % d for a, b, d in zip(x, y, factors))
 
     def grow(grp: frozenset, pool: list[tuple[int, ...]]) -> None:
-        for e in pool:
-            # 0, e, 2e, ... before the first multiple in grp: k of them, k
+        subgroups.append(grp)
+        for i, e in enumerate(pool):
+            # e, 2e, ... before the first multiple in grp: k - 1 of them, k
             # the order of e modulo grp, so |grp + <e>| = k |grp|
-            multiples = [zero]
+            multiples = [e]
             while (t := add(multiples[-1], e)) not in grp:
                 multiples.append(t)
-            if len(multiples) == 1 or len(grp) * len(multiples) > max_order:
+            if len(grp) * (len(multiples) + 1) > max_order:
                 continue
             # q(h + te) = q(h) + t^2 q(e) + 2t b(h, e) = 0 mod 2 for h in grp
-            bigger = grp.union(add(h, m) for m in multiples[1:] for h in grp)
-            if bigger not in found:
-                found.add(bigger)
-                grow(bigger, [w for w in pool if not form.b_numerator(w, e)])
+            new = [add(h, m) for m in multiples for h in grp]
+            if min(new) == e:
+                # each w of the pool is least in its coset of grp already
+                grow(grp.union(new), [w for w in pool[i + 1:] if not form.b_numerator(w, e)
+                                      and all(add(w, h) > w for h in new)])
 
-    grow(trivial, [e for e in form.elements() if any(e) and not form.q_numerator(e)])
-    return sorted(tuple(sorted(g)) for g in found)
+    grow(frozenset([zero]), [e for e in form.elements() if any(e) and not form.q_numerator(e)])
+    return sorted(tuple(sorted(g)) for g in subgroups)
 
 
 def even_overlattices(l: Lattice, max_index: int | None = None) -> list[Lattice]:
@@ -225,8 +233,6 @@ def find_isotropic_glue(
         return frame.norm(v) == 0 and divisibility(l, v) == divisor
 
     target = [int(x) for x in target]
-    if not search_basis:
-        return target if ok(target) else None
     rows = [target] + [[int(x) for x in s] for s in search_basis]
     small = exact.matmul(exact.matmul(rows, frame.gram), exact.transpose(rows))
     # the target's coefficient is fixed to 1; the search coefficients vary

@@ -288,13 +288,7 @@ def invariants_and_witt_index(
 def rationally_equivalent(g1: Sequence[Sequence[int]], g2: Sequence[Sequence[int]]) -> bool:
     """Equivalence over Q: equal rank, signature, discriminant class and
     Hasse invariants at every place."""
-    i1, i2 = invariants(g1), invariants(g2)
-    return (
-        i1.rank == i2.rank
-        and i1.signature == i2.signature
-        and i1.disc_class == i2.disc_class
-        and i1.hasse_minus == i2.hasse_minus
-    )
+    return invariants(g1) == invariants(g2)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import k3lattice.lattice as lat
 from k3lattice import claims, exact, glue
@@ -197,6 +197,45 @@ def test_isotropic_subgroups_match_reference():
         checked += 1
         nontrivial += len(unbounded) > 1
     assert checked > 100 and nontrivial > 20 and bound_binds > 20
+
+
+def test_isotropic_subgroups_of_u_a1_8():
+    # 902 subgroups of (Z/2)^8 with the A1 form, each built once
+    l = lat.direct_sum(lat.hyperbolic(), *[lat.root_lattice("A", 1)] * 8)
+    form = lat.discriminant_group(l)
+    got = glue._isotropic_subgroups(form, 16)
+    assert len(got) == 902
+    assert got == reference_isotropic_subgroups(form, 16)
+
+
+# pieces whose forms have cyclic factors 2, 3, 4 and 8, so that a multiple
+# te of a pool element can be less than e
+FORM_PIECES = [
+    lat.root_lattice("A", 1),
+    lat.root_lattice("A", 2),
+    lat.root_lattice("A", 3),
+    lat.root_lattice("A", 7),
+    lat.root_lattice("D", 4),
+    lat.root_lattice("D", 5),
+    lat.rank_one(4),
+    lat.rank_one(-4),
+    lat.rank_one(8),
+    lat.rank_one(-8),
+    lat.lattice([[0, 2], [2, 0]]),
+    lat.lattice([[0, 4], [4, 0]]),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(FORM_PIECES), min_size=1, max_size=3))
+def test_isotropic_subgroups_of_direct_sums_match_reference(pieces):
+    form = lat.discriminant_group(lat.direct_sum(*pieces))
+    assume(form.order <= 512)
+    top = isqrt(form.order)
+    for bound in sorted({top} | {2**k for k in range(top.bit_length())}):
+        got = glue._isotropic_subgroups(form, bound)
+        assert len(set(got)) == len(got)
+        assert got == reference_isotropic_subgroups(form, bound)
 
 
 def test_even_overlattices_of_unimodular():

@@ -220,6 +220,16 @@ def test_subgroups_and_membership_read_one_structure_each():
     assert _call_count(saturation, "smith_normal_form") == 0
 
 
+def test_each_isotropic_subgroup_is_built_once():
+    # least-element growth reaches each subgroup along one path, so no
+    # table of the subgroups seen drops repeats, and one union per step
+    # builds the larger group
+    grow = _function("glue.py", "_isotropic_subgroups")
+    names = {node.id for node in ast.walk(grow) if isinstance(node, ast.Name)}
+    assert "found" not in names
+    assert _call_count(grow, "union") == 1
+
+
 def test_one_embedded_lattice_type():
     # rows in an ambient are stored one way, as lattice.Embedding; a second
     # class holding an ambient and a basis would bring back a parallel type
