@@ -495,6 +495,15 @@ def hermite_row_basis(rows: Sequence[Sequence[int]]) -> list[IntVector]:
     return a[: _hermite(a)]
 
 
+def index(rows: Sequence[Sequence[int]]) -> int:
+    """The index in Z^width of the span of integer ``rows``: the product of
+    the pivots of its Hermite basis, or 0 when the span has lower rank."""
+    basis = hermite_row_basis(rows)
+    if len(basis) < _width(rows):
+        return 0
+    return prod(row[i] for i, row in enumerate(basis))
+
+
 def box_vectors(
     gram: Sequence[Sequence[int]],
     bound: int,
@@ -566,13 +575,3 @@ def box_vectors(
             )
 
     yield from level(len(prefix), (), q, lin[len(prefix) :])
-
-
-def isqrt_exact(n: int) -> int:
-    """Integer square root of a perfect square; raises otherwise."""
-    if n < 0:
-        raise ValueError("negative argument")
-    r = isqrt(n)
-    if r * r != n:
-        raise ValueError(f"{n} is not a perfect square")
-    return r

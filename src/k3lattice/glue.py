@@ -120,11 +120,15 @@ def adjoin_ambient_vectors(base: Lattice, vectors: Sequence[Sequence[Fraction]])
 
 
 def glue_index(overlattice: Lattice) -> int:
-    """Index of the base frame inside the adjoined lattice."""
+    """Index s^n / |det B| of the base frame in the adjoined lattice, whose
+    basis rows are B over s; a ``ValueError`` unless it is an overlattice."""
     if overlattice.ambient is None:
         raise ValueError("lattice has no recorded ambient frame")
-    base = overlattice.ambient.ambient
-    return exact.isqrt_exact(base.det() // overlattice.det())
+    rows, s = overlattice.ambient.basis, overlattice.ambient.denominator
+    det = exact.index(rows) if len(rows) == overlattice.ambient.ambient.rank else 0
+    if not det or s ** len(rows) % det:
+        raise ValueError("lattice is not an overlattice of its frame")
+    return s ** len(rows) // det
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +137,10 @@ def glue_index(overlattice: Lattice) -> int:
 
 def _isotropic_subgroups(
     form: FiniteQuadraticForm, max_order: int
-) -> list[tuple[tuple[int, ...], ...]]:
-    """All isotropic subgroups of order <= max_order, each as a sorted tuple
-    of element coordinate tuples, each built once.
+) -> list[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]]:
+    """All isotropic subgroups of order <= max_order, each built once, as
+    (elements, path) pairs sorted by elements: a sorted tuple of element
+    tuples, and the at most log2 |H| elements that built and so generate H.
 
     Elements compare as tuples, in ``elements()`` order.  A group G grows by
     an element e of its pool, the isotropic elements orthogonal to G, only
@@ -154,8 +159,8 @@ def _isotropic_subgroups(
     def add(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((a + b) % d for a, b, d in zip(x, y, factors))
 
-    def grow(grp: frozenset, pool: list[tuple[int, ...]]) -> None:
-        subgroups.append(grp)
+    def grow(grp: frozenset, path: tuple, pool: list[tuple[int, ...]]) -> None:
+        subgroups.append((tuple(sorted(grp)), path))
         for i, e in enumerate(pool):
             # e, 2e, ... before the first multiple in grp: k - 1 of them, k
             # the order of e modulo grp, so |grp + <e>| = k |grp|
@@ -168,11 +173,11 @@ def _isotropic_subgroups(
             new = [add(h, m) for m in multiples for h in grp]
             if min(new) == e:
                 # each w of the pool is least in its coset of grp already
-                grow(grp.union(new), [w for w in pool[i + 1:] if not form.b_numerator(w, e)
-                                      and all(add(w, h) > w for h in new)])
+                grow(grp.union(new), path + (e,), [w for w in pool[i + 1:] if not
+                     form.b_numerator(w, e) and all(add(w, h) > w for h in new)])
 
-    grow(frozenset([zero]), [e for e in form.elements() if any(e) and not form.q_numerator(e)])
-    return sorted(tuple(sorted(g)) for g in subgroups)
+    grow(frozenset([zero]), (), [e for e in form.elements() if any(e) and not form.q_numerator(e)])
+    return sorted(subgroups)
 
 
 def even_overlattices(l: Lattice, max_index: int | None = None) -> list[Lattice]:
@@ -195,16 +200,12 @@ def even_overlattices(l: Lattice, max_index: int | None = None) -> list[Lattice]
         [[x * (top // d) for x in g] for g, d in zip(form.generators, form.invariant_factors)]
     )
     out = []
-    for grp in _isotropic_subgroups(form, bound):
-        specs = [
-            GlueSpec(tuple(exact.mat_vec(lift, el)), top)
-            for el in grp
-            if any(el)
-        ]
-        if not specs:
+    for grp, path in _isotropic_subgroups(form, bound):
+        if not path:
             out.append(l)
             continue
-        bigger = adjoin(l, specs, require_even=True)
+        # adjoin reads only the span, which the path generates
+        bigger = adjoin(l, [GlueSpec(tuple(exact.mat_vec(lift, el)), top) for el in path])
         if glue_index(bigger) != len(grp):
             raise ArithmeticError("overlattice index differs from the subgroup order")
         out.append(bigger)

@@ -17,8 +17,7 @@ discriminant forms.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
-from math import prod
+from math import isqrt, lcm
 from operator import mul
 from typing import Sequence
 
@@ -110,11 +109,11 @@ def find_disc_form_isomorphism(
     k, n = len(f1.invariant_factors), f1.exponent
     if k == 0:
         return []
-    # rad b = K / (d_1 Z + ... + d_k Z), K = {x : Bx = 0 mod N} the first k
-    # coordinates of the kernel of [B | -N I]: it is zero iff [Z^k : K] = |f1|
-    rows = [[*b, *(-n * x for x in e)] for b, e in zip(f1.b_numerators, exact.identity(k))]
-    basis = exact.hermite_row_basis([x[:k] for x in exact.kernel_basis(rows)])
-    if prod(row[i] for i, row in enumerate(basis)) != f1.order:
+    # rad b = K / (d_1 Z + ... + d_k Z) for K = {x : xB = 0 mod N}, and
+    # Z^k / K is the row span of B mod N, of order N^k / [Z^k : span(B; N I)];
+    # so b has no radical iff [Z^k : K] = |f1|
+    scaled = [[n * x for x in e] for e in exact.identity(k)]
+    if exact.index([*f1.b_numerators, *scaled]) * f1.order != n**k:
         raise ValueError("degenerate discriminant form: b has a nonzero radical")
     # q and b compare as integer numerators over the common exponent.  The
     # (order, q) counts over all elements are an isomorphism invariant; with
@@ -179,41 +178,40 @@ def short_vectors(gram: Sequence[Sequence[int]], max_norm: int) -> dict[int, lis
     """All vectors of a positive-definite lattice with 0 < q(v) <= max_norm,
     one representative per antipodal pair, grouped by norm."""
     n = len(gram)
-    # q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j / u_ii)^2
     d, u, _ = exact.ldl(gram)
     if not all(p > 0 for p in d):
         raise ValueError("matrix is not positive definite")
     out: dict[int, list[tuple[int, ...]]] = {}
+    # with m_i = u[i][i] the i-th leading minor (m_-1 = 1) and
+    # s_i = sum_{j>i} u[i][j] x_j, term i of q(x) is (m_i x_i + s_i)^2 over
+    # m_{i-1} m_i; the walk keeps the norm budget times L = lcm(m_{i-1} m_i),
+    # in which term i has the integer weight w_i = L / (m_{i-1} m_i)
+    minors = [1] + [u[i][i] for i in range(n)]
+    scale = lcm(*map(mul, minors, minors[1:]))
+    weights = [scale // (a * b) for a, b in zip(minors, minors[1:])]
     # depth first over x_{n-1}, ..., x_0, each coordinate ascending: a stack
-    # of the coordinates x_i..x_{n-1} fixed so far and the norm they leave
-    stack: list[tuple[tuple[int, ...], Fraction]] = [((), Fraction(max_norm))]
+    # of the coordinates x_i..x_{n-1} fixed so far and the budget they leave
+    stack = [((), max_norm * scale)] if max_norm > 0 else []
     while stack:
         tail, remaining = stack.pop()
         i = n - 1 - len(tail)
         if i < 0:
-            norm = int(max_norm - remaining)
+            norm = max_norm - remaining // scale
             if norm > 0:
                 out.setdefault(norm, []).append(tail)
             continue
-        center = Fraction(-sum(map(mul, u[i][i + 1 :], tail)), u[i][i])
-        # d_i (x_i - center)^2 <= remaining
-        bound = remaining / d[i]
-        c0 = center.numerator // center.denominator  # floor
-        t = c0
-        while (t - center) ** 2 <= bound:
-            t -= 1
-        low = t + 1
-        t = c0 + 1
-        while (t - center) ** 2 <= bound:
-            t += 1
+        m, s, w = u[i][i], sum(map(mul, u[i][i + 1 :], tail)), weights[i]
+        # w (m x_i + s)^2 <= remaining iff |m x_i + s| <= r
+        r = isqrt(remaining // w)
+        high = (r - s) // m
         if not any(tail):
             # of x and -x the walk keeps the one whose last nonzero
             # coordinate is negative, so while every higher coordinate is
             # zero, this one stays <= 0
-            t = min(t, 1)
+            high = min(high, 0)
         stack.extend(
-            ((xi,) + tail, remaining - d[i] * (xi - center) ** 2)
-            for xi in range(t - 1, low - 1, -1)
+            ((x,) + tail, remaining - w * (m * x + s) ** 2)
+            for x in range(high, -((r + s) // m) - 1, -1)
         )
     return out
 

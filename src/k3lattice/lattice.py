@@ -384,15 +384,15 @@ def saturation(ambient: Lattice, sub: Sequence[Sequence[int]]) -> Lattice:
 def saturation_index(ambient: Lattice, sub: Sequence[Sequence[int]]) -> int:
     """Index of the span of ``sub`` inside its saturation, the integer
     vectors of its rational span: the gcd of the maximal minors of the k
-    rows, which is the index in Z^k of the lattice their columns span, the
-    product of the pivots of its Hermite basis.  That basis has fewer than
-    k rows iff the rows are dependent.  No determinant is taken, so
-    degenerate forms work too."""
+    rows, which is the index in Z^k of the lattice their columns span,
+    ``exact.index`` of the columns, 0 iff the rows are dependent, as more
+    rows than the rank always are.  No determinant is taken, so degenerate
+    forms work too."""
     rows = _sub_rows(sub, ambient.rank)
-    basis = exact.hermite_row_basis(exact.transpose(rows))
-    if len(basis) < len(rows):
+    index = exact.index(exact.transpose(rows)) if len(rows) <= ambient.rank else 0
+    if not index:
         raise ValueError("sublattice basis is rank-deficient")
-    return prod(row[i] for i, row in enumerate(basis))
+    return index
 
 
 def is_primitive(l: Lattice) -> bool:

@@ -1046,6 +1046,29 @@ def test_hermite_canonical():
     assert a == b == [[1, 1], [0, 2]]
 
 
+def test_index_small_cases():
+    assert exact.index([]) == 1
+    assert exact.index([[2, 0], [0, 2], [1, 1]]) == 2
+    assert exact.index([[2, 0], [0, 3]]) == 6
+    assert exact.index([[1, 2], [2, 4]]) == 0  # rank 1 in Z^2
+    assert exact.index([[1, 0, 0], [0, 1, 0]]) == 0
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(-9, 9), min_size=3, max_size=3), min_size=3, max_size=3
+    ),
+    st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3), max_size=2),
+)
+def test_index_is_the_gcd_of_the_maximal_minors(square, extra):
+    # for a square matrix the index is |det|; more rows divide it down to
+    # the gcd of all maximal minors
+    assert exact.index(square) == abs(exact.det(square))
+    rows = square + extra
+    minors = [exact.det(list(c)) for c in combinations(rows, 3)]
+    assert exact.index(rows) == gcd(*minors)
+
+
 
 # ---------------------------------------------------------------------------
 # coefficient-box enumeration

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import k3lattice.lattice as lat
-from k3lattice import claims, exact, glue
+from k3lattice import claims, exact, glue, k3embed as ke
 from k3lattice.k3embed import build_V
 from test_k3embed import even_test_forms, span
 
@@ -176,6 +176,16 @@ def reference_isotropic_subgroups(
     return sorted(tuple(sorted(g)) for g in found)
 
 
+def subgroup_elements(form, bound):
+    """The elements of each subgroup ``glue._isotropic_subgroups`` returns,
+    after checking that its path generates them."""
+    got = glue._isotropic_subgroups(form, bound)
+    for els, path in got:
+        assert span(form, path) == frozenset(els)
+        assert 2 ** len(path) <= len(els)
+    return [els for els, _ in got]
+
+
 def test_isotropic_subgroups_match_reference():
     # an isotropic e orthogonal to an isotropic group keeps it isotropic,
     # so the q scan of each new subgroup the reference made never rejects.
@@ -187,9 +197,9 @@ def test_isotropic_subgroups_match_reference():
             continue
         top = isqrt(form.order)
         bounds = {top} | {2**k for k in range(top.bit_length())}
-        unbounded = glue._isotropic_subgroups(form, top)
+        unbounded = subgroup_elements(form, top)
         for bound in sorted(bounds):
-            got = glue._isotropic_subgroups(form, bound)
+            got = subgroup_elements(form, bound)
             assert got == reference_isotropic_subgroups(form, bound)
             assert all(len(g) <= bound for g in got)
             assert got == [g for g in unbounded if len(g) <= bound]
@@ -203,7 +213,7 @@ def test_isotropic_subgroups_of_u_a1_8():
     # 902 subgroups of (Z/2)^8 with the A1 form, each built once
     l = lat.direct_sum(lat.hyperbolic(), *[lat.root_lattice("A", 1)] * 8)
     form = lat.discriminant_group(l)
-    got = glue._isotropic_subgroups(form, 16)
+    got = subgroup_elements(form, 16)
     assert len(got) == 902
     assert got == reference_isotropic_subgroups(form, 16)
 
@@ -233,7 +243,7 @@ def test_isotropic_subgroups_of_direct_sums_match_reference(pieces):
     assume(form.order <= 512)
     top = isqrt(form.order)
     for bound in sorted({top} | {2**k for k in range(top.bit_length())}):
-        got = glue._isotropic_subgroups(form, bound)
+        got = subgroup_elements(form, bound)
         assert len(set(got)) == len(got)
         assert got == reference_isotropic_subgroups(form, bound)
 
@@ -374,13 +384,22 @@ def test_glue_index_needs_a_recorded_frame():
         glue.glue_index(lat.hyperbolic())
 
 
+def test_glue_index_needs_an_overlattice_of_the_frame():
+    # a proper sublattice, and a lattice of lower rank than its frame, are
+    # not overlattices: the index s^n / |det B| is no integer, or undefined
+    half = lat.sublattice(lat.hyperbolic(), [[2, 0], [0, 1]])
+    for l in (half, ke.embed_standard("A5+A1 in E8")):
+        with pytest.raises(ValueError, match="not an overlattice of its frame"):
+            glue.glue_index(l)
+
+
 def test_degree_frame_sits_in_n1_with_index_two():
     # <6> + M16 has determinant -768; N1 contains it with index 2
     six_m16 = lat.direct_sum(lat.rank_one(6), glue.build_named("M16"))
     assert six_m16.det() == -768
     n1 = glue.build_named("N1")
     assert six_m16.rank == n1.rank and six_m16.det() % n1.det() == 0
-    assert exact.isqrt_exact(six_m16.det() // n1.det()) == 2
+    assert six_m16.det() == 2**2 * n1.det()
 
 
 def test_named_invalid_parameters():

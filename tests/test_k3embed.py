@@ -604,6 +604,46 @@ def test_short_vectors_sign_cap_keeps_the_lists():
     assert {k: len(v) for k, v in ke.short_vectors(e8, 4).items()} == {2: 120, 4: 1080}
 
 
+def skew(n: int, steps: int) -> list[list[int]]:
+    """A unimodular n x n matrix: from the identity, ``steps`` times add
+    +-row j to row i, with (i, j) and the sign drawn from Random(1)."""
+    rng = random.Random(1)
+    u = exact.identity(n)
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        sign = rng.choice((1, -1))
+        u[i] = [a + sign * b for a, b in zip(u[i], u[j])]
+    return u
+
+
+def test_short_vectors_on_a_skewed_basis():
+    # E8 in a basis with entries up to 1,150: the same vectors as in the
+    # standard basis, mapped through the transform, up to sign
+    e8 = [[-x for x in row] for row in lat.root_lattice("E", 8).gram]
+    u = skew(8, 50)
+    g = exact.matmul(exact.matmul(u, e8), exact.transpose(u))
+    assert max(abs(x) for row in g for x in row) == 1150
+
+    def pairs(vectors):
+        return {norm: {max(v, tuple(-c for c in v)) for v in vs} for norm, vs in vectors.items()}
+
+    mapped = {
+        norm: [tuple(exact.mat_vec(exact.transpose(u), v)) for v in vs]
+        for norm, vs in ke.short_vectors(g, 4).items()
+    }
+    assert pairs(mapped) == pairs(ke.short_vectors(e8, 4))
+    skewed = lat.lattice([[-x for x in row] for row in g])
+    assert ke.definite_isomorphic(lat.root_lattice("E", 8), skewed)
+
+
+def test_short_vectors_of_nonpositive_norm_bound():
+    e8 = [[-x for x in row] for row in lat.root_lattice("E", 8).gram]
+    for g in (e8, [[2]], []):
+        for max_norm in (-3, 0):
+            assert ke.short_vectors(g, max_norm) == {}
+    assert ke.short_vectors([], 4) == {}
+
+
 def _square(n, lo=-2, hi=2):
     return st.lists(
         st.lists(st.integers(lo, hi), min_size=n, max_size=n), min_size=n, max_size=n

@@ -203,7 +203,21 @@ def test_disc_form_search_walks_each_group_once():
     # elements, makes the matched map injective
     search = _function("k3embed.py", "find_disc_form_isomorphism")
     assert _call_count(search, "elements") == 2
-    assert _call_count(search, "kernel_basis") == 1
+    assert _call_count(search, "index") == 1
+
+
+def test_short_vectors_walk_in_integers():
+    # the Fincke-Pohst walk keeps its budget as an integer multiple of the
+    # norm and reads each coordinate's range off one isqrt: no Fraction
+    # anywhere in k3embed, and no loop stepping a coordinate to its bound
+    tree = ast.parse((SRC / "k3embed.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert "Fraction" not in names
+    walk = _function("k3embed.py", "short_vectors")
+    assert "isqrt" in _called_names(walk)
+    assert sum(isinstance(node, ast.While) for node in ast.walk(walk)) == 1
 
 
 def test_subgroups_and_membership_read_one_structure_each():
