@@ -6,10 +6,9 @@ package ever touches floating point.  The eliminations on integer matrices
 are fraction-free: ``det`` (Bareiss), ``_hermite`` behind the Smith form,
 kernels, Hermite bases and ``solve``, and the symmetric ``ldl``, whose
 working entries are bordered minors det(m[P+r, P+s]) over the pivot set P
-taken so far, so that only its returned pivots are rational: each row of its
-multipliers is integers over one positive denominator, the |leading minor|
-its pivot completes, held on the row's diagonal.  A rational vector is
-written one way, by ``numerators``, as integers over one positive
+taken so far, so that only its returned pivots are rational.  ``lll`` keeps
+leading minors and Gram-Schmidt numerators, all integers.  A rational vector
+is written one way, by ``numerators``, as integers over one positive
 denominator.  ``solve`` writes each augmented row so, takes the Hermite
 basis of those rows and back-substitutes in integers; a ``Fraction`` is made
 only for the solution it returns.  In ``det`` and ``ldl`` a row whose entry
@@ -339,43 +338,27 @@ def kernel_basis(m: Sequence[Sequence[int]]) -> list[IntVector]:
     return u[_hermite(transpose(m), u) :]
 
 
-def ldl(m: Sequence[Sequence[int]]) -> tuple[RatVector, IntMatrix, int]:
+def ldl(m: Sequence[Sequence[int]]) -> tuple[RatVector, int]:
     """Symmetric rational elimination m = L D L^T, the one shared core of
-    inertia, rational diagonalization and short-vector enumeration.
+    inertia and rational diagonalization.
 
-    Returns ``(pivots, mult, det)``.  ``pivots`` lists the pivots in the
-    order they are taken, always the first remaining nonzero diagonal entry.
-    When the remaining diagonal vanishes, a hyperbolic 2x2 block is split off
-    and contributes the pair 1, -1 (one eigenvalue of each sign); a
-    degenerate remainder contributes zeros.  ``mult`` holds the multipliers
-    as integer rows over one positive denominator: the row of a diagonal
-    pivot ``piv`` has |p|, the absolute value of the leading minor that pivot
-    completes, at ``mult[piv][piv]``, and row r was reduced with that pivot
-    by the multiplier ``Fraction(mult[piv][r], mult[piv][piv])`` (zero
-    where row r was not touched).  Rows of hyperbolic-block and degenerate
-    pivots are all zero.  When all pivots are positive they were taken in
-    index order, and
-    q(x) = sum_i pivots[i] (x_i + sum_{j>i} mult[i][j] x_j / mult[i][i])^2.
-    ``det`` is the determinant of m.
+    Returns ``(pivots, det)``.  ``pivots`` lists the pivots in the order they
+    are taken, always the first remaining nonzero diagonal entry.  When the
+    remaining diagonal vanishes, a hyperbolic 2x2 block is split off and
+    contributes the pair 1, -1 (one eigenvalue of each sign); a degenerate
+    remainder contributes zeros.  ``det`` is the determinant of m.
 
     The elimination is fraction-free (Bareiss 1968).  Once the pivot set P
     is split off, the working entry a[r][s] is the bordered minor
     det(m[P+r, P+s]) and ``d`` is det(m[P, P]), so a diagonal pivot p is the
-    ratio p/d of consecutive leading minors and its multipliers are
-    a[r][piv]/p.  By symmetry the multiplier row is the pivot row brought
-    up to date, over p (negated with p when p < 0).  By Sylvester's
-    identity every update divides exactly.  A row whose entry in the pivot
-    column is zero is not rescaled: it keeps the d it was last reduced with
-    as its own divisor l, its true entries are its stored ones times d/l,
-    and it is brought up to date only when it becomes a pivot row.  A
-    reduced row is (p*x - f*y) // l.
+    ratio p/d of consecutive leading minors.  A row keeps the d it was last
+    reduced with as its own divisor l (see the module docstring), and a
+    reduced row is (p*x - f*y) // l, exact by Sylvester's identity.
     """
     n = require_symmetric(m)
     _require_integers(m, "ldl")
     a = [list(row) for row in m]
-    mult = [[0] * n for _ in range(n)]
     pivots: RatVector = []
-    active = list(range(n))  # active[k] is the index of row and column k of a
     level = [1] * n  # level[k]: the d row k of a was last reduced with
     d = 1
 
@@ -384,17 +367,12 @@ def ldl(m: Sequence[Sequence[int]]) -> tuple[RatVector, IntMatrix, int]:
         row, l = a.pop(k), level.pop(k)
         return row if l == d else [x * d // l for x in row]
 
-    while active:
+    while a:
         k = next((k for k, row in enumerate(a) if row[k]), None)
         if k is not None:
             prow = current(k)
-            piv = active.pop(k)
             p = prow.pop(k)
             pivots.append(Fraction(p, d))
-            mrow, sign = mult[piv], -1 if p < 0 else 1
-            for r, x in zip(active, prow):
-                mrow[r] = sign * x
-            mrow[piv] = abs(p)
             for i, row in enumerate(a):
                 f = row.pop(k)
                 if f:
@@ -407,13 +385,13 @@ def ldl(m: Sequence[Sequence[int]]) -> tuple[RatVector, IntMatrix, int]:
             None,
         )
         if pair is None:
-            pivots.extend([Fraction(0)] * len(active))
-            return pivots, mult, 0
+            pivots.extend([Fraction(0)] * len(a))
+            return pivots, 0
         i, j = pair
         pivots.extend([Fraction(1), Fraction(-1)])
         rj, ri = current(j), current(i)
         h = ri[j]
-        del active[j], active[i], ri[j], ri[i], rj[j], rj[i]
+        del ri[j], ri[i], rj[j], rj[i]
         e = -h * h // d  # det(m[P, P]) once the block joins P
         # bordered minors of the block [[0, h], [h, 0]]; a row meeting
         # neither i nor j keeps its level
@@ -427,16 +405,74 @@ def ldl(m: Sequence[Sequence[int]]) -> tuple[RatVector, IntMatrix, int]:
                 ]
                 level[t] = e
         d = e
-    return pivots, mult, d
+    return pivots, d
 
 
 def signature(m: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     """Exact inertia (positive, zero, negative) of a symmetric matrix: the
     signs of its ``ldl`` pivots."""
-    pivots, _, _ = ldl(m)
+    pivots, _ = ldl(m)
     pos = sum(1 for p in pivots if p > 0)
     neg = sum(1 for p in pivots if p < 0)
     return pos, len(pivots) - pos - neg, neg
+
+
+def lll(gram: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntVector, IntMatrix]:
+    """Integral LLL reduction, delta = 3/4, of a positive-definite integer
+    Gram matrix (Lenstra-Lenstra-Lovasz 1982; Cohen, GTM 138, Alg. 2.6.7):
+    the unimodular transform b, the leading minors d of b * gram * b^T with
+    d[0] = 1, and its Gram-Schmidt numerators lam[k][j] = d[j+1] mu[k][j]
+    for j < k, zero elsewhere.  Every division is exact.  A leading minor
+    that is not positive raises ``ValueError``.
+    """
+    n = require_symmetric(gram)
+    _require_integers(gram, "lll")
+    b = identity(n)
+    d = [1] + [0] * n  # d[k+1] = 0 until the loop first reaches row k
+    lam = zeros(n, n)
+
+    def reduce(k: int, l: int) -> None:
+        # b_k -= q b_l with q the integer nearest lam[k][l] / d[l+1]
+        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+        if q:
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    k = 0
+    while k < n:
+        if not d[k + 1]:
+            # rows are reduced and swapped only below the loop's furthest
+            # row, so row k is still e_k and pairs with b_j as gram[k]
+            for j in range(k + 1):
+                u = dot(gram[k], b[j])
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+            if u <= 0:
+                raise ValueError("matrix is not positive definite")
+            d[k + 1] = u
+        if k:
+            reduce(k, k - 1)
+            t = lam[k][k - 1]
+            if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * t * t:
+                # swap rows k-1 and k; rows not yet reached keep their zeros
+                b[k - 1], b[k] = b[k], b[k - 1]
+                lam[k - 1][: k - 1], lam[k][: k - 1] = lam[k][: k - 1], lam[k - 1][: k - 1]
+                e = (d[k - 1] * d[k + 1] + t * t) // d[k]
+                for row in lam[k + 1 :]:
+                    s = row[k]
+                    row[k] = (d[k + 1] * row[k - 1] - t * s) // d[k]
+                    row[k - 1] = (e * s + t * row[k]) // d[k + 1]
+                d[k] = e
+                k -= 1
+                continue
+        for l in range(k - 2, -1, -1):
+            reduce(k, l)
+        k += 1
+    return b, d, lam
 
 
 def numerators(v: Sequence) -> tuple[IntVector, int]:

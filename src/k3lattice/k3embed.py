@@ -176,21 +176,20 @@ def complement_genus_in_unimodular(
 
 def short_vectors(gram: Sequence[Sequence[int]], max_norm: int) -> dict[int, list[tuple[int, ...]]]:
     """All vectors of a positive-definite lattice with 0 < q(v) <= max_norm,
-    one representative per antipodal pair, grouped by norm."""
+    grouped by norm: of v and -v the one whose last nonzero coordinate is
+    negative, each list ascending in (v_{n-1}, ..., v_0), the norms in the
+    order of their first vectors.  Walked in the ``exact.lll`` basis."""
     n = len(gram)
-    d, u, _ = exact.ldl(gram)
-    if not all(p > 0 for p in d):
-        raise ValueError("matrix is not positive definite")
-    out: dict[int, list[tuple[int, ...]]] = {}
-    # with m_i = u[i][i] the i-th leading minor (m_-1 = 1) and
-    # s_i = sum_{j>i} u[i][j] x_j, term i of q(x) is (m_i x_i + s_i)^2 over
-    # m_{i-1} m_i; the walk keeps the norm budget times L = lcm(m_{i-1} m_i),
-    # in which term i has the integer weight w_i = L / (m_{i-1} m_i)
-    minors = [1] + [u[i][i] for i in range(n)]
-    scale = lcm(*map(mul, minors, minors[1:]))
-    weights = [scale // (a * b) for a, b in zip(minors, minors[1:])]
-    # depth first over x_{n-1}, ..., x_0, each coordinate ascending: a stack
-    # of the coordinates x_i..x_{n-1} fixed so far and the budget they leave
+    b, d, lam = exact.lll(gram)
+    found: list[tuple[int, tuple[int, ...]]] = []
+    # term i of q(x) is (d[i+1] x_i + s_i)^2 / (d[i] d[i+1]) with s_i the
+    # sum of lam[k][i] x_k over k > i; the walk keeps the budget times
+    # L = lcm(d[i] d[i+1]), where term i has the weight L / (d[i] d[i+1])
+    scale = lcm(*map(mul, d, d[1:]))
+    weights = [scale // (x * y) for x, y in zip(d, d[1:])]
+    cols = exact.transpose(lam)
+    # depth first over x_{n-1}, ..., x_0: a stack of the coordinates
+    # x_i..x_{n-1} fixed so far and the budget they leave
     stack = [((), max_norm * scale)] if max_norm > 0 else []
     while stack:
         tail, remaining = stack.pop()
@@ -198,9 +197,9 @@ def short_vectors(gram: Sequence[Sequence[int]], max_norm: int) -> dict[int, lis
         if i < 0:
             norm = max_norm - remaining // scale
             if norm > 0:
-                out.setdefault(norm, []).append(tail)
+                found.append((norm, tail))
             continue
-        m, s, w = u[i][i], sum(map(mul, u[i][i + 1 :], tail)), weights[i]
+        m, s, w = d[i + 1], sum(map(mul, cols[i][i + 1 :], tail)), weights[i]
         # w (m x_i + s)^2 <= remaining iff |m x_i + s| <= r
         r = isqrt(remaining // w)
         high = (r - s) // m
@@ -213,31 +212,14 @@ def short_vectors(gram: Sequence[Sequence[int]], max_norm: int) -> dict[int, lis
             ((x,) + tail, remaining - w * (m * x + s) ** 2)
             for x in range(high, -((r + s) // m) - 1, -1)
         )
+    vectors = [
+        tuple(v) if next(c for c in reversed(v) if c) < 0 else tuple(-c for c in v)
+        for v in exact.matmul([x for _, x in found], b)
+    ]
+    out: dict[int, list[tuple[int, ...]]] = {}
+    for v, (norm, _) in sorted(zip(vectors, found), key=lambda p: p[0][::-1]):
+        out.setdefault(norm, []).append(v)
     return out
-
-
-def _greedy_reduce(gram: list[list[int]]) -> list[list[int]]:
-    """Norm-minimizing sweep: replace b_i by b_i +- b_j while the norm of
-    b_i strictly drops.  Returns the transformation rows."""
-    n = len(gram)
-    basis = exact.identity(n)
-
-    def norm(v):
-        return sum(v[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
-
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                for sgn in (1, -1):
-                    cand = [x + sgn * y for x, y in zip(basis[i], basis[j])]
-                    if abs(norm(cand)) < abs(norm(basis[i])):
-                        basis[i] = cand
-                        changed = True
-    return basis
 
 
 def _match_gram(
@@ -297,25 +279,20 @@ def definite_isomorphic(l1: Lattice, l2: Lattice) -> bool:
     backtracking over short vectors of matching norms and pairings."""
     if not (l1.is_definite() and l2.is_definite()):
         raise ValueError("definite_isomorphic requires definite lattices")
-    if l1.rank != l2.rank or l1.det() != l2.det():
+    if l1.rank != l2.rank or l1.det() != l2.det() or l1.signature() != l2.signature():
         return False
-    if l1.signature() != l2.signature():
-        return False
-    neg = l1.signature()[2] > 0
-    g1 = [[-x for x in row] for row in l1.gram] if neg else [list(r) for r in l1.gram]
-    g2 = [[-x for x in row] for row in l2.gram] if neg else [list(r) for r in l2.gram]
-
-    red = _greedy_reduce(g1)
+    sign = -1 if l1.signature()[2] else 1
+    g1, g2 = ([[sign * x for x in row] for row in l.gram] for l in (l1, l2))
+    red, _, _ = exact.lll(g1)
     g1r = exact.matmul(exact.matmul(red, g1), exact.transpose(red))
-    n = len(g1r)
-    max_norm = max((g1r[i][i] for i in range(n)), default=0)
+    norms = [row[i] for i, row in enumerate(g1r)]
     cands = {
         norm: [w for v in vecs for w in (v, tuple(-c for c in v))]
-        for norm, vecs in short_vectors(g2, max_norm).items()
+        for norm, vecs in short_vectors(g2, max(norms, default=0)).items()
     }
     # a full match maps l1 onto a sublattice of index |det(rows)|, and equal
     # nonzero determinants force the index to be 1
-    return _match_gram(g1r, [cands.get(g1r[i][i], []) for i in range(n)], g2) is not None
+    return _match_gram(g1r, [cands.get(x, []) for x in norms], g2) is not None
 
 
 def _size(v: Sequence[int]) -> tuple[int, int]:

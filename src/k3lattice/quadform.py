@@ -166,8 +166,14 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
+def _require_place(v) -> None:
+    if v != REAL and not (isinstance(v, int) and is_probable_prime(v)):
+        raise ValueError(f"a place is REAL or a prime, not {v!r}")
+
+
 def hilbert_symbol(a, b, v) -> int:
     """Classical Hilbert symbol (a,b)_v for nonzero rationals a, b."""
+    _require_place(v)
     a = _rational_to_int_class(a)
     b = _rational_to_int_class(b)
     if v == REAL:
@@ -202,9 +208,8 @@ def _split(a: int, p: int) -> tuple[int, int]:
 
 def hasse_invariant(diag: Sequence, v) -> int:
     """prod_{i<j} (d_i, d_j)_v over a diagonal representation."""
+    _require_place(v)
     entries = [_rational_to_int_class(d) for d in diag]
-    if any(d == 0 for d in entries):
-        raise ValueError("zero diagonal entry")
     sign = 1
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
@@ -219,7 +224,7 @@ def hasse_invariant(diag: Sequence, v) -> int:
 def _form(gram: Sequence[Sequence[int]]) -> tuple[list[int], int]:
     """The ``exact.ldl`` pivots of a nondegenerate symmetric integer matrix,
     each as an integer in its square class, and its determinant."""
-    pivots, _, det = exact.ldl(gram)
+    pivots, det = exact.ldl(gram)
     if det == 0:
         raise ValueError("degenerate form")
     return [_rational_to_int_class(p) for p in pivots], det
@@ -327,6 +332,7 @@ def _local_isotropic(rank: int, disc: int, eps: int, v) -> bool:
 def _anisotropic_dimension(diag: Sequence[int], disc: int, v) -> int:
     """Anisotropic dimension at v of the diagonal form ``diag`` whose
     discriminant lies in the square class of the integer ``disc``."""
+    _require_place(v)
     if v == REAL:
         pos = sum(1 for d in diag if d > 0)
         return abs(pos - (len(diag) - pos))

@@ -72,15 +72,14 @@ def naive_ldl(m):
     """The ``Fraction`` elimination that ``exact.ldl`` replaced: the same
     pivot order, hyperbolic rule and degenerate tail on the rational Schur
     complements; oracle for the fraction-free elimination.  Returns the
-    pivots, the multipliers as ``Fraction``s and, per row, |det m[P, P]|
-    for the pivot set P a diagonal pivot completes (0 for the other rows):
-    the denominator ``exact.ldl`` keeps that pivot's multipliers over."""
+    pivots and the multipliers as ``Fraction``s: row r was reduced with
+    pivot ``piv`` by ``mult[piv][r]``.  For a positive-definite m the pivots
+    come in index order and
+    q(x) = sum_i pivots[i] (x_i + sum_{j>i} mult[i][j] x_j)^2."""
     n = exact.require_symmetric(m)
     a = [[Fraction(x) for x in row] for row in m]
     zero = Fraction(0)
     mult = [[zero] * n for _ in range(n)]
-    dens = [0] * n
-    minor = Fraction(1)  # det m[P, P] for the pivots P taken so far
     pivots = []
     active = list(range(n))
     while active:
@@ -88,8 +87,6 @@ def naive_ldl(m):
         if piv is not None:
             p = a[piv][piv]
             pivots.append(p)
-            minor *= p
-            dens[piv] = abs(minor)
             active.remove(piv)
             for r in active:
                 if a[r][piv] == 0:
@@ -110,7 +107,6 @@ def naive_ldl(m):
         active.remove(i)
         active.remove(j)
         p = a[i][j]
-        minor *= -p * p
         for r in active:
             ci, cj = a[r][i], a[r][j]
             if ci == 0 and cj == 0:
@@ -118,21 +114,7 @@ def naive_ldl(m):
             for s in active:
                 # Schur complement of the block [[0,p],[p,0]]
                 a[r][s] -= (ci * a[j][s] + cj * a[i][s]) / p
-    return pivots, mult, dens
-
-
-def rational_mult(mult):
-    """``exact.ldl``'s integer multiplier rows read as the ``Fraction``s
-    they stand for, Fraction(mult[i][j], mult[i][i]), with zeros on the
-    diagonal.  A row without a denominator is read as it stands, so a
-    nonzero entry in it shows."""
-    return [
-        [
-            Fraction(0) if j == i else Fraction(x, row[i]) if row[i] else Fraction(x)
-            for j, x in enumerate(row)
-        ]
-        for i, row in enumerate(mult)
-    ]
+    return pivots, mult
 
 
 def naive_solve(a, b):
@@ -173,32 +155,25 @@ def naive_solve(a, b):
 
 def eager_ldl(m):
     """``exact.ldl`` as it was before the per-row divisor: every row whose
-    multiplier is zero is rescaled by p/d at once, so a multiplier is the
-    current entry f over p.  Its multiplier rows are written as ``ldl``
-    writes them, integers over |p|.  The lazy elimination must return
-    exactly this."""
-    n = exact.require_symmetric(m)
+    entry in the pivot column is zero is rescaled by p/d at once.  The lazy
+    elimination must return exactly this."""
+    exact.require_symmetric(m)
     a = [list(row) for row in m]
     zero = Fraction(0)
-    mult = [[0] * n for _ in range(n)]
     pivots = []
-    active = list(range(n))
     d = 1
-    while active:
+    while a:
         k = next((k for k, row in enumerate(a) if row[k]), None)
         if k is not None:
             prow = a.pop(k)
-            piv = active.pop(k)
             p = prow.pop(k)
             pivots.append(Fraction(p, d))
-            for row, r in zip(a, active):
+            for row in a:
                 f = row.pop(k)
                 if f:
-                    mult[piv][r] = f if p > 0 else -f
                     row[:] = [(p * x - f * y) // d for x, y in zip(row, prow)]
                 elif p != d:
                     row[:] = [p * x // d for x in row]
-            mult[piv][piv] = abs(p)
             d = p
             continue
         pair = next(
@@ -206,20 +181,20 @@ def eager_ldl(m):
             None,
         )
         if pair is None:
-            pivots.extend([zero] * len(active))
-            return pivots, mult, 0
+            pivots.extend([zero] * len(a))
+            return pivots, 0
         i, j = pair
         pivots.extend([Fraction(1), Fraction(-1)])
         h = a[i][j]
         d2 = d * d
         rj, ri = a.pop(j), a.pop(i)
-        del active[j], active[i], ri[j], ri[i], rj[j], rj[i]
+        del ri[j], ri[i], rj[j], rj[i]
         for row in a:
             ci, cj = row[i], row[j]
             del row[j], row[i]
             row[:] = [h * (ci * y + cj * x - h * z) // d2 for z, x, y in zip(row, ri, rj)]
         d = -h * h // d
-    return pivots, mult, d
+    return pivots, d
 
 
 def eager_solve(a, b):
@@ -743,23 +718,11 @@ def is_rational_square(x):
 def test_ldl_examples():
     assert exact.ldl([[0, 1], [1, 0]])[0] == [1, -1]
     assert exact.ldl([[0, 0], [0, 0]])[0] == [0, 0]
-    pivots, mult, det = exact.ldl([[2, 1], [1, 2]])
-    assert pivots == [2, Fraction(3, 2)]
-    assert mult == [[2, 1], [0, 3]]
-    assert Fraction(mult[0][1], mult[0][0]) == Fraction(1, 2)
-    assert det == 3
-    # a negative pivot: numerators negated with it over a positive denominator
-    pivots, mult, det = exact.ldl([[-2, 1], [1, 2]])
-    assert pivots == [-2, Fraction(5, 2)]
-    assert mult == [[2, -1], [0, 5]]
-    assert Fraction(mult[0][1], mult[0][0]) == Fraction(1, -2)
-    assert det == -5
-    # hyperbolic and degenerate pivots keep no multipliers
-    assert exact.ldl([[0, 1], [1, 0]])[1] == [[0, 0], [0, 0]]
-    assert exact.ldl([[0, 0], [0, 0]])[1] == [[0, 0], [0, 0]]
-    assert exact.ldl([[0, 1], [1, 0]])[2] == -1
-    assert exact.ldl([[0, 0], [0, 0]])[2] == 0
-    assert exact.ldl([]) == ([], [], 1)
+    assert exact.ldl([[2, 1], [1, 2]]) == ([2, Fraction(3, 2)], 3)
+    assert exact.ldl([[-2, 1], [1, 2]]) == ([-2, Fraction(5, 2)], -5)
+    assert exact.ldl([[0, 1], [1, 0]])[1] == -1
+    assert exact.ldl([[0, 0], [0, 0]])[1] == 0
+    assert exact.ldl([]) == ([], 1)
 
 
 def test_ldl_rejects_non_integer_entries():
@@ -778,19 +741,15 @@ def test_ldl_rejects_non_integer_entries():
     )
 )
 def test_ldl_matches_the_fraction_elimination(m):
-    pivots, mult, det = exact.ldl(m)
-    want_pivots, want_mult, dens = naive_ldl(m)
-    assert pivots == want_pivots
-    assert all(type(x) is int for row in mult for x in row)
-    assert [row[i] for i, row in enumerate(mult)] == dens
-    assert rational_mult(mult) == want_mult
+    pivots, det = exact.ldl(m)
+    assert pivots == naive_ldl(m)[0]
     assert det == exact.det(m)
 
 
 @settings(max_examples=60, deadline=None)
 @given(any_symmetric())
 def test_ldl_pivots_give_inertia_and_det_class(m):
-    pivots, _, _ = exact.ldl(m)
+    pivots, _ = exact.ldl(m)
     assert len(pivots) == len(m)
     pos = sum(1 for p in pivots if p > 0)
     neg = sum(1 for p in pivots if p < 0)
@@ -805,29 +764,50 @@ def test_ldl_pivots_give_inertia_and_det_class(m):
         assert is_rational_square(prod * d)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 6).flatmap(symmetric))
-def test_ldl_reconstructs_positive_definite(b):
-    # g = b b^T + I is positive definite, so the pivots come in index order
-    # and g = L D L^T with L unit lower triangular, L[i][j] = u[j][i]
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: symmetric(n, -3, 3)))
+def test_lll_reconstructs_positive_definite(b):
+    # g = b b^T + I is positive definite; its reduced basis r = u g u^T has
+    # leading minors d and r = L D L^T with L[k][j] = lam[k][j] / d[j+1]
+    # below the unit diagonal and D = d[i+1] / d[i], and is LLL reduced
     n = len(b)
     g = exact.matmul(b, exact.transpose(b))
     for i in range(n):
         g[i][i] += 1
-    d, u, _ = exact.ldl(g)
-    assert all(p > 0 for p in d)
+    u, d, lam = exact.lll(g)
+    assert n == 0 or abs(exact.det(u)) == 1
+    r = exact.matmul(exact.matmul(u, g), exact.transpose(u))
+    assert d == [exact.det([row[:i] for row in r[:i]]) for i in range(n + 1)]
     low = [
-        [Fraction(u[j][i], u[j][j]) if j < i else Fraction(i == j) for j in range(n)]
-        for i in range(n)
+        [Fraction(lam[k][j], d[j + 1]) if j < k else Fraction(j == k) for j in range(n)]
+        for k in range(n)
     ]
-    diag = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    assert exact.matmul(exact.matmul(low, diag), exact.transpose(low)) == g
+    diag = [[Fraction(d[i + 1], d[i]) if i == j else 0 for j in range(n)] for i in range(n)]
+    assert exact.matmul(exact.matmul(low, diag), exact.transpose(low)) == r
+    assert all(2 * abs(lam[k][j]) <= d[j + 1] for k in range(n) for j in range(k))
+    for k in range(1, n):
+        assert 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: symmetric(n, -4, 4)))
+def test_lll_rejects_indefinite_and_semidefinite(m):
+    # m when it is not positive definite, and c^T c for c = m without its
+    # last row, positive semidefinite and singular
+    semi = exact.matmul(exact.transpose(m[:-1]), m[:-1]) if len(m) > 1 else [[0]]
+    for g in (m, semi):
+        if exact.signature(g)[0] < len(g):
+            with pytest.raises(ValueError, match="not positive definite"):
+                exact.lll(g)
+    for bad in ([[1, 2], [2, 1]], [[1, 1], [1, 1]], [[0]], [[2, 0], [0, -1]]):
+        with pytest.raises(ValueError, match="not positive definite"):
+            exact.lll(bad)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(any_symmetric(), sparse_squares().filter(exact.is_symmetric)))
 def test_det_equals_the_ldl_determinant(m):
-    assert exact.det(m) == exact.ldl(m)[2]
+    assert exact.det(m) == exact.ldl(m)[1]
 
 
 def banded(n, width):

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import k3lattice.lattice as lat
 from k3lattice import claims, exact, glue, k3embed as ke, quadform as qf
-from test_exact import rational_mult
+from test_exact import naive_ldl
 
 
 def complete_box_bound(g, max_norm):
@@ -249,8 +249,7 @@ def reference_short_vectors(gram, max_norm: int) -> dict[int, list[tuple[int, ..
     one representative per antipodal pair, grouped by norm."""
     n = len(gram)
     # q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2
-    d, u, _ = exact.ldl(gram)
-    u = rational_mult(u)  # u_ij = Fraction(mult[i][j], mult[i][i])
+    d, u = naive_ldl(gram)
     if not all(p > 0 for p in d):
         raise ValueError("matrix is not positive definite")
     out: dict[int, list[tuple[int, ...]]] = {}
@@ -549,8 +548,7 @@ def leaf_test_short_vectors(gram, max_norm: int) -> dict[int, list[tuple[int, ..
     keeps, at the leaf, the one whose last nonzero coordinate is negative."""
     n = len(gram)
     # q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2
-    d, u, _ = exact.ldl(gram)
-    u = rational_mult(u)  # u_ij = Fraction(mult[i][j], mult[i][i])
+    d, u = naive_ldl(gram)
     if not all(p > 0 for p in d):
         raise ValueError("matrix is not positive definite")
     out: dict[int, list[tuple[int, ...]]] = {}
@@ -604,10 +602,10 @@ def test_short_vectors_sign_cap_keeps_the_lists():
     assert {k: len(v) for k, v in ke.short_vectors(e8, 4).items()} == {2: 120, 4: 1080}
 
 
-def skew(n: int, steps: int) -> list[list[int]]:
+def skew(n: int, steps: int, seed: int = 1) -> list[list[int]]:
     """A unimodular n x n matrix: from the identity, ``steps`` times add
-    +-row j to row i, with (i, j) and the sign drawn from Random(1)."""
-    rng = random.Random(1)
+    +-row j to row i, with (i, j) and the sign drawn from Random(seed)."""
+    rng = random.Random(seed)
     u = exact.identity(n)
     for _ in range(steps):
         i, j = rng.sample(range(n), 2)
@@ -634,6 +632,19 @@ def test_short_vectors_on_a_skewed_basis():
     assert pairs(mapped) == pairs(ke.short_vectors(e8, 4))
     skewed = lat.lattice([[-x for x in row] for row in g])
     assert ke.definite_isomorphic(lat.root_lattice("E", 8), skewed)
+
+
+def test_definite_isomorphic_on_skewed_bases():
+    # E8 + E8 in bases with entries in the hundreds, on one side and on both
+    e8 = lat.root_lattice("E", 8)
+    e16 = lat.direct_sum(e8, e8)
+
+    def skewed(seed):
+        u = skew(16, 60, seed)
+        return lat.lattice(exact.matmul(exact.matmul(u, e16.gram), exact.transpose(u)))
+
+    assert ke.definite_isomorphic(e16, skewed(1))
+    assert ke.definite_isomorphic(skewed(2), skewed(3))
 
 
 def test_short_vectors_of_nonpositive_norm_bound():

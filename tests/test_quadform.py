@@ -330,6 +330,25 @@ def test_witt_examples():
         assert qf.witt_index(u23.gram, v) == 3
 
 
+def test_a_place_is_real_or_a_prime():
+    # v = 1 never returned, v = 0 divided by zero, and 4, 9, -3, "7" and
+    # 2.0 gave values that mean nothing
+    g = [[1, 0], [0, 1]]
+    calls = (
+        lambda v: qf.witt_index(g, v),
+        lambda v: qf.anisotropic_dimension(g, v),
+        lambda v: qf.hilbert_symbol(2, 3, v),
+        lambda v: qf.hasse_invariant([2], v),
+        lambda v: qf.has_k_planes(g, 0, v),
+    )
+    with _deadline(5):
+        for v in (1, 0, 4, 9, -3, "7", 2.0):
+            for call in calls:
+                with pytest.raises(ValueError, match="place"):
+                    call(v)
+    assert [call(7) for call in calls] == [0, 2, 1, 1, False]
+
+
 def test_witt_global_brute_force_spot_checks():
     cases = [
         [[2, 0], [0, -2]],                       # hyperbolic: isotropic

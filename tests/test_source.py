@@ -122,14 +122,15 @@ def _function(module: str, name: str) -> ast.FunctionDef:
 
 def test_ldl_eliminates_in_integers():
     # exact.det and exact.ldl divide only exactly (//), by Sylvester's
-    # identity, and exact.solve, which reads the Hermite basis and no
+    # identity, exact.lll keeps integer Gram-Schmidt numerators over leading
+    # minors and divides only exactly too, and exact.solve, which reads the Hermite basis and no
     # longer runs Bareiss elimination, divides only exactly as well; a true
     # division would bring the Fraction elimination back.  det's arithmetic
     # runs in det itself (the Schur step) and in the private helpers it
     # calls, which are held to the same rule
     helpers = sorted(filter(_is_private, _called_names(_function("exact.py", "det"))))
     assert {"_diagonal_block", "_bareiss"} <= set(helpers)
-    for name in ("det", *helpers, "ldl", "solve"):
+    for name in ("det", *helpers, "ldl", "lll", "solve"):
         found = [
             node.lineno
             for node in ast.walk(_function("exact.py", name))
@@ -218,6 +219,18 @@ def test_short_vectors_walk_in_integers():
     walk = _function("k3embed.py", "short_vectors")
     assert "isqrt" in _called_names(walk)
     assert sum(isinstance(node, ast.While) for node in ast.walk(walk)) == 1
+
+
+def test_definite_searches_run_on_one_lll():
+    # both definite searches reduce with exact.lll, which also gives the
+    # walk its Gram-Schmidt data; k3embed reads no ldl and keeps no
+    # reduction of its own
+    tree = ast.parse((SRC / "k3embed.py").read_text())
+    assert _call_count(tree, "ldl") == 0
+    for name in ("short_vectors", "definite_isomorphic"):
+        assert _call_count(_function("k3embed.py", name), "lll") == 1, name
+    for path in SRC.glob("*.py"):
+        assert "_greedy_reduce" not in path.read_text(), path.name
 
 
 def test_subgroups_and_membership_read_one_structure_each():
