@@ -40,15 +40,14 @@ def _lattice_summary(l: lat.Lattice) -> str:
 
 
 def _cmd_verify(args) -> int:
+    if args.tag and not args.all:
+        args.error("--tag needs --all")
     if args.all:
         results = claims.run_all(args.tag)
         if not results:
             print(f"no claims match tag {args.tag!r}", file=sys.stderr)
             return 2
     else:
-        if not args.id:
-            print("verify: give a claim id or --all", file=sys.stderr)
-            return 2
         try:
             results = [claims.run_claim(args.id)]
         except KeyError as e:
@@ -93,13 +92,6 @@ def _read_rows(path: str) -> tuple[tuple[int, ...], ...]:
 
 
 def _cmd_lattice_op(args) -> int:
-    if args.op in ("complement", "saturation") and args.sub is None:
-        print(
-            f"usage: k3lattice lattice op {args.op} FILE --sub ROWS [--out PATH] [--name NAME]\n"
-            f"lattice op {args.op}: --sub is required",
-            file=sys.stderr,
-        )
-        return 2
     if args.op == "complement":
         ambient = lattice_io.load_lattice(args.file)
         sub = _read_rows(args.sub)
@@ -132,15 +124,10 @@ def _cmd_lattice_op(args) -> int:
         for i, row in enumerate(form.b_matrix):
             print(f"b(g{i + 1}, .) = {'  '.join(map(str, row))}")
         return 0
-    if args.op == "saturation":
-        ambient = lattice_io.load_lattice(args.file)
-        sub = _read_rows(args.sub)
-        _write_or_print(
-            lat.saturation(ambient, sub).rename(args.name or "saturation"), args.out
-        )
-        return 0
-    print(f"unknown lattice op {args.op!r}", file=sys.stderr)
-    return 2
+    ambient = lattice_io.load_lattice(args.file)
+    sub = _read_rows(args.sub)
+    _write_or_print(lat.saturation(ambient, sub).rename(args.name or "saturation"), args.out)
+    return 0
 
 
 def _cmd_quadform(args) -> int:
@@ -157,12 +144,11 @@ def _cmd_quadform(args) -> int:
 
 def _cmd_named(args) -> int:
     if args.list:
+        if args.save:
+            args.error("--save needs a lattice name, not --list")
         for name in glue.named_lattice_names():
             print(name)
         return 0
-    if not args.name:
-        print("named: give a lattice name or --list", file=sys.stderr)
-        return 2
     l = glue.build_named(args.name)
     print(_lattice_summary(l))
     if args.save:
@@ -185,11 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run one claim or the whole registry")
-    v.add_argument("id", nargs="?", help="claim id (see 'list')")
-    v.add_argument("--all", action="store_true", help="run every claim")
+    which = v.add_mutually_exclusive_group(required=True)
+    which.add_argument("id", nargs="?", help="claim id (see 'list')")
+    which.add_argument("--all", action="store_true", help="run every claim")
     v.add_argument("--tag", help="with --all: only claims carrying this tag")
     v.add_argument("--json", metavar="PATH", help="write a machine-readable report")
-    v.set_defaults(fn=_cmd_verify)
+    v.set_defaults(fn=_cmd_verify, error=v.error)
 
     ls = sub.add_parser("list", help="list registered claim ids")
     ls.add_argument("-v", "--verbose", action="store_true")
@@ -201,19 +188,23 @@ def build_parser() -> argparse.ArgumentParser:
     info.add_argument("file")
     info.set_defaults(fn=_cmd_lattice_info)
     op = lsub.add_parser("op", help="complement | adjoin | disc-form | saturation")
-    op.add_argument("op", choices=["complement", "adjoin", "disc-form", "saturation"])
-    op.add_argument("file", help="lattice file")
-    op.add_argument("--sub", help="JSON file with basis rows (complement, saturation)")
-    op.add_argument(
-        "--glue",
-        action="append",
-        metavar="V/D",
-        help="glue vector 'v1,...,vn/d' (adjoin; repeatable)",
-    )
-    op.add_argument("--odd-ok", action="store_true", help="allow odd overlattices")
-    op.add_argument("--out", help="write the resulting lattice file here")
-    op.add_argument("--name", help="name for the resulting lattice")
-    op.set_defaults(fn=_cmd_lattice_op)
+    # each op declares only the options it reads, so argparse rejects the rest
+    ops = op.add_subparsers(dest="op", required=True)
+    for name in ("complement", "adjoin", "disc-form", "saturation"):
+        o = ops.add_parser(name)
+        o.add_argument("file", help="lattice file")
+        o.set_defaults(fn=_cmd_lattice_op)
+        if name in ("complement", "saturation"):
+            o.add_argument("--sub", required=True, help="JSON file with basis rows")
+        if name == "adjoin":
+            o.add_argument(
+                "--glue", action="append", metavar="V/D",
+                help="glue vector 'v1,...,vn/d' (repeatable)",
+            )
+            o.add_argument("--odd-ok", action="store_true", help="allow odd overlattices")
+        if name != "disc-form":
+            o.add_argument("--out", help="write the resulting lattice file here")
+            o.add_argument("--name", help="name for the resulting lattice")
 
     q = sub.add_parser("quadform", help="rational quadratic form invariants")
     qsub = q.add_subparsers(dest="quadform_command", required=True)
@@ -222,22 +213,23 @@ def build_parser() -> argparse.ArgumentParser:
     qi.set_defaults(fn=_cmd_quadform)
 
     n = sub.add_parser("named", help="build one of the named lattices")
-    n.add_argument("name", nargs="?", help="e.g. L2, N1, Lambda(3), Lp(17)")
+    which = n.add_mutually_exclusive_group(required=True)
+    which.add_argument("name", nargs="?", help="e.g. L2, N1, Lambda(3), Lp(17)")
+    which.add_argument("--list", action="store_true", help="list available names")
     n.add_argument("--save", metavar="PATH", help="write the lattice file")
-    n.add_argument("--list", action="store_true", help="list available names")
-    n.set_defaults(fn=_cmd_named)
+    n.set_defaults(fn=_cmd_named, error=n.error)
 
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse, and a command through args.error, report usage errors
+        # by raising SystemExit
+        args = build_parser().parse_args(argv)
+        return args.fn(args)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    try:
-        return args.fn(args)
     except (ValueError, OSError) as e:
         # file and glue errors are ValueErrors; an OSError is a failed write
         print(f"error: {e}", file=sys.stderr)

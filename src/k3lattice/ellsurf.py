@@ -75,20 +75,16 @@ def kodaira_to_ade(t: KodairaType) -> tuple[str, int] | None:
     }[t.family]
 
 
-def euler_number(t: KodairaType) -> int:
-    if t.family == "I":
-        return t.n
-    if t.family == "I*":
-        return t.n + 6
-    return {"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}[t.family]
-
-
 def component_count(t: KodairaType) -> int:
-    if t.family == "I":
-        return max(t.n, 1)
-    if t.family == "I*":
-        return t.n + 5
-    return {"II": 1, "III": 2, "IV": 3, "IV*": 7, "III*": 8, "II*": 9}[t.family]
+    """1 + the rank of the fiber's root lattice."""
+    ade = kodaira_to_ade(t)
+    return 1 + (ade[1] if ade else 0)
+
+
+def euler_number(t: KodairaType) -> int:
+    """n for I_n, one more than the number of components for an additive
+    fiber (Kodaira)."""
+    return t.n if t.family == "I" else component_count(t) + 1
 
 
 @dataclass(frozen=True)
@@ -101,6 +97,8 @@ class FiberConfig:
         for s in symbols:
             if "x" in s:
                 count, sym = s.split("x")
+                if int(count) < 1:
+                    raise ValueError(f"fiber count in {s!r} is not a positive integer")
                 out.extend([kodaira(sym)] * int(count))
             else:
                 out.append(kodaira(s))

@@ -2,9 +2,12 @@
 
 Places of Q are either a prime number or the real place, represented by the
 string constant ``REAL``.  The Hasse invariant follows the product convention
-eps_v = prod_{i<j} (d_i, d_j)_v over a diagonalization; decisions about
+eps_v = prod_{i<j} (d_i, d_j)_v over a diagonalization, evaluated as one
+running product prod_j (d_1...d_{j-1}, d_j)_v per place; decisions about
 isotropy over completions use the standard classification of forms over
-local fields by rank, discriminant class and Hasse invariant.
+local fields by rank, discriminant class and Hasse invariant.  A place is
+checked once, by the public function that receives it; inside, symbols are
+taken on integers, and each place's invariant is computed once per form.
 
 Every decision reads the raw ``exact.ldl`` pivots and the determinant, and
 only |det| is factored: at an odd p not dividing det an integral form is
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import Sequence
 
 from . import exact
@@ -174,25 +177,27 @@ def _require_place(v) -> None:
 def hilbert_symbol(a, b, v) -> int:
     """Classical Hilbert symbol (a,b)_v for nonzero rationals a, b."""
     _require_place(v)
-    a = _rational_to_int_class(a)
-    b = _rational_to_int_class(b)
+    return _hilbert(_rational_to_int_class(a), _rational_to_int_class(b), v)
+
+
+def _hilbert(a: int, b: int, v) -> int:
+    """(a,b)_v for nonzero integers a, b at a place v already checked."""
     if v == REAL:
         return -1 if (a < 0 and b < 0) else 1
-    p = int(v)
-    if p == 2:
+    if v == 2:
         alpha, u = _split(a, 2)
         beta, w = _split(b, 2)
         eps = ((u - 1) // 2) * ((w - 1) // 2)
         omega = alpha * ((w * w - 1) // 8) + beta * ((u * u - 1) // 8)
         return -1 if (eps + omega) % 2 else 1
-    alpha, u = _split(a, p)
-    beta, w = _split(b, p)
+    alpha, u = _split(a, v)
+    beta, w = _split(b, v)
     sign = 1
-    if (alpha * beta) % 2 and (p - 1) // 2 % 2:
+    if (alpha * beta) % 2 and (v - 1) // 2 % 2:
         sign = -sign
-    if beta % 2 and legendre(u, p) < 0:
+    if beta % 2 and legendre(u, v) < 0:
         sign = -sign
-    if alpha % 2 and legendre(w, p) < 0:
+    if alpha % 2 and legendre(w, v) < 0:
         sign = -sign
     return sign
 
@@ -207,13 +212,15 @@ def _split(a: int, p: int) -> tuple[int, int]:
 
 
 def hasse_invariant(diag: Sequence, v) -> int:
-    """prod_{i<j} (d_i, d_j)_v over a diagonal representation."""
+    """prod_{i<j} (d_i, d_j)_v over a diagonal representation, taken by
+    bimultiplicativity as prod_j (d_1...d_{j-1}, d_j)_v over a running
+    integer product: n - 1 symbols instead of n(n-1)/2."""
     _require_place(v)
     entries = [_rational_to_int_class(d) for d in diag]
-    sign = 1
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            sign *= hilbert_symbol(entries[i], entries[j], v)
+    sign, prefix = 1, entries[0] if entries else 1
+    for d in entries[1:]:
+        sign *= _hilbert(prefix, d, v)
+        prefix *= d
     return sign
 
 
@@ -284,10 +291,20 @@ def invariants_and_witt_index(
     gram: Sequence[Sequence[int]],
 ) -> tuple[QuadFormInvariants, int]:
     """``invariants(gram)`` together with ``witt_index(gram, GLOBAL)``, from
-    one elimination and one factorization of |det|."""
+    one elimination, one factorization of |det| and one Hasse invariant per
+    place: the global Witt index is the least local one over those places
+    and the generic value at every other prime, which depends only on rank
+    and on whether (-1)^(rank/2) det is a square."""
     pivots, det = _form(gram)
     disc, places = _class_and_places(det)
-    return _invariants(pivots, disc, places), _global_witt_index(pivots, det, places)
+    inv = _invariants(pivots, disc, places)
+    rank, half = len(pivots), len(pivots) // 2
+    best = min(
+        (rank - _anisotropic_dimension(pivots, disc, -1 if v in inv.hasse_minus else 1, v)) // 2
+        for v in places
+    )
+    split = rank % 2 or disc * (-1) ** half == 1
+    return inv, min(best, half if split else half - 1)
 
 
 def rationally_equivalent(g1: Sequence[Sequence[int]], g2: Sequence[Sequence[int]]) -> bool:
@@ -304,13 +321,12 @@ def _is_local_square(d: int, v) -> bool:
     """Whether the nonzero integer d is a square in the completion at v."""
     if v == REAL:
         return d > 0
-    p = int(v)
-    alpha, u = _split(d, p)
+    alpha, u = _split(d, v)
     if alpha % 2:
         return False
-    if p == 2:
+    if v == 2:
         return u % 8 == 1
-    return legendre(u, p) == 1
+    return legendre(u, v) == 1
 
 
 def _local_isotropic(rank: int, disc: int, eps: int, v) -> bool:
@@ -321,25 +337,25 @@ def _local_isotropic(rank: int, disc: int, eps: int, v) -> bool:
     if rank == 2:
         return _is_local_square(-disc, v)
     if rank == 3:
-        return eps == hilbert_symbol(-1, -disc, v)
+        return eps == _hilbert(-1, -disc, v)
     if rank == 4:
         if not _is_local_square(disc, v):
             return True
-        return eps == hilbert_symbol(-1, -1, v)
+        return eps == _hilbert(-1, -1, v)
     return True
 
 
-def _anisotropic_dimension(diag: Sequence[int], disc: int, v) -> int:
-    """Anisotropic dimension at v of the diagonal form ``diag`` whose
-    discriminant lies in the square class of the integer ``disc``."""
-    _require_place(v)
+def _anisotropic_dimension(diag: Sequence[int], disc: int, eps: int, v) -> int:
+    """Anisotropic dimension at the checked place v of the diagonal form
+    ``diag`` whose discriminant lies in the square class of the integer
+    ``disc`` and whose Hasse invariant at v is ``eps``."""
     if v == REAL:
         pos = sum(1 for d in diag if d > 0)
         return abs(pos - (len(diag) - pos))
-    rank, eps = len(diag), hasse_invariant(diag, v)
+    rank = len(diag)
     while rank > 0 and _local_isotropic(rank, disc, eps, v):
         # split off a hyperbolic plane: disc -> -disc, eps -> eps*(-1,-disc)
-        eps *= hilbert_symbol(-1, -disc, v)
+        eps *= _hilbert(-1, -disc, v)
         disc = -disc
         rank -= 2
     return rank
@@ -347,35 +363,17 @@ def _anisotropic_dimension(diag: Sequence[int], disc: int, v) -> int:
 
 def anisotropic_dimension(gram: Sequence[Sequence[int]], v) -> int:
     """Dimension of the anisotropic kernel over the completion at v."""
-    return _anisotropic_dimension(*_form(gram), v)
+    pivots, det = _form(gram)
+    return _anisotropic_dimension(pivots, det, hasse_invariant(pivots, v), v)
 
 
 def witt_index(gram: Sequence[Sequence[int]], v) -> int:
     """Number of hyperbolic planes split off at v, or the global minimum
-    when v == GLOBAL.
-
-    At a single place nothing is factored.  Globally it suffices to look at
-    the real place, 2 and the primes of |det|, plus the generic value taken
-    at every other prime (which depends only on rank and on whether
-    (-1)^(rank/2) det is a square); |det| is factored once.
-    """
-    pivots, det = _form(gram)
-    if v != GLOBAL:
-        return (len(pivots) - _anisotropic_dimension(pivots, det, v)) // 2
-    return _global_witt_index(pivots, det, relevant_places(det))
-
-
-def _global_witt_index(pivots: Sequence[int], det: int, places: Sequence) -> int:
-    """Global Witt index of the ``_form`` pair (pivots, det); ``places`` are
-    the real place, 2 and the primes of |det|."""
-    rank = len(pivots)
-    best = min(
-        (rank - _anisotropic_dimension(pivots, det, p)) // 2 for p in places
-    )
-    half = rank // 2
-    signed = det * (-1) ** half
-    split = rank % 2 or (signed > 0 and isqrt(signed) ** 2 == signed)
-    return min(best, half if split else half - 1)
+    when v == GLOBAL (by ``invariants_and_witt_index``, which factors |det|
+    once); at a single place nothing is factored."""
+    if v == GLOBAL:
+        return invariants_and_witt_index(gram)[1]
+    return (len(gram) - anisotropic_dimension(gram, v)) // 2
 
 
 def has_k_planes(gram: Sequence[Sequence[int]], k: int, v) -> bool:
@@ -451,7 +449,7 @@ def quadric_certificate(gram: Sequence[Sequence[int]]) -> QuadFormInvariants:
         if negate:
             # scaling by a negative constant twists by (-1, signed)
             for v in places:
-                if hilbert_symbol(-1, signed, v) == -1:
+                if _hilbert(-1, signed, v) == -1:
                     minus ^= {v}
         removable = {v for v in minus if flippable(v)}
         stuck = frozenset(minus - removable)

@@ -340,6 +340,42 @@ def test_cli_sub_rows_are_required(tmp_path, capsys):
         assert err.startswith(f"usage: k3lattice lattice op {op}") and "--sub" in err
 
 
+# each of these once exited 0, dropping the option it did not read: an op
+# wrote no --out file, ignored another op's options, verify ran one claim
+# under --tag or --all, and named --list saved nothing
+REFUSED = [
+    ["lattice", "op", "disc-form", "{base}", "--out", "{out}"],
+    ["lattice", "op", "disc-form", "{base}", "--name", "x"],
+    ["lattice", "op", "disc-form", "{base}", "--sub", "{rows}"],
+    ["lattice", "op", "disc-form", "{base}", "--glue", "1,0,0,0/2"],
+    ["lattice", "op", "disc-form", "{base}", "--odd-ok"],
+    ["lattice", "op", "complement", "{base}", "--sub", "{rows}", "--glue", "1,0,0,0/2"],
+    ["lattice", "op", "complement", "{base}", "--sub", "{rows}", "--odd-ok"],
+    ["lattice", "op", "saturation", "{base}", "--sub", "{rows}", "--glue", "1,0,0,0/2"],
+    ["lattice", "op", "saturation", "{base}", "--sub", "{rows}", "--odd-ok"],
+    ["lattice", "op", "adjoin", "{base}", "--sub", "{rows}", "--out", "{out}"],
+    ["verify", "T.det", "--tag", "quadform"],
+    ["verify", "T.det", "--all"],
+    ["named", "L2", "--list"],
+    ["named", "--list", "--save", "{out}"],
+    ["named", "L2", "--list", "--save", "{out}"],
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED, ids=[" ".join(a[2:] if a[0] == "lattice" else a) for a in REFUSED])
+def test_cli_refuses_options_a_command_does_not_read(argv, tmp_path, capsys):
+    base = tmp_path / "d4.lattice"
+    lattice_io.save_lattice(lat.root_lattice("D", 4).rename("D4"), base)
+    rows = tmp_path / "rows.json"
+    rows.write_text("[[1, 0, 0, 0]]")
+    out = tmp_path / "out.lattice"
+    argv = [a.format(base=base, rows=rows, out=out) for a in argv]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: k3lattice") and captured.out == ""
+    assert not out.exists()
+
+
 def _summary_field(summary: str, key: str) -> str:
     line = next(x for x in summary.splitlines() if x.startswith(key + ":"))
     return line.split(":", 1)[1].strip()

@@ -74,6 +74,46 @@ def test_component_counts():
     assert es.component_count(K("IV*")) == 7
 
 
+# the lookup tables the counts were read from before they were derived from
+# the root type, frozen here as the oracle
+FROZEN_EULER = {"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}
+FROZEN_COMPONENTS = {"II": 1, "III": 2, "IV": 3, "IV*": 7, "III*": 8, "II*": 9}
+
+
+def frozen_euler(t):
+    if t.family == "I":
+        return t.n
+    if t.family == "I*":
+        return t.n + 6
+    return FROZEN_EULER[t.family]
+
+
+def frozen_components(t):
+    if t.family == "I":
+        return max(t.n, 1)
+    if t.family == "I*":
+        return t.n + 5
+    return FROZEN_COMPONENTS[t.family]
+
+
+def test_counts_from_the_root_type_match_the_frozen_tables():
+    types = [K(f"I{n}") for n in range(13)] + [K(f"I{n}*") for n in range(13)]
+    types += [K(s) for s in FROZEN_EULER]
+    for t in types:
+        assert es.component_count(t) == frozen_components(t), t
+        assert es.euler_number(t) == frozen_euler(t), t
+
+
+def test_fiber_counts_are_positive_integers():
+    # "-3xI2" once gave no fibers, so -3xI2 + I0* had Euler number 6
+    for bad in ("-1xI2", "0xI2", "-3xI2", "xI2", "twoxI2"):
+        with pytest.raises(ValueError):
+            es.FiberConfig.of(bad)
+    with pytest.raises(ValueError):
+        es.FiberConfig.of("-3xI2", "1xI0*")
+    assert es.FiberConfig.of("3xI2").fibers == (K("I2"),) * 3
+
+
 # ---------------------------------------------------------------------------
 # Euler totals and h^{2,0}
 

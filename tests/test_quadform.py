@@ -300,6 +300,47 @@ def test_hasse_lp_at_p():
         assert qf.hasse_invariant(diag, p) == -1
 
 
+def pairwise_hasse(diag, v):
+    # the pairwise product hasse_invariant took before its running product,
+    # one symbol per pair, kept as the oracle
+    sign = 1
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            sign *= qf.hilbert_symbol(diag[i], diag[j], v)
+    return sign
+
+
+_nonzero_rational = st.builds(
+    Fraction, st.integers(-400, 400).filter(bool), st.integers(1, 60)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_nonzero_rational, max_size=9))
+@example([Fraction(4, 9), Fraction(-12), Fraction(18, 25), Fraction(-3, 8), Fraction(50)])
+def test_hasse_invariant_is_the_pairwise_product(diag):
+    divisors = {p for d in diag for p in qf.factorize(d.numerator * d.denominator)}
+    for v in sorted({qf.REAL, 2, 3, 5, 7, *divisors}, key=qf.place_sort_key):
+        assert qf.hasse_invariant(diag, v) == pairwise_hasse(diag, v), v
+
+
+def test_hasse_pass_is_linear_per_place(monkeypatch):
+    # the pairwise product took n(n-1)/2 symbols per place for the
+    # invariants and as many again for the global Witt index
+    g = _random_even_gram(22, 30, 3)
+    calls = []
+    core = qf._hilbert
+    monkeypatch.setattr(qf, "_hilbert", lambda a, b, v: calls.append(v) or core(a, b, v))
+    qf.invariants_and_witt_index(g)
+    places = qf.relevant_places(exact.det(g))
+    assert len(places) >= 3 and set(calls) <= set(places)
+    for v in places:
+        assert calls.count(v) <= 2 * 22, v
+    calls.clear()
+    qf.hasse_invariant(range(1, 10), 3)
+    assert len(calls) == 8
+
+
 # ---------------------------------------------------------------------------
 # local classification
 

@@ -305,3 +305,23 @@ def test_one_hermite_elimination_and_one_rational_vector_conversion():
     assert not hasattr(lattice, "_numerators")
     assert "Fraction" not in _names(_function("lattice.py", "divisibility"))
     assert "numerators" in _called_names(_function("glue.py", "adjoin_ambient_vectors"))
+
+
+def test_one_hasse_pass_per_place():
+    # hasse_invariant runs one loop over a running product, places are
+    # checked only where they enter the module, no function of the module
+    # calls hilbert_symbol (which checks and converts again), and the
+    # global Witt index reads the Hasse invariants of invariants_and_witt_index
+    hasse = _function("quadform.py", "hasse_invariant")
+    assert sum(isinstance(node, (ast.For, ast.While)) for node in ast.walk(hasse)) == 1
+    tree = ast.parse((SRC / "quadform.py").read_text())
+    checking = [
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and "_require_place" in _called_names(fn)
+    ]
+    assert checking and not any(map(_is_private, checking)), checking
+    assert _call_count(tree, "hilbert_symbol") == 0
+    assert "invariants_and_witt_index" in _called_names(_function("quadform.py", "witt_index"))
+    for path in SRC.glob("*.py"):
+        assert "_global_witt_index" not in path.read_text(), path.name
