@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Sequence
 
 from . import exact
@@ -84,7 +84,9 @@ def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
 
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin with the twelve primes up to 37 as bases, which is
-    deterministic for every n below 2^64."""
+    deterministic below psi_12 = 318665857834031151167461, the least strong
+    pseudoprime to all of them (Sorenson-Webster 2017); from psi_12 on, a
+    strong Lucas test follows, which completes Baillie-PSW."""
     if n < 2:
         return False
     small = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
@@ -106,7 +108,58 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < 318665857834031151167461 or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for an odd n > 0, by quadratic reciprocity."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of the odd n > 1 with Selfridge's
+    parameters (Baillie-Wagstaff 1980): D is the first of 5, -7, 9, -11, ...
+    with (D/n) = -1, P = 1 and Q = (1 - D)/4; with n + 1 = d 2^s, n passes
+    when U_d = 0 or V_(d 2^r) = 0 modulo n for some r < s."""
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            # D shares a factor with n, which is then prime only as |D|
+            return abs(D) == n
+        D = -D - 2 if D > 0 else -D + 2
+    Q, half = (1 - D) // 4, (n + 1) // 2
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k and Q^k modulo n, from k = 0 along the bits of d
+    U, V, Qk = 0, 2, 1
+    for bit in bin(d)[2:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            # k -> k + 1 with P = 1: U' = (U + V)/2, V' = (D U + V)/2
+            U, V = (U + V) * half % n, (D * U + V) * half % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -212,11 +265,17 @@ def _split(a: int, p: int) -> tuple[int, int]:
 
 
 def hasse_invariant(diag: Sequence, v) -> int:
-    """prod_{i<j} (d_i, d_j)_v over a diagonal representation, taken by
-    bimultiplicativity as prod_j (d_1...d_{j-1}, d_j)_v over a running
-    integer product: n - 1 symbols instead of n(n-1)/2."""
+    """prod_{i<j} (d_i, d_j)_v over a diagonal representation of nonzero
+    rationals."""
     _require_place(v)
-    entries = [_rational_to_int_class(d) for d in diag]
+    return _hasse([_rational_to_int_class(d) for d in diag], v)
+
+
+def _hasse(entries: Sequence[int], v) -> int:
+    """The Hasse invariant of the diagonal integer form ``entries`` at a
+    place v already checked, taken by bimultiplicativity as
+    prod_j (d_1...d_{j-1}, d_j)_v over a running integer product: n - 1
+    symbols instead of n(n-1)/2."""
     sign, prefix = 1, entries[0] if entries else 1
     for d in entries[1:]:
         sign *= _hilbert(prefix, d, v)
@@ -269,16 +328,11 @@ def place_sort_key(v) -> tuple[int, int]:
     return (0, 0) if v == REAL else (1, int(v))
 
 
-def relevant_places(n: int) -> list:
-    """The real place, 2 and the primes of the nonzero integer n."""
-    return _class_and_places(n)[1]
-
-
 def _invariants(pivots: Sequence[int], disc: int, places: Sequence) -> QuadFormInvariants:
     """Invariants of the diagonal form ``pivots`` with discriminant class
     ``disc``, whose Hasse invariant is +1 outside ``places``."""
     pos = sum(1 for d in pivots if d > 0)
-    minus = frozenset(v for v in places if hasse_invariant(pivots, v) == -1)
+    minus = frozenset(v for v in places if _hasse(pivots, v) == -1)
     return QuadFormInvariants(len(pivots), (pos, len(pivots) - pos), disc, minus)
 
 
@@ -411,14 +465,21 @@ def quadric_certificate(gram: Sequence[Sequence[int]]) -> QuadFormInvariants:
     """Q-isomorphism-class certificate of the projective quadric of gram.
 
     Two quadrics are isomorphic over Q exactly when the forms are similar
-    (equal up to a rational scale factor).  Odd rank: scaling by the
+    (equal up to a rational scale factor c).  Odd rank: scaling by the
     discriminant class is the unique way to make the discriminant trivial,
-    and that representative's invariants are the certificate.  Even rank:
-    the discriminant class is itself invariant, scaling by c multiplies the
-    Hasse invariant at v by (c, d)_v with d the signed discriminant, and
-    every finite even-cardinality flip set inside the places where d is a
-    local nonsquare is realized by some positive c; the certificate stores
-    the minimal reachable signature/Hasse data.  Both cases are invariant
+    and that representative's invariants are the certificate.  Even rank n:
+    the discriminant class is itself invariant, and scaling by c multiplies
+    the Hasse invariant at v by (c, s)_v, with s = (-1)^(n/2) det the signed
+    discriminant.  A c > 0 flips an even set of the primes where s is a
+    local nonsquare, and reaches every such set: the existence theorem
+    (Serre, A Course in Arithmetic, ch. III 2.2 Thm 4) gives a c in Q* with
+    the wanted symbols, and for s > 0 a negative c can be replaced by -s c,
+    since (-s, s)_v = 1.  A negative c also swaps the signature and twists
+    by (-1, s)_v.  So for each sign of c the least reachable Hasse set keeps
+    the places where s is a local square (and the real place), drops the
+    others, and if an odd number was dropped adds back the least prime where
+    s is a nonsquare (2 or a prime of s); the certificate is the smaller of
+    the two by signature, size and sorted places.  Both cases are invariant
     under rescaling the lattice and under finite-index sublattices.
     """
     pivots, det = _form(gram)
@@ -429,36 +490,16 @@ def quadric_certificate(gram: Sequence[Sequence[int]]) -> QuadFormInvariants:
 
     signed = d * (-1) ** (n // 2)
     base = _invariants(pivots, d, places)
-
-    def flippable(v) -> bool:
-        return v != REAL and not _is_local_square(signed, v)
-
-    def smallest_external_flip(minus: frozenset) -> int:
-        if signed == 1:
-            raise ArithmeticError("no flip places for a split discriminant")
-        p = 2
-        while True:
-            if p not in minus and flippable(p):
-                return p
-            p = _next_prime(p)
-
     candidates = []
-    for negate in (False, True):
-        sig = base.signature if not negate else base.signature[::-1]
-        minus = set(base.hasse_minus)
-        if negate:
-            # scaling by a negative constant twists by (-1, signed)
-            for v in places:
-                if _hilbert(-1, signed, v) == -1:
-                    minus ^= {v}
-        removable = {v for v in minus if flippable(v)}
-        stuck = frozenset(minus - removable)
-        if len(removable) % 2 == 0:
-            candidates.append((sig, stuck))
-        else:
-            for kept in removable:
-                candidates.append((sig, stuck | {kept}))
-            candidates.append((sig, stuck | {smallest_external_flip(minus)}))
+    for c, sig in ((1, base.signature), (-1, base.signature[::-1])):
+        minus = {v for v in places if (v in base.hasse_minus) != (_hilbert(c, signed, v) == -1)}
+        kept = {v for v in minus if v == REAL or _is_local_square(signed, v)}
+        if len(minus - kept) % 2:
+            p = 2
+            while _is_local_square(signed, p):
+                p = _next_prime(p)
+            kept.add(p)
+        candidates.append((sig, kept))
     sig, minus = min(candidates, key=lambda c: _minus_key(*c))
     return QuadFormInvariants(n, sig, d, frozenset(minus))
 

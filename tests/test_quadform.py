@@ -20,6 +20,11 @@ from hypothesis import example, given, settings, strategies as st
 import k3lattice.lattice as lat
 from k3lattice import cli, exact, lattice_io, quadform as qf
 
+def relevant_places(n):
+    # the real place, 2 and the primes of the nonzero integer n
+    return [qf.REAL] + sorted({2, *qf.factorize(n)})
+
+
 # ---------------------------------------------------------------------------
 # oracle: solvability of a x^2 + b y^2 = z^2 over Q_p by search mod p^k
 
@@ -166,7 +171,7 @@ def test_hilbert_reciprocity_on_200_pairs():
         a = rng.randrange(-60, 61) or 1
         b = rng.randrange(-60, 61) or 1
         prod = 1
-        for v in qf.relevant_places(a * b):
+        for v in relevant_places(a * b):
             prod *= qf.hilbert_symbol(a, b, v)
         assert prod == 1, (a, b)
 
@@ -289,7 +294,7 @@ def test_hasse_m3_trivial_at_finite_places():
 def test_hasse_counterexample_at_2_and_7():
     diag = [-1, -1, -2, -6, 7, 7]
     minus = {
-        v for v in qf.relevant_places(2 * 6 * 49) if qf.hasse_invariant(diag, v) == -1
+        v for v in relevant_places(2 * 6 * 49) if qf.hasse_invariant(diag, v) == -1
     }
     assert minus == {2, 7}
 
@@ -332,7 +337,7 @@ def test_hasse_pass_is_linear_per_place(monkeypatch):
     core = qf._hilbert
     monkeypatch.setattr(qf, "_hilbert", lambda a, b, v: calls.append(v) or core(a, b, v))
     qf.invariants_and_witt_index(g)
-    places = qf.relevant_places(exact.det(g))
+    places = relevant_places(exact.det(g))
     assert len(places) >= 3 and set(calls) <= set(places)
     for v in places:
         assert calls.count(v) <= 2 * 22, v
@@ -439,7 +444,7 @@ def test_witt_global_is_min_over_places(m):
     d = exact.det(m)
     if d == 0:
         return
-    local = [qf.witt_index(m, v) for v in qf.relevant_places(d)]
+    local = [qf.witt_index(m, v) for v in relevant_places(d)]
     assert qf.witt_index(m, qf.GLOBAL) == min(local + [_generic_witt(m)])
 
 
@@ -461,7 +466,7 @@ def test_witt_global_diagonalizes_once(monkeypatch):
     w = qf.witt_index(g, qf.GLOBAL)
     assert len(calls) == 1
     assert w == min(
-        [qf.witt_index(g, v) for v in qf.relevant_places(exact.det(g))] + [_generic_witt(g)]
+        [qf.witt_index(g, v) for v in relevant_places(exact.det(g))] + [_generic_witt(g)]
     )
 
 
@@ -591,7 +596,7 @@ def test_large_random_forms_finish(n, bound, seed, tmp_path, capsys):
     assert (inv.rank, inv.signature) == (n, (pos, neg))
     d = exact.det(g)
     assert inv.disc_class * d > 0 and isqrt(inv.disc_class * d) ** 2 == inv.disc_class * d
-    local = [qf.witt_index(g, v) for v in qf.relevant_places(d)]
+    local = [qf.witt_index(g, v) for v in relevant_places(d)]
     assert w == min(local + [_generic_witt(g)])
 
     path = tmp_path / "form.lattice"
@@ -626,9 +631,78 @@ def test_raw_pivots_agree_with_squarefree_diagonal(m):
     d = exact.det(m)
     if d == 0:
         return
-    places = sorted({qf.REAL, 2, 3, 5, 7, *qf.relevant_places(d)}, key=qf.place_sort_key)
+    places = sorted({qf.REAL, 2, 3, 5, 7, *qf.factorize(d)}, key=qf.place_sort_key)
     oracle = _diag_matrix(qf.diagonalize(m))
     assert _all_invariants(m, places) == _all_invariants(oracle, places)
+
+
+def reference_quadric_certificate(gram):
+    # the even-rank enumeration quadric_certificate ran before its closed
+    # form: one candidate per flippable place kept, plus the least flip
+    # prime outside the Hasse set, and the least of them all
+    pivots, det = qf._form(gram)
+    d, places = qf._class_and_places(det)
+    n = len(pivots)
+    if n % 2:
+        return qf._invariants([d * x for x in pivots], 1, places)
+
+    signed = d * (-1) ** (n // 2)
+    base = qf._invariants(pivots, d, places)
+
+    def flippable(v) -> bool:
+        return v != qf.REAL and not qf._is_local_square(signed, v)
+
+    def smallest_external_flip(minus: frozenset) -> int:
+        if signed == 1:
+            raise ArithmeticError("no flip places for a split discriminant")
+        p = 2
+        while True:
+            if p not in minus and flippable(p):
+                return p
+            p = qf._next_prime(p)
+
+    candidates = []
+    for negate in (False, True):
+        sig = base.signature if not negate else base.signature[::-1]
+        minus = set(base.hasse_minus)
+        if negate:
+            # scaling by a negative constant twists by (-1, signed)
+            for v in places:
+                if qf._hilbert(-1, signed, v) == -1:
+                    minus ^= {v}
+        removable = {v for v in minus if flippable(v)}
+        stuck = frozenset(minus - removable)
+        if len(removable) % 2 == 0:
+            candidates.append((sig, stuck))
+        else:
+            for kept in removable:
+                candidates.append((sig, stuck | {kept}))
+            candidates.append((sig, stuck | {smallest_external_flip(minus)}))
+    sig, minus = min(candidates, key=lambda c: qf._minus_key(*c))
+    return qf.QuadFormInvariants(n, sig, d, frozenset(minus))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 4, 6, 8]).flatmap(
+    lambda n: st.one_of(_symmetric(n), _symmetric(n, zero_diag=True))
+))
+@example(_diag_matrix([1, 1, 1, -7]))
+@example(_diag_matrix([1, 7]))
+@example(_diag_matrix([-1, -1]))
+@example(_diag_matrix([11, -15, -7, 3]))
+def test_quadric_certificate_matches_the_enumeration(m):
+    if exact.det(m) == 0:
+        return
+    assert qf.quadric_certificate(m) == reference_quadric_certificate(m)
+
+
+def test_certificate_keeps_a_prime_outside_the_places():
+    # s = -7 is a 2-adic square, so the one flip the Hasse set needs goes to
+    # 3, a prime of neither det nor 2
+    for entries in ([1, 1, 1, -7], [1, 7]):
+        cert = qf.quadric_certificate(_diag_matrix(entries))
+        assert cert.hasse_minus == {3, qf.REAL}, entries
+        assert 3 not in relevant_places(exact.det(_diag_matrix(entries)))
 
 
 def test_factorize_called_at_most_once_per_form(monkeypatch):
@@ -675,14 +749,53 @@ def test_factorize_against_sympy():
         assert qf.factorize(-n) == sympy.factorint(n), n
 
 
+# psi_12, the least strong pseudoprime to the twelve prime bases up to 37
+PSI12 = 318665857834031151167461
+# a strong pseudoprime to every prime base up to 41, above psi_12
+SPSP41 = 3317044064679887385961981
+
+try:
+    import sympy
+except ImportError:
+    sympy = None
+
+
+def test_a_strong_pseudoprime_above_psi12_is_split():
+    assert qf.factorize(SPSP41) == {1287836182261: 1, 2575672364521: 1}
+    assert not qf.is_probable_prime(SPSP41)
+    with pytest.raises(ValueError):
+        qf.hilbert_symbol(2, 3, SPSP41)
+    assert qf.invariants([[2, 0], [0, -2 * SPSP41]]).hasse_minus == {2, 1287836182261}
+
+
+def test_strong_lucas_pseudoprimes():
+    # run alone, the Lucas half of Baillie-PSW passes the odd composites
+    # of OEIS A217255 and every odd prime
+    def prime(n):
+        return all(n % q for q in range(2, isqrt(n) + 1))
+
+    passed = [n for n in range(3, 11000, 2) if qf._strong_lucas(n) and not prime(n)]
+    assert passed == [5459, 5777, 10877]
+    assert all(qf._strong_lucas(n) for n in range(3, 11000, 2) if prime(n))
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.integers(PSI12, 10**40).map(lambda n: n | 1),
+    st.integers(10**13, 10**30).map(lambda n: sympy.nextprime(n) * sympy.nextprime(n // 7)),
+))
+@example(PSI12)
+@example(SPSP41)
+@example(2**89 - 1)
+def test_is_probable_prime_above_psi12_against_sympy(n):
+    assert qf.is_probable_prime(n) == sympy.isprime(n)
+
+
 def test_factorize_splits_a_40_bit_factor():
     # a 100-bit semiprime with a 40-bit factor: Brent's rho splits it after
     # about 3.2 million evaluations, past the reach of 10^6 Floyd steps
     p, q = 685481207069, 603227601403954517
-    try:
-        import sympy
-    except ImportError:
-        sympy = None
     if sympy is not None:
         assert sympy.isprime(p) and sympy.isprime(q)
     with _deadline(20):

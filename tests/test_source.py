@@ -307,13 +307,22 @@ def test_one_hermite_elimination_and_one_rational_vector_conversion():
     assert "numerators" in _called_names(_function("glue.py", "adjoin_ambient_vectors"))
 
 
+def _loops(fn: ast.AST) -> int:
+    return sum(isinstance(node, (ast.For, ast.While)) for node in ast.walk(fn))
+
+
 def test_one_hasse_pass_per_place():
-    # hasse_invariant runs one loop over a running product, places are
-    # checked only where they enter the module, no function of the module
-    # calls hilbert_symbol (which checks and converts again), and the
-    # global Witt index reads the Hasse invariants of invariants_and_witt_index
+    # the private _hasse runs one loop over a running integer product, which
+    # hasse_invariant reaches after checking and converting once and
+    # _invariants reaches directly; places are checked only where they enter
+    # the module, no function of the module calls hilbert_symbol (which
+    # checks and converts again), and the global Witt index reads the Hasse
+    # invariants of invariants_and_witt_index
+    assert _loops(_function("quadform.py", "_hasse")) == 1
     hasse = _function("quadform.py", "hasse_invariant")
-    assert sum(isinstance(node, (ast.For, ast.While)) for node in ast.walk(hasse)) == 1
+    assert _loops(hasse) == 0 and "_hasse" in _called_names(hasse)
+    called = _called_names(_function("quadform.py", "_invariants"))
+    assert "_hasse" in called and "hasse_invariant" not in called
     tree = ast.parse((SRC / "quadform.py").read_text())
     checking = [
         fn.name
@@ -325,3 +334,17 @@ def test_one_hasse_pass_per_place():
     assert "invariants_and_witt_index" in _called_names(_function("quadform.py", "witt_index"))
     for path in SRC.glob("*.py"):
         assert "_global_witt_index" not in path.read_text(), path.name
+
+
+def test_quadric_certificate_in_closed_form():
+    # the even-rank certificate drops the flippable places and adds back at
+    # most the least flip prime, with no candidate per removable place and
+    # no guard for a split discriminant; relevant_places lives in the tests
+    cert = _function("quadform.py", "quadric_certificate")
+    nested = [node for node in ast.walk(cert) if isinstance(node, ast.FunctionDef)]
+    assert nested == [cert]
+    # one loop over the two signs of the scale factor, one walk to the prime
+    assert _loops(cert) == 2
+    raised = [_raised_name(node) for node in ast.walk(cert) if isinstance(node, ast.Raise)]
+    assert "ArithmeticError" not in raised
+    assert not hasattr(importlib.import_module("k3lattice.quadform"), "relevant_places")
