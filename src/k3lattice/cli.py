@@ -53,10 +53,15 @@ def _cmd_verify(args) -> int:
         except KeyError as e:
             print(f"verify: {e.args[0]}", file=sys.stderr)
             return 2
-    print(claims.text_report(results))
+    if args.json != "-":
+        print(claims.text_report(results))
     if args.json:
         report = claims.machine_report(results)
-        Path(args.json).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+        text = json.dumps(report, indent=1, sort_keys=True) + "\n"
+        if args.json == "-":  # in place of the text report
+            sys.stdout.write(text)
+        else:
+            Path(args.json).write_text(text)
     return 0 if all(r.status == "pass" for r in results) else 1
 
 
@@ -175,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("id", nargs="?", help="claim id (see 'list')")
     which.add_argument("--all", action="store_true", help="run every claim")
     v.add_argument("--tag", help="with --all: only claims carrying this tag")
-    v.add_argument("--json", metavar="PATH", help="write a machine-readable report")
+    v.add_argument("--json", metavar="PATH", help="write a machine-readable report ('-': stdout)")
     v.set_defaults(fn=_cmd_verify, error=v.error)
 
     ls = sub.add_parser("list", help="list registered claim ids")

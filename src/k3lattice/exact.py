@@ -26,9 +26,11 @@ mutually orthogonal fiber components of a table-1 matrix are such a block.
 ``matmul`` adds up rows of its right factor, so the zeros of sparse bases
 cost nothing.
 ``box_vectors`` is the one coefficient-box enumerator: it yields only the
-points of the wanted norms, solving for the last coordinate in closed form.
-``_hermite`` updates a row from the pivot column on, because the rows still
-to be reduced are zero left of it; a companion's rows are updated whole.
+points of the wanted norms, solving for the last coordinate in closed form
+straight from the loop over the next-to-last one.
+``_hermite`` eliminates below the pivots (``_echelon``) before it reduces
+above them, once, over the finished rows; ``index`` and ``kernel_basis``
+read only the pivots and the rows past the rank, and stop after the first.
 ``smith_normal_form`` skips the row pass after a column pass that leaves the
 matrix diagonal, since that pass would do nothing.  A caller that reads only
 d and v may pass the Hermite basis (``hermite_row_basis``, built without a
@@ -219,21 +221,15 @@ def _bareiss(a: IntMatrix, d: int, level: list[int]) -> int:
     return sign * d
 
 
-def _hermite(a: IntMatrix, u: IntMatrix | None = None) -> int:
-    """Reduce ``a`` in place to row Hermite normal form and return its rank.
-
-    Pivots are positive, the entries above each pivot lie in [0, pivot) and
-    zero rows come last.  Every row operation is applied to the companion
-    ``u`` as well, so an identity companion ends as a unimodular u with
-    u * a_before = a_after.  Reducing above each pivot as soon as it is found
-    stops the coefficient growth of unreduced elimination (Kannan-Bachem;
-    Cohen, GTM 138, section 2.4).  The rows from the current one down are
-    zero left of the pivot column c, so a row of ``a`` is updated from
-    column c on only; the companion's rows are updated whole.
-    """
+def _echelon(a: IntMatrix, u: IntMatrix | None = None) -> list[int]:
+    """``_hermite``'s first phase: row echelon form in place, pivots positive
+    and zero rows last, row operations mirrored on ``u``; returns the pivot
+    columns.  The rows from the current one down are zero left of the pivot
+    column c, so a row of ``a`` is updated from c on, the companion's whole."""
     rows = len(a)
-    r = 0
+    pivots: list[int] = []
     for c in range(len(a[0]) if rows else 0):
+        r = len(pivots)
         if r == rows:
             break
         nz = [i for i in range(r, rows) if a[i][c]]
@@ -264,17 +260,36 @@ def _hermite(a: IntMatrix, u: IntMatrix | None = None) -> int:
             a[r][c:] = [-x for x in a[r][c:]]
             if u is not None:
                 u[r] = [-x for x in u[r]]
-        prow, urow = a[r][c:], None if u is None else u[r]
-        x0 = prow[0]
-        for i in range(r):
-            row = a[i]
-            q = row[c] // x0
+        pivots.append(c)
+    return pivots
+
+
+def _hermite(a: IntMatrix, u: IntMatrix | None = None) -> int:
+    """Reduce ``a`` in place to row Hermite normal form and return its rank.
+
+    Pivots are positive, the entries above each pivot lie in [0, pivot) and
+    zero rows come last.  Every row operation is applied to the companion
+    ``u`` as well, so an identity companion ends as a unimodular u with
+    u * a_before = a_after.  After ``_echelon``, one pass from the last pivot
+    row up reduces each row against the finished rows below it, in pivot
+    order, applying only their nonzero entries (a companion's rows whole).
+    The elimination never reads a row above the current pivot again, so the
+    result is that of reducing above each pivot as soon as it is found.
+    """
+    pivots = _echelon(a, u)
+    done = []  # (pivot column, nonzero entries from it on, row) per finished row
+    for r in range(len(pivots) - 1, -1, -1):
+        row = a[r]
+        for c, entries, k in done:
+            q = row[c] // entries[0][1]
             if q:
-                row[c:] = [x - q * y for x, y in zip(row[c:], prow)]
-                if urow is not None:
-                    u[i] = [x - q * y for x, y in zip(u[i], urow)]
-        r += 1
-    return r
+                for j, y in entries:
+                    row[j] -= q * y
+                if u is not None:
+                    u[r] = [x - q * y for x, y in zip(u[r], u[k])]
+        c = pivots[r]
+        done.insert(0, (c, [(j, y) for j, y in enumerate(row[c:], c) if y], r))
+    return len(pivots)
 
 
 def _width(m: Sequence[Sequence[int]]) -> int:
@@ -332,10 +347,10 @@ def _is_diagonal(a: IntMatrix) -> bool:
 def kernel_basis(m: Sequence[Sequence[int]]) -> list[IntVector]:
     """Basis of the integer kernel {x : m*x = 0}, saturated in Z^cols.
 
-    The Hermite reduction u * m^T = h has zero rows past the rank; the
+    The echelon reduction u * m^T = h has zero rows past the rank; the
     matching rows of the unimodular u span the kernel."""
     u = identity(_width(m))
-    return u[_hermite(transpose(m), u) :]
+    return u[len(_echelon(transpose(m), u)) :]
 
 
 def ldl(m: Sequence[Sequence[int]]) -> tuple[RatVector, int]:
@@ -533,11 +548,11 @@ def hermite_row_basis(rows: Sequence[Sequence[int]]) -> list[IntVector]:
 
 def index(rows: Sequence[Sequence[int]]) -> int:
     """The index in Z^width of the span of integer ``rows``: the product of
-    the pivots of its Hermite basis, or 0 when the span has lower rank."""
-    basis = hermite_row_basis(rows)
-    if len(basis) < _width(rows):
+    the pivots of its echelon form, or 0 when the span has lower rank."""
+    width, a = _width(rows), copy_matrix(rows)
+    if len(_echelon(a)) < width:
         return 0
-    return prod(row[i] for i, row in enumerate(basis))
+    return prod(a[i][i] for i in range(width))
 
 
 def box_vectors(
@@ -605,9 +620,11 @@ def box_vectors(
         gii, li, row = g[i][i], 2 * lin[0], g[i][i + 1 :]
         rest = lin[1:]
         for t in values:
-            yield from level(
-                i + 1, c + (t,), q + t * (gii * t + li),
-                [a + t * b for a, b in zip(rest, row)],
-            )
+            ct, qt = c + (t,), q + t * (gii * t + li)
+            if i == n - 2:  # the last coordinate is solved here, not a level down
+                for s, norm in last(qt, rest[0] + t * row[0]):
+                    yield ct + (s,), norm
+            else:
+                yield from level(i + 1, ct, qt, [a + t * b for a, b in zip(rest, row)])
 
     yield from level(len(prefix), (), q, lin[len(prefix) :])

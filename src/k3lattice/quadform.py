@@ -215,11 +215,11 @@ def _rational_to_int_class(a) -> int:
 
 
 def legendre(a: int, p: int) -> int:
-    """The Legendre symbol (a/p) for an odd prime p not dividing a."""
-    a %= p
-    if a == 0:
+    """The Legendre symbol (a/p) for an odd prime p not dividing a: the
+    Jacobi symbol, by reciprocity, once a is known to be a unit mod p."""
+    if a % p == 0:
         raise ValueError("argument divisible by p")
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+    return _jacobi(a, p)
 
 
 def _require_place(v) -> None:

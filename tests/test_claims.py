@@ -301,6 +301,21 @@ def test_cli_verify_all_tag_and_json(tmp_path, capsys):
     assert report.read_bytes() == report2.read_bytes()
 
 
+def test_cli_verify_json_dash_prints_the_report(tmp_path, monkeypatch, capsys):
+    # "-" is stdout: the JSON report replaces the text report, the exit code
+    # is unchanged and no file named "-" is written
+    monkeypatch.chdir(tmp_path)
+    report = tmp_path / "report.json"
+    assert cli.main(["verify", "--all", "--tag", "mwdisc", "--json", str(report)]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", "--all", "--tag", "mwdisc", "--json", "-"]) == 0
+    assert capsys.readouterr().out == report.read_text()
+    assert cli.main(["verify", "L.no-index4", "--json", "-"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["total"] == 1 and doc["failed"] == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
 def test_cli_verify_exit_code_on_failure(capsys):
     assert cli.main(["verify", "L.no-index4"]) == 1
 

@@ -7,13 +7,13 @@ polynomial computed by division-free Faddeev-LeVerrier.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from k3lattice import ellsurf as es
-from k3lattice import exact
+from k3lattice import exact, glue
 
 try:  # optional oracle for the invariant factors
     from sympy import ZZ, Matrix
@@ -571,24 +571,55 @@ def hermite_inputs(draw):
 
 
 @st.composite
-def even_grams(draw, max_n=12):
-    n = draw(st.integers(1, max_n))
+def even_grams(draw, min_n=1, max_n=12, bound=2):
+    """Even Gram matrices, off-diagonal entries in [-bound, bound] and
+    diagonal entries twice that."""
+    n = draw(st.integers(min_n, max_n))
     g = [[0] * n for _ in range(n)]
     for i in range(n):
-        g[i][i] = 2 * draw(st.integers(-2, 2))
+        g[i][i] = 2 * draw(st.integers(-bound, bound))
         for j in range(i):
-            g[i][j] = g[j][i] = draw(st.integers(-2, 2))
+            g[i][j] = g[j][i] = draw(st.integers(-bound, bound))
     return g
 
 
-@settings(max_examples=300, deadline=None)
-@given(hermite_inputs(), st.booleans())
-def test_hermite_equals_the_reference(m, with_companion):
+# rank 16-22, entries in {-1, 0, 1} and diagonal in {-2, 0, 2}, as in the
+# random benchmark matrices: long runs of unit pivots, so the reduction
+# above the pivots works over many finished rows
+WIDE_EVEN_GRAMS = even_grams(16, 22, 1)
+
+
+def check_hermite_against_the_reference(m, with_companion):
     a, b = [list(row) for row in m], [list(row) for row in m]
     u = exact.identity(len(m)) if with_companion else None
     w = exact.identity(len(m)) if with_companion else None
     assert exact._hermite(a, u) == reference_hermite(b, w)
     assert a == b and u == w
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(hermite_inputs(), WIDE_EVEN_GRAMS), st.booleans())
+def test_hermite_equals_the_reference(m, with_companion):
+    check_hermite_against_the_reference(m, with_companion)
+
+
+@pytest.mark.parametrize("with_companion", [False, True])
+@pytest.mark.parametrize("name", sorted(glue.NAMED_BUILDERS))
+def test_hermite_equals_the_reference_on_named_grams(name, with_companion):
+    check_hermite_against_the_reference(glue.build_named(name).gram, with_companion)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(hermite_inputs(), WIDE_EVEN_GRAMS))
+def test_index_and_kernel_basis_read_the_reference_echelon(m):
+    # index is the product of the reference pivots at full rank, and the
+    # kernel is the companion's rows past the rank of the transpose
+    a, width = [list(row) for row in m], len(m[0])
+    rank = reference_hermite(a)
+    pivots = [next(x for x in row if x) for row in a[:rank]]
+    assert exact.index(m) == (prod(pivots) if rank == width else 0)
+    at, u = exact.transpose(m), exact.identity(width)
+    assert exact.kernel_basis(m) == u[reference_hermite(at, u) :]
 
 
 @settings(max_examples=200, deadline=None)

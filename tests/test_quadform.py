@@ -779,6 +779,23 @@ def test_strong_lucas_pseudoprimes():
     assert all(qf._strong_lucas(n) for n in range(3, 11000, 2) if prime(n))
 
 
+def euler_legendre(a, p):
+    """(a/p) by Euler's criterion, a^((p-1)/2) mod p: the oracle for
+    ``quadform.legendre``, which takes the Jacobi symbol instead."""
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+def test_legendre_matches_euler_criterion():
+    odd_primes = [p for p in range(3, 200) if all(p % q for q in range(2, isqrt(p) + 1))]
+    for p in odd_primes:
+        for a in range(1, p):
+            for shifted in (a, a - p, a + 3 * p):
+                assert qf.legendre(shifted, p) == euler_legendre(a, p), (shifted, p)
+        for zero in (0, p, -2 * p):
+            with pytest.raises(ValueError):
+                qf.legendre(zero, p)
+
+
 @pytest.mark.skipif(sympy is None, reason="sympy is not installed")
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(

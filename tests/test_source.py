@@ -290,6 +290,16 @@ def test_loads_builds_the_lattice_once():
     assert "Lattice" in _called_names(_function("lattice_io.py", "loads"))
 
 
+def test_index_and_kernel_basis_stop_at_the_echelon_form():
+    # the pivots and the rows past the rank are final once the elimination
+    # below the pivots is done; the reduction above them in _hermite changes
+    # neither, so index and kernel_basis do not run it
+    for name in ("index", "kernel_basis"):
+        called = _called_names(_function("exact.py", name))
+        assert "_echelon" in called, name
+        assert not called & {"_hermite", "hermite_row_basis"}, name
+
+
 def _names(fn: ast.AST) -> set[str]:
     return {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
 
