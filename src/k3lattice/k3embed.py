@@ -3,9 +3,9 @@ transcendental lattices, genus comparison via discriminant forms, and
 isometry testing.
 
 Genus comparison is the Nikulin-style test: equal signatures plus isomorphic
-discriminant forms, the latter found by mapping each generator into the
-elements of its order and q value, pairing as the generators do, after a
-check that b has no radical makes every such map injective.  Definite
+discriminant forms, part by p-primary part: at odd p one Legendre symbol per
+Jordan scale, and on the 2-parts a search mapping each generator into the
+elements of its order and q value, pairing as the generators do.  Definite
 isometry is decided by a complete short-vector backtracking search; an
 additional bounded coordinate-box search provides isometry certificates for
 small indefinite lattices.  All three searches run on one pool-refined Gram
@@ -21,7 +21,7 @@ from math import isqrt, lcm
 from operator import mul
 from typing import Sequence
 
-from . import exact
+from . import exact, quadform
 from .lattice import (
     FiniteQuadraticForm,
     Lattice,
@@ -86,6 +86,25 @@ def transcendental_of(l: Lattice) -> Lattice:
 # discriminant form isomorphism and genus comparison
 
 
+def _jordan_symbols(form: FiniteQuadraticForm, p: int) -> list[int]:
+    """Per scale p^k of the p-primary part A of ``form``, the Legendre symbol
+    of det(p^k b) mod p on the generators of order p^k, a basis of A[p^k] /
+    (A[p^(k-1)] + p A[p^(k+1)]), on which p^(k-1) b lives.  At odd p these and
+    the ranks fix A (Conway-Sloane, SPLAG 15.7).  A radical element of order
+    p in p^(k-1) A but not p^k A gives one of that quotient, and a
+    nondegenerate A splits into Jordan constituents: at any p, det 0 mod p
+    is a degenerate b."""
+    form, symbols = form.primary_part(p), []
+    for scale in dict.fromkeys(form.invariant_factors):
+        rows = [i for i, d in enumerate(form.invariant_factors) if d == scale]
+        shift = form.exponent // scale
+        det = exact.det([[form.b_numerators[i][j] // shift for j in rows] for i in rows]) % p
+        if det == 0:
+            raise ValueError("degenerate discriminant form: b has a nonzero radical")
+        symbols.append(quadform.legendre(det, p) if p > 2 else 1)
+    return symbols
+
+
 def find_disc_form_isomorphism(
     f1: FiniteQuadraticForm, f2: FiniteQuadraticForm
 ) -> list[tuple[int, ...]] | None:
@@ -102,19 +121,13 @@ def find_disc_form_isomorphism(
     nondegenerate form it is injective and, with equal orders, an
     isomorphism.
     """
-    if f1.invariant_factors != f2.invariant_factors:
-        return None
     if f1.q_numerators is None or f2.q_numerators is None:
         raise ValueError("both lattices must be even")
-    k, n = len(f1.invariant_factors), f1.exponent
-    if k == 0:
-        return []
-    # rad b = K / (d_1 Z + ... + d_k Z) for K = {x : xB = 0 mod N}, and
-    # Z^k / K is the row span of B mod N, of order N^k / [Z^k : span(B; N I)];
-    # so b has no radical iff [Z^k : K] = |f1|
-    scaled = [[n * x for x in e] for e in exact.identity(k)]
-    if exact.index([*f1.b_numerators, *scaled]) * f1.order != n**k:
-        raise ValueError("degenerate discriminant form: b has a nonzero radical")
+    if f1.invariant_factors != f2.invariant_factors:
+        return None
+    n = f1.exponent
+    for p in quadform.factorize(n):
+        _jordan_symbols(f1, p)
     # q and b compare as integer numerators over the common exponent.  The
     # (order, q) counts over all elements are an isomorphism invariant; with
     # equal orders they agree iff none goes negative in f2's walk, which keeps
@@ -134,7 +147,15 @@ def find_disc_form_isomorphism(
 
 
 def disc_forms_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
-    return find_disc_form_isomorphism(f1, f2) is not None
+    """By p-primary parts: Jordan symbols at odd p, the search on the 2-parts."""
+    if f1.q_numerators is None or f2.q_numerators is None:
+        raise ValueError("both lattices must be even")
+    if f1.invariant_factors != f2.invariant_factors:
+        return False
+    for p in quadform.factorize(f1.exponent):
+        if p > 2 and _jordan_symbols(f1, p) != _jordan_symbols(f2, p):
+            return False
+    return find_disc_form_isomorphism(f1.primary_part(2), f2.primary_part(2)) is not None
 
 
 def genus_equal(l1: Lattice, l2: Lattice) -> bool:
@@ -150,15 +171,14 @@ def genus_equal(l1: Lattice, l2: Lattice) -> bool:
 def genus_uniqueness_applicable(l: Lattice) -> bool:
     """Sufficient conditions under which an even indefinite lattice is alone
     in its genus: rank >= 2 + minimal generator count of the discriminant
-    group, or a 2-elementary discriminant group."""
+    group, or a 2-elementary discriminant group (Nikulin 1.13.3)."""
+    if not l.is_even():
+        raise ValueError("genus uniqueness implemented for even lattices")
     p, z, n = l.signature()
     if z or p == 0 or n == 0:
         return False
-    form = discriminant_group(l)
-    length = len(form.invariant_factors)
-    if l.rank >= 2 + length:
-        return True
-    return all(d == 2 for d in form.invariant_factors)
+    factors = discriminant_group(l).invariant_factors
+    return l.rank >= 2 + len(factors) or all(d == 2 for d in factors)
 
 
 def complement_genus_in_unimodular(
@@ -167,6 +187,9 @@ def complement_genus_in_unimodular(
     """Signature and discriminant form that any primitive complement of l in
     the even unimodular lattice of signature (3,19) must have."""
     p, n = l.signature_pair()
+    if not l.is_even() or p > 3 or n > 19:
+        parity = "an even" if l.is_even() else "an odd"
+        raise ValueError(f"{parity} lattice of signature ({p},{n}) does not embed in II_(3,19)")
     return (3 - p, 19 - n), discriminant_group(l).negate()
 
 

@@ -278,6 +278,23 @@ class FiniteQuadraticForm:
     def q(self, x: Sequence[int]) -> Fraction:
         return Fraction(self.q_numerator(x), self.exponent)
 
+    def primary_part(self, p: int) -> "FiniteQuadraticForm":
+        """The p-primary part: the generators with p | d_i, column g_i read
+        over p^e, the p-part of d_i, for m_i g_i, m_i = d_i / p^e; over the new
+        exponent N', N' x(m_i g_i, m_j g_j) = m_i m_j N x(g_i, g_j) / (N / N')."""
+        parts = [(i, pe, d // pe) for i, d in enumerate(self.invariant_factors)
+                 if (pe := gcd(d, p ** d.bit_length())) > 1]
+        top = max((pe for _, pe, _ in parts), default=1)
+        scale, q = self.exponent // top, self.q_numerators
+        qn = None if q is None else [m * m * q[i] for i, _, m in parts]
+        bn = [[m * c * self.b_numerators[i][j] for j, _, c in parts] for i, _, m in parts]
+        if any(x % scale for x in itertools.chain(qn or (), *bn)):
+            raise ArithmeticError("discriminant pairing is not in (1/N)Z")
+        gens = tuple(self.generators[i] for i, _, _ in parts)
+        qn = None if qn is None else tuple(x // scale % (2 * top) for x in qn)
+        bn = tuple(tuple(x // scale % top for x in row) for row in bn)
+        return FiniteQuadraticForm(tuple(pe for _, pe, _ in parts), gens, qn, bn)
+
     def negate(self) -> "FiniteQuadraticForm":
         n = self.exponent
         qn = (

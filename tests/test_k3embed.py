@@ -4,6 +4,7 @@ certificates."""
 import itertools
 import random
 from fractions import Fraction
+from math import gcd, prod
 from operator import mul
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 import k3lattice.lattice as lat
 from k3lattice import claims, exact, glue, k3embed as ke, quadform as qf
 from test_exact import naive_ldl
+from test_lattice import gram_info_inputs
 
 
 def complete_box_bound(g, max_norm):
@@ -430,6 +432,150 @@ def test_genus_requires_even():
     odd = lat.rank_one(1, allow_odd=True)
     with pytest.raises(ValueError):
         ke.genus_equal(odd, odd)
+
+
+def _diagonal(*norms):
+    return lat.direct_sum(*[lat.rank_one(k, allow_odd=True) for k in norms])
+
+
+def test_evenness_is_checked_before_the_invariant_factors():
+    # <1>+<-1>+<3> and <1>+<5> have different groups, Z/3 and Z/5; so do
+    # the odd <1>+<5> and the even A1
+    odd3 = lat.discriminant_group(_diagonal(1, -1, 3))
+    odd5 = lat.discriminant_group(_diagonal(1, 5))
+    even2 = lat.discriminant_group(lat.root_lattice("A", 1))
+    for f1, f2 in [(odd3, odd5), (odd5, odd3), (odd5, even2), (even2, odd5)]:
+        with pytest.raises(ValueError, match="even"):
+            ke.disc_forms_isomorphic(f1, f2)
+        with pytest.raises(ValueError, match="even"):
+            ke.find_disc_form_isomorphism(f1, f2)
+
+
+def test_uniqueness_requires_even():
+    # Nikulin 1.13.3 is a theorem about even lattices; <1>+<-1>+<3> is odd
+    with pytest.raises(ValueError, match="even"):
+        ke.genus_uniqueness_applicable(_diagonal(1, -1, 3))
+
+
+def test_complement_genus_requires_a_lattice_that_fits():
+    # U^4 has 4 positive squares, E8^2 + A4 has 20 negative ones, and
+    # U + <1> is odd
+    u, e8 = lat.hyperbolic(), lat.root_lattice("E", 8)
+    too_positive = lat.direct_sum(u, u, u, u)
+    too_negative = lat.direct_sum(e8, e8, lat.root_lattice("A", 4))
+    for l in [too_positive, too_negative, lat.direct_sum(u, _diagonal(1))]:
+        with pytest.raises(ValueError, match=r"does not embed in II_\(3,19\)"):
+            ke.complement_genus_in_unimodular(l)
+    # signatures (3, 19), (2, 2) and (0, 19) fit
+    sig, form = ke.complement_genus_in_unimodular(ke.build_V())
+    assert sig == (0, 0) and form.order == 1
+    for l, sig in [
+        (lat.direct_sum(u, lat.rescale(u, 2)), (1, 17)),
+        (lat.direct_sum(e8, e8, lat.root_lattice("A", 3)), (3, 0)),
+    ]:
+        assert ke.complement_genus_in_unimodular(l)[0] == sig
+
+
+def unimodular(rng, n):
+    """A random unimodular n x n matrix: a lower times an upper unitriangular
+    matrix with entries in {-1, 0, 1}, rows shuffled."""
+    def entry(i, j, below):
+        return 1 if i == j else rng.randrange(-1, 2) if (j < i) == below else 0
+
+    low = [[entry(i, j, True) for j in range(n)] for i in range(n)]
+    up = [[entry(i, j, False) for j in range(n)] for i in range(n)]
+    u = exact.matmul(low, up)
+    rng.shuffle(u)
+    return u
+
+
+def moved(g, rng):
+    u = unimodular(rng, len(g))
+    return exact.matmul(exact.matmul(u, g), exact.transpose(u))
+
+
+def random_rank22_gram(rng):
+    """An even nondegenerate rank-22 Gram matrix with entries in [-30, 30]."""
+    while True:
+        g = [[0] * 22 for _ in range(22)]
+        for i in range(22):
+            g[i][i] = 2 * rng.randint(-15, 15)
+            for j in range(i):
+                g[i][j] = g[j][i] = rng.randint(-30, 30)
+        if exact.det(g):
+            return g
+
+
+def test_genus_walks_only_the_two_part(monkeypatch):
+    # the three large matrices of the gram-info workload (orders 526,992,
+    # 1,386,120 and 488,086,624) and a rank-22 Gram with entries in
+    # [-30, 30], each against a unimodular change of basis of itself: the
+    # odd parts are decided by their Jordan symbols, so at most the 2-part
+    # is walked, once in each form
+    grams = gram_info_inputs()
+    cases = [grams[-1], grams[6], grams[12], random_rank22_gram(random.Random(99))]
+    rng = random.Random(28)
+    walked = [0]
+    elements = lat.FiniteQuadraticForm.elements
+
+    def counted(self):
+        for e in elements(self):
+            walked[0] += 1
+            yield e
+
+    monkeypatch.setattr(lat.FiniteQuadraticForm, "elements", counted)
+    counts = []
+    for g in cases:
+        two_part = lat.discriminant_group(lat.lattice(g)).primary_part(2).order
+        walked[0] = 0
+        assert ke.genus_equal(lat.lattice(g), lat.lattice(moved(g, rng)))
+        assert walked[0] <= 2 * two_part
+        counts.append(walked[0])
+    assert counts[:3] == [32, 16, 64]
+
+
+def _odd_part(n):
+    return n // (n & -n)
+
+
+# multisets of m with prod 2|m| <= 500 and some odd prime dividing two of
+# them, so the odd part of the sum of <+-2m> is not cyclic
+DIAGONALS = [
+    ms
+    for size in (2, 3)
+    for ms in itertools.combinations_with_replacement(
+        [3, 5, 6, 9, 10, 12, 15, 18, 25, 27, 45], size
+    )
+    if prod(2 * m for m in ms) <= 500
+    and any(_odd_part(gcd(a, b)) > 1 for a, b in itertools.combinations(ms, 2))
+]
+
+
+@st.composite
+def diagonal_form_pairs(draw):
+    """Two forms of sums of <+-2m> over the same m from ``DIAGONALS``; the
+    second lattice has its own signs, and each a random unimodular change
+    of basis, so the invariant factors agree and the generators move."""
+    ms = draw(st.sampled_from(DIAGONALS))
+    forms = []
+    for _ in range(2):
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(ms), max_size=len(ms)))
+        g = exact.zeros(len(ms), len(ms))
+        for i, (m, s) in enumerate(zip(ms, signs)):
+            g[i][i] = 2 * s * m
+        g = moved(g, random.Random(draw(st.integers(0, 10**6))))
+        forms.append(lat.discriminant_group(lat.lattice(g)))
+    return forms
+
+
+@settings(max_examples=150, deadline=None)
+@given(diagonal_form_pairs())
+def test_jordan_symbols_agree_with_the_search(forms):
+    f1, f2 = forms
+    assert f1.invariant_factors == f2.invariant_factors
+    want = ke.find_disc_form_isomorphism(f1, f2) is not None
+    assert ke.disc_forms_isomorphic(f1, f2) == want
+    assert ke.disc_forms_isomorphic(f2, f1) == want
 
 
 def test_uniqueness_conditions():

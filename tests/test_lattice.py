@@ -1,9 +1,11 @@
 """Tests for lattices, discriminant forms, complements and saturation."""
 
+import importlib.util
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -418,6 +420,74 @@ def test_disc_group_exponent_and_numerators():
     trivial = lat.discriminant_group(lat.root_lattice("E", 8))
     assert trivial.exponent == 1
     assert trivial.q_values == () and trivial.b_matrix == ()
+
+
+def gram_info_inputs(seed=7, pass_index=0):
+    """The matrices of one pass of the benchmark's gram-info workload, from
+    perfbench/inputs.py, which imports nothing of the package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.gram_inputs(seed, pass_index)
+
+
+def prime_divisors(n):
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] * (n > 1)
+
+
+def check_primary_parts(form):
+    """The parts' orders multiply to the order, and each part's q and b at
+    its generator i are the parent's at (d_i / p^e) g_i."""
+    parts = {p: form.primary_part(p) for p in prime_divisors(form.exponent)}
+    assert prod(part.order for part in parts.values()) == form.order
+    for p, part in parts.items():
+        kept = [i for i, d in enumerate(form.invariant_factors) if d % p == 0]
+        assert part.generators == tuple(form.generators[i] for i in kept)
+        assert (part.q_numerators is None) == (form.q_numerators is None)
+        lifts = []
+        for i, pe in zip(kept, part.invariant_factors):
+            m, rest = divmod(form.invariant_factors[i], pe)
+            assert rest == 0 and m % p != 0
+            while pe % p == 0:
+                pe //= p
+            assert pe == 1
+            lifts.append([m if j == i else 0 for j in range(len(form.invariant_factors))])
+        units = exact.identity(len(kept))
+        for e, x in zip(units, lifts):
+            if form.q_numerators is not None:
+                assert part.q(e) == form.q(x)
+            for f, y in zip(units, lifts):
+                assert part.b(e, f) == form.b(x, y)
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_primary_parts_of_named_lattices(name):
+    form = lat.discriminant_group(glue.build_named(name))
+    check_primary_parts(form)
+    check_primary_parts(form.negate())
+
+
+def test_primary_parts_of_gram_info_matrices():
+    for g in gram_info_inputs():
+        check_primary_parts(lat.discriminant_group(lat.lattice(g)))
+
+
+def test_primary_part_rejects_a_pairing_off_the_lattice():
+    # b(g_0, g_0) = 1/6 for g_0 of order 3 is not admissible, as
+    # 3 b(g_0, g_0) = 1/2 is not an integer: read over 3, the numerator 1
+    # leaves a remainder
+    bad = lat.FiniteQuadraticForm((3, 6), ((1, 0), (0, 1)), None, ((1, 0), (0, 0)))
+    assert bad.primary_part(2).invariant_factors == (2,)
+    with pytest.raises(ArithmeticError):
+        bad.primary_part(3)
 
 
 # ---------------------------------------------------------------------------

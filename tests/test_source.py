@@ -200,11 +200,22 @@ def _call_count(fn: ast.AST, name: str) -> int:
 
 def test_disc_form_search_walks_each_group_once():
     # one walk of f1 counts its (order, q) profile and one walk of f2 takes
-    # it down and fills the pools; a radical check, not a pass over the
-    # elements, makes the matched map injective
+    # it down and fills the pools; the per-scale determinants of the Jordan
+    # symbols, not a pass over the elements or an index of [B; N I], make
+    # the matched map injective
     search = _function("k3embed.py", "find_disc_form_isomorphism")
     assert _call_count(search, "elements") == 2
-    assert _call_count(search, "index") == 1
+    assert _call_count(search, "index") == 0
+    assert _call_count(search, "_jordan_symbols") == 1
+
+
+def test_disc_forms_isomorphic_walks_no_group():
+    # the odd parts are compared by their Jordan symbols; only the search
+    # on the 2-parts walks elements
+    compare = _function("k3embed.py", "disc_forms_isomorphic")
+    assert _call_count(compare, "elements") == 0
+    assert _call_count(compare, "_jordan_symbols") == 2
+    assert _call_count(compare, "find_disc_form_isomorphism") == 1
 
 
 def test_short_vectors_walk_in_integers():
