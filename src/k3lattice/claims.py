@@ -9,7 +9,6 @@ produce byte-identical output.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -20,6 +19,7 @@ from . import glue
 from . import k3embed as ke
 from . import lattice as lat
 from . import quadform as qf
+from .value import Value
 
 # ---------------------------------------------------------------------------
 # fixed Gram matrices used by several claims
@@ -155,16 +155,14 @@ def _rank17_target() -> lat.Lattice:
 _REGISTRY: dict[str, "Claim"] = {}
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(Value):
     id: str
     statement: str
     tags: tuple[str, ...]
     check: Callable[[], tuple[bool, object, object]]
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(Value):
     id: str
     status: str  # "pass" or "fail"
     computed: object

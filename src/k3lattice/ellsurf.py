@@ -14,16 +14,15 @@ Fibers are declared data; nothing here computes them from equations.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exact
+from .value import Value
 
 _KODAIRA_RE = re.compile(r"^(I|II|III|IV)(\d+)?(\*)?$")
 
 
-@dataclass(frozen=True)
-class KodairaType:
+class KodairaType(Value):
     family: str  # "I", "I*", "II", "III", "IV", "II*", "III*", "IV*"
     n: int = 0
 
@@ -87,8 +86,7 @@ def euler_number(t: KodairaType) -> int:
     return t.n if t.family == "I" else component_count(t) + 1
 
 
-@dataclass(frozen=True)
-class FiberConfig:
+class FiberConfig(Value):
     fibers: tuple[KodairaType, ...]
 
     @staticmethod
@@ -117,8 +115,7 @@ def h20_from_euler(chi: int) -> int:
     return chi // 12 - 1
 
 
-@dataclass(frozen=True)
-class SurfaceData:
+class SurfaceData(Value):
     chi_o: int  # holomorphic Euler characteristic chi(O_S)
     rho: int  # Picard number
     torsion_order: int = 1
@@ -183,8 +180,7 @@ def _contribution(t: KodairaType, code) -> Fraction:
     raise ValueError(f"no height contribution for fiber {t} component {code!r}")
 
 
-@dataclass(frozen=True)
-class SectionIncidence:
+class SectionIncidence(Value):
     """Intersection with the zero section plus, per reducible fiber, which
     component the section meets."""
 

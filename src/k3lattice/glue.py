@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Sequence
@@ -31,10 +30,10 @@ from .lattice import (
     root_lattice,
 )
 from .quadform import is_probable_prime, legendre
+from .value import Value
 
 
-@dataclass(frozen=True)
-class GlueSpec:
+class GlueSpec(Value):
     """A rational glue vector ``vector / denominator`` in base coordinates."""
 
     vector: tuple[int, ...]

@@ -93,12 +93,16 @@ def _jordan_symbols(form: FiniteQuadraticForm, p: int) -> list[int]:
     the ranks fix A (Conway-Sloane, SPLAG 15.7).  A radical element of order
     p in p^(k-1) A but not p^k A gives one of that quotient, and a
     nondegenerate A splits into Jordan constituents: at any p, det 0 mod p
-    is a degenerate b."""
+    is a degenerate b.  Generators of order p^k pairing outside (1/p^k)Z
+    make no discriminant form and raise ``ArithmeticError``."""
     form, symbols = form.primary_part(p), []
     for scale in dict.fromkeys(form.invariant_factors):
         rows = [i for i, d in enumerate(form.invariant_factors) if d == scale]
         shift = form.exponent // scale
-        det = exact.det([[form.b_numerators[i][j] // shift for j in rows] for i in rows]) % p
+        block = [[form.b_numerators[i][j] for j in rows] for i in rows]
+        if any(x % shift for row in block for x in row):
+            raise ArithmeticError("discriminant pairing is not in (1/N)Z")
+        det = exact.det([[x // shift for x in row] for row in block]) % p
         if det == 0:
             raise ValueError("degenerate discriminant form: b has a nonzero radical")
         symbols.append(quadform.legendre(det, p) if p > 2 else 1)

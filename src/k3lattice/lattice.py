@@ -9,7 +9,6 @@ return new values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
@@ -17,14 +16,14 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from . import exact
+from .value import Value
 
 
 def _to_gram(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Value):
     """Reference to an ambient lattice: the embedded lattice's basis vectors
     are the integer rows of ``basis`` divided by ``denominator``, in the
     ambient basis.  A denominator above 1 marks an overlattice of the ambient
@@ -35,11 +34,11 @@ class Embedding:
     denominator: int = 1
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Value):
     gram: tuple[tuple[int, ...], ...]
     name: str | None = None
-    ambient: Embedding | None = field(default=None, compare=False)
+    ambient: Embedding | None = None
+    _compared = ("gram", "name")  # not the embedding
 
     def __post_init__(self) -> None:
         if not exact.is_symmetric(self.gram):
@@ -205,8 +204,7 @@ def direct_sum(*lattices: Lattice) -> Lattice:
 # discriminant groups and forms
 
 
-@dataclass(frozen=True)
-class FiniteQuadraticForm:
+class FiniteQuadraticForm(Value):
     """Discriminant group L*/L with its torsion forms.
 
     ``generators[i]`` is an integer vector in L's basis; divided by

@@ -19,12 +19,12 @@ Arithmetic, ch. IV).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Sequence
 
 from . import exact
+from .value import Value
 
 # a place is either a prime number or the real place
 REAL = "real"
@@ -312,8 +312,7 @@ def diagonalize(gram: Sequence[Sequence[int]]) -> list[int]:
 # invariants
 
 
-@dataclass(frozen=True)
-class QuadFormInvariants:
+class QuadFormInvariants(Value):
     """Q-equivalence certificate: rank, signature, discriminant square class
     and the places where the Hasse invariant is -1; every place outside
     ``hasse_minus`` has invariant +1."""

@@ -390,6 +390,16 @@ def test_disc_form_isomorphism_rejects_degenerate_form():
         ke.find_disc_form_isomorphism(flat, flat)
 
 
+def test_disc_form_tests_reject_pairings_outside_the_generator_order():
+    # g_0 has order 3 but b(g_0, g_0) = 1/9: 3 g_0 pairs to 1/3 with g_0, so
+    # this is no discriminant form, and the scale-3 block of the 3-part must
+    # raise rather than round 1/9 down to a degenerate 0
+    bad = lat.FiniteQuadraticForm((3, 9), ((1, 0), (0, 1)), (2, 0), ((1, 0), (0, 1)))
+    for search in (ke.find_disc_form_isomorphism, ke.disc_forms_isomorphic):
+        with pytest.raises(ArithmeticError, match=r"not in \(1/N\)Z"):
+            search(bad, bad)
+
+
 @st.composite
 def forms_dividing_12(draw):
     """Forms on Z/d_1 x ... x Z/d_k, d_i | d_{i+1} | 12, k <= 3, with random

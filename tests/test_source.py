@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "k3lattice"
@@ -369,3 +372,54 @@ def test_quadric_certificate_in_closed_form():
     raised = [_raised_name(node) for node in ast.walk(cert) if isinstance(node, ast.Raise)]
     assert "ArithmeticError" not in raised
     assert not hasattr(importlib.import_module("k3lattice.quadform"), "relevant_places")
+
+
+def test_post_init_is_looked_up_on_each_construction(monkeypatch):
+    # perfbench's tracer replaces __post_init__ on the class after import, so
+    # the constructor must reach the hook through the instance on every
+    # call; Lattice._formed builds an already checked lattice without it
+    lattice = importlib.import_module("k3lattice.lattice")
+    glue = importlib.import_module("k3lattice.glue")
+    seen = []
+    for cls in (lattice.Lattice, glue.GlueSpec):
+        hook = cls.__post_init__
+        monkeypatch.setattr(
+            cls, "__post_init__", lambda self, hook=hook: seen.append(self) or hook(self)
+        )
+    a2 = lattice.Lattice(((2, 1), (1, 2)), "A2")
+    spec = glue.GlueSpec((1, 0), 2)
+    assert seen == [a2, spec]
+    lattice.Lattice._formed(((2, 1), (1, 2)), "A2", None)
+    assert len(seen) == 2
+
+
+def test_cold_import_loads_no_dataclasses_or_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and compiles the
+    # methods of each class through exec: together 20-30 ms of every cold
+    # k3lattice process
+    code = (
+        "import sys, k3lattice.cli, k3lattice.claims; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_no_dataclasses_and_no_runtime_compilation():
+    found = []
+    for name, node in _nodes():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = []
+        if any(m.split(".")[0] == "dataclasses" for m in modules):
+            found.append(f"{name}:{node.lineno} imports dataclasses")
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("exec", "eval", "compile"):
+            found.append(f"{name}:{node.lineno} calls {node.func.id}")
+    assert found == []
