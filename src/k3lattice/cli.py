@@ -2,11 +2,12 @@
 basic lattice operations on files.
 
 ``lattice info`` and ``named`` print one summary of a lattice, whose det
-comes from its signature and discriminant group, not from a determinant:
-|det G| is the order of L*/L and the sign of det G is (-1)^neg.
+comes from its signature and the invariant factors of L*/L, not from a
+determinant: |det G| is their product and the sign of det G is (-1)^neg.
 
 Exit codes: 0 when everything requested passed, 1 when any claim failed,
-2 on usage, parse or input errors and on a file that cannot be written.
+2 on usage, parse or input errors and on a file that cannot be written,
+141 (128 + SIGPIPE) with nothing on stderr when stdout's reader has gone.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
+from math import prod
 from pathlib import Path
 
 from . import claims, glue, lattice as lat, lattice_io, quadform as qf
@@ -22,20 +25,20 @@ from . import claims, glue, lattice as lat, lattice_io, quadform as qf
 
 def _lattice_summary(l: lat.Lattice) -> str:
     """Name, rank, det, parity, signature and discriminant group.  The det
-    is read off the signature and the group, with no elimination of its
-    own: |det G| = |L*/L| and det G has the sign (-1)^neg; a degenerate
-    lattice has det 0 and no group."""
+    is read off the signature and the invariant factors, with no form and no
+    elimination of its own: |det G| = |L*/L| and det G has the sign
+    (-1)^neg; a degenerate lattice has det 0 and no group."""
     sig = l.signature()
-    form = None if sig[1] else lat.discriminant_group(l)
+    factors = None if sig[1] else lat.invariant_factors(l)
     lines = [
         f"name:       {l.name or '(unnamed)'}",
         f"rank:       {l.rank}",
-        f"det:        {0 if form is None else (-1) ** sig[2] * form.order}",
+        f"det:        {0 if factors is None else (-1) ** sig[2] * prod(factors)}",
         f"even:       {l.is_even()}",
         f"signature:  {sig} (pos, zero, neg)",
     ]
-    if form is not None:
-        lines.append(f"disc group: {list(form.invariant_factors) or 'trivial'}")
+    if factors is not None:
+        lines.append(f"disc group: {list(factors) or 'trivial'}")
     return "\n".join(lines)
 
 
@@ -232,9 +235,17 @@ def main(argv: list[str] | None = None) -> int:
         # argparse, and a command through args.error, report usage errors
         # by raising SystemExit
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    except BrokenPipeError:
+        # as after `| head`: exit as if killed by SIGPIPE, flushing to nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, OSError) as e:
         # file and glue errors are ValueErrors; an OSError is a failed write
         print(f"error: {e}", file=sys.stderr)

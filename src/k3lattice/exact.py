@@ -31,16 +31,16 @@ straight from the loop over the next-to-last one.
 ``_hermite`` eliminates below the pivots (``_echelon``) before it reduces
 above them, once, over the finished rows; ``index`` and ``kernel_basis``
 read only the pivots and the rows past the rank, and stop after the first.
-``smith_normal_form`` skips the row pass after a column pass that leaves the
-matrix diagonal, since that pass would do nothing.  A caller that reads only
-d and v may pass the Hermite basis (``hermite_row_basis``, built without a
-companion) in place of a nonsingular matrix: the first row pass then finds it
-reduced, and every later pass, with d and v, is the same.  It may pass less:
-the passes over a Hermite basis whose first k pivots are 1 clear those rows
-and columns against the unit pivots and then run on the tail from row and
-column k exactly as they would on the tail alone, so
-``lattice.discriminant_group`` passes only that tail and lifts each column w
-of its v back by the first k rows.
+``smith_normal_form`` and ``smith_diagonal`` share one driver, ``_smith``,
+run with and without the companions u and v; it repairs a diagonal pair
+that breaks divisibility on the pair's 2x2 block alone.  A caller that reads
+only d and v may pass the Hermite basis (``hermite_row_basis``, built
+without a companion) in place of a nonsingular matrix: the first row pass
+then finds it reduced, and every later pass, with d and v, is the same.  It
+may pass less: the passes over a Hermite basis whose first k pivots are 1
+clear those rows and columns against the unit pivots and then run on the
+tail from row and column k exactly as they would on the tail alone, so
+``lattice`` passes only that tail.
 All public functions return fresh objects and never mutate their
 arguments, so values can be shared freely between threads.
 """
@@ -236,11 +236,14 @@ def _echelon(a: IntMatrix, u: IntMatrix | None = None) -> list[int]:
         if not nz:
             continue
         while True:
-            p = min(nz, key=lambda i: abs(a[i][c]))
+            mags = [abs(a[i][c]) for i in nz]
+            k = mags.index(min(mags))
+            p = nz[k]
             a[r], a[p] = a[p], a[r]
             if u is not None:
                 u[r], u[p] = u[p], u[r]
-            below = [i for i in range(r + 1, rows) if a[i][c]]
+            # nz: the rows from r on nonzero in column c; row r went to p
+            below = nz[1:] if nz[0] == r else nz[:k] + nz[k + 1 :]
             if not below:
                 break
             prow, urow = a[r][c:], None if u is None else u[r]
@@ -304,40 +307,57 @@ def smith_normal_form(
 ) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form ``d`` with unimodular ``u``, ``v``: u*m*v = d.
 
-    The diagonal of ``d`` is nonnegative with d1 | d2 | ... .  Row and column
-    Hermite reductions alternate until the matrix is diagonal; a diagonal
-    pair that breaks divisibility is merged by adding one column to the other
-    and reducing again.  A column pass leaves positive pivots and its zero
-    columns last, so when it leaves the matrix diagonal the row pass after it
-    would do nothing and is skipped.  Works for any rectangular matrix; a
-    Hermite basis, or its tail after leading unit pivots, may stand in for a
-    nonsingular matrix (see the module docstring).
+    The diagonal of ``d`` is nonnegative with d1 | d2 | ... .  Works for any
+    rectangular matrix; a Hermite basis, or its tail after leading unit
+    pivots, may stand in for a nonsingular matrix (see the module docstring).
     """
     rows, cols = len(m), _width(m)
     a = copy_matrix(m)
     u = identity(rows)
     vt = identity(cols)  # v transposed: column operations are its row operations
+    _smith(a, u, vt)
+    return a, u, transpose(vt)
+
+
+def smith_diagonal(m: Sequence[Sequence[int]]) -> IntVector:
+    """The diagonal of ``smith_normal_form(m)``'s d, by the same passes run
+    with no companions."""
+    _width(m)
+    return _smith(copy_matrix(m))
+
+
+def _smith(a: IntMatrix, u: IntMatrix | None = None, vt: IntMatrix | None = None) -> IntVector:
+    """Reduce ``a`` in place to Smith normal form and return its diagonal,
+    mirroring row operations on ``u`` and column operations on ``vt`` (v
+    transposed), both or neither.  Row and column Hermite passes alternate
+    until ``a`` is diagonal; a row pass after a column pass that leaves it
+    diagonal, with positive pivots and zero columns last, would do nothing
+    and is skipped.  A diagonal pair d_i, d_j (i < j) that breaks
+    divisibility is then merged by adding column j to column i; the passes
+    over the result touch only rows and columns i and j, so they run on the
+    block [[d_i, 0], [d_j, d_j]] with rows i and j of ``u`` and ``vt``, and
+    leave gcd(d_i, d_j) and d_i d_j / gcd(d_i, d_j) (Cohen, GTM 138, 2.4.4)."""
     _hermite(a, u)
-    while True:
+    while not _is_diagonal(a):
+        at = transpose(a)
+        _hermite(at, vt)
+        a[:] = transpose(at)
         if not _is_diagonal(a):
-            at = transpose(a)
-            _hermite(at, vt)
-            a = transpose(at)
-            # over a diagonal matrix with positive entries and its zero
-            # columns last, which a column pass leaves, a row pass is a no-op
-            if not _is_diagonal(a):
-                _hermite(a, u)
-            continue
-        diag = [a[i][i] for i in range(min(rows, cols))]
+            _hermite(a, u)
+    diag = [row[i] for i, row in enumerate(a[: len(a[0]) if a else 0])]
+    while True:
         pairs = ((i, j) for j in range(len(diag)) for i in range(j))
         bad = next(((i, j) for i, j in pairs if diag[i] and diag[j] % diag[i]), None)
         if bad is None:
-            return a, u, transpose(vt)
+            return diag
         i, j = bad
-        # column_i += column_j puts d_j below d_i; the next reduction takes their gcd
-        a[j][i] = a[j][j]
-        vt[i] = [x + y for x, y in zip(vt[i], vt[j])]
-        _hermite(a, u)
+        bu = bv = None
+        if u is not None:
+            bu, bv = [u[i], u[j]], [[x + y for x, y in zip(vt[i], vt[j])], vt[j]]
+        a[i][i], a[j][j] = diag[i], diag[j] = _smith([[diag[i], 0], [diag[j], diag[j]]], bu, bv)
+        if u is not None:
+            u[i], u[j] = bu
+            vt[i], vt[j] = bv
 
 
 def _is_diagonal(a: IntMatrix) -> bool:

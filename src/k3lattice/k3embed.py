@@ -28,6 +28,7 @@ from .lattice import (
     direct_sum,
     discriminant_group,
     hyperbolic,
+    invariant_factors,
     orthogonal_complement,
     root_lattice,
     sublattice,
@@ -181,7 +182,7 @@ def genus_uniqueness_applicable(l: Lattice) -> bool:
     p, z, n = l.signature()
     if z or p == 0 or n == 0:
         return False
-    factors = discriminant_group(l).invariant_factors
+    factors = invariant_factors(l)
     return l.rank >= 2 + len(factors) or all(d == 2 for d in factors)
 
 

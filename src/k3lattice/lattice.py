@@ -304,35 +304,43 @@ class FiniteQuadraticForm(Value):
         return FiniteQuadraticForm(self.invariant_factors, self.generators, qn, bn)
 
 
-def discriminant_group(l: Lattice) -> FiniteQuadraticForm:
-    """The finite group L*/L with its discriminant (quadratic) form.
+def _hermite_tail(l: Lattice) -> tuple[list[list[int]], list[list[int]]]:
+    """(H[:k, k:], H[k:, k:]) for the Hermite basis H of the Gram matrix G,
+    built without a companion, and k its first column whose pivot is not 1.
 
-    L*/L is Z^n modulo the row span of the Gram matrix G, whose Hermite
-    basis H (built without a companion) has n rows exactly when det G is
-    nonzero, so no determinant is taken.  Let k be the first column whose
-    pivot is not 1.  Entries above a unit pivot are reduced to 0, so row
-    r < k of H is e_r plus entries in columns k and later, and the rows
-    from k on are zero left of column k: Z^n/<H> is Z^(n-k)/<T> for the
-    tail T = H[k:, k:], and the Smith form is taken of T alone.  A column w
-    of its v lifts to the generator (-H[:k, k:] w, w).  On all of H the
-    Smith form's passes would clear the first k rows and columns against
-    their unit pivots, leave them as they are after that, and run on T
-    exactly as here, so the invariant factors, generators, q and b are
-    those of the Smith form of G itself.  Only the leading run of unit
-    pivots is split off: a unit pivot after a larger one takes part in the
-    Smith form's passes over the tail, and dropping it changes the
-    generators.
+    L*/L is Z^n modulo the rows of H, which number n exactly when det G is
+    nonzero, so no determinant is taken.  Entries above a unit pivot are
+    reduced to 0, so row r < k of H is e_r plus entries in columns k and
+    later, and the rows from k on are zero left of column k: Z^n/<H> is
+    Z^(n-k)/<T> for the tail T = H[k:, k:].  On all of H the Smith form's
+    passes would clear the first k rows and columns against their unit
+    pivots and then run on T exactly as on T alone.  Only the leading run
+    of unit pivots is split off: a unit pivot after a larger one takes part
+    in the passes over the tail, and dropping it changes the generators.
     """
     n = l.rank
     h = exact.hermite_row_basis(l.gram)
     if len(h) < n:
         raise ValueError("degenerate Gram matrix has no discriminant group")
     k = next((i for i in range(n) if h[i][i] != 1), n)
-    head = [row[k:] for row in h[:k]]
-    d, _, v = exact.smith_normal_form([row[k:] for row in h[k:]])
+    return [row[k:] for row in h[:k]], [row[k:] for row in h[k:]]
+
+
+def invariant_factors(l: Lattice) -> tuple[int, ...]:
+    """The invariant factors of ``discriminant_group(l)``, from the Smith
+    diagonal of the Hermite tail alone."""
+    return tuple(d for d in exact.smith_diagonal(_hermite_tail(l)[1]) if d > 1)
+
+
+def discriminant_group(l: Lattice) -> FiniteQuadraticForm:
+    """The finite group L*/L with its discriminant (quadratic) form, from
+    the Smith form of the Hermite tail T (``_hermite_tail``): a column w of
+    its v lifts to the generator (-H[:k, k:] w, w)."""
+    head, tail = _hermite_tail(l)
+    d, _, v = exact.smith_normal_form(tail)
     factors: list[int] = []
     gens: list[tuple[int, ...]] = []
-    for i in range(n - k):
+    for i in range(len(tail)):
         di = d[i][i]
         if di > 1:
             w = [row[i] for row in v]

@@ -566,6 +566,26 @@ def test_cli_entry_point_subprocess():
     assert "PASS" in proc.stdout
 
 
+def test_cli_closed_stdout_pipe_exits_141_quietly():
+    # the read end is closed before the child starts, so its first write to
+    # stdout, at the latest the flush before main returns, meets no reader
+    src = str(Path(cli.__file__).resolve().parents[1])
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "k3lattice", "list"],
+            stdout=w,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
+
+
 def test_cli_builds_one_parser_per_process():
     assert cli.build_parser() is cli.build_parser()
 

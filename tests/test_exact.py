@@ -628,6 +628,52 @@ def test_snf_equals_the_reference(m):
     assert exact.smith_normal_form(m) == reference_smith_normal_form(m)
 
 
+@st.composite
+def repair_heavy(draw):
+    """Rectangular diagonal matrices, zero and negative entries included,
+    whose entries mostly break divisibility, as a unit after a larger entry
+    does; some gain one off-diagonal entry."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    entries = st.sampled_from([0, 1, -1, 2, -3, 4, 6, -10, 15, 30, 246])
+    m = [[0] * cols for _ in range(rows)]
+    for i in range(min(rows, cols)):
+        m[i][i] = draw(entries)
+    if draw(st.booleans()):
+        m[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = draw(entries)
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(repair_heavy())
+def test_snf_equals_the_reference_on_repair_heavy_matrices(m):
+    d, u, v = exact.smith_normal_form(m)
+    assert (d, u, v) == reference_smith_normal_form(m)
+    assert exact.smith_diagonal(m) == [d[i][i] for i in range(min(len(m), len(m[0])))]
+
+
+def test_smith_repairs_run_on_the_two_by_two_block(monkeypatch):
+    # once the matrix is diagonal, a pair that breaks divisibility is
+    # repaired by passes over its own 2x2 block, not over the whole matrix
+    calls = []
+    hermite = exact._hermite
+
+    def recorder(a, u=None):
+        rank = hermite(a, u)
+        calls.append((len(a), exact._is_diagonal(a)))
+        return rank
+
+    monkeypatch.setattr(exact, "_hermite", recorder)
+    diag = [[2, 246, 1, 1, 1, 1], [6, 10, 15], [4, 6, 0, 9], [30, 1, 2, 3, 5]]
+    for entries in diag:
+        m = [[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)]
+        for run in (exact.smith_normal_form, exact.smith_diagonal):
+            calls.clear()
+            run(m)
+            first = next(k for k, (_, diagonal) in enumerate(calls) if diagonal)
+            after = [rows for rows, _ in calls[first + 1 :]]
+            assert after and set(after) == {2}, (entries, run.__name__)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.one_of(

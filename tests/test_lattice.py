@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import k3lattice.lattice as lat
 from k3lattice import exact, glue
-from test_exact import naive_solve
+from test_exact import even_grams, naive_solve
 
 
 def unit_rows(indices, width):
@@ -430,6 +430,35 @@ def gram_info_inputs(seed=7, pass_index=0):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.gram_inputs(seed, pass_index)
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_invariant_factors_of_named_lattices_are_those_of_the_form(name):
+    l = glue.build_named(name)
+    assert lat.invariant_factors(l) == lat.discriminant_group(l).invariant_factors
+
+
+def test_invariant_factors_of_the_gram_info_matrices_are_those_of_the_form():
+    for g in gram_info_inputs(7, 0):
+        l = lat.lattice(g)
+        assert lat.invariant_factors(l) == lat.discriminant_group(l).invariant_factors
+
+
+@settings(max_examples=80, deadline=None)
+@given(even_grams().filter(lambda g: exact.det(g) != 0))
+def test_invariant_factors_of_drawn_even_grams_are_those_of_the_form(g):
+    l = lat.lattice(g)
+    assert lat.invariant_factors(l) == lat.discriminant_group(l).invariant_factors
+
+
+def test_invariant_factors_equal_sympys():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    grams = gram_info_inputs(7, 0) + [list(map(list, glue.build_named(n).gram)) for n in NAMED]
+    for g in grams:
+        want = [abs(int(x)) for x in invariant_factors(sympy.Matrix(g), domain=sympy.ZZ)]
+        assert list(lat.invariant_factors(lat.lattice(g))) == [x for x in want if x > 1]
 
 
 def prime_divisors(n):

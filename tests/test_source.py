@@ -314,6 +314,14 @@ def test_index_and_kernel_basis_stop_at_the_echelon_form():
         assert not called & {"_hermite", "hermite_row_basis"}, name
 
 
+def test_lattice_summary_builds_no_discriminant_form():
+    # named and lattice info print only the invariant factors and the det,
+    # so they take the Smith diagonal without companions, generators, q or b
+    called = _called_names(_function("cli.py", "_lattice_summary"))
+    assert "invariant_factors" in called
+    assert "discriminant_group" not in called
+
+
 def _names(fn: ast.AST) -> set[str]:
     return {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
 
