@@ -29,9 +29,7 @@ from .quadform import (
     hasse_invariant,
     hilbert_symbol,
     invariants,
-    quadric_certificate,
     rationally_equivalent,
-    ruling_disc,
     witt_index,
 )
 from .k3embed import (
@@ -70,12 +68,10 @@ __all__ = [
     "invariants",
     "load_lattice",
     "orthogonal_complement",
-    "quadric_certificate",
     "rank_one",
     "rationally_equivalent",
     "rescale",
     "root_lattice",
-    "ruling_disc",
     "saturation",
     "save_lattice",
     "transcendental_of",

@@ -91,18 +91,10 @@ def _write_or_print(l: lat.Lattice, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _read_rows(path: str) -> tuple[tuple[int, ...], ...]:
-    try:
-        rows = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise lattice_io.LatticeFileError(f"{path}: {e}") from e
-    return lattice_io.decode_matrix(rows, path, "sublattice rows")
-
-
 def _cmd_lattice_op(args) -> int:
     if args.op == "complement":
         ambient = lattice_io.load_lattice(args.file)
-        sub = _read_rows(args.sub)
+        sub = lattice_io.load_rows(args.sub)
         comp = lat.orthogonal_complement(ambient, sub)
         _write_or_print(comp.rename(args.name or "complement"), args.out)
         return 0
@@ -133,7 +125,7 @@ def _cmd_lattice_op(args) -> int:
             print(f"b(g{i + 1}, .) = {'  '.join(map(str, row))}")
         return 0
     ambient = lattice_io.load_lattice(args.file)
-    sub = _read_rows(args.sub)
+    sub = lattice_io.load_rows(args.sub)
     _write_or_print(lat.saturation(ambient, sub).rename(args.name or "saturation"), args.out)
     return 0
 

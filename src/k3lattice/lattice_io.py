@@ -13,6 +13,12 @@ induces the Gram matrix.  Names it rejects are read but not attached.
 ``dumps`` writes ``ambient`` and ``basis`` only when that name rebuilds the
 very frame of the embedding, so a file the CLI writes reads back.
 
+A rows file (the CLI's ``--sub``) is a JSON array of arrays of integers.
+Both kinds of file go through one JSON parse; a malformed one raises
+``LatticeFileError`` naming the file, with the line and column of a syntax
+error, or "nested too deeply" for a document that exhausts the parser's
+recursion (``[[[...]]]`` some 100,000 levels down).
+
 A corpus of named lattice files ships in the package ``data`` directory.
 """
 
@@ -59,13 +65,24 @@ def _encode_int(x: int):
     return x if abs(x) <= _I64_MAX else str(x)
 
 
-def loads(text: str, path: str = "<string>") -> Lattice:
+def _parse(text: str, path) -> object:
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
-        raise LatticeFileError(
-            f"{path}: line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from e
+        raise LatticeFileError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        raise LatticeFileError(f"{path}: nested too deeply") from e
+
+
+def _read(path: str | Path) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as e:
+        raise LatticeFileError(f"{path}: {e}") from e
+
+
+def loads(text: str, path: str = "<string>") -> Lattice:
+    doc = _parse(text, path)
     if not isinstance(doc, dict) or "gram" not in doc:
         raise LatticeFileError(f"{path}: document must be an object with a 'gram' field")
     gram = decode_matrix(doc["gram"], path, "gram")
@@ -105,11 +122,12 @@ def loads(text: str, path: str = "<string>") -> Lattice:
 
 def load_lattice(path: str | Path) -> Lattice:
     p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as e:
-        raise LatticeFileError(f"{p}: {e}") from e
-    return loads(text, str(p))
+    return loads(_read(p), str(p))
+
+
+def load_rows(path: str | Path) -> tuple[tuple[int, ...], ...]:
+    """The integer matrix of a rows file."""
+    return decode_matrix(_parse(_read(path), path), path, "sublattice rows")
 
 
 def dumps(l: Lattice) -> str:

@@ -435,76 +435,3 @@ def has_k_planes(gram: Sequence[Sequence[int]], k: int, v) -> bool:
     if k < 0:
         raise ValueError("k must be nonnegative")
     return witt_index(gram, v) >= k + 1
-
-
-def ruling_disc(gram: Sequence[Sequence[int]]) -> int:
-    """Square class whose square root generates the splitting field of the
-    two rulings (families of middle-dimensional planes) of an even-rank
-    quadric.
-
-    For a form of rank 2k+2 this is the classical signed discriminant
-    (-1)^(k+1) det; the rulings are rational exactly when it is 1.
-    """
-    n = exact.require_square(gram)
-    if n % 2:
-        raise ValueError("ruling discriminant requires even rank")
-    return squarefree_part(_form(gram)[1] * (-1) ** (n // 2))
-
-
-# ---------------------------------------------------------------------------
-# quadric certificates
-
-
-def _minus_key(sig, minus) -> tuple:
-    places = sorted(minus, key=place_sort_key)
-    return (sig, len(places), [place_sort_key(v) for v in places])
-
-
-def quadric_certificate(gram: Sequence[Sequence[int]]) -> QuadFormInvariants:
-    """Q-isomorphism-class certificate of the projective quadric of gram.
-
-    Two quadrics are isomorphic over Q exactly when the forms are similar
-    (equal up to a rational scale factor c).  Odd rank: scaling by the
-    discriminant class is the unique way to make the discriminant trivial,
-    and that representative's invariants are the certificate.  Even rank n:
-    the discriminant class is itself invariant, and scaling by c multiplies
-    the Hasse invariant at v by (c, s)_v, with s = (-1)^(n/2) det the signed
-    discriminant.  A c > 0 flips an even set of the primes where s is a
-    local nonsquare, and reaches every such set: the existence theorem
-    (Serre, A Course in Arithmetic, ch. III 2.2 Thm 4) gives a c in Q* with
-    the wanted symbols, and for s > 0 a negative c can be replaced by -s c,
-    since (-s, s)_v = 1.  A negative c also swaps the signature and twists
-    by (-1, s)_v.  So for each sign of c the least reachable Hasse set keeps
-    the places where s is a local square (and the real place), drops the
-    others, and if an odd number was dropped adds back the least prime where
-    s is a nonsquare (2 or a prime of s); the certificate is the smaller of
-    the two by signature, size and sorted places.  Both cases are invariant
-    under rescaling the lattice and under finite-index sublattices.
-    """
-    pivots, det = _form(gram)
-    d, places = _class_and_places(det)
-    n = len(pivots)
-    if n % 2:
-        return _invariants([d * x for x in pivots], 1, places)
-
-    signed = d * (-1) ** (n // 2)
-    base = _invariants(pivots, d, places)
-    candidates = []
-    for c, sig in ((1, base.signature), (-1, base.signature[::-1])):
-        minus = {v for v in places if (v in base.hasse_minus) != (_hilbert(c, signed, v) == -1)}
-        kept = {v for v in minus if v == REAL or _is_local_square(signed, v)}
-        if len(minus - kept) % 2:
-            p = 2
-            while _is_local_square(signed, p):
-                p = _next_prime(p)
-            kept.add(p)
-        candidates.append((sig, kept))
-    sig, minus = min(candidates, key=lambda c: _minus_key(*c))
-    return QuadFormInvariants(n, sig, d, frozenset(minus))
-
-
-def _next_prime(p: int) -> int:
-    q = p + 1
-    while not is_probable_prime(q):
-        q += 1
-    return q

@@ -167,6 +167,8 @@ def test_malformed_file_messages(tmp_path):
         '{"name": 3, "gram": [[0, 1], [2, 0]]}': "gram matrix is not symmetric",
         '{"name": "x", "gram": [0, 1]}': "gram must be an array of arrays",
         '{"name": "x"}': "document must be an object with a 'gram' field",
+        # json.loads ran out of stack with a RecursionError
+        '{"gram": ' + "[" * 100_000 + "]" * 100_000 + "}": "nested too deeply",
     }
     path = tmp_path / "bad.lattice"
     for text, message in cases.items():
@@ -551,6 +553,24 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.lattice"
     bad.write_text("{nope")
     assert cli.main(["lattice", "info", str(bad)]) == 2
+    # a file nested too deeply for json is an input error, not a traceback
+    # with the exit code of a failed claim
+    deep = tmp_path / "deep.lattice"
+    deep.write_text('{"gram": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    rows = tmp_path / "rows.json"
+    rows.write_text("[" * 100_000 + "]" * 100_000)
+    uu = tmp_path / "uu.lattice"
+    lattice_io.save_lattice(lat.direct_sum(lat.hyperbolic(), lat.hyperbolic()), uu)
+    capsys.readouterr()
+    for argv, path in (
+        (["lattice", "info", str(deep)], deep),
+        (["lattice", "op", "disc-form", str(deep)], deep),
+        (["quadform", "invariants", str(deep)], deep),
+        (["lattice", "op", "complement", str(uu), "--sub", str(rows)], rows),
+    ):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: nested too deeply\n", argv
 
 
 def test_cli_entry_point_subprocess():

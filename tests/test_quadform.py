@@ -213,6 +213,11 @@ def test_diagonalize_lambda3():
 def test_diagonalize_degenerate_rejected():
     with pytest.raises(ValueError):
         qf.diagonalize([[1, 1], [1, 1]])
+    # a non-symmetric matrix is refused, not read through its det -2
+    with pytest.raises(ValueError, match="symmetric"):
+        qf.invariants([[0, 1], [2, 0]])
+    with pytest.raises(ValueError, match="degenerate"):
+        qf.invariants([[2, 2], [2, 2]])
 
 
 @settings(max_examples=40, deadline=None)
@@ -363,6 +368,10 @@ def test_aniso_rank5_at_most_4():
         g = [[entries[i] if i == j else 0 for j in range(5)] for i in range(5)]
         for p in (2, 3, 5, 7):
             assert qf.anisotropic_dimension(g, p) <= 4
+    # the bound is reached at rank 4: the norm form of Np(5,2) is
+    # anisotropic at 5
+    np_gram = [[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 5, 0], [0, 0, 0, -10]]
+    assert qf.anisotropic_dimension(np_gram, 5) == 4
 
 
 def test_aniso_real():
@@ -508,47 +517,6 @@ def test_equivalence_is_equivalence_relation():
 
 
 # ---------------------------------------------------------------------------
-# ruling discriminants
-
-
-def test_ruling_hyperbolic_rank6():
-    h6 = lat.direct_sum(*[lat.hyperbolic()] * 3)
-    assert qf.ruling_disc(h6.gram) == 1
-
-
-def test_ruling_u2_cubed():
-    u23 = lat.direct_sum(*[lat.rescale(lat.hyperbolic(), 2)] * 3)
-    assert qf.ruling_disc(u23.gram) == 1
-
-
-def test_ruling_np_plus_u():
-    np_gram = [[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 5, 0], [0, 0, 0, -10]]
-    six = lat.direct_sum(lat.lattice(np_gram), lat.hyperbolic())
-    assert qf.ruling_disc(six.gram) == 1
-    # despite rational rulings, the form stays anisotropic at 5
-    assert qf.anisotropic_dimension(np_gram, 5) == 4
-
-
-def test_ruling_rank0_split_points():
-    # rank-2 form a x^2 + b y^2: the two points are rational iff -ab is a square
-    assert qf.ruling_disc([[1, 0], [0, -1]]) == 1
-    assert qf.ruling_disc([[1, 0], [0, 2]]) == -2
-
-
-def test_ruling_odd_rank_rejected():
-    with pytest.raises(ValueError):
-        qf.ruling_disc([[2]])
-
-
-def test_ruling_rejects_non_symmetric_and_degenerate_forms():
-    # det of [[0, 1], [2, 0]] is -2, whose signed class 2 was returned
-    with pytest.raises(ValueError, match="symmetric"):
-        qf.ruling_disc([[0, 1], [2, 0]])
-    with pytest.raises(ValueError, match="degenerate"):
-        qf.ruling_disc([[2, 2], [2, 2]])
-
-
-# ---------------------------------------------------------------------------
 # only |det| is factored: large forms finish, unsplittable dets fail cleanly
 
 
@@ -616,7 +584,6 @@ def _all_invariants(g, places):
         qf.invariants(g),
         [qf.witt_index(g, v) for v in places + [qf.GLOBAL]],
         [qf.anisotropic_dimension(g, v) for v in places],
-        qf.quadric_certificate(g),
     )
 
 
@@ -636,75 +603,6 @@ def test_raw_pivots_agree_with_squarefree_diagonal(m):
     assert _all_invariants(m, places) == _all_invariants(oracle, places)
 
 
-def reference_quadric_certificate(gram):
-    # the even-rank enumeration quadric_certificate ran before its closed
-    # form: one candidate per flippable place kept, plus the least flip
-    # prime outside the Hasse set, and the least of them all
-    pivots, det = qf._form(gram)
-    d, places = qf._class_and_places(det)
-    n = len(pivots)
-    if n % 2:
-        return qf._invariants([d * x for x in pivots], 1, places)
-
-    signed = d * (-1) ** (n // 2)
-    base = qf._invariants(pivots, d, places)
-
-    def flippable(v) -> bool:
-        return v != qf.REAL and not qf._is_local_square(signed, v)
-
-    def smallest_external_flip(minus: frozenset) -> int:
-        if signed == 1:
-            raise ArithmeticError("no flip places for a split discriminant")
-        p = 2
-        while True:
-            if p not in minus and flippable(p):
-                return p
-            p = qf._next_prime(p)
-
-    candidates = []
-    for negate in (False, True):
-        sig = base.signature if not negate else base.signature[::-1]
-        minus = set(base.hasse_minus)
-        if negate:
-            # scaling by a negative constant twists by (-1, signed)
-            for v in places:
-                if qf._hilbert(-1, signed, v) == -1:
-                    minus ^= {v}
-        removable = {v for v in minus if flippable(v)}
-        stuck = frozenset(minus - removable)
-        if len(removable) % 2 == 0:
-            candidates.append((sig, stuck))
-        else:
-            for kept in removable:
-                candidates.append((sig, stuck | {kept}))
-            candidates.append((sig, stuck | {smallest_external_flip(minus)}))
-    sig, minus = min(candidates, key=lambda c: qf._minus_key(*c))
-    return qf.QuadFormInvariants(n, sig, d, frozenset(minus))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from([2, 4, 6, 8]).flatmap(
-    lambda n: st.one_of(_symmetric(n), _symmetric(n, zero_diag=True))
-))
-@example(_diag_matrix([1, 1, 1, -7]))
-@example(_diag_matrix([1, 7]))
-@example(_diag_matrix([-1, -1]))
-@example(_diag_matrix([11, -15, -7, 3]))
-def test_quadric_certificate_matches_the_enumeration(m):
-    if exact.det(m) == 0:
-        return
-    assert qf.quadric_certificate(m) == reference_quadric_certificate(m)
-
-
-def test_certificate_keeps_a_prime_outside_the_places():
-    # s = -7 is a 2-adic square, so the one flip the Hasse set needs goes to
-    # 3, a prime of neither det nor 2
-    for entries in ([1, 1, 1, -7], [1, 7]):
-        cert = qf.quadric_certificate(_diag_matrix(entries))
-        assert cert.hasse_minus == {3, qf.REAL}, entries
-        assert 3 not in relevant_places(exact.det(_diag_matrix(entries)))
-
-
 def test_factorize_called_at_most_once_per_form(monkeypatch):
     g = _random_even_gram(12, 30, 1)
     calls = []
@@ -713,7 +611,6 @@ def test_factorize_called_at_most_once_per_form(monkeypatch):
     for fn, most in (
         (qf.invariants, 1),
         (lambda g: qf.witt_index(g, qf.GLOBAL), 1),
-        (qf.quadric_certificate, 1),
         (lambda g: qf.witt_index(g, 2), 0),
         (lambda g: qf.witt_index(g, 211), 0),
         (lambda g: qf.anisotropic_dimension(g, qf.REAL), 0),
