@@ -94,16 +94,6 @@ def _u23() -> lat.Lattice:
     return lat.direct_sum(u2, u2, u2)
 
 
-def _frame_vector(h: int, indices, coeff: int = 1) -> list[int]:
-    """Vector h*l + coeff * (sum of the indexed (-2)-classes) in the rank-16
-    degree frame of the 15-nodal lattices."""
-    v = [0] * 16
-    v[0] = h
-    for i in indices:
-        v[i + 1] += coeff
-    return v
-
-
 _G1 = glue.subgroup_order4([(0, 0, 0, 1), (0, 1, 0, 0)])
 _G2 = glue.subgroup_order4([(0, 0, 1, 0), (0, 1, 0, 0)])
 
@@ -116,7 +106,7 @@ def _extend(l: lat.Lattice, *specs: glue.GlueSpec) -> lat.Lattice:
 
 
 def _half_fiber(group) -> glue.GlueSpec:
-    return glue.GlueSpec(tuple(_frame_vector(1, group, -1)), 2)
+    return glue.GlueSpec(tuple(glue.frame_vector(1, group, -1)), 2)
 
 
 def _n1_enlarged() -> lat.Lattice:
@@ -940,7 +930,7 @@ def _l_noindex4():
 )
 def _nosec_iso():
     frame = _named("N1").ambient.ambient
-    f = _frame_vector(1, _G1, -1)
+    f = glue.frame_vector(1, _G1, -1)
     return _equal(frame.norm(f), Fraction(0))
 
 
@@ -952,14 +942,14 @@ def _nosec_iso():
 )
 def _nosec_even():
     n1 = _named("N1")
-    f = _frame_vector(1, _G1, -1)
+    f = glue.frame_vector(1, _G1, -1)
     return _equal(lat.divisibility(n1, f), 2)
 
 
 @claim("nosec.F-notdiv", "F lies in N1 but F/2 does not", "glue", "nosec")
 def _nosec_notdiv():
     n1 = _named("N1")
-    f = _frame_vector(1, _G1, -1)
+    f = glue.frame_vector(1, _G1, -1)
     computed = {
         "F_in_N1": lat.contains_ambient(n1, f),
         "half_in_N1": lat.contains_ambient(n1, [Fraction(x, 2) for x in f]),
@@ -981,7 +971,7 @@ def _cubics():
     member_ok = 0
     for support in glue.index2_subgroup_complements():
         inside = [i for i in range(15) if i not in support]
-        v = [Fraction(x, 2) for x in _frame_vector(1, inside, -1)]
+        v = [Fraction(x, 2) for x in glue.frame_vector(1, inside, -1)]
         if frame.norm(v) == -2:
             norm_ok += 1
         if lat.contains_ambient(n1, v):
@@ -1002,7 +992,7 @@ def _n1works():
     enlarged = _n1_enlarged()
     frame = enlarged.ambient.ambient
     idx = glue.INDEX_OF
-    w = _frame_vector(2, [], 0)
+    w = glue.frame_vector(2, [], 0)
     for i, c in (
         (idx[(0, 1, 1, 1)], -2),
         (idx[(1, 0, 1, 1)], -2),
@@ -1070,7 +1060,7 @@ def _sqrel_x():
     for dp in (7, 11):
         frame = glue.ld_lattice(dp, "subgroup").ambient.ambient
         outside = [i for i in range(15) if i not in glue.N1_SUBGROUP]
-        computed[dp] = frame.norm(_frame_vector(0, outside))
+        computed[dp] = frame.norm(glue.frame_vector(0, outside))
     return _equal(computed, {7: Fraction(-24), 11: Fraction(-24)})
 
 
@@ -1089,9 +1079,9 @@ def _sqrel_8d():
         ld = glue.ld_lattice(dp, "subgroup")
         frame = ld.ambient.ambient
         outside = [i for i in range(15) if i not in glue.N1_SUBGROUP]
-        x = _frame_vector(0, outside)
-        v0 = [a - b for a, b in zip(_frame_vector(2, [outside[0]], -2), x)]
-        search = [_frame_vector(0, [h], 2) for h in glue.N1_SUBGROUP]
+        x = glue.frame_vector(0, outside)
+        v0 = [a - b for a, b in zip(glue.frame_vector(2, [outside[0]], -2), x)]
+        search = [glue.frame_vector(0, [h], 2) for h in glue.N1_SUBGROUP]
         completion = glue.find_isotropic_glue(ld, v0, 2, search, bound=3)
         computed[dp] = {
             "norm": frame.norm(v0),
@@ -1110,8 +1100,8 @@ def _sqrel_8d():
 )
 def _sqrel_p2():
     l27 = glue.ld_lattice(27, "subgroup")
-    search = [_frame_vector(0, [i], -3) for i in range(4)]
-    v = glue.find_isotropic_glue(l27, _frame_vector(1, []), 3, search, bound=7)
+    search = [glue.frame_vector(0, [i], -3) for i in range(4)]
+    v = glue.find_isotropic_glue(l27, glue.frame_vector(1, []), 3, search, bound=7)
     if v is None:
         return False, {"found": False}, {"found": True}
     enlarged = _extend(l27, glue.GlueSpec(tuple(v), 3))

@@ -91,6 +91,15 @@ def _write_or_print(l: lat.Lattice, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _glue_spec(text: str) -> glue.GlueSpec:
+    """A ``--glue`` argument v1,...,vn/d."""
+    try:
+        coords, den = text.rsplit("/", 1)
+        return glue.GlueSpec(tuple(int(x) for x in coords.split(",")), int(den))
+    except ValueError as e:
+        raise lattice_io.LatticeFileError(f"bad glue spec {text!r} (want v1,...,vn/d)") from e
+
+
 def _cmd_lattice_op(args) -> int:
     if args.op == "complement":
         ambient = lattice_io.load_lattice(args.file)
@@ -100,16 +109,7 @@ def _cmd_lattice_op(args) -> int:
         return 0
     if args.op == "adjoin":
         base = lattice_io.load_lattice(args.file)
-        specs = []
-        for text in args.glue or []:
-            try:
-                coords, den = text.rsplit("/", 1)
-                vec = tuple(int(x) for x in coords.split(","))
-                specs.append(glue.GlueSpec(vec, int(den)))
-            except ValueError as e:
-                raise lattice_io.LatticeFileError(
-                    f"bad glue spec {text!r} (want v1,...,vn/d)"
-                ) from e
+        specs = [_glue_spec(text) for text in args.glue or []]
         bigger = glue.adjoin(base, specs, require_even=not args.odd_ok)
         _write_or_print(bigger.rename(args.name or "overlattice"), args.out)
         return 0

@@ -157,15 +157,16 @@ FAR = "far"
 
 
 def _contribution(t: KodairaType, code) -> Fraction:
+    if not isinstance(code, str):
+        exact.require_integers([[code]], "a component code")
     if code == 0:
         return Fraction(0)
     if t.family == "I":
         if t.n < 2:
             raise ValueError(f"{t} has a single component; code must be 0")
-        i = int(code)
-        if not 0 < i < t.n:
+        if isinstance(code, str) or not 0 < code < t.n:
             raise ValueError(f"component {code} out of range for {t}")
-        return Fraction(i * (t.n - i), t.n)
+        return Fraction(code * (t.n - code), t.n)
     if t.family == "I*":
         if code == NEAR or (t.n == 0 and code == 1):
             return Fraction(1)

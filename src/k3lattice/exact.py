@@ -125,7 +125,9 @@ def require_symmetric(m: Sequence[Sequence]) -> int:
     return len(m)
 
 
-def _require_integers(m: Sequence[Sequence], name: str) -> None:
+def require_integers(m: Sequence[Sequence], name: str) -> None:
+    """The one integer check: a float, ``Fraction`` or bool entry is refused,
+    never truncated."""
     if not {type(x) for row in m for x in row} <= {int}:
         raise ValueError(f"{name} needs integer entries")
 
@@ -154,7 +156,7 @@ def det(m: Sequence[Sequence[int]]) -> int:
     block this is the plain elimination.
     """
     n = require_square(m)
-    _require_integers(m, "det")
+    require_integers(m, "det")
     order = sorted(range(n), key=lambda i: n - m[i].count(0))
     block = _diagonal_block(m, order)
     inside = set(block)
@@ -391,7 +393,7 @@ def ldl(m: Sequence[Sequence[int]]) -> tuple[RatVector, int]:
     reduced row is (p*x - f*y) // l, exact by Sylvester's identity.
     """
     n = require_symmetric(m)
-    _require_integers(m, "ldl")
+    require_integers(m, "ldl")
     a = [list(row) for row in m]
     pivots: RatVector = []
     level = [1] * n  # level[k]: the d row k of a was last reduced with
@@ -461,7 +463,7 @@ def lll(gram: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntVector, IntMatrix]
     that is not positive raises ``ValueError``.
     """
     n = require_symmetric(gram)
-    _require_integers(gram, "lll")
+    require_integers(gram, "lll")
     b = identity(n)
     d = [1] + [0] * n  # d[k+1] = 0 until the loop first reaches row k
     lam = zeros(n, n)
@@ -511,10 +513,13 @@ def lll(gram: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntVector, IntMatrix]
 
 
 def numerators(v: Sequence) -> tuple[IntVector, int]:
-    """v, of integers or ``Fraction``s, as integer numerators over one
-    positive denominator, the lcm of the entries' denominators."""
+    """v, of ``int``s or ``Fraction``s, as integer numerators over one
+    positive denominator, the lcm of the entries' denominators; any other
+    entry, a float or a bool, is refused."""
     if all(type(x) is int for x in v):
         return list(v), 1
+    if not {type(x) for x in v} <= {int, Fraction}:
+        raise ValueError("numerators needs int or Fraction entries")
     den = lcm(*[x.denominator for x in v])
     return [x.numerator * (den // x.denominator) for x in v], den
 

@@ -13,7 +13,7 @@ import itertools
 import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import exact
 from .k3embed import build_V
@@ -40,6 +40,7 @@ class GlueSpec(Value):
     denominator: int
 
     def __post_init__(self) -> None:
+        exact.require_integers([self.vector, [self.denominator]], "GlueSpec")
         if self.denominator < 2:
             raise ValueError("glue denominator must be at least 2")
 
@@ -232,8 +233,8 @@ def find_isotropic_glue(
     def ok(v: list[int]) -> bool:
         return frame.norm(v) == 0 and divisibility(l, v) == divisor
 
-    target = [int(x) for x in target]
-    rows = [target] + [[int(x) for x in s] for s in search_basis]
+    rows = [target, *search_basis]
+    exact.require_integers(rows, "find_isotropic_glue")
     small = exact.matmul(exact.matmul(rows, frame.gram), exact.transpose(rows))
     # the target's coefficient is fixed to 1; the search coefficients vary
     for coeffs, _ in exact.box_vectors(small, bound, (0,), (1,)):
@@ -249,66 +250,53 @@ def find_isotropic_glue(
 # ---------------------------------------------------------------------------
 # the named lattices
 #
-# Frames with sixteen A1-indexed generators use the nonzero elements of
-# (Z/2Z)^4, listed in binary order 0001, 0010, ..., 1111.
+# Frames with A1-indexed generators use the nonzero elements of (Z/2Z)^4 in
+# binary order: NONZERO16[i] is i + 1 in binary.  Character n is 1 on i + 1
+# when n & (i + 1) has an odd number of digits 1, so its support is the
+# complement of an index-2 subgroup.
 
-
-def _nonzero_elements() -> list[tuple[int, int, int, int]]:
-    els = [
-        (a, b, c, d)
-        for a in range(2)
-        for b in range(2)
-        for c in range(2)
-        for d in range(2)
-    ]
-    return [e for e in els if any(e)]
-
-
-NONZERO16 = _nonzero_elements()
+NONZERO16 = [tuple((n >> k) & 1 for k in (3, 2, 1, 0)) for n in range(1, 16)]
 INDEX_OF = {e: i for i, e in enumerate(NONZERO16)}
+_SUPPORTS = tuple(
+    tuple(i for i in range(15) if bin(n & (i + 1)).count("1") % 2) for n in range(1, 16)
+)
 
 
-def index2_subgroup_complements() -> list[list[int]]:
-    """Supports (as index lists into NONZERO16) of the complements of the 15
-    index-2 subgroups of (Z/2Z)^4."""
-    out = []
-    for phi in NONZERO16:  # nonzero characters
-        support = [
-            i
-            for i, e in enumerate(NONZERO16)
-            if sum(x * y for x, y in zip(phi, e)) % 2 == 1
-        ]
-        out.append(support)
-    return out
+def index2_subgroup_complements() -> tuple[tuple[int, ...], ...]:
+    """Supports (index lists into NONZERO16) of the complements of the 15
+    index-2 subgroups of (Z/2Z)^4, one per nonzero character, in that order."""
+    return _SUPPORTS
+
+
+def frame_vector(h: int, indices: Iterable[int], coeff: int = 1) -> list[int]:
+    """Vector h*l + coeff * (sum of the indexed (-2)-classes) in the rank-16
+    frame of a first class l followed by the fifteen classes indexed by
+    NONZERO16: the degree frame of the 15-nodal lattices, or KummerK's frame
+    with the class of 0000 in l's place."""
+    v = [h] + [0] * 15
+    for i in indices:
+        v[i + 1] += coeff
+    return v
 
 
 def m16_lattice() -> Lattice:
     """Rank-15 lattice of fifteen (-2)-classes indexed by the nonzero
-    elements of (Z/2Z)^4, glued by the half-sums over the complement of each
-    index-2 subgroup; discriminant -128."""
+    elements of (Z/2Z)^4, glued by the half-sums over the supports, their
+    frame vectors without the l coordinate; discriminant -128."""
     base = direct_sum(*[root_lattice("A", 1)] * 15)
-    glue = []
-    for support in index2_subgroup_complements():
-        vec = [0] * 15
-        for i in support:
-            vec[i] = 1
-        glue.append(GlueSpec(tuple(vec), 2))
+    glue = [GlueSpec(tuple(frame_vector(0, s)[1:]), 2) for s in _SUPPORTS]
     return adjoin(base, glue).rename("M16")
 
 
 def kummer_lattice() -> Lattice:
     """Rank-16 lattice of sixteen (-2)-classes indexed by (Z/2Z)^4, glued by
-    half-sums over all cosets of index-2 subgroups; discriminant 64."""
+    half-sums over all cosets of index-2 subgroups, frame vectors with the
+    class of 0000 in l's place; discriminant 64."""
     base = direct_sum(*[root_lattice("A", 1)] * 16)
-    elements = [(0, 0, 0, 0), *NONZERO16]
     glue = []
-    for phi in NONZERO16:
-        for value in (0, 1):
-            vec = [
-                1 if sum(x * y for x, y in zip(phi, e)) % 2 == value else 0
-                for e in elements
-            ]
-            glue.append(GlueSpec(tuple(vec), 2))
+    for s in _SUPPORTS:
+        kernel = [i for i in range(15) if i not in s]
+        glue += [GlueSpec(tuple(frame_vector(h, t)), 2) for h, t in ((0, s), (1, kernel))]
     return adjoin(base, glue).rename("KummerK")
 
 
@@ -325,28 +313,19 @@ N1_SUBGROUP = subgroup_order4([(0, 0, 0, 1), (0, 0, 1, 0)])
 
 
 def ld_lattice(d: int, variant: str) -> Lattice:
-    """Rank-16 lattice <2d> + M16 enlarged by one half-integral glue class.
-
-    variant "subgroup": glue (l + sum of the three classes in a fixed
-    order-4 subgroup)/2; variant "all": glue (l + sum of all fifteen
-    classes)/2.  Both require d = 3 mod 4 for the result to be even.
-    """
+    """Rank-16 lattice <2d> + M16 enlarged by one half-integral glue class:
+    the glue is the frame vectors of the 15 supports plus frame_vector(1, S),
+    over 2, with S the three classes of a fixed order-4 subgroup (variant
+    "subgroup") or all fifteen ("all").  Both require d = 3 mod 4 for the
+    result to be even."""
     if d <= 0 or d % 4 != 3:
         raise GlueError("d must be a positive integer congruent to 3 mod 4")
     if variant not in ("subgroup", "all"):
         raise GlueError("variant must be 'subgroup' or 'all'")
     base = direct_sum(rank_one(2 * d), *[root_lattice("A", 1)] * 15)
-    glue = []
-    for support in index2_subgroup_complements():
-        vec = [0] * 16
-        for i in support:
-            vec[i + 1] = 1
-        glue.append(GlueSpec(tuple(vec), 2))
-    vec = [1] + [0] * 15
-    indices = N1_SUBGROUP if variant == "subgroup" else list(range(15))
-    for i in indices:
-        vec[i + 1] = 1
-    glue.append(GlueSpec(tuple(vec), 2))
+    glue = [GlueSpec(tuple(frame_vector(0, s)), 2) for s in _SUPPORTS]
+    indices = N1_SUBGROUP if variant == "subgroup" else range(15)
+    glue.append(GlueSpec(tuple(frame_vector(1, indices)), 2))
     return adjoin(base, glue).rename(f"L_d({d},{variant})")
 
 

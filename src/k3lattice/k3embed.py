@@ -54,12 +54,11 @@ E8_A5_A1_NODES = [0, 1, 2, 3, 4, 6]
 E8_A2_A1C_NODES = [0, 1, 3, 5, 7]
 
 
-def embed_standard(spec: str, k: int | None = None) -> Lattice:
+def embed_standard(spec: str) -> Lattice:
     """The documented standard embeddings, as lattices embedded in their
     ambient.
 
-    Specs: "A5+A1 in E8", "A2+A1^3 in E8", "U+E8+A5+A1 in V",
-    "vector_of_norm(k) in U".
+    Specs: "A5+A1 in E8", "A2+A1^3 in E8", "U+E8+A5+A1 in V".
     """
     if spec == "A5+A1 in E8":
         return sublattice(root_lattice("E", 8), unit_rows(E8_A5_A1_NODES, 8))
@@ -69,10 +68,6 @@ def embed_standard(spec: str, k: int | None = None) -> Lattice:
         rows = unit_rows([0, 1], 22) + unit_rows(range(6, 14), 22)
         rows += unit_rows([14 + i for i in E8_A5_A1_NODES], 22)
         return sublattice(build_V(), rows)
-    if spec == "vector_of_norm(k) in U":
-        if k is None or k % 2:
-            raise ValueError("an even norm k is required")
-        return sublattice(hyperbolic(), [[1, k // 2]])
     raise ValueError(f"unknown embedding spec {spec!r}")
 
 

@@ -19,10 +19,6 @@ from . import exact
 from .value import Value
 
 
-def _to_gram(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in row) for row in rows)
-
-
 class Embedding(Value):
     """Reference to an ambient lattice: the embedded lattice's basis vectors
     are the integer rows of ``basis`` divided by ``denominator``, in the
@@ -41,10 +37,12 @@ class Lattice(Value):
     _compared = ("gram", "name")  # not the embedding
 
     def __post_init__(self) -> None:
+        exact.require_integers(self.gram, "Lattice")
         if not exact.is_symmetric(self.gram):
             raise ValueError("Gram matrix must be symmetric")
         if self.ambient is not None:
             e = self.ambient
+            exact.require_integers(e.basis, "Lattice")
             if len(e.basis) != self.rank:
                 raise ValueError(
                     f"ambient basis has {len(e.basis)} rows for a lattice of rank {self.rank}"
@@ -134,13 +132,14 @@ def lattice(
     name: str | None = None,
     ambient: Embedding | None = None,
 ) -> Lattice:
-    return Lattice(_to_gram(gram), name, ambient)
+    return Lattice(tuple(map(tuple, gram)), name, ambient)
 
 
 def make_embedding(
     ambient: Lattice, basis_rows: Sequence[Sequence[int]], denominator: int = 1
 ) -> Embedding:
-    return Embedding(ambient, _to_gram(basis_rows), denominator)
+    exact.require_integers([*basis_rows, [denominator]], "make_embedding")
+    return Embedding(ambient, tuple(map(tuple, basis_rows)), denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +179,7 @@ def rank_one(k: int, allow_odd: bool = False) -> Lattice:
 
 
 def rescale(l: Lattice, n: int) -> Lattice:
+    exact.require_integers([[n]], "rescale")
     if n == 0:
         raise ValueError("rescale by zero")
     g = [[n * x for x in row] for row in l.gram]
@@ -370,7 +370,8 @@ def discriminant_group(l: Lattice) -> FiniteQuadraticForm:
 
 
 def _sub_rows(sub: Sequence[Sequence[int]], rank: int) -> list[list[int]]:
-    rows = [list(map(int, row)) for row in sub]
+    exact.require_integers(sub, "sublattice rows")
+    rows = [list(row) for row in sub]
     if any(len(row) != rank for row in rows):
         raise ValueError("sublattice rows do not match the ambient rank")
     return rows
@@ -399,9 +400,15 @@ def orthogonal_complement(ambient: Lattice, sub: Sequence[Sequence[int]]) -> Lat
 
 def saturation(ambient: Lattice, sub: Sequence[Sequence[int]]) -> Lattice:
     """Minimal primitive sublattice of ``ambient`` containing the span of
-    ``sub``; the double complement."""
-    comp = orthogonal_complement(ambient, sub)
-    return orthogonal_complement(ambient, comp.ambient.basis)
+    ``sub``: the integer points of its rational span, the integer kernel of
+    the integer kernel of the rows.  No Gram matrix enters, so a degenerate
+    ambient's radical stays out."""
+    n = ambient.rank
+    rows = _sub_rows(sub, n)
+    if len(exact.hermite_row_basis(rows)) < len(rows):
+        raise ValueError("sublattice basis is rank-deficient")
+    kern = exact.kernel_basis(rows) if rows else exact.identity(n)
+    return sublattice(ambient, exact.kernel_basis(kern) if kern else exact.identity(n))
 
 
 def saturation_index(ambient: Lattice, sub: Sequence[Sequence[int]]) -> int:

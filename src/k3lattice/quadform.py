@@ -203,8 +203,10 @@ def squarefree_part(n: int) -> int:
 
 
 def _rational_to_int_class(a) -> int:
-    """Integer in the same square class as the nonzero rational a."""
-    a = Fraction(a)
+    """Integer in the same square class as the nonzero rational a, an
+    ``int`` or a ``Fraction``."""
+    if type(a) not in (int, Fraction):
+        raise ValueError(f"a rational is an int or a Fraction, not {type(a).__name__}")
     if a == 0:
         raise ValueError("zero argument")
     return a.numerator * a.denominator
@@ -324,7 +326,7 @@ class QuadFormInvariants(Value):
 
 
 def place_sort_key(v) -> tuple[int, int]:
-    return (0, 0) if v == REAL else (1, int(v))
+    return (0, 0) if v == REAL else (1, v)
 
 
 def _invariants(pivots: Sequence[int], disc: int, places: Sequence) -> QuadFormInvariants:
@@ -371,9 +373,8 @@ def rationally_equivalent(g1: Sequence[Sequence[int]], g2: Sequence[Sequence[int
 
 
 def _is_local_square(d: int, v) -> bool:
-    """Whether the nonzero integer d is a square in the completion at v."""
-    if v == REAL:
-        return d > 0
+    """Whether the nonzero integer d is a square in the completion at the
+    finite place v."""
     alpha, u = _split(d, v)
     if alpha % 2:
         return False

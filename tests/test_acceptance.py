@@ -296,7 +296,7 @@ def test_criterion_13_overlattice_suite():
     chain = []
     for g in groups:
         specs = [glue.GlueSpec(row, cur.ambient.denominator) for row in cur.ambient.basis]
-        specs.append(glue.GlueSpec(tuple(claims._frame_vector(1, g, -1)), 2))
+        specs.append(glue.GlueSpec(tuple(glue.frame_vector(1, g, -1)), 2))
         cur = glue.adjoin(cur.ambient.ambient, specs)
         chain.append(cur.det())
     _criterion(
@@ -319,7 +319,7 @@ def test_criterion_13_overlattice_suite():
 def test_criterion_14_class_arithmetic():
     n1 = glue.build_named("N1")
     frame = n1.ambient.ambient
-    f = claims._frame_vector(1, claims._G1, -1)
+    f = glue.frame_vector(1, claims._G1, -1)
 
     # the 15 half-classes of order-8 subgroups: norm -2 always holds, but
     # membership in N1 fails for all of them (each lies in N2 instead); the
@@ -328,7 +328,7 @@ def test_criterion_14_class_arithmetic():
     member_ok = 0
     for support in glue.index2_subgroup_complements():
         inside = [i for i in range(15) if i not in support]
-        v = [Fraction(x, 2) for x in claims._frame_vector(1, inside, -1)]
+        v = [Fraction(x, 2) for x in glue.frame_vector(1, inside, -1)]
         if frame.norm(v) == -2:
             norm_ok += 1
         if lat.contains_ambient(n1, v):
@@ -336,7 +336,7 @@ def test_criterion_14_class_arithmetic():
 
     enlarged = claims._n1_enlarged()
     idx = glue.INDEX_OF
-    w = claims._frame_vector(2, [], 0)
+    w = glue.frame_vector(2, [], 0)
     for i, c in (
         (idx[(0, 1, 1, 1)], -2),
         (idx[(1, 0, 1, 1)], -2),
@@ -352,8 +352,8 @@ def test_criterion_14_class_arithmetic():
         ld = glue.ld_lattice(dp, "subgroup")
         fr = ld.ambient.ambient
         outside = [i for i in range(15) if i not in glue.N1_SUBGROUP]
-        x = claims._frame_vector(0, outside)
-        v0 = [a - b for a, b in zip(claims._frame_vector(2, [outside[0]], -2), x)]
+        x = glue.frame_vector(0, outside)
+        v0 = [a - b for a, b in zip(glue.frame_vector(2, [outside[0]], -2), x)]
         sq_checks[f"x_norm_{dp}"] = fr.norm(x) == -24
         sq_checks[f"norm_8d_{dp}"] = fr.norm(v0) == 8 * (dp - 5)
 

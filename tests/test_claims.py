@@ -184,7 +184,7 @@ def test_malformed_file_messages(tmp_path):
 def _assert_loads_as_lattice(text: str) -> None:
     doc = json.loads(text)
     got = lattice_io.loads(text)
-    want = lat.lattice(doc["gram"], doc.get("name"))
+    want = lat.lattice([[int(x) for x in row] for row in doc["gram"]], doc.get("name"))
     assert isinstance(got, lat.Lattice) and got == want
     assert type(got.gram) is tuple
     assert all(type(row) is tuple and all(type(x) is int for x in row) for row in got.gram)

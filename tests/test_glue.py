@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import k3lattice.lattice as lat
-from k3lattice import claims, exact, glue, k3embed as ke
+from k3lattice import exact, glue, k3embed as ke
 from k3lattice.k3embed import build_V
 from test_k3embed import even_test_forms, span
 
@@ -336,10 +336,92 @@ def test_named_lattices(name, rank, det, even):
     assert l.is_even() == even
 
 
+def reference_nonzero_elements():
+    els = [
+        (a, b, c, d)
+        for a in range(2)
+        for b in range(2)
+        for c in range(2)
+        for d in range(2)
+    ]
+    return [e for e in els if any(e)]
+
+
+REFERENCE_NONZERO16 = reference_nonzero_elements()
+
+
+def reference_supports():
+    """The character loop the glue builders ran before the support table."""
+    out = []
+    for phi in REFERENCE_NONZERO16:  # nonzero characters
+        support = [
+            i
+            for i, e in enumerate(REFERENCE_NONZERO16)
+            if sum(x * y for x, y in zip(phi, e)) % 2 == 1
+        ]
+        out.append(support)
+    return out
+
+
+def reference_m16():
+    base = lat.direct_sum(*[lat.root_lattice("A", 1)] * 15)
+    specs = []
+    for support in reference_supports():
+        vec = [0] * 15
+        for i in support:
+            vec[i] = 1
+        specs.append(glue.GlueSpec(tuple(vec), 2))
+    return glue.adjoin(base, specs)
+
+
+def reference_kummer():
+    base = lat.direct_sum(*[lat.root_lattice("A", 1)] * 16)
+    elements = [(0, 0, 0, 0), *REFERENCE_NONZERO16]
+    specs = []
+    for phi in REFERENCE_NONZERO16:
+        for value in (0, 1):
+            vec = [
+                1 if sum(x * y for x, y in zip(phi, e)) % 2 == value else 0
+                for e in elements
+            ]
+            specs.append(glue.GlueSpec(tuple(vec), 2))
+    return glue.adjoin(base, specs)
+
+
+def reference_ld(d, variant):
+    base = lat.direct_sum(lat.rank_one(2 * d), *[lat.root_lattice("A", 1)] * 15)
+    specs = []
+    for support in reference_supports():
+        vec = [0] * 16
+        for i in support:
+            vec[i + 1] = 1
+        specs.append(glue.GlueSpec(tuple(vec), 2))
+    vec = [1] + [0] * 15
+    subgroup = [(0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1)]
+    indices = sorted(map(REFERENCE_NONZERO16.index, subgroup)) if variant == "subgroup" else range(15)
+    for i in indices:
+        vec[i + 1] = 1
+    specs.append(glue.GlueSpec(tuple(vec), 2))
+    return glue.adjoin(base, specs)
+
+
 def test_named_v_is_build_v():
     v = glue.build_named("V")
     assert v == build_V()
     assert v.name == "V"
+    # the (Z/2)^4 frames built from the support table and frame_vector are
+    # those the per-builder loops built, for every d that perfbench draws
+    assert glue.NONZERO16 == REFERENCE_NONZERO16
+    assert list(map(list, glue.index2_subgroup_complements())) == reference_supports()
+
+    def key(l):
+        return l.gram, l.ambient.basis, l.ambient.denominator
+
+    assert key(glue.m16_lattice()) == key(reference_m16())
+    assert key(glue.kummer_lattice()) == key(reference_kummer())
+    for d in range(3, 200, 4):
+        for variant in ("subgroup", "all"):
+            assert key(glue.ld_lattice(d, variant)) == key(reference_ld(d, variant)), (d, variant)
 
 
 def test_named_signatures():
@@ -454,15 +536,15 @@ def brute_isotropic_glue(l, target, divisor, search_basis, bound):
 
 def _sqrel_8dminus5_search(dp):
     outside = [i for i in range(15) if i not in glue.N1_SUBGROUP]
-    x = claims._frame_vector(0, outside)
-    v0 = [a - b for a, b in zip(claims._frame_vector(2, [outside[0]], -2), x)]
-    search = [claims._frame_vector(0, [h], 2) for h in glue.N1_SUBGROUP]
+    x = glue.frame_vector(0, outside)
+    v0 = [a - b for a, b in zip(glue.frame_vector(2, [outside[0]], -2), x)]
+    search = [glue.frame_vector(0, [h], 2) for h in glue.N1_SUBGROUP]
     return glue.ld_lattice(dp, "subgroup"), v0, 2, search, 3
 
 
 def _sqrel_p2_search():
-    search = [claims._frame_vector(0, [i], -3) for i in range(4)]
-    return glue.ld_lattice(27, "subgroup"), claims._frame_vector(1, []), 3, search, 7
+    search = [glue.frame_vector(0, [i], -3) for i in range(4)]
+    return glue.ld_lattice(27, "subgroup"), glue.frame_vector(1, []), 3, search, 7
 
 
 @pytest.mark.parametrize(

@@ -98,6 +98,10 @@ def test_embed_a5a1_primitive():
     e = ke.embed_standard("A5+A1 in E8")
     assert abs(e.det()) == 12
     assert lat.is_primitive(e)
+    # a vector of norm 68 in U spans a primitive sublattice
+    v = lat.sublattice(lat.hyperbolic(), [[1, 34]])
+    assert v.gram == ((68,),)
+    assert lat.is_primitive(v)
 
 
 def test_complement_a5a1_is_diag_2_6():
@@ -131,14 +135,6 @@ def test_transcendental_of_full_lattice_is_zero():
 def test_transcendental_of_needs_an_ambient():
     with pytest.raises(ValueError, match="no recorded ambient"):
         ke.transcendental_of(lat.root_lattice("E", 8))
-
-
-def test_vector_of_norm():
-    e = ke.embed_standard("vector_of_norm(k) in U", k=4 * 17)
-    assert e.gram == ((68,),)
-    assert lat.is_primitive(e)
-    with pytest.raises(ValueError):
-        ke.embed_standard("vector_of_norm(k) in U", k=3)
 
 
 def test_rank_additivity_for_primitive_embeddings():

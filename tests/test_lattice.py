@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import k3lattice.ellsurf as es
 import k3lattice.lattice as lat
-from k3lattice import exact, glue
+import k3lattice.quadform as qf
+from k3lattice import cli, exact, glue, lattice_io
 from test_exact import even_grams, naive_solve
 
 
@@ -144,6 +146,58 @@ def test_built_lattices_pass_the_ambient_check():
         again = lat.Lattice(l.gram, l.name, l.ambient)
         assert again == l and again.ambient == l.ambient
         assert all(type(x) is int for row in l.gram for x in row)
+
+
+def _uu():
+    return lat.direct_sum(lat.hyperbolic(), lat.hyperbolic())
+
+
+# each entry point that takes integers, called with x in one entry
+INTEGER_ENTRY_POINTS = {
+    "rescale": lambda x: lat.rescale(lat.hyperbolic(), x),
+    "lattice": lambda x: lat.lattice([[x, 1], [1, 2]]),
+    "Lattice": lambda x: lat.Lattice(((x,),)),
+    "Lattice ambient": lambda x: lat.Lattice(((0,),), None, lat.Embedding(lat.hyperbolic(), ((x, 0),))),
+    "sublattice": lambda x: lat.sublattice(lat.hyperbolic(), [[x, 1]]),
+    "make_embedding": lambda x: lat.make_embedding(lat.hyperbolic(), [[x, 0]]),
+    "saturation": lambda x: lat.saturation(lat.hyperbolic(), [[x, 0]]),
+    "find_isotropic_glue": lambda x: glue.find_isotropic_glue(_uu(), [x, 0, 0, 0], 1),
+    "GlueSpec vector": lambda x: glue.adjoin(_uu(), [glue.GlueSpec((x, 0, 0, 0), 2)]),
+    "GlueSpec denominator": lambda x: glue.GlueSpec((1, 0), x),
+    "height_pairing": lambda x: es.height_pairing(
+        es.SurfaceData(1, 10), es.SectionIncidence(0, ((es.kodaira("I4"), x),))
+    ),
+    "det": lambda x: exact.det([[x]]),
+    "ldl": lambda x: exact.ldl([[x]]),
+    "lll": lambda x: exact.lll([[x]]),
+}
+# these read rationals, so only a float or a bool is refused
+RATIONAL_ENTRY_POINTS = {
+    "divisibility": lambda x: lat.divisibility(lat.hyperbolic(), [x, 2]),
+    "pairing": lambda x: lat.hyperbolic().pairing([x, 2], [1, 1]),
+    "numerators": lambda x: exact.numerators([x, 1]),
+    "hilbert_symbol": lambda x: qf.hilbert_symbol(x, 3, 2),
+}
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        pytest.param(name, x, id=f"{name}-{x}")
+        for names, values in (
+            (INTEGER_ENTRY_POINTS, (2.5, Fraction(1, 2), True)),
+            (RATIONAL_ENTRY_POINTS, (2.5, True)),
+        )
+        for name in names
+        for x in values
+    ],
+)
+def test_non_integer_input_is_refused(name, value):
+    # refused with ValueError, never truncated by int() or read as a binary
+    # fraction
+    call = INTEGER_ENTRY_POINTS.get(name) or RATIONAL_ENTRY_POINTS[name]
+    with pytest.raises(ValueError, match="integer entries|int or Fraction|an int or a Fraction"):
+        call(value)
 
 
 mixed_entries = st.one_of(
@@ -555,6 +609,45 @@ def test_saturation_divides_out_index():
     for bad in ([[1, 0], [2, 0]], [[1, 0], [0, 1], [1, 1]]):
         with pytest.raises(ValueError, match="rank-deficient"):
             lat.saturation_index(u, bad)
+
+
+def test_saturation_on_a_degenerate_ambient(tmp_path, capsys):
+    # the double complement took in the radical (1, 0, 0); the saturation is
+    # the integer points of the rational span, which no Gram matrix enters
+    ambient = lat.lattice([[0, 0, 0], [0, 0, 1], [0, 1, 0]], "deg")
+    sat = lat.saturation(ambient, [[0, 2, 0]])
+    assert sat.rank == 1 and sat.ambient.basis == ((0, 1, 0),)
+    base, rows = tmp_path / "deg.lattice", tmp_path / "rows.json"
+    lattice_io.save_lattice(ambient, base)
+    rows.write_text("[[0, 2, 0]]")
+    assert cli.main(["lattice", "op", "saturation", str(base), "--sub", str(rows)]) == 0
+    assert lattice_io.loads(capsys.readouterr().out).gram == ((0,),)
+    # no rows give the zero lattice, full-rank rows the whole lattice
+    u = lat.hyperbolic()
+    assert lat.saturation(u, []).rank == 0
+    assert lat.saturation(u, [[2, 0], [0, 3]]).ambient.basis == ((1, 0), (0, 1))
+    with pytest.raises(ValueError, match="rank-deficient"):
+        lat.saturation(u, [[1, 0], [2, 0]])
+
+
+def double_complement(ambient, rows):
+    """lattice.saturation as it was: the complement of the complement."""
+    comp = lat.orthogonal_complement(ambient, rows)
+    return lat.orthogonal_complement(ambient, comp.ambient.basis)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_grams().filter(lambda g: exact.det(g) != 0), st.data())
+def test_saturation_is_the_double_complement_on_nondegenerate_ambients(g, data):
+    n = len(g)
+    rows = data.draw(
+        st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=1, max_size=n)
+        .filter(lambda r: len(exact.hermite_row_basis(r)) == len(r))
+    )
+    ambient = lat.lattice(g)
+    got = lat.saturation(ambient, rows).ambient.basis
+    want = double_complement(ambient, rows).ambient.basis
+    assert exact.hermite_row_basis(got) == exact.hermite_row_basis(want)
 
 
 def test_saturation_index_is_the_smith_invariant_product():

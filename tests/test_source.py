@@ -373,6 +373,35 @@ def test_one_hasse_pass_per_place():
 
 
 
+def test_int_converts_only_text():
+    # exact.require_integers refuses an entry that is not an int, so nothing
+    # is truncated: int() runs only where text is parsed, in the CLI's --glue
+    # specs, Kodaira symbols and fibre counts, named-lattice parameters and
+    # the decimal strings of a lattice file
+    parsers = {"cli._glue_spec", "ellsurf.kodaira", "ellsurf.FiberConfig.of",
+               "glue._int_param", "lattice_io._decode_int"}
+    found = set()
+
+    def is_int(node):
+        return isinstance(node, ast.Name) and node.id == "int"
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            # int(x), or map(int, ...)
+            if isinstance(child, ast.Call) and (
+                is_int(child.func)
+                or isinstance(child.func, ast.Name) and child.func.id == "map"
+                and child.args and is_int(child.args[0])
+            ):
+                found.add(scope)
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            walk(child, f"{scope}.{child.name}" if named else scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        walk(ast.parse(path.read_text(), str(path)), path.stem)
+    assert found == parsers, sorted(found ^ parsers)
+
+
 def test_post_init_is_looked_up_on_each_construction(monkeypatch):
     # perfbench's tracer replaces __post_init__ on the class after import, so
     # the constructor must reach the hook through the instance on every
