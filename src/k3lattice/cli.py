@@ -157,19 +157,7 @@ def _cmd_named(args) -> int:
     return 0
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on first use.  Reusing it is
-    safe: ``parse_args`` returns a fresh namespace on every call, and help
-    and usage errors look up ``sys.stdout`` and ``sys.stderr`` when they
-    print."""
-    p = argparse.ArgumentParser(
-        prog="k3lattice",
-        description="Exact verification of lattice, quadratic-form and "
-        "elliptic-fibration facts.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
+def _add_verify(sub) -> None:
     v = sub.add_parser("verify", help="run one claim or the whole registry")
     which = v.add_mutually_exclusive_group(required=True)
     which.add_argument("id", nargs="?", help="claim id (see 'list')")
@@ -178,10 +166,14 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--json", metavar="PATH", help="write a machine-readable report ('-': stdout)")
     v.set_defaults(fn=_cmd_verify, error=v.error)
 
+
+def _add_list(sub) -> None:
     ls = sub.add_parser("list", help="list registered claim ids")
     ls.add_argument("-v", "--verbose", action="store_true")
     ls.set_defaults(fn=_cmd_list)
 
+
+def _add_lattice(sub) -> None:
     l = sub.add_parser("lattice", help="inspect or transform lattice files")
     lsub = l.add_subparsers(dest="lattice_command", required=True)
     info = lsub.add_parser("info", help="print rank, determinant, signature")
@@ -206,12 +198,16 @@ def build_parser() -> argparse.ArgumentParser:
             o.add_argument("--out", help="write the resulting lattice file here")
             o.add_argument("--name", help="name for the resulting lattice")
 
+
+def _add_quadform(sub) -> None:
     q = sub.add_parser("quadform", help="rational quadratic form invariants")
     qsub = q.add_subparsers(dest="quadform_command", required=True)
     qi = qsub.add_parser("invariants", help="rank, signature, disc class, Hasse set")
     qi.add_argument("file")
     qi.set_defaults(fn=_cmd_quadform)
 
+
+def _add_named(sub) -> None:
     n = sub.add_parser("named", help="build one of the named lattices")
     which = n.add_mutually_exclusive_group(required=True)
     which.add_argument("name", nargs="?", help="e.g. L2, N1, Lambda(3), Lp(17)")
@@ -219,6 +215,38 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--save", metavar="PATH", help="write the lattice file")
     n.set_defaults(fn=_cmd_named, error=n.error)
 
+
+# the commands, in the order of the usage line and of --help
+_COMMANDS = {
+    "verify": _add_verify,
+    "list": _add_list,
+    "lattice": _add_lattice,
+    "quadform": _add_quadform,
+    "named": _add_named,
+}
+
+
+@functools.cache
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for ``command``, built once per process on first use: the
+    top level with only that command's subtree, or with every command's when
+    ``command`` is None (help, and an argv that names no command).  The
+    command argument's choices always name every command, so argparse
+    formats the full tree's usage line and errors; only an argv that names
+    no command, which gets the full tree, can fail on the choice.  Reusing a
+    parser is safe: ``parse_args`` returns a fresh namespace on every call,
+    and help and usage errors look up ``sys.stdout`` and ``sys.stderr`` when
+    they print."""
+    p = argparse.ArgumentParser(
+        prog="k3lattice",
+        description="Exact verification of lattice, quadratic-form and "
+        "elliptic-fibration facts.",
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, add in _COMMANDS.items():
+        if command in (None, name):
+            add(sub)
+    sub.choices = tuple(_COMMANDS)
     return p
 
 
@@ -226,7 +254,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # argparse, and a command through args.error, report usage errors
         # by raising SystemExit
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        args = build_parser(command).parse_args(argv)
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code

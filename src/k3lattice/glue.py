@@ -121,14 +121,14 @@ def adjoin_ambient_vectors(base: Lattice, vectors: Sequence[Sequence[Fraction]])
 
 def glue_index(overlattice: Lattice) -> int:
     """Index s^n / |det B| of the base frame in the adjoined lattice, whose
-    basis rows are B over s; a ``ValueError`` unless it is an overlattice."""
+    basis rows are B over s (|det B| is its ``embedding_index``); a
+    ``ValueError`` unless it is an overlattice."""
     if overlattice.ambient is None:
         raise ValueError("lattice has no recorded ambient frame")
-    rows, s = overlattice.ambient.basis, overlattice.ambient.denominator
-    det = exact.index(rows) if len(rows) == overlattice.ambient.ambient.rank else 0
-    if not det or s ** len(rows) % det:
+    det, s = overlattice.embedding_index, overlattice.ambient.denominator
+    if not det or s**overlattice.rank % det:
         raise ValueError("lattice is not an overlattice of its frame")
-    return s ** len(rows) // det
+    return s**overlattice.rank // det
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,13 @@ from .value import Value
 
 
 class Embedding(Value):
-    """Reference to an ambient lattice: the embedded lattice's basis vectors
-    are the integer rows of ``basis`` divided by ``denominator``, in the
-    ambient basis.  A denominator above 1 marks an overlattice of the ambient
-    frame."""
+    """Reference to an ambient lattice, the frame: the embedded lattice's
+    basis vectors are the integer rows of ``basis`` divided by
+    ``denominator``, in the ambient basis.  When those rows B are square and
+    nonsingular the lattice spans the frame's rational space, as an
+    overlattice (``glue.adjoin``) or a full-rank sublattice does, and its
+    det and signature are read off the frame: the signature is the frame's
+    and det = det(frame) det(B)^2 / denominator^(2n) (Nikulin 1979, 1.4)."""
 
     ambient: "Lattice"
     basis: tuple[tuple[int, ...], ...]
@@ -37,6 +40,9 @@ class Lattice(Value):
     _compared = ("gram", "name")  # not the embedding
 
     def __post_init__(self) -> None:
+        # rows given as lists are stored as tuples, so the gram hashes
+        if type(self.gram) is not tuple or any(type(row) is not tuple for row in self.gram):
+            object.__setattr__(self, "gram", tuple(map(tuple, self.gram)))
         exact.require_integers(self.gram, "Lattice")
         if not exact.is_symmetric(self.gram):
             raise ValueError("Gram matrix must be symmetric")
@@ -79,10 +85,33 @@ class Lattice(Value):
     def rank(self) -> int:
         return len(self.gram)
 
+    @cached_property
+    def embedding_index(self) -> int:
+        """|det B| for the embedding rows B when they are square: the index
+        of their span in Z^n, 0 when they are singular.  0 when the rows are
+        not square or there is no embedding."""
+        e = self.ambient
+        if e is None or len(e.basis) != e.ambient.rank:
+            return 0
+        return exact.index(e.basis)
+
     def det(self) -> int:
-        return _det_cached(self.gram)
+        """From the frame when the embedding rows are square and nonsingular
+        (see ``Embedding``), else by one elimination of the Gram matrix."""
+        index = self.embedding_index
+        if not index:
+            return _det_cached(self.gram)
+        e = self.ambient
+        det, rem = divmod(e.ambient.det() * index**2, e.denominator ** (2 * self.rank))
+        if rem:
+            raise ArithmeticError("frame det times det(B)^2 is not divisible by denominator^2n")
+        return det
 
     def signature(self) -> tuple[int, int, int]:
+        """The frame's when the embedding rows are square and nonsingular,
+        since the lattice then spans the frame's rational space."""
+        if self.embedding_index:
+            return self.ambient.ambient.signature()
         return _signature_cached(self.gram)
 
     def signature_pair(self) -> tuple[int, int]:
@@ -132,7 +161,7 @@ def lattice(
     name: str | None = None,
     ambient: Embedding | None = None,
 ) -> Lattice:
-    return Lattice(tuple(map(tuple, gram)), name, ambient)
+    return Lattice(gram, name, ambient)
 
 
 def make_embedding(

@@ -608,6 +608,31 @@ def test_cli_closed_stdout_pipe_exits_141_quietly():
 
 def test_cli_builds_one_parser_per_process():
     assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser("named") is cli.build_parser("named")
+
+
+PARITY_ARGV = [
+    ["--help"], ["-h"], [], ["nope"], ["--bogus"],
+    *([command, "--help"] for command in ("verify", "list", "lattice", "quadform", "named")),
+    ["lattice", "op", "adjoin", "--help"], ["lattice", "info"], ["lattice", "op", "flip", "x"],
+    ["verify"], ["named"], ["named", "X", "--bogus"], ["named", "N1", "--list"],
+    ["named", "N1", "extra"], ["named", "N1"], ["list", "-v", "--bogus"],
+]
+
+
+def test_cli_prints_what_the_full_parser_prints(monkeypatch, capsys):
+    # main builds only the subtree of the command argv names; help, usage
+    # and error texts, exit codes and output are those of the full tree
+    def run(argv):
+        code = cli.main(list(argv))
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    ours = [run(argv) for argv in PARITY_ARGV]
+    full = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full)
+    assert [run(argv) for argv in PARITY_ARGV] == ours
+    assert {code for code, _, _ in ours} == {0, 2}
 
 
 def test_cli_usage_error_leaves_the_parser_usable(tmp_path, capsys):

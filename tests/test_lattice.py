@@ -845,3 +845,74 @@ def test_contains_ambient_matches_solve_on_named_overlattices(name):
     ]
     assert all(got == want for got, want in results)
     assert {got for got, _ in results} == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# det and signature read off the frame
+
+
+def test_a_gram_of_lists_is_stored_as_tuples():
+    # the det and signature caches key on the Gram matrix, which must hash
+    l = lat.Lattice([[2, 1], [1, 2]])
+    assert l.gram == ((2, 1), (1, 2))
+    assert l.det() == 3 and l.signature() == (2, 0, 0)
+    assert l == lat.lattice([[2, 1], [1, 2]]) and hash(l) == hash(lat.lattice(l.gram))
+
+
+def _assert_det_and_signature_of_the_gram(l):
+    assert l.det() == exact.det(l.gram), l.name
+    assert l.signature() == exact.signature(l.gram), l.name
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_named_det_and_signature_are_those_of_the_gram(name):
+    _assert_det_and_signature_of_the_gram(glue.build_named(name))
+
+
+@pytest.mark.parametrize("parts", [
+    (("D", 8), ("A", 5), ("A", 1)),
+    (("D", 8), ("E", 6)),
+])
+def test_overlattice_det_and_signature_are_those_of_the_gram(parts):
+    base = lat.direct_sum(lat.hyperbolic(), *(lat.root_lattice(*p) for p in parts))
+    members = glue.even_overlattices(base)
+    assert sum(m.ambient is not None for m in members) >= 2
+    for m in members:
+        _assert_det_and_signature_of_the_gram(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(even_grams(1, 6), st.data())
+def test_sublattice_det_and_signature_are_those_of_the_gram(g, data):
+    # square rows, singular ones included, and a sublattice of a sublattice
+    ambient = lat.lattice(g)
+    n = ambient.rank
+    square = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                      min_size=n, max_size=n)
+    sub = lat.sublattice(ambient, data.draw(square))
+    _assert_det_and_signature_of_the_gram(sub)
+    _assert_det_and_signature_of_the_gram(lat.sublattice(sub, data.draw(square)))
+
+
+def test_a_square_singular_basis_takes_the_gram_path():
+    uu = lat.direct_sum(lat.hyperbolic(), lat.hyperbolic())
+    l = lat.sublattice(uu, [[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert l.det() == 0 and l.signature() == (1, 2, 1)
+
+
+def test_a_framed_lattice_file_reads_det_and_signature_off_its_frame():
+    lam3 = glue.build_named("Lambda(3)")
+    rows = [[1 if j == i else 0 for j in range(lam3.rank)] for i in range(lam3.rank)]
+    rows[0][1] = 2
+    rows[2][2] = 3
+    loaded = lattice_io.loads(lattice_io.dumps(lat.sublattice(lam3, rows, "sub")))
+    assert loaded.ambient is not None and loaded.ambient.ambient.name == "Lambda(3)"
+    assert loaded.det() == 9 * lam3.det()
+    _assert_det_and_signature_of_the_gram(loaded)
+
+
+def test_a_frame_det_that_does_not_divide_raises():
+    # B = (1) over 2 of <2> induces 1/2, which no honest builder records
+    frame = lat.make_embedding(lat.rank_one(2), [[1]], 2)
+    with pytest.raises(ArithmeticError):
+        lat.Lattice._formed([[2]], None, frame).det()

@@ -1,5 +1,6 @@
 """Source-level checks on the package."""
 
+import argparse
 import ast
 import importlib
 import json
@@ -8,6 +9,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+from k3lattice import cli, exact, glue, lattice as lat, lattice_io
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "k3lattice"
 
@@ -321,6 +324,62 @@ def test_lattice_summary_builds_no_discriminant_form():
     called = _called_names(_function("cli.py", "_lattice_summary"))
     assert "invariant_factors" in called
     assert "discriminant_group" not in called
+
+
+def _eliminated_grams(monkeypatch) -> list[tuple[str, tuple]]:
+    """Record every matrix passed to exact.ldl and exact.det from now on,
+    with the caches of Lattice.det and Lattice.signature emptied."""
+    seen = []
+
+    def recording(name, fn):
+        def wrapper(m):
+            seen.append((name, tuple(map(tuple, m))))
+            return fn(m)
+        return wrapper
+
+    for name in ("ldl", "det"):
+        monkeypatch.setattr(exact, name, recording(name, getattr(exact, name)))
+    lat._det_cached.cache_clear()
+    lat._signature_cached.cache_clear()
+    return seen
+
+
+def test_named_reads_det_and_signature_off_the_frame(monkeypatch, capsys, tmp_path):
+    # KummerK is an overlattice of its frame, so neither its det nor its
+    # signature takes an elimination of its own Gram matrix
+    kummer = glue.build_named("KummerK").gram
+    seen = _eliminated_grams(monkeypatch)
+    assert cli.main(["named", "KummerK"]) == 0
+    assert "signature:  (0, 0, 16)" in capsys.readouterr().out
+    assert seen and all(m != kummer for _, m in seen)
+    # a lattice file without a frame still runs one elimination
+    path = tmp_path / "kummer.lattice"
+    path.write_text(json.dumps({"name": "K", "gram": [list(row) for row in kummer]}))
+    seen.clear()
+    assert cli.main(["lattice", "info", str(path)]) == 0
+    assert seen == [("ldl", kummer)]
+
+
+def test_a_command_builds_the_parser_of_its_own_subtree(monkeypatch, capsys):
+    # the top level and the named subparser, against 13 for the full tree
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    try:
+        assert cli.main(["named", "N1"]) == 0
+        assert cli.main(["named", "N2"]) == 0
+        assert len(built) == 2
+        built.clear()
+        cli.build_parser()
+        assert len(built) == 13
+    finally:
+        cli.build_parser.cache_clear()
 
 
 def _names(fn: ast.AST) -> set[str]:
