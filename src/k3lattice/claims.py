@@ -65,7 +65,7 @@ def _diag(entries) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# shared builders (pure; the two that a cold verify asks for more than once
+# shared builders (pure; those that a cold verify asks for more than once
 # are cached)
 
 
@@ -1058,7 +1058,7 @@ def _n2works():
 def _sqrel_x():
     computed = {}
     for dp in (7, 11):
-        frame = glue.ld_lattice(dp, "subgroup").ambient.ambient
+        frame = _named(f"L_d({dp},subgroup)").ambient.ambient
         outside = [i for i in range(15) if i not in glue.N1_SUBGROUP]
         computed[dp] = frame.norm(glue.frame_vector(0, outside))
     return _equal(computed, {7: Fraction(-24), 11: Fraction(-24)})
@@ -1076,7 +1076,7 @@ def _sqrel_8d():
     computed = {}
     expected = {}
     for dp in (7, 11):
-        ld = glue.ld_lattice(dp, "subgroup")
+        ld = _named(f"L_d({dp},subgroup)")
         frame = ld.ambient.ambient
         outside = [i for i in range(15) if i not in glue.N1_SUBGROUP]
         x = glue.frame_vector(0, outside)

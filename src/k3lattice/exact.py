@@ -27,7 +27,8 @@ mutually orthogonal fiber components of a table-1 matrix are such a block.
 cost nothing.
 ``box_vectors`` is the one coefficient-box enumerator: it yields only the
 points of the wanted norms, solving for the last coordinate in closed form
-straight from the loop over the next-to-last one.
+straight from the loop over the next-to-last one.  ``k3embed.isometry_search``
+walks half a box through it, one fixed prefix (0, ..., 0, t), t > 0, a call.
 ``_hermite`` eliminates below the pivots (``_echelon``) before it reduces
 above them, once, over the finished rows; ``index`` and ``kernel_basis``
 read only the pivots and the rows past the rank, and stop after the first.

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
@@ -400,13 +401,15 @@ def _l2_torsion_class(frame: Lattice, component: int, zero_fibers: range) -> lis
     return x
 
 
-def l2_data() -> tuple[Lattice, list[Fraction], list[Fraction]]:
+@lru_cache(maxsize=None)
+def l2_data() -> tuple[Lattice, tuple[Fraction, ...], tuple[Fraction, ...]]:
     """The section frame of the L2 construction together with the two solved
-    2-torsion section classes (rational vectors in frame coordinates)."""
+    2-torsion section classes (rational vectors in frame coordinates); built
+    once, for ``l2_lattice`` and the L2 claims alike."""
     frame = _l2_frame()
     t1 = _l2_torsion_class(frame, 1, range(0, 3))
     t2 = _l2_torsion_class(frame, 2, range(3, 6))
-    return frame, t1, t2
+    return frame, tuple(t1), tuple(t2)
 
 
 def l2_lattice() -> Lattice:

@@ -17,6 +17,7 @@ discriminant forms.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import groupby
 from math import isqrt, lcm
 from operator import mul
 from typing import Sequence
@@ -261,9 +262,14 @@ def _match_gram(
     that pair with v_i as ``target`` asks, keeping pool order, and a choice
     that empties a pool is dropped at once (Plesken-Souvignier 1997).  Each
     level therefore tries exactly the candidates that pair correctly with
-    all earlier choices, in pool order.  Whether the rows span the whole
-    lattice is left to the caller: for Gram matrices of equal nonzero
-    determinant, det(rows)^2 = 1 follows from the match.
+    all earlier choices, in pool order; later levels that share one pool
+    object and one wanted pairing are filtered once per choice.  Whether
+    the rows span the whole lattice is left to the caller: for Gram
+    matrices of equal nonzero determinant, det(rows)^2 = 1 follows from the
+    match.  Negating every row keeps every pairing, so when all pools are
+    closed under v -> -v, the first match's v_0 comes before -v_0, and a v_0
+    whose negation failed fails too: ``pools[0]`` may hold only the earlier
+    of each +-v pair, with the same result.
     """
     n = len(target)
     chosen: list[tuple[int, ...]] = []
@@ -277,13 +283,16 @@ def _match_gram(
             gv = images.get(v)
             if gv is None:
                 gv = images[v] = exact.mat_vec(gram, v)
-            rest = []
+            rest, kept = [], {}
             for level, pool in enumerate(pools[1:], i + 1):
                 want = target[level][i]
-                if modulus:
-                    pool = [w for w in pool if sum(map(mul, w, gv)) % modulus == want]
-                else:
-                    pool = [w for w in pool if sum(map(mul, w, gv)) == want]
+                key = (id(pool), want)  # the pools outlive this choice
+                if key not in kept:
+                    if modulus:
+                        kept[key] = [w for w in pool if sum(map(mul, w, gv)) % modulus == want]
+                    else:
+                        kept[key] = [w for w in pool if sum(map(mul, w, gv)) == want]
+                pool = kept[key]
                 if not pool:
                     break
                 rest.append(pool)
@@ -299,7 +308,9 @@ def _match_gram(
 
 def definite_isomorphic(l1: Lattice, l2: Lattice) -> bool:
     """Exact isometry test for definite lattices of equal rank via complete
-    backtracking over short vectors of matching norms and pairings."""
+    backtracking over short vectors of matching norms and pairings; the
+    first level takes ``short_vectors`` without their negations (see
+    ``_match_gram``)."""
     if not (l1.is_definite() and l2.is_definite()):
         raise ValueError("definite_isomorphic requires definite lattices")
     if l1.rank != l2.rank or l1.det() != l2.det() or l1.signature() != l2.signature():
@@ -309,13 +320,14 @@ def definite_isomorphic(l1: Lattice, l2: Lattice) -> bool:
     red, _, _ = exact.lll(g1)
     g1r = exact.matmul(exact.matmul(red, g1), exact.transpose(red))
     norms = [row[i] for i, row in enumerate(g1r)]
+    halves = short_vectors(g2, max(norms, default=0))
     cands = {
-        norm: [w for v in vecs for w in (v, tuple(-c for c in v))]
-        for norm, vecs in short_vectors(g2, max(norms, default=0)).items()
+        norm: [w for v in vecs for w in (v, tuple(-c for c in v))] for norm, vecs in halves.items()
     }
+    pools = [(halves if i == 0 else cands).get(x, []) for i, x in enumerate(norms)]
     # a full match maps l1 onto a sublattice of index |det(rows)|, and equal
     # nonzero determinants force the index to be 1
-    return _match_gram(g1r, [cands.get(x, []) for x in norms], g2) is not None
+    return _match_gram(g1r, pools, g2) is not None
 
 
 def _size(v: Sequence[int]) -> tuple[int, int]:
@@ -326,9 +338,16 @@ def isometry_search(l1: Lattice, l2: Lattice, bound: int = 5) -> list[list[int]]
     """Bounded backtracking search for an isometry l1 -> l2: images are
     sought among vectors with coordinates in [-bound, bound] and the norms
     of l1's basis, tried by largest and then summed |coordinate|, smallest
-    first.  A returned matrix (rows = images of l1's basis) is verified
-    exactly; None only means no isometry with small coordinates was
-    found, and is returned for degenerate lattices."""
+    first, ties in box order.  A returned matrix (rows = images of l1's
+    basis) is verified exactly; None only means no isometry with small
+    coordinates was found, and is returned for degenerate lattices.
+
+    Since q(-v) = q(v), only the vectors whose first nonzero coordinate is
+    positive are walked, one ``exact.box_vectors`` call per head
+    (0, ..., 0, t), in box (lexicographic) order.  Negation reverses that
+    order, so in box order each size class of a pool is its positives
+    negated and reversed, then the positives, and the first level takes the
+    negative-leading half (see ``_match_gram``)."""
     if l1.rank != l2.rank or l1.det() != l2.det() or l1.signature() != l2.signature():
         return None
     # equal nonzero determinants make every match unimodular
@@ -336,16 +355,21 @@ def isometry_search(l1: Lattice, l2: Lattice, bound: int = 5) -> list[list[int]]
         return None
     n = l1.rank
     g2 = [list(r) for r in l2.gram]
-    by_norm: dict[int, list[tuple[int, ...]]] = {}
     needed = {l1.gram[i][i] for i in range(n)}
-    for v, norm in exact.box_vectors(g2, bound, needed):
-        if any(v):
-            by_norm.setdefault(norm, []).append(v)
-    # images of a basis are short, so small coordinates go first; the sort
-    # is stable, so ties keep box order
-    for pool in by_norm.values():
-        pool.sort(key=_size)
-    rows = _match_gram(l1.gram, [by_norm.get(l1.gram[i][i], []) for i in range(n)], g2)
+    pools: dict[int, list[tuple[int, ...]]] = {}
+    for k in range(n - 1, -1, -1):
+        for head in ((0,) * k + (t,) for t in range(1, bound + 1)):
+            for c, norm in exact.box_vectors(g2, bound, needed, head):
+                pools.setdefault(norm, []).append(head + c)
+    # images of a basis are short, so small coordinates go first
+    for norm, vs in pools.items():
+        vs.sort(key=_size)
+        classes = [list(same) for _, same in groupby(vs, _size)]
+        pools[norm] = [w for c in classes for w in [tuple(-x for x in v) for v in c[::-1]] + c]
+    levels = [pools.get(l1.gram[i][i], []) for i in range(n)]
+    if n:  # negative-leading: the earlier of each +-v pair
+        levels[0] = [v for v in levels[0] if next(c for c in v if c) < 0]
+    rows = _match_gram(l1.gram, levels, g2)
     if rows is None:
         return None
     check = exact.matmul(exact.matmul(rows, g2), exact.transpose(rows))

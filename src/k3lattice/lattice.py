@@ -95,6 +95,13 @@ class Lattice(Value):
             return 0
         return exact.index(e.basis)
 
+    @cached_property
+    def embedding_hermite(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The Hermite basis of the embedding rows, each row after its pivot
+        column: what ``contains_ambient`` reduces against."""
+        rows = exact.hermite_row_basis(self.ambient.basis)
+        return tuple((next(i for i, x in enumerate(r) if x), tuple(r)) for r in rows)
+
     def det(self) -> int:
         """From the frame when the embedding rows are square and nonsingular
         (see ``Embedding``), else by one elimination of the Gram matrix."""
@@ -469,7 +476,8 @@ def contains_ambient(l: Lattice, w: Sequence) -> bool:
     """Whether the ambient-frame vector w lies in l.  With l's basis the
     rows B over the denominator D, that asks whether D w is an integer
     combination of B: D w is reduced, in integers, against the Hermite basis
-    of B (a basis built by ``glue.adjoin`` is one already)."""
+    of B (a basis built by ``glue.adjoin`` is one already), formed once per
+    lattice (``Lattice.embedding_hermite``)."""
     if l.ambient is None:
         raise ValueError("lattice has no recorded ambient frame")
     e = l.ambient
@@ -480,8 +488,7 @@ def contains_ambient(l: Lattice, w: Sequence) -> bool:
     if any(x % den for x in v):
         return False
     v = [x // den for x in v]
-    for row in exact.hermite_row_basis(e.basis):
-        c = next(i for i, x in enumerate(row) if x)
+    for c, row in l.embedding_hermite:
         q, r = divmod(v[c], row[c])
         if r:
             return False

@@ -456,13 +456,13 @@ def test_criterion_15_property_suites():
                 )
 
     # definite isometry against exhaustion
-    from test_k3embed import naive_isomorphic, random_posdef_rank3
+    from test_k3embed import naive_isomorphic, random_posdef
 
     definite_ok = True
     done = 0
     while done < 5:
-        g1 = random_posdef_rank3(rng)
-        g2 = random_posdef_rank3(rng)
+        g1 = random_posdef(rng, 3)
+        g2 = random_posdef(rng, 3)
         l1, l2 = lat.lattice(g1), lat.lattice(g2)
         if (l1.det(), l1.signature()) != (l2.det(), l2.signature()):
             continue

@@ -72,13 +72,13 @@ def naive_isomorphic(g1, g2):
     return naive_match_gram(g1, [by_norm.get(g1[i][i], []) for i in range(n)], g2) is not None
 
 
-def random_posdef_rank3(rng):
+def random_posdef(rng, n):
     while True:
-        b = [[rng.randrange(-2, 3) for _ in range(3)] for _ in range(3)]
+        b = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(n)]
         if exact.det(b) == 0:
             continue
         g = exact.matmul(b, exact.transpose(b))
-        if all(abs(g[i][j]) <= 6 for i in range(3) for j in range(3)):
+        if all(abs(g[i][j]) <= 6 for i in range(n) for j in range(n)):
             return g
 
 
@@ -627,26 +627,37 @@ def test_definite_isomorphic_rank_zero():
 
 
 def test_definite_isomorphic_vs_naive_oracle():
+    # ranks 2-4; a reduced basis with a repeated norm gives two levels one
+    # shared pool, which the search filters once per choice
     rng = random.Random(13)
-    pairs = 0
-    while pairs < 12:
-        g1 = random_posdef_rank3(rng)
-        if rng.random() < 0.5:
-            # build an actually isometric pair by a unimodular change of basis
-            while True:
-                t = [[rng.randrange(-2, 3) for _ in range(3)] for _ in range(3)]
-                if abs(exact.det(t)) == 1:
-                    break
-            g2 = exact.matmul(exact.matmul(t, g1), exact.transpose(t))
-            if any(abs(x) > 30 for row in g2 for x in row):
+    repeated = 0
+    for n in (2, 3, 4):
+        pairs = 0
+        while pairs < 12:
+            g1 = random_posdef(rng, n)
+            if rng.random() < 0.5:
+                # build an actually isometric pair by a unimodular change of basis
+                while True:
+                    t = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(n)]
+                    if abs(exact.det(t)) == 1:
+                        break
+                g2 = exact.matmul(exact.matmul(t, g1), exact.transpose(t))
+                if any(abs(x) > 30 for row in g2 for x in row):
+                    continue
+            else:
+                g2 = random_posdef(rng, n)
+            l1, l2 = lat.lattice(g1), lat.lattice(g2)
+            if (l1.det(), l1.signature()) != (l2.det(), l2.signature()):
                 continue
-        else:
-            g2 = random_posdef_rank3(rng)
-        l1, l2 = lat.lattice(g1), lat.lattice(g2)
-        if (l1.det(), l1.signature()) != (l2.det(), l2.signature()):
-            continue
-        assert ke.definite_isomorphic(l1, l2) == naive_isomorphic(g1, g2)
-        pairs += 1
+            # the oracle walks a box of side 2 * bound + 1: cap it at rank 4
+            if n == 4 and complete_box_bound(g2, max(g1[i][i] for i in range(n))) > 6:
+                continue
+            assert ke.definite_isomorphic(l1, l2) == naive_isomorphic(g1, g2)
+            red = exact.lll(g1)[0]
+            norms = [exact.dot(r, exact.mat_vec(g1, r)) for r in red]
+            repeated += len(set(norms)) < n
+            pairs += 1
+    assert repeated >= 12
 
 
 def theta_counts(l, max_norm):
@@ -950,6 +961,45 @@ def test_isometry_search_rows_of_the_claims(inputs, rows):
     assert abs(exact.det(rows)) == 1
 
 
+def _rank17_counts(monkeypatch):
+    """Points that ``exact.box_vectors`` yields and multiplications in
+    ``k3embed`` (the pairings of ``_match_gram``) in the rank-17 search."""
+    counts = {"points": 0, "mul": 0}
+    box_vectors = exact.box_vectors
+
+    def counted_box(*args):
+        for point in box_vectors(*args):
+            counts["points"] += 1
+            yield point
+
+    def counted_mul(a, b):
+        counts["mul"] += 1
+        return a * b
+
+    target, tr = _rank17_inputs()
+    monkeypatch.setattr(exact, "box_vectors", counted_box)
+    monkeypatch.setattr(ke, "mul", counted_mul)
+    assert ke.isometry_search(target, tr, bound=4) is not None
+    return counts
+
+
+def test_isometry_search_walks_one_of_each_sign_pair(monkeypatch):
+    # the pools hold 880 nonzero vectors of the needed norms (306 + 370 +
+    # 204); the walk meets the 440 whose first nonzero coordinate is positive
+    target, tr = _rank17_inputs()
+    needed = {target.gram[i][i] for i in range(target.rank)}
+    full = [v for v, _ in exact.box_vectors([list(r) for r in tr.gram], 4, needed) if any(v)]
+    assert len(full) == 880
+    assert _rank17_counts(monkeypatch)["points"] == len(full) // 2
+
+
+def test_match_gram_filters_each_shared_pool_once(monkeypatch):
+    # levels 1-2 and 3-4 of the rank-17 target share a pool and a wanted
+    # pairing, and level 0 tries one of each +-v pair: 20,000 pairing
+    # multiplications, where filtering per level over both signs took 68,470
+    assert _rank17_counts(monkeypatch)["mul"] == 20_000 <= 68_470 // 2
+
+
 def sorted_box_pools(g1, g2, bound):
     """The nonzero vectors of [-bound, bound]^n with the norms of g1's
     diagonal, by norm, in product order stably sorted by (max |c|, sum |c|)."""
@@ -999,6 +1049,37 @@ def test_isometry_search_tries_small_coordinates_first():
         assert got == naive_match_gram(g1, [pools.get(g1[i][i], []) for i in range(len(g1))], g2)
         found += got is not None
     assert found >= 20
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_isometry_search_equals_the_unpruned_oracle(data):
+    # an even Gram against a unimodular image of itself, and against an odd
+    # lattice of the same det and signature, which no isometry reaches: the
+    # half walk and the one-sign first level give the first match of the
+    # unpruned search over the full sorted box
+    n = data.draw(st.integers(2, 4), "rank")
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = 2 * data.draw(st.integers(-3, 3))
+        for j in range(i):
+            g[i][j] = g[j][i] = data.draw(st.integers(-2, 2))
+    det = exact.det(g)
+    assume(det != 0)
+    bound = data.draw(st.integers(1, 3), "bound")
+    steps = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from((1, -1)))
+    u = exact.identity(n)
+    for i, j, sign in data.draw(st.lists(steps, max_size=6), "steps"):
+        if i != j:
+            u[i] = [a + sign * b for a, b in zip(u[i], u[j])]
+    p, _, m = exact.signature(g)
+    signs = [1] * p + [-1] * m
+    odd = claims._diag([signs[0] * abs(det)] + signs[1:])
+    for h in (g, odd):
+        h = exact.matmul(exact.matmul(u, h), exact.transpose(u))
+        pools = sorted_box_pools(g, h, bound)
+        want = naive_match_gram(g, [pools.get(g[i][i], []) for i in range(n)], h)
+        assert ke.isometry_search(lat.lattice(g), lat.lattice(h), bound=bound) == want
 
 
 def test_isometry_search_distinguishes():
