@@ -650,7 +650,7 @@ def test_definite_isomorphic_vs_naive_oracle():
             if (l1.det(), l1.signature()) != (l2.det(), l2.signature()):
                 continue
             # the oracle walks a box of side 2 * bound + 1: cap it at rank 4
-            if n == 4 and complete_box_bound(g2, max(g1[i][i] for i in range(n))) > 6:
+            if n == 4 and complete_box_bound(g2, max(g1[i][i] for i in range(n))) > 5:
                 continue
             assert ke.definite_isomorphic(l1, l2) == naive_isomorphic(g1, g2)
             red = exact.lll(g1)[0]
