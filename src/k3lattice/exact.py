@@ -30,8 +30,10 @@ points of the wanted norms, solving for the last coordinate in closed form
 straight from the loop over the next-to-last one.  ``k3embed.isometry_search``
 walks half a box through it, one fixed prefix (0, ..., 0, t), t > 0, a call.
 ``_hermite`` eliminates below the pivots (``_echelon``) before it reduces
-above them, once, over the finished rows; ``index`` and ``kernel_basis``
-read only the pivots and the rows past the rank, and stop after the first.
+above them, once, over the finished rows (``_reduce_above``); ``index`` and
+``kernel_basis`` read only the pivots and the rows past the rank, and stop
+after the first.  ``hermite_basis_mod`` ends in the same pass; it finds the
+pivots of a lattice containing d*Z^n modulo d, with no d*I_n rows.
 ``smith_normal_form`` and ``smith_diagonal`` share one driver, ``_smith``,
 run with and without the companions u and v; it repairs a diagonal pair
 that breaks divisibility on the pair's 2x2 block alone.  A caller that reads
@@ -283,6 +285,13 @@ def _hermite(a: IntMatrix, u: IntMatrix | None = None) -> int:
     result is that of reducing above each pivot as soon as it is found.
     """
     pivots = _echelon(a, u)
+    _reduce_above(a, pivots, u)
+    return len(pivots)
+
+
+def _reduce_above(a: IntMatrix, pivots: Sequence[int], u: IntMatrix | None = None) -> None:
+    """``_hermite``'s second phase, in place, on echelon rows with positive
+    pivots in the columns ``pivots``: entries above a pivot into [0, pivot)."""
     done = []  # (pivot column, nonzero entries from it on, row) per finished row
     for r in range(len(pivots) - 1, -1, -1):
         row = a[r]
@@ -295,7 +304,6 @@ def _hermite(a: IntMatrix, u: IntMatrix | None = None) -> int:
                     u[r] = [x - q * y for x, y in zip(u[r], u[k])]
         c = pivots[r]
         done.insert(0, (c, [(j, y) for j, y in enumerate(row[c:], c) if y], r))
-    return len(pivots)
 
 
 def _width(m: Sequence[Sequence[int]]) -> int:
@@ -570,6 +578,38 @@ def hermite_row_basis(rows: Sequence[Sequence[int]]) -> list[IntVector]:
     _width(rows)
     a = copy_matrix(rows)
     return a[: _hermite(a)]
+
+
+def hermite_basis_mod(rows: Sequence[Sequence[int]], d: int, n: int) -> list[IntVector]:
+    """``hermite_row_basis`` of [d*I_n; rows], the lattice d*Z^n + span(rows),
+    found modulo d (Domich-Kannan-Trotter 1987; Cohen, GTM 138, Alg. 2.4.8).
+    Column c's pivot row starts as d*e_c, and each row with a nonzero x in
+    column c is folded into it by the extended gcd g of (pivot[c], x); the
+    remainder, zero in column c, stays in the pool.  The folds are
+    unimodular and d*Z^n lies in the lattice, so the entries right of column
+    c are kept modulo d.  The pivots divide d; one pass reduces above them."""
+    if d < 1 or any(len(row) != n for row in rows):
+        raise ValueError("hermite_basis_mod needs a positive modulus and rows of length n")
+    pool = [v for v in ([x % d for x in row] for row in rows) if any(v)]
+    basis = []
+    for c in range(n):  # the pool rows and the pivot row hold columns c.. only
+        piv, rest = [d] + [0] * (n - c - 1), []
+        for row in pool:
+            x, p = row[0], piv[0]
+            if x % p:  # s*p + t*x = g
+                g = gcd(p, x)
+                s = pow(p // g, -1, x // g)
+                t, a, b = (g - s * p) // x, x // g, p // g
+                piv, row = ([(s * y + t * z) % d for y, z in zip(piv, row)],
+                            [(a * y - b * z) % d for y, z in zip(piv, row)])
+            elif x:
+                row = [(z - x // p * y) % d for y, z in zip(piv, row)]
+            if any(row):
+                rest.append(row[1:])
+        basis.append([0] * c + piv)
+        pool = rest
+    _reduce_above(basis, range(n))
+    return basis
 
 
 def index(rows: Sequence[Sequence[int]]) -> int:

@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import exact
 from .k3embed import build_V
@@ -58,7 +58,9 @@ def adjoin(
     Every glue vector must pair integrally with the base and with the other
     glue vectors; with ``require_even`` each glue vector must also have even
     self-intersection.  The result carries an embedding into ``base`` whose
-    determinant is det(base) divided by the square of the index.
+    determinant is det(base) divided by the square of the index.  Its basis
+    rows are the Hermite basis of s*Z^n + span(s*glue), s the lcm of the
+    glue denominators, found modulo s by ``exact.hermite_basis_mod``.
 
     A lattice is integral, or even, exactly when the Gram matrix of one of
     its bases is, so both are checked once, on the result's Gram matrix;
@@ -70,10 +72,8 @@ def adjoin(
         if len(g.vector) != n:
             raise GlueError("glue vector has wrong length")
     scale = lcm(*(g.denominator for g in glue))
-    rows = [[scale if i == j else 0 for j in range(n)] for i in range(n)]
-    for g in glue:
-        rows.append([x * (scale // g.denominator) for x in g.vector])
-    basis = exact.hermite_row_basis(rows)
+    rows = [[x * (scale // g.denominator) for x in g.vector] for g in glue]
+    basis = exact.hermite_basis_mod(rows, scale, n)
     # lowest terms: the result contains the base, so this only cancels
     # denominators that the glue did not need
     common = gcd(scale, *itertools.chain.from_iterable(basis))
@@ -183,10 +183,16 @@ def _isotropic_subgroups(
 
 def even_overlattices(l: Lattice, max_index: int | None = None) -> list[Lattice]:
     """One even overlattice per isotropic subgroup of the discriminant form
-    of order at most ``max_index`` (unbounded when None); the input lattice
-    itself corresponds to the trivial subgroup.  Results are returned in a
-    deterministic order and include duplicates up to isometry whenever
-    distinct subgroups yield isomorphic overlattices."""
+    of order at most ``max_index`` (unbounded when None), the input lattice
+    itself first, for the trivial subgroup: the list of what
+    ``_even_overlattices`` yields, in its deterministic order, with duplicates
+    up to isometry whenever distinct subgroups yield isomorphic overlattices."""
+    return list(_even_overlattices(l, max_index))
+
+
+def _even_overlattices(l: Lattice, max_index: int | None) -> Iterator[Lattice]:
+    """The even overlattices one at a time: each subgroup's overlattice is
+    adjoined, and its index checked, only when the caller asks for it."""
     if not l.is_even():
         raise GlueError("even overlattices require an even lattice")
     form = discriminant_group(l)
@@ -200,17 +206,15 @@ def even_overlattices(l: Lattice, max_index: int | None = None) -> list[Lattice]
     lift = exact.transpose(
         [[x * (top // d) for x in g] for g, d in zip(form.generators, form.invariant_factors)]
     )
-    out = []
     for grp, path in _isotropic_subgroups(form, bound):
         if not path:
-            out.append(l)
+            yield l
             continue
         # adjoin reads only the span, which the path generates
         bigger = adjoin(l, [GlueSpec(tuple(exact.mat_vec(lift, el)), top) for el in path])
         if glue_index(bigger) != len(grp):
             raise ArithmeticError("overlattice index differs from the subgroup order")
-        out.append(bigger)
-    return out
+        yield bigger
 
 
 def find_isotropic_glue(
@@ -421,12 +425,13 @@ def l2_lattice() -> Lattice:
 
 
 def l_sat_lattice() -> Lattice:
-    """First index-2 even overlattice of U + D8 + A5 + A1 in canonical
-    order; determinant -12."""
+    """First index-2 even overlattice of U + D8 + A5 + A1 in
+    ``even_overlattices`` order, the first after the base itself; only that
+    one is adjoined.  Determinant -12."""
     base = direct_sum(
         hyperbolic(), root_lattice("D", 8), root_lattice("A", 5), root_lattice("A", 1)
     )
-    for m in even_overlattices(base, 2):
+    for m in _even_overlattices(base, 2):
         if m.det() == base.det() // 4:
             return m.rename("L_sat")
     raise GlueError("no index-2 even overlattice found")

@@ -622,6 +622,46 @@ def test_index_and_kernel_basis_read_the_reference_echelon(m):
     assert exact.kernel_basis(m) == u[reference_hermite(at, u) :]
 
 
+@st.composite
+def modular_hermite_inputs(draw):
+    """(rows, d, n) for ``hermite_basis_mod``: d prime, composite or 1,
+    widths 0-8, 0-6 rows with negative entries, some rows zero."""
+    d, n, k = draw(st.integers(1, 12)), draw(st.integers(0, 8)), draw(st.integers(0, 6))
+    rows = draw(int_matrix(k, n, draw(st.sampled_from([1, 3, 30]))))
+    for i in draw(st.lists(st.integers(0, k - 1), max_size=k)) if k else ():
+        rows[i] = [0] * n
+    return rows, d, n
+
+
+def stacked_hermite_basis(rows, d, n):
+    """The reference: the Hermite basis of [d*I_n; rows] by the generic
+    elimination."""
+    return exact.hermite_row_basis([[d * (i == j) for j in range(n)] for i in range(n)] + rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(modular_hermite_inputs())
+def test_hermite_basis_mod_equals_the_stacked_hermite_basis(case):
+    rows, d, n = case
+    before = [list(row) for row in rows]
+    basis = exact.hermite_basis_mod(rows, d, n)
+    assert basis == stacked_hermite_basis(rows, d, n)
+    assert rows == before
+    # full rank, pivots on the diagonal dividing d
+    assert all(d % basis[i][i] == 0 for i in range(n))
+
+
+def test_hermite_basis_mod_examples():
+    assert exact.hermite_basis_mod([], 3, 2) == [[3, 0], [0, 3]]
+    assert exact.hermite_basis_mod([[5, -7]], 1, 2) == [[1, 0], [0, 1]]
+    assert exact.hermite_basis_mod([[2, 1]], 4, 2) == [[2, 1], [0, 2]]
+    assert exact.hermite_basis_mod([[1, 1], [0, 0]], 4, 2) == [[1, 1], [0, 4]]
+    assert exact.hermite_basis_mod([[1] * 3], 2, 3) == [[1, 1, 1], [0, 2, 0], [0, 0, 2]]
+    for rows, d, n in (([[1, 2]], 0, 2), ([[1, 2]], -2, 2), ([[1, 2, 3]], 2, 2)):
+        with pytest.raises(ValueError):
+            exact.hermite_basis_mod(rows, d, n)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(hermite_inputs(), even_grams()))
 def test_snf_equals_the_reference(m):

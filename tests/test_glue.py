@@ -9,8 +9,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import k3lattice.lattice as lat
-from k3lattice import exact, glue, k3embed as ke
+from k3lattice import claims, exact, glue, k3embed as ke
 from k3lattice.k3embed import build_V
+from test_exact import stacked_hermite_basis
 from test_k3embed import even_test_forms, span
 
 
@@ -86,6 +87,38 @@ def test_adjoin_names_the_fault_the_eager_checks_named(case):
     assert _adjoin_outcome(base, specs, require_even, False) == _adjoin_outcome(
         base, specs, require_even, True
     )
+
+
+def _clear_builder_caches():
+    for module in (claims, glue):
+        for f in vars(module).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
+
+
+def test_adjoin_bases_equal_the_stacked_hermite_basis(monkeypatch):
+    # every adjoin of the named registry and of a cold claims.run_all():
+    # the basis found modulo the glue denominator s is the Hermite basis of
+    # [s*I_n; s*glue] that the generic elimination gives
+    seen = []
+    modular = exact.hermite_basis_mod
+
+    def recorder(rows, d, n):
+        basis = modular(rows, d, n)
+        seen.append((rows, d, n, basis))
+        return basis
+
+    monkeypatch.setattr(exact, "hermite_basis_mod", recorder)
+    _clear_builder_caches()
+    drawn = [f"L_d({d},{v})" for d in (3, 7, 11) for v in ("subgroup", "all")]
+    for name in [*glue.NAMED_BUILDERS, *drawn]:
+        glue.build_named(name)
+    _clear_builder_caches()
+    claims.run_all()
+    assert len(seen) >= 30
+    assert {d for _, d, _, _ in seen} >= {2, 6}
+    for rows, d, n, basis in seen:
+        assert basis == stacked_hermite_basis(rows, d, n)
 
 
 def test_adjoin_d8_to_e8():
@@ -286,13 +319,17 @@ def test_even_overlattices_requires_even():
         glue.even_overlattices(lat.rank_one(1, allow_odd=True))
 
 
-def test_u_d8_a5_a1_overlattice_indices():
-    base = lat.direct_sum(
+def _u_d8_a5_a1():
+    return lat.direct_sum(
         lat.hyperbolic(),
         lat.root_lattice("D", 8),
         lat.root_lattice("A", 5),
         lat.root_lattice("A", 1),
     )
+
+
+def test_u_d8_a5_a1_overlattice_indices():
+    base = _u_d8_a5_a1()
     members = glue.even_overlattices(base)
     by_index = sorted(
         (1 if m.ambient is None else glue.glue_index(m), m.det()) for m in members
@@ -303,6 +340,28 @@ def test_u_d8_a5_a1_overlattice_indices():
     # of D8 -> E8 and A5+A1 -> E6 glue classes combine); see the decisions
     # log for how this interacts with the registry claim
     assert (4, -3) in by_index
+
+
+def test_l_sat_is_the_first_proper_index_two_overlattice():
+    base = _u_d8_a5_a1()
+    first = next(m for m in glue.even_overlattices(base, 2) if m.ambient is not None)
+    l_sat = glue.build_named("L_sat")
+    assert l_sat.gram == first.gram
+    assert l_sat.ambient.basis == first.ambient.basis
+    assert l_sat.ambient.denominator == first.ambient.denominator == 2
+    assert l_sat.ambient.ambient.gram == base.gram
+
+
+def test_l_sat_adjoins_one_overlattice(monkeypatch):
+    # L_sat stops at the first index-2 overlattice, where building the list
+    # of all of them adjoins each of the five
+    calls = []
+    adjoin = glue.adjoin
+    monkeypatch.setattr(glue, "adjoin", lambda *args: calls.append(args) or adjoin(*args))
+    glue.build_named("L_sat")
+    assert len(calls) == 1
+    assert len(glue.even_overlattices(_u_d8_a5_a1(), 2)) == 6
+    assert len(calls) == 1 + 5
 
 
 # ---------------------------------------------------------------------------

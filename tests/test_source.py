@@ -131,13 +131,14 @@ def test_ldl_eliminates_in_integers():
     # exact.det and exact.ldl divide only exactly (//), by Sylvester's
     # identity, exact.lll keeps integer Gram-Schmidt numerators over leading
     # minors and divides only exactly too, and exact.solve, which reads the Hermite basis and no
-    # longer runs Bareiss elimination, divides only exactly as well; a true
-    # division would bring the Fraction elimination back.  det's arithmetic
+    # longer runs Bareiss elimination, divides only exactly as well, as does
+    # exact.hermite_basis_mod, whose entries are residues; a true division
+    # would bring the Fraction elimination back.  det's arithmetic
     # runs in det itself (the Schur step) and in the private helpers it
     # calls, which are held to the same rule
     helpers = sorted(filter(_is_private, _called_names(_function("exact.py", "det"))))
     assert {"_diagonal_block", "_bareiss"} <= set(helpers)
-    for name in ("det", *helpers, "ldl", "lll", "solve"):
+    for name in ("det", *helpers, "ldl", "lll", "solve", "hermite_basis_mod", "_reduce_above"):
         found = [
             node.lineno
             for node in ast.walk(_function("exact.py", name))
@@ -316,6 +317,16 @@ def test_index_and_kernel_basis_stop_at_the_echelon_form():
         called = _called_names(_function("exact.py", name))
         assert "_echelon" in called, name
         assert not called & {"_hermite", "hermite_row_basis"}, name
+
+
+def test_adjoin_finds_its_basis_modulo_the_glue_denominator():
+    # adjoin's basis contains s*Z^n, so it is found modulo s with no s*I_n
+    # rows; that search and _hermite share one reduction above the pivots
+    called = _called_names(_function("glue.py", "adjoin"))
+    assert "hermite_basis_mod" in called
+    assert "hermite_row_basis" not in called
+    for name in ("_hermite", "hermite_basis_mod"):
+        assert "_reduce_above" in _called_names(_function("exact.py", name)), name
 
 
 def test_lattice_summary_builds_no_discriminant_form():
