@@ -36,14 +36,16 @@ after the first.  ``hermite_basis_mod`` ends in the same pass; it finds the
 pivots of a lattice containing d*Z^n modulo d, with no d*I_n rows.
 ``smith_normal_form`` and ``smith_diagonal`` share one driver, ``_smith``,
 run with and without the companions u and v; it repairs a diagonal pair
-that breaks divisibility on the pair's 2x2 block alone.  A caller that reads
+that breaks divisibility on the pair's 2x2 block alone, and with no
+companions writes down the pair's gcd and lcm.  A caller that reads
 only d and v may pass the Hermite basis (``hermite_row_basis``, built
 without a companion) in place of a nonsingular matrix: the first row pass
 then finds it reduced, and every later pass, with d and v, is the same.  It
 may pass less: the passes over a Hermite basis whose first k pivots are 1
 clear those rows and columns against the unit pivots and then run on the
 tail from row and column k exactly as they would on the tail alone, so
-``lattice`` passes only that tail.
+``lattice`` passes only that tail; for d alone it drops every unit pivot.
+``signature`` adds up the inertia of the orthogonal blocks of a matrix.
 All public functions return fresh objects and never mutate their
 arguments, so values can be shared freely between threads.
 """
@@ -94,6 +96,12 @@ def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
                 )
         out.append([0] * cols if acc is None else acc)
     return out
+
+
+def congruence(rows: Sequence[Sequence[int]], gram: Sequence[Sequence[int]]) -> IntMatrix:
+    """rows * gram * rows^T, the Gram matrix of ``rows`` under ``gram``, by
+    two ``matmul``s, so the zeros of sparse rows cost nothing."""
+    return matmul(matmul(rows, gram), transpose(rows))
 
 
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> list:
@@ -347,7 +355,8 @@ def _smith(a: IntMatrix, u: IntMatrix | None = None, vt: IntMatrix | None = None
     divisibility is then merged by adding column j to column i; the passes
     over the result touch only rows and columns i and j, so they run on the
     block [[d_i, 0], [d_j, d_j]] with rows i and j of ``u`` and ``vt``, and
-    leave gcd(d_i, d_j) and d_i d_j / gcd(d_i, d_j) (Cohen, GTM 138, 2.4.4)."""
+    leave gcd(d_i, d_j) and d_i d_j / gcd(d_i, d_j) (Cohen, GTM 138, 2.4.4).
+    With no companions those two are written down directly."""
     _hermite(a, u)
     while not _is_diagonal(a):
         at = transpose(a)
@@ -362,13 +371,14 @@ def _smith(a: IntMatrix, u: IntMatrix | None = None, vt: IntMatrix | None = None
         if bad is None:
             return diag
         i, j = bad
-        bu = bv = None
-        if u is not None:
-            bu, bv = [u[i], u[j]], [[x + y for x, y in zip(vt[i], vt[j])], vt[j]]
+        if u is None:
+            g = gcd(diag[i], diag[j])
+            a[i][i], a[j][j] = diag[i], diag[j] = g, diag[i] * diag[j] // g
+            continue
+        bu, bv = [u[i], u[j]], [[x + y for x, y in zip(vt[i], vt[j])], vt[j]]
         a[i][i], a[j][j] = diag[i], diag[j] = _smith([[diag[i], 0], [diag[j], diag[j]]], bu, bv)
-        if u is not None:
-            u[i], u[j] = bu
-            vt[i], vt[j] = bv
+        u[i], u[j] = bu
+        vt[i], vt[j] = bv
 
 
 def _is_diagonal(a: IntMatrix) -> bool:
@@ -456,8 +466,23 @@ def ldl(m: Sequence[Sequence[int]]) -> tuple[RatVector, int]:
 
 def signature(m: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     """Exact inertia (positive, zero, negative) of a symmetric matrix: the
-    signs of its ``ldl`` pivots."""
-    pivots, _ = ldl(m)
+    signs of the ``ldl`` pivots of its orthogonal blocks, the connected
+    components of its nonzero off-diagonal entries, since inertia adds up
+    over an orthogonal sum.  A 1x1 block is its own pivot; a matrix that is
+    one block goes to ``ldl`` whole."""
+    n = require_symmetric(m)
+    require_integers(m, "signature")
+    pivots, todo = [], set(range(n))
+    while todo:
+        block = [todo.pop()]
+        for i in block:  # grows as the component is found
+            near = [j for j in todo if m[i][j]]
+            todo.difference_update(near)
+            block += near
+        if len(block) == 1:
+            pivots.append(m[block[0]][block[0]])
+        else:
+            pivots += ldl(m if len(block) == n else [[m[i][j] for j in block] for i in block])[0]
     pos = sum(1 for p in pivots if p > 0)
     neg = sum(1 for p in pivots if p < 0)
     return pos, len(pivots) - pos - neg, neg

@@ -79,11 +79,11 @@ def adjoin(
     common = gcd(scale, *itertools.chain.from_iterable(basis))
     basis = [[x // common for x in row] for row in basis]
     scale //= common
-    gram = exact.matmul(exact.matmul(basis, base.gram), exact.transpose(basis))
-    if any(x % scale**2 for row in gram for x in row):
+    gram, square = exact.congruence(basis, base.gram), scale * scale
+    if any(x % square for row in gram for x in row):
         _glue_fault(base, glue, require_even)
         raise GlueError("glue vectors do not close up to an integral lattice")
-    gram = [[x // scale**2 for x in row] for row in gram]
+    gram = [[x // square for x in row] for row in gram]
     result = Lattice._formed(gram, None, make_embedding(base, basis, scale))
     if require_even and not result.is_even():
         _glue_fault(base, glue, require_even)
@@ -240,7 +240,7 @@ def find_isotropic_glue(
 
     rows = [target, *search_basis]
     exact.require_integers(rows, "find_isotropic_glue")
-    small = exact.matmul(exact.matmul(rows, frame.gram), exact.transpose(rows))
+    small = exact.congruence(rows, frame.gram)
     # the target's coefficient is fixed to 1; the search coefficients vary
     for coeffs, _ in exact.box_vectors(small, bound, (0,), (1,)):
         v = list(target)

@@ -318,7 +318,7 @@ def definite_isomorphic(l1: Lattice, l2: Lattice) -> bool:
     sign = -1 if l1.signature()[2] else 1
     g1, g2 = ([[sign * x for x in row] for row in l.gram] for l in (l1, l2))
     red, _, _ = exact.lll(g1)
-    g1r = exact.matmul(exact.matmul(red, g1), exact.transpose(red))
+    g1r = exact.congruence(red, g1)
     norms = [row[i] for i, row in enumerate(g1r)]
     halves = short_vectors(g2, max(norms, default=0))
     cands = {
@@ -372,7 +372,7 @@ def isometry_search(l1: Lattice, l2: Lattice, bound: int = 5) -> list[list[int]]
     rows = _match_gram(l1.gram, levels, g2)
     if rows is None:
         return None
-    check = exact.matmul(exact.matmul(rows, g2), exact.transpose(rows))
+    check = exact.congruence(rows, g2)
     if check != [list(r) for r in l1.gram]:
         raise ArithmeticError("isometry search returned a map that is not an isometry")
     return rows

@@ -55,9 +55,7 @@ class Lattice(Value):
                 )
             if e.denominator <= 0:
                 raise ValueError("ambient basis denominator must be positive")
-            induced = exact.matmul(
-                exact.matmul(e.basis, e.ambient.gram), exact.transpose(e.basis)
-            )
+            induced = exact.congruence(e.basis, e.ambient.gram)
             scale = e.denominator**2
             if any(
                 induced[i][j] != scale * self.gram[i][j]
@@ -71,10 +69,10 @@ class Lattice(Value):
         cls, gram: Sequence[Sequence[int]], name: str | None, ambient: Embedding | None
     ) -> "Lattice":
         """A lattice whose builder has just formed its Gram matrix from
-        ``ambient`` (B G B^T over the squared denominator), or copied it
-        from a lattice already built: the constructor's check would only
-        form that product again.  Embeddings a caller supplies go through
-        the constructor and are checked."""
+        ``ambient`` (B G B^T over the squared denominator), or copied it,
+        or its blocks (``direct_sum``), from lattices already built: the
+        constructor's checks would only repeat.  Embeddings a caller
+        supplies go through the constructor and are checked."""
         l = object.__new__(cls)
         object.__setattr__(l, "gram", tuple(map(tuple, gram)))
         object.__setattr__(l, "name", name)
@@ -224,16 +222,12 @@ def rescale(l: Lattice, n: int) -> Lattice:
 
 
 def direct_sum(*lattices: Lattice) -> Lattice:
-    total = sum(l.rank for l in lattices)
-    g = exact.zeros(total, total)
-    off = 0
+    total, off, g = sum(l.rank for l in lattices), 0, []
     for l in lattices:
-        for i in range(l.rank):
-            for j in range(l.rank):
-                g[off + i][off + j] = l.gram[i][j]
+        g += [(0,) * off + row + (0,) * (total - off - l.rank) for row in l.gram]
         off += l.rank
     name = "+".join(l.name or "?" for l in lattices) if lattices else "0"
-    return lattice(g, name)
+    return Lattice._formed(g, name, None)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +345,10 @@ def _hermite_tail(l: Lattice) -> tuple[list[list[int]], list[list[int]]]:
     Z^(n-k)/<T> for the tail T = H[k:, k:].  On all of H the Smith form's
     passes would clear the first k rows and columns against their unit
     pivots and then run on T exactly as on T alone.  Only the leading run
-    of unit pivots is split off: a unit pivot after a larger one takes part
-    in the passes over the tail, and dropping it changes the generators.
+    of unit pivots is split off, since ``discriminant_group`` reads its
+    generators off v: a unit pivot after a larger one takes part in the
+    passes over the tail, and dropping it changes the generators, though
+    not the invariant factors (``invariant_factors``).
     """
     n = l.rank
     h = exact.hermite_row_basis(l.gram)
@@ -363,9 +359,15 @@ def _hermite_tail(l: Lattice) -> tuple[list[list[int]], list[list[int]]]:
 
 
 def invariant_factors(l: Lattice) -> tuple[int, ...]:
-    """The invariant factors of ``discriminant_group(l)``, from the Smith
-    diagonal of the Hermite tail alone."""
-    return tuple(d for d in exact.smith_diagonal(_hermite_tail(l)[1]) if d > 1)
+    """The invariant factors of ``discriminant_group(l)``: the Smith
+    diagonal of the Hermite tail T with every row and column of a unit
+    pivot dropped, not only the leading run.  T is upper triangular with
+    the entries above a unit pivot reduced to 0, so that pivot's column is
+    e_k, and column operations clear its row without touching any other
+    entry."""
+    t = _hermite_tail(l)[1]
+    keep = [i for i, row in enumerate(t) if row[i] != 1]
+    return tuple(d for d in exact.smith_diagonal([[t[i][j] for j in keep] for i in keep]) if d > 1)
 
 
 def discriminant_group(l: Lattice) -> FiniteQuadraticForm:
@@ -419,7 +421,7 @@ def sublattice(
     """The lattice spanned by integer ``rows`` (vectors in ambient
     coordinates), with Gram matrix B G B^T and its embedding recorded."""
     rows = _sub_rows(rows, ambient.rank)
-    gram = exact.matmul(exact.matmul(rows, ambient.gram), exact.transpose(rows))
+    gram = exact.congruence(rows, ambient.gram)
     return Lattice._formed(gram, name, make_embedding(ambient, rows))
 
 

@@ -693,7 +693,8 @@ def test_snf_equals_the_reference_on_repair_heavy_matrices(m):
 
 def test_smith_repairs_run_on_the_two_by_two_block(monkeypatch):
     # once the matrix is diagonal, a pair that breaks divisibility is
-    # repaired by passes over its own 2x2 block, not over the whole matrix
+    # repaired by passes over its own 2x2 block, not over the whole matrix;
+    # with no companions its gcd and lcm are written down with no pass
     calls = []
     hermite = exact._hermite
 
@@ -706,12 +707,35 @@ def test_smith_repairs_run_on_the_two_by_two_block(monkeypatch):
     diag = [[2, 246, 1, 1, 1, 1], [6, 10, 15], [4, 6, 0, 9], [30, 1, 2, 3, 5]]
     for entries in diag:
         m = [[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)]
-        for run in (exact.smith_normal_form, exact.smith_diagonal):
+        for run, passes in ((exact.smith_normal_form, {2}), (exact.smith_diagonal, set())):
             calls.clear()
             run(m)
             first = next(k for k, (_, diagonal) in enumerate(calls) if diagonal)
             after = [rows for rows, _ in calls[first + 1 :]]
-            assert after and set(after) == {2}, (entries, run.__name__)
+            assert set(after) == passes and bool(after) == bool(passes), (entries, run.__name__)
+
+
+@pytest.mark.parametrize(
+    "entries", [[2, 246, 1, 1, 1, 1], [30, 1, 2, 3, 5], [6, 10, 15], [4, 6, 0, 9], [0, 5, 0, 3], []]
+)
+def test_smith_diagonal_of_a_diagonal_matrix_is_the_snf_diagonal(entries):
+    # the gcd/lcm repair of smith_diagonal against smith_normal_form's
+    # 2x2 passes
+    m = [[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)]
+    d, _, _ = exact.smith_normal_form(m)
+    assert exact.smith_diagonal(m) == [d[i][i] for i in range(len(m))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-60, 60), max_size=8))
+def test_smith_diagonal_of_drawn_diagonal_matrices_is_the_snf_diagonal(entries):
+    m = [[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)]
+    d, _, _ = exact.smith_normal_form(m)
+    diag = exact.smith_diagonal(m)
+    assert diag == [d[i][i] for i in range(len(m))]
+    nonzero = [x for x in diag if x]
+    assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+    assert prod(nonzero) == prod(abs(x) for x in entries if x)
 
 
 @settings(max_examples=150, deadline=None)
@@ -795,6 +819,62 @@ def test_signature_counts_rank(m):
     pos, zero, neg = exact.signature(m)
     assert pos + zero + neg == len(m)
     assert zero == len(exact.kernel_basis(m))
+
+
+def inertia(pivots):
+    pos, neg = sum(1 for p in pivots if p > 0), sum(1 for p in pivots if p < 0)
+    return pos, len(pivots) - pos - neg, neg
+
+
+@st.composite
+def permuted_block_grams(draw):
+    """(g, p): g block diagonal, blocks of size 1-4 among them zero and
+    degenerate ones, and p = g under a random symmetric permutation."""
+    blocks = draw(st.lists(st.integers(1, 4).flatmap(
+        lambda n: st.one_of(symmetric(n), degenerate(n), st.just(exact.zeros(n, n)))
+    ), max_size=6))
+    n = sum(map(len, blocks))
+    g, off = exact.zeros(n, n), 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            g[off + i][off : off + len(b)] = row
+        off += len(b)
+    perm = draw(st.permutations(range(n)))
+    return g, [[g[i][j] for j in perm] for i in perm]
+
+
+@settings(max_examples=300, deadline=None)
+@given(permuted_block_grams())
+def test_signature_of_permuted_block_grams_is_the_ldl_inertia(grams):
+    g, p = grams
+    assert exact.signature(p) == exact.signature(g) == inertia(exact.ldl(g)[0])
+    assert exact.signature(p) == inertia(exact.ldl(p)[0])
+
+
+def test_signature_reads_1x1_blocks_and_passes_one_block_whole(monkeypatch):
+    seen = []
+    ldl = exact.ldl
+
+    def spy(m):
+        seen.append(m)
+        return ldl(m)
+
+    monkeypatch.setattr(exact, "ldl", spy)
+    # the A1^16 frame: sixteen 1x1 blocks, no ldl
+    a1 = [[-2 if i == j else 0 for j in range(16)] for i in range(16)]
+    assert exact.signature(a1) == (0, 0, 16)
+    diag = [2] * 5 + [0] * 3 + [-4] * 8
+    assert exact.signature([[x if i == j else 0 for j in range(16)] for i, x in enumerate(diag)]) == (5, 3, 8)
+    assert seen == []
+    # a matrix that is one block goes to ldl itself
+    one = [[2, 1, 0], [1, 0, 1], [0, 1, -2]]
+    assert exact.signature(one) == inertia(ldl(one)[0])
+    assert len(seen) == 1 and seen[0] is one
+    # two blocks of size 2 and a 1x1 block: one ldl per 2x2 block
+    seen.clear()
+    m = [[0, 0, 3, 0, 0], [0, 2, 0, 0, 1], [3, 0, 0, 0, 0], [0, 0, 0, -6, 0], [0, 1, 0, 0, 2]]
+    assert exact.signature(m) == (3, 0, 2)
+    assert sorted(map(len, seen)) == [2, 2]
 
 
 def zero_diagonal(n):

@@ -505,6 +505,39 @@ def test_invariant_factors_of_drawn_even_grams_are_those_of_the_form(g):
     assert lat.invariant_factors(l) == lat.discriminant_group(l).invariant_factors
 
 
+def _sympy_invariant_factors(g):
+    # as the benchmark's oracle takes them: the Smith diagonal entries > 1
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    d = smith_normal_form(sympy.Matrix(g), domain=sympy.ZZ)
+    return tuple(sorted(x for x in (abs(int(d[i, i])) for i in range(len(g))) if x > 1))
+
+
+@pytest.mark.parametrize(
+    "name", [f"Lambda({n})" for n in range(1, 9)] + ["Lp(17)", "Lp(41)", "Lp(89)"]
+)
+def test_invariant_factors_drop_unit_pivots_after_a_larger_one(name):
+    # each Hermite basis here has a unit pivot after a non-unit one, which
+    # invariant_factors drops and discriminant_group keeps in its tail
+    l = glue.build_named(name)
+    pivots = _pivots(l)
+    k = next(i for i, p in enumerate(pivots) if p != 1)
+    assert 1 in pivots[k:]
+    factors = lat.invariant_factors(l)
+    assert factors == lat.discriminant_group(l).invariant_factors
+    assert factors == _sympy_invariant_factors(l.gram)
+
+
+@settings(max_examples=60, deadline=None)
+@given(even_grams(2, 10).filter(lambda g: exact.det(g) != 0))
+def test_invariant_factors_of_drawn_even_grams_equal_sympys(g):
+    l = lat.lattice(g)
+    factors = lat.invariant_factors(l)
+    assert factors == lat.discriminant_group(l).invariant_factors
+    assert factors == _sympy_invariant_factors(g)
+
+
 def test_invariant_factors_equal_sympys():
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import invariant_factors
