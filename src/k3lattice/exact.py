@@ -45,7 +45,8 @@ may pass less: the passes over a Hermite basis whose first k pivots are 1
 clear those rows and columns against the unit pivots and then run on the
 tail from row and column k exactly as they would on the tail alone, so
 ``lattice`` passes only that tail; for d alone it drops every unit pivot.
-``signature`` adds up the inertia of the orthogonal blocks of a matrix.
+``signature`` reads the pivot of a row with no off-diagonal entry off the
+diagonal and passes only the other rows to ``ldl``.
 All public functions return fresh objects and never mutate their
 arguments, so values can be shared freely between threads.
 """
@@ -53,8 +54,9 @@ arguments, so values can be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, lcm, prod
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
 IntMatrix = list[list[int]]
@@ -127,7 +129,7 @@ def is_symmetric(m: Sequence[Sequence]) -> bool:
     n = len(m)
     if any(len(row) != n for row in m):
         return False
-    return all(m[i][j] == m[j][i] for i in range(n) for j in range(i))
+    return [*zip(*m)] == [*map(tuple, m)]
 
 
 def require_symmetric(m: Sequence[Sequence]) -> int:
@@ -139,7 +141,7 @@ def require_symmetric(m: Sequence[Sequence]) -> int:
 def require_integers(m: Sequence[Sequence], name: str) -> None:
     """The one integer check: a float, ``Fraction`` or bool entry is refused,
     never truncated."""
-    if not {type(x) for row in m for x in row} <= {int}:
+    if not set(map(type, chain.from_iterable(m))) <= {int}:
         raise ValueError(f"{name} needs integer entries")
 
 
@@ -465,27 +467,25 @@ def ldl(m: Sequence[Sequence[int]]) -> tuple[RatVector, int]:
 
 
 def signature(m: Sequence[Sequence[int]]) -> tuple[int, int, int]:
-    """Exact inertia (positive, zero, negative) of a symmetric matrix: the
-    signs of the ``ldl`` pivots of its orthogonal blocks, the connected
-    components of its nonzero off-diagonal entries, since inertia adds up
-    over an orthogonal sum.  A 1x1 block is its own pivot; a matrix that is
-    one block goes to ``ldl`` whole."""
-    n = require_symmetric(m)
-    require_integers(m, "signature")
-    pivots, todo = [], set(range(n))
-    while todo:
-        block = [todo.pop()]
-        for i in block:  # grows as the component is found
-            near = [j for j in todo if m[i][j]]
-            todo.difference_update(near)
-            block += near
-        if len(block) == 1:
-            pivots.append(m[block[0]][block[0]])
-        else:
-            pivots += ldl(m if len(block) == n else [[m[i][j] for j in block] for i in block])[0]
-    pos = sum(1 for p in pivots if p > 0)
-    neg = sum(1 for p in pivots if p < 0)
-    return pos, len(pivots) - pos - neg, neg
+    """Exact inertia (positive, zero, negative) of a symmetric matrix, which
+    adds up over an orthogonal sum.  A row with no nonzero off-diagonal
+    entry is a 1x1 block, its own pivot; the larger blocks go to one
+    ``ldl`` together, since ``ldl`` leaves every row outside a pivot's
+    block untouched, and the matrix goes whole when no row is alone.  A
+    pivot's sign is its numerator's."""
+    alone = {i for i, row in enumerate(m) if not (any(row[:i]) or any(row[i + 1 :]))}
+    if alone:  # read off here, so checked here
+        require_symmetric(m)
+        require_integers(m, "signature")
+    nums = [m[i][i] for i in sorted(alone)]
+    rest = [i for i in range(len(m)) if i not in alone]
+    if rest:
+        pick = itemgetter(*rest)  # two or more: a row not alone has a partner
+        sub = [pick(m[i]) for i in rest] if alone else m
+        nums += [p.numerator for p in ldl(sub)[0]]
+    pos = sum(1 for x in nums if x > 0)
+    neg = sum(1 for x in nums if x < 0)
+    return pos, len(nums) - pos - neg, neg
 
 
 def lll(gram: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntVector, IntMatrix]:

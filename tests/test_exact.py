@@ -802,9 +802,22 @@ def test_signature_examples():
     assert exact.signature([[0]]) == (0, 1, 0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.one_of(symmetric(n, -2, 2), int_matrix(n, n, 1))))
+def test_is_symmetric_compares_rows_with_columns(m):
+    n = len(m)
+    assert exact.is_symmetric(m) == all(m[i][j] == m[j][i] for i in range(n) for j in range(i))
+    assert exact.is_symmetric([tuple(row) for row in m]) == exact.is_symmetric(m)
+    if n > 1:  # not square
+        assert not exact.is_symmetric(m[:-1])
+        assert not exact.is_symmetric([row[:-1] for row in m])
+
+
 def test_signature_non_symmetric_rejected():
     with pytest.raises(ValueError):
         exact.signature([[0, 1], [2, 0]])
+    with pytest.raises(ValueError):  # row 0 has no off-diagonal entry, column 0 has
+        exact.signature([[1, 0], [2, 1]])
 
 
 @settings(max_examples=80, deadline=None)
@@ -851,7 +864,7 @@ def test_signature_of_permuted_block_grams_is_the_ldl_inertia(grams):
     assert exact.signature(p) == inertia(exact.ldl(p)[0])
 
 
-def test_signature_reads_1x1_blocks_and_passes_one_block_whole(monkeypatch):
+def test_signature_reads_1x1_blocks_and_passes_the_rest_to_one_ldl(monkeypatch):
     seen = []
     ldl = exact.ldl
 
@@ -870,11 +883,11 @@ def test_signature_reads_1x1_blocks_and_passes_one_block_whole(monkeypatch):
     one = [[2, 1, 0], [1, 0, 1], [0, 1, -2]]
     assert exact.signature(one) == inertia(ldl(one)[0])
     assert len(seen) == 1 and seen[0] is one
-    # two blocks of size 2 and a 1x1 block: one ldl per 2x2 block
+    # two blocks of size 2 and a 1x1 block: the 2x2 blocks go to one ldl
     seen.clear()
     m = [[0, 0, 3, 0, 0], [0, 2, 0, 0, 1], [3, 0, 0, 0, 0], [0, 0, 0, -6, 0], [0, 1, 0, 0, 2]]
     assert exact.signature(m) == (3, 0, 2)
-    assert sorted(map(len, seen)) == [2, 2]
+    assert [list(map(list, s)) for s in seen] == [[[0, 0, 3, 0], [0, 2, 0, 1], [3, 0, 0, 0], [0, 1, 0, 2]]]
 
 
 def zero_diagonal(n):
