@@ -477,7 +477,7 @@ def signature(m: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     if alone:  # read off here, so checked here
         require_symmetric(m)
         require_integers(m, "signature")
-    nums = [m[i][i] for i in sorted(alone)]
+    nums = [m[i][i] for i in alone]
     rest = [i for i in range(len(m)) if i not in alone]
     if rest:
         pick = itemgetter(*rest)  # two or more: a row not alone has a partner

@@ -498,20 +498,26 @@ def test_invariant_factors_of_the_gram_info_matrices_are_those_of_the_form():
         assert lat.invariant_factors(l) == lat.discriminant_group(l).invariant_factors
 
 
+def _sympy_invariant_factors(g):
+    """As the benchmark's oracle takes them, the Smith diagonal entries > 1
+    sorted, or None when sympy is absent."""
+    try:
+        from sympy import ZZ, Matrix
+        from sympy.matrices.normalforms import smith_normal_form
+    except ImportError:
+        return None
+    d = smith_normal_form(Matrix(g), domain=ZZ)
+    return tuple(sorted(x for x in (abs(int(d[i, i])) for i in range(len(g))) if x > 1))
+
+
 @settings(max_examples=80, deadline=None)
 @given(even_grams().filter(lambda g: exact.det(g) != 0))
 def test_invariant_factors_of_drawn_even_grams_are_those_of_the_form(g):
+    # drawn Hermite bases often hold a unit pivot after a larger one
     l = lat.lattice(g)
-    assert lat.invariant_factors(l) == lat.discriminant_group(l).invariant_factors
-
-
-def _sympy_invariant_factors(g):
-    # as the benchmark's oracle takes them: the Smith diagonal entries > 1
-    sympy = pytest.importorskip("sympy")
-    from sympy.matrices.normalforms import smith_normal_form
-
-    d = smith_normal_form(sympy.Matrix(g), domain=sympy.ZZ)
-    return tuple(sorted(x for x in (abs(int(d[i, i])) for i in range(len(g))) if x > 1))
+    factors = lat.invariant_factors(l)
+    assert factors == lat.discriminant_group(l).invariant_factors
+    assert _sympy_invariant_factors(g) in (None, factors)
 
 
 @pytest.mark.parametrize(
@@ -526,16 +532,7 @@ def test_invariant_factors_drop_unit_pivots_after_a_larger_one(name):
     assert 1 in pivots[k:]
     factors = lat.invariant_factors(l)
     assert factors == lat.discriminant_group(l).invariant_factors
-    assert factors == _sympy_invariant_factors(l.gram)
-
-
-@settings(max_examples=60, deadline=None)
-@given(even_grams(2, 10).filter(lambda g: exact.det(g) != 0))
-def test_invariant_factors_of_drawn_even_grams_equal_sympys(g):
-    l = lat.lattice(g)
-    factors = lat.invariant_factors(l)
-    assert factors == lat.discriminant_group(l).invariant_factors
-    assert factors == _sympy_invariant_factors(g)
+    assert _sympy_invariant_factors(l.gram) in (None, factors)
 
 
 def test_invariant_factors_equal_sympys():
