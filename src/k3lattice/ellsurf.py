@@ -230,24 +230,17 @@ def table1_matrix(n: int, a: int, b: int) -> list[list[int]]:
     unknown pairings a = (G, L) and b = (G', L)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    size = 5 + 6 * n
-    m = exact.zeros(size, size)
-    sec = [
-        [-n, n, n, n],
-        [n, -n, n, a],
-        [n, n, -n, b],
-        [n, a, b, -n],
-    ]
-    for i in range(4):
-        for j in range(4):
-            m[i][j] = sec[i][j]
-        m[i][4] = m[4][i] = 1
-    for k in range(6 * n):
-        col = 5 + k
-        m[col][col] = -2
-        for i in (1, 2, 3):  # G, G', L meet every nonidentity component
-            m[i][col] = m[col][i] = 1
-    return m
+    k = 6 * n  # G, G', L meet every nonidentity component; S and F none
+    rows = [
+        [-n, n, n, n, 1] + [0] * k,
+        [n, -n, n, a, 1] + [1] * k,
+        [n, n, -n, b, 1] + [1] * k,
+        [n, a, b, -n, 1] + [1] * k,
+        [1, 1, 1, 1, 0] + [0] * k,
+    ] + [[0, 1, 1, 1, 0] + [0] * k for _ in range(k)]
+    for c in range(5, 5 + k):
+        rows[c][c] = -2
+    return rows
 
 
 def table1_det_identity(n: int, a: int, b: int) -> bool:

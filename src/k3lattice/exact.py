@@ -28,7 +28,7 @@ cost nothing.
 ``box_vectors`` is the one coefficient-box enumerator: it yields only the
 points of the wanted norms, solving for the last coordinate in closed form
 straight from the loop over the next-to-last one.  ``k3embed.isometry_search``
-walks half a box through it, one fixed prefix (0, ..., 0, t), t > 0, a call.
+walks half a box through it, or the box of the rows with a partner, once.
 ``_hermite`` eliminates below the pivots (``_echelon``) before it reduces
 above them, once, over the finished rows (``_reduce_above``); ``index`` and
 ``kernel_basis`` read only the pivots and the rows past the rank, and stop

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import groupby
 from math import isqrt, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Sequence
 
 from . import exact, quadform
@@ -330,8 +330,50 @@ def definite_isomorphic(l1: Lattice, l2: Lattice) -> bool:
     return _match_gram(g1r, pools, g2) is not None
 
 
-def _size(v: Sequence[int]) -> tuple[int, int]:
-    return max(map(abs, v)), sum(map(abs, v))
+def _half_box(gram: list[list[int]], bound: int, norms: set[int]) -> dict[int, list[tuple]]:
+    """The vectors of [-bound, bound]^n whose first nonzero coordinate is
+    positive and whose norm lies in ``norms``, by norm, in no set order.
+    Without a lone row (no nonzero off-diagonal entry, as in
+    ``exact.signature``), ``exact.box_vectors`` walks them, a call per head
+    (0, ..., 0, t), t > 0.  A lone row i adds g_ii t^2 for its coordinate t,
+    so the other rows are walked once, over their own box, for the norms
+    N - s a lone sum s leaves.  The lone coordinates are tabulated one at a
+    time, each partial sum kept while the lone rows to come can make it
+    N - m for a norm m the walk found, and the positive-leading half of the
+    vectors put together stays."""
+    n = len(gram)
+    lone = [i for i, row in enumerate(gram) if not (any(row[:i]) or any(row[i + 1 :]))]
+    pools: dict[int, list[tuple]] = {}
+    if not lone:
+        for k in range(n - 1, -1, -1):
+            for head in ((0,) * k + (t,) for t in range(1, bound + 1)):
+                for c, norm in exact.box_vectors(gram, bound, norms, head):
+                    pools.setdefault(norm, []).append(head + c)
+        return pools
+    rest = [i for i in range(n) if i not in lone]
+    tails = [{0}]  # tails[k]: the sums of g_ii t^2 over lone[k:]
+    for i in reversed(lone):
+        tails.insert(0, {s + gram[i][i] * t * t for s in tails[0] for t in range(bound + 1)})
+    sub = [[gram[i][j] for j in rest] for i in rest]
+    found = list(exact.box_vectors(sub, bound, {x - s for x in norms for s in tails[0]}))
+    targets = {x - m for x in norms for _, m in found}
+    parts: dict[int, list[tuple]] = {0: [()]}  # lone sum -> lone coordinates
+    for k, i in enumerate(lone):
+        allowed, step = {y - s for y in targets for s in tails[k + 1]}, {}
+        for s, ts in parts.items():
+            for t in range(-bound, bound + 1):
+                if (x := s + gram[i][i] * t * t) in allowed:
+                    step.setdefault(x, []).extend(u + (t,) for u in ts)
+        parts = step
+    # with rows of both kinds n >= 2, so the itemgetter returns a tuple
+    place = itemgetter(*map((rest + lone).index, range(n))) if rest else tuple
+    for c, m in found:
+        for x in norms:
+            for t in parts.get(x - m, ()):
+                v = place(c + t)
+                if next((y for y in v if y), 0) > 0:
+                    pools.setdefault(x, []).append(v)
+    return pools
 
 
 def isometry_search(l1: Lattice, l2: Lattice, bound: int = 5) -> list[list[int]] | None:
@@ -342,12 +384,11 @@ def isometry_search(l1: Lattice, l2: Lattice, bound: int = 5) -> list[list[int]]
     basis) is verified exactly; None only means no isometry with small
     coordinates was found, and is returned for degenerate lattices.
 
-    Since q(-v) = q(v), only the vectors whose first nonzero coordinate is
-    positive are walked, one ``exact.box_vectors`` call per head
-    (0, ..., 0, t), in box (lexicographic) order.  Negation reverses that
-    order, so in box order each size class of a pool is its positives
-    negated and reversed, then the positives, and the first level takes the
-    negative-leading half (see ``_match_gram``)."""
+    Since q(-v) = q(v), only the positive-leading vectors are found
+    (``_half_box``) and sorted in that order, box order breaking ties.
+    Negation reverses box order, so in box order each size class of a pool
+    is its positives negated and reversed, then the positives, and the
+    first level takes the negative-leading half (see ``_match_gram``)."""
     if l1.rank != l2.rank or l1.det() != l2.det() or l1.signature() != l2.signature():
         return None
     # equal nonzero determinants make every match unimodular
@@ -355,16 +396,11 @@ def isometry_search(l1: Lattice, l2: Lattice, bound: int = 5) -> list[list[int]]
         return None
     n = l1.rank
     g2 = [list(r) for r in l2.gram]
-    needed = {l1.gram[i][i] for i in range(n)}
-    pools: dict[int, list[tuple[int, ...]]] = {}
-    for k in range(n - 1, -1, -1):
-        for head in ((0,) * k + (t,) for t in range(1, bound + 1)):
-            for c, norm in exact.box_vectors(g2, bound, needed, head):
-                pools.setdefault(norm, []).append(head + c)
+    pools = _half_box(g2, bound, {l1.gram[i][i] for i in range(n)})
     # images of a basis are short, so small coordinates go first
     for norm, vs in pools.items():
-        vs.sort(key=_size)
-        classes = [list(same) for _, same in groupby(vs, _size)]
+        keyed = sorted(((max(map(abs, v)), sum(map(abs, v))), v) for v in vs)
+        classes = [[v for _, v in same] for _, same in groupby(keyed, itemgetter(0))]
         pools[norm] = [w for c in classes for w in [tuple(-x for x in v) for v in c[::-1]] + c]
     levels = [pools.get(l1.gram[i][i], []) for i in range(n)]
     if n:  # negative-leading: the earlier of each +-v pair

@@ -100,6 +100,37 @@ class Lattice(Value):
         rows = exact.hermite_row_basis(self.ambient.basis)
         return tuple((next(i for i, x in enumerate(r) if x), tuple(r)) for r in rows)
 
+    @cached_property
+    def _discriminant_form(self) -> "FiniteQuadraticForm":
+        """``discriminant_group(self)``, built on first use and kept."""
+        head, tail = _hermite_tail(self.gram)
+        d, _, v = exact.smith_normal_form(tail)
+        factors: list[int] = []
+        gens: list[tuple[int, ...]] = []
+        for i in range(len(tail)):
+            di = d[i][i]
+            if di > 1:
+                w = [row[i] for row in v]
+                factors.append(di)
+                gens.append(tuple([-x for x in exact.mat_vec(head, w)] + w))
+        # x = g_i/d_i and y = g_j/d_j pair integrally with L, which holds d_i x
+        # and d_j y, so d_i x.y and d_j x.y are integers, as is N x.y for the
+        # exponent N that both divide
+        top = max(factors, default=1)
+        images = [exact.mat_vec(self.gram, g) for g in gens]
+        nums = []
+        for g, d in zip(gens, factors):
+            row = []
+            for gh, e in zip(images, factors):
+                num, rem = divmod(top * exact.dot(g, gh), d * e)
+                if rem:
+                    raise ArithmeticError("discriminant pairing is not in (1/N)Z")
+                row.append(num)
+            nums.append(row)
+        qn = tuple(row[i] % (2 * top) for i, row in enumerate(nums)) if self.is_even() else None
+        bn = tuple(tuple(x % top for x in row) for row in nums)
+        return FiniteQuadraticForm(tuple(factors), tuple(gens), qn, bn)
+
     def det(self) -> int:
         """From the frame when the embedding rows are square and nonsingular
         (see ``Embedding``), else by one elimination of the Gram matrix."""
@@ -258,6 +289,10 @@ class FiniteQuadraticForm(Value):
     def exponent(self) -> int:
         return max(self.invariant_factors, default=1)
 
+    @cached_property
+    def _primary_parts(self) -> dict[int, "FiniteQuadraticForm"]:
+        return {}
+
     @property
     def q_values(self) -> tuple[Fraction, ...] | None:
         """q(g_i) in Q/2Z, representatives in [0, 2)."""
@@ -309,7 +344,11 @@ class FiniteQuadraticForm(Value):
     def primary_part(self, p: int) -> "FiniteQuadraticForm":
         """The p-primary part: the generators with p | d_i, column g_i read
         over p^e, the p-part of d_i, for m_i g_i, m_i = d_i / p^e; over the new
-        exponent N', N' x(m_i g_i, m_j g_j) = m_i m_j N x(g_i, g_j) / (N / N')."""
+        exponent N', N' x(m_i g_i, m_j g_j) = m_i m_j N x(g_i, g_j) / (N / N').
+        Built once per form and p."""
+        done = self._primary_parts
+        if p in done:
+            return done[p]
         parts = [(i, pe, d // pe) for i, d in enumerate(self.invariant_factors)
                  if (pe := gcd(d, p ** d.bit_length())) > 1]
         top = max((pe for _, pe, _ in parts), default=1)
@@ -321,7 +360,8 @@ class FiniteQuadraticForm(Value):
         gens = tuple(self.generators[i] for i, _, _ in parts)
         qn = None if qn is None else tuple(x // scale % (2 * top) for x in qn)
         bn = tuple(tuple(x // scale % top for x in row) for row in bn)
-        return FiniteQuadraticForm(tuple(pe for _, pe, _ in parts), gens, qn, bn)
+        done[p] = FiniteQuadraticForm(tuple(pe for _, pe, _ in parts), gens, qn, bn)
+        return done[p]
 
     def negate(self) -> "FiniteQuadraticForm":
         n = self.exponent
@@ -334,7 +374,7 @@ class FiniteQuadraticForm(Value):
         return FiniteQuadraticForm(self.invariant_factors, self.generators, qn, bn)
 
 
-def _hermite_tail(l: Lattice) -> tuple[list[list[int]], list[list[int]]]:
+def _hermite_tail(gram: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
     """(H[:k, k:], H[k:, k:]) for the Hermite basis H of the Gram matrix G,
     built without a companion, and k its first column whose pivot is not 1.
 
@@ -350,8 +390,8 @@ def _hermite_tail(l: Lattice) -> tuple[list[list[int]], list[list[int]]]:
     passes over the tail, and dropping it changes the generators, though
     not the invariant factors (``invariant_factors``).
     """
-    n = l.rank
-    h = exact.hermite_row_basis(l.gram)
+    n = len(gram)
+    h = exact.hermite_row_basis(gram)
     if len(h) < n:
         raise ValueError("degenerate Gram matrix has no discriminant group")
     k = next((i for i in range(n) if h[i][i] != 1), n)
@@ -359,13 +399,19 @@ def _hermite_tail(l: Lattice) -> tuple[list[list[int]], list[list[int]]]:
 
 
 def invariant_factors(l: Lattice) -> tuple[int, ...]:
-    """The invariant factors of ``discriminant_group(l)``: the Smith
-    diagonal of the Hermite tail T with every row and column of a unit
-    pivot dropped, not only the leading run.  T is upper triangular with
-    the entries above a unit pivot reduced to 0, so that pivot's column is
-    e_k, and column operations clear its row without touching any other
-    entry."""
-    t = _hermite_tail(l)[1]
+    """The invariant factors of ``discriminant_group(l)``: the stored form's
+    when it is built, else the Smith diagonal of the Hermite tail T
+    (``_hermite_tail``) with every row and column of a unit pivot dropped,
+    not only the leading run.  They do not change under G -> P G P^T, so G
+    is first put in ``exact.det``'s sparsest-first symmetric order, which
+    keeps the Hermite fill-in small.  T is upper triangular with the
+    entries above a unit pivot reduced to 0, so that pivot's column is e_k,
+    and column operations clear its row without touching any other entry."""
+    if "_discriminant_form" in vars(l):
+        return l._discriminant_form.invariant_factors
+    g = l.gram
+    order = sorted(range(len(g)), key=lambda i: len(g) - g[i].count(0))
+    t = _hermite_tail([[g[i][j] for j in order] for i in order])[1]
     keep = [i for i, row in enumerate(t) if row[i] != 1]
     return tuple(d for d in exact.smith_diagonal([[t[i][j] for j in keep] for i in keep]) if d > 1)
 
@@ -373,34 +419,9 @@ def invariant_factors(l: Lattice) -> tuple[int, ...]:
 def discriminant_group(l: Lattice) -> FiniteQuadraticForm:
     """The finite group L*/L with its discriminant (quadratic) form, from
     the Smith form of the Hermite tail T (``_hermite_tail``): a column w of
-    its v lifts to the generator (-H[:k, k:] w, w)."""
-    head, tail = _hermite_tail(l)
-    d, _, v = exact.smith_normal_form(tail)
-    factors: list[int] = []
-    gens: list[tuple[int, ...]] = []
-    for i in range(len(tail)):
-        di = d[i][i]
-        if di > 1:
-            w = [row[i] for row in v]
-            factors.append(di)
-            gens.append(tuple([-x for x in exact.mat_vec(head, w)] + w))
-    # x = g_i/d_i and y = g_j/d_j pair integrally with L, which holds d_i x
-    # and d_j y, so d_i x.y and d_j x.y are integers, as is N x.y for the
-    # exponent N that both divide
-    top = max(factors, default=1)
-    images = [exact.mat_vec(l.gram, g) for g in gens]
-    nums = []
-    for g, d in zip(gens, factors):
-        row = []
-        for gh, e in zip(images, factors):
-            num, rem = divmod(top * exact.dot(g, gh), d * e)
-            if rem:
-                raise ArithmeticError("discriminant pairing is not in (1/N)Z")
-            row.append(num)
-        nums.append(row)
-    qn = tuple(row[i] % (2 * top) for i, row in enumerate(nums)) if l.is_even() else None
-    bn = tuple(tuple(x % top for x in row) for row in nums)
-    return FiniteQuadraticForm(tuple(factors), tuple(gens), qn, bn)
+    its v lifts to the generator (-H[:k, k:] w, w).  Built once per lattice
+    object, so every call on l returns the same form."""
+    return l._discriminant_form
 
 
 # ---------------------------------------------------------------------------

@@ -351,6 +351,22 @@ def test_genus_distinguishes_n1_n2():
     assert not ke.genus_equal(glue.build_named("N1"), glue.build_named("N2"))
 
 
+def test_genus_equal_builds_one_form_per_lattice(monkeypatch):
+    # N1N2.distinct compares three lattices pairwise: one Smith form each,
+    # where building both forms on every call took six
+    n1, n2, l2 = (glue.build_named(name) for name in ("N1", "N2", "L2"))
+    calls = []
+    smith = exact.smith_normal_form
+
+    def counted(m):
+        calls.append(m)
+        return smith(m)
+
+    monkeypatch.setattr(exact, "smith_normal_form", counted)
+    assert [ke.genus_equal(a, b) for a, b in ((n1, n2), (n1, l2), (n2, l2))] == [False] * 3
+    assert len(calls) == 3
+
+
 def test_disc_form_isomorphism_verified_map():
     a3 = lat.root_lattice("A", 3)
     images = ke.find_disc_form_isomorphism(
@@ -985,12 +1001,29 @@ def _rank17_counts(monkeypatch):
 
 def test_isometry_search_walks_one_of_each_sign_pair(monkeypatch):
     # the pools hold 880 nonzero vectors of the needed norms (306 + 370 +
-    # 204); the walk meets the 440 whose first nonzero coordinate is positive
+    # 204), the 440 whose first nonzero coordinate is positive and their
+    # negations.  Rows 1 and 3 of the transcendental Gram are lone <2>
+    # summands, so only the rank-3 block of rows 0, 2 and 4 is walked, over
+    # its own box: 93 points, where the walk over all five coordinates met
+    # the 440
     target, tr = _rank17_inputs()
     needed = {target.gram[i][i] for i in range(target.rank)}
     full = [v for v, _ in exact.box_vectors([list(r) for r in tr.gram], 4, needed) if any(v)]
     assert len(full) == 880
-    assert _rank17_counts(monkeypatch)["points"] == len(full) // 2
+    levels = []
+    match_gram = ke._match_gram
+
+    def spy(target, pools, gram):
+        levels.extend(pools)
+        return match_gram(target, pools, gram)
+
+    monkeypatch.setattr(ke, "_match_gram", spy)
+    assert _rank17_counts(monkeypatch)["points"] == 93
+    # level 0 holds the negative-leading half of its pool
+    first, *rest = levels
+    pooled = {w for v in first for w in (v, tuple(-c for c in v))}.union(*rest)
+    assert pooled == set(full)
+    assert sum(1 for v in pooled if next(c for c in v if c) > 0) == len(full) // 2 == 440
 
 
 def test_match_gram_filters_each_shared_pool_once(monkeypatch):
@@ -1080,6 +1113,76 @@ def test_isometry_search_equals_the_unpruned_oracle(data):
         pools = sorted_box_pools(g, h, bound)
         want = naive_match_gram(g, [pools.get(g[i][i], []) for i in range(n)], h)
         assert ke.isometry_search(lat.lattice(g), lat.lattice(h), bound=bound) == want
+
+
+def check_half_box_search(h, bound):
+    """The pools of a target Gram h equal the positive-leading half of the
+    full sorted box, and the search from a unimodular image of h, and from
+    an odd lattice of the same det and signature, gives the unpruned
+    search's first match."""
+    n = len(h)
+    needed = {h[i][i] for i in range(n)}
+    full = sorted_box_pools(h, h, bound)
+    got = ke._half_box(h, bound, needed)
+    assert {x: sorted(vs) for x, vs in got.items()} == {
+        x: sorted(v for v in vs if next(c for c in v if c) > 0) for x, vs in full.items()
+    }
+    rng = random.Random(repr((h, bound)))
+    u = exact.identity(n)
+    for _ in range(4):
+        (i, j), sign = rng.sample(range(n), 2), rng.choice((1, -1))
+        u[i] = [a + sign * b for a, b in zip(u[i], u[j])]
+    p, _, m = exact.signature(h)
+    signs = [1] * p + [-1] * m
+    odd = claims._diag([signs[0] * abs(exact.det(h))] + signs[1:])
+    for g in (exact.matmul(exact.matmul(u, h), exact.transpose(u)), odd):
+        pools = sorted_box_pools(g, h, bound)
+        want = naive_match_gram(g, [pools.get(g[i][i], []) for i in range(n)], h)
+        assert ke.isometry_search(lat.lattice(g), lat.lattice(h), bound=bound) == want
+
+
+@st.composite
+def lone_row_grams(draw):
+    """An even nondegenerate Gram of rank 2-4: k lone rows (no nonzero
+    off-diagonal entry) at random positions, and the rest a block of size 0,
+    2 or 3 in which every row has a nonzero off-diagonal entry."""
+    k, r = draw(st.sampled_from([(k, r) for k in range(4) for r in (0, 2, 3) if 2 <= k + r <= 4]))
+    where = draw(st.permutations(range(k + r)))
+    nonzero = st.integers(-2, 2).filter(bool)
+    block = [[0] * r for _ in range(r)]
+    for i in range(r):
+        block[i][i] = 2 * draw(st.integers(-3, 3))
+        for j in range(i):
+            # a chain 0-1-2 of nonzero entries gives each row a partner
+            block[i][j] = block[j][i] = draw(nonzero if j == i - 1 else st.integers(-2, 2))
+    diag = [2 * draw(st.integers(-3, 3).filter(bool)) for _ in range(k)]
+    h = [[0] * (k + r) for _ in range(k + r)]
+    for a, i in enumerate(where[:k]):
+        h[i][i] = diag[a]
+    for a, i in enumerate(where[k:]):
+        for b, j in enumerate(where[k:]):
+            h[i][j] = block[a][b]
+    assume(exact.det(h) != 0)
+    return h
+
+
+@settings(max_examples=50, deadline=None)
+@given(lone_row_grams(), st.integers(1, 3))
+def test_half_box_with_lone_rows_equals_the_full_box(h, bound):
+    check_half_box_search(h, bound)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        [[2, 0, 0], [0, -2, 0], [0, 0, 6]],  # every row lone
+        [[2, 1, 0], [1, -2, 1], [0, 1, 4]],  # no row lone
+        [[-2, 0, 1], [0, 4, 0], [1, 0, 2]],  # a lone row between the block's rows
+    ],
+)
+def test_half_box_on_fixed_grams(h):
+    for bound in (1, 2, 3):
+        check_half_box_search(h, bound)
 
 
 def test_isometry_search_distinguishes():

@@ -1,7 +1,9 @@
 """Tests for lattices, discriminant forms, complements and saturation."""
 
+import gc
 import importlib.util
 import random
+import weakref
 from fractions import Fraction
 from math import gcd, prod
 from operator import mul
@@ -410,6 +412,27 @@ def test_disc_group_reduces_the_gram_without_a_companion(monkeypatch):
     assert form == reference_discriminant_group(l)
 
 
+def test_disc_group_is_built_once_per_lattice(monkeypatch):
+    l = glue.build_named("N1")
+    form = lat.discriminant_group(l)
+    assert lat.discriminant_group(l) is form
+    assert form.primary_part(2) is form.primary_part(2)
+    assert form.primary_part(3) is form.primary_part(3) != form.primary_part(2)
+    # with the form stored, invariant_factors reads it and takes no Hermite basis
+    monkeypatch.setattr(exact, "hermite_row_basis", None)
+    assert lat.invariant_factors(l) == form.invariant_factors == (2, 2, 2, 2, 2, 6)
+
+
+def test_a_stored_form_does_not_keep_its_lattice_alive():
+    # the form lives on the lattice object, so no module cache holds either
+    l = glue.build_named("N1")
+    lat.discriminant_group(l).primary_part(2)
+    ref = weakref.ref(l)
+    del l
+    gc.collect()
+    assert ref() is None
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_grams().filter(lambda g: exact.det(g) != 0))
 def test_disc_group_of_drawn_grams_equals_the_reference(g):
@@ -489,6 +512,7 @@ def gram_info_inputs(seed=7, pass_index=0):
 @pytest.mark.parametrize("name", NAMED)
 def test_invariant_factors_of_named_lattices_are_those_of_the_form(name):
     l = glue.build_named(name)
+    assert "_discriminant_form" not in vars(l)  # so the Hermite path runs
     assert lat.invariant_factors(l) == lat.discriminant_group(l).invariant_factors
 
 
@@ -524,12 +548,14 @@ def test_invariant_factors_of_drawn_even_grams_are_those_of_the_form(g):
     "name", [f"Lambda({n})" for n in range(1, 9)] + ["Lp(17)", "Lp(41)", "Lp(89)"]
 )
 def test_invariant_factors_drop_unit_pivots_after_a_larger_one(name):
-    # each Hermite basis here has a unit pivot after a non-unit one, which
+    # each Hermite basis here, in the given order and in invariant_factors'
+    # sparsest-first one, has a unit pivot after a non-unit one, which
     # invariant_factors drops and discriminant_group keeps in its tail
     l = glue.build_named(name)
     pivots = _pivots(l)
     k = next(i for i, p in enumerate(pivots) if p != 1)
     assert 1 in pivots[k:]
+    assert "_discriminant_form" not in vars(l)
     factors = lat.invariant_factors(l)
     assert factors == lat.discriminant_group(l).invariant_factors
     assert _sympy_invariant_factors(l.gram) in (None, factors)
