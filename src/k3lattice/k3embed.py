@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import groupby
 from math import isqrt, lcm
-from operator import itemgetter, mul
+from operator import itemgetter, mul, neg
 from typing import Sequence
 
 from . import exact, quadform
@@ -367,11 +367,11 @@ def _half_box(gram: list[list[int]], bound: int, norms: set[int]) -> dict[int, l
         parts = step
     # with rows of both kinds n >= 2, so the itemgetter returns a tuple
     place = itemgetter(*map((rest + lone).index, range(n))) if rest else tuple
+    zero = (0,) * n
     for c, m in found:
         for x in norms:
             for t in parts.get(x - m, ()):
-                v = place(c + t)
-                if next((y for y in v if y), 0) > 0:
+                if (v := place(c + t)) > zero:  # its first nonzero entry is positive
                     pools.setdefault(x, []).append(v)
     return pools
 
@@ -401,7 +401,7 @@ def isometry_search(l1: Lattice, l2: Lattice, bound: int = 5) -> list[list[int]]
     for norm, vs in pools.items():
         keyed = sorted(((max(map(abs, v)), sum(map(abs, v))), v) for v in vs)
         classes = [[v for _, v in same] for _, same in groupby(keyed, itemgetter(0))]
-        pools[norm] = [w for c in classes for w in [tuple(-x for x in v) for v in c[::-1]] + c]
+        pools[norm] = [w for c in classes for w in [tuple(map(neg, v)) for v in c[::-1]] + c]
     levels = [pools.get(l1.gram[i][i], []) for i in range(n)]
     if n:  # negative-leading: the earlier of each +-v pair
         levels[0] = [v for v in levels[0] if next(c for c in v if c) < 0]
