@@ -74,15 +74,6 @@ def _named(name: str) -> lat.Lattice:
     return glue.build_named(name)
 
 
-def _u_d8_a5_a1() -> lat.Lattice:
-    return lat.direct_sum(
-        lat.hyperbolic(),
-        lat.root_lattice("D", 8),
-        lat.root_lattice("A", 5),
-        lat.root_lattice("A", 1),
-    )
-
-
 def _u_d8_e6() -> lat.Lattice:
     return lat.direct_sum(
         lat.hyperbolic(), lat.root_lattice("D", 8), lat.root_lattice("E", 6)
@@ -371,7 +362,7 @@ def _kummer_complement():
 )
 def _e8_a5a1():
     comp = ke.transcendental_of(ke.embed_standard("A5+A1 in E8"))
-    ok = ke.definite_isomorphic(comp, lat.lattice(_diag([-2, -6])))
+    ok = ke.definite_isomorphic(comp, lat.Lattice(_diag([-2, -6])))
     return ok, {"det": comp.det(), "isomorphic": ok}, {"det": 12, "isomorphic": True}
 
 
@@ -459,10 +450,10 @@ def _t_glue():
         lat.rank_one(-2), lat.rank_one(-2), lat.hyperbolic(), lat.hyperbolic()
     )
     tp = lat.orthogonal_complement(m, [[0, 0, 1, -2, -1, 1], [0, 0, 1, -1, 1, -2]])
-    dmodel = lat.lattice(_diag([-2, -2, 6, 6]))
+    dmodel = lat.Lattice(_diag([-2, -2, 6, 6]))
     step1 = ke.isometry_search(dmodel, tp, bound=4) is not None
     glued = glue.adjoin(dmodel, [glue.GlueSpec((1, 1, 1, 1), 2)])
-    step2 = ke.isometry_search(glued, lat.lattice(T_GRAM), bound=4) is not None
+    step2 = ke.isometry_search(glued, lat.Lattice(T_GRAM), bound=4) is not None
     computed = {"complement_diagonal": step1, "glued_det": glued.det(), "isomorphic_to_T": step2}
     expected = {"complement_diagonal": True, "glued_det": 36, "isomorphic_to_T": True}
     return _equal(computed, expected)
@@ -907,7 +898,7 @@ def _l_unique():
     "overlattice",
 )
 def _l_noindex4():
-    base = _u_d8_a5_a1()
+    base = _named("L_sat").ambient.ambient  # the base L_sat was glued to
     members = glue.even_overlattices(base, 4)
     index4 = [m for m in members if m.ambient is not None and glue.glue_index(m) == 4]
     computed = {

@@ -466,6 +466,12 @@ def ldl(m: Sequence[Sequence[int]]) -> tuple[RatVector, int]:
     return pivots, d
 
 
+def lone_rows(m: Sequence[Sequence[int]]) -> list[int]:
+    """The rows of ``m`` with no nonzero off-diagonal entry, in order: each
+    is a 1x1 orthogonal block of a symmetric matrix."""
+    return [i for i, row in enumerate(m) if not (any(row[:i]) or any(row[i + 1 :]))]
+
+
 def signature(m: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     """Exact inertia (positive, zero, negative) of a symmetric matrix, which
     adds up over an orthogonal sum.  A row with no nonzero off-diagonal
@@ -473,7 +479,7 @@ def signature(m: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     ``ldl`` together, since ``ldl`` leaves every row outside a pivot's
     block untouched, and the matrix goes whole when no row is alone.  A
     pivot's sign is its numerator's."""
-    alone = {i for i, row in enumerate(m) if not (any(row[:i]) or any(row[i + 1 :]))}
+    alone = set(lone_rows(m))
     if alone:  # read off here, so checked here
         require_symmetric(m)
         require_integers(m, "signature")

@@ -19,14 +19,13 @@ from typing import Iterable, Iterator, Sequence
 from . import exact
 from .k3embed import build_V
 from .lattice import (
+    Embedding,
     FiniteQuadraticForm,
     Lattice,
     direct_sum,
     discriminant_group,
     divisibility,
     hyperbolic,
-    lattice,
-    make_embedding,
     rank_one,
     root_lattice,
 )
@@ -84,7 +83,7 @@ def adjoin(
         _glue_fault(base, glue, require_even)
         raise GlueError("glue vectors do not close up to an integral lattice")
     gram = [[x // square for x in row] for row in gram]
-    result = Lattice._formed(gram, None, make_embedding(base, basis, scale))
+    result = Lattice._formed(gram, None, Embedding(base, tuple(map(tuple, basis)), scale))
     if require_even and not result.is_even():
         _glue_fault(base, glue, require_even)
         raise GlueError("resulting overlattice is not even")
@@ -383,7 +382,7 @@ def _l2_frame() -> Lattice:
     g[s][O] = g[O][s] = 1
     for i in a:
         g[s][i] = g[i][s] = 1
-    return lattice(g, "L2-frame")
+    return Lattice(g, "L2-frame")
 
 
 def _l2_torsion_class(frame: Lattice, component: int, zero_fibers: range) -> list[Fraction]:

@@ -333,16 +333,15 @@ def definite_isomorphic(l1: Lattice, l2: Lattice) -> bool:
 def _half_box(gram: list[list[int]], bound: int, norms: set[int]) -> dict[int, list[tuple]]:
     """The vectors of [-bound, bound]^n whose first nonzero coordinate is
     positive and whose norm lies in ``norms``, by norm, in no set order.
-    Without a lone row (no nonzero off-diagonal entry, as in
-    ``exact.signature``), ``exact.box_vectors`` walks them, a call per head
-    (0, ..., 0, t), t > 0.  A lone row i adds g_ii t^2 for its coordinate t,
-    so the other rows are walked once, over their own box, for the norms
-    N - s a lone sum s leaves.  The lone coordinates are tabulated one at a
-    time, each partial sum kept while the lone rows to come can make it
-    N - m for a norm m the walk found, and the positive-leading half of the
-    vectors put together stays."""
+    Without a lone row (``exact.lone_rows``), ``exact.box_vectors`` walks
+    them, a call per head (0, ..., 0, t), t > 0.  A lone row i adds
+    g_ii t^2 for its coordinate t, so the other rows are walked once, over
+    their own box, for the norms N - s a lone sum s leaves.  The lone
+    coordinates are tabulated one at a time, each partial sum kept while
+    the lone rows to come can make it N - m for a norm m the walk found,
+    and the positive-leading half of the vectors put together stays."""
     n = len(gram)
-    lone = [i for i, row in enumerate(gram) if not (any(row[:i]) or any(row[i + 1 :]))]
+    lone = exact.lone_rows(gram)
     pools: dict[int, list[tuple]] = {}
     if not lone:
         for k in range(n - 1, -1, -1):

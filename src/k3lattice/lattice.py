@@ -48,7 +48,7 @@ class Lattice(Value):
             raise ValueError("Gram matrix must be symmetric")
         if self.ambient is not None:
             e = self.ambient
-            exact.require_integers(e.basis, "Lattice")
+            exact.require_integers([*e.basis, (e.denominator,)], "Lattice")
             if len(e.basis) != self.rank:
                 raise ValueError(
                     f"ambient basis has {len(e.basis)} rows for a lattice of rank {self.rank}"
@@ -192,21 +192,6 @@ def _signature_cached(gram: tuple[tuple[int, ...], ...]) -> tuple[int, int, int]
     return exact.signature(gram)
 
 
-def lattice(
-    gram: Sequence[Sequence[int]],
-    name: str | None = None,
-    ambient: Embedding | None = None,
-) -> Lattice:
-    return Lattice(gram, name, ambient)
-
-
-def make_embedding(
-    ambient: Lattice, basis_rows: Sequence[Sequence[int]], denominator: int = 1
-) -> Embedding:
-    exact.require_integers([*basis_rows, [denominator]], "make_embedding")
-    return Embedding(ambient, tuple(map(tuple, basis_rows)), denominator)
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -230,17 +215,17 @@ def root_lattice(kind: str, n: int) -> Lattice:
     g = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i, j in edges:
         g[i][j] = g[j][i] = 1
-    return lattice(g, f"{kind}{n}")
+    return Lattice(g, f"{kind}{n}")
 
 
 def hyperbolic() -> Lattice:
-    return lattice([[0, 1], [1, 0]], "U")
+    return Lattice([[0, 1], [1, 0]], "U")
 
 
 def rank_one(k: int, allow_odd: bool = False) -> Lattice:
     if k % 2 != 0 and not allow_odd:
         raise ValueError("odd norm requires allow_odd=True")
-    return lattice([[k]], f"<{k}>")
+    return Lattice([[k]], f"<{k}>")
 
 
 def rescale(l: Lattice, n: int) -> Lattice:
@@ -249,7 +234,7 @@ def rescale(l: Lattice, n: int) -> Lattice:
         raise ValueError("rescale by zero")
     g = [[n * x for x in row] for row in l.gram]
     name = f"{l.name}({n})" if l.name else None
-    return lattice(g, name)
+    return Lattice(g, name)
 
 
 def direct_sum(*lattices: Lattice) -> Lattice:
@@ -428,12 +413,28 @@ def discriminant_group(l: Lattice) -> FiniteQuadraticForm:
 # sublattices, complements, saturation
 
 
-def _sub_rows(sub: Sequence[Sequence[int]], rank: int) -> list[list[int]]:
+def _sub_rows(sub: Sequence[Sequence[int]], rank: int) -> tuple[tuple[int, ...], ...]:
     exact.require_integers(sub, "sublattice rows")
-    rows = [list(row) for row in sub]
+    rows = tuple(map(tuple, sub))
     if any(len(row) != rank for row in rows):
         raise ValueError("sublattice rows do not match the ambient rank")
     return rows
+
+
+def _independent_rows(
+    sub: Sequence[Sequence[int]], rank: int
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``_sub_rows`` of ``sub`` with the index of their span in its
+    saturation: the gcd of the maximal minors of the k rows, which is the
+    index in Z^k of the lattice their columns span, ``exact.index`` of the
+    columns.  That is 0 exactly when the rows are dependent, as more rows
+    than the rank always are, and then they are refused.  No determinant
+    is taken, so degenerate forms work too."""
+    rows = _sub_rows(sub, rank)
+    index = exact.index(exact.transpose(rows)) if len(rows) <= rank else 0
+    if not index:
+        raise ValueError("sublattice basis is rank-deficient")
+    return rows, index
 
 
 def sublattice(
@@ -443,15 +444,13 @@ def sublattice(
     coordinates), with Gram matrix B G B^T and its embedding recorded."""
     rows = _sub_rows(rows, ambient.rank)
     gram = exact.congruence(rows, ambient.gram)
-    return Lattice._formed(gram, name, make_embedding(ambient, rows))
+    return Lattice._formed(gram, name, Embedding(ambient, rows))
 
 
 def orthogonal_complement(ambient: Lattice, sub: Sequence[Sequence[int]]) -> Lattice:
     """Primitive orthogonal complement of the span of ``sub`` (rows are
     vectors in ambient coordinates), with its embedding recorded."""
-    rows = _sub_rows(sub, ambient.rank)
-    if len(exact.hermite_row_basis(rows)) < len(rows):
-        raise ValueError("sublattice basis is rank-deficient")
+    rows, _ = _independent_rows(sub, ambient.rank)
     pair = exact.matmul(rows, [list(r) for r in ambient.gram])
     kern = exact.kernel_basis(pair) if rows else exact.identity(ambient.rank)
     return sublattice(ambient, kern)
@@ -463,25 +462,15 @@ def saturation(ambient: Lattice, sub: Sequence[Sequence[int]]) -> Lattice:
     the integer kernel of the rows.  No Gram matrix enters, so a degenerate
     ambient's radical stays out."""
     n = ambient.rank
-    rows = _sub_rows(sub, n)
-    if len(exact.hermite_row_basis(rows)) < len(rows):
-        raise ValueError("sublattice basis is rank-deficient")
+    rows, _ = _independent_rows(sub, n)
     kern = exact.kernel_basis(rows) if rows else exact.identity(n)
     return sublattice(ambient, exact.kernel_basis(kern) if kern else exact.identity(n))
 
 
 def saturation_index(ambient: Lattice, sub: Sequence[Sequence[int]]) -> int:
     """Index of the span of ``sub`` inside its saturation, the integer
-    vectors of its rational span: the gcd of the maximal minors of the k
-    rows, which is the index in Z^k of the lattice their columns span,
-    ``exact.index`` of the columns, 0 iff the rows are dependent, as more
-    rows than the rank always are.  No determinant is taken, so degenerate
-    forms work too."""
-    rows = _sub_rows(sub, ambient.rank)
-    index = exact.index(exact.transpose(rows)) if len(rows) <= ambient.rank else 0
-    if not index:
-        raise ValueError("sublattice basis is rank-deficient")
-    return index
+    vectors of its rational span (``_independent_rows``)."""
+    return _independent_rows(sub, ambient.rank)[1]
 
 
 def is_primitive(l: Lattice) -> bool:

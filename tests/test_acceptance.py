@@ -88,7 +88,7 @@ def test_criterion_04_e8_complements():
         4,
         "complement of A5+A1 in E8 is diag(-2,-6); of A2+A1^3 is A1+A2(2)",
         {
-            "a5a1": ke.definite_isomorphic(comp1, lat.lattice(_diag([-2, -6]))),
+            "a5a1": ke.definite_isomorphic(comp1, lat.Lattice(_diag([-2, -6]))),
             "a2a1c": ke.definite_isomorphic(comp2, target2),
         },
     )
@@ -114,12 +114,12 @@ def test_criterion_05_hasse_suite():
 
 
 def test_criterion_06_t36():
-    t = lat.lattice(claims.T_GRAM)
+    t = lat.Lattice(claims.T_GRAM)
     m = lat.direct_sum(
         lat.rank_one(-2), lat.rank_one(-2), lat.hyperbolic(), lat.hyperbolic()
     )
     tp = lat.orthogonal_complement(m, [[0, 0, 1, -2, -1, 1], [0, 0, 1, -1, 1, -2]])
-    dmodel = lat.lattice(_diag([-2, -2, 6, 6]))
+    dmodel = lat.Lattice(_diag([-2, -2, 6, 6]))
     glued = glue.adjoin(dmodel, [glue.GlueSpec((1, 1, 1, 1), 2)])
     _criterion(
         6,
@@ -463,7 +463,7 @@ def test_criterion_15_property_suites():
     while done < 5:
         g1 = random_posdef(rng, 3)
         g2 = random_posdef(rng, 3)
-        l1, l2 = lat.lattice(g1), lat.lattice(g2)
+        l1, l2 = lat.Lattice(g1), lat.Lattice(g2)
         if (l1.det(), l1.signature()) != (l2.det(), l2.signature()):
             continue
         definite_ok = definite_ok and ke.definite_isomorphic(l1, l2) == naive_isomorphic(

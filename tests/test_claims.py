@@ -94,6 +94,45 @@ def test_failure_carries_both_sides():
     assert r.computed != r.expected
 
 
+# a cold run of every claim, with each discriminant form it builds recorded
+_FORM_BUILDS = r"""
+import json
+from functools import cached_property
+from k3lattice import claims, lattice as lat
+
+built = []
+form = lat.Lattice.__dict__["_discriminant_form"].func
+
+
+def counted(l):
+    built.append(l.gram)
+    return form(l)
+
+
+lat.Lattice._discriminant_form = cached_property(counted)
+lat.Lattice._discriminant_form.__set_name__(lat.Lattice, "_discriminant_form")
+claims.run_all()
+base = lat.direct_sum(
+    lat.hyperbolic(), lat.root_lattice("D", 8), lat.root_lattice("A", 5), lat.root_lattice("A", 1)
+)
+print(json.dumps({"builds": len(built), "base": built.count(base.gram)}))
+"""
+
+
+def test_a_cold_run_builds_the_form_of_u_d8_a5_a1_once():
+    # L.disc12 and L.no-index4 read one base, the one L_sat was glued to
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _FORM_BUILDS],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    assert counts["base"] == 1, counts
+
+
 def test_machine_report_is_deterministic():
     a = json.dumps(claims.machine_report(claims.run_all("quadform")), sort_keys=True)
     b = json.dumps(claims.machine_report(claims.run_all("quadform")), sort_keys=True)
@@ -184,7 +223,7 @@ def test_malformed_file_messages(tmp_path):
 def _assert_loads_as_lattice(text: str) -> None:
     doc = json.loads(text)
     got = lattice_io.loads(text)
-    want = lat.lattice([[int(x) for x in row] for row in doc["gram"]], doc.get("name"))
+    want = lat.Lattice([[int(x) for x in row] for row in doc["gram"]], doc.get("name"))
     assert isinstance(got, lat.Lattice) and got == want
     assert type(got.gram) is tuple
     assert all(type(row) is tuple and all(type(x) is int for x in row) for row in got.gram)
@@ -269,7 +308,7 @@ def test_json_position_in_parse_error(tmp_path):
 
 def test_big_integers_as_strings(tmp_path):
     big = 10**30
-    l = lat.lattice([[2 * big]], "big")
+    l = lat.Lattice([[2 * big]], "big")
     path = tmp_path / "big.lattice"
     lattice_io.save_lattice(l, path)
     raw = json.loads(path.read_text())
@@ -403,7 +442,7 @@ def _summary_field(summary: str, key: str) -> str:
 def test_summary_det_and_signature_match_exact(m):
     # the summary reads det off the signature and the discriminant group;
     # odd, zero-diagonal and degenerate Grams of rank 0 to 8
-    summary = cli._lattice_summary(lat.lattice(m))
+    summary = cli._lattice_summary(lat.Lattice(m))
     assert _summary_field(summary, "det") == str(exact.det(m))
     assert _summary_field(summary, "signature") == f"{exact.signature(m)} (pos, zero, neg)"
     assert ("disc group:" in summary) == (exact.det(m) != 0)
@@ -412,8 +451,8 @@ def test_summary_det_and_signature_match_exact(m):
 def test_summaries_take_no_determinant(tmp_path, capsys, monkeypatch):
     files = {
         "lam3": glue.build_named("Lambda(3)"),
-        "odd": lat.lattice([[1, 2, 0], [2, -3, 1], [0, 1, 5]]),
-        "degenerate": lat.lattice([[2, 2], [2, 2]]),
+        "odd": lat.Lattice([[1, 2, 0], [2, -3, 1], [0, 1, 5]]),
+        "degenerate": lat.Lattice([[2, 2], [2, 2]]),
     }
     names = ["L2", "N1", "M16", "V", "Lambda(3)", "Lp(17)", "Np(5,2)"]
     want = {key: l.det() for key, l in files.items()}

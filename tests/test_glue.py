@@ -264,8 +264,8 @@ FORM_PIECES = [
     lat.rank_one(-4),
     lat.rank_one(8),
     lat.rank_one(-8),
-    lat.lattice([[0, 2], [2, 0]]),
-    lat.lattice([[0, 4], [4, 0]]),
+    lat.Lattice([[0, 2], [2, 0]]),
+    lat.Lattice([[0, 4], [4, 0]]),
 ]
 
 

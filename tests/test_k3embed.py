@@ -108,7 +108,7 @@ def test_complement_a5a1_is_diag_2_6():
     comp = ke.transcendental_of(ke.embed_standard("A5+A1 in E8"))
     assert comp.rank == 2
     assert comp.det() == 12
-    assert ke.definite_isomorphic(comp, lat.lattice([[-2, 0], [0, -6]]))
+    assert ke.definite_isomorphic(comp, lat.Lattice([[-2, 0], [0, -6]]))
 
 
 def test_complement_a2a1c_is_a1_plus_a2_scaled():
@@ -321,7 +321,7 @@ def even_test_forms():
             grams.append(exact.matmul(exact.matmul(u, g), exact.transpose(u)))
     forms = []
     for g in grams:
-        form = lat.discriminant_group(lat.lattice(g))
+        form = lat.discriminant_group(lat.Lattice(g))
         forms += [form, form.negate()]
     return forms
 
@@ -547,9 +547,9 @@ def test_genus_walks_only_the_two_part(monkeypatch):
     monkeypatch.setattr(lat.FiniteQuadraticForm, "elements", counted)
     counts = []
     for g in cases:
-        two_part = lat.discriminant_group(lat.lattice(g)).primary_part(2).order
+        two_part = lat.discriminant_group(lat.Lattice(g)).primary_part(2).order
         walked[0] = 0
-        assert ke.genus_equal(lat.lattice(g), lat.lattice(moved(g, rng)))
+        assert ke.genus_equal(lat.Lattice(g), lat.Lattice(moved(g, rng)))
         assert walked[0] <= 2 * two_part
         counts.append(walked[0])
     assert counts[:3] == [32, 16, 64]
@@ -585,7 +585,7 @@ def diagonal_form_pairs(draw):
         for i, (m, s) in enumerate(zip(ms, signs)):
             g[i][i] = 2 * s * m
         g = moved(g, random.Random(draw(st.integers(0, 10**6))))
-        forms.append(lat.discriminant_group(lat.lattice(g)))
+        forms.append(lat.discriminant_group(lat.Lattice(g)))
     return forms
 
 
@@ -629,7 +629,7 @@ def test_definite_isomorphic_easy_cases():
     a2 = lat.root_lattice("A", 2)
     assert not ke.definite_isomorphic(a1a1, a2)  # determinants 4 vs 3
     d4 = lat.root_lattice("D", 4)
-    reordered = lat.lattice(
+    reordered = lat.Lattice(
         [[d4.gram[p][q] for q in (3, 1, 0, 2)] for p in (3, 1, 0, 2)]
     )
     assert ke.definite_isomorphic(d4, reordered)
@@ -637,7 +637,7 @@ def test_definite_isomorphic_easy_cases():
 
 def test_definite_isomorphic_rank_zero():
     # the empty lattice is definite with det 1: isometric to itself
-    zero = lat.lattice([])
+    zero = lat.Lattice([])
     assert ke.definite_isomorphic(zero, zero)
     assert ke.definite_isomorphic(zero, lat.direct_sum())
 
@@ -662,7 +662,7 @@ def test_definite_isomorphic_vs_naive_oracle():
                     continue
             else:
                 g2 = random_posdef(rng, n)
-            l1, l2 = lat.lattice(g1), lat.lattice(g2)
+            l1, l2 = lat.Lattice(g1), lat.Lattice(g2)
             if (l1.det(), l1.signature()) != (l2.det(), l2.signature()):
                 continue
             # the oracle walks a box of side 2 * bound + 1: cap it at rank 4
@@ -685,7 +685,7 @@ def theta_counts(l, max_norm):
 
 def test_definite_isomorphic_implies_equal_theta():
     comp = ke.transcendental_of(ke.embed_standard("A5+A1 in E8"))
-    target = lat.lattice([[-2, 0], [0, -6]])
+    target = lat.Lattice([[-2, 0], [0, -6]])
     assert ke.definite_isomorphic(comp, target)
     assert theta_counts(comp, 8) == theta_counts(target, 8)
 
@@ -808,7 +808,7 @@ def test_short_vectors_on_a_skewed_basis():
         for norm, vs in ke.short_vectors(g, 4).items()
     }
     assert pairs(mapped) == pairs(ke.short_vectors(e8, 4))
-    skewed = lat.lattice([[-x for x in row] for row in g])
+    skewed = lat.Lattice([[-x for x in row] for row in g])
     assert ke.definite_isomorphic(lat.root_lattice("E", 8), skewed)
 
 
@@ -819,7 +819,7 @@ def test_definite_isomorphic_on_skewed_bases():
 
     def skewed(seed):
         u = skew(16, 60, seed)
-        return lat.lattice(exact.matmul(exact.matmul(u, e16.gram), exact.transpose(u)))
+        return lat.Lattice(exact.matmul(exact.matmul(u, e16.gram), exact.transpose(u)))
 
     assert ke.definite_isomorphic(e16, skewed(1))
     assert ke.definite_isomorphic(skewed(2), skewed(3))
@@ -878,9 +878,9 @@ def test_short_vectors_reject_indefinite_and_semidefinite(m):
 
 def test_isometry_search_returns_verified_map():
     t_gram = [[-2, -1, 0, -1], [-1, 2, 1, -1], [0, 1, -2, 1], [-1, -1, 1, 2]]
-    t = lat.lattice(t_gram)
+    t = lat.Lattice(t_gram)
     perm = [2, 0, 3, 1]
-    shuffled = lat.lattice([[t_gram[p][q] for q in perm] for p in perm])
+    shuffled = lat.Lattice([[t_gram[p][q] for q in perm] for p in perm])
     rows = ke.isometry_search(t, shuffled, bound=2)
     assert rows is not None
     got = exact.matmul(
@@ -927,9 +927,9 @@ def _t_glue_inputs():
         lat.rank_one(-2), lat.rank_one(-2), lat.hyperbolic(), lat.hyperbolic()
     )
     tp = lat.orthogonal_complement(m, [[0, 0, 1, -2, -1, 1], [0, 0, 1, -1, 1, -2]])
-    dmodel = lat.lattice(claims._diag([-2, -2, 6, 6]))
+    dmodel = lat.Lattice(claims._diag([-2, -2, 6, 6]))
     glued = glue.adjoin(dmodel, [glue.GlueSpec((1, 1, 1, 1), 2)])
-    return (dmodel, tp), (glued, lat.lattice(claims.T_GRAM))
+    return (dmodel, tp), (glued, lat.Lattice(claims.T_GRAM))
 
 
 def _rank17_inputs():
@@ -1053,7 +1053,7 @@ def _search_order_inputs():
     # (1, 1, 1, 1) and (2, 1, 0, 0), which (max, sum) and (sum, max) order
     # differently; then random lattices and unimodular images of them
     yield from (_t_glue_inputs()[0], _t_glue_inputs()[1], _rank17_inputs())
-    yield lat.lattice(claims._diag([2, 2, 2, 2])), lat.lattice(
+    yield lat.Lattice(claims._diag([2, 2, 2, 2])), lat.Lattice(
         [[8, -14, 2, 2], [-14, 26, -4, -4], [2, -4, 2, 0], [2, -4, 0, 2]]
     )
     rng = random.Random(11)
@@ -1069,7 +1069,7 @@ def _search_order_inputs():
         u = [[rng.randrange(-1, 2) for _ in range(n)] for _ in range(n)]
         if abs(exact.det(u)) != 1:
             continue
-        yield lat.lattice(g), lat.lattice(exact.matmul(exact.matmul(u, g), exact.transpose(u)))
+        yield lat.Lattice(g), lat.Lattice(exact.matmul(exact.matmul(u, g), exact.transpose(u)))
 
 
 def test_isometry_search_tries_small_coordinates_first():
@@ -1112,7 +1112,7 @@ def test_isometry_search_equals_the_unpruned_oracle(data):
         h = exact.matmul(exact.matmul(u, h), exact.transpose(u))
         pools = sorted_box_pools(g, h, bound)
         want = naive_match_gram(g, [pools.get(g[i][i], []) for i in range(n)], h)
-        assert ke.isometry_search(lat.lattice(g), lat.lattice(h), bound=bound) == want
+        assert ke.isometry_search(lat.Lattice(g), lat.Lattice(h), bound=bound) == want
 
 
 def check_half_box_search(h, bound):
@@ -1138,7 +1138,7 @@ def check_half_box_search(h, bound):
     for g in (exact.matmul(exact.matmul(u, h), exact.transpose(u)), odd):
         pools = sorted_box_pools(g, h, bound)
         want = naive_match_gram(g, [pools.get(g[i][i], []) for i in range(n)], h)
-        assert ke.isometry_search(lat.lattice(g), lat.lattice(h), bound=bound) == want
+        assert ke.isometry_search(lat.Lattice(g), lat.Lattice(h), bound=bound) == want
 
 
 @st.composite
@@ -1194,6 +1194,6 @@ def test_isometry_search_distinguishes():
 def test_isometry_search_rejects_degenerate():
     # without a nonzero determinant a Gram match need not be a bijection:
     # here both basis vectors could go to (1, 0)
-    l = lat.lattice([[2, 2], [2, 2]])
+    l = lat.Lattice([[2, 2], [2, 2]])
     assert l.det() == 0
     assert ke.isometry_search(l, l, bound=2) is None

@@ -99,19 +99,19 @@ def test_rescale_det_law(n):
 
 def test_gram_must_be_symmetric():
     with pytest.raises(ValueError):
-        lat.lattice([[0, 1], [2, 0]])
+        lat.Lattice([[0, 1], [2, 0]])
 
 
 def test_a_wrong_ambient_basis_is_rejected():
     a2 = lat.root_lattice("A", 2)
-    e = lat.make_embedding(a2, [[1, 0], [1, 1]])
+    e = lat.Embedding(a2, ((1, 0), (1, 1)))
     assert lat.Lattice(((-2, -1), (-1, -2)), None, e).rank == 2
     with pytest.raises(ValueError):
         lat.Lattice(((-2, 1), (1, -2)), None, e)
     with pytest.raises(ValueError):
-        lat.lattice([[-2, 1], [1, -2]], "A2", lat.make_embedding(a2, [[1, 0], [1, 1]]))
+        lat.Lattice([[-2, 1], [1, -2]], "A2", lat.Embedding(a2, ((1, 0), (1, 1))))
     with pytest.raises(ValueError):  # the denominator scales the product
-        lat.lattice([[-2, -1], [-1, -2]], None, lat.make_embedding(a2, [[1, 0], [1, 1]], 2))
+        lat.Lattice([[-2, -1], [-1, -2]], None, lat.Embedding(a2, ((1, 0), (1, 1)), 2))
 
 
 def test_an_embedding_of_the_wrong_shape_is_rejected():
@@ -119,14 +119,14 @@ def test_an_embedding_of_the_wrong_shape_is_rejected():
     # row count and the denominator's sign are checked on their own
     uu = lat.direct_sum(lat.hyperbolic(), lat.hyperbolic())
     u = ((0, 1), (1, 0))
-    assert lat.Lattice(u, None, lat.make_embedding(uu, [[1, 0, 0, 0], [0, 1, 0, 0]])).rank == 2
-    three_rows = lat.make_embedding(uu, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+    assert lat.Lattice(u, None, lat.Embedding(uu, ((1, 0, 0, 0), (0, 1, 0, 0)))).rank == 2
+    three_rows = lat.Embedding(uu, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
     with pytest.raises(ValueError, match="3 rows for a lattice of rank 2"):
         lat.Lattice(u, None, three_rows)
     with pytest.raises(ValueError, match="1 rows for a lattice of rank 2"):
-        lat.Lattice(u, None, lat.make_embedding(uu, [[1, 0, 0, 0]]))
+        lat.Lattice(u, None, lat.Embedding(uu, ((1, 0, 0, 0),)))
     for den in (-1, 0):
-        flipped = lat.make_embedding(uu, [[1, 0, 0, 0], [0, 1, 0, 0]], den)
+        flipped = lat.Embedding(uu, ((1, 0, 0, 0), (0, 1, 0, 0)), den)
         with pytest.raises(ValueError, match="denominator must be positive"):
             lat.Lattice(u, None, flipped)
 
@@ -135,7 +135,7 @@ def test_built_lattices_pass_the_ambient_check():
     # sublattice, adjoin and rename skip the constructor's B G B^T check on
     # a product they formed; the constructor must accept what they build
     e8 = lat.root_lattice("E", 8)
-    base = lat.lattice([[-2, 0, 0, 0], [0, -2, 0, 0], [0, 0, 6, 0], [0, 0, 0, 6]])
+    base = lat.Lattice([[-2, 0, 0, 0], [0, -2, 0, 0], [0, 0, 6, 0], [0, 0, 0, 6]])
     built = [
         lat.sublattice(e8, unit_rows([0, 2, 4], 8), "sub"),
         lat.orthogonal_complement(e8, unit_rows([0, 1, 2, 3, 4, 6], 8)),
@@ -157,11 +157,12 @@ def _uu():
 # each entry point that takes integers, called with x in one entry
 INTEGER_ENTRY_POINTS = {
     "rescale": lambda x: lat.rescale(lat.hyperbolic(), x),
-    "lattice": lambda x: lat.lattice([[x, 1], [1, 2]]),
     "Lattice": lambda x: lat.Lattice(((x,),)),
     "Lattice ambient": lambda x: lat.Lattice(((0,),), None, lat.Embedding(lat.hyperbolic(), ((x, 0),))),
+    "Lattice denominator": lambda x: lat.Lattice(
+        ((0,),), None, lat.Embedding(lat.hyperbolic(), ((1, 0),), x)
+    ),
     "sublattice": lambda x: lat.sublattice(lat.hyperbolic(), [[x, 1]]),
-    "make_embedding": lambda x: lat.make_embedding(lat.hyperbolic(), [[x, 0]]),
     "saturation": lambda x: lat.saturation(lat.hyperbolic(), [[x, 0]]),
     "find_isotropic_glue": lambda x: glue.find_isotropic_glue(_uu(), [x, 0, 0, 0], 1),
     "GlueSpec vector": lambda x: glue.adjoin(_uu(), [glue.GlueSpec((x, 0, 0, 0), 2)]),
@@ -219,7 +220,7 @@ mixed_entries = st.one_of(
 def test_pairing_equals_the_fraction_sum(case):
     m, v, w = case
     n = len(m)
-    l = lat.lattice([[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+    l = lat.Lattice([[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
 
     def plain(x, y):
         return sum(
@@ -262,7 +263,7 @@ def test_disc_group_order_is_abs_det():
 
 def test_disc_group_degenerate_rejected():
     with pytest.raises(ValueError):
-        lat.discriminant_group(lat.lattice([[0]]))
+        lat.discriminant_group(lat.Lattice([[0]]))
 
 
 def test_disc_group_odd_lattice_has_no_q():
@@ -346,7 +347,7 @@ def small_grams(draw):
 @settings(max_examples=40, deadline=None)
 @given(small_grams().filter(lambda g: 0 < abs(exact.det(g)) <= 64))
 def test_disc_form_matches_gram_pairings_on_drawn_grams(g):
-    check_form_against_gram_pairings(lat.lattice(g))
+    check_form_against_gram_pairings(lat.Lattice(g))
 
 
 def reference_discriminant_group(l):
@@ -390,7 +391,7 @@ def test_disc_group_of_named_lattices_equals_the_reference(name):
 
 @pytest.mark.parametrize("n,seed", [(16, 1), (16, 2), (16, 3), (22, 1), (22, 2), (22, 3)])
 def test_disc_group_of_random_even_grams_equals_the_reference(n, seed):
-    l = lat.lattice(random_even_gram(random.Random(f"disc:{n}:{seed}"), n))
+    l = lat.Lattice(random_even_gram(random.Random(f"disc:{n}:{seed}"), n))
     assert lat.discriminant_group(l) == reference_discriminant_group(l)
 
 
@@ -405,7 +406,7 @@ def test_disc_group_reduces_the_gram_without_a_companion(monkeypatch):
         return hermite(a, u)
 
     monkeypatch.setattr(exact, "_hermite", spy)
-    l = lat.lattice(random_even_gram(random.Random("guard"), 12))
+    l = lat.Lattice(random_even_gram(random.Random("guard"), 12))
     form = lat.discriminant_group(l)
     assert calls and calls[0] is True
     monkeypatch.undo()
@@ -436,7 +437,7 @@ def test_a_stored_form_does_not_keep_its_lattice_alive():
 @settings(max_examples=60, deadline=None)
 @given(small_grams().filter(lambda g: exact.det(g) != 0))
 def test_disc_group_of_drawn_grams_equals_the_reference(g):
-    l = lat.lattice(g)
+    l = lat.Lattice(g)
     assert lat.discriminant_group(l) == reference_discriminant_group(l)
 
 
@@ -518,7 +519,7 @@ def test_invariant_factors_of_named_lattices_are_those_of_the_form(name):
 
 def test_invariant_factors_of_the_gram_info_matrices_are_those_of_the_form():
     for g in gram_info_inputs(7, 0):
-        l = lat.lattice(g)
+        l = lat.Lattice(g)
         assert lat.invariant_factors(l) == lat.discriminant_group(l).invariant_factors
 
 
@@ -538,7 +539,7 @@ def _sympy_invariant_factors(g):
 @given(even_grams().filter(lambda g: exact.det(g) != 0))
 def test_invariant_factors_of_drawn_even_grams_are_those_of_the_form(g):
     # drawn Hermite bases often hold a unit pivot after a larger one
-    l = lat.lattice(g)
+    l = lat.Lattice(g)
     factors = lat.invariant_factors(l)
     assert factors == lat.discriminant_group(l).invariant_factors
     assert _sympy_invariant_factors(g) in (None, factors)
@@ -568,7 +569,7 @@ def test_invariant_factors_equal_sympys():
     grams = gram_info_inputs(7, 0) + [list(map(list, glue.build_named(n).gram)) for n in NAMED]
     for g in grams:
         want = [abs(int(x)) for x in invariant_factors(sympy.Matrix(g), domain=sympy.ZZ)]
-        assert list(lat.invariant_factors(lat.lattice(g))) == [x for x in want if x > 1]
+        assert list(lat.invariant_factors(lat.Lattice(g))) == [x for x in want if x > 1]
 
 
 def prime_divisors(n):
@@ -616,7 +617,7 @@ def test_primary_parts_of_named_lattices(name):
 
 def test_primary_parts_of_gram_info_matrices():
     for g in gram_info_inputs():
-        check_primary_parts(lat.discriminant_group(lat.lattice(g)))
+        check_primary_parts(lat.discriminant_group(lat.Lattice(g)))
 
 
 def test_primary_part_rejects_a_pairing_off_the_lattice():
@@ -670,7 +671,7 @@ def test_saturation_divides_out_index():
 def test_saturation_on_a_degenerate_ambient(tmp_path, capsys):
     # the double complement took in the radical (1, 0, 0); the saturation is
     # the integer points of the rational span, which no Gram matrix enters
-    ambient = lat.lattice([[0, 0, 0], [0, 0, 1], [0, 1, 0]], "deg")
+    ambient = lat.Lattice([[0, 0, 0], [0, 0, 1], [0, 1, 0]], "deg")
     sat = lat.saturation(ambient, [[0, 2, 0]])
     assert sat.rank == 1 and sat.ambient.basis == ((0, 1, 0),)
     base, rows = tmp_path / "deg.lattice", tmp_path / "rows.json"
@@ -700,7 +701,7 @@ def test_saturation_is_the_double_complement_on_nondegenerate_ambients(g, data):
         st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=1, max_size=n)
         .filter(lambda r: len(exact.hermite_row_basis(r)) == len(r))
     )
-    ambient = lat.lattice(g)
+    ambient = lat.Lattice(g)
     got = lat.saturation(ambient, rows).ambient.basis
     want = double_complement(ambient, rows).ambient.basis
     assert exact.hermite_row_basis(got) == exact.hermite_row_basis(want)
@@ -717,7 +718,7 @@ def test_saturation_index_is_the_smith_invariant_product():
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
         d, _, _ = exact.smith_normal_form(rows)
         invariants = [d[i][i] for i in range(min(k, n))]
-        ambient = lat.lattice(exact.identity(n))
+        ambient = lat.Lattice(exact.identity(n))
         if k > n or 0 in invariants:
             deficient += 1
             with pytest.raises(ValueError, match="rank-deficient"):
@@ -745,7 +746,7 @@ def test_sublattice_det_index_law(data):
     gram = exact.matmul(
         exact.matmul(rows, [list(r) for r in base.gram]), exact.transpose(rows)
     )
-    sub = lat.lattice(gram)
+    sub = lat.Lattice(gram)
     index = abs(exact.det(t))
     assert sub.det() == index**2 * base.det()
 
@@ -764,7 +765,7 @@ def test_contains_and_divisibility():
 
 
 def test_divisibility_reads_vectors_in_the_ambient_frame():
-    base = lat.lattice([[-2, 0, 0, 0], [0, -2, 0, 0], [0, 0, 6, 0], [0, 0, 0, 6]])
+    base = lat.Lattice([[-2, 0, 0, 0], [0, -2, 0, 0], [0, 0, 6, 0], [0, 0, 0, 6]])
     l = glue.adjoin(base, [glue.GlueSpec((1, 1, 1, 1), 2)])
     e = l.ambient
     assert e.denominator == 2
@@ -775,7 +776,7 @@ def test_divisibility_reads_vectors_in_the_ambient_frame():
     expected = gcd(*(int(p) for p in pairings))
     assert lat.divisibility(l, w) == expected == 4
     # read in l's own basis the same entries give a different answer
-    assert lat.divisibility(lat.lattice(l.gram), w) == 2
+    assert lat.divisibility(lat.Lattice(l.gram), w) == 2
     # an overlattice is not a sublattice of its frame
     with pytest.raises(ValueError):
         lat.is_primitive(l)
@@ -808,12 +809,12 @@ def embedded_lattices_and_vectors(draw):
         min_size=n, max_size=n,
     ))
     if draw(st.booleans()):
-        return lat.lattice(g), w
+        return lat.Lattice(g), w
     d = draw(st.integers(1, 3))
     rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=n))
     gram = exact.matmul(exact.matmul(rows, g), exact.transpose(rows))
-    ambient = lat.lattice([[d * d * x for x in row] for row in g])
-    return lat.lattice(gram, None, lat.make_embedding(ambient, rows, d)), w
+    ambient = lat.Lattice([[d * d * x for x in row] for row in g])
+    return lat.Lattice(gram, None, lat.Embedding(ambient, tuple(map(tuple, rows)), d)), w
 
 
 @settings(max_examples=400, deadline=None)
@@ -882,7 +883,7 @@ def test_contains_ambient_matches_solve_on_random_sublattices():
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
         if len(exact.hermite_row_basis(rows)) < k:
             continue
-        sub = lat.sublattice(lat.lattice(exact.identity(n)), rows)
+        sub = lat.sublattice(lat.Lattice(exact.identity(n)), rows)
         for w in membership_cases(sub, rng, 10):
             got = lat.contains_ambient(sub, w)
             assert got == solve_contains(sub, w), (rows, w)
@@ -912,7 +913,7 @@ def test_a_gram_of_lists_is_stored_as_tuples():
     l = lat.Lattice([[2, 1], [1, 2]])
     assert l.gram == ((2, 1), (1, 2))
     assert l.det() == 3 and l.signature() == (2, 0, 0)
-    assert l == lat.lattice([[2, 1], [1, 2]]) and hash(l) == hash(lat.lattice(l.gram))
+    assert l == lat.Lattice([[2, 1], [1, 2]]) and hash(l) == hash(lat.Lattice(l.gram))
 
 
 def _assert_det_and_signature_of_the_gram(l):
@@ -941,7 +942,7 @@ def test_overlattice_det_and_signature_are_those_of_the_gram(parts):
 @given(even_grams(1, 6), st.data())
 def test_sublattice_det_and_signature_are_those_of_the_gram(g, data):
     # square rows, singular ones included, and a sublattice of a sublattice
-    ambient = lat.lattice(g)
+    ambient = lat.Lattice(g)
     n = ambient.rank
     square = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
                       min_size=n, max_size=n)
@@ -969,6 +970,6 @@ def test_a_framed_lattice_file_reads_det_and_signature_off_its_frame():
 
 def test_a_frame_det_that_does_not_divide_raises():
     # B = (1) over 2 of <2> induces 1/2, which no honest builder records
-    frame = lat.make_embedding(lat.rank_one(2), [[1]], 2)
+    frame = lat.Embedding(lat.rank_one(2), ((1,),), 2)
     with pytest.raises(ArithmeticError):
         lat.Lattice._formed([[2]], None, frame).det()

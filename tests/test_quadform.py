@@ -568,7 +568,7 @@ def test_large_random_forms_finish(n, bound, seed, tmp_path, capsys):
     assert w == min(local + [_generic_witt(g)])
 
     path = tmp_path / "form.lattice"
-    lattice_io.save_lattice(lat.lattice(g, "random"), path)
+    lattice_io.save_lattice(lat.Lattice(g, "random"), path)
     with _deadline(5):
         assert cli.main(["quadform", "invariants", str(path)]) == 0
     assert f"witt index (Q):  {w}" in capsys.readouterr().out
@@ -624,7 +624,7 @@ def test_factorize_called_at_most_once_per_form(monkeypatch):
 def test_cli_quadform_factors_det_once(monkeypatch, tmp_path, capsys):
     g = _random_even_gram(12, 30, 1)
     path = tmp_path / "form.lattice"
-    lattice_io.save_lattice(lat.lattice(g, "random"), path)
+    lattice_io.save_lattice(lat.Lattice(g, "random"), path)
     calls = []
     factorize = qf.factorize
     monkeypatch.setattr(qf, "factorize", lambda n: calls.append(n) or factorize(n))
@@ -728,7 +728,7 @@ def test_factorize_gives_up_on_an_unsplittable_cofactor():
 
 def test_cli_quadform_exits_2_on_an_unsplittable_det(tmp_path, capsys):
     path = tmp_path / "pq.lattice"
-    lattice_io.save_lattice(lat.lattice([[1, 0], [0, P30 * Q30]], "pq"), path)
+    lattice_io.save_lattice(lat.Lattice([[1, 0], [0, P30 * Q30]], "pq"), path)
     with _deadline(20):
         assert cli.main(["quadform", "invariants", str(path)]) == 2
     err = capsys.readouterr().err

@@ -304,9 +304,27 @@ def test_readme_python_blocks_run():
 
 def test_loads_builds_the_lattice_once():
     # lattice_io.loads hands its decoded integer tuples to the Lattice
-    # constructor; lattice.lattice would convert and check every entry again
+    # constructor, which checks every entry once
     assert "lattice" not in _called_names(_function("lattice_io.py", "loads"))
     assert "Lattice" in _called_names(_function("lattice_io.py", "loads"))
+
+
+def test_one_constructor_per_lattice_value():
+    # Lattice checks its input and Embedding is a plain record, so no
+    # function forwards to either; sublattice rows are checked for
+    # independence in one place
+    assert not {"lattice", "make_embedding"} & set(vars(lat))
+    tree = ast.parse((SRC / "lattice.py").read_text())
+    found = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(c, ast.Constant) and "rank-deficient" in str(c.value)
+            for c in ast.walk(node)
+        )
+    ]
+    assert len(found) == 1, found
 
 
 def test_index_and_kernel_basis_stop_at_the_echelon_form():
