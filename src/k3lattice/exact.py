@@ -33,18 +33,20 @@ walks half a box through it, or the box of the rows with a partner, once.
 above them, once, over the finished rows (``_reduce_above``); ``index`` and
 ``kernel_basis`` read only the pivots and the rows past the rank, and stop
 after the first.  ``hermite_basis_mod`` ends in the same pass; it finds the
-pivots of a lattice containing d*Z^n modulo d, with no d*I_n rows.
+pivots of a lattice containing d*Z^n modulo d, with no d*I_n rows, and for
+d = 2 reduces over F_2 with each row a bitmask, adding two rows by one XOR.
 ``smith_normal_form`` and ``smith_diagonal`` share one driver, ``_smith``,
 run with and without the companions u and v; it repairs a diagonal pair
 that breaks divisibility on the pair's 2x2 block alone, and with no
-companions writes down the pair's gcd and lcm.  A caller that reads
-only d and v may pass the Hermite basis (``hermite_row_basis``, built
-without a companion) in place of a nonsingular matrix: the first row pass
-then finds it reduced, and every later pass, with d and v, is the same.  It
-may pass less: the passes over a Hermite basis whose first k pivots are 1
-clear those rows and columns against the unit pivots and then run on the
-tail from row and column k exactly as they would on the tail alone, so
-``lattice`` passes only that tail; for d alone it drops every unit pivot.
+companions writes down the pair's gcd and lcm; ``smith_diagonal`` first
+splits off unit pivots and content.  A caller that reads only d and v may
+pass the Hermite basis (``hermite_row_basis``, built without a companion)
+in place of a nonsingular matrix: the first row pass then finds it reduced,
+and every later pass, with d and v, is the same.  It may pass less: the
+passes over a Hermite basis whose first k pivots are 1 clear those rows
+and columns against the unit pivots and then run on the tail from row and
+column k exactly as they would on the tail alone, so ``lattice`` passes
+only that tail to ``smith_normal_form``.
 ``signature`` reads the pivot of a row with no off-diagonal entry off the
 diagonal and passes only the other rows to ``ldl``.
 All public functions return fresh objects and never mutate their
@@ -341,10 +343,40 @@ def smith_normal_form(
 
 
 def smith_diagonal(m: Sequence[Sequence[int]]) -> IntVector:
-    """The diagonal of ``smith_normal_form(m)``'s d, by the same passes run
-    with no companions."""
+    """The diagonal of ``smith_normal_form(m)``'s d (Cohen, GTM 138, 2.4).
+    While some entry is +-1, the first row holding one and that unit's
+    column are eliminated against it, with no division, and the running
+    content c goes on the diagonal.  With no unit left, the gcd g of the
+    entries divides every later factor, so the rest is divided by g and c
+    multiplied by it; at content 1, one Hermite pass makes the column gcds
+    pivots, often units, and the split goes on.  A rest that still has no
+    unit goes to ``_smith``, with no companions; its diagonal, times c,
+    ends the list, zeros last."""
     _width(m)
-    return _smith(copy_matrix(m))
+    a, diag, c, reduced = copy_matrix(m), [], 1, False
+    while a and a[0]:
+        i = next((i for i, row in enumerate(a) if 1 in row or -1 in row), None)
+        if i is None:
+            g = gcd(*chain.from_iterable(a))
+            if g > 1:
+                a, c = [[x // g for x in row] for row in a], c * g
+            elif reduced:
+                return diag + [c * x for x in _smith(a)]
+            else:
+                _hermite(a)
+                reduced = True
+            continue
+        prow = a.pop(i)
+        j = prow.index(1) if 1 in prow else prow.index(-1)
+        nz = [(k, prow[j] * y) for k, y in enumerate(prow) if y]
+        for row in a:
+            f = row[j]
+            if f:
+                for k, y in nz:
+                    row[k] -= f * y
+            del row[j]
+        diag.append(c)
+    return diag
 
 
 def _smith(a: IntMatrix, u: IntMatrix | None = None, vt: IntMatrix | None = None) -> IntVector:
@@ -618,9 +650,25 @@ def hermite_basis_mod(rows: Sequence[Sequence[int]], d: int, n: int) -> list[Int
     column c is folded into it by the extended gcd g of (pivot[c], x); the
     remainder, zero in column c, stays in the pool.  The folds are
     unimodular and d*Z^n lies in the lattice, so the entries right of column
-    c are kept modulo d.  The pivots divide d; one pass reduces above them."""
+    c are kept modulo d.  The pivots divide d; one pass reduces above them.
+    For d = 2 the rows are reduced over F_2 as bitmasks (bit c for column
+    c), adding two rows by one XOR; the reduced echelon rows and 2*e_c for
+    each column c without a pivot are that same Hermite basis."""
     if d < 1 or any(len(row) != n for row in rows):
         raise ValueError("hermite_basis_mod needs a positive modulus and rows of length n")
+    if d == 2:
+        piv: dict[int, int] = {}  # pivot column -> reduced row
+        for row in rows:
+            v = sum(1 << c for c, x in enumerate(row) if x & 1)
+            for c, b in piv.items():
+                if v >> c & 1:
+                    v ^= b
+            if v:
+                low = v & -v
+                piv = {c: b ^ v if b & low else b for c, b in piv.items()}
+                piv[low.bit_length() - 1] = v
+        return [[piv[c] >> j & 1 for j in range(n)] if c in piv
+                else [2 * (j == c) for j in range(n)] for c in range(n)]
     pool = [v for v in ([x % d for x in row] for row in rows) if any(v)]
     basis = []
     for c in range(n):  # the pool rows and the pivot row hold columns c.. only

@@ -486,10 +486,11 @@ def named_lattice_names() -> list[str]:
 
 def build_named(name: str) -> Lattice:
     """Construct a named lattice; parameterized names look like Lambda(3),
-    Lp(17), Np(5,2), L_d(7,subgroup)."""
+    Lp(17), Np(5,2), L_d(7,subgroup).  Surrounding whitespace is ignored."""
+    name = name.strip()
     if name in NAMED_BUILDERS:
         return NAMED_BUILDERS[name]()
-    m = _PARAM_RE.match(name.strip())
+    m = _PARAM_RE.match(name)
     if not m:
         raise GlueError(f"unknown lattice name {name!r}")
     head, args = m.group(1), [a.strip() for a in m.group(2).split(",")]

@@ -373,7 +373,8 @@ def _hermite_tail(gram: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[
     of unit pivots is split off, since ``discriminant_group`` reads its
     generators off v: a unit pivot after a larger one takes part in the
     passes over the tail, and dropping it changes the generators, though
-    not the invariant factors (``invariant_factors``).
+    not the invariant factors, which ``invariant_factors`` reads off the
+    Gram matrix with no Hermite basis.
     """
     n = len(gram)
     h = exact.hermite_row_basis(gram)
@@ -385,20 +386,15 @@ def _hermite_tail(gram: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[
 
 def invariant_factors(l: Lattice) -> tuple[int, ...]:
     """The invariant factors of ``discriminant_group(l)``: the stored form's
-    when it is built, else the Smith diagonal of the Hermite tail T
-    (``_hermite_tail``) with every row and column of a unit pivot dropped,
-    not only the leading run.  They do not change under G -> P G P^T, so G
-    is first put in ``exact.det``'s sparsest-first symmetric order, which
-    keeps the Hermite fill-in small.  T is upper triangular with the
-    entries above a unit pivot reduced to 0, so that pivot's column is e_k,
-    and column operations clear its row without touching any other entry."""
+    when it is built, else the entries > 1 of ``exact.smith_diagonal`` of
+    the Gram matrix itself, whose unit pivots are split off before any
+    Smith pass; a zero on that diagonal means a degenerate Gram matrix."""
     if "_discriminant_form" in vars(l):
         return l._discriminant_form.invariant_factors
-    g = l.gram
-    order = sorted(range(len(g)), key=lambda i: len(g) - g[i].count(0))
-    t = _hermite_tail([[g[i][j] for j in order] for i in order])[1]
-    keep = [i for i, row in enumerate(t) if row[i] != 1]
-    return tuple(d for d in exact.smith_diagonal([[t[i][j] for j in keep] for i in keep]) if d > 1)
+    diag = exact.smith_diagonal(l.gram)
+    if 0 in diag:
+        raise ValueError("degenerate Gram matrix has no discriminant group")
+    return tuple(d for d in diag if d > 1)
 
 
 def discriminant_group(l: Lattice) -> FiniteQuadraticForm:

@@ -651,6 +651,31 @@ def test_hermite_basis_mod_equals_the_stacked_hermite_basis(case):
     assert all(d % basis[i][i] == 0 for i in range(n))
 
 
+@st.composite
+def mod_two_inputs(draw):
+    """(rows, n) for ``hermite_basis_mod`` with d = 2, up to 32 rows of
+    width up to 20, as KummerK's glue has 30 rows of width 16: sparse
+    rows of both parities and signs, some repeated, so the rank mod 2
+    varies."""
+    n, k = draw(st.integers(0, 20)), draw(st.integers(0, 32))
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, 3, -5])
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=k, max_size=k))
+    for i in range(1, k):
+        if draw(st.booleans()):
+            rows[i] = list(rows[draw(st.integers(0, i - 1))])
+    return rows, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(mod_two_inputs())
+def test_hermite_basis_mod_two_equals_the_stacked_hermite_basis(case):
+    # d = 2 reduces over F_2 with rows as bitmasks
+    rows, n = case
+    before = [list(row) for row in rows]
+    assert exact.hermite_basis_mod(rows, 2, n) == stacked_hermite_basis(rows, 2, n)
+    assert rows == before
+
+
 def test_hermite_basis_mod_examples():
     assert exact.hermite_basis_mod([], 3, 2) == [[3, 0], [0, 3]]
     assert exact.hermite_basis_mod([[5, -7]], 1, 2) == [[1, 0], [0, 1]]
@@ -694,7 +719,9 @@ def test_snf_equals_the_reference_on_repair_heavy_matrices(m):
 def test_smith_repairs_run_on_the_two_by_two_block(monkeypatch):
     # once the matrix is diagonal, a pair that breaks divisibility is
     # repaired by passes over its own 2x2 block, not over the whole matrix;
-    # with no companions its gcd and lcm are written down with no pass
+    # with no companions its gcd and lcm are written down with no pass.
+    # smith_diagonal splits off unit pivots and content before any pass,
+    # so the no-companion driver _smith is run directly on a copy
     calls = []
     hermite = exact._hermite
 
@@ -708,14 +735,18 @@ def test_smith_repairs_run_on_the_two_by_two_block(monkeypatch):
     for entries in diag:
         m = [[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)]
         out = []
-        for run, passes in ((exact.smith_normal_form, {2}), (exact.smith_diagonal, set())):
+        for run, passes in (
+            (exact.smith_normal_form, {2}),
+            (lambda m: exact._smith(exact.copy_matrix(m)), set()),
+        ):
             calls.clear()
             out.append(run(m))
             first = next(k for k, (_, diagonal) in enumerate(calls) if diagonal)
             after = [rows for rows, _ in calls[first + 1 :]]
-            assert set(after) == passes and bool(after) == bool(passes), (entries, run.__name__)
+            assert set(after) == passes and bool(after) == bool(passes), (entries, run)
         d = out[0][0]
         assert out[1] == [d[i][i] for i in range(len(m))], entries
+        assert exact.smith_diagonal(m) == [d[i][i] for i in range(len(m))], entries
 
 
 @settings(max_examples=200, deadline=None)
@@ -730,6 +761,37 @@ def test_smith_diagonal_of_a_diagonal_matrix_is_the_snf_diagonal(entries):
     nonzero = [x for x in diag if x]
     assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
     assert prod(nonzero) == prod(abs(x) for x in entries if x)
+
+
+@st.composite
+def unitless_matrices(draw):
+    """Rectangular matrices with no +-1 entry, entries from
+    {0, +-2, +-3, +-4, +-6}; some rows repeat or negate an earlier one, so
+    some are rank-deficient."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    entries = st.sampled_from([0, 2, -2, 3, -3, 4, -4, 6, -6])
+    m = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    for i in range(1, rows):
+        if draw(st.booleans()):
+            m[i] = [draw(st.sampled_from([1, -1])) * x for x in m[draw(st.integers(0, i - 1))]]
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(matrices(6, 8, 6), unitless_matrices()), st.sampled_from([1, 2, 3, 4, 6, 12]))
+def test_smith_diagonal_of_scaled_matrices_is_the_snf_diagonal(m, c):
+    # for c > 1, c*M has content c and no unit entry, so smith_diagonal
+    # first divides it out; c = 1 eliminates the unit entries of M in
+    # place.  The diagonal has length min(rows, cols), zeros last
+    cm = [[c * x for x in row] for row in m]
+    before = [list(row) for row in cm]
+    d, _, _ = exact.smith_normal_form(cm)
+    diag = exact.smith_diagonal(cm)
+    assert cm == before  # smith_diagonal works on a copy
+    assert diag == [d[i][i] for i in range(min(len(cm), len(cm[0])))]
+    rank = rational_rank(m)
+    assert all(diag[:rank]) and not any(diag[rank:])
+    assert all(x % c == 0 for x in diag)
 
 
 @settings(max_examples=150, deadline=None)

@@ -554,6 +554,12 @@ def test_named_invalid_parameters():
             glue.build_named(name)
 
 
+@pytest.mark.parametrize("name", [" L2 ", " M16 ", "\tN1\n", " Lambda(3) "])
+def test_named_ignores_surrounding_whitespace(name):
+    # plain and parameterized names follow one rule
+    assert glue.build_named(name).gram == glue.build_named(name.strip()).gram
+
+
 def test_named_lambda_n():
     for n in (1, 2, 3, 6):
         l = glue.build_named(f"Lambda({n})")

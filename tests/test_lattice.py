@@ -545,13 +545,24 @@ def test_invariant_factors_of_drawn_even_grams_are_those_of_the_form(g):
     assert _sympy_invariant_factors(g) in (None, factors)
 
 
+@settings(max_examples=60, deadline=None)
+@given(even_grams().filter(lambda g: exact.det(g) != 0), st.sampled_from([2, 3, 4, 6, 12]))
+def test_invariant_factors_of_scaled_even_grams_are_those_of_the_form(g, c):
+    # c*G has no unit entry, so its Smith diagonal starts from its content
+    cg = [[c * x for x in row] for row in g]
+    l = lat.Lattice(cg)
+    factors = lat.invariant_factors(l)
+    assert factors == lat.discriminant_group(l).invariant_factors
+    assert _sympy_invariant_factors(cg) in (None, factors)
+
+
 @pytest.mark.parametrize(
     "name", [f"Lambda({n})" for n in range(1, 9)] + ["Lp(17)", "Lp(41)", "Lp(89)"]
 )
 def test_invariant_factors_drop_unit_pivots_after_a_larger_one(name):
-    # each Hermite basis here, in the given order and in invariant_factors'
-    # sparsest-first one, has a unit pivot after a non-unit one, which
-    # invariant_factors drops and discriminant_group keeps in its tail
+    # each Hermite basis here has a unit pivot after a non-unit one, which
+    # discriminant_group keeps in its tail; invariant_factors takes no
+    # Hermite basis and splits every unit entry off the Gram matrix itself
     l = glue.build_named(name)
     pivots = _pivots(l)
     k = next(i for i, p in enumerate(pivots) if p != 1)

@@ -355,6 +355,23 @@ def test_lattice_summary_builds_no_discriminant_form():
     assert "discriminant_group" not in called
 
 
+def test_invariant_factors_take_no_hermite_basis(monkeypatch):
+    # smith_diagonal splits unit pivots off the Gram matrix itself, so the
+    # invariant factors of a named lattice need no Hermite basis or tail
+    names = sorted(glue.NAMED_BUILDERS)
+    want = [lat.discriminant_group(glue.build_named(name)).invariant_factors for name in names]
+    lattices = [glue.build_named(name) for name in names]
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a Hermite basis was taken")
+
+    monkeypatch.setattr(exact, "hermite_row_basis", refuse)
+    monkeypatch.setattr(lat, "_hermite_tail", refuse)
+    for l, factors in zip(lattices, want):
+        assert "_discriminant_form" not in vars(l)
+        assert lat.invariant_factors(l) == factors
+
+
 def _eliminated_grams(monkeypatch) -> list[tuple[str, tuple]]:
     """Record every matrix passed to exact.ldl and exact.det from now on,
     with the caches of Lattice.det and Lattice.signature emptied."""
