@@ -374,7 +374,7 @@ def _hermite_tail(gram: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[
     generators off v: a unit pivot after a larger one takes part in the
     passes over the tail, and dropping it changes the generators, though
     not the invariant factors, which ``invariant_factors`` reads off the
-    Gram matrix with no Hermite basis.
+    Gram matrix with no Hermite tail.
     """
     n = len(gram)
     h = exact.hermite_row_basis(gram)

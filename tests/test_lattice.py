@@ -562,7 +562,7 @@ def test_invariant_factors_of_scaled_even_grams_are_those_of_the_form(g, c):
 def test_invariant_factors_drop_unit_pivots_after_a_larger_one(name):
     # each Hermite basis here has a unit pivot after a non-unit one, which
     # discriminant_group keeps in its tail; invariant_factors takes no
-    # Hermite basis and splits every unit entry off the Gram matrix itself
+    # Hermite tail and splits unit entries off the Gram matrix itself
     l = glue.build_named(name)
     pivots = _pivots(l)
     k = next(i for i, p in enumerate(pivots) if p != 1)

@@ -357,7 +357,8 @@ def test_lattice_summary_builds_no_discriminant_form():
 
 def test_invariant_factors_take_no_hermite_basis(monkeypatch):
     # smith_diagonal splits unit pivots off the Gram matrix itself, so the
-    # invariant factors of a named lattice need no Hermite basis or tail
+    # invariant factors of a named lattice need no Hermite basis of it,
+    # nor its tail
     names = sorted(glue.NAMED_BUILDERS)
     want = [lat.discriminant_group(glue.build_named(name)).invariant_factors for name in names]
     lattices = [glue.build_named(name) for name in names]
