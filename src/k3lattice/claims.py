@@ -33,6 +33,25 @@ T_GRAM = (
     (-1, -1, 1, 2),
 )
 
+# The isometries behind T.glue-isom and rank17.trans, as rows of images in
+# coordinates the claims' inputs fix: of diag(-2,-2,6,6)'s basis in those of
+# <-2>^2+U+U, of the same frame in T's, and of A1+A2(2)+<2>+<2>'s basis in
+# V's 22 (checked by ``_maps_onto``)
+T_COMPLEMENT_MAP = (
+    (0, -1, 0, 0, 0, 0),
+    (-1, 0, 0, 0, 0, 0),
+    (0, 0, -1, -2, -1, -1),
+    (0, 0, 1, 1, -1, -2),
+)
+T_FRAME_MAP = ((0, 0, 1, 0), (-1, 0, 0, 0), (0, -1, 0, 1), (1, -1, -1, -1))
+RANK17_MAP = (
+    (0, 0, -1, -1, -2, -2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, -2, 0, 2, -1),
+    (0, 0, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 4, 6, 6, 6, 4, 2, 3),
+    (0, 0, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 6, 4, 2, 3),
+    (0, 0, 0, 0, -2, -2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0),
+    (0, 0, -2, -2, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -2, -4, -2, 0, -2),
+)
+
 # rank-4 example of determinant 2^2 * 17^2 with no isotropy over Q_17
 RANK18_GRAM = (
     (6, 5, 3, -3),
@@ -164,6 +183,24 @@ def claim(id: str, statement: str, *tags: str):
 def _equal(computed, expected) -> tuple[bool, object, object]:
     """The verdict of a claim that ``computed`` equals ``expected``."""
     return computed == expected, computed, expected
+
+
+def _maps_onto(source: lat.Lattice, target: lat.Lattice, images) -> bool:
+    """Whether ``images``, the images of source's basis written in target's
+    frame (its ambient's when it has one), map source isometrically onto
+    target: they are integral and lie in target, they pair as source's basis
+    does, and the dets agree and are nonzero, so they span target with
+    index 1."""
+    if any(x.denominator != 1 for row in images for x in row):
+        return False
+    e = target.ambient
+    if e is not None and not all(lat.contains_ambient(target, w) for w in images):
+        return False
+    gram = target.gram if e is None else e.ambient.gram
+    return (
+        exact.congruence(images, gram) == [list(r) for r in source.gram]
+        and source.det() == target.det() != 0
+    )
 
 
 def claim_ids() -> list[str]:
@@ -451,9 +488,11 @@ def _t_glue():
     )
     tp = lat.orthogonal_complement(m, [[0, 0, 1, -2, -1, 1], [0, 0, 1, -1, 1, -2]])
     dmodel = lat.Lattice(_diag([-2, -2, 6, 6]))
-    step1 = ke.isometry_search(dmodel, tp, bound=4) is not None
+    step1 = _maps_onto(dmodel, tp, T_COMPLEMENT_MAP)
     glued = glue.adjoin(dmodel, [glue.GlueSpec((1, 1, 1, 1), 2)])
-    step2 = ke.isometry_search(glued, lat.Lattice(T_GRAM), bound=4) is not None
+    e = glued.ambient  # glued's basis B/s goes to B/s times the frame's images
+    images = [[Fraction(x, e.denominator) for x in r] for r in exact.matmul(e.basis, T_FRAME_MAP)]
+    step2 = _maps_onto(glued, lat.Lattice(T_GRAM), images)
     computed = {"complement_diagonal": step1, "glued_det": glued.det(), "isomorphic_to_T": step2}
     expected = {"complement_diagonal": True, "glued_det": 36, "isomorphic_to_T": True}
     return _equal(computed, expected)
@@ -489,7 +528,7 @@ def _rank17_disc():
 def _rank17_trans():
     emb = _rank17_embedding()
     tr = ke.transcendental_of(emb)
-    found = ke.isometry_search(_rank17_target(), tr, bound=4) is not None
+    found = _maps_onto(_rank17_target(), tr, RANK17_MAP)
     computed = {
         "primitive": lat.is_primitive(emb),
         "rank": tr.rank,

@@ -977,6 +977,61 @@ def test_isometry_search_rows_of_the_claims(inputs, rows):
     assert abs(exact.det(rows)) == 1
 
 
+def test_stored_maps_are_the_searched_rows():
+    # each claim's stored map is the search's first isometry (the rows
+    # pinned above) written in the claim's own coordinates: a complement's
+    # rows through its embedding rows, and step 2's images of glued's basis
+    # B/s as B/s times the images of the frame
+    (dmodel, tp), (glued, t) = _t_glue_inputs()
+    rows = ke.isometry_search(dmodel, tp, bound=4)
+    assert exact.matmul(rows, tp.ambient.basis) == [list(r) for r in claims.T_COMPLEMENT_MAP]
+    e = glued.ambient
+    frame_images = exact.matmul(e.basis, claims.T_FRAME_MAP)
+    assert [[Fraction(x, e.denominator) for x in r] for r in frame_images] == (
+        ke.isometry_search(glued, t, bound=4)
+    )
+    target, tr = _rank17_inputs()
+    rows = ke.isometry_search(target, tr, bound=4)
+    assert exact.matmul(rows, tr.ambient.basis) == [list(r) for r in claims.RANK17_MAP]
+
+
+@pytest.mark.parametrize(
+    "claim_id, name",
+    [
+        ("T.glue-isom", "T_COMPLEMENT_MAP"),
+        ("T.glue-isom", "T_FRAME_MAP"),
+        ("rank17.trans", "RANK17_MAP"),
+    ],
+)
+def test_changing_one_entry_of_a_stored_map_fails_its_claim(monkeypatch, claim_id, name):
+    check = claims.get_claim(claim_id).check
+    assert check()[0]
+    stored = getattr(claims, name)
+    for i, row in enumerate(stored):
+        for j in range(len(row)):
+            for step in (1, -1):
+                edited = [list(r) for r in stored]
+                edited[i][j] += step
+                monkeypatch.setattr(claims, name, edited)
+                assert not check()[0], (i, j, step)
+
+
+def test_maps_onto_refuses_a_map_off_the_target_or_onto_a_sublattice():
+    # the source's Gram matrix and det, but images that pair 1 with a
+    # removed norm -6 vector, so they miss the complement
+    (dmodel, tp), _ = _t_glue_inputs()
+    outside = [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 3, 0, 0], [0, 0, 0, 0, 1, 3]]
+    assert exact.congruence(outside, tp.ambient.ambient.gram) == [list(r) for r in dmodel.gram]
+    assert not claims._maps_onto(dmodel, tp, outside)
+    # x -> 2x takes <8> into <2> with the right Gram matrix, onto index 2
+    assert not claims._maps_onto(lat.rank_one(8), lat.rank_one(2), [[2]])
+    # <2> + <8> to <8> + <2> with the Gram matrix and det right, off the lattice
+    two_eight = lat.direct_sum(lat.rank_one(2), lat.rank_one(8))
+    eight_two = lat.direct_sum(lat.rank_one(8), lat.rank_one(2))
+    assert not claims._maps_onto(two_eight, eight_two, [[Fraction(1, 2), 0], [0, 2]])
+    assert claims._maps_onto(lat.rank_one(2), lat.rank_one(2), [[-1]])
+
+
 def _rank17_counts(monkeypatch):
     """Points that ``exact.box_vectors`` yields and multiplications in
     ``k3embed`` (the pairings of ``_match_gram``) in the rank-17 search."""
@@ -1002,10 +1057,7 @@ def _rank17_counts(monkeypatch):
 def test_isometry_search_walks_one_of_each_sign_pair(monkeypatch):
     # the pools hold 880 nonzero vectors of the needed norms (306 + 370 +
     # 204), the 440 whose first nonzero coordinate is positive and their
-    # negations.  Rows 1 and 3 of the transcendental Gram are lone <2>
-    # summands, so only the rank-3 block of rows 0, 2 and 4 is walked, over
-    # its own box: 93 points, where the walk over all five coordinates met
-    # the 440
+    # negations, and one walk of the box meets just those
     target, tr = _rank17_inputs()
     needed = {target.gram[i][i] for i in range(target.rank)}
     full = [v for v, _ in exact.box_vectors([list(r) for r in tr.gram], 4, needed) if any(v)]
@@ -1018,7 +1070,7 @@ def test_isometry_search_walks_one_of_each_sign_pair(monkeypatch):
         return match_gram(target, pools, gram)
 
     monkeypatch.setattr(ke, "_match_gram", spy)
-    assert _rank17_counts(monkeypatch)["points"] == 93
+    assert _rank17_counts(monkeypatch)["points"] == 880
     # level 0 holds the negative-leading half of its pool
     first, *rest = levels
     pooled = {w for v in first for w in (v, tuple(-c for c in v))}.union(*rest)
@@ -1116,17 +1168,10 @@ def test_isometry_search_equals_the_unpruned_oracle(data):
 
 
 def check_half_box_search(h, bound):
-    """The pools of a target Gram h equal the positive-leading half of the
-    full sorted box, and the search from a unimodular image of h, and from
-    an odd lattice of the same det and signature, gives the unpruned
+    """The search into a target Gram h from a unimodular image of h, and
+    from an odd lattice of the same det and signature, gives the unpruned
     search's first match."""
     n = len(h)
-    needed = {h[i][i] for i in range(n)}
-    full = sorted_box_pools(h, h, bound)
-    got = ke._half_box(h, bound, needed)
-    assert {x: sorted(vs) for x, vs in got.items()} == {
-        x: sorted(v for v in vs if next(c for c in v if c) > 0) for x, vs in full.items()
-    }
     rng = random.Random(repr((h, bound)))
     u = exact.identity(n)
     for _ in range(4):

@@ -86,30 +86,26 @@ def hilbert_oracle(a: int, b: int, p: int) -> int:
 
 def isotropic_vector_search(gram, bound=20):
     """Complete search for a nonzero isotropic vector with coordinates in
-    [-bound, bound], by meeting the two coordinate halves in the middle."""
+    [-bound, bound]: every point of the box in the first n - 1 coordinates,
+    and the last one solved from q = g t^2 + 2 l t + q0 = 0 with isqrt."""
     n = len(gram)
-    half = n // 2
-    rng = range(-bound, bound + 1)
-    first = []
-    for v in itertools.product(rng, repeat=half):
-        q = sum(v[i] * gram[i][j] * v[j] for i in range(half) for j in range(half))
-        cross = [
-            2 * sum(v[i] * gram[i][j] for i in range(half)) for j in range(half, n)
-        ]
-        first.append((q, cross, v))
-    second = []
-    for w in itertools.product(rng, repeat=n - half):
-        q = sum(
-            w[i] * gram[half + i][half + j] * w[j]
-            for i in range(n - half)
-            for j in range(n - half)
-        )
-        second.append((q, w))
-    for q1, cross, v in first:
-        for q2, w in second:
-            if q1 + q2 + sum(c * wi for c, wi in zip(cross, w)) == 0:
-                if any(v) or any(w):
-                    return v + w
+    last = n - 1
+    g = gram[last][last]
+    box = range(-bound, bound + 1)
+    for head in itertools.product(box, repeat=last):
+        q0 = sum(head[i] * gram[i][j] * head[j] for i in range(last) for j in range(last))
+        l = sum(head[i] * gram[i][last] for i in range(last))
+        if g:
+            d = l * l - g * q0
+            r = isqrt(d) if d >= 0 else -1
+            ts = ((-l + r) // g, (-l - r) // g) if r * r == d else ()
+        elif l:
+            ts = (-q0 // (2 * l),)
+        else:
+            ts = box
+        for t in ts:
+            if abs(t) <= bound and g * t * t + 2 * l * t + q0 == 0 and (t or any(head)):
+                return head + (t,)
     return None
 
 

@@ -614,6 +614,9 @@ UNCALLED = {
     "quadform._pollard_rho": "splits a |det| whose part past the primes up to 31 is composite",
     "quadform._strong_lucas": "primality from psi12 = 318665857834031151167461 on",
     "quadform.hilbert_symbol": "public, and perfbench/tracer.py FUNCTIONS names it",
+    "k3embed.isometry_search": (
+        "public, and perfbench/tracer.py FUNCTIONS names it; the claims check stored maps"
+    ),
     "lattice_io._decode_int": "the error path of an entry that is not a plain int",
     "value.Value.__setattr__": "refuses assignment to a field",
     "value.Value.__delattr__": "refuses deletion of a field",
