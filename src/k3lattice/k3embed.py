@@ -6,12 +6,14 @@ Genus comparison is the Nikulin-style test: equal signatures plus isomorphic
 discriminant forms, part by p-primary part: at odd p one Legendre symbol per
 Jordan scale, and on the 2-parts a search mapping each generator into the
 elements of its order and q value, pairing as the generators do.  Definite
-isometry is decided by a complete short-vector backtracking search; an
-additional bounded coordinate-box search provides isometry certificates for
-small indefinite lattices.  All three searches run on one pool-refined Gram
-matching: each chosen vector filters the candidate pools of all later
-generators by their pairing with it, compared modulo the exponent for
-discriminant forms.
+isometry is decided by a complete short-vector backtracking search.  A
+bounded coordinate-box search (``isometry_search``) looks for isometries of
+small indefinite lattices.  It no longer supplies the claims' isometry
+certificates, which check stored maps (``claims._maps_onto``); it stays for
+its tests and for the perfbench tracer, which names it.  All three searches
+run on one pool-refined Gram matching: each chosen vector filters the
+candidate pools of all later generators by their pairing with it, compared
+modulo the exponent for discriminant forms.
 """
 
 from __future__ import annotations

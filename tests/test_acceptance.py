@@ -14,6 +14,7 @@ from fractions import Fraction
 import k3lattice.lattice as lat
 from k3lattice import claims, ellsurf as es, exact, glue, k3embed as ke
 from k3lattice import quadform as qf
+from test_k3embed import naive_isomorphic, random_posdef
 from test_quadform import relevant_places
 
 
@@ -456,8 +457,6 @@ def test_criterion_15_property_suites():
                 )
 
     # definite isometry against exhaustion
-    from test_k3embed import naive_isomorphic, random_posdef
-
     definite_ok = True
     done = 0
     while done < 5:

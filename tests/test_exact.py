@@ -575,11 +575,13 @@ def even_grams(draw, min_n=1, max_n=12, bound=2):
     """Even Gram matrices, off-diagonal entries in [-bound, bound] and
     diagonal entries twice that."""
     n = draw(st.integers(min_n, max_n))
+    size = n * (n + 1) // 2
+    entries = iter(draw(st.lists(st.integers(-bound, bound), min_size=size, max_size=size)))
     g = [[0] * n for _ in range(n)]
     for i in range(n):
-        g[i][i] = 2 * draw(st.integers(-bound, bound))
+        g[i][i] = 2 * next(entries)
         for j in range(i):
-            g[i][j] = g[j][i] = draw(st.integers(-bound, bound))
+            g[i][j] = g[j][i] = next(entries)
     return g
 
 

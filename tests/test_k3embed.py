@@ -75,7 +75,8 @@ def naive_isomorphic(g1, g2):
 def random_posdef(rng, n):
     while True:
         b = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(n)]
-        if exact.det(b) == 0:
+        # a row of norm > 6 is a diagonal entry > 6: rejected before the det
+        if any(sum(x * x for x in row) > 6 for row in b) or exact.det(b) == 0:
             continue
         g = exact.matmul(b, exact.transpose(b))
         if all(abs(g[i][j]) <= 6 for i in range(n) for j in range(n)):

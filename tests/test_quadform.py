@@ -8,6 +8,7 @@ against a bounded search for isotropic vectors.
 """
 
 import contextlib
+import io
 import itertools
 import random
 import signal
@@ -716,16 +717,28 @@ def test_factorize_splits_a_40_bit_factor():
 P30, Q30 = 100000000000000000000000000319, 300000000000000000000000000007
 
 
-def test_factorize_gives_up_on_an_unsplittable_cofactor():
-    with _deadline(20):
-        with pytest.raises(ValueError, match=str(P30 * Q30)):
-            qf.factorize(7 * P30 * Q30)
+@pytest.fixture(scope="module")
+def unsplittable_run(tmp_path_factory):
+    # both give-up tests read one `quadform invariants` run on det 7·P30·Q30
+    path = tmp_path_factory.mktemp("pq") / "pq.lattice"
+    lattice_io.save_lattice(lat.Lattice([[7, 0], [0, P30 * Q30]], "pq"), path)
+    raised, factorize, err = [], qf.factorize, io.StringIO()
+    def recording(n):
+        try:
+            return factorize(n)
+        except ValueError as e:
+            raised.append((n, e))
+            raise
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), _deadline(20):
+        mp.setattr(qf, "factorize", recording)
+        return cli.main(["quadform", "invariants", str(path)]), err.getvalue(), raised
 
 
-def test_cli_quadform_exits_2_on_an_unsplittable_det(tmp_path, capsys):
-    path = tmp_path / "pq.lattice"
-    lattice_io.save_lattice(lat.Lattice([[1, 0], [0, P30 * Q30]], "pq"), path)
-    with _deadline(20):
-        assert cli.main(["quadform", "invariants", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and str(P30 * Q30) in err
+def test_factorize_gives_up_on_an_unsplittable_cofactor(unsplittable_run):
+    (n, e), = unsplittable_run[2]
+    assert n == 7 * P30 * Q30 and isinstance(e, ValueError) and str(P30 * Q30) in str(e)
+
+
+def test_cli_quadform_exits_2_on_an_unsplittable_det(unsplittable_run):
+    code, err, _ = unsplittable_run
+    assert code == 2 and err.startswith("error:") and str(P30 * Q30) in err

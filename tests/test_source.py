@@ -479,8 +479,6 @@ def test_one_hasse_pass_per_place():
     assert not hasattr(importlib.import_module("k3lattice.quadform"), "relevant_places")
 
 
-
-
 def test_int_converts_only_text():
     # exact.require_integers refuses an entry that is not an int, so nothing
     # is truncated: int() runs only where text is parsed, in the CLI's --glue
