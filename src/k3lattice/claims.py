@@ -315,7 +315,7 @@ def _l2_mw():
         "s_pairings": [frame.pairing(t1, s), frame.pairing(t2, s)],
         "in_L2": [lat.contains_ambient(l2, t1), lat.contains_ambient(l2, t2)],
         "rank": es.shioda_tate_rank(
-            es.SurfaceData(2, 16, 4), es.FiberConfig.of("1xI0*", "9xI2")
+            es.SurfaceData(2, 16), es.FiberConfig.of("1xI0*", "9xI2")
         ),
     }
     expected = {
@@ -753,7 +753,7 @@ def _euler_lambdanu():
     "shioda-tate",
 )
 def _st_l2():
-    r = es.shioda_tate_rank(es.SurfaceData(2, 16, 4), es.FiberConfig.of("1xI0*", "9xI2"))
+    r = es.shioda_tate_rank(es.SurfaceData(2, 16), es.FiberConfig.of("1xI0*", "9xI2"))
     return _equal(r, 1)
 
 
@@ -765,7 +765,7 @@ def _st_l2():
 )
 def _st_other():
     r = es.shioda_tate_rank(
-        es.SurfaceData(2, 16, 2), es.FiberConfig.of("1xI2*", "1xI3", "6xI2", "1xI1")
+        es.SurfaceData(2, 16), es.FiberConfig.of("1xI2*", "1xI3", "6xI2", "1xI1")
     )
     return _equal(r, 0)
 
@@ -777,7 +777,7 @@ def _st_other():
     "shioda-tate",
 )
 def _st_rational():
-    r = es.shioda_tate_rank(es.SurfaceData(1, 10, 4), es.FiberConfig.of("1xI0*", "3xI2"))
+    r = es.shioda_tate_rank(es.SurfaceData(1, 10), es.FiberConfig.of("1xI0*", "3xI2"))
     return _equal(r, 1)
 
 
@@ -796,7 +796,7 @@ def _height_l2():
     inc = es.SectionIncidence(
         1, tuple([(es.kodaira("I0*"), 0)] + [(es.kodaira("I2"), 1)] * 9)
     )
-    return _equal(es.height_pairing(es.SurfaceData(2, 16, 4), inc), Fraction(3, 2))
+    return _equal(es.height_pairing(es.SurfaceData(2, 16), inc), Fraction(3, 2))
 
 
 @claim(
@@ -816,7 +816,7 @@ def _height_torsion():
             + [(es.kodaira("I2"), 1)] * 6
         ),
     )
-    return _equal(es.height_pairing(es.SurfaceData(2, 16, 4), inc), Fraction(0))
+    return _equal(es.height_pairing(es.SurfaceData(2, 16), inc), Fraction(0))
 
 
 @claim(

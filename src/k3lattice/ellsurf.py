@@ -118,7 +118,6 @@ def h20_from_euler(chi: int) -> int:
 class SurfaceData(Value):
     chi_o: int  # holomorphic Euler characteristic chi(O_S)
     rho: int  # Picard number
-    torsion_order: int = 1
 
     def __post_init__(self) -> None:
         if self.chi_o < 1:

@@ -14,8 +14,8 @@ from fractions import Fraction
 import k3lattice.lattice as lat
 from k3lattice import claims, ellsurf as es, exact, glue, k3embed as ke
 from k3lattice import quadform as qf
-from test_k3embed import naive_isomorphic, random_posdef
-from test_quadform import relevant_places
+from test_k3embed import _rank17_inputs, _t_glue_inputs, naive_isomorphic, random_posdef
+from test_quadform import hilbert_oracle, relevant_places
 
 
 def _criterion(num: int, description: str, checks: dict) -> None:
@@ -23,11 +23,6 @@ def _criterion(num: int, description: str, checks: dict) -> None:
     status = "PASS" if not failed else "FAIL"
     print(f"criterion {num:2d} {status}: {description}")
     assert not failed, f"criterion {num}: failed sub-checks {failed}"
-
-
-def _diag(entries):
-    n = len(entries)
-    return [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def test_criterion_01_l2():
@@ -89,7 +84,7 @@ def test_criterion_04_e8_complements():
         4,
         "complement of A5+A1 in E8 is diag(-2,-6); of A2+A1^3 is A1+A2(2)",
         {
-            "a5a1": ke.definite_isomorphic(comp1, lat.Lattice(_diag([-2, -6]))),
+            "a5a1": ke.definite_isomorphic(comp1, lat.Lattice(claims._diag([-2, -6]))),
             "a2a1c": ke.definite_isomorphic(comp2, target2),
         },
     )
@@ -97,7 +92,7 @@ def test_criterion_04_e8_complements():
 
 def test_criterion_05_hasse_suite():
     lam3 = glue.build_named("Lambda(3)")
-    ce = _diag(claims.COUNTEREXAMPLE_DIAG)
+    ce = claims._diag(claims.COUNTEREXAMPLE_DIAG)
     minus_m3 = {
         v for v in qf.invariants(lam3.gram).hasse_minus if v != qf.REAL
     }
@@ -115,13 +110,7 @@ def test_criterion_05_hasse_suite():
 
 
 def test_criterion_06_t36():
-    t = lat.Lattice(claims.T_GRAM)
-    m = lat.direct_sum(
-        lat.rank_one(-2), lat.rank_one(-2), lat.hyperbolic(), lat.hyperbolic()
-    )
-    tp = lat.orthogonal_complement(m, [[0, 0, 1, -2, -1, 1], [0, 0, 1, -1, 1, -2]])
-    dmodel = lat.Lattice(_diag([-2, -2, 6, 6]))
-    glued = glue.adjoin(dmodel, [glue.GlueSpec((1, 1, 1, 1), 2)])
+    (dmodel, tp), (glued, t) = _t_glue_inputs()
     _criterion(
         6,
         "T: det 36, anisotropic over Q_2 and Q_3; glue construction "
@@ -143,14 +132,7 @@ def test_criterion_07_rank17():
         lat.root_lattice("A", 2),
         *[lat.root_lattice("A", 1)] * 5,
     )
-    emb = claims._rank17_embedding()
-    tr = ke.transcendental_of(emb)
-    target = lat.direct_sum(
-        lat.root_lattice("A", 1),
-        lat.rescale(lat.root_lattice("A", 2), 2),
-        lat.rank_one(2),
-        lat.rank_one(2),
-    )
+    target, tr = _rank17_inputs()
     _criterion(
         7,
         "rank 17: Picard disc 96; transcendental A1+A2(2)+<2>+<2>; Witt "
@@ -195,7 +177,7 @@ def test_criterion_09_rank18():
         "anisotropic over Q_17",
         {
             "det": exact.det(g) == 1156 or exact.det(g),
-            "diag": qf.rationally_equivalent(g, _diag([-2, -6, 17, 51])),
+            "diag": qf.rationally_equivalent(g, claims._diag([-2, -6, 17, 51])),
             "witt17": qf.witt_index(g, 17) == 0,
         },
     )
@@ -247,17 +229,17 @@ def test_criterion_12_fibration_combinatorics():
         "ranks (1,0,1); trivial discs 2048, 768, 48; heights 3/2, 0, 1/2; "
         "determinant relation exact for all three surfaces",
         {
-            "rank_l2": es.shioda_tate_rank(es.SurfaceData(2, 16, 4), cfg_l2) == 1,
-            "rank_other": es.shioda_tate_rank(es.SurfaceData(2, 16, 2), cfg_other_full)
+            "rank_l2": es.shioda_tate_rank(es.SurfaceData(2, 16), cfg_l2) == 1,
+            "rank_other": es.shioda_tate_rank(es.SurfaceData(2, 16), cfg_other_full)
             == 0,
-            "rank_rational": es.shioda_tate_rank(es.SurfaceData(1, 10, 4), cfg_rat)
+            "rank_rational": es.shioda_tate_rank(es.SurfaceData(1, 10), cfg_rat)
             == 1,
             "disc_l2": es.trivial_lattice_disc(cfg_l2) == 2048,
             "disc_other": es.trivial_lattice_disc(cfg_other) == 768,
             "disc_l": es.trivial_lattice_disc(cfg_l) == 48,
-            "height_gen": es.height_pairing(es.SurfaceData(2, 16, 4), inc_gen)
+            "height_gen": es.height_pairing(es.SurfaceData(2, 16), inc_gen)
             == Fraction(3, 2),
-            "height_torsion": es.height_pairing(es.SurfaceData(2, 16, 4), inc_tor)
+            "height_torsion": es.height_pairing(es.SurfaceData(2, 16), inc_tor)
             == 0,
             "relation_rational": es.mw_disc_relation(1, cfg_rat, 4, Fraction(1, 2)),
             "relation_l2": es.mw_disc_relation(-192, cfg_l2, 4, Fraction(3, 2)),
@@ -395,8 +377,6 @@ def test_criterion_15_property_suites():
 
     # symbol versus the equation oracle (sampled; full version in the
     # quadform tests)
-    from test_quadform import hilbert_oracle
-
     oracle_ok = True
     for p in (2, 3, 5, 7, 11, 13):
         for a, b in ((-1, -1), (p, p), (2, -3), (p, 6), (-2 * p, 5)):

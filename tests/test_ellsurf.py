@@ -147,20 +147,20 @@ def test_k3_configs_sum_to_24():
 def test_shioda_tate_examples():
     assert (
         es.shioda_tate_rank(
-            es.SurfaceData(2, 16, 4), es.FiberConfig.of("1xI0*", "9xI2")
+            es.SurfaceData(2, 16), es.FiberConfig.of("1xI0*", "9xI2")
         )
         == 1
     )
     assert (
         es.shioda_tate_rank(
-            es.SurfaceData(2, 16, 2),
+            es.SurfaceData(2, 16),
             es.FiberConfig.of("1xI2*", "1xI3", "6xI2", "1xI1"),
         )
         == 0
     )
     assert (
         es.shioda_tate_rank(
-            es.SurfaceData(1, 10, 4), es.FiberConfig.of("1xI0*", "3xI2")
+            es.SurfaceData(1, 10), es.FiberConfig.of("1xI0*", "3xI2")
         )
         == 1
     )
@@ -194,7 +194,7 @@ def test_trivial_lattice_discs():
 
 def test_height_l2_generator():
     inc = es.SectionIncidence(1, tuple([(K("I0*"), 0)] + [(K("I2"), 1)] * 9))
-    assert es.height_pairing(es.SurfaceData(2, 16, 4), inc) == Fraction(3, 2)
+    assert es.height_pairing(es.SurfaceData(2, 16), inc) == Fraction(3, 2)
 
 
 def test_height_torsion_zero():
@@ -206,7 +206,7 @@ def test_height_torsion_zero():
             + [(K("I2"), 1)] * 6
         ),
     )
-    assert es.height_pairing(es.SurfaceData(2, 16, 4), inc) == 0
+    assert es.height_pairing(es.SurfaceData(2, 16), inc) == 0
 
 
 def test_height_zero_section_convention():

@@ -13,6 +13,7 @@ from k3lattice import claims, exact, glue, k3embed as ke
 from k3lattice.k3embed import build_V
 from test_exact import stacked_hermite_basis
 from test_k3embed import even_test_forms, span
+from test_lattice import check_quadratic_refinement
 
 
 # ---------------------------------------------------------------------------
@@ -31,28 +32,10 @@ def test_adjoin_rejects_nonintegral_pairing():
         glue.adjoin(u, [glue.GlueSpec((1, 0), 2)])  # pairs 1/2 with a generator
 
 
-def eager_glue_checks(base, specs, require_even):
-    """The checks adjoin ran before the Hermite basis until it checked the
-    result's Gram matrix once, verbatim: the GlueError each glue set must
-    still raise."""
-    products = [exact.mat_vec(base.gram, g.vector) for g in specs]
-    for g, gv in zip(specs, products):
-        if any(x % g.denominator for x in gv):
-            raise glue.GlueError(f"glue vector {g.vector}/{g.denominator} does not pair integrally with the base")
-    for (g, gv), (h, _) in itertools.combinations_with_replacement(zip(specs, products), 2):
-        if exact.dot(h.vector, gv) % (g.denominator * h.denominator):
-            raise glue.GlueError("glue vectors do not pair integrally with each other")
-    if require_even:
-        for g, gv in zip(specs, products):
-            norm = exact.dot(g.vector, gv) // g.denominator**2
-            if norm % 2:
-                raise glue.GlueError(f"glue vector {g.vector}/{g.denominator} has odd norm {norm}")
-
-
 def _adjoin_outcome(base, specs, require_even, checks_first):
     try:
         if checks_first:
-            eager_glue_checks(base, specs, require_even)
+            glue._glue_fault(base, specs, require_even)
         return glue.adjoin(base, specs, require_even).gram
     except glue.GlueError as e:
         return str(e)
@@ -82,7 +65,7 @@ def glue_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(glue_cases())
-def test_adjoin_names_the_fault_the_eager_checks_named(case):
+def test_adjoin_names_the_first_fault_of_the_glue_checks(case):
     base, specs, require_even = case
     assert _adjoin_outcome(base, specs, require_even, False) == _adjoin_outcome(
         base, specs, require_even, True
@@ -638,9 +621,4 @@ def test_disc_form_axioms_on_named_lattices():
         if len(els) > 200:
             rng = random.Random(1)
             els = [tuple(rng.randrange(d) for d in form.invariant_factors) for _ in range(60)]
-        for x in els[:40]:
-            for y in els[:40]:
-                s = tuple(
-                    (a + b) % d for a, b, d in zip(x, y, form.invariant_factors)
-                )
-                assert (form.q(s) - form.q(x) - form.q(y) - 2 * form.b(x, y)) % 2 == 0
+        check_quadratic_refinement(form, els[:40])

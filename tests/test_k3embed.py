@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from operator import mul
 
 import pytest
@@ -12,16 +12,13 @@ from hypothesis import assume, given, settings, strategies as st
 import k3lattice.lattice as lat
 from k3lattice import claims, exact, glue, k3embed as ke, quadform as qf
 from test_exact import naive_ldl
-from test_lattice import gram_info_inputs
+from test_lattice import gram_info_inputs, random_even_gram
 
 
 def complete_box_bound(g, max_norm):
     """|x_i| <= sqrt(max_norm * (g^-1)_ii) for vectors of norm <= max_norm in
     a positive definite lattice, so this box bound makes the naive search
     exhaustive."""
-    from fractions import Fraction
-    from math import isqrt
-
     n = len(g)
     det = exact.det(g)
     bound = 1
@@ -244,22 +241,30 @@ def reference_find_disc_form_isomorphism(
 
 def reference_short_vectors(gram, max_norm: int) -> dict[int, list[tuple[int, ...]]]:
     """All vectors of a positive-definite lattice with 0 < q(v) <= max_norm,
-    one representative per antipodal pair, grouped by norm."""
+    grouped by norm: a depth-first walk of each coordinate's whole interval
+    on the ``Fraction`` LDL^T of ``naive_ldl``, the reference for
+    ``k3embed.short_vectors``.  The walk reaches both x and -x and keeps, at
+    the leaf, the one whose last nonzero coordinate is negative."""
     n = len(gram)
     # q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2
     d, u = naive_ldl(gram)
     if not all(p > 0 for p in d):
         raise ValueError("matrix is not positive definite")
     out: dict[int, list[tuple[int, ...]]] = {}
-    x = [0] * n
-
-    def rec(i: int, remaining: Fraction) -> None:
+    # depth first over x_{n-1}, ..., x_0, each coordinate ascending: a stack
+    # of the coordinates x_i..x_{n-1} fixed so far and the norm they leave
+    stack: list[tuple[tuple[int, ...], Fraction]] = [((), Fraction(max_norm))]
+    while stack:
+        tail, remaining = stack.pop()
+        i = n - 1 - len(tail)
         if i < 0:
-            norm = int(Fraction(max_norm) - remaining)
-            if norm > 0:
-                out.setdefault(norm, []).append(tuple(x))
-            return
-        center = -sum(u[i][j] * x[j] for j in range(i + 1, n))
+            norm = int(max_norm - remaining)
+            # of x and -x the walk reaches first the one whose last nonzero
+            # coordinate is negative; that one represents the pair
+            if norm > 0 and next(c for c in reversed(tail) if c) < 0:
+                out.setdefault(norm, []).append(tail)
+            continue
+        center = -sum(map(mul, u[i][i + 1 :], tail))
         # d_i (x_i - center)^2 <= remaining
         bound = remaining / d[i]
         c0 = center.numerator // center.denominator  # floor
@@ -270,26 +275,11 @@ def reference_short_vectors(gram, max_norm: int) -> dict[int, list[tuple[int, ..
         t = c0 + 1
         while (t - center) ** 2 <= bound:
             t += 1
-        high = t - 1
-        for xi in range(low, high + 1):
-            x[i] = xi
-            rec(i - 1, remaining - d[i] * (xi - center) ** 2)
-        x[i] = 0
-
-    rec(n - 1, Fraction(max_norm))
-    # keep one vector of each +-pair, drop zero
-    seen: dict[int, list[tuple[int, ...]]] = {}
-    for norm, vecs in out.items():
-        keep = []
-        for v in vecs:
-            if not any(v):
-                continue
-            neg = tuple(-c for c in v)
-            if neg not in keep:
-                keep.append(v)
-        if keep:
-            seen[norm] = keep
-    return seen
+        stack.extend(
+            ((xi,) + tail, remaining - d[i] * (xi - center) ** 2)
+            for xi in range(t - 1, low - 1, -1)
+        )
+    return out
 
 
 NAMED_FOR_FORMS = sorted(glue.NAMED_BUILDERS) + [
@@ -516,18 +506,6 @@ def moved(g, rng):
     return exact.matmul(exact.matmul(u, g), exact.transpose(u))
 
 
-def random_rank22_gram(rng):
-    """An even nondegenerate rank-22 Gram matrix with entries in [-30, 30]."""
-    while True:
-        g = [[0] * 22 for _ in range(22)]
-        for i in range(22):
-            g[i][i] = 2 * rng.randint(-15, 15)
-            for j in range(i):
-                g[i][j] = g[j][i] = rng.randint(-30, 30)
-        if exact.det(g):
-            return g
-
-
 def test_genus_walks_only_the_two_part(monkeypatch):
     # the three large matrices of the gram-info workload (orders 526,992,
     # 1,386,120 and 488,086,624) and a rank-22 Gram with entries in
@@ -535,7 +513,8 @@ def test_genus_walks_only_the_two_part(monkeypatch):
     # odd parts are decided by their Jordan symbols, so at most the 2-part
     # is walked, once in each form
     grams = gram_info_inputs()
-    cases = [grams[-1], grams[6], grams[12], random_rank22_gram(random.Random(99))]
+    rank22 = random_even_gram(random.Random(99), 22, (-15, 15), (-30, 30))
+    cases = [grams[-1], grams[6], grams[12], rank22]
     rng = random.Random(28)
     walked = [0]
     elements = lat.FiniteQuadraticForm.elements
@@ -705,8 +684,6 @@ def test_short_vectors_e8_roots():
 
 
 def test_short_vectors_match_reference():
-    # the representative of each +-pair is picked at the leaf: the same
-    # vectors, in the same order, as the pass over the whole list
     e8 = [[-x for x in row] for row in lat.root_lattice("E", 8).gram]
     cases = [(e8, m) for m in (2, 4)]
     rng = random.Random(1)
@@ -718,54 +695,13 @@ def test_short_vectors_match_reference():
         cases.append((exact.matmul(b, exact.transpose(b)), rng.randrange(1, 12)))
     for g, max_norm in cases:
         got = ke.short_vectors(g, max_norm)
-        want = reference_short_vectors(g, max_norm)
-        assert got == want and list(got) == list(want)
-
-
-def leaf_test_short_vectors(gram, max_norm: int) -> dict[int, list[tuple[int, ...]]]:
-    """The walk before the sign cap, kept verbatim: it reaches x and -x and
-    keeps, at the leaf, the one whose last nonzero coordinate is negative."""
-    n = len(gram)
-    # q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2
-    d, u = naive_ldl(gram)
-    if not all(p > 0 for p in d):
-        raise ValueError("matrix is not positive definite")
-    out: dict[int, list[tuple[int, ...]]] = {}
-    # depth first over x_{n-1}, ..., x_0, each coordinate ascending: a stack
-    # of the coordinates x_i..x_{n-1} fixed so far and the norm they leave
-    stack: list[tuple[tuple[int, ...], Fraction]] = [((), Fraction(max_norm))]
-    while stack:
-        tail, remaining = stack.pop()
-        i = n - 1 - len(tail)
-        if i < 0:
-            norm = int(max_norm - remaining)
-            # of x and -x the walk reaches first the one whose last nonzero
-            # coordinate is negative; that one represents the pair
-            if norm > 0 and next(c for c in reversed(tail) if c) < 0:
-                out.setdefault(norm, []).append(tail)
-            continue
-        center = -sum(map(mul, u[i][i + 1 :], tail))
-        # d_i (x_i - center)^2 <= remaining
-        bound = remaining / d[i]
-        c0 = center.numerator // center.denominator  # floor
-        t = c0
-        while (t - center) ** 2 <= bound:
-            t -= 1
-        low = t + 1
-        t = c0 + 1
-        while (t - center) ** 2 <= bound:
-            t += 1
-        stack.extend(
-            ((xi,) + tail, remaining - d[i] * (xi - center) ** 2)
-            for xi in range(t - 1, low - 1, -1)
-        )
-    return out
+        assert list(got.items()) == list(reference_short_vectors(g, max_norm).items())
 
 
 def test_short_vectors_sign_cap_keeps_the_lists():
     # capping the outermost nonzero coordinate at <= 0 only prunes subtrees
-    # whose leaves the old test dropped: the same vectors, norms in the same
-    # order, each list in the same order
+    # whose leaves the reference's leaf test drops: the same vectors, norms
+    # in the same order, each list in the same order
     e8 = [[-x for x in row] for row in lat.root_lattice("E", 8).gram]
     cases = [(e8, 4)]
     rng = random.Random(5)
@@ -777,7 +713,7 @@ def test_short_vectors_sign_cap_keeps_the_lists():
         cases.append((exact.matmul(b, exact.transpose(b)), rng.randint(1, 8)))
     for g, max_norm in cases:
         got = ke.short_vectors(g, max_norm)
-        assert list(got.items()) == list(leaf_test_short_vectors(g, max_norm).items())
+        assert list(got.items()) == list(reference_short_vectors(g, max_norm).items())
     assert {k: len(v) for k, v in ke.short_vectors(e8, 4).items()} == {2: 120, 4: 1080}
 
 

@@ -15,12 +15,8 @@ from hypothesis import given, settings, strategies as st
 import k3lattice.ellsurf as es
 import k3lattice.lattice as lat
 import k3lattice.quadform as qf
-from k3lattice import cli, exact, glue, lattice_io
-from test_exact import even_grams, naive_solve
-
-
-def unit_rows(indices, width):
-    return [[1 if j == i else 0 for j in range(width)] for i in indices]
+from k3lattice import cli, exact, glue, k3embed as ke, lattice_io
+from test_exact import eager_solve, even_grams
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +133,8 @@ def test_built_lattices_pass_the_ambient_check():
     e8 = lat.root_lattice("E", 8)
     base = lat.Lattice([[-2, 0, 0, 0], [0, -2, 0, 0], [0, 0, 6, 0], [0, 0, 0, 6]])
     built = [
-        lat.sublattice(e8, unit_rows([0, 2, 4], 8), "sub"),
-        lat.orthogonal_complement(e8, unit_rows([0, 1, 2, 3, 4, 6], 8)),
+        lat.sublattice(e8, ke.unit_rows([0, 2, 4], 8), "sub"),
+        lat.orthogonal_complement(e8, ke.unit_rows([0, 1, 2, 3, 4, 6], 8)),
         glue.adjoin(base, [glue.GlueSpec((1, 1, 1, 1), 2)]),
         glue.n1_lattice(),
         glue.l2_lattice().rename("renamed"),
@@ -272,8 +268,8 @@ def test_disc_group_odd_lattice_has_no_q():
     assert form.invariant_factors == (3,)
 
 
-def _quadratic_refinement(form):
-    els = list(form.elements())
+def check_quadratic_refinement(form, els):
+    """q(x + y) = q(x) + q(y) + 2 b(x, y) mod 2 for every pair from els."""
     for x in els:
         for y in els:
             s = tuple((a + b) % d for a, b, d in zip(x, y, form.invariant_factors))
@@ -281,8 +277,9 @@ def _quadratic_refinement(form):
 
 
 def test_disc_form_axioms_small():
-    _quadratic_refinement(lat.discriminant_group(lat.root_lattice("A", 3)))
-    _quadratic_refinement(lat.discriminant_group(lat.root_lattice("D", 4)))
+    for kind, n in (("A", 3), ("D", 4)):
+        form = lat.discriminant_group(lat.root_lattice(kind, n))
+        check_quadratic_refinement(form, list(form.elements()))
 
 
 def check_form_against_gram_pairings(l):
@@ -367,13 +364,16 @@ def reference_discriminant_group(l):
     return lat.FiniteQuadraticForm(tuple(factors), tuple(gens), qn, bn)
 
 
-def random_even_gram(rng, n):
+def random_even_gram(rng, n, half_diagonal, off_diagonal):
+    """A nondegenerate even n x n Gram matrix, drawn row by row: each
+    diagonal entry twice ``rng.randint(*half_diagonal)``, each entry left of
+    it ``rng.randint(*off_diagonal)``; drawn again while the det is 0."""
     while True:
         g = [[0] * n for _ in range(n)]
         for i in range(n):
-            g[i][i] = 2 * rng.randint(-1, 1)
+            g[i][i] = 2 * rng.randint(*half_diagonal)
             for j in range(i):
-                g[i][j] = g[j][i] = rng.randint(-1, 1)
+                g[i][j] = g[j][i] = rng.randint(*off_diagonal)
         if exact.det(g):
             return g
 
@@ -391,7 +391,8 @@ def test_disc_group_of_named_lattices_equals_the_reference(name):
 
 @pytest.mark.parametrize("n,seed", [(16, 1), (16, 2), (16, 3), (22, 1), (22, 2), (22, 3)])
 def test_disc_group_of_random_even_grams_equals_the_reference(n, seed):
-    l = lat.Lattice(random_even_gram(random.Random(f"disc:{n}:{seed}"), n))
+    rng = random.Random(f"disc:{n}:{seed}")
+    l = lat.Lattice(random_even_gram(rng, n, (-1, 1), (-1, 1)))
     assert lat.discriminant_group(l) == reference_discriminant_group(l)
 
 
@@ -406,7 +407,7 @@ def test_disc_group_reduces_the_gram_without_a_companion(monkeypatch):
         return hermite(a, u)
 
     monkeypatch.setattr(exact, "_hermite", spy)
-    l = lat.Lattice(random_even_gram(random.Random("guard"), 12))
+    l = lat.Lattice(random_even_gram(random.Random("guard"), 12, (-1, 1), (-1, 1)))
     form = lat.discriminant_group(l)
     assert calls and calls[0] is True
     monkeypatch.undo()
@@ -647,7 +648,7 @@ def test_primary_part_rejects_a_pairing_off_the_lattice():
 
 def test_complement_of_u_in_uu():
     uu = lat.direct_sum(lat.hyperbolic(), lat.hyperbolic())
-    comp = lat.orthogonal_complement(uu, unit_rows([0, 1], 4))
+    comp = lat.orthogonal_complement(uu, ke.unit_rows([0, 1], 4))
     assert comp.gram == ((0, 1), (1, 0))
 
 
@@ -659,7 +660,7 @@ def test_complement_rank_deficient_rejected():
 
 def test_complement_a5a1_in_e8_has_rank2_kernel():
     e8 = lat.root_lattice("E", 8)
-    rows = unit_rows([0, 1, 2, 3, 4, 6], 8)
+    rows = ke.unit_rows([0, 1, 2, 3, 4, 6], 8)
     comp = lat.orthogonal_complement(e8, rows)
     assert comp.rank == 2  # 8 - 6
     assert comp.det() == 12
@@ -843,7 +844,7 @@ def test_divisibility_equals_the_fraction_version(case):
 
 def test_ambient_round_trip():
     e8 = lat.root_lattice("E", 8)
-    comp = lat.orthogonal_complement(e8, unit_rows([0, 1, 2, 3, 4, 6], 8))
+    comp = lat.orthogonal_complement(e8, ke.unit_rows([0, 1, 2, 3, 4, 6], 8))
     e = comp.ambient
     # the vector with coordinates [1, 1] in comp's basis, in E8 coordinates
     v = [Fraction(a + b, e.denominator) for a, b in zip(*e.basis)]
@@ -851,7 +852,7 @@ def test_ambient_round_trip():
     assert lat.contains_ambient(comp, [0] * 8)
     assert not lat.contains_ambient(comp, [x / 2 for x in v])
     # outside the rational span of comp
-    assert not lat.contains_ambient(comp, unit_rows([0], 8)[0])
+    assert not lat.contains_ambient(comp, ke.unit_rows([0], 8)[0])
     with pytest.raises(ValueError, match="no recorded ambient"):
         lat.contains_ambient(e8, v)
     with pytest.raises(ValueError, match="length"):
@@ -860,10 +861,10 @@ def test_ambient_round_trip():
 
 def solve_contains(l, w):
     """Membership read off the rational coordinates of w in l's basis, by
-    the tests' own Fraction elimination, which shares no code with the
-    Hermite basis that contains_ambient reduces against."""
+    the fraction-free elimination ``eager_solve``, which shares no code with
+    the Hermite basis that contains_ambient reduces against."""
     e = l.ambient
-    coords = naive_solve(exact.transpose(e.basis), w)
+    coords = eager_solve(exact.transpose(e.basis), w)
     return coords is not None and all(
         (c * e.denominator).denominator == 1 for c in coords
     )

@@ -19,7 +19,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import k3lattice.lattice as lat
-from k3lattice import cli, exact, lattice_io, quadform as qf
+from k3lattice import claims, cli, exact, lattice_io, quadform as qf
+from test_lattice import random_even_gram
 
 def relevant_places(n):
     # the real place, 2 and the primes of the nonzero integer n
@@ -334,7 +335,7 @@ def test_hasse_invariant_is_the_pairwise_product(diag):
 def test_hasse_pass_is_linear_per_place(monkeypatch):
     # the pairwise product took n(n-1)/2 symbols per place for the
     # invariants and as many again for the global Witt index
-    g = _random_even_gram(22, 30, 3)
+    g = random_even_gram(random.Random(3), 22, (-15, 15), (-30, 30))
     calls = []
     core = qf._hilbert
     monkeypatch.setattr(qf, "_hilbert", lambda a, b, v: calls.append(v) or core(a, b, v))
@@ -531,18 +532,6 @@ def _deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _random_even_gram(n, bound, seed):
-    rng = random.Random(seed)
-    while True:
-        g = [[0] * n for _ in range(n)]
-        for i in range(n):
-            g[i][i] = 2 * rng.randint(-bound // 2, bound // 2)
-            for j in range(i):
-                g[i][j] = g[j][i] = rng.randint(-bound, bound)
-        if exact.det(g):
-            return g
-
-
 # factoring every ~70-digit elimination pivot made each of these run for
 # seconds to minutes; their determinants factor in milliseconds
 HANG_CASES = [(12, 30, 1), (12, 30, 2), (16, 30, 1), (16, 30, 2),
@@ -551,7 +540,8 @@ HANG_CASES = [(12, 30, 1), (12, 30, 2), (16, 30, 1), (16, 30, 2),
 
 @pytest.mark.parametrize("n, bound, seed", HANG_CASES)
 def test_large_random_forms_finish(n, bound, seed, tmp_path, capsys):
-    g = _random_even_gram(n, bound, seed)
+    rng = random.Random(seed)
+    g = random_even_gram(rng, n, ((-bound) // 2, bound // 2), (-bound, bound))
     with _deadline(5):
         inv = qf.invariants(g)
         w = qf.witt_index(g, qf.GLOBAL)
@@ -569,11 +559,6 @@ def test_large_random_forms_finish(n, bound, seed, tmp_path, capsys):
     with _deadline(5):
         assert cli.main(["quadform", "invariants", str(path)]) == 0
     assert f"witt index (Q):  {w}" in capsys.readouterr().out
-
-
-def _diag_matrix(entries):
-    n = len(entries)
-    return [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def _all_invariants(g, places):
@@ -596,12 +581,12 @@ def test_raw_pivots_agree_with_squarefree_diagonal(m):
     if d == 0:
         return
     places = sorted({qf.REAL, 2, 3, 5, 7, *qf.factorize(d)}, key=qf.place_sort_key)
-    oracle = _diag_matrix(qf.diagonalize(m))
+    oracle = claims._diag(qf.diagonalize(m))
     assert _all_invariants(m, places) == _all_invariants(oracle, places)
 
 
 def test_factorize_called_at_most_once_per_form(monkeypatch):
-    g = _random_even_gram(12, 30, 1)
+    g = random_even_gram(random.Random(1), 12, (-15, 15), (-30, 30))
     calls = []
     factorize = qf.factorize
     monkeypatch.setattr(qf, "factorize", lambda n: calls.append(n) or factorize(n))
@@ -619,7 +604,7 @@ def test_factorize_called_at_most_once_per_form(monkeypatch):
 
 
 def test_cli_quadform_factors_det_once(monkeypatch, tmp_path, capsys):
-    g = _random_even_gram(12, 30, 1)
+    g = random_even_gram(random.Random(1), 12, (-15, 15), (-30, 30))
     path = tmp_path / "form.lattice"
     lattice_io.save_lattice(lat.Lattice(g, "random"), path)
     calls = []

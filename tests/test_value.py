@@ -43,9 +43,9 @@ VALUES = {
     es.KodairaType: ({"family": "I", "n": 2}, {"n": 0}, {"family": "I*", "n": 1}),
     es.FiberConfig: ({"fibers": (I2, I2)}, {}, {"fibers": (I2,)}),
     es.SurfaceData: (
-        {"chi_o": 2, "rho": 20, "torsion_order": 2},
-        {"torsion_order": 1},
-        {"chi_o": 1, "rho": 10, "torsion_order": 3},
+        {"chi_o": 2, "rho": 20},
+        {},
+        {"chi_o": 1, "rho": 10},
     ),
     es.SectionIncidence: (
         {"meets_zero_section": 0, "components": ((I2, 1),)},
