@@ -245,3 +245,27 @@ def table1_matrix(n: int, a: int, b: int) -> list[list[int]]:
 def table1_det_identity(n: int, a: int, b: int) -> bool:
     """det M_n = -n * 2^(6n) * (a+b)^2, checked exactly."""
     return exact.det(table1_matrix(n, a, b)) == -n * 2 ** (6 * n) * (a + b) ** 2
+
+
+def table1_violations(n: int) -> list[tuple[int, int]]:
+    """The (a, b) in [-3, 3]^2, a-major, where table1_det_identity fails.
+
+    a sits only at (1, 3) and (3, 1) of table1_matrix and b only at (2, 3)
+    and (3, 2), so every Leibniz term takes at most one of them from row 3
+    and one from column 3: det M_n, like -n * 2^(6n) * (a+b)^2, has degree
+    at most 2 in each of a and b.  Two such polynomials that agree on the
+    grid {-1, 0, 1}^2 agree for all integers a and b, so nine determinants
+    prove the identity.  Where a grid point fails, the 49 points are
+    evaluated one by one.  That placement of a and b is checked first, off
+    the grid; ArithmeticError if it no longer holds.
+    """
+    base = table1_matrix(n, 0, 0)
+    for a, b in ((2, -3), (-3, 2)):
+        moved = {(1, 3): a, (3, 1): a, (2, 3): b, (3, 2): b}
+        m = table1_matrix(n, a, b)
+        size = range(len(base))
+        if any(m[i][j] - base[i][j] != moved.get((i, j), 0) for i in size for j in size):
+            raise ArithmeticError(f"a and b of table1_matrix({n}, a, b) left their four entries")
+    if all(table1_det_identity(n, a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)):
+        return []
+    return [(a, b) for a in range(-3, 4) for b in range(-3, 4) if not table1_det_identity(n, a, b)]

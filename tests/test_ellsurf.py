@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from k3lattice import claims
 from k3lattice import ellsurf as es
 from k3lattice import exact
 
@@ -312,3 +313,58 @@ def test_table1_closed_form_beyond_the_claims():
     for n in (5, 6, 8, 12):
         for a, b in ((0, 0), (1, 2), (-3, 1), (2, -2), (3, 3)):
             assert exact.det(es.table1_matrix(n, a, b)) == -n * 2 ** (6 * n) * (a + b) ** 2
+
+
+def table1_loop(n):
+    # the identity tested at every point of [-3, 3]^2, a-major
+    return [
+        (a, b)
+        for a in range(-3, 4)
+        for b in range(-3, 4)
+        if not es.table1_det_identity(n, a, b)
+    ]
+
+
+def test_table1_violations_equal_the_49_point_loop():
+    for n in range(1, 5):
+        assert es.table1_violations(n) == table1_loop(n) == []
+
+
+def test_table1_violations_fall_back_to_the_loop_on_an_altered_matrix(monkeypatch):
+    # a constant at (0, 0) leaves a and b where they are, so the guard
+    # passes, and breaks the identity, so the loop's list comes back
+    table1_matrix = es.table1_matrix
+
+    def altered(n, a, b):
+        rows = table1_matrix(n, a, b)
+        rows[0][0] += 1
+        return rows
+
+    monkeypatch.setattr(es, "table1_matrix", altered)
+    for n in range(1, 5):
+        want = table1_loop(n)
+        assert want
+        assert es.table1_violations(n) == want
+
+
+def test_table1_violations_refuse_a_moved_onto_the_diagonal(monkeypatch):
+    table1_matrix = es.table1_matrix
+
+    def moved(n, a, b):
+        rows = table1_matrix(n, 0, b)
+        rows[1][1] += a
+        return rows
+
+    monkeypatch.setattr(es, "table1_matrix", moved)
+    for n in range(1, 5):
+        with pytest.raises(ArithmeticError):
+            es.table1_violations(n)
+
+
+def test_table1_claims_take_nine_determinants_per_n(monkeypatch):
+    det = exact.det
+    calls = []
+    monkeypatch.setattr(exact, "det", lambda m: calls.append(len(m)) or det(m))
+    for n in range(1, 5):
+        assert claims.run_claim(f"table1.det.n{n}").status == "pass"
+    assert sorted(calls) == [5 + 6 * n for n in range(1, 5) for _ in range(9)]

@@ -414,9 +414,13 @@ def test_snf_det_consistency():
 
 
 def reference_hermite(a, u=None):
-    """``exact._hermite`` as it was before it updated rows from the pivot
-    column on: every row operation runs over whole rows of ``a`` and ``u``.
-    The trimmed kernel must return exactly this."""
+    """Row Hermite form of ``a`` in place, returning its rank.  Per column,
+    the smallest nonzero entry at or below the pivot row is swapped into it
+    and divides into the entries below, again until only it is nonzero;
+    the pivot is made positive and the entries above it reduced into
+    [0, pivot).
+    Every row operation runs over whole rows of ``a`` and of ``u``.
+    ``exact._hermite`` must return exactly this."""
     mats = (a,) if u is None else (a, u)
 
     def sub(i, k, q):
@@ -453,9 +457,10 @@ def reference_hermite(a, u=None):
 
 
 def reference_smith_normal_form(m):
-    """``exact.smith_normal_form`` as it was before it skipped the row pass
-    after a column pass that leaves the matrix diagonal, on the reference
-    Hermite kernel."""
+    """Smith form ``(d, u, v)`` with u*m*v = d: row and column passes of
+    ``reference_hermite`` alternate until the matrix is diagonal; then the
+    first pair d_i, d_j (i < j) with d_i not dividing d_j has column j
+    added to column i, and the passes start again."""
     rows, cols = len(m), len(m[0])
     a = [list(row) for row in m]
     u = exact.identity(rows)

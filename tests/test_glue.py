@@ -395,7 +395,9 @@ REFERENCE_NONZERO16 = reference_nonzero_elements()
 
 
 def reference_supports():
-    """The character loop the glue builders ran before the support table."""
+    """Per nonzero character phi of (Z/2)^4, in the order of
+    REFERENCE_NONZERO16: the indices of the nonzero elements e with
+    phi . e odd, found by pairing phi with each of the 15."""
     out = []
     for phi in REFERENCE_NONZERO16:  # nonzero characters
         support = [

@@ -147,15 +147,16 @@ def test_rank_additivity_for_primitive_embeddings():
 
 
 # ---------------------------------------------------------------------------
-# reference copies of the searches before they ran on ``_match_gram``
+# reference searches: discriminant-form isomorphisms by backtracking over
+# generator images, each subgroup grown element by element, and short
+# vectors by a depth-first walk on the Fraction LDL^T
 
 
 def span(form, gens, start=None, limit=None):
     """Elements reached from ``start`` (default: zero) by adding
     generators: the subgroup generated by ``gens``, or start + <gens>
     when ``start`` is a subgroup.  None once more than ``limit``
-    elements are reached.  The former ``FiniteQuadraticForm.span``, kept
-    for the reference searches."""
+    elements are reached."""
     if start is None:
         start = (tuple(0 for _ in form.invariant_factors),)
     seen = set(start)

@@ -348,8 +348,9 @@ def test_disc_form_matches_gram_pairings_on_drawn_grams(g):
 
 
 def reference_discriminant_group(l):
-    """The discriminant form from the Smith form of the Gram matrix itself,
-    as ``discriminant_group`` built it before it passed the Hermite basis."""
+    """The discriminant form from the Smith form of the Gram matrix itself:
+    the columns of v whose invariant factor exceeds 1, over that factor,
+    generate, and q and b are read off the Gram pairings of the columns."""
     n = l.rank
     d, _, v = exact.smith_normal_form([list(r) for r in l.gram])
     factors = [d[i][i] for i in range(n) if d[i][i] > 1]
@@ -700,7 +701,8 @@ def test_saturation_on_a_degenerate_ambient(tmp_path, capsys):
 
 
 def double_complement(ambient, rows):
-    """lattice.saturation as it was: the complement of the complement."""
+    """The orthogonal complement of the orthogonal complement of ``rows``
+    in ``ambient``: their saturation when the ambient is nondegenerate."""
     comp = lat.orthogonal_complement(ambient, rows)
     return lat.orthogonal_complement(ambient, comp.ambient.basis)
 
@@ -795,7 +797,8 @@ def test_divisibility_reads_vectors_in_the_ambient_frame():
 
 
 def fraction_divisibility(l, w):
-    """lattice.divisibility as it was, with every pairing a Fraction."""
+    """gcd of the pairings of ``w`` with the basis of ``l``, each pairing
+    a Fraction; ValueError when one of them is not an integer."""
     e = l.ambient
     if e is None:
         pairings = [Fraction(x) for x in exact.mat_vec(l.gram, w)]

@@ -309,8 +309,8 @@ def test_hasse_lp_at_p():
 
 
 def pairwise_hasse(diag, v):
-    # the pairwise product hasse_invariant took before its running product,
-    # one symbol per pair, kept as the oracle
+    # the Hasse invariant as the product of the Hilbert symbols of all
+    # pairs i < j of diagonal entries, one symbol per pair
     sign = 1
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
