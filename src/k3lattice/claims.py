@@ -910,12 +910,14 @@ def _l_disc12():
     "overlattice",
 )
 def _l_unique():
-    base = _u_d8_e6()
-    proper = [m for m in glue.even_overlattices(base) if m.det() != base.det()]
-    target = _named("U_E8_E6")
+    base, target = _u_d8_e6(), _named("U_E8_E6")
+    # an overlattice has the base's signature, and H^perp / H for its form
+    proper = [form() for _, order, _, form in glue.even_overlattice_forms(base) if order > 1]
+    target_form = lat.discriminant_group(target)
     computed = {
         "proper_count": len(proper),
-        "all_genus_equal": all(ke.genus_equal(m, target) for m in proper),
+        "all_genus_equal": base.signature() == target.signature()
+        and all(ke.disc_forms_isomorphic(f, target_form) for f in proper),
         "uniqueness_applicable": ke.genus_uniqueness_applicable(target),
     }
     ok = computed["proper_count"] >= 1 and computed["all_genus_equal"] and computed[
@@ -933,12 +935,8 @@ def _l_unique():
 )
 def _l_noindex4():
     base = _named("L_sat").ambient.ambient  # the base L_sat was glued to
-    members = glue.even_overlattices(base, 4)
-    index4 = [m for m in members if m.ambient is not None and glue.glue_index(m) == 4]
-    computed = {
-        "index4_count": len(index4),
-        "index4_dets": sorted(m.det() for m in index4),
-    }
+    index4 = [det for _, order, det, _ in glue.even_overlattice_forms(base, 4) if order == 4]
+    computed = {"index4_count": len(index4), "index4_dets": sorted(index4)}
     return _equal(computed, {"index4_count": 0, "index4_dets": []})
 
 

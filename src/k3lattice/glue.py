@@ -2,9 +2,11 @@
 
 An overlattice of L is generated by L together with rational vectors v/d
 whose pairings with L (and with each other) are integral; even overlattices
-of an even lattice correspond to isotropic subgroups of its discriminant
-form.  All constructions record the base frame so that vectors written in
-base coordinates can be tested for membership and divisibility afterwards.
+of an even lattice correspond to isotropic subgroups H of its discriminant
+form, and ``even_overlattice_forms`` reads index, det and form H^perp / H
+off that form with no lattice built.  All constructions record the base
+frame so that vectors written in base coordinates can be tested for
+membership and divisibility afterwards.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -59,7 +61,8 @@ def adjoin(
     self-intersection.  The result carries an embedding into ``base`` whose
     determinant is det(base) divided by the square of the index.  Its basis
     rows are the Hermite basis of s*Z^n + span(s*glue), s the lcm of the
-    glue denominators, found modulo s by ``exact.hermite_basis_mod``.
+    glue denominators less any factor it shares with every entry of s*glue,
+    found modulo s by ``exact.hermite_basis_mod``.
 
     A lattice is integral, or even, exactly when the Gram matrix of one of
     its bases is, so both are checked once, on the result's Gram matrix;
@@ -71,23 +74,38 @@ def adjoin(
         if len(g.vector) != n:
             raise GlueError("glue vector has wrong length")
     scale = lcm(*(g.denominator for g in glue))
-    rows = [[x * (scale // g.denominator) for x in g.vector] for g in glue]
-    basis = exact.hermite_basis_mod(rows, scale, n)
-    # lowest terms: the result contains the base, so this only cancels
-    # denominators that the glue did not need
-    common = gcd(scale, *itertools.chain.from_iterable(basis))
-    basis = [[x // common for x in row] for row in basis]
-    scale //= common
-    gram, square = exact.congruence(basis, base.gram), scale * scale
-    if any(x % square for row in gram for x in row):
+    rows = [g.vector if g.denominator == scale else [x * (scale // g.denominator) for x in g.vector]
+            for g in glue]
+    rows, scale = _lowest_terms(rows, scale)
+    basis, scale = _lowest_terms(exact.hermite_basis_mod(rows, scale, n), scale)
+    # B G B^T over s^2: a row s e_c pairs as s^2 G, so only the rows with a pivot
+    # below s take a product with G, and only their pairings can be fractional
+    glued = [c for c, row in enumerate(basis) if row[c] != scale]
+    products = exact.matmul([basis[c] for c in glued], base.gram)
+    block = exact.matmul(products, exact.transpose([basis[c] for c in glued]))
+    pairs = {(i, j): divmod(x, scale) for i, row in zip(glued, products) for j, x in enumerate(row)}
+    pairs.update({(i, j): divmod(x, scale**2)
+                  for i, row in zip(glued, block) for j, x in zip(glued, row)})
+    if any(r for _, r in pairs.values()):
         _glue_fault(base, glue, require_even)
         raise GlueError("glue vectors do not close up to an integral lattice")
-    gram = [[x // square for x in row] for row in gram]
+    gram = [list(row) for row in base.gram]
+    for (i, j), (x, _) in pairs.items():
+        gram[i][j] = gram[j][i] = x
     result = Lattice._formed(gram, None, Embedding(base, tuple(map(tuple, basis)), scale))
     if require_even and not result.is_even():
         _glue_fault(base, glue, require_even)
         raise GlueError("resulting overlattice is not even")
     return result
+
+
+def _lowest_terms(rows: Sequence[Sequence[int]], scale: int) -> tuple[Sequence[Sequence[int]], int]:
+    """Integer rows over ``scale`` with the factor that scale shares with
+    every entry cancelled."""
+    common = gcd(scale, *itertools.chain.from_iterable(rows))
+    if common == 1:
+        return rows, scale
+    return [[x // common for x in row] for row in rows], scale // common
 
 
 def _glue_fault(base: Lattice, glue: Sequence[GlueSpec], require_even: bool) -> None:
@@ -189,9 +207,9 @@ def even_overlattices(l: Lattice, max_index: int | None = None) -> list[Lattice]
     return list(_even_overlattices(l, max_index))
 
 
-def _even_overlattices(l: Lattice, max_index: int | None) -> Iterator[Lattice]:
-    """The even overlattices one at a time: each subgroup's overlattice is
-    adjoined, and its index checked, only when the caller asks for it."""
+def _subgroups_and_lift(l: Lattice, max_index: int | None) -> tuple:
+    """l's discriminant form, its isotropic subgroups of order <= max_index,
+    and the matrix lifting an element c to sum_i c_i (N / d_i) g_i over N."""
     if not l.is_even():
         raise GlueError("even overlattices require an even lattice")
     form = discriminant_group(l)
@@ -199,21 +217,76 @@ def _even_overlattices(l: Lattice, max_index: int | None) -> Iterator[Lattice]:
         raise GlueError("discriminant group too large to enumerate")
     # the square of the index divides the group order
     bound = max_index if max_index is not None else isqrt(form.order)
-    # element c of the form is the vector sum_i c_i (D / d_i) g_i over the
-    # largest invariant factor D, which every d_i divides
-    top = max(form.invariant_factors, default=1)
-    lift = exact.transpose(
-        [[x * (top // d) for x in g] for g, d in zip(form.generators, form.invariant_factors)]
-    )
-    for grp, path in _isotropic_subgroups(form, bound):
+    top = form.exponent
+    lift = exact.transpose([[x * (top // d) for x in g]
+                            for g, d in zip(form.generators, form.invariant_factors)])
+    return form, _isotropic_subgroups(form, bound), lift
+
+
+def _even_overlattices(l: Lattice, max_index: int | None) -> Iterator[Lattice]:
+    """The even overlattices one at a time: each subgroup's overlattice is
+    adjoined, and its index checked, only when the caller asks for it."""
+    form, subgroups, lift = _subgroups_and_lift(l, max_index)
+    for grp, path in subgroups:
         if not path:
             yield l
             continue
         # adjoin reads only the span, which the path generates
-        bigger = adjoin(l, [GlueSpec(tuple(exact.mat_vec(lift, el)), top) for el in path])
+        bigger = adjoin(l, [GlueSpec(tuple(exact.mat_vec(lift, el)), form.exponent) for el in path])
         if glue_index(bigger) != len(grp):
             raise ArithmeticError("overlattice index differs from the subgroup order")
         yield bigger
+
+
+def even_overlattice_forms(l: Lattice, max_index: int | None = None) -> Iterator[tuple]:
+    """For each isotropic subgroup H of l's discriminant form A, in
+    ``even_overlattices`` order and with no ``adjoin``: H's elements, the
+    index |H| and det l / |H|^2 of the even overlattice M it defines, and a
+    function building M's form H^perp / H from A (Nikulin 1979, 1.4)."""
+    form, subgroups, lift = _subgroups_and_lift(l, max_index)
+    for grp, path in subgroups:
+        order = len(grp)
+        yield grp, order, l.det() // order**2, partial(_quotient_form, form, path, lift, l.rank)
+
+
+def _quotient_form(a: FiniteQuadraticForm, path: list, lift: list, n: int) -> FiniteQuadraticForm:
+    """H^perp / H for the isotropic H that ``path`` generates in A = Z^k /
+    diag(d).  H^perp lifts to P, the integer kernel of c -> N b(c, path) mod
+    N, and H to the x in P with b(x, P) = 0 (b is nondegenerate), so the
+    Smith form U C V = D of C = P (N b) P^T gives P / H its generators, the
+    rows of U P, of orders N / gcd(N, D_ii); a p-part H misses is A's up to
+    isomorphism.  A generator x of order o is stored as o x in the Hermite
+    basis ``adjoin`` gives M, as ``discriminant_group(M)`` would store it."""
+    if not path:
+        return a
+    top, bn = a.exponent, a.b_numerators
+    rows = [exact.mat_vec(bn, h) + [top * (i == j) for j in range(len(path))]
+            for i, h in enumerate(path)]
+    p = [row[: len(bn)] for row in exact.kernel_basis(rows)]
+    d, u, _ = exact.smith_normal_form(exact.congruence(p, bn))
+    gens = [(o, c) for i, c in reversed([*enumerate(exact.matmul(u, p))])
+            if (o := top // gcd(top, d[i][i])) > 1]
+    # q and b go over the new exponent N / scale
+    scale = top // max((o for o, _ in gens), default=1)
+    qn = [a.q_numerator(c) for _, c in gens]
+    bq = [[a.b_numerator(c, e) for _, e in gens] for _, c in gens]
+    # o x is o lift(c) / N; in M's basis B / s its coordinates are those of
+    # s o x reduced against B
+    rows, s = _lowest_terms([exact.mat_vec(lift, h) for h in path], top)
+    basis, s = _lowest_terms(exact.hermite_basis_mod(rows, s, n), s)
+    vectors, rest = [], [x % scale for x in itertools.chain(qn, *bq)]
+    for o, c in gens:
+        z, v = [x * o * s for x in exact.mat_vec(lift, c)], []
+        for i, row in enumerate(basis):
+            v.append(z[i] // (row[i] * top))
+            z = [x - v[-1] * top * y for x, y in zip(z, row)] if v[-1] else z
+        vectors.append(tuple(v))
+        rest += z
+    if any(rest):
+        raise ArithmeticError("H^perp / H does not lift to the overlattice")
+    return FiniteQuadraticForm(
+        tuple(o for o, _ in gens), tuple(vectors),
+        tuple(x // scale for x in qn), tuple(tuple(x // scale for x in row) for row in bq))
 
 
 def find_isotropic_glue(

@@ -4,16 +4,18 @@ isometry testing.
 
 Genus comparison is the Nikulin-style test: equal signatures plus isomorphic
 discriminant forms, part by p-primary part: at odd p one Legendre symbol per
-Jordan scale, and on the 2-parts a search mapping each generator into the
-elements of its order and q value, pairing as the generators do.  Definite
-isometry is decided by a complete short-vector backtracking search.  A
-bounded coordinate-box search (``isometry_search``) looks for isometries of
-small indefinite lattices.  It no longer supplies the claims' isometry
-certificates, which check stored maps (``claims._maps_onto``); it stays for
-its tests and for the perfbench tracer, which names it.  All three searches
-run on one pool-refined Gram matching: each chosen vector filters the
-candidate pools of all later generators by their pairing with it, compared
-modulo the exponent for discriminant forms.
+Jordan scale; on a 2-part of exponent 2 Nikulin's invariants (rank, parity
+and Gauss-sum signature mod 8, read off F_2 bitmasks); on any other 2-part a
+search mapping each generator into the elements of its order and q value,
+pairing as the generators do.  Definite isometry is decided by a complete
+short-vector backtracking search.  A bounded coordinate-box search
+(``isometry_search``) looks for isometries of small indefinite lattices.  It
+no longer supplies the claims' isometry certificates, which check stored
+maps (``claims._maps_onto``); it stays for its tests and for the perfbench
+tracer, which names it.  All three searches run on one pool-refined Gram
+matching: each chosen vector filters the candidate pools of all later
+generators by their pairing with it, compared modulo the exponent for
+discriminant forms.
 """
 
 from __future__ import annotations
@@ -148,8 +150,42 @@ def find_disc_form_isomorphism(
     return None if images is None else [tuple(v) for v in images]
 
 
+def _nikulin_invariants(form: FiniteQuadraticForm) -> tuple[int, bool, int]:
+    """(a, delta, sigma mod 8), which fix a nondegenerate form on (Z/2)^a
+    (Nikulin 1979, 1.8 and 3.6): delta is False when every q numerator is
+    even, and the Gauss-sum signature sigma adds +-1 for each <+-1/2>, 0 for
+    u(2) and 4 for v(2) of a splitting over F_2, on elements (bitmask,
+    bitmask of the pairings with the generators, q numerator mod 4)."""
+    sigma, rows = 0, [(1 << i, sum((b & 1) << j for j, b in enumerate(row)), q)
+                      for i, (row, q) in enumerate(zip(form.b_numerators, form.q_numerators))]
+
+    def pair(x, y):
+        return (x[1] & y[0]).bit_count() & 1
+
+    def add(x, y):
+        return x[0] ^ y[0], x[1] ^ y[1], (x[2] + y[2] + 2 * pair(x, y)) % 4
+
+    while rows:
+        odd = [x for x in rows if x[2] % 2]
+        x = (odd or rows)[0]
+        rows.remove(x)
+        if odd:  # <q(x)> = <+-1/2>; w + b(w, x) x is orthogonal to x
+            sigma += 2 - x[2]
+            rows = [add(w, x) if pair(w, x) else w for w in rows]
+            continue
+        y = next((y for y in rows if pair(x, y)), None)
+        if y is None:
+            raise ValueError("degenerate discriminant form: b has a nonzero radical")
+        rows.remove(y)  # the plane <x, y>: v(2) when q(x) = q(y) = 1, else u(2)
+        sigma += 4 if x[2] == y[2] == 2 else 0
+        for take, other in ((x, y), (y, x)):  # w + b(w, y) x + b(w, x) y
+            rows = [add(w, take) if pair(w, other) else w for w in rows]
+    return len(form.q_numerators), any(q % 2 for q in form.q_numerators), sigma % 8
+
+
 def disc_forms_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
-    """By p-primary parts: Jordan symbols at odd p, the search on the 2-parts."""
+    """By p-primary parts: Jordan symbols at odd p; on 2-parts of exponent
+    2 Nikulin's invariants, on other 2-parts the search."""
     if f1.q_numerators is None or f2.q_numerators is None:
         raise ValueError("both lattices must be even")
     if f1.invariant_factors != f2.invariant_factors:
@@ -157,7 +193,10 @@ def disc_forms_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> b
     for p in quadform.factorize(f1.exponent):
         if p > 2 and _jordan_symbols(f1, p) != _jordan_symbols(f2, p):
             return False
-    return find_disc_form_isomorphism(f1.primary_part(2), f2.primary_part(2)) is not None
+    two1, two2 = f1.primary_part(2), f2.primary_part(2)
+    if two1.exponent <= 2:
+        return _nikulin_invariants(two1) == _nikulin_invariants(two2)
+    return find_disc_form_isomorphism(two1, two2) is not None
 
 
 def genus_equal(l1: Lattice, l2: Lattice) -> bool:

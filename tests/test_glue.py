@@ -3,13 +3,13 @@
 import itertools
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import k3lattice.lattice as lat
-from k3lattice import claims, exact, glue, k3embed as ke
+from k3lattice import claims, exact, glue, k3embed as ke, quadform as qf
 from k3lattice.k3embed import build_V
 from test_exact import stacked_hermite_basis
 from test_k3embed import even_test_forms, span
@@ -98,6 +98,10 @@ def test_adjoin_bases_equal_the_stacked_hermite_basis(monkeypatch):
         glue.build_named(name)
     _clear_builder_caches()
     claims.run_all()
+    # the overlattices L.overlattice-unique and L.no-index4 once adjoined;
+    # the claims now read them off the discriminant form
+    glue.even_overlattices(claims._u_d8_e6())
+    glue.even_overlattices(_u_d8_a5_a1(), 4)
     assert len(seen) >= 30
     assert {d for _, d, _, _ in seen} >= {2, 6}
     for rows, d, n, basis in seen:
@@ -347,6 +351,105 @@ def test_l_sat_adjoins_one_overlattice(monkeypatch):
     assert len(calls) == 1
     assert len(glue.even_overlattices(_u_d8_a5_a1(), 2)) == 6
     assert len(calls) == 1 + 5
+
+
+# ---------------------------------------------------------------------------
+# overlattice forms read off the discriminant form
+
+
+def check_generators_in(m, form):
+    """Each generator v over its order o of ``form`` lies in m*, and q and b
+    of the v / o, paired by m's Gram matrix, are the form's numerators."""
+    top = form.exponent
+    for v, o, qn, row in zip(form.generators, form.invariant_factors, form.q_numerators,
+                             form.b_numerators):
+        gv = exact.mat_vec(m.gram, v)
+        assert len(v) == m.rank and all(x % o == 0 for x in gv)
+        assert (Fraction(exact.dot(v, gv), o * o) - Fraction(qn, top)) % 2 == 0
+        for w, e, bn in zip(form.generators, form.invariant_factors, row):
+            assert (Fraction(exact.dot(w, gv), o * e) - Fraction(bn, top)) % 1 == 0
+
+
+def check_overlattice_forms(base, bound=None):
+    """``even_overlattice_forms`` against the adjoined ``even_overlattices``,
+    subgroup by subgroup; the number of subgroups."""
+    base_form = lat.discriminant_group(base)
+    got = list(glue.even_overlattice_forms(base, bound))
+    members = glue.even_overlattices(base, bound)
+    assert len(got) == len(members)
+    for (grp, order, det, quotient), m in zip(got, members):
+        form, adjoined = quotient(), lat.discriminant_group(m)
+        assert order == len(grp) == (1 if m.ambient is None else glue.glue_index(m))
+        assert det == m.det()
+        assert form.invariant_factors == adjoined.invariant_factors
+        assert ke.disc_forms_isomorphic(form, adjoined)
+        check_generators_in(m, form)
+        # a p-part that H misses is the base's
+        for p in qf.factorize(base_form.exponent) if base_form.order > 1 else ():
+            if order % p:
+                assert ke.disc_forms_isomorphic(form.primary_part(p), base_form.primary_part(p))
+    return len(got)
+
+
+def test_overlattice_forms_of_the_claim_bases():
+    a1 = lat.root_lattice("A", 1)
+    assert check_overlattice_forms(lat.direct_sum(lat.hyperbolic(), *[a1] * 8)) == 902
+    assert check_overlattice_forms(claims._u_d8_e6()) == 3
+    assert check_overlattice_forms(_u_d8_a5_a1(), 4) == 8
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(FORM_PIECES), min_size=1, max_size=3))
+def test_overlattice_forms_of_direct_sums(pieces):
+    base = lat.direct_sum(*pieces)
+    assume(lat.discriminant_group(base).order <= 512)
+    check_overlattice_forms(base)
+
+
+def test_overlattice_claims_adjoin_nothing(monkeypatch):
+    # beyond building L_sat, their input, L.no-index4 and
+    # L.overlattice-unique read index, det and form off the discriminant
+    # form; and no claim's 2-part needs the discriminant-form search
+    _clear_builder_caches()
+    claims._named("L_sat")
+    calls = []
+    for module, name in ((glue, "adjoin"), (ke, "find_disc_form_isomorphism")):
+        real = getattr(module, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    for claim_id in ("L.no-index4", "L.overlattice-unique"):
+        claims.run_claim(claim_id)
+    assert calls == []
+    _clear_builder_caches()
+    results = claims.run_all()
+    assert "find_disc_form_isomorphism" not in calls and "adjoin" in calls
+    assert sum(r.status == "pass" for r in results) == len(results) - 2
+
+
+def test_adjoin_pairs_only_the_rows_below_the_denominator():
+    # the Gram matrix read off the base for rows s e_c is B G B^T / s^2, on
+    # every adjoined named lattice and all 902 overlattices of U + A1^8; the
+    # basis is a Hermite basis in lowest terms, which the lattice fixes
+    a1 = lat.root_lattice("A", 1)
+    lattices = [glue.build_named(name) for name in [*glue.NAMED_BUILDERS, "L_d(27,subgroup)"]]
+    lattices += glue.even_overlattices(lat.direct_sum(lat.hyperbolic(), *[a1] * 8))[1:]
+    checked = 0
+    for m in lattices:
+        e = m.ambient
+        if e is None or e.denominator == 1:
+            continue
+        square = e.denominator**2
+        assert [list(r) for r in m.gram] == [
+            [x // square for x in row] for row in exact.congruence(e.basis, e.ambient.gram)
+        ]
+        assert [list(r) for r in e.basis] == exact.hermite_row_basis(e.basis)
+        assert gcd(e.denominator, *itertools.chain.from_iterable(e.basis)) == 1
+        checked += 1
+    assert checked == 901 + 7
 
 
 # ---------------------------------------------------------------------------

@@ -580,6 +580,109 @@ def test_jordan_symbols_agree_with_the_search(forms):
     assert ke.disc_forms_isomorphic(f2, f1) == want
 
 
+# the four blocks of a form on (Z/2)^a: <1/2>, <-1/2>, u(2) and v(2)
+NIKULIN_BLOCKS = {
+    "A1(-1)": lat.rank_one(2),
+    "A1": lat.root_lattice("A", 1),
+    "U(2)": lat.rescale(lat.hyperbolic(), 2),
+    "D4": lat.root_lattice("D", 4),
+}
+# swapping one block for its partner moves sigma by 2 or 4 mod 8
+NIKULIN_PARTNER = {"A1(-1)": "A1", "A1": "A1(-1)", "U(2)": "D4", "D4": "U(2)"}
+
+
+def _block_form(names, seed):
+    """The discriminant form of the sum of the named blocks, after a
+    seeded unimodular change of basis, which moves its generators."""
+    g = [list(r) for r in lat.direct_sum(*[NIKULIN_BLOCKS[name] for name in names]).gram]
+    return lat.discriminant_group(lat.Lattice(moved(g, random.Random(seed))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(sorted(NIKULIN_BLOCKS)), min_size=1, max_size=5),
+    st.randoms(use_true_random=False),
+)
+def test_nikulin_invariants_agree_with_the_search(names, rng):
+    # at most 8 generators, so the reference walks at most 256 elements
+    assume(sum(2 if name in ("U(2)", "D4") else 1 for name in names) <= 8)
+    f = _block_form(names, rng.randrange(10**6))
+    copy = _block_form(rng.sample(names, len(names)), rng.randrange(10**6))
+    i = rng.randrange(len(names))
+    swapped = names[:i] + [NIKULIN_PARTNER[names[i]]] + names[i + 1 :]
+    other = _block_form(swapped, rng.randrange(10**6))
+    assert f.exponent == copy.exponent == other.exponent == 2
+    for g, want in ((copy, True), (other, False)):
+        assert g.order == f.order
+        assert (reference_find_disc_form_isomorphism(f, g) is not None) == want
+        assert ke.disc_forms_isomorphic(f, g) == want
+        assert ke.disc_forms_isomorphic(g, f) == want
+
+
+def _two_elementary_inputs():
+    """Every even named lattice and claim input whose discriminant group is
+    2-elementary, each with the signature pair it has or that its form
+    belongs to."""
+    lats = [glue.build_named(name) for name in NAMED_FOR_FORMS]
+    lats += [glue.build_named(f"Lambda({n})") for n in (1, 2)]
+    lats += [claims._u23(), lat.direct_sum(lat.hyperbolic(), *[lat.root_lattice("A", 1)] * 8)]
+    cases = [(lat.discriminant_group(l), l.signature_pair()) for l in lats if l.is_even()]
+    sig, negform = ke.complement_genus_in_unimodular(glue.build_named("KummerK"))
+    cases.append((negform, sig))
+    return [(f, sig) for f, sig in cases if set(f.invariant_factors) <= {2}]
+
+
+def test_milgram_signature_on_two_elementary_forms():
+    # Milgram's formula: the Gauss-sum signature of the discriminant form
+    # of an even lattice of signature (p, n) is p - n mod 8
+    cases = _two_elementary_inputs()
+    assert len(cases) >= 8 and {1, 4, 64, 128, 256} <= {f.order for f, _ in cases}
+    for form, (p, n) in cases:
+        assert ke._nikulin_invariants(form)[2] == (p - n) % 8
+
+
+def test_nikulin_invariants_reject_a_degenerate_form():
+    # b = 0 on (Z/2)^2, and b = diag(1/2, 0) on (Z/2)^2 with its radical
+    # on the second generator: the same error as the Jordan symbols raise
+    flat = lat.FiniteQuadraticForm((2, 2), ((1, 0), (0, 1)), (0, 0), ((0, 0), (0, 0)))
+    half = lat.FiniteQuadraticForm((2, 2), ((1, 0), (0, 1)), (1, 0), ((1, 0), (0, 0)))
+    for form in (flat, half):
+        for call in (ke._nikulin_invariants, lambda f: ke.disc_forms_isomorphic(f, f),
+                     lambda f: ke._jordan_symbols(f, 2)):
+            with pytest.raises(ValueError, match="^degenerate discriminant form: b has"):
+                call(form)
+
+
+def _item5_pairs():
+    """U + A1^m, U(2)^k and U(2) + E8(2) + A1^k, each with a non-isomorphic
+    form of the same order: one A1 made A1(-1), one U(2) made D4."""
+    u, a1, a1m = lat.hyperbolic(), lat.root_lattice("A", 1), lat.rank_one(2)
+    u2, d4 = lat.rescale(u, 2), lat.root_lattice("D", 4)
+    e82 = lat.rescale(lat.root_lattice("E", 8), 2)
+    for m in (1, 12, 16, 20):
+        yield lat.direct_sum(u, *[a1] * m), lat.direct_sum(u, *[a1] * (m - 1), a1m)
+    for k in (1, 6, 11):
+        yield lat.direct_sum(*[u2] * k), lat.direct_sum(*[u2] * (k - 1), d4)
+    for k in (0, 4, 10):
+        other = lat.direct_sum(u2, e82, *[a1] * (k - 1), a1m) if k else lat.direct_sum(d4, e82)
+        yield lat.direct_sum(u2, e82, *[a1] * k), other
+
+
+def test_two_elementary_families_decided_by_the_invariants(monkeypatch):
+    # ROADMAP item 5's families, against a unimodular change of basis of
+    # themselves and against a form of the same order that is not
+    # isomorphic; the search would walk up to 2^20 elements
+    monkeypatch.setattr(ke, "find_disc_form_isomorphism", None)
+    rng = random.Random(5)
+    for l, other in _item5_pairs():
+        f = lat.discriminant_group(l)
+        again = lat.discriminant_group(lat.Lattice(moved([list(r) for r in l.gram], rng)))
+        no = lat.discriminant_group(other)
+        assert f.invariant_factors == again.invariant_factors == no.invariant_factors
+        assert ke.disc_forms_isomorphic(f, again) and ke.disc_forms_isomorphic(again, f)
+        assert not ke.disc_forms_isomorphic(f, no) and not ke.disc_forms_isomorphic(no, f)
+
+
 def test_uniqueness_conditions():
     assert ke.genus_uniqueness_applicable(glue.build_named("U_E8_E6"))
     u23 = lat.direct_sum(*[lat.rescale(lat.hyperbolic(), 2)] * 3)

@@ -226,6 +226,23 @@ def test_disc_forms_isomorphic_walks_no_group():
     assert _call_count(compare, "find_disc_form_isomorphism") == 1
 
 
+def test_nikulin_invariants_walk_no_group():
+    # a 2-part of exponent 2 is compared by (a, delta, sigma) read off F_2
+    # bitmasks: no element walk, no Gram matching, and only the integer
+    # numerators, never a Fraction or the rational q, b, q_values, b_matrix
+    rational = {"q", "b", "q_values", "b_matrix"}
+    invariants = _function("k3embed.py", "_nikulin_invariants")
+    assert not {"elements", "_match_gram"} & _called_names(invariants)
+    found = [
+        node.lineno
+        for node in ast.walk(invariants)
+        if (isinstance(node, ast.Name) and node.id == "Fraction")
+        or (isinstance(node, ast.Attribute) and node.attr in rational)
+    ]
+    assert found == []
+    assert _call_count(_function("k3embed.py", "disc_forms_isomorphic"), "_nikulin_invariants") == 2
+
+
 def test_short_vectors_walk_in_integers():
     # the Fincke-Pohst walk keeps its budget as an integer multiple of the
     # norm and reads each coordinate's range off one isqrt: no Fraction
@@ -614,6 +631,13 @@ UNCALLED = {
     "quadform.hilbert_symbol": "public, and perfbench/tracer.py FUNCTIONS names it",
     "k3embed.isometry_search": (
         "public, and perfbench/tracer.py FUNCTIONS names it; the claims check stored maps"
+    ),
+    "k3embed.find_disc_form_isomorphism": (
+        "2-parts of exponent > 2; no claim has one; perfbench/tracer.py FUNCTIONS names it"
+    ),
+    "glue.even_overlattices": "public; perfbench/tracer.py FUNCTIONS names it",
+    "lattice.FiniteQuadraticForm.element_order": (
+        "the (order, q) profile of k3embed.find_disc_form_isomorphism, which no claim reaches"
     ),
     "lattice_io._decode_int": "the error path of an entry that is not a plain int",
     "value.Value.__setattr__": "refuses assignment to a field",
