@@ -33,10 +33,12 @@ T_GRAM = (
     (-1, -1, 1, 2),
 )
 
-# The isometries behind T.glue-isom and rank17.trans, as rows of images in
-# coordinates the claims' inputs fix: of diag(-2,-2,6,6)'s basis in those of
-# <-2>^2+U+U, of the same frame in T's, and of A1+A2(2)+<2>+<2>'s basis in
-# V's 22 (checked by ``_maps_onto``)
+# The certificates the claims check instead of searching (no claim calls
+# glue.find_isotropic_glue or k3embed.isometry_search).  The isometries behind
+# T.glue-isom and rank17.trans, as rows of images in coordinates the claims'
+# inputs fix: of diag(-2,-2,6,6)'s basis in those of <-2>^2+U+U, of the same
+# frame in T's, and of A1+A2(2)+<2>+<2>'s basis in V's 22 (checked by
+# ``_maps_onto``)
 T_COMPLEMENT_MAP = (
     (0, -1, 0, 0, 0, 0),
     (-1, 0, 0, 0, 0, 0),
@@ -51,6 +53,10 @@ RANK17_MAP = (
     (0, 0, 0, 0, -2, -2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0),
     (0, 0, -2, -2, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -2, -4, -2, 0, -2),
 )
+# The isotropic glue of sqrel.8dminus5 (d' = 7, 11) and sqrel.discform-p2, as
+# coefficients on 2C_h, h in glue.N1_SUBGROUP, and on -3C_i, i = 0..3
+SQREL_COMPLETIONS = ((-1, -1, 0), (-2, -1, -1))
+DISCFORM_P2_GLUE = ((-1, -1, 0, -1),)
 
 # rank-4 example of determinant 2^2 * 17^2 with no isotropy over Q_17
 RANK18_GRAM = (
@@ -113,6 +119,11 @@ def _extend(l: lat.Lattice, *specs: glue.GlueSpec) -> lat.Lattice:
     e = l.ambient
     own = [glue.GlueSpec(row, e.denominator) for row in e.basis]
     return glue.adjoin(e.ambient, own + list(specs))
+
+
+def _is_glue(l: lat.Lattice, v: list[int], divisor: int) -> bool:
+    """v, in l's base frame, is isotropic with pairings of gcd ``divisor``."""
+    return l.ambient.ambient.norm(v) == 0 and lat.divisibility(l, v) == divisor
 
 
 def _half_fiber(group) -> glue.GlueSpec:
@@ -1030,7 +1041,7 @@ def _n1works():
         "norm": frame.norm(w),
         "divisibility": lat.divisibility(enlarged, w),
         "half_in": lat.contains_ambient(enlarged, [Fraction(x, 2) for x in w]),
-        "found_by_search": glue.find_isotropic_glue(enlarged, w, 2) == w,
+        "found_by_search": _is_glue(enlarged, w, 2),
     }
     expected = {
         "enlarged_det": -12,
@@ -1098,17 +1109,17 @@ def _sqrel_x():
 def _sqrel_8d():
     computed = {}
     expected = {}
-    for dp in (7, 11):
+    for dp, coeffs in zip((7, 11), SQREL_COMPLETIONS):
         ld = _named(f"L_d({dp},subgroup)")
         frame = ld.ambient.ambient
         outside = [i for i in range(15) if i not in glue.N1_SUBGROUP]
         x = glue.frame_vector(0, outside)
         v0 = [a - b for a, b in zip(glue.frame_vector(2, [outside[0]], -2), x)]
-        search = [glue.frame_vector(0, [h], 2) for h in glue.N1_SUBGROUP]
-        completion = glue.find_isotropic_glue(ld, v0, 2, search, bound=3)
+        twice = [glue.frame_vector(0, [h], 2) for h in glue.N1_SUBGROUP]
+        (shift,) = exact.matmul([coeffs], twice)
         computed[dp] = {
             "norm": frame.norm(v0),
-            "isotropic_completion": completion is not None,
+            "isotropic_completion": _is_glue(ld, [a + b for a, b in zip(v0, shift)], 2),
         }
         expected[dp] = {"norm": Fraction(8 * (dp - 5)), "isotropic_completion": True}
     return _equal(computed, expected)
@@ -1123,9 +1134,9 @@ def _sqrel_8d():
 )
 def _sqrel_p2():
     l27 = glue.ld_lattice(27, "subgroup")
-    search = [glue.frame_vector(0, [i], -3) for i in range(4)]
-    v = glue.find_isotropic_glue(l27, glue.frame_vector(1, []), 3, search, bound=7)
-    if v is None:
+    (shift,) = exact.matmul(DISCFORM_P2_GLUE, [glue.frame_vector(0, [i], -3) for i in range(4)])
+    v = [a + b for a, b in zip(glue.frame_vector(1, []), shift)]
+    if not _is_glue(l27, v, 3):
         return False, {"found": False}, {"found": True}
     enlarged = _extend(l27, glue.GlueSpec(tuple(v), 3))
     computed = {

@@ -304,12 +304,8 @@ def find_isotropic_glue(
 
     The norm is read off the small integer Gram matrix of target and the
     search vectors; only a vector of norm 0 there is built and checked
-    exactly in the frame."""
+    exactly in the frame.  No claim calls it: each checks a stored vector."""
     frame = l.ambient.ambient if l.ambient is not None else l
-
-    def ok(v: list[int]) -> bool:
-        return frame.norm(v) == 0 and divisibility(l, v) == divisor
-
     rows = [target, *search_basis]
     exact.require_integers(rows, "find_isotropic_glue")
     small = exact.congruence(rows, frame.gram)
@@ -319,7 +315,7 @@ def find_isotropic_glue(
         for c, s in zip(coeffs, rows[1:]):
             if c:
                 v = [x + c * y for x, y in zip(v, s)]
-        if ok(v):
+        if frame.norm(v) == 0 and divisibility(l, v) == divisor:
             return v
     return None
 

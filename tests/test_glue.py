@@ -703,16 +703,19 @@ def _sqrel_p2_search():
 
 
 @pytest.mark.parametrize(
-    "inputs, found",
+    "inputs, coeffs",
     [
-        (lambda: _sqrel_8dminus5_search(7), [2, -2, -2, 0, -3] + [-1] * 11),
-        (lambda: _sqrel_8dminus5_search(11), [2, -4, -2, -2, -3] + [-1] * 11),
-        (_sqrel_p2_search, [1, 3, 3, 0, 3] + [0] * 11),
+        (lambda: _sqrel_8dminus5_search(7), claims.SQREL_COMPLETIONS[0]),
+        (lambda: _sqrel_8dminus5_search(11), claims.SQREL_COMPLETIONS[1]),
+        (_sqrel_p2_search, claims.DISCFORM_P2_GLUE[0]),
     ],
     ids=["sqrel.8dminus5.d7", "sqrel.8dminus5.d11", "sqrel.discform-p2"],
 )
-def test_find_isotropic_glue_vectors_of_the_claims(inputs, found):
+def test_find_isotropic_glue_vectors_of_the_claims(inputs, coeffs):
+    # each claim's stored coefficients give the search's first find
     l, target, divisor, search, bound = inputs()
+    (shift,) = exact.matmul([coeffs], search)
+    found = [a + b for a, b in zip(target, shift)]
     got = glue.find_isotropic_glue(l, target, divisor, search, bound)
     assert got == found == brute_isotropic_glue(l, target, divisor, search, bound)
 

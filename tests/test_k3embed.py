@@ -1042,6 +1042,8 @@ def test_stored_maps_are_the_searched_rows():
         ("T.glue-isom", "T_COMPLEMENT_MAP"),
         ("T.glue-isom", "T_FRAME_MAP"),
         ("rank17.trans", "RANK17_MAP"),
+        ("sqrel.8dminus5", "SQREL_COMPLETIONS"),
+        ("sqrel.discform-p2", "DISCFORM_P2_GLUE"),
     ],
 )
 def test_changing_one_entry_of_a_stored_map_fails_its_claim(monkeypatch, claim_id, name):
