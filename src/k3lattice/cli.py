@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from math import prod
@@ -59,6 +58,7 @@ def _cmd_verify(args) -> int:
     if args.json != "-":
         print(claims.text_report(results))
     if args.json:
+        import json
         report = claims.machine_report(results)
         text = json.dumps(report, indent=1, sort_keys=True) + "\n"
         if args.json == "-":  # in place of the text report

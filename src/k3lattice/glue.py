@@ -198,15 +198,6 @@ def _isotropic_subgroups(
     return sorted(subgroups)
 
 
-def even_overlattices(l: Lattice, max_index: int | None = None) -> list[Lattice]:
-    """One even overlattice per isotropic subgroup of the discriminant form
-    of order at most ``max_index`` (unbounded when None), the input lattice
-    itself first, for the trivial subgroup: the list of what
-    ``_even_overlattices`` yields, in its deterministic order, with duplicates
-    up to isometry whenever distinct subgroups yield isomorphic overlattices."""
-    return list(_even_overlattices(l, max_index))
-
-
 def _subgroups_and_lift(l: Lattice, max_index: int | None) -> tuple:
     """l's discriminant form, its isotropic subgroups of order <= max_index,
     and the matrix lifting an element c to sum_i c_i (N / d_i) g_i over N."""
@@ -223,19 +214,22 @@ def _subgroups_and_lift(l: Lattice, max_index: int | None) -> tuple:
     return form, _isotropic_subgroups(form, bound), lift
 
 
-def _even_overlattices(l: Lattice, max_index: int | None) -> Iterator[Lattice]:
-    """The even overlattices one at a time: each subgroup's overlattice is
-    adjoined, and its index checked, only when the caller asks for it."""
+def even_overlattices(l: Lattice, max_index: int | None = None) -> list[Lattice]:
+    """One even overlattice per isotropic subgroup of the discriminant form
+    of order at most ``max_index`` (unbounded when None), in the subgroups'
+    deterministic order, the input lattice itself first, for the trivial
+    subgroup; with duplicates up to isometry whenever distinct subgroups
+    yield isomorphic overlattices."""
     form, subgroups, lift = _subgroups_and_lift(l, max_index)
+    found = []
     for grp, path in subgroups:
-        if not path:
-            yield l
-            continue
         # adjoin reads only the span, which the path generates
-        bigger = adjoin(l, [GlueSpec(tuple(exact.mat_vec(lift, el)), form.exponent) for el in path])
-        if glue_index(bigger) != len(grp):
+        m = l if not path else adjoin(
+            l, [GlueSpec(tuple(exact.mat_vec(lift, el)), form.exponent) for el in path])
+        if path and glue_index(m) != len(grp):
             raise ArithmeticError("overlattice index differs from the subgroup order")
-        yield bigger
+        found.append(m)
+    return found
 
 
 def even_overlattice_forms(l: Lattice, max_index: int | None = None) -> Iterator[tuple]:
@@ -256,7 +250,8 @@ def _quotient_form(a: FiniteQuadraticForm, path: list, lift: list, n: int) -> Fi
     Smith form U C V = D of C = P (N b) P^T gives P / H its generators, the
     rows of U P, of orders N / gcd(N, D_ii); a p-part H misses is A's up to
     isomorphism.  A generator x of order o is stored as o x in the Hermite
-    basis ``adjoin`` gives M, as ``discriminant_group(M)`` would store it."""
+    basis ``adjoin`` gives M, as ``discriminant_group(M)`` would store it,
+    and q and b are A's on the rows of U P (``restrict``)."""
     if not path:
         return a
     top, bn = a.exponent, a.b_numerators
@@ -266,27 +261,20 @@ def _quotient_form(a: FiniteQuadraticForm, path: list, lift: list, n: int) -> Fi
     d, u, _ = exact.smith_normal_form(exact.congruence(p, bn))
     gens = [(o, c) for i, c in reversed([*enumerate(exact.matmul(u, p))])
             if (o := top // gcd(top, d[i][i])) > 1]
-    # q and b go over the new exponent N / scale
-    scale = top // max((o for o, _ in gens), default=1)
-    qn = [a.q_numerator(c) for _, c in gens]
-    bq = [[a.b_numerator(c, e) for _, e in gens] for _, c in gens]
     # o x is o lift(c) / N; in M's basis B / s its coordinates are those of
     # s o x reduced against B
     rows, s = _lowest_terms([exact.mat_vec(lift, h) for h in path], top)
     basis, s = _lowest_terms(exact.hermite_basis_mod(rows, s, n), s)
-    vectors, rest = [], [x % scale for x in itertools.chain(qn, *bq)]
+    vectors = []
     for o, c in gens:
         z, v = [x * o * s for x in exact.mat_vec(lift, c)], []
         for i, row in enumerate(basis):
             v.append(z[i] // (row[i] * top))
             z = [x - v[-1] * top * y for x, y in zip(z, row)] if v[-1] else z
+        if any(z):
+            raise ArithmeticError("H^perp / H does not lift to the overlattice")
         vectors.append(tuple(v))
-        rest += z
-    if any(rest):
-        raise ArithmeticError("H^perp / H does not lift to the overlattice")
-    return FiniteQuadraticForm(
-        tuple(o for o, _ in gens), tuple(vectors),
-        tuple(x // scale for x in qn), tuple(tuple(x // scale for x in row) for row in bq))
+    return a.restrict([c for _, c in gens], [o for o, _ in gens], vectors)
 
 
 def find_isotropic_glue(
@@ -492,17 +480,20 @@ def l2_lattice() -> Lattice:
     return adjoin_ambient_vectors(frame, [t1, t2]).rename("L2")
 
 
+# the half classes of A5 (nodes 1, 3, 5) and of A1 in U + D8 + A5 + A1
+L_SAT_GLUE = GlueSpec((0,) * 10 + (1, 0, 1, 0, 1, 1), 2)
+
+
 def l_sat_lattice() -> Lattice:
-    """First index-2 even overlattice of U + D8 + A5 + A1 in
-    ``even_overlattices`` order, the first after the base itself; only that
-    one is adjoined.  Determinant -12."""
+    """U + D8 + A5 + A1 glued by ``L_SAT_GLUE``: the index-2 even overlattice
+    first after the base in ``even_overlattices`` order; determinant -12."""
     base = direct_sum(
         hyperbolic(), root_lattice("D", 8), root_lattice("A", 5), root_lattice("A", 1)
     )
-    for m in _even_overlattices(base, 2):
-        if m.det() == base.det() // 4:
-            return m.rename("L_sat")
-    raise GlueError("no index-2 even overlattice found")
+    l_sat = adjoin(base, [L_SAT_GLUE])
+    if glue_index(l_sat) != 2:
+        raise GlueError("L_sat glue does not have index 2")
+    return l_sat.rename("L_sat")
 
 
 def u_e8_e6_lattice() -> Lattice:

@@ -9,10 +9,10 @@ and Gauss-sum signature mod 8, read off F_2 bitmasks); on any other 2-part a
 search mapping each generator into the elements of its order and q value,
 pairing as the generators do.  Definite isometry is decided by a complete
 short-vector backtracking search.  A bounded coordinate-box search
-(``isometry_search``) looks for isometries of small indefinite lattices.  It
-no longer supplies the claims' isometry certificates, which check stored
-maps (``claims._maps_onto``); it stays for its tests and for the perfbench
-tracer, which names it.  All three searches run on one pool-refined Gram
+(``isometry_search``) looks for isometries of small indefinite lattices.  The
+claims check stored maps instead (``claims._maps_onto``); the search stays
+because the perfbench tracer names it, and a function the tracer names is
+deleted only with its row.  All three searches run on one pool-refined Gram
 matching: each chosen vector filters the candidate pools of all later
 generators by their pairing with it, compared modulo the exponent for
 discriminant forms.
@@ -96,13 +96,12 @@ def _jordan_symbols(form: FiniteQuadraticForm, p: int) -> list[int]:
     is a degenerate b.  Generators of order p^k pairing outside (1/p^k)Z
     make no discriminant form and raise ``ArithmeticError``."""
     form, symbols = form.primary_part(p), []
-    for scale in dict.fromkeys(form.invariant_factors):
-        rows = [i for i, d in enumerate(form.invariant_factors) if d == scale]
-        shift = form.exponent // scale
-        block = [[form.b_numerators[i][j] for j in rows] for i in rows]
-        if any(x % shift for row in block for x in row):
-            raise ArithmeticError("discriminant pairing is not in (1/N)Z")
-        det = exact.det([[x // shift for x in row] for row in block]) % p
+    factors = form.invariant_factors
+    for scale in dict.fromkeys(factors):
+        rows = [i for i, d in enumerate(factors) if d == scale]
+        block = form.restrict(unit_rows(rows, len(factors)), [scale] * len(rows),
+                              [form.generators[i] for i in rows])
+        det = exact.det(block.b_numerators) % p
         if det == 0:
             raise ValueError("degenerate discriminant form: b has a nonzero radical")
         symbols.append(quadform.legendre(det, p) if p > 2 else 1)

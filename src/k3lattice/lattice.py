@@ -326,26 +326,35 @@ class FiniteQuadraticForm(Value):
     def q(self, x: Sequence[int]) -> Fraction:
         return Fraction(self.q_numerator(x), self.exponent)
 
-    def primary_part(self, p: int) -> "FiniteQuadraticForm":
-        """The p-primary part: the generators with p | d_i, column g_i read
-        over p^e, the p-part of d_i, for m_i g_i, m_i = d_i / p^e; over the new
-        exponent N', N' x(m_i g_i, m_j g_j) = m_i m_j N x(g_i, g_j) / (N / N').
-        Built once per form and p."""
-        done = self._primary_parts
-        if p in done:
-            return done[p]
-        parts = [(i, pe, d // pe) for i, d in enumerate(self.invariant_factors)
-                 if (pe := gcd(d, p ** d.bit_length())) > 1]
-        top = max((pe for _, pe, _ in parts), default=1)
-        scale, q = self.exponent // top, self.q_numerators
-        qn = None if q is None else [m * m * q[i] for i, _, m in parts]
-        bn = [[m * c * self.b_numerators[i][j] for j, _, c in parts] for i, _, m in parts]
+    def restrict(self, elements: Sequence[Sequence[int]], orders: Sequence[int],
+                 generators: Sequence[tuple[int, ...]]) -> "FiniteQuadraticForm":
+        """The form on ``elements`` (coefficient rows on this form's
+        generators) of the given orders, stored with ``generators``: over N' =
+        max(orders), N' x = N x / (N / N'), and a numerator N x that N / N'
+        does not divide raises ``ArithmeticError``."""
+        top, scale = self.exponent, self.exponent // max(orders, default=1)
+        qn = None if self.q_numerators is None else [self.q_numerator(c) for c in elements]
+        # N b(e, c) is e (c B)^T; both products skip the zeros of the rows
+        cb = exact.matmul(elements, self.b_numerators)
+        bn = [[x % top for x in row] for row in exact.matmul(elements, exact.transpose(cb))]
         if any(x % scale for x in itertools.chain(qn or (), *bn)):
             raise ArithmeticError("discriminant pairing is not in (1/N)Z")
-        gens = tuple(self.generators[i] for i, _, _ in parts)
-        qn = None if qn is None else tuple(x // scale % (2 * top) for x in qn)
-        bn = tuple(tuple(x // scale % top for x in row) for row in bn)
-        done[p] = FiniteQuadraticForm(tuple(pe for _, pe, _ in parts), gens, qn, bn)
+        return FiniteQuadraticForm(
+            tuple(orders), tuple(generators),
+            None if qn is None else tuple(x // scale for x in qn),
+            tuple(tuple(x // scale for x in row) for row in bn))
+
+    def primary_part(self, p: int) -> "FiniteQuadraticForm":
+        """The p-primary part: the generators with p | d_i, column g_i read
+        over p^e, the p-part of d_i, as the element m_i g_i, m_i = d_i / p^e.
+        Built once per form and p."""
+        done = self._primary_parts
+        if p not in done:
+            factors = self.invariant_factors
+            parts = [(i, gcd(d, p ** d.bit_length())) for i, d in enumerate(factors) if d % p == 0]
+            done[p] = self.restrict(
+                [[factors[i] // pe * (j == i) for j in range(len(factors))] for i, pe in parts],
+                [pe for _, pe in parts], [self.generators[i] for i, _ in parts])
         return done[p]
 
     def negate(self) -> "FiniteQuadraticForm":

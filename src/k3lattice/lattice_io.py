@@ -24,7 +24,6 @@ A corpus of named lattice files ships in the package ``data`` directory.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from . import glue
@@ -38,15 +37,15 @@ class LatticeFileError(ValueError):
 
 
 def _decode_int(x, path: str) -> int:
-    """An entry that is not a plain ``int``: a decimal string, or an error
-    naming what it is."""
+    """An entry that is not a plain ``int``: an ASCII decimal string
+    -?[0-9]+, or an error naming what it is."""
     if isinstance(x, bool):
         raise LatticeFileError(f"{path}: boolean is not a matrix entry")
     if isinstance(x, str):
-        try:
+        # int() would also take "1_0", " 12 ", "+4" and non-ASCII digits
+        if x.removeprefix("-").isdigit() and x.isascii():
             return int(x, 10)
-        except ValueError as e:
-            raise LatticeFileError(f"{path}: bad integer string {x!r}") from e
+        raise LatticeFileError(f"{path}: bad integer string {x!r}")
     raise LatticeFileError(f"{path}: matrix entries must be integers, got {type(x).__name__}")
 
 
@@ -66,6 +65,7 @@ def _encode_int(x: int):
 
 
 def _parse(text: str, path) -> object:
+    import json
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
@@ -135,6 +135,7 @@ def dumps(l: Lattice) -> str:
     only for an integral embedding whose ambient ``glue.build_named``
     rebuilds from its name with the same Gram matrix, so that ``loads``
     attaches the frame that was written and no other."""
+    import json
     doc: dict = {
         "name": l.name,
         "gram": [[_encode_int(x) for x in row] for row in l.gram],

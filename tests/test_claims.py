@@ -194,6 +194,11 @@ def test_malformed_file_messages(tmp_path):
     cases = {
         '{"name": "x", "gram": [[true]]}': "boolean is not a matrix entry",
         '{"name": "x", "gram": [[0, "1x"], ["1x", 0]]}': "bad integer string '1x'",
+        '{"name": "x", "gram": [["1_0"]]}': "bad integer string '1_0'",
+        '{"name": "x", "gram": [[" 12 "]]}': "bad integer string ' 12 '",
+        '{"name": "x", "gram": [["+4"]]}': "bad integer string '+4'",
+        # ARABIC-INDIC DIGIT THREE, which int() reads as 3
+        '{"name": "x", "gram": [["\\u0663"]]}': "bad integer string '\u0663'",
         '{"name": "x", "gram": [[1.0]]}': "matrix entries must be integers, got float",
         '{"name": "x", "gram": [[0, null], [null, 0]]}':
             "matrix entries must be integers, got NoneType",

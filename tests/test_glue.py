@@ -342,13 +342,20 @@ def test_l_sat_is_the_first_proper_index_two_overlattice():
 
 
 def test_l_sat_adjoins_one_overlattice(monkeypatch):
-    # L_sat stops at the first index-2 overlattice, where building the list
-    # of all of them adjoins each of the five
+    # L_sat adjoins its one stored glue vector and walks no subgroup, where
+    # building the list of all index-2 overlattices adjoins each of the five
     calls = []
-    adjoin = glue.adjoin
+    adjoin, walk = glue.adjoin, glue._isotropic_subgroups
     monkeypatch.setattr(glue, "adjoin", lambda *args: calls.append(args) or adjoin(*args))
-    glue.build_named("L_sat")
+
+    def no_walk(*args):
+        raise AssertionError("L_sat walked the isotropic subgroups")
+
+    monkeypatch.setattr(glue, "_isotropic_subgroups", no_walk)
+    l_sat = glue.build_named("L_sat")
     assert len(calls) == 1
+    assert "_discriminant_form" not in vars(l_sat.ambient.ambient)
+    monkeypatch.setattr(glue, "_isotropic_subgroups", walk)
     assert len(glue.even_overlattices(_u_d8_a5_a1(), 2)) == 6
     assert len(calls) == 1 + 5
 

@@ -598,7 +598,10 @@ def prime_divisors(n):
 
 def check_primary_parts(form):
     """The parts' orders multiply to the order, and each part's q and b at
-    its generator i are the parent's at (d_i / p^e) g_i."""
+    its generator i are the parent's at (d_i / p^e) g_i; restricted to all
+    its generators, each of its own order, the form is itself."""
+    units = exact.identity(len(form.invariant_factors))
+    assert form.restrict(units, form.invariant_factors, form.generators) == form
     parts = {p: form.primary_part(p) for p in prime_divisors(form.exponent)}
     assert prod(part.order for part in parts.values()) == form.order
     for p, part in parts.items():

@@ -10,7 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from k3lattice import cli, exact, glue, lattice as lat, lattice_io
+from k3lattice import cli, exact, glue, k3embed as ke, lattice as lat, lattice_io
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "k3lattice"
 
@@ -163,6 +163,17 @@ def test_discriminant_form_searches_compare_integers():
             or (isinstance(node, ast.Attribute) and node.attr in rational)
         ]
         assert found == [], name
+
+
+def test_sub_forms_are_read_by_one_restriction():
+    # primary parts, Jordan scales and H^perp / H read q and b over a
+    # smaller exponent through FiniteQuadraticForm.restrict, the one place
+    # that raises for a numerator the exponent ratio does not divide
+    raising = sorted(path.name for path in SRC.glob("*.py")
+                     if "discriminant pairing is not in (1/N)Z" in path.read_text())
+    assert raising == ["lattice.py"]
+    for fn in (ke._jordan_symbols, glue._quotient_form):
+        assert "restrict" in fn.__code__.co_names, fn.__name__
 
 
 def _called_names(fn: ast.AST) -> set[str]:
@@ -547,10 +558,11 @@ def test_post_init_is_looked_up_on_each_construction(monkeypatch):
 def test_cold_import_loads_no_dataclasses_or_inspect():
     # dataclasses pulls in inspect, ast, dis and tokenize, and compiles the
     # methods of each class through exec: together 20-30 ms of every cold
-    # k3lattice process
+    # k3lattice process; json is imported where a file or report is read
+    # or written
     code = (
         "import sys, k3lattice.cli, k3lattice.claims; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run(
