@@ -6,7 +6,7 @@ package ever touches floating point.  The eliminations on integer matrices
 are fraction-free: ``det`` (Bareiss), ``_hermite`` behind the Smith form,
 kernels, Hermite bases and ``solve``, and the symmetric ``ldl``, whose
 working entries are bordered minors det(m[P+r, P+s]) over the pivot set P
-taken so far, so that only its returned pivots are rational.  ``lll`` keeps
+taken so far; it returns its rational pivots as integers.  ``lll`` keeps
 leading minors and Gram-Schmidt numerators, all integers.  A rational vector
 is written one way, by ``numerators``, as integers over one positive
 denominator.  ``solve`` writes each augmented row so, takes the Hermite
@@ -427,7 +427,7 @@ def kernel_basis(m: Sequence[Sequence[int]]) -> list[IntVector]:
     return u[len(_echelon(transpose(m), u)) :]
 
 
-def ldl(m: Sequence[Sequence[int]]) -> tuple[RatVector, int]:
+def ldl(m: Sequence[Sequence[int]]) -> tuple[IntVector, int]:
     """Symmetric rational elimination m = L D L^T, the one shared core of
     inertia and rational diagonalization.
 
@@ -439,15 +439,17 @@ def ldl(m: Sequence[Sequence[int]]) -> tuple[RatVector, int]:
 
     The elimination is fraction-free (Bareiss 1968).  Once the pivot set P
     is split off, the working entry a[r][s] is the bordered minor
-    det(m[P+r, P+s]) and ``d`` is det(m[P, P]), so a diagonal pivot p is the
-    ratio p/d of consecutive leading minors.  A row keeps the d it was last
-    reduced with as its own divisor l (see the module docstring), and a
-    reduced row is (p*x - f*y) // l, exact by Sylvester's identity.
+    det(m[P+r, P+s]) and ``d`` is det(m[P, P]), so a diagonal pivot is the
+    ratio p/d of consecutive leading minors, returned as the integer
+    pd / gcd(p, d)^2, its numerator times its denominator in lowest terms,
+    of the same sign and square class.  A row keeps the d it was last reduced
+    with as its own divisor l (see the module docstring), and a reduced row
+    is (p*x - f*y) // l, exact by Sylvester's identity.
     """
     n = require_symmetric(m)
     require_integers(m, "ldl")
     a = [list(row) for row in m]
-    pivots: RatVector = []
+    pivots: IntVector = []
     level = [1] * n  # level[k]: the d row k of a was last reduced with
     d = 1
 
@@ -461,7 +463,7 @@ def ldl(m: Sequence[Sequence[int]]) -> tuple[RatVector, int]:
         if k is not None:
             prow = current(k)
             p = prow.pop(k)
-            pivots.append(Fraction(p, d))
+            pivots.append(p * d // gcd(p, d) ** 2)
             for i, row in enumerate(a):
                 f = row.pop(k)
                 if f:
@@ -474,10 +476,10 @@ def ldl(m: Sequence[Sequence[int]]) -> tuple[RatVector, int]:
             None,
         )
         if pair is None:
-            pivots.extend([Fraction(0)] * len(a))
+            pivots.extend([0] * len(a))
             return pivots, 0
         i, j = pair
-        pivots.extend([Fraction(1), Fraction(-1)])
+        pivots.extend([1, -1])
         rj, ri = current(j), current(i)
         h = ri[j]
         del ri[j], ri[i], rj[j], rj[i]
@@ -508,8 +510,8 @@ def signature(m: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     adds up over an orthogonal sum.  A row with no nonzero off-diagonal
     entry is a 1x1 block, its own pivot; the larger blocks go to one
     ``ldl`` together, since ``ldl`` leaves every row outside a pivot's
-    block untouched, and the matrix goes whole when no row is alone.  A
-    pivot's sign is its numerator's."""
+    block untouched, and the matrix goes whole when no row is alone.  The
+    integer pivots ``ldl`` returns carry the signs of the rational ones."""
     alone = set(lone_rows(m))
     if alone:  # read off here, so checked here
         require_symmetric(m)
@@ -519,7 +521,7 @@ def signature(m: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     if rest:
         pick = itemgetter(*rest)  # two or more: a row not alone has a partner
         sub = [pick(m[i]) for i in rest] if alone else m
-        nums += [p.numerator for p in ldl(sub)[0]]
+        nums += ldl(sub)[0]
     pos = sum(1 for x in nums if x > 0)
     neg = sum(1 for x in nums if x < 0)
     return pos, len(nums) - pos - neg, neg

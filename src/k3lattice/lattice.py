@@ -117,16 +117,11 @@ class Lattice(Value):
         # and d_j y, so d_i x.y and d_j x.y are integers, as is N x.y for the
         # exponent N that both divide
         top = max(factors, default=1)
-        images = [exact.mat_vec(self.gram, g) for g in gens]
-        nums = []
-        for g, d in zip(gens, factors):
-            row = []
-            for gh, e in zip(images, factors):
-                num, rem = divmod(top * exact.dot(g, gh), d * e)
-                if rem:
-                    raise ArithmeticError("discriminant pairing is not in (1/N)Z")
-                row.append(num)
-            nums.append(row)
+        terms = [[(top * x, d * e) for x, e in zip(row, factors)]
+                 for row, d in zip(exact.congruence(gens, self.gram), factors)]
+        if any(n % de for row in terms for n, de in row):
+            raise ArithmeticError("discriminant pairing is not in (1/N)Z")
+        nums = [[n // de for n, de in row] for row in terms]
         qn = tuple(row[i] % (2 * top) for i, row in enumerate(nums)) if self.is_even() else None
         bn = tuple(tuple(x % top for x in row) for row in nums)
         return FiniteQuadraticForm(tuple(factors), tuple(gens), qn, bn)
@@ -182,12 +177,12 @@ class Lattice(Value):
         return f"<{label}: rank {self.rank}, det {self.det()}>"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _det_cached(gram: tuple[tuple[int, ...], ...]) -> int:
     return exact.det(gram)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _signature_cached(gram: tuple[tuple[int, ...], ...]) -> tuple[int, int, int]:
     return exact.signature(gram)
 
@@ -334,9 +329,7 @@ class FiniteQuadraticForm(Value):
         does not divide raises ``ArithmeticError``."""
         top, scale = self.exponent, self.exponent // max(orders, default=1)
         qn = None if self.q_numerators is None else [self.q_numerator(c) for c in elements]
-        # N b(e, c) is e (c B)^T; both products skip the zeros of the rows
-        cb = exact.matmul(elements, self.b_numerators)
-        bn = [[x % top for x in row] for row in exact.matmul(elements, exact.transpose(cb))]
+        bn = [[x % top for x in row] for row in exact.congruence(elements, self.b_numerators)]
         if any(x % scale for x in itertools.chain(qn or (), *bn)):
             raise ArithmeticError("discriminant pairing is not in (1/N)Z")
         return FiniteQuadraticForm(

@@ -9,7 +9,7 @@ local fields by rank, discriminant class and Hasse invariant.  A place is
 checked once, by the public function that receives it; inside, symbols are
 taken on integers, and each place's invariant is computed once per form.
 
-Every decision reads the raw ``exact.ldl`` pivots and the determinant, and
+Every decision reads the integer ``exact.ldl`` pivots and the determinant, and
 only |det| is factored: at an odd p not dividing det an integral form is
 Z_p-unimodular, with Hasse invariant +1 and isotropy fixed by rank and
 discriminant, so the places to check are REAL, 2 and the primes of |det|
@@ -290,22 +290,21 @@ def _hasse(entries: Sequence[int], v) -> int:
 
 
 def _form(gram: Sequence[Sequence[int]]) -> tuple[list[int], int]:
-    """The ``exact.ldl`` pivots of a nondegenerate symmetric integer matrix,
-    each as an integer in its square class, and its determinant."""
+    """The integer ``exact.ldl`` pivots and the det of a nondegenerate form."""
     pivots, det = exact.ldl(gram)
     if det == 0:
         raise ValueError("degenerate form")
-    return [_rational_to_int_class(p) for p in pivots], det
+    return pivots, det
 
 
 def diagonalize(gram: Sequence[Sequence[int]]) -> list[int]:
     """Squarefree diagonal representatives of a nondegenerate symmetric
     matrix under rational congruence.
 
-    The entries are the squarefree parts of the ``exact.ldl`` pivots, so
-    hyperbolic planes that appear with both diagonal entries zero are split
-    off as (1, -1).  Factoring every pivot is slow on large forms; the
-    invariants below never call this.
+    The entries are the squarefree parts of the integer ``exact.ldl``
+    pivots, so hyperbolic planes that appear with both diagonal entries zero
+    are split off as (1, -1).  Factoring every pivot is slow on large forms;
+    the invariants below never call this.
     """
     return [squarefree_part(p) for p in _form(gram)[0]]
 

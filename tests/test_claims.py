@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,24 @@ def test_run_all_statuses():
     assert len(results) == len(EXPECTED_IDS)
     failing = {r.id for r in results if r.status != "pass"}
     assert failing == KNOWN_FAILING
+    # a pass means computed == expected, except where the expected value is
+    # the text ">=1"
+    for r in results:
+        if r.id != "L.overlattice-unique":
+            assert (r.status == "pass") == (r.computed == r.expected), r.id
+
+
+@pytest.mark.parametrize("id", [
+    "mwdisc.rational", "mwdisc.l2", "mwdisc.L", "e8.complements.a5a1", "e8.complements.a2a1c",
+])
+def test_a_claim_fails_when_computed_differs_from_expected(id, monkeypatch):
+    # sides that agree with each other but not with the recorded ones, and a
+    # complement of the wrong det that the isometry test calls isomorphic
+    monkeypatch.setattr(claims.es, "mw_disc_sides", lambda *args: (Fraction(96), Fraction(96)))
+    monkeypatch.setattr(claims.ke, "transcendental_of", lambda e: lat.Lattice(claims._diag([-2, -4])))
+    monkeypatch.setattr(claims.ke, "definite_isomorphic", lambda l1, l2: True)
+    r = claims.run_claim(id)
+    assert r.status == "fail" and r.computed != r.expected
 
 
 def test_failure_carries_both_sides():

@@ -426,6 +426,17 @@ def test_disc_group_is_built_once_per_lattice(monkeypatch):
     assert lat.invariant_factors(l) == form.invariant_factors == (2, 2, 2, 2, 2, 6)
 
 
+def test_the_det_and_signature_caches_are_bounded():
+    # dropped lattices may not grow the module caches for the life of the
+    # process
+    for x in range(1, 301):
+        l = lat.Lattice(((x,),))
+        l.det(), l.signature()
+    for cache in (lat._det_cached, lat._signature_cached):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
 def test_a_stored_form_does_not_keep_its_lattice_alive():
     # the form lives on the lattice object, so no module cache holds either
     l = glue.build_named("N1")

@@ -10,7 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from k3lattice import cli, exact, glue, k3embed as ke, lattice as lat, lattice_io
+from k3lattice import cli, exact, glue, k3embed as ke, lattice as lat, lattice_io, quadform as qf
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "k3lattice"
 
@@ -145,6 +145,9 @@ def test_ldl_eliminates_in_integers():
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
         ]
         assert found == [], name
+    # ldl returns integer pivots, and quadform reads them as they come
+    assert "Fraction" not in exact.ldl.__code__.co_names
+    assert "_rational_to_int_class" not in qf._form.__code__.co_names
 
 
 def test_discriminant_form_searches_compare_integers():
@@ -174,6 +177,10 @@ def test_sub_forms_are_read_by_one_restriction():
     assert raising == ["lattice.py"]
     for fn in (ke._jordan_symbols, glue._quotient_form):
         assert "restrict" in fn.__code__.co_names, fn.__name__
+    # and every rows * gram * rows^T product is exact.congruence
+    for fn in (lat.FiniteQuadraticForm.restrict, lat.Lattice._discriminant_form.func):
+        names = set(fn.__code__.co_names)
+        assert "congruence" in names and not names & {"transpose", "dot"}, fn.__name__
 
 
 def _called_names(fn: ast.AST) -> set[str]:
