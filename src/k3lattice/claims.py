@@ -122,11 +122,6 @@ def _extend(l: lat.Lattice, *specs: glue.GlueSpec) -> lat.Lattice:
     return glue.adjoin(e.ambient, own + list(specs))
 
 
-def _is_glue(l: lat.Lattice, v: list[int], divisor: int) -> bool:
-    """v, in l's base frame, is isotropic with pairings of gcd ``divisor``."""
-    return l.ambient.ambient.norm(v) == 0 and lat.divisibility(l, v) == divisor
-
-
 def _half_fiber(group) -> glue.GlueSpec:
     return glue.GlueSpec(tuple(glue.frame_vector(1, group, -1)), 2)
 
@@ -1039,7 +1034,7 @@ def _n1works():
         "norm": frame.norm(w),
         "divisibility": lat.divisibility(enlarged, w),
         "half_in": lat.contains_ambient(enlarged, [Fraction(x, 2) for x in w]),
-        "found_by_search": _is_glue(enlarged, w, 2),
+        "found_by_search": glue.is_isotropic_glue(enlarged, w, 2),
     }
     expected = {
         "enlarged_det": -12,
@@ -1117,7 +1112,7 @@ def _sqrel_8d():
         (shift,) = exact.matmul([coeffs], twice)
         computed[dp] = {
             "norm": frame.norm(v0),
-            "isotropic_completion": _is_glue(ld, [a + b for a, b in zip(v0, shift)], 2),
+            "isotropic_completion": glue.is_isotropic_glue(ld, list(map(sum, zip(v0, shift))), 2),
         }
         expected[dp] = {"norm": Fraction(8 * (dp - 5)), "isotropic_completion": True}
     return _equal(computed, expected)
@@ -1134,7 +1129,7 @@ def _sqrel_p2():
     l27 = glue.ld_lattice(27, "subgroup")
     (shift,) = exact.matmul(DISCFORM_P2_GLUE, [glue.frame_vector(0, [i], -3) for i in range(4)])
     v = [a + b for a, b in zip(glue.frame_vector(1, []), shift)]
-    if not _is_glue(l27, v, 3):
+    if not glue.is_isotropic_glue(l27, v, 3):
         return _equal({"found": False}, {"found": True})
     enlarged = _extend(l27, glue.GlueSpec(tuple(v), 3))
     computed = {

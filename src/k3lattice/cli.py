@@ -19,7 +19,7 @@ import sys
 from math import prod
 from pathlib import Path
 
-from . import claims, glue, lattice as lat, lattice_io, quadform as qf
+from . import claims, exact, glue, lattice as lat, lattice_io, quadform as qf
 
 
 def _lattice_summary(l: lat.Lattice) -> str:
@@ -95,7 +95,7 @@ def _glue_spec(text: str) -> glue.GlueSpec:
     """A ``--glue`` argument v1,...,vn/d."""
     try:
         coords, den = text.rsplit("/", 1)
-        return glue.GlueSpec(tuple(int(x) for x in coords.split(",")), int(den))
+        return glue.GlueSpec(tuple(map(exact.parse_int, coords.split(","))), exact.parse_int(den))
     except ValueError as e:
         raise lattice_io.LatticeFileError(f"bad glue spec {text!r} (want v1,...,vn/d)") from e
 

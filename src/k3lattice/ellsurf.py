@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import exact
 from .value import Value
 
-_KODAIRA_RE = re.compile(r"^(I|II|III|IV)(\d+)?(\*)?$")
+_KODAIRA_RE = re.compile(r"^(I|II|III|IV)([0-9]+)?(\*)?$")
 
 
 class KodairaType(Value):
@@ -51,7 +51,7 @@ def kodaira(symbol: str) -> KodairaType:
     if head == "I":
         if num is None:
             raise ValueError(f"cannot parse Kodaira symbol {symbol!r}")
-        return KodairaType("I*" if star else "I", int(num))
+        return KodairaType("I*" if star else "I", exact.parse_int(num))
     if num is not None:
         raise ValueError(f"cannot parse Kodaira symbol {symbol!r}")
     return KodairaType(head + "*" if star else head)
@@ -95,9 +95,10 @@ class FiberConfig(Value):
         for s in symbols:
             if "x" in s:
                 count, sym = s.split("x")
-                if int(count) < 1:
+                n = exact.parse_int(count)
+                if n < 1:
                     raise ValueError(f"fiber count in {s!r} is not a positive integer")
-                out.extend([kodaira(sym)] * int(count))
+                out.extend([kodaira(sym)] * n)
             else:
                 out.append(kodaira(s))
         return FiberConfig(tuple(out))
@@ -261,10 +262,10 @@ def table1_violations(n: int) -> list[tuple[int, int]]:
     """
     base = table1_matrix(n, 0, 0)
     for a, b in ((2, -3), (-3, 2)):
-        moved = {(1, 3): a, (3, 1): a, (2, 3): b, (3, 2): b}
-        m = table1_matrix(n, a, b)
-        size = range(len(base))
-        if any(m[i][j] - base[i][j] != moved.get((i, j), 0) for i in size for j in size):
+        moved = [row[:] for row in base]
+        for (i, j), x in {(1, 3): a, (3, 1): a, (2, 3): b, (3, 2): b}.items():
+            moved[i][j] += x
+        if table1_matrix(n, a, b) != moved:
             raise ArithmeticError(f"a and b of table1_matrix({n}, a, b) left their four entries")
     if all(table1_det_identity(n, a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)):
         return []

@@ -146,6 +146,14 @@ def require_integers(m: Sequence[Sequence], name: str) -> None:
         raise ValueError(f"{name} needs integer entries")
 
 
+def parse_int(text: str) -> int:
+    """The one reader of integer text: ASCII -?[0-9]+, else ValueError.
+    int() alone would also take "1_0", " 12 ", "+4" and non-ASCII digits."""
+    if text.removeprefix("-").isdigit() and text.isascii():
+        return int(text, 10)
+    raise ValueError(f"not an integer: {text!r}")
+
+
 def det(m: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix by sparse fraction-free
     elimination (Bareiss 1968).

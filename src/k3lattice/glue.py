@@ -285,14 +285,14 @@ def find_isotropic_glue(
     bound: int = 0,
 ) -> list[int] | None:
     """Search target + sum(c_i * search_basis[i]) over |c_i| <= bound for a
-    vector of norm 0 whose pairings with l are all divisible by ``divisor``.
+    vector of norm 0 whose pairings with l have gcd ``divisor``.
     Vectors are in l's base frame when l was built by adjoin, else in l's own
     coordinates.  Returns the first vector found with the c_i in
     lexicographic order, or None.
 
     The norm is read off the small integer Gram matrix of target and the
-    search vectors; only a vector of norm 0 there is built and checked
-    exactly in the frame.  No claim calls it: each checks a stored vector."""
+    search vectors; only a vector of norm 0 there is built and checked by
+    ``is_isotropic_glue``.  No claim runs the search: each checks a stored vector."""
     frame = l.ambient.ambient if l.ambient is not None else l
     rows = [target, *search_basis]
     exact.require_integers(rows, "find_isotropic_glue")
@@ -303,9 +303,15 @@ def find_isotropic_glue(
         for c, s in zip(coeffs, rows[1:]):
             if c:
                 v = [x + c * y for x, y in zip(v, s)]
-        if frame.norm(v) == 0 and divisibility(l, v) == divisor:
+        if is_isotropic_glue(l, v, divisor):
             return v
     return None
+
+
+def is_isotropic_glue(l: Lattice, v: Sequence[int], divisor: int) -> bool:
+    """v, in l's frame (see ``divisibility``), is isotropic with pairings of gcd ``divisor``."""
+    frame = l.ambient.ambient if l.ambient is not None else l
+    return frame.norm(v) == 0 and divisibility(l, v) == divisor
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +575,6 @@ def _int_param(arg: str, name: str) -> int:
     """An integer parameter of a named lattice; any other text makes the
     name unknown."""
     try:
-        return int(arg)
+        return exact.parse_int(arg)
     except ValueError:
         raise GlueError(f"unknown lattice name {name!r}") from None

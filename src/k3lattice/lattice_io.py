@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from . import glue
+from . import exact, glue
 from .lattice import Embedding, Lattice
 
 _I64_MAX = 2**63 - 1
@@ -42,10 +42,10 @@ def _decode_int(x, path: str) -> int:
     if isinstance(x, bool):
         raise LatticeFileError(f"{path}: boolean is not a matrix entry")
     if isinstance(x, str):
-        # int() would also take "1_0", " 12 ", "+4" and non-ASCII digits
-        if x.removeprefix("-").isdigit() and x.isascii():
-            return int(x, 10)
-        raise LatticeFileError(f"{path}: bad integer string {x!r}")
+        try:
+            return exact.parse_int(x)
+        except ValueError:
+            raise LatticeFileError(f"{path}: bad integer string {x!r}") from None
     raise LatticeFileError(f"{path}: matrix entries must be integers, got {type(x).__name__}")
 
 
@@ -90,7 +90,7 @@ def loads(text: str, path: str = "<string>") -> Lattice:
     if any(len(row) != n for row in gram):
         raise LatticeFileError(f"{path}: gram matrix must be square (rank mismatch)")
     # the decoded entries are already ints in tuples, so the constructor's
-    # symmetry check is the only other pass over them
+    # integer and symmetry checks are the only other passes over them
     name = doc.get("name")
     try:
         l = Lattice(gram, name)

@@ -573,6 +573,11 @@ def test_cli_adjoin(tmp_path, capsys):
     assert glued.det() == 4  # 16 / 2^2
     # odd glue rejected with exit code 2
     assert cli.main(["lattice", "op", "adjoin", str(base), "--glue", "1,1,0,0/2"]) == 2
+    # a glue entry is ASCII -?[0-9]+, as in a lattice file
+    for spec in ("+1,1,1,1/2", "1,1,1,1/+2"):
+        capsys.readouterr()
+        assert cli.main(["lattice", "op", "adjoin", str(base), "--glue", spec]) == 2
+        assert "bad glue spec" in capsys.readouterr().err
 
 
 def test_cli_quadform(tmp_path, capsys):

@@ -21,7 +21,7 @@ def test_parse_symbols():
     assert str(K("I12")) == "I12"
     assert str(K("I0*")) == "I0*"
     assert str(K("IV*")) == "IV*"
-    for bad in ("I", "V", "IV2", "I2**", "X"):
+    for bad in ("I", "V", "IV2", "I2**", "X", "I\u0662"):
         with pytest.raises(ValueError):
             K(bad)
 
@@ -107,7 +107,7 @@ def test_counts_from_the_root_type_match_the_frozen_tables():
 
 def test_fiber_counts_are_positive_integers():
     # "-3xI2" once gave no fibers, so -3xI2 + I0* had Euler number 6
-    for bad in ("-1xI2", "0xI2", "-3xI2", "xI2", "twoxI2"):
+    for bad in ("-1xI2", "0xI2", "-3xI2", "xI2", "twoxI2", "1_0xI2", "+2xI2", " 2xI2"):
         with pytest.raises(ValueError):
             es.FiberConfig.of(bad)
     with pytest.raises(ValueError):

@@ -646,7 +646,9 @@ def test_named_invalid_parameters():
         with pytest.raises(glue.GlueError):
             glue.build_named(name)
     # a parameter that is not an integer makes the name unknown
-    for name in ("Lambda(x)", "Np(5,x)", "L_d(x,all)"):
+    # and int()'s looser text ("+3", "1_0", non-ASCII digits) is not an integer
+    for name in ("Lambda(x)", "Np(5,x)", "L_d(x,all)", "Lambda(+3)", "Lambda(1_0)",
+                 "Lambda(\u0663)", "L_d(+7,subgroup)", "Np(5,+2)"):
         with pytest.raises(glue.GlueError, match="unknown lattice name"):
             glue.build_named(name)
 

@@ -516,11 +516,10 @@ def test_one_hasse_pass_per_place():
 
 def test_int_converts_only_text():
     # exact.require_integers refuses an entry that is not an int, so nothing
-    # is truncated: int() runs only where text is parsed, in the CLI's --glue
-    # specs, Kodaira symbols and fibre counts, named-lattice parameters and
-    # the decimal strings of a lattice file
-    parsers = {"cli._glue_spec", "ellsurf.kodaira", "ellsurf.FiberConfig.of",
-               "glue._int_param", "lattice_io._decode_int"}
+    # is truncated: int() runs only where text is parsed, in exact.parse_int,
+    # which the CLI's --glue specs, Kodaira symbols and fibre counts,
+    # named-lattice parameters and the decimal strings of a lattice file call
+    parsers = {"exact.parse_int"}
     found = set()
 
     def is_int(node):
