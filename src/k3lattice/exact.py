@@ -48,6 +48,12 @@ column k exactly as they would on the tail alone, so ``lattice`` passes
 only that tail to ``smith_normal_form``.
 ``signature`` reads the pivot of a row with no off-diagonal entry off the
 diagonal and passes only the other rows to ``ldl``.
+``echelon_coordinates`` is the one reader of coordinates in an echelon
+basis: it divides the entry in each row's pivot column exactly and
+subtracts only a row whose quotient is not 0; ``lattice.contains_ambient``
+and the generators of H^perp/H in ``glue`` read through it.
+Every public kernel that eliminates or enumerates over the integers checks
+its input at entry with ``require_integers``, which names the kernel.
 All public functions return fresh objects and never mutate their
 arguments, so values can be shared freely between threads.
 """
@@ -342,6 +348,7 @@ def smith_normal_form(
     pivots, may stand in for a nonsingular matrix (see the module docstring).
     """
     rows, cols = len(m), _width(m)
+    require_integers(m, "smith_normal_form")
     a = copy_matrix(m)
     u = identity(rows)
     vt = identity(cols)  # v transposed: column operations are its row operations
@@ -360,6 +367,7 @@ def smith_diagonal(m: Sequence[Sequence[int]]) -> IntVector:
     unit goes to ``_smith``, with no companions; its diagonal, times c,
     ends the list, zeros last."""
     _width(m)
+    require_integers(m, "smith_diagonal")
     a, diag, c, reduced = copy_matrix(m), [], 1, False
     while a and a[0]:
         i = next((i for i, row in enumerate(a) if 1 in row or -1 in row), None)
@@ -432,6 +440,7 @@ def kernel_basis(m: Sequence[Sequence[int]]) -> list[IntVector]:
     The echelon reduction u * m^T = h has zero rows past the rank; the
     matching rows of the unimodular u span the kernel."""
     u = identity(_width(m))
+    require_integers(m, "kernel_basis")
     return u[len(_echelon(transpose(m), u)) :]
 
 
@@ -648,8 +657,33 @@ def hermite_row_basis(rows: Sequence[Sequence[int]]) -> list[IntVector]:
     [0, pivot), so the result is a deterministic function of the row span.
     """
     _width(rows)
+    require_integers(rows, "hermite_row_basis")
     a = copy_matrix(rows)
     return a[: _hermite(a)]
+
+
+def echelon_coordinates(rows: Sequence[Sequence[int]], v: Sequence[int],
+                        den: int) -> IntVector | None:
+    """The one reader of coordinates in an echelon basis: the integer x with
+    x * rows = v / den, for echelon ``rows`` (each row's first nonzero entry
+    right of the row above's), or None when there is none.  Row by row, v's
+    entry in the row's pivot column must be an exact multiple q of den times
+    the pivot; q den row is subtracted from v only when q is not 0, and v
+    must end at 0.  A v whose length is not the rows' is a ragged matrix.
+    Only v and den are checked for integers: the rows, like their echelon
+    shape, are taken as ``hermite_row_basis`` or ``hermite_basis_mod``
+    returned them, from checked input, and are often reused."""
+    _width([*rows, v])
+    require_integers([v, (den,)], "echelon_coordinates")
+    x = []
+    for row in rows:
+        c = row.index(next(filter(None, row)))  # the pivot column
+        q, r = divmod(v[c], den * row[c])
+        if r:
+            return None
+        v = [a - step * b for a, b in zip(v, row)] if (step := q * den) else v
+        x.append(q)
+    return None if any(v) else x
 
 
 def hermite_basis_mod(rows: Sequence[Sequence[int]], d: int, n: int) -> list[IntVector]:
@@ -665,6 +699,7 @@ def hermite_basis_mod(rows: Sequence[Sequence[int]], d: int, n: int) -> list[Int
     each column c without a pivot are that same Hermite basis."""
     if d < 1 or any(len(row) != n for row in rows):
         raise ValueError("hermite_basis_mod needs a positive modulus and rows of length n")
+    require_integers([*rows, (d,)], "hermite_basis_mod")
     if d == 2:
         piv: dict[int, int] = {}  # pivot column -> reduced row
         for row in rows:
@@ -704,6 +739,7 @@ def index(rows: Sequence[Sequence[int]]) -> int:
     """The index in Z^width of the span of integer ``rows``: the product of
     the pivots of its echelon form, or 0 when the span has lower rank."""
     width, a = _width(rows), copy_matrix(rows)
+    require_integers(rows, "index")
     if len(_echelon(a)) < width:
         return 0
     return prod(a[i][i] for i in range(width))
@@ -727,6 +763,7 @@ def box_vectors(
     every norm costs nothing.
     """
     n = require_symmetric(gram)
+    require_integers([*gram, prefix], "box_vectors")
     g = copy_matrix(gram)
     targets = set(norms)
     lin = [0] * n  # lin[j]: pairing of the coefficients set so far with e_j

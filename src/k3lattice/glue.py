@@ -262,19 +262,14 @@ def _quotient_form(a: FiniteQuadraticForm, path: list, lift: list, n: int) -> Fi
     gens = [(o, c) for i, c in reversed([*enumerate(exact.matmul(u, p))])
             if (o := top // gcd(top, d[i][i])) > 1]
     # o x is o lift(c) / N; in M's basis B / s its coordinates are those of
-    # s o x reduced against B
+    # s o x in the echelon rows B
     rows, s = _lowest_terms([exact.mat_vec(lift, h) for h in path], top)
     basis, s = _lowest_terms(exact.hermite_basis_mod(rows, s, n), s)
-    vectors = []
-    for o, c in gens:
-        z, v = [x * o * s for x in exact.mat_vec(lift, c)], []
-        for i, row in enumerate(basis):
-            v.append(z[i] // (row[i] * top))
-            z = [x - v[-1] * top * y for x, y in zip(z, row)] if v[-1] else z
-        if any(z):
-            raise ArithmeticError("H^perp / H does not lift to the overlattice")
-        vectors.append(tuple(v))
-    return a.restrict([c for _, c in gens], [o for o, _ in gens], vectors)
+    vectors = [exact.echelon_coordinates(basis, [x * o * s for x in exact.mat_vec(lift, c)], top)
+               for o, c in gens]
+    if None in vectors:
+        raise ArithmeticError("H^perp / H does not lift to the overlattice")
+    return a.restrict([c for _, c in gens], [o for o, _ in gens], [tuple(v) for v in vectors])
 
 
 def find_isotropic_glue(

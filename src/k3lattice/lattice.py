@@ -70,9 +70,10 @@ class Lattice(Value):
     ) -> "Lattice":
         """A lattice whose builder has just formed its Gram matrix from
         ``ambient`` (B G B^T over the squared denominator), or copied it,
-        or its blocks (``direct_sum``), from lattices already built: the
-        constructor's checks would only repeat.  Embeddings a caller
-        supplies go through the constructor and are checked."""
+        its blocks (``direct_sum``) or its multiple (``rescale``), from
+        lattices already built: the constructor's checks would only repeat.
+        Embeddings a caller supplies go through the constructor and are
+        checked."""
         l = object.__new__(cls)
         object.__setattr__(l, "gram", tuple(map(tuple, gram)))
         object.__setattr__(l, "name", name)
@@ -94,11 +95,10 @@ class Lattice(Value):
         return exact.index(e.basis)
 
     @cached_property
-    def embedding_hermite(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """The Hermite basis of the embedding rows, each row after its pivot
-        column: what ``contains_ambient`` reduces against."""
-        rows = exact.hermite_row_basis(self.ambient.basis)
-        return tuple((next(i for i, x in enumerate(r) if x), tuple(r)) for r in rows)
+    def embedding_hermite(self) -> list[list[int]]:
+        """The Hermite basis of the embedding rows: the echelon rows that
+        ``contains_ambient`` writes a vector in."""
+        return exact.hermite_row_basis(self.ambient.basis)
 
     @cached_property
     def _discriminant_form(self) -> "FiniteQuadraticForm":
@@ -115,16 +115,12 @@ class Lattice(Value):
                 gens.append(tuple([-x for x in exact.mat_vec(head, w)] + w))
         # x = g_i/d_i and y = g_j/d_j pair integrally with L, which holds d_i x
         # and d_j y, so d_i x.y and d_j x.y are integers, as is N x.y for the
-        # exponent N that both divide
+        # exponent N that both divide; the lifts h_i = N x pair to N (N x.y)
         top = max(factors, default=1)
-        terms = [[(top * x, d * e) for x, e in zip(row, factors)]
-                 for row, d in zip(exact.congruence(gens, self.gram), factors)]
-        if any(n % de for row in terms for n, de in row):
-            raise ArithmeticError("discriminant pairing is not in (1/N)Z")
-        nums = [[n // de for n, de in row] for row in terms]
-        qn = tuple(row[i] % (2 * top) for i, row in enumerate(nums)) if self.is_even() else None
-        bn = tuple(tuple(x % top for x in row) for row in nums)
-        return FiniteQuadraticForm(tuple(factors), tuple(gens), qn, bn)
+        nums = exact.congruence([[top // di * x for x in g] for di, g in zip(factors, gens)],
+                                self.gram)
+        qn = [row[i] for i, row in enumerate(nums)] if self.is_even() else None
+        return _read_form(factors, gens, qn, nums, top)
 
     def det(self) -> int:
         """From the frame when the embedding rows are square and nonsingular
@@ -229,7 +225,7 @@ def rescale(l: Lattice, n: int) -> Lattice:
         raise ValueError("rescale by zero")
     g = [[n * x for x in row] for row in l.gram]
     name = f"{l.name}({n})" if l.name else None
-    return Lattice(g, name)
+    return Lattice._formed(g, name, None)
 
 
 def direct_sum(*lattices: Lattice) -> Lattice:
@@ -324,18 +320,11 @@ class FiniteQuadraticForm(Value):
     def restrict(self, elements: Sequence[Sequence[int]], orders: Sequence[int],
                  generators: Sequence[tuple[int, ...]]) -> "FiniteQuadraticForm":
         """The form on ``elements`` (coefficient rows on this form's
-        generators) of the given orders, stored with ``generators``: over N' =
-        max(orders), N' x = N x / (N / N'), and a numerator N x that N / N'
-        does not divide raises ``ArithmeticError``."""
-        top, scale = self.exponent, self.exponent // max(orders, default=1)
+        generators) of the given orders, stored with ``generators``: its
+        numerators over N are read over N' = max(orders) by ``_read_form``."""
         qn = None if self.q_numerators is None else [self.q_numerator(c) for c in elements]
-        bn = [[x % top for x in row] for row in exact.congruence(elements, self.b_numerators)]
-        if any(x % scale for x in itertools.chain(qn or (), *bn)):
-            raise ArithmeticError("discriminant pairing is not in (1/N)Z")
-        return FiniteQuadraticForm(
-            tuple(orders), tuple(generators),
-            None if qn is None else tuple(x // scale for x in qn),
-            tuple(tuple(x // scale for x in row) for row in bn))
+        return _read_form(orders, generators, qn, exact.congruence(elements, self.b_numerators),
+                          self.exponent // max(orders, default=1))
 
     def primary_part(self, p: int) -> "FiniteQuadraticForm":
         """The p-primary part: the generators with p | d_i, column g_i read
@@ -351,14 +340,24 @@ class FiniteQuadraticForm(Value):
         return done[p]
 
     def negate(self) -> "FiniteQuadraticForm":
-        n = self.exponent
-        qn = (
-            tuple(-q % (2 * n) for q in self.q_numerators)
-            if self.q_numerators is not None
-            else None
-        )
-        bn = tuple(tuple(-b % n for b in row) for row in self.b_numerators)
-        return FiniteQuadraticForm(self.invariant_factors, self.generators, qn, bn)
+        qn = None if self.q_numerators is None else [-q for q in self.q_numerators]
+        return _read_form(self.invariant_factors, self.generators, qn,
+                          [[-b for b in row] for row in self.b_numerators], 1)
+
+
+def _read_form(orders: Sequence[int], generators: Sequence, qn: Sequence[int] | None,
+               bn: Sequence[Sequence[int]], scale: int) -> FiniteQuadraticForm:
+    """The one form reader: the form of the given orders on ``generators``
+    from its q and b numerators over N = scale N', N' = max(orders) (qn is
+    None for an odd form).  Each is divided by ``scale`` and reduced mod 2N'
+    and mod N'; a numerator that ``scale`` does not divide raises
+    ``ArithmeticError``."""
+    top = max(orders, default=1)
+    if any(x % scale for x in itertools.chain(qn or (), *bn)):
+        raise ArithmeticError("discriminant pairing is not in (1/N)Z")
+    return FiniteQuadraticForm(tuple(orders), tuple(generators),
+                               None if qn is None else tuple(x // scale % (2 * top) for x in qn),
+                               tuple(tuple(x // scale % top for x in row) for row in bn))
 
 
 def _hermite_tail(gram: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
@@ -484,8 +483,9 @@ def is_primitive(l: Lattice) -> bool:
 
 def contains_ambient(l: Lattice, w: Sequence) -> bool:
     """Whether the ambient-frame vector w lies in l.  With l's basis the
-    rows B over the denominator D, that asks whether D w is an integer
-    combination of B: D w is reduced, in integers, against the Hermite basis
+    rows B over the denominator D and w the integers v over den, that asks
+    whether D v / den is an integer combination of B: whether it has
+    integer coordinates (``exact.echelon_coordinates``) in the Hermite basis
     of B (a basis built by ``glue.adjoin`` is one already), formed once per
     lattice (``Lattice.embedding_hermite``)."""
     if l.ambient is None:
@@ -495,15 +495,7 @@ def contains_ambient(l: Lattice, w: Sequence) -> bool:
         raise ValueError("vector length does not match the ambient rank")
     nums, den = exact.numerators(w)
     v = [x * e.denominator for x in nums]
-    if any(x % den for x in v):
-        return False
-    v = [x // den for x in v]
-    for c, row in l.embedding_hermite:
-        q, r = divmod(v[c], row[c])
-        if r:
-            return False
-        v = [x - q * y for x, y in zip(v, row)]
-    return not any(v)
+    return exact.echelon_coordinates(l.embedding_hermite, v, den) is not None
 
 
 def divisibility(l: Lattice, w: Sequence) -> int:

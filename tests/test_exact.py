@@ -255,6 +255,34 @@ def test_det_multiplicative_on_blocks(a, b):
     assert exact.det(block) == exact.det(a) * exact.det(b)
 
 
+# every public kernel that eliminates or enumerates over the integers, with
+# an input that reaches its integer check
+INTEGER_KERNELS = {
+    "det": lambda x: exact.det([[x]]),
+    "smith_normal_form": lambda x: exact.smith_normal_form([[x]]),
+    "smith_diagonal": lambda x: exact.smith_diagonal([[x]]),
+    "kernel_basis": lambda x: exact.kernel_basis([[x, 1]]),
+    "ldl": lambda x: exact.ldl([[x]]),
+    "signature": lambda x: exact.signature([[x]]),
+    "lll": lambda x: exact.lll([[x]]),
+    "hermite_row_basis": lambda x: exact.hermite_row_basis([[x]]),
+    "echelon_coordinates": lambda x: exact.echelon_coordinates([[1]], [x], 1),
+    "hermite_basis_mod": lambda x: exact.hermite_basis_mod([[x, 0]], 3, 2),
+    "index": lambda x: exact.index([[x]]),
+    "box_vectors": lambda x: list(exact.box_vectors([[x]], 1, [0])),
+}
+
+
+@pytest.mark.parametrize("value", [2.0, Fraction(1, 2), True], ids=["float", "Fraction", "bool"])
+@pytest.mark.parametrize("name", sorted(INTEGER_KERNELS))
+def test_integer_kernels_refuse_non_integers(name, value):
+    # refused by name: the eliminations would otherwise run on the float or
+    # Fraction and return a wrong value of the wrong type, such as a Smith
+    # diagonal of floats, instead of an error
+    with pytest.raises(ValueError, match=f"^{name} needs integer entries$"):
+        INTEGER_KERNELS[name](value)
+
+
 def test_det_huge_entries_exact():
     big = 10**40
     m = [[big, 1], [1, big]]
@@ -1056,6 +1084,56 @@ def test_ldl_matches_the_fraction_elimination_on_mostly_zero_matrices(m):
 
 # ---------------------------------------------------------------------------
 # solve
+
+
+@st.composite
+def echelon_queries(draw):
+    """(rows, v, den): rows the Hermite basis of drawn integer rows, den in
+    {1, 2, 3, 6}, and v den times an integer combination of the rows (in
+    the lattice), the combination itself (integral coordinates only when
+    den divides them), that plus a unit vector, or drawn freely (mostly
+    outside the rational span)."""
+    m = draw(hermite_inputs())
+    rows, cols = exact.hermite_row_basis(m), len(m[0])
+    den = draw(st.sampled_from([1, 2, 3, 6]))
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=len(rows), max_size=len(rows)))
+    combo = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(cols)]
+    kind = draw(st.sampled_from(["member", "combination", "shifted", "free"]))
+    if kind == "member":
+        v = [den * x for x in combo]
+    elif kind == "combination":
+        v = combo
+    elif kind == "shifted":
+        j = draw(st.integers(0, cols - 1))
+        v = [x + (i == j) for i, x in enumerate(combo)]
+    else:
+        v = draw(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols))
+    return rows, v, den
+
+
+def reference_coordinates(rows, v, den):
+    """The coordinates of v / den in the independent rows by ``eager_solve``,
+    when they are integers, else None."""
+    if not rows:
+        return None if any(v) else []
+    x = eager_solve(exact.transpose(rows), [Fraction(t, den) for t in v])
+    if x is None or any(t.denominator != 1 for t in x):
+        return None
+    return [t.numerator for t in x]
+
+
+@settings(max_examples=200, deadline=None)
+@given(echelon_queries())
+def test_echelon_coordinates_match_solve(query):
+    rows, v, den = query
+    assert exact.echelon_coordinates(rows, v, den) == reference_coordinates(rows, v, den)
+
+
+def test_echelon_coordinates_refuse_a_vector_of_another_length():
+    with pytest.raises(ValueError, match="ragged"):
+        exact.echelon_coordinates([[1, 0], [0, 2]], [1, 0, 0], 1)
+    assert exact.echelon_coordinates([[1, 0], [0, 2]], [2, 4], 2) == [1, 1]
+    assert exact.echelon_coordinates([[1, 0], [0, 2]], [2, 2], 2) is None
 
 
 def test_solve_identity():

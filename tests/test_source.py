@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 from k3lattice import cli, exact, glue, k3embed as ke, lattice as lat, lattice_io, quadform as qf
@@ -168,13 +169,54 @@ def test_discriminant_form_searches_compare_integers():
         assert found == [], name
 
 
+def _files_holding(text: str) -> list[str]:
+    return [path.name for path in sorted(SRC.glob("*.py")) if text in path.read_text()]
+
+
+def _nested(code: types.CodeType) -> list[types.CodeType]:
+    """code and the code objects nested in it: inner functions, lambdas and
+    comprehensions."""
+    return [code, *(inner for c in code.co_consts if isinstance(c, types.CodeType)
+                    for inner in _nested(c))]
+
+
+def _functions_naming(modules, *values: str) -> list[list[str]]:
+    """For each value, module.function (or module.Class.method) for every
+    function defined in ``modules`` whose code, nested code included, holds
+    the value as a name or a constant, read off the code objects, so
+    nothing is parsed."""
+    found: list[list[str]] = [[] for _ in values]
+    for module in modules:
+        stem = module.__name__.rpartition(".")[2]
+        members = [(f"{stem}.{attr}", obj) for attr, obj in vars(module).items()
+                   if getattr(obj, "__module__", None) == module.__name__]
+        members += [(f"{label}.{attr}", obj) for label, cls in list(members)
+                    if isinstance(cls, type) for attr, obj in vars(cls).items()]
+        for label, obj in members:
+            fn = getattr(obj, "func", None) or getattr(obj, "__func__", None) or obj
+            if not isinstance(fn, types.FunctionType):
+                continue
+            codes = _nested(fn.__code__)
+            for labels, value in zip(found, values):
+                if any(value in c.co_names or value in c.co_consts for c in codes):
+                    labels.append(label)
+    return found
+
+
 def test_sub_forms_are_read_by_one_restriction():
     # primary parts, Jordan scales and H^perp / H read q and b over a
-    # smaller exponent through FiniteQuadraticForm.restrict, the one place
-    # that raises for a numerator the exponent ratio does not divide
-    raising = sorted(path.name for path in SRC.glob("*.py")
-                     if "discriminant pairing is not in (1/N)Z" in path.read_text())
-    assert raising == ["lattice.py"]
+    # smaller exponent through FiniteQuadraticForm.restrict; it, negate and
+    # the discriminant form of a lattice build their forms through
+    # lattice._read_form, the one place that raises for a numerator the
+    # exponent ratio does not divide and the one constructor call
+    for text in ("discriminant pairing is not in (1/N)Z", "FiniteQuadraticForm("):
+        assert _files_holding(text) == ["lattice.py"], text
+    raising, building = _functions_naming([lat], "discriminant pairing is not in (1/N)Z",
+                                          "FiniteQuadraticForm")
+    assert raising == building == ["lattice._read_form"]
+    for fn in (lat.FiniteQuadraticForm.restrict, lat.FiniteQuadraticForm.negate,
+               lat.Lattice._discriminant_form.func):
+        assert "_read_form" in fn.__code__.co_names, fn.__name__
     for fn in (ke._jordan_symbols, glue._quotient_form):
         assert "restrict" in fn.__code__.co_names, fn.__name__
     # and every rows * gram * rows^T product is exact.congruence
@@ -299,6 +341,20 @@ def test_subgroups_and_membership_read_one_structure_each():
     assert _call_count(_function("lattice.py", "contains_ambient"), "solve") == 0
     saturation = _function("lattice.py", "saturation_index")
     assert _call_count(saturation, "smith_normal_form") == 0
+
+
+def test_one_reader_of_echelon_coordinates():
+    # membership and the generators of H^perp / H are the two places that
+    # write a vector in an echelon basis; both call exact.echelon_coordinates
+    # and keep no reduction loop of their own
+    for module, name in (("lattice.py", "contains_ambient"), ("glue.py", "_quotient_form")):
+        fn = _function(module, name)
+        assert _call_count(fn, "echelon_coordinates") == 1, name
+        assert not any(isinstance(node, ast.For) for node in ast.walk(fn)), name
+    assert _files_holding("echelon_coordinates(") == ["exact.py", "glue.py", "lattice.py"]
+    (calling,) = _functions_naming([exact, glue, lat], "echelon_coordinates")
+    assert calling == ["exact.echelon_coordinates", "glue._quotient_form",
+                       "lattice.contains_ambient"]
 
 
 def test_each_isotropic_subgroup_is_built_once():
