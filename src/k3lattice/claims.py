@@ -91,8 +91,8 @@ def _diag(entries) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# shared builders (pure; those that a cold verify asks for more than once
-# are cached)
+# shared builders (pure; the named lattices are cached, and the others
+# rebuild in well under a millisecond)
 
 
 @lru_cache(maxsize=None)
@@ -148,15 +148,14 @@ def _rank17_embedding() -> lat.Lattice:
     return lat.sublattice(ke.build_V(), rows)
 
 
-@lru_cache(maxsize=None)
+def _a1_a2_2() -> lat.Lattice:
+    """A1 + A2(2), the complement of A2+A1^3 in E8."""
+    return lat.direct_sum(lat.root_lattice("A", 1), lat.rescale(lat.root_lattice("A", 2), 2))
+
+
 def _rank17_target() -> lat.Lattice:
     """A1 + A2(2) + <2> + <2>, the expected transcendental lattice."""
-    return lat.direct_sum(
-        lat.root_lattice("A", 1),
-        lat.rescale(lat.root_lattice("A", 2), 2),
-        lat.rank_one(2),
-        lat.rank_one(2),
-    )
+    return lat.direct_sum(_a1_a2_2(), lat.rank_one(2), lat.rank_one(2))
 
 
 _REGISTRY: dict[str, "Claim"] = {}
@@ -416,10 +415,7 @@ def _e8_a5a1():
 )
 def _e8_a2a1c():
     comp = ke.transcendental_of(ke.embed_standard("A2+A1^3 in E8"))
-    target = lat.direct_sum(
-        lat.root_lattice("A", 1), lat.rescale(lat.root_lattice("A", 2), 2)
-    )
-    ok = ke.definite_isomorphic(comp, target)
+    ok = ke.definite_isomorphic(comp, _a1_a2_2())
     return _equal({"det": comp.det(), "isomorphic": ok}, {"det": -24, "isomorphic": True})
 
 
@@ -489,9 +485,7 @@ def _t_aniso3():
     "t36",
 )
 def _t_glue():
-    m = lat.direct_sum(
-        lat.rank_one(-2), lat.rank_one(-2), lat.hyperbolic(), lat.hyperbolic()
-    )
+    m = _named("Lambda(1)")  # <-2>^2+U+U
     tp = lat.orthogonal_complement(m, [[0, 0, 1, -2, -1, 1], [0, 0, 1, -1, 1, -2]])
     dmodel = lat.Lattice(_diag([-2, -2, 6, 6]))
     step1 = _maps_onto(dmodel, tp, T_COMPLEMENT_MAP)
@@ -515,12 +509,7 @@ def _t_glue():
     "rank17",
 )
 def _rank17_disc():
-    pic = lat.direct_sum(
-        lat.hyperbolic(),
-        lat.root_lattice("E", 8),
-        lat.root_lattice("A", 2),
-        *[lat.root_lattice("A", 1)] * 5,
-    )
+    pic = _rank17_embedding()  # its Gram is that of the direct sum
     return _equal((pic.rank, abs(pic.det())), (17, 96))
 
 
@@ -601,13 +590,7 @@ def _lp_embeds():
     computed = {}
     for p in (17, 41):
         lp = _named(f"Lp({p})")
-        rows = [
-            [1, 0, 0, 0, 0, 0],
-            [0, 1, 0, 0, 0, 0],
-            [0, 0, 1, 0, 0, 0],
-            [0, 0, 0, 1, 0, 0],
-            [0, 0, 0, 0, 1, 2 * p],
-        ]
+        rows = ke.unit_rows(range(4), 6) + [[0, 0, 0, 0, 1, 2 * p]]
         emb = lat.sublattice(lam3, rows)
         computed[p] = emb.gram == lp.gram and lat.is_primitive(emb)
     return _equal(computed, {17: True, 41: True})
@@ -1074,6 +1057,9 @@ def _n2works():
 # ---------------------------------------------------------------------------
 # square-related degrees
 
+# the twelve node classes outside the defining order-4 subgroup
+_OUTSIDE_N1_SUBGROUP = tuple(i for i in range(15) if i not in glue.N1_SUBGROUP)
+
 
 @claim(
     "sqrel.x-norm-24",
@@ -1086,8 +1072,7 @@ def _sqrel_x():
     computed = {}
     for dp in (7, 11):
         frame = _named(f"L_d({dp},subgroup)").ambient.ambient
-        outside = [i for i in range(15) if i not in glue.N1_SUBGROUP]
-        computed[dp] = frame.norm(glue.frame_vector(0, outside))
+        computed[dp] = frame.norm(glue.frame_vector(0, _OUTSIDE_N1_SUBGROUP))
     return _equal(computed, {7: Fraction(-24), 11: Fraction(-24)})
 
 
@@ -1105,9 +1090,8 @@ def _sqrel_8d():
     for dp, coeffs in zip((7, 11), SQREL_COMPLETIONS):
         ld = _named(f"L_d({dp},subgroup)")
         frame = ld.ambient.ambient
-        outside = [i for i in range(15) if i not in glue.N1_SUBGROUP]
-        x = glue.frame_vector(0, outside)
-        v0 = [a - b for a, b in zip(glue.frame_vector(2, [outside[0]], -2), x)]
+        x = glue.frame_vector(0, _OUTSIDE_N1_SUBGROUP)
+        v0 = [a - b for a, b in zip(glue.frame_vector(2, [_OUTSIDE_N1_SUBGROUP[0]], -2), x)]
         twice = [glue.frame_vector(0, [h], 2) for h in glue.N1_SUBGROUP]
         (shift,) = exact.matmul([coeffs], twice)
         computed[dp] = {

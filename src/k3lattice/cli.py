@@ -101,12 +101,6 @@ def _glue_spec(text: str) -> glue.GlueSpec:
 
 
 def _cmd_lattice_op(args) -> int:
-    if args.op == "complement":
-        ambient = lattice_io.load_lattice(args.file)
-        sub = lattice_io.load_rows(args.sub)
-        comp = lat.orthogonal_complement(ambient, sub)
-        _write_or_print(comp.rename(args.name or "complement"), args.out)
-        return 0
     if args.op == "adjoin":
         base = lattice_io.load_lattice(args.file)
         specs = [_glue_spec(text) for text in args.glue or []]
@@ -124,9 +118,11 @@ def _cmd_lattice_op(args) -> int:
         for i, row in enumerate(form.b_matrix):
             print(f"b(g{i + 1}, .) = {'  '.join(map(str, row))}")
         return 0
+    # complement and saturation: a lattice built from the ambient and --sub rows
+    build = lat.orthogonal_complement if args.op == "complement" else lat.saturation
     ambient = lattice_io.load_lattice(args.file)
     sub = lattice_io.load_rows(args.sub)
-    _write_or_print(lat.saturation(ambient, sub).rename(args.name or "saturation"), args.out)
+    _write_or_print(build(ambient, sub).rename(args.name or args.op), args.out)
     return 0
 
 

@@ -19,7 +19,8 @@ from fractions import Fraction
 from . import exact
 from .value import Value
 
-_KODAIRA_RE = re.compile(r"^(I|II|III|IV)([0-9]+)?(\*)?$")
+# I_n and I_n* take an index; II, III, IV and their duals take none
+_KODAIRA_RE = re.compile(r"^(?:I([0-9]+)|(II|III|IV))(\*?)$")
 
 
 class KodairaType(Value):
@@ -27,6 +28,7 @@ class KodairaType(Value):
     n: int = 0
 
     def __post_init__(self) -> None:
+        exact.require_integers([[self.n]], "KodairaType")
         if self.family not in ("I", "I*", "II", "III", "IV", "II*", "III*", "IV*"):
             raise ValueError(f"unknown Kodaira family {self.family!r}")
         if self.family not in ("I", "I*") and self.n:
@@ -47,14 +49,10 @@ def kodaira(symbol: str) -> KodairaType:
     m = _KODAIRA_RE.match(symbol.strip())
     if not m:
         raise ValueError(f"cannot parse Kodaira symbol {symbol!r}")
-    head, num, star = m.groups()
-    if head == "I":
-        if num is None:
-            raise ValueError(f"cannot parse Kodaira symbol {symbol!r}")
-        return KodairaType("I*" if star else "I", exact.parse_int(num))
-    if num is not None:
-        raise ValueError(f"cannot parse Kodaira symbol {symbol!r}")
-    return KodairaType(head + "*" if star else head)
+    num, head, star = m.groups()
+    if num is None:
+        return KodairaType(head + star)
+    return KodairaType("I" + star, exact.parse_int(num))
 
 
 def kodaira_to_ade(t: KodairaType) -> tuple[str, int] | None:
@@ -94,7 +92,7 @@ class FiberConfig(Value):
         out: list[KodairaType] = []
         for s in symbols:
             if "x" in s:
-                count, sym = s.split("x")
+                count, sym = s.split("x", 1)
                 n = exact.parse_int(count)
                 if n < 1:
                     raise ValueError(f"fiber count in {s!r} is not a positive integer")
@@ -111,6 +109,7 @@ def total_euler(c: FiberConfig) -> int:
 def h20_from_euler(chi: int) -> int:
     """h^{2,0} of a smooth elliptic surface over P^1 with section whose
     singular fibers have total Euler number chi."""
+    exact.require_integers([[chi]], "h20_from_euler")
     if chi % 12:
         raise ValueError("Euler number of such a surface is a multiple of 12")
     return chi // 12 - 1
@@ -121,6 +120,7 @@ class SurfaceData(Value):
     rho: int  # Picard number
 
     def __post_init__(self) -> None:
+        exact.require_integers([[self.chi_o, self.rho]], "SurfaceData")
         if self.chi_o < 1:
             raise ValueError("chi(O) is at least 1")
 
@@ -189,6 +189,7 @@ class SectionIncidence(Value):
     components: tuple[tuple[KodairaType, object], ...]
 
     def __post_init__(self) -> None:
+        exact.require_integers([[self.meets_zero_section]], "SectionIncidence")
         if self.meets_zero_section < 0:
             raise ValueError("intersection with the zero section is >= 0")
 
@@ -204,6 +205,7 @@ def height_pairing(s: SurfaceData, inc: SectionIncidence) -> Fraction:
 def mw_disc_sides(
     disc_ns: int, c: FiberConfig, torsion_order: int, height_det: Fraction
 ) -> tuple[Fraction, Fraction]:
+    exact.require_integers([[disc_ns, torsion_order]], "mw_disc_sides")
     lhs = Fraction(abs(disc_ns)) * torsion_order**2
     rhs = Fraction(trivial_lattice_disc(c)) * Fraction(height_det)
     return lhs, rhs
@@ -228,6 +230,7 @@ def table1_matrix(n: int, a: int, b: int) -> list[list[int]]:
     the genus-one surface over an elliptic base: sections have
     self-intersection -n and pair to n with each other except for the two
     unknown pairings a = (G, L) and b = (G', L)."""
+    exact.require_integers([[n, a, b]], "table1_matrix")
     if n < 1:
         raise ValueError("n must be at least 1")
     k = 6 * n  # G, G', L meet every nonidentity component; S and F none

@@ -108,9 +108,8 @@ def loads(text: str, path: str = "<string>") -> Lattice:
     basis = decode_matrix(doc["basis"], path, "basis")
     if len(basis) != n:
         raise LatticeFileError(f"{path}: basis must have one row per rank")
-    try:
-        frame = glue.build_named(ambient)
-    except glue.GlueError:
+    frame = _named_frame(ambient)
+    if frame is None:
         return l
     if any(len(row) != frame.rank for row in basis):
         raise LatticeFileError(f"{path}: basis rows must match the rank of {ambient}")
@@ -141,19 +140,20 @@ def dumps(l: Lattice) -> str:
         "gram": [[_encode_int(x) for x in row] for row in l.gram],
     }
     e = l.ambient
-    if e is not None and e.denominator == 1 and _is_named_frame(e.ambient):
+    frame = None if e is None or e.denominator != 1 else _named_frame(e.ambient.name)
+    if frame is not None and frame.gram == e.ambient.gram:
         doc["ambient"] = e.ambient.name
         doc["basis"] = [[_encode_int(x) for x in row] for row in e.basis]
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
-def _is_named_frame(frame: Lattice) -> bool:
-    if not frame.name:
-        return False
+def _named_frame(name: str | None) -> Lattice | None:
+    """The lattice ``glue.build_named`` gives for ``name``, or None for no
+    name or one it rejects."""
     try:
-        return glue.build_named(frame.name).gram == frame.gram
+        return glue.build_named(name) if name else None
     except glue.GlueError:
-        return False
+        return None
 
 
 def save_lattice(l: Lattice, path: str | Path) -> None:

@@ -165,6 +165,31 @@ def test_report_matches_the_committed_report():
     assert report + "\n" == committed.read_text()
 
 
+def test_optimized_cli_report_matches_the_committed_report():
+    # python -O strips assert statements; a fresh optimized process prints
+    # the committed report byte for byte and exits 1 for the two claims
+    # that fail by design
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "k3lattice", "verify", "--all", "--json", "-"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == (root / "perfbench" / "verify_report.json").read_text()
+
+
+def test_shared_claim_inputs_have_the_grams_they_stand_for():
+    # rank17.disc96 reads the det of the embedded U+E8+A2+A1^5, and
+    # T.glue-isom takes <-2>^2+U+U as Lambda(1)
+    a1, u = lat.root_lattice("A", 1), lat.hyperbolic()
+    pic = lat.direct_sum(u, lat.root_lattice("E", 8), lat.root_lattice("A", 2), *[a1] * 5)
+    assert claims._rank17_embedding().gram == pic.gram
+    m = lat.direct_sum(lat.rank_one(-2), lat.rank_one(-2), u, u)
+    assert claims._named("Lambda(1)").gram == m.gram
+
+
 def test_tag_filter():
     results = claims.run_all("mwdisc")
     assert {r.id for r in results} == {"mwdisc.rational", "mwdisc.l2", "mwdisc.L"}
@@ -558,6 +583,18 @@ def test_cli_lattice_ops(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["lattice", "op", "disc-form", str(d4)]) == 0
     assert "invariant factors: [2, 2]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("op", ["complement", "saturation"])
+def test_cli_op_names_its_output(op, tmp_path, capsys):
+    # the written lattice is named after the op unless --name names it
+    base = tmp_path / "lam3.lattice"
+    lattice_io.save_lattice(glue.build_named("Lambda(3)"), base)
+    sub = tmp_path / "sub.json"
+    sub.write_text("[[1, 0, 0, 0, 0, 0]]")
+    for extra, name in (([], op), (["--name", "T'"], "T'")):
+        assert cli.main(["lattice", "op", op, str(base), "--sub", str(sub), *extra]) == 0
+        assert json.loads(capsys.readouterr().out)["name"] == name
 
 
 def test_cli_adjoin(tmp_path, capsys):

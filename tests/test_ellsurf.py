@@ -1,6 +1,7 @@
 """Tests for fiber dictionaries, Euler numbers, ranks, heights and the
 section intersection matrices."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,8 +22,8 @@ def test_parse_symbols():
     assert str(K("I12")) == "I12"
     assert str(K("I0*")) == "I0*"
     assert str(K("IV*")) == "IV*"
-    for bad in ("I", "V", "IV2", "I2**", "X", "I\u0662"):
-        with pytest.raises(ValueError):
+    for bad in ("I", "V", "IV2", "I2**", "X", "I\u0662", "II2", "III0*", "I-1", "IV**"):
+        with pytest.raises(ValueError, match=re.escape(f"cannot parse Kodaira symbol {bad!r}")):
             K(bad)
 
 
@@ -112,7 +113,36 @@ def test_fiber_counts_are_positive_integers():
             es.FiberConfig.of(bad)
     with pytest.raises(ValueError):
         es.FiberConfig.of("-3xI2", "1xI0*")
+    # a second x belongs to the symbol, never to an unpacking
+    with pytest.raises(ValueError, match=re.escape("cannot parse Kodaira symbol '3xI2'")):
+        es.FiberConfig.of("2x3xI2")
     assert es.FiberConfig.of("3xI2").fibers == (K("I2"),) * 3
+
+
+_CFG = es.FiberConfig.of("1xI0*", "3xI2")
+# every integer argument of each entry point, with x in its place
+INTEGER_ARGUMENTS = {
+    "KodairaType.n": lambda x: es.KodairaType("I", x),
+    "SurfaceData.chi_o": lambda x: es.SurfaceData(x, 16),
+    "SurfaceData.rho": lambda x: es.SurfaceData(2, x),
+    "SectionIncidence.meets_zero_section": lambda x: es.SectionIncidence(x, ()),
+    "mw_disc_sides.disc_ns": lambda x: es.mw_disc_sides(x, _CFG, 4, Fraction(1, 2)),
+    "mw_disc_sides.torsion_order": lambda x: es.mw_disc_sides(1, _CFG, x, Fraction(1, 2)),
+    "h20_from_euler.chi": lambda x: es.h20_from_euler(x),
+    "table1_matrix.n": lambda x: es.table1_matrix(x, 0, 0),
+    "table1_matrix.a": lambda x: es.table1_matrix(1, x, 0),
+    "table1_matrix.b": lambda x: es.table1_matrix(1, 0, x),
+}
+
+
+@pytest.mark.parametrize("x", [2.5, True])
+@pytest.mark.parametrize("argument", INTEGER_ARGUMENTS)
+def test_integer_arguments_refuse_floats_and_bools(argument, x):
+    # each was once taken: SurfaceData(2, 16.5) gave Mordell-Weil rank 10.5,
+    # h20_from_euler(24.0) gave 1.0 and KodairaType("I*", True) was accepted
+    name = argument.split(".")[0]
+    with pytest.raises(ValueError, match=f"^{name} needs integer entries$"):
+        INTEGER_ARGUMENTS[argument](x)
 
 
 # ---------------------------------------------------------------------------

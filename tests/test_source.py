@@ -393,6 +393,15 @@ def test_readme_python_blocks_run():
         exec(compile(block, "README.md", "exec"), {})
 
 
+def test_one_named_frame_lookup():
+    # loads and dumps look the frame a name stands for up through one
+    # function, which alone calls glue.build_named
+    (calling,) = _functions_naming([lattice_io], "build_named")
+    assert calling == ["lattice_io._named_frame"]
+    for fn in (lattice_io.loads, lattice_io.dumps):
+        assert "_named_frame" in fn.__code__.co_names, fn.__name__
+
+
 def test_loads_builds_the_lattice_once():
     # lattice_io.loads hands its decoded integer tuples to the Lattice
     # constructor, which checks every entry once
