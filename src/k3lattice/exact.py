@@ -23,8 +23,15 @@ before them, and eliminates all its pivots in one Schur step, applying block
 rows that agree off the block once; the elimination then goes on from the
 state that the block's pivots, taken one by one, would have left.  The 6n
 mutually orthogonal fiber components of a table-1 matrix are such a block.
-``matmul`` adds up rows of its right factor, so the zeros of sparse bases
-cost nothing.
+A row operation that adds a multiple of a row touches only that row's
+nonzero entries.  A row added to many rows has them listed once: the pivot
+row of each round of ``_echelon`` and its companion, each finished row of
+``_reduce_above``, the unit row of ``smith_diagonal``.  A row that is added
+once, or seldom, is scanned for them as it is added: a finished companion
+row in ``_reduce_above``, and each row of ``matmul``'s right factor that a
+nonzero entry of the left one weights, so the zeros of both factors cost
+nothing.  ``ldl`` and ``det``'s Bareiss steps rescale every entry of a
+reduced row and stay dense.
 ``box_vectors`` is the one coefficient-box enumerator: it yields only the
 points of the wanted norms, solving for the last coordinate in closed form
 straight from the loop over the next-to-last one.
@@ -89,21 +96,22 @@ def transpose(m: Sequence[Sequence]) -> list[list]:
 
 def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     """a * b, each output row the sum of the rows of b weighted by the
-    nonzero entries of the matching row of a, so zeros cost nothing."""
+    nonzero entries of the matching row of a, each added on its own nonzero
+    entries only, so the zeros of both factors cost nothing.  Most products
+    have one or two rows, so a row of b is scanned where it is added rather
+    than listed once for all rows of a."""
     inner, cols = _width(a), _width(b)
     if a and inner != len(b):
         raise ValueError("dimension mismatch in matmul")
     out = []
     for row in a:
-        acc = None
+        acc = [0] * cols
         for x, brow in zip(row, b):
             if x:
-                acc = (
-                    [x * y for y in brow]
-                    if acc is None
-                    else [s + x * y for s, y in zip(acc, brow)]
-                )
-        out.append([0] * cols if acc is None else acc)
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] += x * y
+        out.append(acc)
     return out
 
 
@@ -251,11 +259,18 @@ def _bareiss(a: IntMatrix, d: int, level: list[int]) -> int:
     return sign * d
 
 
+def _nonzeros(row: Sequence, start: int = 0) -> list[tuple[int, object]]:
+    """The (column, entry) pairs of ``row``'s nonzero entries from ``start``
+    on: a row operation that adds a multiple of ``row`` touches only these."""
+    return [(j, y) for j, y in enumerate(row[start:], start) if y]
+
+
 def _echelon(a: IntMatrix, u: IntMatrix | None = None) -> list[int]:
     """``_hermite``'s first phase: row echelon form in place, pivots positive
     and zero rows last, row operations mirrored on ``u``; returns the pivot
     columns.  The rows from the current one down are zero left of the pivot
-    column c, so a row of ``a`` is updated from c on, the companion's whole."""
+    column c, so each round lists the pivot row's nonzero entries from c on,
+    and the companion's, once, and a reduced row is updated only there."""
     rows = len(a)
     pivots: list[int] = []
     for c in range(len(a[0]) if rows else 0):
@@ -276,16 +291,19 @@ def _echelon(a: IntMatrix, u: IntMatrix | None = None) -> list[int]:
             below = nz[1:] if nz[0] == r else nz[:k] + nz[k + 1 :]
             if not below:
                 break
-            prow, urow = a[r][c:], None if u is None else u[r]
-            x0 = prow[0]
+            x0, prow = a[r][c], _nonzeros(a[r], c)
+            urow = None if u is None else _nonzeros(u[r])
             nz = [r]
             for i in below:
                 row = a[i]
                 q = row[c] // x0
-                row[c:] = rest = [x - q * y for x, y in zip(row[c:], prow)]
+                for j, y in prow:
+                    row[j] -= q * y
                 if urow is not None:
-                    u[i] = [x - q * y for x, y in zip(u[i], urow)]
-                if rest[0]:
+                    ui = u[i]
+                    for j, y in urow:
+                        ui[j] -= q * y
+                if row[c]:
                     nz.append(i)
             if len(nz) == 1:  # every remainder is zero
                 break
@@ -305,7 +323,7 @@ def _hermite(a: IntMatrix, u: IntMatrix | None = None) -> int:
     ``u`` as well, so an identity companion ends as a unimodular u with
     u * a_before = a_after.  After ``_echelon``, one pass from the last pivot
     row up reduces each row against the finished rows below it, in pivot
-    order, applying only their nonzero entries (a companion's rows whole).
+    order, applying only their nonzero entries, and their companions'.
     The elimination never reads a row above the current pivot again, so the
     result is that of reducing above each pivot as soon as it is found.
     """
@@ -326,9 +344,12 @@ def _reduce_above(a: IntMatrix, pivots: Sequence[int], u: IntMatrix | None = Non
                 for j, y in entries:
                     row[j] -= q * y
                 if u is not None:
-                    u[r] = [x - q * y for x, y in zip(u[r], u[k])]
+                    urow = u[r]
+                    for j, y in enumerate(u[k]):
+                        if y:
+                            urow[j] -= q * y
         c = pivots[r]
-        done.insert(0, (c, [(j, y) for j, y in enumerate(row[c:], c) if y], r))
+        done.insert(0, (c, _nonzeros(row, c), r))
 
 
 def _width(m: Sequence[Sequence[int]]) -> int:

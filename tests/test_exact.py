@@ -675,6 +675,11 @@ def test_snf_equals_the_reference_on_repair_heavy_matrices(m):
     assert exact.smith_diagonal(m) == [d[i][i] for i in range(min(len(m), len(m[0])))]
 
 
+# diagonal matrices whose pairs break divisibility, so the Smith driver
+# repairs them on 2x2 blocks
+REPAIR_DIAGONALS = [[2, 246, 1, 1, 1, 1], [6, 10, 15], [4, 6, 0, 9], [30, 1, 2, 3, 5]]
+
+
 def test_smith_repairs_run_on_the_two_by_two_block(monkeypatch):
     # once the matrix is diagonal, a pair that breaks divisibility is
     # repaired by passes over its own 2x2 block, not over the whole matrix;
@@ -690,8 +695,7 @@ def test_smith_repairs_run_on_the_two_by_two_block(monkeypatch):
         return rank
 
     monkeypatch.setattr(exact, "_hermite", recorder)
-    diag = [[2, 246, 1, 1, 1, 1], [6, 10, 15], [4, 6, 0, 9], [30, 1, 2, 3, 5]]
-    for entries in diag:
+    for entries in REPAIR_DIAGONALS:
         m = [[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)]
         out = []
         for run, passes in (
@@ -706,6 +710,17 @@ def test_smith_repairs_run_on_the_two_by_two_block(monkeypatch):
         d = out[0][0]
         assert out[1] == [d[i][i] for i in range(len(m))], entries
         assert exact.smith_diagonal(m) == [d[i][i] for i in range(len(m))], entries
+
+
+@pytest.mark.parametrize("entries", REPAIR_DIAGONALS)
+def test_smith_repairs_keep_every_companion_row_in_one_slot(entries):
+    # the 2x2 repair hands u's own row objects to the block's passes, which
+    # update companion rows in place; each must still end in one slot
+    m = [[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)]
+    d, u, v = exact.smith_normal_form(m)
+    assert (d, u, v) == reference_smith_normal_form(m)
+    for t in (u, v):
+        assert len({id(row) for row in t}) == len(t)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1267,6 +1282,59 @@ def test_matmul_edge_shapes():
     assert exact.matmul([[0, 0]], [[1, 2], [3, 4]]) == [[0, 0]]
     with pytest.raises(ValueError):
         exact.matmul([[1, 2]], [[1, 2]])
+
+
+class Counted(int):
+    """An int whose products are logged as (self, other) in ``log``; its
+    products and differences stay ``Counted``, so every row an elimination
+    derives from counted entries is counted too."""
+
+    log: list[tuple[int, int]] = []
+
+    def __mul__(self, other):
+        Counted.log.append((int(self), int(other)))
+        return Counted(int(self) * int(other))
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        return Counted(int(self) - int(other))
+
+    def __rsub__(self, other):
+        return Counted(int(other) - int(self))
+
+    def __neg__(self):
+        return Counted(-int(self))
+
+
+def counted(m):
+    return [[Counted(x) for x in row] for row in m]
+
+
+def test_matmul_multiplies_only_nonzero_pairs():
+    # a row of a weights rows of b by its nonzero entries only, and each
+    # such row adds only its own nonzeros: a unit row costs the nonzeros of
+    # the row of b it picks
+    g = glue.build_named("N1").gram
+    a = [exact.identity(len(g))[i] for i in (0, 3, 9, 15)] + [[0] * len(g)]
+    Counted.log = []
+    assert exact.matmul(a, counted(g)) == naive_matmul(a, g)
+    nnz = sum(len(list(filter(None, g[k]))) for row in a for k, x in enumerate(row) if x)
+    assert len(Counted.log) == nnz
+
+
+@pytest.mark.parametrize("phase", ["_echelon", "_hermite"])
+def test_row_operations_never_multiply_a_zero(phase):
+    # reducing a row subtracts q times the pivot row and q times its
+    # companion on their nonzero entries only; q itself is never 0
+    g = glue.build_named("N1").gram
+    a, u = counted(g), counted(exact.identity(len(g)))
+    plain_a, plain_u = exact.copy_matrix(g), exact.identity(len(g))
+    Counted.log = []
+    getattr(exact, phase)(a, u)
+    getattr(exact, phase)(plain_a, plain_u)
+    assert (a, u) == (plain_a, plain_u)
+    assert Counted.log and all(x and y for x, y in Counted.log)
 
 
 def test_ragged_matrices_are_rejected():
