@@ -308,8 +308,9 @@ def _l2_disc():
     "l2",
 )
 def _l2_mw():
-    frame, t1, t2 = glue.l2_data()
     l2 = _named("L2")
+    frame = l2.ambient.ambient
+    t1, t2 = ([Fraction(x, g.denominator) for x in g.vector] for g in glue.L2_TORSION)
     s = [0] * 15 + [1]
     computed = {
         "norms": [frame.norm(t1), frame.norm(t2)],
@@ -930,6 +931,9 @@ def _l_noindex4():
 # ---------------------------------------------------------------------------
 # class arithmetic in N1 and its enlargements
 
+# F = h - (the three node classes of G1), in N1's degree frame
+_F = tuple(glue.frame_vector(1, _G1, -1))
+
 
 @claim(
     "nosec.F-isotropic",
@@ -940,8 +944,7 @@ def _l_noindex4():
 )
 def _nosec_iso():
     frame = _named("N1").ambient.ambient
-    f = glue.frame_vector(1, _G1, -1)
-    return _equal(frame.norm(f), Fraction(0))
+    return _equal(frame.norm(_F), Fraction(0))
 
 
 @claim(
@@ -952,17 +955,15 @@ def _nosec_iso():
 )
 def _nosec_even():
     n1 = _named("N1")
-    f = glue.frame_vector(1, _G1, -1)
-    return _equal(lat.divisibility(n1, f), 2)
+    return _equal(lat.divisibility(n1, _F), 2)
 
 
 @claim("nosec.F-notdiv", "F lies in N1 but F/2 does not", "glue", "nosec")
 def _nosec_notdiv():
     n1 = _named("N1")
-    f = glue.frame_vector(1, _G1, -1)
     computed = {
-        "F_in_N1": lat.contains_ambient(n1, f),
-        "half_in_N1": lat.contains_ambient(n1, [Fraction(x, 2) for x in f]),
+        "F_in_N1": lat.contains_ambient(n1, _F),
+        "half_in_N1": lat.contains_ambient(n1, [Fraction(x, 2) for x in _F]),
     }
     return _equal(computed, {"F_in_N1": True, "half_in_N1": False})
 
@@ -1002,16 +1003,9 @@ def _n1works():
     enlarged = _n1_enlarged()
     frame = enlarged.ambient.ambient
     idx = glue.INDEX_OF
-    w = glue.frame_vector(2, [], 0)
-    for i, c in (
-        (idx[(0, 1, 1, 1)], -2),
-        (idx[(1, 0, 1, 1)], -2),
-        (idx[(1, 1, 0, 0)], -1),
-        (idx[(1, 1, 0, 1)], -1),
-        (idx[(1, 1, 1, 0)], -1),
-        (idx[(1, 1, 1, 1)], -1),
-    ):
-        w[i + 1] += c
+    twice = [idx[(0, 1, 1, 1)], idx[(1, 0, 1, 1)]]
+    once = [idx[(1, 1, 0, 0)], idx[(1, 1, 0, 1)], idx[(1, 1, 1, 0)], idx[(1, 1, 1, 1)]]
+    w = [a + b for a, b in zip(glue.frame_vector(2, twice, -2), glue.frame_vector(0, once, -1))]
     computed = {
         "enlarged_det": enlarged.det(),
         "norm": frame.norm(w),

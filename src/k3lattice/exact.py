@@ -784,7 +784,9 @@ def box_vectors(
     every norm costs nothing.
     """
     n = require_symmetric(gram)
-    require_integers([*gram, prefix], "box_vectors")
+    require_integers([*gram, prefix, (bound,)], "box_vectors")
+    if bound < 0:
+        raise ValueError("box_vectors needs a nonnegative bound")
     g = copy_matrix(gram)
     targets = set(norms)
     lin = [0] * n  # lin[j]: pairing of the coefficients set so far with e_j

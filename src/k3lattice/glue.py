@@ -6,15 +6,17 @@ of an even lattice correspond to isotropic subgroups H of its discriminant
 form, and ``even_overlattice_forms`` reads index, det and form H^perp / H
 off that form with no lattice built.  All constructions record the base
 frame so that vectors written in base coordinates can be tested for
-membership and divisibility afterwards.
+membership and divisibility afterwards.  Every named overlattice is one
+``adjoin`` of ``GlueSpec``s, integer vectors over one denominator, stored
+(``L_SAT_GLUE``, ``L2_TORSION``) or built from the character table of
+(Z/2Z)^4; no glue is held as a ``Fraction``.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -126,17 +128,6 @@ def _glue_fault(base: Lattice, glue: Sequence[GlueSpec], require_even: bool) -> 
                 raise GlueError(f"glue vector {g.vector}/{g.denominator} has odd norm {norm}")
 
 
-def adjoin_ambient_vectors(base: Lattice, vectors: Sequence[Sequence[Fraction]]) -> Lattice:
-    """adjoin() for rational vectors given directly in base coordinates; the
-    result must be even."""
-    specs = []
-    for w in vectors:
-        nums, den = exact.numerators(w)
-        if den > 1:
-            specs.append(GlueSpec(tuple(nums), den))
-    return adjoin(base, specs)
-
-
 def glue_index(overlattice: Lattice) -> int:
     """Index s^n / |det B| of the base frame in the adjoined lattice, whose
     basis rows are B over s (|det B| is its ``embedding_index``); a
@@ -201,6 +192,8 @@ def _isotropic_subgroups(
 def _subgroups_and_lift(l: Lattice, max_index: int | None) -> tuple:
     """l's discriminant form, its isotropic subgroups of order <= max_index,
     and the matrix lifting an element c to sum_i c_i (N / d_i) g_i over N."""
+    if max_index is not None:
+        exact.require_integers([[max_index]], "even_overlattices")
     if not l.is_even():
         raise GlueError("even overlattices require an even lattice")
     form = discriminant_group(l)
@@ -400,6 +393,7 @@ def n2_lattice() -> Lattice:
 
 
 def lambda_lattice(n: int) -> Lattice:
+    exact.require_integers([[n]], "lambda_lattice")
     if n < 1:
         raise GlueError("n must be positive")
     return direct_sum(
@@ -443,42 +437,31 @@ def _l2_frame() -> Lattice:
     return Lattice(g, "L2-frame")
 
 
-def _l2_torsion_class(frame: Lattice, component: int, zero_fibers: range) -> list[Fraction]:
-    """Solve for a 2-torsion section class: norm -2 section meeting the
-    fiber once, missing O and s, meeting reduced component ``component`` of
-    the star fiber and the identity component of the fibers in
-    ``zero_fibers`` (so pairing 0 there, 1 at the other six)."""
-    target = [0] * frame.rank
-    target[0] = 1  # fiber degree
-    target[2 + component] = 1
-    for i in range(9):
-        if i not in zero_fibers:
-            target[6 + i] = 1
-    x = exact.solve(frame.gram, target)
-    if x is None:
-        raise GlueError("torsion-class incidence system is infeasible")
-    if frame.norm(x) != -2:
-        raise GlueError("torsion-class solution does not have norm -2")
-    return x
-
-
-@lru_cache(maxsize=None)
-def l2_data() -> tuple[Lattice, tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """The section frame of the L2 construction together with the two solved
-    2-torsion section classes (rational vectors in frame coordinates); built
-    once, for ``l2_lattice`` and the L2 claims alike."""
-    frame = _l2_frame()
-    t1 = _l2_torsion_class(frame, 1, range(0, 3))
-    t2 = _l2_torsion_class(frame, 2, range(3, 6))
-    return frame, tuple(t1), tuple(t2)
+# L2's two 2-torsion sections, over 2 in ``_l2_frame`` coordinates (the
+# solutions of their incidence systems, as ``exact.solve`` gives them): the
+# norm -2 classes meeting F once, missing O, s and the central node, meeting
+# d1 (then d2), and pairing 0 with a1..a3 (then a4..a6) and 1 with the six
+# other a_i
+L2_TORSION = (
+    GlueSpec((4, 2, -2, -2, -1, -1, 0, 0, 0, -1, -1, -1, -1, -1, -1, 0), 2),
+    GlueSpec((4, 2, -2, -1, -2, -1, -1, -1, -1, 0, 0, 0, -1, -1, -1, 0), 2),
+)
 
 
 def l2_lattice() -> Lattice:
     """The rank-16 hyperbolic-signature lattice generated by the frame of a
     star fiber plus nine 2-component fibers, a zero section, a free section,
-    and two 2-torsion section classes; determinant -192."""
-    frame, t1, t2 = l2_data()
-    return adjoin_ambient_vectors(frame, [t1, t2]).rename("L2")
+    and the two 2-torsion section classes ``L2_TORSION``, each checked
+    against its incidences and norm first (G is nonsingular, so they fix
+    it); determinant -192."""
+    frame = _l2_frame()
+    for g, d, zero in zip(L2_TORSION, (1, 2), (range(0, 3), range(3, 6))):
+        incidences = [1, 0, 0] + [1 if i == d else 0 for i in (1, 2, 3)]
+        incidences += [0 if i in zero else 1 for i in range(9)] + [0]
+        gv, den = exact.mat_vec(frame.gram, g.vector), g.denominator
+        if gv != [den * x for x in incidences] or exact.dot(g.vector, gv) != -2 * den**2:
+            raise GlueError(f"stored L2 torsion class {g.vector}/{den} fails its incidences")
+    return adjoin(frame, L2_TORSION).rename("L2")
 
 
 # the half classes of A5 (nodes 1, 3, 5) and of A1 in U + D8 + A5 + A1

@@ -242,6 +242,7 @@ def short_vectors(gram: Sequence[Sequence[int]], max_norm: int) -> dict[int, lis
     grouped by norm: of v and -v the one whose last nonzero coordinate is
     negative, each list ascending in (v_{n-1}, ..., v_0), the norms in the
     order of their first vectors.  Walked in the ``exact.lll`` basis."""
+    exact.require_integers([[max_norm]], "short_vectors")
     n = len(gram)
     b, d, lam = exact.lll(gram)
     found: list[tuple[int, tuple[int, ...]]] = []

@@ -194,6 +194,7 @@ def root_lattice(kind: str, n: int) -> Lattice:
     n-2 and E_n attaches node n to node n-3 (so E8 is the chain 1-7 with
     node 8 on node 5).
     """
+    exact.require_integers([[n]], "root_lattice")
     kind = kind.upper()
     if kind == "A" and n >= 1:
         edges = [(i, i + 1) for i in range(n - 1)]
@@ -214,6 +215,7 @@ def hyperbolic() -> Lattice:
 
 
 def rank_one(k: int, allow_odd: bool = False) -> Lattice:
+    exact.require_integers([[k]], "rank_one")
     if k % 2 != 0 and not allow_odd:
         raise ValueError("odd norm requires allow_odd=True")
     return Lattice([[k]], f"<{k}>")

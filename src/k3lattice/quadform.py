@@ -432,6 +432,7 @@ def witt_index(gram: Sequence[Sequence[int]], v) -> int:
 def has_k_planes(gram: Sequence[Sequence[int]], k: int, v) -> bool:
     """Whether the projective quadric of the form contains k-planes over the
     completion at v (or over Q for v == GLOBAL).  Points are 0-planes."""
+    exact.require_integers([[k]], "has_k_planes")
     if k < 0:
         raise ValueError("k must be nonnegative")
     return witt_index(gram, v) >= k + 1

@@ -14,6 +14,7 @@ from fractions import Fraction
 import k3lattice.lattice as lat
 from k3lattice import claims, ellsurf as es, exact, glue, k3embed as ke
 from k3lattice import quadform as qf
+from test_glue import element_glue, glue_test_bases, isotropic_elements
 from test_k3embed import _rank17_inputs, _t_glue_inputs, naive_isomorphic, random_posdef
 from test_quadform import hilbert_oracle, relevant_places
 
@@ -386,25 +387,13 @@ def test_criterion_15_property_suites():
 
     # disc * index^2 on random glue
     glue_ok = True
+    bases = glue_test_bases()
     for _ in range(8):
-        base = lat.direct_sum(
-            lat.root_lattice("A", rng.choice([1, 2, 3])),
-            lat.root_lattice("A", 1),
-            lat.hyperbolic(),
-        )
+        base = rng.choice(bases)
         form = lat.discriminant_group(base)
-        iso = [el for el in form.elements() if any(el) and form.q(el) == 0]
-        if not iso:
-            continue
-        el = rng.choice(iso)
-        vec = [
-            sum(
-                Fraction(c * form.generators[i][j], form.invariant_factors[i])
-                for i, c in enumerate(el)
-            )
-            for j in range(base.rank)
-        ]
-        bigger = glue.adjoin_ambient_vectors(base, [vec])
+        iso = isotropic_elements(form)
+        assert iso, base.gram
+        bigger = glue.adjoin(base, [element_glue(form, rng.choice(iso))])
         glue_ok = glue_ok and base.det() == glue.glue_index(bigger) ** 2 * bigger.det()
 
     # SNF reconstruction on random matrices

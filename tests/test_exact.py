@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from k3lattice import ellsurf as es
-from k3lattice import exact, glue
+from k3lattice import exact, glue, k3embed as ke, lattice as lat, quadform as qf
 
 try:  # optional oracle for the invariant factors
     from sympy import ZZ, Matrix
@@ -281,6 +281,43 @@ def test_integer_kernels_refuse_non_integers(name, value):
     # diagonal of floats, instead of an error
     with pytest.raises(ValueError, match=f"^{name} needs integer entries$"):
         INTEGER_KERNELS[name](value)
+
+
+# integer parameters beside the matrices, each checked at entry
+INTEGER_PARAMETERS = {
+    "box_vectors": lambda x: list(exact.box_vectors([[-2]], x, [-2])),
+    "short_vectors": lambda x: ke.short_vectors([[2]], x),
+    "even_overlattices": lambda x: glue.even_overlattices(lat.hyperbolic(), x),
+    "has_k_planes": lambda x: qf.has_k_planes([[1, 0], [0, -1]], x, qf.GLOBAL),
+    "root_lattice": lambda x: lat.root_lattice("A", x),
+    "rank_one": lambda x: lat.rank_one(x),
+    "lambda_lattice": lambda x: glue.lambda_lattice(x),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("name", sorted(INTEGER_PARAMETERS))
+def test_integer_parameters_refuse_non_integers(name, value):
+    # 2.5 used to raise a TypeError from range or read as an odd norm, and
+    # True ran as 1
+    with pytest.raises(ValueError, match=f"^{name} needs integer entries$"):
+        INTEGER_PARAMETERS[name](value)
+
+
+BOX_CALLERS = {
+    "box_vectors": INTEGER_PARAMETERS["box_vectors"],
+    "isometry_search": lambda b: ke.isometry_search(lat.root_lattice("A", 2),
+                                                    lat.root_lattice("A", 2), b),
+    "find_isotropic_glue": lambda b: glue.find_isotropic_glue(lat.hyperbolic(), [1, 0], 1,
+                                                              [[0, 1]], b),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOX_CALLERS))
+def test_box_callers_refuse_a_negative_bound(name):
+    # an empty box would answer None, which reads as "none found"
+    with pytest.raises(ValueError, match="^box_vectors needs a nonnegative bound$"):
+        BOX_CALLERS[name](-1)
 
 
 def test_det_huge_entries_exact():

@@ -108,22 +108,32 @@ def test_adjoin_bases_equal_the_stacked_hermite_basis(monkeypatch):
         assert basis == stacked_hermite_basis(rows, d, n)
 
 
+def element_glue(form: lat.FiniteQuadraticForm, el) -> glue.GlueSpec:
+    """The discriminant element el as glue over the form's exponent N: the
+    sum of el_i (N / d_i) g_i, the generators g_i over d_i, over N."""
+    top = form.exponent
+    terms = [[c * (top // d) * x for x in g]
+             for c, d, g in zip(el, form.invariant_factors, form.generators)]
+    return glue.GlueSpec(tuple(map(sum, zip(*terms))), top)
+
+
+def isotropic_elements(form: lat.FiniteQuadraticForm) -> list:
+    return [el for el in form.elements() if any(el) and form.q(el) == 0]
+
+
+def glue_test_bases() -> list[lat.Lattice]:
+    """Bases whose discriminant forms have a nonzero isotropic element:
+    A1^4 + U, A3^2 + U, A1^2 + A3 + U and A7 + U."""
+    a = lambda n: lat.root_lattice("A", n)
+    return [lat.direct_sum(*summands, lat.hyperbolic())
+            for summands in ([a(1)] * 4, [a(3)] * 2, [a(1), a(1), a(3)], [a(7)])]
+
+
 def test_adjoin_d8_to_e8():
     d8 = lat.root_lattice("D", 8)
     form = lat.discriminant_group(d8)
-    spinor = next(
-        el
-        for el in form.elements()
-        if any(el) and form.q(el) == 0
-    )
-    vec = [
-        sum(
-            Fraction(c * form.generators[i][j], form.invariant_factors[i])
-            for i, c in enumerate(spinor)
-        )
-        for j in range(8)
-    ]
-    bigger = glue.adjoin_ambient_vectors(d8, [vec])
+    spinor = isotropic_elements(form)[0]
+    bigger = glue.adjoin(d8, [element_glue(form, spinor)])
     assert bigger.det() == d8.det() // 4
     assert abs(bigger.det()) == 1
     assert bigger.is_even()
@@ -131,28 +141,17 @@ def test_adjoin_d8_to_e8():
 
 def test_adjoin_determinant_law_random():
     rng = random.Random(11)
+    bases = glue_test_bases()
     for _ in range(15):
-        base = lat.direct_sum(
-            lat.root_lattice("A", rng.choice([1, 2, 3])),
-            lat.root_lattice("A", rng.choice([1, 2])),
-            lat.hyperbolic(),
-        )
+        base = rng.choice(bases)
         form = lat.discriminant_group(base)
-        isotropics = [
-            el for el in form.elements() if any(el) and form.q(el) == 0
-        ]
-        if not isotropics:
-            continue
+        isotropics = isotropic_elements(form)
+        assert isotropics, base.gram
         el = rng.choice(isotropics)
-        vec = [
-            sum(
-                Fraction(c * form.generators[i][j], form.invariant_factors[i])
-                for i, c in enumerate(el)
-            )
-            for j in range(base.rank)
-        ]
-        results = [glue.adjoin_ambient_vectors(base, [vec])]
-        results += [m for m in glue.even_overlattices(base) if m.ambient is not None]
+        results = [glue.adjoin(base, [element_glue(form, el)])]
+        overlattices = [m for m in glue.even_overlattices(base) if m.ambient is not None]
+        assert overlattices
+        results += overlattices
         for bigger in results:
             index = glue.glue_index(bigger)
             assert base.det() == index**2 * bigger.det()
@@ -596,9 +595,15 @@ def test_l2_disc_group_order_matches_snf():
 
 
 def test_l2_torsion_solutions_verify_constraints():
-    frame, t1, t2 = glue.l2_data()
-    # back-substitution of the defining incidences
-    for t, comp, zero_set in ((t1, 1, {0, 1, 2}), (t2, 2, {3, 4, 5})):
+    frame = glue.build_named("L2").ambient.ambient
+    for g, comp, zero_set in zip(glue.L2_TORSION, (1, 2), ({0, 1, 2}, {3, 4, 5})):
+        t = [Fraction(x, g.denominator) for x in g.vector]
+        # the pairings with F, O, c, d1, d2, d3, a1..a9, s; the frame is
+        # nonsingular, so they fix the class
+        incidences = ([1, 0, 0] + [1 if d == comp else 0 for d in (1, 2, 3)]
+                      + [0 if i in zero_set else 1 for i in range(9)] + [0])
+        assert exact.solve(frame.gram, incidences) == t
+        # back-substitution of the defining incidences
         assert frame.norm(t) == -2
         pair = lambda i: frame.pairing(t, [1 if j == i else 0 for j in range(16)])
         assert pair(0) == 1  # fiber degree
@@ -609,6 +614,20 @@ def test_l2_torsion_solutions_verify_constraints():
             assert pair(2 + d) == (1 if d == comp else 0)
         for i in range(9):
             assert pair(6 + i) == (0 if i in zero_set else 1)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_l2_refuses_a_changed_torsion_class(monkeypatch, k):
+    # a change by 2 keeps the class mod the frame, and so the glued lattice:
+    # only the incidence check sees it
+    for i, delta in itertools.product(range(16), (1, 2)):
+        classes = list(glue.L2_TORSION)
+        vector = list(classes[k].vector)
+        vector[i] += delta
+        classes[k] = glue.GlueSpec(tuple(vector), 2)
+        monkeypatch.setattr(glue, "L2_TORSION", tuple(classes))
+        with pytest.raises(glue.GlueError, match="fails its incidences"):
+            glue.build_named("L2")
 
 
 def test_l2_frame_index_four():

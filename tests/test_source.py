@@ -545,7 +545,19 @@ def test_one_hermite_elimination_and_one_rational_vector_conversion():
     lattice = importlib.import_module("k3lattice.lattice")
     assert not hasattr(lattice, "_numerators")
     assert "Fraction" not in _names(_function("lattice.py", "divisibility"))
-    assert "numerators" in _called_names(_function("glue.py", "adjoin_ambient_vectors"))
+
+
+def test_glue_computes_in_integers_only():
+    # every overlattice is one adjoin of integer GlueSpecs, and L2's torsion
+    # classes are stored, not solved for, so glue needs no Fraction
+    tree = ast.parse((SRC / "glue.py").read_text())
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {(node.module or "").split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)}
+    assert "fractions" not in imported
+    assert "Fraction" not in _names(tree)
+    assert not hasattr(glue, "adjoin_ambient_vectors")
 
 
 def _loops(fn: ast.AST) -> int:
@@ -719,6 +731,9 @@ UNCALLED = {
         "2-parts of exponent > 2; no claim has one; perfbench/tracer.py FUNCTIONS names it"
     ),
     "glue.even_overlattices": "public; perfbench/tracer.py FUNCTIONS names it",
+    "exact.solve": (
+        "public; perfbench/tracer.py FUNCTIONS names it; the tests' oracle for `glue.L2_TORSION`"
+    ),
     "glue.find_isotropic_glue": (
         "public; perfbench/tracer.py FUNCTIONS names it; the claims check stored witnesses"
     ),
