@@ -194,6 +194,8 @@ def _subgroups_and_lift(l: Lattice, max_index: int | None) -> tuple:
     and the matrix lifting an element c to sum_i c_i (N / d_i) g_i over N."""
     if max_index is not None:
         exact.require_integers([[max_index]], "even_overlattices")
+        if max_index < 0:
+            raise ValueError("even_overlattices needs a nonnegative max_index")
     if not l.is_even():
         raise GlueError("even overlattices require an even lattice")
     form = discriminant_group(l)

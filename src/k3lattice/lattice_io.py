@@ -19,7 +19,9 @@ Both kinds of file go through one JSON parse; a malformed one raises
 error, or "nested too deeply" for a document that exhausts the parser's
 recursion (``[[[...]]]`` some 100,000 levels down).
 
-A corpus of named lattice files ships in the package ``data`` directory.
+A corpus of named lattice files ships in the package ``data`` directory:
+``named X --save`` output for 11, ``claims.T_GRAM`` and ``RANK18_GRAM`` for
+``T`` and ``rank18-example``, held byte for byte by tests/test_cli_printouts.py.
 """
 
 from __future__ import annotations

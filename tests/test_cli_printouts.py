@@ -1,4 +1,9 @@
-"""The CLI printouts of every shipped lattice file, pinned byte for byte.
+"""Every shipped lattice file, pinned byte for byte to its source and to
+its CLI printouts.
+
+Each file is ``lattice_io.dumps`` of one lattice the package builds
+(``SOURCES``), so a builder change that moves a basis shows here, and a new
+data file needs both a source and a printout.
 
 ``lattice info`` and ``lattice op disc-form`` turn the integer q and b
 numerators of a discriminant form back into printed fractions; these
@@ -6,13 +11,27 @@ literals were recorded before the numerators replaced stored ``Fraction``
 values, so any change in that round trip shows here.
 """
 
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from k3lattice import cli, lattice_io
+import k3lattice.lattice as lat
+from k3lattice import claims, cli, glue, lattice_io
 
 DATA = Path(lattice_io.__file__).parent / "data"
+
+# the builder name is not always the file stem, nor the name in the file:
+# U_E8_E6.lattice holds "U+E8+E6"
+SOURCES = {
+    **{f"{stem}.lattice": partial(glue.build_named, name) for stem, name in (
+        ("KummerK", "KummerK"), ("L0", "L0"), ("L2", "L2"), ("L_sat", "L_sat"),
+        ("Lambda3", "Lambda(3)"), ("Lp17", "Lp(17)"), ("M16", "M16"), ("N1", "N1"),
+        ("N2", "N2"), ("U_E8_E6", "U_E8_E6"), ("V", "V"),
+    )},
+    "T.lattice": lambda: lat.Lattice(claims.T_GRAM, "T"),
+    "rank18-example.lattice": lambda: lat.Lattice(claims.RANK18_GRAM, "rank18-example"),
+}
 
 PRINTOUTS = {
     "KummerK.lattice": (
@@ -172,14 +191,14 @@ PRINTOUTS = {
         "q(g2) = 0 (mod 2)\n"
         "q(g3) = 1/2 (mod 2)\n"
         "q(g4) = 3/2 (mod 2)\n"
-        "q(g5) = 1/2 (mod 2)\n"
-        "q(g6) = 1/6 (mod 2)\n"
-        "b(g1, .) = 0  0  0  1/2  1/2  0\n"
-        "b(g2, .) = 0  0  0  1/2  0  0\n"
-        "b(g3, .) = 0  0  1/2  0  1/2  0\n"
+        "q(g5) = 0 (mod 2)\n"
+        "q(g6) = 7/6 (mod 2)\n"
+        "b(g1, .) = 0  0  0  1/2  1/2  1/2\n"
+        "b(g2, .) = 0  0  0  1/2  1/2  0\n"
+        "b(g3, .) = 0  0  1/2  0  0  1/2\n"
         "b(g4, .) = 1/2  1/2  0  1/2  0  0\n"
-        "b(g5, .) = 1/2  0  1/2  0  1/2  1/2\n"
-        "b(g6, .) = 0  0  0  0  1/2  1/6\n",
+        "b(g5, .) = 1/2  1/2  0  0  0  0\n"
+        "b(g6, .) = 1/2  0  1/2  0  0  1/6\n",
     ),
     "N2.lattice": (
         "name:       N2\n"
@@ -194,14 +213,14 @@ PRINTOUTS = {
         "q(g2) = 0 (mod 2)\n"
         "q(g3) = 0 (mod 2)\n"
         "q(g4) = 0 (mod 2)\n"
-        "q(g5) = 0 (mod 2)\n"
-        "q(g6) = 5/3 (mod 2)\n"
-        "b(g1, .) = 0  0  0  1/2  1/2  1/2\n"
-        "b(g2, .) = 0  0  1/2  0  0  0\n"
-        "b(g3, .) = 0  1/2  0  0  1/2  1/2\n"
-        "b(g4, .) = 1/2  0  0  0  0  0\n"
-        "b(g5, .) = 1/2  0  1/2  0  0  1/2\n"
-        "b(g6, .) = 1/2  0  1/2  0  1/2  2/3\n",
+        "q(g5) = 1 (mod 2)\n"
+        "q(g6) = 2/3 (mod 2)\n"
+        "b(g1, .) = 0  0  0  1/2  1/2  0\n"
+        "b(g2, .) = 0  0  1/2  0  1/2  0\n"
+        "b(g3, .) = 0  1/2  0  0  1/2  0\n"
+        "b(g4, .) = 1/2  0  0  0  1/2  0\n"
+        "b(g5, .) = 1/2  1/2  1/2  1/2  0  1/2\n"
+        "b(g6, .) = 0  0  0  0  1/2  2/3\n",
     ),
     "T.lattice": (
         "name:       T\n"
@@ -257,7 +276,13 @@ PRINTOUTS = {
 
 
 def test_every_shipped_file_is_pinned():
-    assert sorted(p.name for p in DATA.glob("*.lattice")) == sorted(PRINTOUTS)
+    files = sorted(p.name for p in DATA.glob("*.lattice"))
+    assert files == sorted(PRINTOUTS) == sorted(SOURCES)
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_shipped_file_is_what_its_source_dumps(name):
+    assert (DATA / name).read_text() == lattice_io.dumps(SOURCES[name]())
 
 
 @pytest.mark.parametrize("name", sorted(PRINTOUTS))

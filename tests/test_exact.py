@@ -320,6 +320,24 @@ def test_box_callers_refuse_a_negative_bound(name):
         BOX_CALLERS[name](-1)
 
 
+OVERLATTICE_CALLERS = {
+    "even_overlattices": glue.even_overlattices,
+    "even_overlattice_forms": glue.even_overlattice_forms,
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERLATTICE_CALLERS))
+def test_overlattice_callers_refuse_a_negative_max_index(name):
+    # -1 would give the base alone, which reads as "no proper overlattice";
+    # the forms are a generator, so only next() reaches the check
+    u2 = lat.rescale(lat.hyperbolic(), 2)
+    call = OVERLATTICE_CALLERS[name]
+    with pytest.raises(ValueError, match="^even_overlattices needs a nonnegative max_index$"):
+        next(iter(call(u2, -1)))
+    # U(2) has two isotropic subgroups of order 2, e/2 and f/2
+    assert [len(list(call(u2, m))) for m in (0, 1, 2)] == [1, 1, 3]
+
+
 def test_det_huge_entries_exact():
     big = 10**40
     m = [[big, 1], [1, big]]
